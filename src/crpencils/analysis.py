@@ -22,8 +22,10 @@ from .linalg import (
     DEFAULT_PRIME,
     Subspace,
     bareiss_rank,
+    check_prime,
     modp_kernel,
     modp_rank,
+    modp_ranks,
     modp_rref,
 )
 from .modules import spin_space
@@ -39,6 +41,8 @@ from .partitions import (
 from .pencils import Pencil, check_equivariance, _one_box
 
 EQUIV_CHECK_PRIMES = (46337, 46327)  # small enough for single-shot int64 matmul
+CHUNK_CELLS = 1 << 15  # matrix cells evaluated and eliminated at once
+EXHAUSTIVE_BLOCK = 1 << 14  # projective points decoded at once
 
 
 @dataclass
@@ -76,37 +80,40 @@ class RankReport:
         return out
 
 
-def _rank_at(pencil: Pencil, stacked: np.ndarray, x: Sequence[int], p: int) -> int:
-    return modp_rank(pencil.evaluate_modp(x, stacked, p), p)
+def ranks_at(pencil: Pencil, points, p: int) -> list[int]:
+    """Rank mod p of the pencil at each row of the (N, s) points, evaluated
+    and eliminated in chunks of at most CHUNK_CELLS cells to bound memory."""
+    check_prime(p)
+    stacked = pencil.coeff_array_modp(p)
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
+    step = max(1, CHUNK_CELLS // (pencil.target_dim * pencil.source_dim))
+    ranks: list[int] = []
+    for i in range(0, len(pts), step):
+        chunk = pts[i : i + step]
+        ranks += modp_ranks(pencil.evaluate_modp(chunk, stacked, p), p).tolist()
+    return ranks
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,
                  seed: int = 0) -> int:
+    check_prime(prime)
     rng = random.Random(seed)
-    stacked = pencil.coeff_array_modp(prime)
-    best = 0
-    for _ in range(trials):
-        x = [rng.randrange(prime) for _ in range(pencil.nvars)]
-        best = max(best, _rank_at(pencil, stacked, x, prime))
-    return best
+    points = [[rng.randrange(prime) for _ in range(pencil.nvars)] for _ in range(trials)]
+    return max(ranks_at(pencil, points, prime), default=0)
 
 
-def _projective_points(s: int, p: int):
-    """Representatives of P^{s-1}(F_p): first nonzero coordinate is 1."""
+def projective_blocks(s: int, p: int, block: int):
+    """P^{s-1}(F_p) with first nonzero coordinate 1, in lexicographic order,
+    as arrays of at most `block` points decoded from base-p digits."""
     for lead in range(s):
-        tail = s - lead - 1
-        idx = [0] * tail
-        while True:
-            yield tuple([0] * lead + [1] + idx)
-            k = tail - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < p:
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
+        total = p ** (s - lead - 1)
+        for start in range(0, total, block):
+            idx = np.arange(start, min(start + block, total), dtype=np.int64)
+            out = np.zeros((idx.size, s), dtype=np.int64)
+            out[:, lead] = 1
+            for k in range(s - 1, lead, -1):
+                idx, out[:, k] = np.divmod(idx, p)
+            yield out
 
 
 def structured_points(pencil: Pencil, prime: int, rng: random.Random,
@@ -175,6 +182,7 @@ def structured_points(pencil: Pencil, prime: int, rng: random.Random,
 def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
                           prime: int = DEFAULT_PRIME, trials: int = 200,
                           seed: int = 0, budget: int = 10 ** 6) -> RankReport:
+    check_prime(prime)
     if mode == "transitivity":
         if not pencil.transitive_base:
             raise ValueError(
@@ -189,9 +197,8 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
         if not ok:
             raise ValueError("equivariance certificate failed")
         rng = random.Random(seed)
-        stacked = pencil.coeff_array_modp(prime)
         x = tuple(rng.randrange(prime) for _ in range(pencil.nvars))
-        r = _rank_at(pencil, stacked, x, prime)
+        r = ranks_at(pencil, [x], prime)[0]
         return RankReport(
             generic_rank=r,
             strata=[(r, x, "generic")],
@@ -204,15 +211,15 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
             },
         )
 
-    stacked = pencil.coeff_array_modp(prime)
     if mode == "exhaustive":
         npoints = (prime ** pencil.nvars - 1) // (prime - 1)
         if npoints > budget:
             raise ValueError(f"{npoints} projective points exceed budget {budget}")
         ranks: dict[int, tuple] = {}
-        for x in _projective_points(pencil.nvars, prime):
-            r = _rank_at(pencil, stacked, x, prime)
-            ranks.setdefault(r, x)
+        for block in projective_blocks(pencil.nvars, prime, EXHAUSTIVE_BLOCK):
+            values, first = np.unique(ranks_at(pencil, block, prime), return_index=True)
+            for r, i in zip(values.tolist(), first):
+                ranks.setdefault(r, tuple(block[i].tolist()))
         strata = [(r, pt, "exhaustive") for r, pt in sorted(ranks.items())]
         verdict = "constant" if len(ranks) == 1 else "non-constant"
         return RankReport(
@@ -230,11 +237,9 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
         for _ in range(trials)
     ]
     points += structured_points(pencil, prime, rng)
+    points = [(x, cls) for x, cls in points if any(x)]
     ranks: dict[tuple[int, str], tuple] = {}
-    for x, cls in points:
-        if not any(x):
-            continue
-        r = _rank_at(pencil, stacked, x, prime)
+    for r, (x, cls) in zip(ranks_at(pencil, [x for x, _ in points], prime), points):
         ranks.setdefault((r, cls), x)
     strata = [(r, pt, cls) for (r, cls), pt in sorted(ranks.items())]
     values = {r for r, _ in ranks}
@@ -344,6 +349,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     If the dimension stabilizes strictly above dim L for two consecutive
     doubling rounds the verdict is "strictly-larger".
     """
+    check_prime(prime)
     rng = random.Random(seed)
     stacked = pencil.coeff_array_modp(prime)
     c, b = pencil.target_dim, pencil.source_dim

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from fractions import Fraction
 from functools import reduce
@@ -22,17 +21,20 @@ from math import ceil, comb, gcd, lcm
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .analysis import (
     constant_rank_verdict,
     generic_rank,
     koszul_flattening_rank,
     predict_gl_decomposition,
     predict_so_nonisotropic,
+    ranks_at,
     rnd,
     structured_points,
     theta_rank_formula,
 )
-from .linalg import DEFAULT_PRIME, bareiss_rank, modp_rank, qq_rank
+from .linalg import DEFAULT_PRIME, bareiss_rank, check_prime, qq_rank
 from .modules import orthogonal_form, orthogonal_module, spin_space
 from .partitions import (
     GroupSpec,
@@ -273,7 +275,22 @@ def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
         raise FixtureParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FixtureParseError("pencil document must be a JSON object")
-    return document_to_pencil(doc), doc.get("builder")
+    pencil, record = document_to_pencil(doc), doc.get("builder")
+    if _record_fits(record, pencil.nvars):
+        pencil = replace(pencil, builder=record["kind"])
+    return pencil, record
+
+
+def _record_fits(record, nvars: int) -> bool:
+    """Whether an "so" (m = nvars) or "spin" (2^(n-1) = nvars) record may pick
+    the structured sample points, which need at least two variables."""
+    if not isinstance(record, dict) or nvars < 2:
+        return False
+    if record.get("kind") == "so":
+        return record.get("m") == nvars
+    n = nvars.bit_length()
+    spin = record.get("kind") == "spin" and record.get("n") == n
+    return spin and nvars == 2 ** (n - 1)
 
 
 def build_from_params(params: dict) -> Pencil:
@@ -314,7 +331,9 @@ class CatalogRunConfig:
     seed: int = 0
     budget: int = 10 ** 6
     max_ambient: Optional[int] = None
-    workers: int = 1
+
+    def __post_init__(self) -> None:
+        check_prime(self.prime)
 
 
 @dataclass(frozen=True)
@@ -347,16 +366,14 @@ def _true(failures: list, details: dict, label: str, ok: bool) -> None:
         failures.append(f"{label}: expected to hold")
 
 
+def _random_points(nvars: int, prime: int, rng: random.Random, count: int) -> list:
+    points = [[rng.randrange(prime) for _ in range(nvars)] for _ in range(count)]
+    return [x if any(x) else [1] + x[1:] for x in points]
+
+
 def _sample_ranks(pencil: Pencil, prime: int, rng: random.Random,
                   count: int) -> set[int]:
-    stacked = pencil.coeff_array_modp(prime)
-    out = set()
-    for _ in range(count):
-        x = [rng.randrange(prime) for _ in range(pencil.nvars)]
-        if not any(x):
-            x[0] = 1
-        out.add(modp_rank(pencil.evaluate_modp(x, stacked, prime), prime))
-    return out
+    return set(ranks_at(pencil, _random_points(pencil.nvars, prime, rng, count), prime))
 
 
 def _mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
@@ -669,13 +686,7 @@ def _check_sp6_fixture(cfg: CatalogRunConfig):
     rng = random.Random(cfg.seed)
     ranks = _sample_ranks(fix, cfg.prime, rng, 200)
     _eq(failures, details, "rank at 200 random points", ranks, {9})
-    stacked = fix.coeff_array_modp(cfg.prime)
-    coord = {
-        modp_rank(fix.evaluate_modp(
-            [1 if j == i else 0 for j in range(6)], stacked, cfg.prime),
-            cfg.prime)
-        for i in range(6)
-    }
+    coord = set(ranks_at(fix, np.eye(6, dtype=np.int64), cfg.prime))
     _eq(failures, details, "rank at all coordinate points", coord, {9})
     rep = constant_rank_verdict(fix, "exhaustive", prime=5, budget=cfg.budget)
     cons = build_sp_pencil((1, 1), (1, 1, 1), 6)
@@ -691,13 +702,7 @@ def _check_sp6_fixture(cfg: CatalogRunConfig):
     _eq(failures, details,
         "verbatim transcription flagged (suspected erratum): F5 strata",
         sorted(r for r, _, _ in raw_rep.strata), [9, 10, 11])
-    raw_st = raw.coeff_array_modp(cfg.prime)
-    coord_raw = {
-        modp_rank(raw.evaluate_modp(
-            [1 if j == i else 0 for j in range(6)], raw_st, cfg.prime),
-            cfg.prime)
-        for i in range(6)
-    }
+    coord_raw = set(ranks_at(raw, np.eye(6, dtype=np.int64), cfg.prime))
     _eq(failures, details, "verbatim transcription rank at coordinate points",
         coord_raw, {9})
     details["erratum"] = (
@@ -716,18 +721,9 @@ def _check_sp6_koszul_expansion(cfg: CatalogRunConfig):
         (rep.verdict, rep.generic_rank), ("constant", 10))
     reduced = build_sp_pencil((1, 1), (1, 1, 1), 6)
     rng = random.Random(cfg.seed)
-    se = expanded.coeff_array_modp(cfg.prime)
-    sr = reduced.coeff_array_modp(cfg.prime)
-    ok = True
-    for _ in range(100):
-        x = [rng.randrange(cfg.prime) for _ in range(6)]
-        if not any(x):
-            x[0] = 1
-        re_ = modp_rank(expanded.evaluate_modp(x, se, cfg.prime), cfg.prime)
-        rr = modp_rank(reduced.evaluate_modp(x, sr, cfg.prime), cfg.prime)
-        if re_ != rr + 1:
-            ok = False
-            break
+    points = _random_points(6, cfg.prime, rng, 100)
+    ok = all(re_ == rr + 1 for re_, rr in zip(
+        ranks_at(expanded, points, cfg.prime), ranks_at(reduced, points, cfg.prime)))
     _true(failures, details,
           "block relation rank(expanded) = rank(reduced) + 1 (100 points)", ok)
     return details, failures
@@ -802,12 +798,10 @@ def _check_so_hook_corank(cfg: CatalogRunConfig):
     for m in (5, 6):
         pen = build_so_pencil((3, 1, 1), (3, 2, 1), m)
         want_kernel = comb(m - 1, 3) + comb(m - 1, 2)
-        stacked = pen.coeff_array_modp(cfg.prime)
+        pts = structured_points(pen, cfg.prime, rng, count=50)
+        pts = [(x, cls) for x, cls in pts if cls != "coordinate"]
         coranks = {"isotropic": set(), "non-isotropic": set()}
-        for x, cls in structured_points(pen, cfg.prime, rng, count=50):
-            if cls == "coordinate":
-                continue
-            r = modp_rank(pen.evaluate_modp(x, stacked, cfg.prime), cfg.prime)
+        for r, (_, cls) in zip(ranks_at(pen, [x for x, _ in pts], cfg.prime), pts):
             coranks[cls].add(pen.source_dim - r)
         _eq(failures, details, f"m={m} corank at isotropic points",
             coranks["isotropic"], {want_kernel})
@@ -835,12 +829,9 @@ def _check_so_branching(cfg: CatalogRunConfig):
     pen = build_so_pencil((2,), (2, 1), 5)
     pred = predict_so_nonisotropic((2,), (2, 1), 5)
     rng = random.Random(cfg.seed)
-    stacked = pen.coeff_array_modp(cfg.prime)
-    ranks = {
-        modp_rank(pen.evaluate_modp(x, stacked, cfg.prime), cfg.prime)
-        for x, cls in structured_points(pen, cfg.prime, rng, count=20)
-        if cls == "non-isotropic"
-    }
+    pts = [x for x, cls in structured_points(pen, cfg.prime, rng, count=20)
+           if cls == "non-isotropic"]
+    ranks = set(ranks_at(pen, pts, cfg.prime))
     _eq(failures, details, "m=5 non-isotropic rank matches prediction",
         ranks, {pred.image_dim})
     return details, failures
@@ -878,18 +869,11 @@ def _check_spin10_pencil(cfg: CatalogRunConfig):
     _eq(failures, details, "shape", (pen.nvars, pen.target_dim, pen.source_dim),
         (16, 16, 10))
     rng = random.Random(cfg.seed)
-    stacked = pen.coeff_array_modp(cfg.prime)
-    ranks = set()
-    for _ in range(200):
-        x = [rng.randrange(cfg.prime) for _ in range(16)]
-        if not any(x):
-            x[0] = 1
-        ranks.add(modp_rank(pen.evaluate_modp(x, stacked, cfg.prime),
-                            cfg.prime))
+    ranks = _sample_ranks(pen, cfg.prime, rng, 200)
     _eq(failures, details, "rank at 200 random deltas", ranks, {9})
     e0 = [1] + [0] * 15
     _eq(failures, details, "rank at delta = e_empty",
-        modp_rank(pen.evaluate_modp(e0, stacked, cfg.prime), cfg.prime), 5)
+        ranks_at(pen, [e0], cfg.prime)[0], 5)
     even_basis = spin_space(5).even_basis
     ok_prop, ok_kernel = True, True
     for _ in range(100):
@@ -945,10 +929,9 @@ def _check_spin10_fixture(cfg: CatalogRunConfig):
     rng = random.Random(cfg.seed)
     ranks = _sample_ranks(fix, cfg.prime, rng, 200)
     _eq(failures, details, "rank at 200 random deltas", ranks, {9})
-    stacked = fix.coeff_array_modp(cfg.prime)
     e0 = [1] + [0] * 15
     _eq(failures, details, "rank at delta = e_empty",
-        modp_rank(fix.evaluate_modp(e0, stacked, cfg.prime), cfg.prime), 5)
+        ranks_at(fix, [e0], cfg.prime)[0], 5)
     # variable order in the file: delta_0, the ten pairs, the five 4-subsets
     subsets = ([()]
                + [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -1228,11 +1211,6 @@ def run_entry(entry: CatalogEntry, cfg: CatalogRunConfig) -> EntryResult:
 
 def run_catalog(filter_glob: str = "*",
                 cfg: CatalogRunConfig = CatalogRunConfig()) -> list[EntryResult]:
-    """Run every matching entry in a work pool; results sorted by id."""
+    """Run every matching entry; results sorted by id."""
     selected = [e for e in CATALOG if fnmatch(e.entry_id, filter_glob)]
-    if cfg.workers <= 1:
-        results = [run_entry(e, cfg) for e in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda e: run_entry(e, cfg), selected))
-    return sorted(results, key=lambda r: r.entry_id)
+    return sorted((run_entry(e, cfg) for e in selected), key=lambda r: r.entry_id)

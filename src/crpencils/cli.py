@@ -38,14 +38,21 @@ def _partition_arg(text: str) -> tuple:
     return parts
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                   help="odd prime for modular rank computations")
-    p.add_argument("--trials", type=int, default=200,
+                   help="odd prime below 2^31 for modular rank computations")
+    p.add_argument("--trials", type=_positive_int, default=200,
                    help="number of random sample points")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed, echoed in every report")
-    p.add_argument("--budget", type=int, default=10 ** 6,
+    p.add_argument("--budget", type=_positive_int, default=10 ** 6,
                    help="maximum projective point count for exhaustive mode")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -85,7 +92,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--filter", default="*", help="glob over entry ids")
     c.add_argument("--max-ambient", type=int, default=None,
                    help="skip entries whose largest tensor space exceeds this")
-    c.add_argument("--workers", type=int, default=1)
     _add_common_flags(c)
     return parser
 
@@ -198,11 +204,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    cfg = CatalogRunConfig(
-        prime=args.prime, trials=args.trials, seed=args.seed,
-        budget=args.budget, max_ambient=args.max_ambient,
-        workers=args.workers,
-    )
+    try:
+        cfg = CatalogRunConfig(
+            prime=args.prime, trials=args.trials, seed=args.seed,
+            budget=args.budget, max_ambient=args.max_ambient,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     results = run_catalog(args.filter, cfg)
     if not results:
         print(f"error: no catalog entry matches {args.filter!r}",

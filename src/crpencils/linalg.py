@@ -21,9 +21,20 @@ _PRIME_LIMIT = 1 << 31
 
 
 def check_prime(p: int) -> int:
-    if not (2 < p < _PRIME_LIMIT):
-        raise ValueError(f"prime must be odd and < 2^31, got {p}")
-    return p
+    """p itself when it is an odd prime below 2^31, else ValueError.
+
+    Deterministic Miller-Rabin with bases 2, 7 and 61, which is exact below
+    4,759,123,141 (Jaeschke 1993).
+    """
+    if 2 < p < _PRIME_LIMIT and p % 2:
+        d, s = p - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        if all(a % p == 0 or pow(a, d, p) == 1
+               or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in (2, 7, 61)):
+            return p
+    raise ValueError(f"prime must be an odd prime < 2^31, got {p}")
 
 
 def reduce_mod(x, p: int) -> int:
@@ -167,6 +178,32 @@ def modp_rank(a: np.ndarray, p: int) -> int:
     return len(modp_rref(a, p)[1])
 
 
+def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank mod p of each matrix in an (N, m, n) stack, all at once.
+
+    Column by column, each matrix picks its own pivot among the rows it has
+    not used yet and clears that column from its other unused rows with the
+    inverse-free update row <- pivot*row - a_ic*pivot_row.  Both products
+    are below p^2 < 2^62, and scaling a row by a unit keeps the rank.
+    """
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
+        a = a.transpose(0, 2, 1)
+    count, m, ncols = a.shape
+    mats = np.arange(count)
+    used = np.zeros((count, m), dtype=bool)
+    for c in range(ncols):
+        col = np.where(used, 0, a[:, :, c])
+        piv = (col != 0).argmax(axis=1)
+        pivot = col[mats, piv]
+        col[mats, piv] = 0
+        scale = np.where(col != 0, pivot[:, None], 1)
+        a[:, :, c + 1:] = (scale[:, :, None] * a[:, :, c + 1:]
+                           - col[:, :, None] * a[mats, piv, None, c + 1:]) % p
+        used[mats, piv] |= pivot != 0
+    return used.sum(axis=1)
+
+
 def modp_independent_rows(a: np.ndarray, p: int) -> list[int]:
     """Original indices of a maximal independent subset of rows, mod p."""
     a = np.array(a, dtype=np.int64) % p
@@ -224,7 +261,9 @@ def modp_solve(a: np.ndarray, rhs: np.ndarray, p: int) -> Optional[np.ndarray]:
 def modp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product mod p, chunked so int64 accumulation cannot overflow."""
     a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64)
+    if b.size and not 0 <= b.min() <= b.max() < p:  # a reduced b is not copied
+        b = b % p
     # each product < p^2 < 2^62; sum at most one extra doubling before reduce
     step = max(1, (1 << 62) // (p * p))
     n = a.shape[1]

@@ -104,9 +104,6 @@ class Pencil:
                         orow[c] += xi * row[c]
         return out
 
-    def coeff_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=object)
-
     def coeff_array_modp(self, p: int) -> np.ndarray:
         if self.denom % p == 0:
             raise ValueError(f"prime {p} divides the cleared denominator")
@@ -118,13 +115,12 @@ class Pencil:
                         a[i, r, c] = x % p
         return a
 
-    def evaluate_modp(self, x: Sequence[int], stacked: np.ndarray, p: int) -> np.ndarray:
-        xv = np.array([int(v) % p for v in x], dtype=np.int64)
-        out = np.zeros((self.target_dim, self.source_dim), dtype=np.int64)
-        for i, xi in enumerate(xv):
-            if xi:
-                out = (out + xi * stacked[i]) % p
-        return out
+    def evaluate_modp(self, x: Sequence, stacked: np.ndarray, p: int) -> np.ndarray:
+        """sum x_i A_i mod p at one point (s,) or at each row of an (N, s) batch."""
+        xv = np.asarray(x, dtype=np.int64)
+        out = modp_matmul(xv.reshape(-1, self.nvars),
+                          stacked.reshape(self.nvars, -1), p)
+        return out.reshape(xv.shape[:-1] + (self.target_dim, self.source_dim))
 
 
 def _clear_denominators(mats: list[list[list[Fraction]]]) -> tuple[tuple, int]:

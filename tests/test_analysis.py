@@ -3,6 +3,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,13 @@ from crpencils.analysis import (
     koszul_flattening_rank,
     predict_gl_decomposition,
     predict_so_nonisotropic,
+    projective_blocks,
+    ranks_at,
     rnd,
     structured_points,
     theta_rank_formula,
 )
+from crpencils.linalg import DEFAULT_PRIME, modp_rank
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
     build_gl_pencil,
@@ -49,6 +53,56 @@ def test_exhaustive_gl_over_f5():
     # all 31 points of P^2(F_5) were visited, one witness per rank value
     assert rep.method["points"] == 31
     assert [r for r, _, _ in rep.strata] == [5]
+
+
+def _reference_projective_points(s, p):
+    """The earlier one-point-at-a-time enumeration of P^{s-1}(F_p)."""
+    for lead in range(s):
+        tail = s - lead - 1
+        idx = [0] * tail
+        while True:
+            yield tuple([0] * lead + [1] + idx)
+            k = tail - 1
+            while k >= 0:
+                idx[k] += 1
+                if idx[k] < p:
+                    break
+                idx[k] = 0
+                k -= 1
+            if k < 0:
+                break
+
+
+@pytest.mark.parametrize("s,p", [(3, 3), (4, 5), (6, 5)])
+def test_projective_blocks_keep_the_enumeration_order(s, p):
+    for block in (1, 7, 4096):
+        got = [tuple(row) for b in projective_blocks(s, p, block) for row in b.tolist()]
+        assert got == list(_reference_projective_points(s, p))
+        assert all(len(b) <= block for b in projective_blocks(s, p, block))
+
+
+def test_ranks_at_matches_per_point_rank():
+    pen = build_so_pencil((2,), (2, 1), 4)
+    rng = random.Random(1)
+    points = [[rng.randrange(DEFAULT_PRIME) for _ in range(4)] for _ in range(40)]
+    points += [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+    stacked = pen.coeff_array_modp(DEFAULT_PRIME)
+    want = [modp_rank(pen.evaluate_modp(x, stacked, DEFAULT_PRIME), DEFAULT_PRIME)
+            for x in points]
+    assert ranks_at(pen, points, DEFAULT_PRIME) == want
+    assert ranks_at(pen, np.zeros((0, 4), dtype=np.int64), DEFAULT_PRIME) == []
+
+
+@pytest.mark.parametrize("prime", [9, 15, 1, 46337 * 46327])
+def test_entry_points_reject_non_primes(prime):
+    pen = build_gl_pencil((2,), (2, 1), 3)
+    for call in (lambda: constant_rank_verdict(pen, "sampled", prime=prime, trials=3),
+                 lambda: constant_rank_verdict(pen, "exhaustive", prime=prime),
+                 lambda: generic_rank(pen, prime),
+                 lambda: rnd(pen, prime),
+                 lambda: ranks_at(pen, [[1, 0, 0]], prime)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_exhaustive_budget_guard():

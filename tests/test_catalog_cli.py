@@ -12,6 +12,7 @@ from crpencils.catalog import (
     FIXTURE_NAMES,
     CatalogRunConfig,
     FixtureParseError,
+    build_from_params,
     catalog_ids,
     document_to_pencil,
     dumps_pencil,
@@ -22,6 +23,7 @@ from crpencils.catalog import (
     run_catalog,
     run_entry,
 )
+from crpencils.analysis import constant_rank_verdict
 from crpencils.linalg import qq_rank
 from crpencils.pencils import Pencil, build_gl_pencil, build_koszul_pencil
 
@@ -267,6 +269,55 @@ def test_cli_exit_codes(tmp_path, capsys):
     plain.write_text(dumps_pencil(build_koszul_pencil(1, 3)))
     assert cli.main(["verify", str(plain), "--mode", "transitivity"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("prime", ["9", "15", "1", "2146654199"])
+def test_cli_rejects_non_prime(tmp_path, capsys, prime):
+    # 2146654199 = 46337 * 46327
+    out = tmp_path / "pencil.json"
+    cli.main(["build", "koszul", "--k", "1", "--v", "3", "--out", str(out)])
+    for mode in ("sampled", "exhaustive"):
+        assert cli.main(["verify", str(out), "--mode", mode, "--prime", prime]) == 2
+    assert cli.main(["catalog", "--filter", "koszul-flattening", "--prime", prime]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
+                                        ("--budget", "0"), ("--budget", "x")])
+def test_cli_rejects_non_positive_counts(tmp_path, capsys, flag, value):
+    out = tmp_path / "pencil.json"
+    cli.main(["build", "koszul", "--k", "1", "--v", "3", "--out", str(out)])
+    for argv in (["verify", str(out)], ["catalog", "--filter", "koszul-flattening"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, value])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_loaded_so_and_spin_files_keep_structured_points():
+    params = {"kind": "so", "mu": [2], "nu": [2, 1], "m": 5}
+    pen, _ = loads_pencil(dumps_pencil(build_from_params(params), params))
+    assert pen.builder == "so"
+    rep = constant_rank_verdict(pen, "sampled", trials=5, seed=0)
+    assert any(cls == "isotropic" for _, _, cls in rep.strata)
+    spin = {"kind": "spin", "n": 5}
+    assert loads_pencil(dumps_pencil(build_from_params(spin), spin))[0].builder == "spin"
+    # a record that disagrees with the shape, or is malformed, is not trusted
+    text = dumps_pencil(build_koszul_pencil(1, 3))
+    for record in ({"kind": "so", "m": 4}, {"kind": "spin", "n": 10 ** 9},
+                   {"kind": "so"}, ["so"], "spin"):
+        doc = json.loads(text)
+        doc["builder"] = record
+        assert loads_pencil(json.dumps(doc))[0].builder == "file"
+    # one variable is too few for isotropic or pure-spinor points
+    one = dumps_pencil(Pencil(nvars=1, source_dim=1, target_dim=1, coeffs=(((1,),),),
+                              denom=1, var_labels=("x",), builder="gl"))
+    for record in ({"kind": "so", "m": 1}, {"kind": "so", "m": True}, {"kind": "spin", "n": 1}):
+        doc = json.loads(one)
+        doc["builder"] = record
+        pen = loads_pencil(json.dumps(doc))[0]
+        assert pen.builder == "file"
+        assert constant_rank_verdict(pen, "sampled", trials=3).generic_rank == 1
 
 
 def test_cli_catalog_subcommand(capsys):

@@ -10,12 +10,14 @@ from crpencils.linalg import (
     DEFAULT_PRIME,
     Subspace,
     bareiss_rank,
+    check_prime,
     image_subspace,
     kernel_subspace,
     mat_mod,
     modp_kernel,
     modp_matmul,
     modp_rank,
+    modp_ranks,
     modp_rref,
     modp_solve,
     qq_kernel,
@@ -74,6 +76,70 @@ class TestRank:
         r = qq_rank(m)
         for p in PRIMES_31BIT:
             assert modp_rank(mat_mod(m, p), p) == r
+
+
+def _stacks(primes, max_dim, entries):
+    """(p, N x m x n int list) with every matrix reduced into [0, p)."""
+    return st.tuples(
+        st.sampled_from(primes), st.integers(1, 4), st.integers(1, max_dim),
+        st.integers(1, max_dim),
+    ).flatmap(lambda t: st.tuples(
+        st.just(t[0]),
+        st.lists(st.lists(st.lists(entries(t[0]), min_size=t[3], max_size=t[3]),
+                          min_size=t[2], max_size=t[2]),
+                 min_size=t[1], max_size=t[1]),
+    ))
+
+
+class TestBatchedRank:
+    @given(_stacks((3, 5, 7, DEFAULT_PRIME), 9,
+                   lambda p: st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))))
+    @settings(max_examples=200)
+    def test_matches_per_matrix_rank(self, case):
+        p, mats = case
+        stack = np.array(mats, dtype=np.int64)
+        assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
+
+    @given(_stacks((DEFAULT_PRIME,), 6, lambda p: st.integers(-1, 1)))
+    @settings(max_examples=200)
+    def test_matches_rank_over_q_for_sign_matrices(self, case):
+        # Hadamard: every minor of a 0/+-1 matrix up to 6x6 is at most
+        # 6^3 = 216 < p in absolute value, so the rank mod p is the rank over Q
+        _, mats = case
+        stack = np.array(mats, dtype=np.int64)
+        assert modp_ranks(stack, DEFAULT_PRIME).tolist() == [bareiss_rank(m) for m in mats]
+
+
+@given(int_matrices, st.sampled_from((3, 7, DEFAULT_PRIME)), st.booleans())
+def test_matmul_matches_exact_product(m, p, reduce_first):
+    # the right factor is used as is when already reduced, and reduced otherwise
+    a = [[x * (p - 2) for x in row] for row in m]
+    b = [[row[j] - 4 * j for row in m] for j in range(len(m[0]))]
+    bb = mat_mod(b, p) if reduce_first else np.array(b, dtype=np.int64)
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    assert modp_matmul(np.array(a, dtype=np.int64), bb, p).tolist() == want
+
+
+def test_check_prime_is_miller_rabin():
+    def is_odd_prime(n):
+        return n > 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if is_odd_prime(n)] == [
+        n for n in range(3000) if _accepts(n)]
+    for p in (46337, 46327, DEFAULT_PRIME, 2147483647):
+        assert check_prime(p) == p
+    # a product of two primes near the top of the range, a Carmichael number,
+    # a strong pseudoprime to base 2 and the range limits
+    for n in (46337 * 46327, 561, 2047, 2 ** 31 + 11, 2, 1, 0, -7):
+        assert not _accepts(n)
+
+
+def _accepts(n):
+    try:
+        check_prime(n)
+    except ValueError:
+        return False
+    return True
 
 
 class TestKernelSolve:
