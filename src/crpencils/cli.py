@@ -48,8 +48,6 @@ def _positive_int(text: str) -> int:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                    help="odd prime below 2^31 for modular rank computations")
-    p.add_argument("--trials", type=_positive_int, default=200,
-                   help="number of random sample points")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed, echoed in every report")
     p.add_argument("--budget", type=_positive_int, default=10 ** 6,
@@ -86,6 +84,8 @@ def make_parser() -> argparse.ArgumentParser:
                    default="sampled")
     v.add_argument("--expect-rank", type=int, default=None)
     v.add_argument("--expect-verdict", default=None)
+    v.add_argument("--trials", type=_positive_int, default=200,
+                   help="number of random sample points")
     _add_common_flags(v)
 
     c = sub.add_parser("catalog", help="run the example catalog")
@@ -206,8 +206,8 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     try:
         cfg = CatalogRunConfig(
-            prime=args.prime, trials=args.trials, seed=args.seed,
-            budget=args.budget, max_ambient=args.max_ambient,
+            prime=args.prime, seed=args.seed, budget=args.budget,
+            max_ambient=args.max_ambient,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -227,7 +227,6 @@ def cmd_catalog(args) -> int:
                     "failures": r.failures,
                     "prime": cfg.prime,
                     "seed": cfg.seed,
-                    "trials": cfg.trials,
                 }
                 for r in results
             ],
@@ -241,7 +240,7 @@ def cmd_catalog(args) -> int:
                 print(f"    {f}")
         npass = sum(r.status == "pass" for r in results)
         print(f"{npass}/{len(results)} passed "
-              f"(prime={cfg.prime} seed={cfg.seed} trials={cfg.trials})")
+              f"(prime={cfg.prime} seed={cfg.seed})")
     return EXIT_OK if all(r.status != "fail" for r in results) else EXIT_EXPECTATION
 
 

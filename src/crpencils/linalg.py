@@ -4,8 +4,7 @@ Rational matrices are lists of lists of Fraction (or int); prime-field
 matrices are numpy int64 arrays with entries reduced into [0, p).  Primes
 must be odd and below 2**31 so that products of two residues fit in int64.
 
-Subspace is the canonical (RREF basis) representation of a row space and is
-the common currency for kernels, images and their intersections.
+Subspace is the canonical (RREF basis) representation of a row space.
 """
 from __future__ import annotations
 
@@ -129,21 +128,6 @@ def qq_kernel(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[lis
     return out
 
 
-def qq_solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One solution of m x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if not rows:
-        return [Fraction(0)] * ncols if not any(rhs) else None
-    rref, pivots = qq_rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # prime-field elimination
 
@@ -244,20 +228,6 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def modp_solve(a: np.ndarray, rhs: np.ndarray, p: int) -> Optional[np.ndarray]:
-    a = np.asarray(a, dtype=np.int64)
-    rhs = np.asarray(rhs, dtype=np.int64) % p
-    ncols = a.shape[1]
-    aug = np.hstack([a % p, rhs.reshape(-1, 1)])
-    rref, pivots = modp_rref(aug, p)
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = rref[r, ncols]
-    return x
-
-
 def modp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product mod p, chunked so int64 accumulation cannot overflow."""
     a = np.asarray(a, dtype=np.int64) % p
@@ -307,10 +277,6 @@ class Subspace:
                 basis = ()
         return Subspace(ambient_dim, basis, p)
 
-    @staticmethod
-    def zero(ambient_dim: int, p: int = 0) -> "Subspace":
-        return Subspace(ambient_dim, (), p)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -334,49 +300,6 @@ class Subspace:
         return not v.any()
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
-
-    def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.p != other.p:
             raise ValueError("subspaces live in different ambient spaces")
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel of the stacked system u A - w B = 0, pushed back to vectors."""
-        self._check_compatible(other)
-        a, b = self.basis, other.basis
-        if not a or not b:
-            return Subspace.zero(self.ambient_dim, self.p)
-        n = self.ambient_dim
-        if self.p == 0:
-            stacked = [
-                [a[i][c] for i in range(len(a))] + [-Fraction(b[j][c]) for j in range(len(b))]
-                for c in range(n)
-            ]
-            ker = qq_kernel(stacked)
-            vecs = [
-                [sum(k[i] * a[i][c] for i in range(len(a))) for c in range(n)]
-                for k in ker
-            ]
-            return Subspace.from_vectors(vecs, n, 0)
-        am = np.array(a, dtype=np.int64)
-        bm = np.array(b, dtype=np.int64)
-        stacked = np.vstack([am, (-bm) % self.p]).T
-        ker = modp_kernel(stacked, self.p)
-        vecs = modp_matmul(ker[:, : len(a)], am, self.p)
-        return Subspace.from_vectors(vecs.tolist(), n, self.p)
-
-
-def kernel_subspace(rows: Sequence[Sequence], ncols: int, p: int = 0) -> Subspace:
-    """Right kernel of a matrix as a canonical Subspace."""
-    if p == 0:
-        return Subspace.from_vectors(qq_kernel(rows, ncols), ncols, 0)
-    ker = modp_kernel(mat_mod(rows, p) if not isinstance(rows, np.ndarray) else rows, p)
-    return Subspace.from_vectors(ker.tolist(), ncols, p)
-
-
-def image_subspace(rows: Sequence[Sequence], p: int = 0) -> Subspace:
-    """Column span of a matrix (as row vectors of the transpose)."""
-    nrows = len(rows)
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(len(rows[0]) if rows else 0)]
-    return Subspace.from_vectors(cols, nrows, p)
+        return all(self.contains(row) for row in other.basis)

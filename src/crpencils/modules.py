@@ -39,6 +39,7 @@ from .tensors import (
     apply_perms_word,
     content,
     matrix_on_letters,
+    perm_sign,
     semistandard_tableaux,
     tableau_word,
     tensor_iadd,
@@ -200,10 +201,8 @@ def pairing(t: SparseTensor, u: SparseTensor, form: FormSpec) -> Fraction:
 class RealizedModule:
     group: GroupSpec
     weight: Partition
-    base_dim: int
     degree: int
     span: GradedSpan
-    labels: list
     form: Optional[FormSpec] = None
 
     @property
@@ -211,13 +210,11 @@ class RealizedModule:
         return self.span.dim
 
 
-def _schur_span(lam: Partition, v: int, grade_fn) -> tuple[GradedSpan, list]:
+def _schur_span(lam: Partition, v: int, grade_fn) -> GradedSpan:
     lam = check_partition(lam)
     perms = young_symmetrizer_perms(lam)
-    tabs = semistandard_tableaux(lam, v)
-    tensors = [apply_perms_word(tableau_word(t), perms) for t in tabs]
-    span = GradedSpan.from_tensors(tensors, size(lam), grade_fn)
-    return span, tabs
+    tensors = [apply_perms_word(tableau_word(t), perms) for t in semistandard_tableaux(lam, v)]
+    return GradedSpan.from_tensors(tensors, size(lam), grade_fn)
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +223,11 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
     lam = check_partition(lam)
     if len(lam) > v:
         raise ValueError(f"{lam} has more than {v} rows")
-    span, tabs = _schur_span(lam, v, lambda w: content(w, v))
+    span = _schur_span(lam, v, lambda w: content(w, v))
     expected = gl_dim(lam, v)
     if span.dim != expected:
         raise AssertionError(f"S_{lam}(C^{v}): got dim {span.dim}, expected {expected}")
-    return RealizedModule(GroupSpec("GL", v), lam, v, size(lam), span, list(tabs))
+    return RealizedModule(GroupSpec("GL", v), lam, size(lam), span)
 
 
 def _sparse_exact_kernel(rows: list[dict], ncols: int) -> list[list[Fraction]]:
@@ -280,7 +277,7 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     lam = check_partition(lam)
     d = size(lam)
     grade = form.word_weight
-    span_gl, _ = _schur_span(lam, form.dim, grade)
+    span_gl = _schur_span(lam, form.dim, grade)
     kept: list[SparseTensor] = []
     for g in sorted(span_gl.blocks, key=repr):
         blk = span_gl.blocks[g]
@@ -303,8 +300,7 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
         raise AssertionError(
             f"{group.family} module {lam}: got dim {span.dim}, expected {expected}"
         )
-    labels = list(range(span.dim))
-    return RealizedModule(group, lam, form.dim, d, span, labels, form)
+    return RealizedModule(group, lam, d, span, form)
 
 
 @lru_cache(maxsize=None)
@@ -417,18 +413,29 @@ def beta_pairing(s: Spinor, t: Spinor, n: int) -> Fraction:
         x = t.get(comp)
         if not x:
             continue
-        # shuffle sign of idx followed by comp into sorted order
-        merged = idx + comp
-        inv = 0
-        for a in range(len(merged)):
-            for b in range(a + 1, len(merged)):
-                if merged[a] > merged[b]:
-                    inv += 1
+        # shuffle sign of idx followed by comp into sorted order, times the
+        # sign of reversing comp
         k = len(comp)
-        rev = (k * (k - 1) // 2) % 2
-        sign = -1 if (inv + rev) % 2 else 1
+        sign = perm_sign(idx + comp) * (-1) ** (k * (k - 1) // 2)
         total += sign * c * x
     return total
+
+
+def exp_two_form(d2: dict) -> Spinor:
+    """exp(delta2) . 1 = 1 + delta2 + (delta2 ^ delta2)/2 for a two-form
+    {sorted pair: coefficient}; always a pure spinor."""
+    delta: Spinor = {(): Fraction(1)}
+    for I, c in d2.items():
+        if c:
+            delta[I] = delta.get(I, ZERO) + c
+    for i1, c1 in d2.items():
+        for i2, c2 in d2.items():
+            if set(i1) & set(i2) or not (c1 and c2):
+                continue
+            merged = i1 + i2
+            key = tuple(sorted(merged))
+            delta[key] = delta.get(key, ZERO) + Fraction(perm_sign(merged), 2) * c1 * c2
+    return {I: c for I, c in delta.items() if c}
 
 
 def gamma_pairing(k: int, s: Spinor, t: Spinor, n: int) -> dict[tuple[int, ...], Fraction]:

@@ -3,9 +3,9 @@ pencils, the spin pencil, adjoint-action pencils, and the induced operator
 on pairs of Schur modules.
 
 A pencil maps a source module (dimension b) to a target module (dimension c):
-evaluate(x) = sum x_i A_i is a c x b matrix.  Coefficient matrices are stored
-with integer entries and one global denominator so they reduce mod any prime
-not dividing it.
+evaluate(x) = sum x_i A_i is a c x b matrix.  The coefficients are stored
+sparse, as sorted (var, row, col, num) integer entries with one global
+denominator, so they reduce mod any prime not dividing it.
 
 For Sp/SO pencils the target coordinates are taken against the form-pairing
 with the target basis (the adjoint of the symmetrizer), which differs from
@@ -20,11 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import modp_matmul, reduce_mod
+from .linalg import modp_matmul
 from .modules import (
     FormSpec,
     RealizedModule,
@@ -54,6 +54,7 @@ from .tensors import (
     cell_slot,
     gl_generator_matrices,
     insert_letter,
+    perm_sign,
     young_symmetrizer_perms,
 )
 
@@ -79,40 +80,28 @@ class Pencil:
     nvars: int
     source_dim: int
     target_dim: int
-    coeffs: tuple  # nvars tuples of target_dim tuples of ints
+    coeffs: tuple  # sorted (var, row, col, num) int tuples, num != 0
     denom: int
     var_labels: tuple
-    source_label: str = ""
-    target_label: str = ""
     builder: str = ""
     equivariance: tuple = ()
     transitive_base: bool = False
 
     def evaluate(self, x: Sequence) -> list[list[Fraction]]:
         """sum x_i A_i without the global denominator (rank-equivalent)."""
+        xs = [Fraction(xi) for xi in x]
         out = [[ZERO] * self.source_dim for _ in range(self.target_dim)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            xi = Fraction(xi)
-            mat = self.coeffs[i]
-            for r in range(self.target_dim):
-                row = mat[r]
-                orow = out[r]
-                for c in range(self.source_dim):
-                    if row[c]:
-                        orow[c] += xi * row[c]
+        for var, r, c, num in self.coeffs:
+            if xs[var]:
+                out[r][c] += xs[var] * num
         return out
 
     def coeff_array_modp(self, p: int) -> np.ndarray:
         if self.denom % p == 0:
             raise ValueError(f"prime {p} divides the cleared denominator")
         a = np.zeros((self.nvars, self.target_dim, self.source_dim), dtype=np.int64)
-        for i, mat in enumerate(self.coeffs):
-            for r, row in enumerate(mat):
-                for c, x in enumerate(row):
-                    if x:
-                        a[i, r, c] = x % p
+        idx = np.array([e[:3] for e in self.coeffs], dtype=np.int64).reshape(-1, 3)
+        a[idx[:, 0], idx[:, 1], idx[:, 2]] = [e[3] % p for e in self.coeffs]
         return a
 
     def evaluate_modp(self, x: Sequence, stacked: np.ndarray, p: int) -> np.ndarray:
@@ -123,100 +112,51 @@ class Pencil:
         return out.reshape(xv.shape[:-1] + (self.target_dim, self.source_dim))
 
 
-def _clear_denominators(mats: list[list[list[Fraction]]]) -> tuple[tuple, int]:
-    """Integer coefficients and a common denominator, with the overall integer
-    content divided out (a global scalar, irrelevant to every rank property but
-    essential for reductions modulo small primes)."""
-    den = 1
-    for m in mats:
-        for row in m:
-            for x in row:
-                den = lcm(den, Fraction(x).denominator)
-    cleared = [
-        [[int(Fraction(x) * den) for x in row] for row in m] for m in mats
-    ]
-    g = 0
-    for m in cleared:
-        for row in m:
-            for x in row:
-                g = gcd(g, x)
+def _clear_denominators(entries: dict) -> tuple[tuple, int]:
+    """The sorted (var, row, col, num) coefficients and a common denominator
+    of {(var, row, col): rational}, with the overall integer content divided
+    out (a global scalar, irrelevant to every rank property but essential for
+    reductions modulo small primes)."""
+    entries = {k: Fraction(x) for k, x in entries.items() if x}
+    den = lcm(1, *(x.denominator for x in entries.values()))
+    nums = {k: int(x * den) for k, x in entries.items()}
+    g = gcd(*nums.values())
     if g > 1:
-        cleared = [[[x // g for x in row] for row in m] for m in cleared]
+        nums = {k: x // g for k, x in nums.items()}
         den //= gcd(den, g)
-    return tuple(tuple(tuple(row) for row in m) for m in cleared), den
+    return tuple(sorted(k + (x,) for k, x in nums.items())), den
 
 
-def check_equivariance(p: Pencil, prime: Optional[int] = None) -> bool:
-    """Verify the infinitesimal equivariance identity for every generator.
+def _sparse_columns(m) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero (row, value) pairs of each column of a square matrix."""
+    return [[(r, row[c]) for r, row in enumerate(m) if row[c]] for c in range(len(m))]
 
-    Exact over Q when prime is None; otherwise all matrices are reduced mod
-    the prime and checked with modular matrix products.
-    """
+
+def check_equivariance(p: Pencil) -> bool:
+    """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
+    every generator and every variable i, on the sparse coefficients."""
     if not p.equivariance:
         return False
-    if prime is None:
-        coeffs = [
-            [[Fraction(x) for x in row] for row in mat] for mat in p.coeffs
-        ]
-        for eq in p.equivariance:
-            xs, rs, rt = eq.x_on_vars, eq.rho_source, eq.rho_target
-            for i in range(p.nvars):
-                lhs = _mat_sub(
-                    _mat_mul(rt, coeffs[i]), _mat_mul(coeffs[i], rs)
-                )
-                rhs = [[ZERO] * p.source_dim for _ in range(p.target_dim)]
-                for b in range(p.nvars):
-                    xbi = Fraction(xs[b][i])
-                    if xbi:
-                        for r in range(p.target_dim):
-                            for c in range(p.source_dim):
-                                rhs[r][c] += xbi * coeffs[b][r][c]
-                if lhs != rhs:
-                    return False
-        return True
-    stacked = p.coeff_array_modp(prime)
+    by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
+    for var, r, c, num in p.coeffs:
+        by_var[var].append((r, c, num))
     for eq in p.equivariance:
-        xs = np.array(
-            [[reduce_mod(x, prime) for x in row] for row in eq.x_on_vars],
-            dtype=np.int64,
-        )
-        rs = np.array(
-            [[reduce_mod(x, prime) for x in row] for row in eq.rho_source],
-            dtype=np.int64,
-        )
-        rt = np.array(
-            [[reduce_mod(x, prime) for x in row] for row in eq.rho_target],
-            dtype=np.int64,
-        )
+        t_cols = _sparse_columns(eq.rho_target)
+        s_rows = [[(j, x) for j, x in enumerate(row) if x] for row in eq.rho_source]
+        x_cols = _sparse_columns(eq.x_on_vars)
         for i in range(p.nvars):
-            lhs = (
-                modp_matmul(rt, stacked[i], prime)
-                - modp_matmul(stacked[i], rs, prime)
-            ) % prime
-            rhs = np.tensordot(xs[:, i], stacked, axes=(0, 0)) % prime
-            if (lhs != rhs).any():
+            diff: dict = {}
+            for r, c, num in by_var[i]:
+                for k, x in t_cols[r]:
+                    diff[k, c] = diff.get((k, c), ZERO) + x * num
+                for j, x in s_rows[c]:
+                    diff[r, j] = diff.get((r, j), ZERO) - num * x
+            for b, x in x_cols[i]:
+                for r, c, num in by_var[b]:
+                    diff[r, c] = diff.get((r, c), ZERO) - x * num
+            if any(diff.values()):
                 return False
     return True
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for s in range(k):
-            x = Fraction(ai[s])
-            if x:
-                bs = b[s]
-                for j in range(m):
-                    if bs[j]:
-                        oi[j] += x * bs[j]
-    return out
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _coordinate_action(mod: RealizedModule, X) -> tuple:
@@ -229,6 +169,28 @@ def _coordinate_action(mod: RealizedModule, X) -> tuple:
         cols.append(c)
     dim = mod.dim
     return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+
+
+def _wedge_action(X, basis) -> list[dict]:
+    """Derivation action of X in gl(C^v) on Lambda^k(C^v): the image of each
+    e_K, K a sorted index tuple of the basis, as {sorted tuple: coefficient}."""
+    cols = []
+    for K in basis:
+        col: dict = {}
+        for s, a in enumerate(K):
+            rest = K[:s] + K[s + 1 :]
+            for b in range(len(X)):
+                if X[b][a] and b not in rest:
+                    rearr = K[:s] + (b,) + K[s + 1 :]
+                    key = tuple(sorted(rearr))
+                    col[key] = col.get(key, ZERO) + Fraction(X[b][a]) * perm_sign(rearr)
+        cols.append(col)
+    return cols
+
+
+def _wedge_matrix(X, basis) -> tuple:
+    cols = _wedge_action(X, basis)
+    return tuple(tuple(col.get(L, ZERO) for col in cols) for L in basis)
 
 
 def _one_box(mu: Partition, nu: Partition, max_rows: int) -> BoxPosition:
@@ -252,9 +214,7 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
     tmod = schur_module(nu, v)
     pos = cell_slot(nu, box.row - 1, box.col - 1)
     perms = young_symmetrizer_perms(nu)
-    mats = [
-        [[ZERO] * smod.dim for _ in range(tmod.dim)] for _ in range(v)
-    ]
+    entries: dict = {}
     for j, u in enumerate(smod.span.basis):
         for i in range(v):
             t = apply_perms(insert_letter(u, pos, i), perms)
@@ -263,10 +223,10 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
                 raise AssertionError("symmetrized insertion left the target module")
             for k, c in enumerate(coords):
                 if c:
-                    mats[i][k][j] = c
-    if all(not any(any(row) for row in m) for m in mats):
+                    entries[i, k, j] = c
+    if not entries:
         raise AssertionError("GL pencil is identically zero")
-    cleared, den = _clear_denominators(mats)
+    cleared, den = _clear_denominators(entries)
     equiv = []
     for X in gl_generator_matrices(v):
         equiv.append(
@@ -283,8 +243,6 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        source_label=f"S_{list(mu)}(C^{v})",
-        target_label=f"S_{list(nu)}(C^{v})",
         builder="gl",
         equivariance=tuple(equiv),
         transitive_base=True,
@@ -303,47 +261,20 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
     src = list(combinations(range(v), k))
     tgt = list(combinations(range(v), k + 1))
     tgt_index = {K: r for r, K in enumerate(tgt)}
-    mats = [
-        [[ZERO] * len(src) for _ in range(len(tgt))] for _ in range(v)
-    ]
-    for j, K in enumerate(src):
-        for i in range(v):
-            if i in K:
-                continue
-            nk = tuple(sorted(K + (i,)))
-            sign = (-1) ** sum(1 for x in K if x < i)
-            mats[i][tgt_index[nk]][j] = Fraction(sign)
-    cleared, den = _clear_denominators(mats)
-
-    def wedge_action(X, basis):
-        cols = []
-        for K in basis:
-            col = {L: ZERO for L in basis}
-            for s, a in enumerate(K):
-                for b in range(v):
-                    if X[b][a] and b not in K[:s] + K[s + 1 :]:
-                        nk = tuple(sorted(K[:s] + (b,) + K[s + 1 :]))
-                        rearr = K[:s] + (b,) + K[s + 1 :]
-                        inv = 0
-                        lst = list(rearr)
-                        for x in range(len(lst)):
-                            for y in range(x + 1, len(lst)):
-                                if lst[x] > lst[y]:
-                                    inv += 1
-                        col[nk] = col.get(nk, ZERO) + Fraction(X[b][a]) * (-1) ** inv
-            cols.append(col)
-        return tuple(
-            tuple(cols[j].get(L, ZERO) for j in range(len(basis)))
-            for L in basis
-        )
-
+    entries = {
+        (i, tgt_index[tuple(sorted(K + (i,)))], j): perm_sign((i,) + K)
+        for j, K in enumerate(src)
+        for i in range(v)
+        if i not in K
+    }
+    cleared, den = _clear_denominators(entries)
     equiv = []
     for X in gl_generator_matrices(v):
         equiv.append(
             EquivarianceData(
                 tuple(tuple(Fraction(x) for x in row) for row in X),
-                wedge_action(X, src),
-                wedge_action(X, tgt),
+                _wedge_matrix(X, src),
+                _wedge_matrix(X, tgt),
             )
         )
     return Pencil(
@@ -353,8 +284,6 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        source_label=f"Lambda^{k}(C^{v})",
-        target_label=f"Lambda^{k+1}(C^{v})",
         builder="koszul",
         equivariance=tuple(equiv),
         transitive_base=True,
@@ -398,9 +327,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
             # <r, u> picks up r_w * prod when r contains the partner word
             src_index.setdefault(tuple(pw), []).append((j, c * prod))
 
-    mats = [
-        [[ZERO] * smod.dim for _ in range(tmod.dim)] for _ in range(v)
-    ]
+    entries: dict = {}
     for k, bk in enumerate(tmod.span.basis):
         dk = apply_perms(bk, adj)
         grouped: dict[int, dict] = {}
@@ -413,13 +340,12 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
             for w, c in r.items():
                 for j, cu in src_index.get(w, ()):
                     row_vals[j] = row_vals.get(j, ZERO) + c * cu
-            mat = mats[pl]
             for j, val in row_vals.items():
                 if val:
-                    mat[k][j] += g * val
-    if all(not any(any(row) for row in m) for m in mats):
+                    entries[pl, k, j] = entries.get((pl, k, j), ZERO) + g * val
+    if not any(entries.values()):
         raise AssertionError("form pencil is identically zero")
-    cleared, den = _clear_denominators(mats)
+    cleared, den = _clear_denominators(entries)
 
     equiv = []
     for X in form_lie_basis(form):
@@ -443,8 +369,6 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
         coeffs=cleared,
         denom=den,
         var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        source_label=f"S<{list(smod.weight)}>({family}{v})",
-        target_label=f"S<{list(nu)}>({family}{v})",
         builder=builder,
         equivariance=tuple(equiv),
         transitive_base=transitive,
@@ -490,17 +414,15 @@ def build_spin_pencil(n: int) -> Pencil:
     odd_index = {I: i for i, I in enumerate(odd)}
     even_index = {I: i for i, I in enumerate(even)}
     dim_w = 2 * n
-    mats = []
-    for I in even:
-        mat = [[ZERO] * dim_w for _ in range(len(odd))]
+    entries = {}
+    for i, I in enumerate(even):
         for j in range(dim_w):
             w = [0] * dim_w
             w[j] = 1
             img = clifford_action(w, {I: Fraction(1)}, n)
             for J, c in img.items():
-                mat[odd_index[J]][j] = c
-        mats.append(mat)
-    cleared, den = _clear_denominators(mats)
+                entries[i, odd_index[J], j] = c
+    cleared, den = _clear_denominators(entries)
 
     def spin_matrix(a, b, basis, index):
         cols = [
@@ -531,8 +453,6 @@ def build_spin_pencil(n: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=labels,
-        source_label=f"W(C^{2*n})",
-        target_label="Delta-",
         builder="spin",
         equivariance=tuple(equiv),
         transitive_base=False,
@@ -541,14 +461,7 @@ def build_spin_pencil(n: int) -> Pencil:
 
 def _complement_sign(J: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     comp = tuple(x for x in range(n) if x not in J)
-    merged = J + comp
-    inv = sum(
-        1
-        for a in range(len(merged))
-        for b in range(a + 1, len(merged))
-        if merged[a] > merged[b]
-    )
-    return comp, (-1) ** (inv % 2)
+    return comp, perm_sign(J + comp)
 
 
 def spin_kernel_vector(delta: dict, n: int = 5) -> list[Fraction]:
@@ -586,14 +499,8 @@ def spin_kernel_vector(delta: dict, n: int = 5) -> list[Fraction]:
             if set(I1) & set(I2):
                 continue
             merged = I1 + I2
-            inv = sum(
-                1
-                for a in range(4)
-                for b in range(a + 1, 4)
-                if merged[a] > merged[b]
-            )
             key = tuple(sorted(merged))
-            top4[key] = top4.get(key, ZERO) - Fraction(1, 2) * c1 * c2 * (-1) ** inv
+            top4[key] = top4.get(key, ZERO) - Fraction(perm_sign(merged), 2) * c1 * c2
     for J, c in top4.items():
         if not c:
             continue
@@ -623,30 +530,6 @@ def sl_basis(a: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _wedge3_action(X, basis, index, a):
-    """Derivation action of X on Lambda^3(C^a) in the sorted-triple basis."""
-    cols = []
-    for K in basis:
-        col: dict = {}
-        for s in range(3):
-            rest = K[:s] + K[s + 1 :]
-            for b in range(a):
-                x = X[b][K[s]]
-                if not x or b in rest:
-                    continue
-                rearr = K[:s] + (b,) + K[s + 1 :]
-                inv = sum(
-                    1
-                    for p in range(3)
-                    for q in range(p + 1, 3)
-                    if rearr[p] > rearr[q]
-                )
-                key = tuple(sorted(rearr))
-                col[key] = col.get(key, ZERO) + Fraction(x) * (-1) ** inv
-        cols.append(col)
-    return cols
-
-
 @lru_cache(maxsize=None)
 def build_adjoint_pencil(a: int) -> Pencil:
     """phi: Lambda^3 A -> Hom(sl(A), Lambda^3 A), phi_omega(X) = X . omega."""
@@ -655,25 +538,16 @@ def build_adjoint_pencil(a: int) -> Pencil:
     basis3 = list(combinations(range(a), 3))
     index3 = {K: i for i, K in enumerate(basis3)}
     sl = sl_basis(a)
-    mats = [
-        [[ZERO] * len(sl) for _ in range(len(basis3))] for _ in basis3
-    ]
+    entries = {}
     for col, X in enumerate(sl):
-        action = _wedge3_action(X, basis3, index3, a)
-        for j, K in enumerate(basis3):
-            for L, c in action[j].items():
+        for j, image in enumerate(_wedge_action(X, basis3)):
+            for L, c in image.items():
                 # phi_{e_K}(X) = X . e_K
-                mats[j][index3[L]][col] = c
-    cleared, den = _clear_denominators(mats)
+                entries[j, index3[L], col] = c
+    cleared, den = _clear_denominators(entries)
 
     # equivariance under Y in sl(A): rho_source = ad_Y, rho_target and the
     # variable action are both the wedge action of Y
-    def wedge_matrix(Y):
-        cols = _wedge3_action(Y, basis3, index3, a)
-        return tuple(
-            tuple(cols[j].get(L, ZERO) for j in range(len(basis3)))
-            for L in basis3
-        )
 
     def ad_matrix(Y):
         cols = []
@@ -697,7 +571,7 @@ def build_adjoint_pencil(a: int) -> Pencil:
             m[i][j] = 1
             gens.append(tuple(tuple(r) for r in m))
     equiv = [
-        EquivarianceData(wedge_matrix(Y), ad_matrix(Y), wedge_matrix(Y))
+        EquivarianceData(_wedge_matrix(Y, basis3), ad_matrix(Y), _wedge_matrix(Y, basis3))
         for Y in gens
     ]
     labels = tuple("w_" + "".join(str(x + 1) for x in K) for K in basis3)
@@ -708,8 +582,6 @@ def build_adjoint_pencil(a: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=labels,
-        source_label=f"sl_{a}",
-        target_label=f"Lambda^3(C^{a})",
         builder="adjoint",
         equivariance=tuple(equiv),
         transitive_base=False,

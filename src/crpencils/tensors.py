@@ -35,10 +35,10 @@ def tensor_iadd(acc: SparseTensor, t: SparseTensor, c: Fraction = Fraction(1)) -
     return acc
 
 
-def tensor_scale(t: SparseTensor, c: Fraction) -> SparseTensor:
-    if not c:
-        return {}
-    return {w: c * x for w, x in t.items()}
+def perm_sign(seq: Sequence) -> int:
+    """(-1)^(number of inversions): the sign of the permutation sorting seq."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
 
 
 def row_major_cells(lam: Partition) -> list[tuple[int, int]]:
@@ -59,12 +59,7 @@ def _group_perms(n: int, groups: Sequence[Sequence[int]], signed: bool) -> list[
     for g in groups:
         opts = []
         for perm in permutations(g):
-            sign = 1
-            if signed:
-                for a in range(len(perm)):
-                    for b in range(a + 1, len(perm)):
-                        if g.index(perm[a]) > g.index(perm[b]):
-                            sign = -sign
+            sign = perm_sign([g.index(x) for x in perm]) if signed else 1
             opts.append((perm, sign))
         per_group.append((g, opts))
     for combo in product(*(opts for _, opts in per_group)):
@@ -290,10 +285,3 @@ class GradedSpan:
 
     def contains(self, t: SparseTensor) -> bool:
         return self.coordinates(t, check=True) is not None
-
-    def tensor_from_coordinates(self, coords: Sequence) -> SparseTensor:
-        out: SparseTensor = {}
-        for c, row in zip(coords, self.basis):
-            if c:
-                tensor_iadd(out, row, Fraction(c))
-        return out

@@ -1,6 +1,7 @@
 """Rank measurement, verdicts, predictions, neutral directions, flattening."""
 
 import random
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -24,6 +25,7 @@ from crpencils.analysis import (
 from crpencils.linalg import DEFAULT_PRIME, modp_rank
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
+    Pencil,
     build_gl_pencil,
     build_koszul_pencil,
     build_so_pencil,
@@ -117,6 +119,18 @@ def test_transitivity_certificate_gl_and_sp():
         rep = constant_rank_verdict(pen, "transitivity")
         assert (rep.verdict, rep.generic_rank) == ("constant", r)
         assert rep.method["kind"] == "transitivity"
+
+
+def test_transitivity_equivariance_is_exact():
+    # one coefficient raised by 46337 * 46327 leaves the pencil unchanged
+    # modulo either prime, but it is no longer equivariant
+    pen = build_gl_pencil((2,), (2, 1), 7)
+    rep = constant_rank_verdict(pen, "transitivity")
+    assert (rep.generic_rank, rep.method["equivariance"]) == (27, "exact")
+    var, row, col, num = pen.coeffs[0]
+    bad = replace(pen, coeffs=((var, row, col, num + 46337 * 46327),) + pen.coeffs[1:])
+    with pytest.raises(ValueError, match="equivariance certificate failed"):
+        constant_rank_verdict(bad, "transitivity")
 
 
 def test_transitivity_rejected_off_transitive_base():
@@ -222,17 +236,21 @@ def test_flattening_anchor():
     assert koszul_flattening_rank((2,), (2, 1), 3) == 18
 
 
+def _tensor_pencil(v: int, c: int, b: int, coeffs) -> Pencil:
+    return Pencil(nvars=v, source_dim=b, target_dim=c, coeffs=tuple(coeffs),
+                  denom=1, var_labels=tuple(f"x{i}" for i in range(v)))
+
+
 def test_flattening_zero_tensor():
-    zero = [[[0] * 4 for _ in range(3)] for _ in range(3)]
-    assert flattening_rank_of_tensor(zero, 3) == 0
+    assert flattening_rank_of_tensor(_tensor_pencil(3, 3, 4, ())) == 0
 
 
 def test_flattening_rank_one_tensor_bound():
     v = 3
     a, b, c = [1, 2, 3], [1, -1, 2, 0], [2, 1]
-    mats = [[[a[i] * b[j] * c[k] for k in range(2)] for j in range(4)]
-            for i in range(v)]
-    assert flattening_rank_of_tensor(mats, v) <= v - 1
+    coeffs = [(i, j, k, a[i] * b[j] * c[k]) for i in range(v) for j in range(4)
+              for k in range(2) if b[j]]
+    assert flattening_rank_of_tensor(_tensor_pencil(v, 4, 2, coeffs)) <= v - 1
 
 
 # -- induced-operator rank formula -------------------------------------------

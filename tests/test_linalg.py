@@ -11,19 +11,15 @@ from crpencils.linalg import (
     Subspace,
     bareiss_rank,
     check_prime,
-    image_subspace,
-    kernel_subspace,
     mat_mod,
     modp_kernel,
     modp_matmul,
     modp_rank,
     modp_ranks,
     modp_rref,
-    modp_solve,
     qq_kernel,
     qq_rank,
     qq_rref,
-    qq_solve,
     reduce_mod,
 )
 
@@ -156,31 +152,6 @@ class TestKernelSolve:
         if ker.size:
             assert not modp_matmul(a, ker.T, p).any()
 
-    @given(int_matrices, st.integers(0, 10_000))
-    def test_solve_consistent_system(self, m, seed):
-        rng = random.Random(seed)
-        ncols = len(m[0])
-        x0 = [rng.randint(-5, 5) for _ in range(ncols)]
-        rhs = [sum(a * b for a, b in zip(row, x0)) for row in m]
-        x = qq_solve(m, rhs)
-        assert x is not None
-        assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
-
-    def test_solve_inconsistent(self):
-        assert qq_solve([[1, 1], [1, 1]], [1, 2]) is None
-        p = DEFAULT_PRIME
-        assert modp_solve(np.array([[1, 1], [1, 1]]), np.array([1, 2]), p) is None
-
-    def test_modp_solve_roundtrip(self):
-        p = DEFAULT_PRIME
-        rng = random.Random(7)
-        a = np.array(rand_matrix(rng, 5, 7), dtype=np.int64)
-        x0 = np.array([rng.randint(0, p - 1) for _ in range(7)], dtype=np.int64)
-        rhs = modp_matmul(a, x0.reshape(-1, 1), p).ravel()
-        x = modp_solve(a, rhs, p)
-        assert x is not None
-        assert (modp_matmul(a, x.reshape(-1, 1), p).ravel() == rhs).all()
-
     def test_reduce_mod(self):
         assert reduce_mod(Fraction(1, 2), 7) == 4
         with pytest.raises(ZeroDivisionError):
@@ -210,47 +181,8 @@ class TestSubspace:
         assert sp.contains([1, 1, 2])
         assert not sp.contains([1, 1, 1])
 
-    def test_intersect_trivial(self):
-        s = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3)
-        assert s.intersect(s) == s
-        e1 = Subspace.from_vectors([[1, 0, 0]], 3)
-        e2 = Subspace.from_vectors([[0, 1, 0]], 3)
-        assert e1.intersect(e2) == Subspace.zero(3)
-
-    def test_intersect_generic_dimension(self):
-        # random 6-dim subspaces of a 10-dim space over F_p meet in dim 2
-        p = DEFAULT_PRIME
-        rng = random.Random(11)
-        hits = 0
-        for _ in range(5):
-            a = Subspace.from_vectors(rand_matrix(rng, 6, 10, 0, p - 1), 10, p)
-            b = Subspace.from_vectors(rand_matrix(rng, 6, 10, 0, p - 1), 10, p)
-            assert a.dim == b.dim == 6
-            got = a.intersect(b)
-            assert a.contains_subspace(got) and b.contains_subspace(got)
-            if got.dim == 2:
-                hits += 1
-        assert hits == 5
-
-    def test_intersect_qq(self):
-        a = Subspace.from_vectors([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]], 4)
-        b = Subspace.from_vectors([[1, 1, 0, 0], [0, 0, 1, 1]], 4)
-        got = a.intersect(b)
-        assert got == b
-
     def test_mismatched_ambient(self):
         a = Subspace.from_vectors([[1, 0]], 2)
         b = Subspace.from_vectors([[1, 0, 0]], 3)
         with pytest.raises(ValueError):
-            a.intersect(b)
-
-    def test_kernel_image_subspace(self):
-        assert kernel_subspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == Subspace.zero(3)
-        assert image_subspace([[0, 0], [0, 0]]) == Subspace.zero(2)
-        m = [[1, 2, 3], [2, 4, 6]]
-        img = image_subspace(m)
-        assert img.dim == 1 and img.contains([1, 2])
-        ker = kernel_subspace(m, 3)
-        assert ker.dim == 2
-        for v in ker.basis:
-            assert sum(a * b for a, b in zip(m[0], v)) == 0
+            a.contains_subspace(b)

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crpencils.analysis import generic_rank
-from crpencils.linalg import qq_rank
+from crpencils.catalog import build_from_params
+from crpencils.linalg import DEFAULT_PRIME, qq_rank, reduce_mod
 from crpencils.modules import a_vector, gamma_pairing, spin_space
 from crpencils.partitions import family_sizes, gl_dim, hook_family_rank
 from crpencils.pencils import (
@@ -27,6 +28,31 @@ from crpencils.pencils import (
 
 def _rank_at(pencil, x):
     return qq_rank(pencil.evaluate(list(x)))
+
+
+# the builder examples of scripts/build_examples.py
+EXAMPLES = [
+    {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3},
+    {"kind": "gl", "mu": [2, 2], "nu": [2, 2, 1], "v": 4},
+    {"kind": "gl", "mu": [2, 1], "nu": [2, 1, 1], "v": 4},
+    {"kind": "koszul", "k": 2, "v": 6},
+    {"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6},
+    {"kind": "so", "mu": [2], "nu": [2, 1], "m": 3},
+    {"kind": "spin", "n": 5},
+    {"kind": "adjoint", "a": 7},
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EXAMPLES), st.sampled_from([3, 5, 101, DEFAULT_PRIME]),
+       st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=35, max_size=35))
+def test_evaluate_modp_matches_evaluate_over_q(params, p, point):
+    pen = build_from_params(params)
+    assume(pen.denom % p)
+    x = point[: pen.nvars]
+    want = [[reduce_mod(e, p) for e in row] for row in pen.evaluate(x)]
+    got = pen.evaluate_modp([xi % p for xi in x], pen.coeff_array_modp(p), p)
+    assert got.tolist() == want
 
 
 # -- GL ---------------------------------------------------------------------
@@ -60,12 +86,8 @@ def test_gl_coefficients_are_primitive_integers():
     for pen in (build_gl_pencil((2,), (2, 1), 3),
                 build_sp_pencil((1, 1), (1, 1, 1), 6),
                 build_spin_pencil(5)):
-        g = 0
-        for mat in pen.coeffs:
-            for row in mat:
-                for c in row:
-                    g = gcd(g, int(c))
-        assert g == 1
+        assert gcd(*(num for *_, num in pen.coeffs)) == 1
+        assert all(num for *_, num in pen.coeffs)
         assert pen.denom >= 1
 
 
