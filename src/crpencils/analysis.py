@@ -11,8 +11,7 @@ always with witnesses, a prime and a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
@@ -20,13 +19,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PRIME,
+    ModpEchelon,
     Subspace,
     bareiss_rank,
     check_prime,
     modp_kernel,
     modp_rank,
     modp_ranks,
-    modp_rref,
+    modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     reduce_mod,
 )
 from .modules import exp_two_form, spin_space
@@ -35,7 +35,6 @@ from .partitions import (
     check_partition,
     gl_dim,
     horizontal_strips,
-    pieri_add,
     size,
     so_module_dim,
 )
@@ -80,11 +79,16 @@ class RankReport:
         return out
 
 
-def ranks_at(pencil: Pencil, points, p: int) -> list[int]:
+def ranks_at(pencil: Pencil, points, p: int,
+             stacked: Optional[np.ndarray] = None) -> list[int]:
     """Rank mod p of the pencil at each row of the (N, s) points, evaluated
-    and eliminated in chunks of at most CHUNK_CELLS cells to bound memory."""
+    and eliminated in chunks of at most CHUNK_CELLS cells to bound memory.
+
+    `stacked` is the pencil's coeff_array_modp(p), when the caller has it.
+    """
     check_prime(p)
-    stacked = pencil.coeff_array_modp(p)
+    if stacked is None:
+        stacked = pencil.coeff_array_modp(p)
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
     step = max(1, CHUNK_CELLS // (pencil.target_dim * pencil.source_dim))
     ranks: list[int] = []
@@ -95,11 +99,11 @@ def ranks_at(pencil: Pencil, points, p: int) -> list[int]:
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,
-                 seed: int = 0) -> int:
+                 seed: int = 0, stacked: Optional[np.ndarray] = None) -> int:
     check_prime(prime)
     rng = random.Random(seed)
     points = [[rng.randrange(prime) for _ in range(pencil.nvars)] for _ in range(trials)]
-    return max(ranks_at(pencil, points, prime), default=0)
+    return max(ranks_at(pencil, points, prime, stacked), default=0)
 
 
 def projective_blocks(s: int, p: int, block: int):
@@ -189,8 +193,10 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
         if npoints > budget:
             raise ValueError(f"{npoints} projective points exceed budget {budget}")
         ranks: dict[int, tuple] = {}
+        stacked = pencil.coeff_array_modp(prime)
         for block in projective_blocks(pencil.nvars, prime, EXHAUSTIVE_BLOCK):
-            values, first = np.unique(ranks_at(pencil, block, prime), return_index=True)
+            values, first = np.unique(ranks_at(pencil, block, prime, stacked),
+                                      return_index=True)
             for r, i in zip(values.tolist(), first):
                 ranks.setdefault(r, tuple(block[i].tolist()))
         strata = [(r, pt, "exhaustive") for r, pt in sorted(ranks.items())]
@@ -313,14 +319,11 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     stacked = pencil.coeff_array_modp(prime)
     c, b = pencil.target_dim, pencil.source_dim
     ambient = c * b
-    r = generic_rank(pencil, prime, trials=20, seed=seed)
-    span = Subspace.from_vectors(
-        [stacked[i].reshape(-1).tolist() for i in range(pencil.nvars)],
-        ambient,
-        prime,
-    )
+    r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
+    span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
     s = span.dim
-    rows: list[np.ndarray] = []
+    # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
+    constraints = ModpEchelon(ambient, prime)
     samples_used = 0
     target = pencil.nvars + 2
     prev_dim = None
@@ -333,17 +336,11 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
                 continue
             ker = modp_kernel(a, prime)  # rows span Ker A
             coker = modp_kernel(a.T % prime, prime)  # rows span (Im A)^perp
-            for f in coker:
-                for u in ker:
-                    rows.append(np.outer(f, u).reshape(-1) % prime)
+            # the row of (f, u) is the flattened outer product f u^T
+            constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
+                            .reshape(-1, ambient))
             samples_used += 1
-        if rows:
-            sol = modp_kernel(np.array(rows, dtype=np.int64), prime)
-            space = Subspace.from_vectors(sol.tolist(), ambient, prime)
-        else:
-            space = Subspace.from_vectors(
-                np.eye(ambient, dtype=np.int64).tolist(), ambient, prime
-            )
+        space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
         if not space.contains_subspace(span):
             raise AssertionError("pencil span escaped its own RND constraints")
         if space.dim == s:

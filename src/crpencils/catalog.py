@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from fractions import Fraction
-from functools import reduce
 from importlib import resources
 from math import ceil, comb, gcd, lcm
 from time import perf_counter

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 from .analysis import constant_rank_verdict
 from .catalog import (
-    CATALOG,
     CatalogRunConfig,
     FixtureParseError,
     build_from_params,

@@ -3,12 +3,15 @@
 Rational matrices are lists of lists of Fraction (or int); prime-field
 matrices are numpy int64 arrays with entries reduced into [0, p).  Primes
 must be odd and below 2**31 so that products of two residues fit in int64.
+The RREF, rank, kernel and row selection of one matrix over F_p read a
+ModpEchelon, whose block updates are exact float64 BLAS products;
+modp_ranks ranks a whole stack of small matrices at once.
 
 Subspace is the canonical (RREF basis) representation of a row space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -45,12 +48,15 @@ def reduce_mod(x, p: int) -> int:
 
 
 def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
-    out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                out[i, j] = reduce_mod(x, p)
-    return out
+    """The matrix reduced into [0, p) as int64: integer entries with one
+    numpy `% p`, any other entry (a Fraction) through reduce_mod."""
+    a = np.asarray(rows)
+    if a.dtype.kind not in "iu":
+        a = a.astype(object)
+        for idx, x in np.ndenumerate(a):
+            if not isinstance(x, (int, np.integer)):
+                a[idx] = reduce_mod(x, p)
+    return (a % p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +137,53 @@ def qq_kernel(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[lis
 # ---------------------------------------------------------------------------
 # prime-field elimination
 
+_LIMB_BITS = 16
+_EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
+ECHELON_BLOCK = 64  # rows reduced against the echelon basis per exact product
 
-def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.array(a, dtype=np.int64) % p
+
+def _mul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue matrices in [0, p), on float64 BLAS.
+
+    Above 2^16 the residues are split into 16-bit limbs, so each limb product
+    is below 2^32 and float64 sums of up to 2^21 of them are exact integers.
+    The inner dimension is chunked at 2^21 and the limb products are
+    recombined mod p in int64.
+    """
+    m, n = a.shape[0], b.shape[1]
+    split = p > 1 << _LIMB_BITS
+    mask = (1 << _LIMB_BITS) - 1
+    out = np.zeros((m, n), dtype=np.int64)
+    for s in range(0, a.shape[1], _EXACT_INNER):
+        ac, bc = a[:, s : s + _EXACT_INNER], b[s : s + _EXACT_INNER]
+        if split:
+            ac = np.concatenate([ac & mask, ac >> _LIMB_BITS])
+            bc = np.concatenate([bc & mask, bc >> _LIMB_BITS], axis=1)
+        c = (ac.astype(np.float64) @ bc.astype(np.float64)).astype(np.int64)
+        if split:  # [[lo lo, lo hi], [hi lo, hi hi]]; the sum stays below 2^63
+            c = (c[:m, :n] + ((c[:m, n:] + c[m:, :n]) % p << _LIMB_BITS)
+                 + c[m:, n:] % p * (2 ** (2 * _LIMB_BITS) % p))
+        out = (out + c) % p
+    return out
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """RREF of a few residue rows, in place, pivot by pivot: the nonzero
+    rows, their pivot columns and the row of `a` each of them came from."""
     nrows, ncols = a.shape
+    order = np.arange(nrows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        rest = np.nonzero(a[:, c])[0]
+            order[[r, piv]] = order[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        rest = np.flatnonzero(a[:, c])
         rest = rest[rest != r]
         if rest.size:
             a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
@@ -155,7 +191,73 @@ def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         if r == nrows:
             break
-    return a[:r], pivots
+    return a[:r], pivots, order[:r]
+
+
+class ModpEchelon:
+    """The reduced row echelon form over F_p of a growing set of rows.
+
+    `basis` holds the RREF rows sorted by pivot column, so basis[:, pivots]
+    is the identity.  `add` takes rows in blocks of ECHELON_BLOCK: a block is
+    reduced against the basis with one exact product, its remaining rows are
+    eliminated pivot by pivot, and the new pivots are cleared from the basis
+    with one more exact product.
+    """
+
+    def __init__(self, ncols: int, p: int) -> None:
+        self.p = p
+        self.basis = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.int64)
+
+    def add(self, rows) -> list[int]:
+        """Add the rows; returns the indices of those that raised the rank,
+        a maximal subset independent modulo the rows added before."""
+        rows = np.asarray(rows, dtype=np.int64) % self.p
+        raised: list[int] = []
+        for s in range(0, len(rows), ECHELON_BLOCK):
+            raised += (s + self._add_block(rows[s : s + ECHELON_BLOCK])).tolist()
+        return raised
+
+    def _add_block(self, block: np.ndarray) -> np.ndarray:
+        p, basis, pivots = self.p, self.basis, self.pivots
+        free = np.ones(basis.shape[1], dtype=bool)
+        free[pivots] = False
+        if pivots.size:
+            block[:, free] = (block[:, free]
+                              - _mul_exact(block[:, pivots], basis[:, free], p)) % p
+            block[:, pivots] = 0
+        cols = np.flatnonzero(block.any(axis=0))  # row operations keep zero columns zero
+        rows, new_pivots, source = _gauss_jordan(block[:, cols], p)
+        if not new_pivots:
+            return source
+        new = np.zeros((len(rows), basis.shape[1]), dtype=np.int64)
+        new[:, cols] = rows
+        new_pivots = cols[new_pivots]
+        if pivots.size:  # new[:, new_pivots] = I, so this clears those columns
+            basis[:, free] = (basis[:, free]
+                              - _mul_exact(basis[:, new_pivots], new[:, free], p)) % p
+        pivots = np.concatenate([pivots, new_pivots])
+        order = np.argsort(pivots)
+        self.basis = np.concatenate([basis, new])[order]
+        self.pivots = pivots[order]
+        return source
+
+    def kernel(self) -> np.ndarray:
+        """Right kernel basis: the row e_f - sum_r basis[r, f] e_pivot(r) for
+        each free column f."""
+        ncols = self.basis.shape[1]
+        free = np.setdiff1d(np.arange(ncols), self.pivots)
+        out = np.zeros((free.size, ncols), dtype=np.int64)
+        out[np.arange(free.size), free] = 1
+        out[:, self.pivots] = -self.basis[:, free].T % self.p
+        return out
+
+
+def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
+    ech = ModpEchelon(np.shape(a)[1], p)
+    ech.add(a)
+    return ech.basis, ech.pivots.tolist()
 
 
 def modp_rank(a: np.ndarray, p: int) -> int:
@@ -190,42 +292,14 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
 
 def modp_independent_rows(a: np.ndarray, p: int) -> list[int]:
     """Original indices of a maximal independent subset of rows, mod p."""
-    a = np.array(a, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    order = list(range(nrows))
-    r = 0
-    for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            order[r], order[piv] = order[piv], order[r]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return sorted(order[:r])
+    return sorted(ModpEchelon(np.shape(a)[1], p).add(a))
 
 
 def modp_kernel(a: np.ndarray, p: int) -> np.ndarray:
     """Right kernel basis as rows of an int64 array."""
-    a = np.asarray(a, dtype=np.int64)
-    ncols = a.shape[1]
-    rref, pivots = modp_rref(a, p)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        out[k, f] = 1
-        for r, c in enumerate(pivots):
-            out[k, c] = (-int(rref[r, f])) % p
-    return out
+    ech = ModpEchelon(np.shape(a)[1], p)
+    ech.add(a)
+    return ech.kernel()
 
 
 def modp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -261,20 +335,16 @@ class Subspace:
 
     @staticmethod
     def from_vectors(vectors: Iterable[Sequence], ambient_dim: int, p: int = 0) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient_dim")
+        vecs = list(vectors)
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length does not match ambient_dim")
         if p == 0:
             rref, _ = qq_rref(vecs) if vecs else ([], [])
             basis = tuple(tuple(row) for row in rref)
         else:
             check_prime(p)
-            if vecs:
-                rref, _ = modp_rref(mat_mod(vecs, p), p)
-                basis = tuple(tuple(int(x) for x in row) for row in rref)
-            else:
-                basis = ()
+            rref = modp_rref(mat_mod(vecs, p), p)[0].tolist() if vecs else []
+            basis = tuple(map(tuple, rref))
         return Subspace(ambient_dim, basis, p)
 
     @property
@@ -292,7 +362,7 @@ class Subspace:
                     f = v[c]
                     v = [x - f * y for x, y in zip(v, row)]
             return not any(v)
-        v = np.array([reduce_mod(x, self.p) for x in v], dtype=np.int64)
+        v = mat_mod([v], self.p)[0]
         for row in self.basis:
             c = next(i for i, x in enumerate(row) if x)
             if v[c]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -361,9 +361,8 @@ def wedge_e(i: int, s: Spinor) -> Spinor:
     for idx, c in s.items():
         if i in idx:
             continue
-        pos = sum(1 for x in idx if x < i)
         key = tuple(sorted(idx + (i,)))
-        v = out.get(key, ZERO) + (c if pos % 2 == 0 else -c)
+        v = out.get(key, ZERO) + perm_sign((i,) + idx) * c
         if v:
             out[key] = v
         else:

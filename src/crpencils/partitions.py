@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 from typing import Iterable, NamedTuple
 

@@ -15,11 +15,11 @@ adjusted accordingly (rho_t = -rho^T for the directly realized action rho).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from .partitions import (
     Partition,
     check_partition,
     gl_dim,
-    normalize,
     pieri_add,
     size,
 )

@@ -1,5 +1,6 @@
 """Rank measurement, verdicts, predictions, neutral directions, flattening."""
 
+import hashlib
 import random
 from dataclasses import replace
 from math import comb
@@ -220,6 +221,25 @@ def test_rnd_strictly_larger_for_gl_sym2():
     assert rep.verdict == "strictly-larger"
     assert rep.space.dim == 18
     assert rep.space.dim == 3 + gl_dim((3, 1), 3)
+
+
+@pytest.mark.parametrize("pen,digest,verdict,samples", [
+    (build_koszul_pencil(2, 6),
+     "fa867a454b795decacd3092ff10aad1a12ddc3c5a2fcb38d9c157759b468c442",
+     "rank-critical-certified", 16),
+    (build_gl_pencil((2,), (2, 1), 3),
+     "7c07d02711c0ee6a028a6f7598f57fa695b9b0fed8ed7acf8681b9c9d18327f7",
+     "strictly-larger", 40),
+    (build_spin_pencil(5),
+     "caedad1509e709fb1ba750ea1c0a62268927ba8687442556f86ed0992ce0c46a",
+     "rank-critical-certified", 36),
+], ids=["koszul-2-6", "gl-2-21-v3", "spin-5"])
+def test_rnd_reports_are_pinned(pen, digest, verdict, samples):
+    # recorded from the earlier elimination, which re-eliminated every
+    # constraint row in each doubling round
+    rep = rnd(pen, seed=0)
+    got = hashlib.sha256(repr(rep.space.basis).encode()).hexdigest()
+    assert (got, rep.verdict, rep.samples_used) == (digest, verdict, samples)
 
 
 def test_rnd_contains_pencil_span():

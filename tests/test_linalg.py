@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crpencils import linalg
 from crpencils.linalg import (
     DEFAULT_PRIME,
+    ModpEchelon,
     Subspace,
     bareiss_rank,
     check_prime,
     mat_mod,
+    modp_independent_rows,
     modp_kernel,
     modp_matmul,
     modp_rank,
@@ -116,6 +119,69 @@ def test_matmul_matches_exact_product(m, p, reduce_first):
     assert modp_matmul(np.array(a, dtype=np.int64), bb, p).tolist() == want
 
 
+EXACT_PRIMES = (3, 5, 46337, 2147483629, 2147483647)
+
+
+@given(st.sampled_from(EXACT_PRIMES), st.integers(0, 6), st.integers(0, 40),
+       st.integers(0, 6), st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=150)
+def test_exact_product_matches_python_ints(p, m, k, n, seed, tiny_chunks):
+    # tiny_chunks splits the inner dimension into chunks of 3 to exercise
+    # the recombination across chunks
+    rng = random.Random(seed)
+    top = rng.choice((1, p - 1))
+    a = [[rng.randint(0, top) for _ in range(k)] for _ in range(m)]
+    b = [[rng.randint(0, top) for _ in range(n)] for _ in range(k)]
+    want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)]
+            for i in range(m)]
+    chunk = 3 if tiny_chunks else linalg._EXACT_INNER
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_EXACT_INNER", chunk)
+        got = linalg._mul_exact(np.array(a, dtype=np.int64).reshape(m, k),
+                                np.array(b, dtype=np.int64).reshape(k, n), p)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_exact_product_worst_case(p):
+    # every residue p-1 and an inner dimension above 2^16: the float64 limb
+    # sums reach k (2^16 - 1)^2 > 2^48 and must still be exact
+    k = (1 << 16) + 3
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    assert linalg._mul_exact(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+
+
+def _tall_rank_deficient(p, rng, nrows, ncols, rank):
+    left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)],
+                    dtype=np.int64).reshape(nrows, rank)
+    right = np.array([[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)],
+                     dtype=np.int64).reshape(rank, ncols)
+    return modp_matmul(left, right, p)
+
+
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 200), st.integers(1, 40),
+       st.integers(0, 40), st.lists(st.integers(0, 200), max_size=6),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, seed):
+    a = _tall_rank_deficient(p, random.Random(seed), nrows, ncols, rank)
+    # the reference: one pivot-by-pivot Gauss-Jordan over all rows at once
+    ref_rows, ref_pivots, _ = linalg._gauss_jordan(a.copy(), p)
+    ech = ModpEchelon(ncols, p)
+    bounds = [0] + sorted(min(c, nrows) for c in cuts) + [nrows]
+    for lo, hi in zip(bounds, bounds[1:]):
+        ech.add(a[lo:hi])
+    assert ech.pivots.tolist() == ref_pivots
+    assert ech.basis.tolist() == ref_rows.tolist()
+    rref, pivots = modp_rref(a, p)
+    assert (rref.tolist(), pivots) == (ref_rows.tolist(), ref_pivots)
+    sel = modp_independent_rows(a, p)
+    assert len(sel) == len(pivots) == modp_rank(a[sel], p)
+    if len(pivots) < ncols:
+        assert not modp_matmul(a, ech.kernel().T, p).any()
+
+
 def test_check_prime_is_miller_rabin():
     def is_odd_prime(n):
         return n > 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
@@ -180,6 +246,15 @@ class TestSubspace:
         sp = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3, p=7)
         assert sp.contains([1, 1, 2])
         assert not sp.contains([1, 1, 1])
+
+    def test_residues_of_ints_and_fractions(self):
+        p = 7
+        vecs = [[2 ** 70, -1, 0], [Fraction(1, 2), 3, Fraction(-5, 3)]]
+        want = [[reduce_mod(x, p) for x in row] for row in vecs]
+        assert mat_mod(vecs, p).tolist() == want
+        assert mat_mod(np.array([[-8, 9]]), p).tolist() == [[6, 2]]
+        with pytest.raises(ZeroDivisionError):
+            Subspace.from_vectors([[Fraction(1, 7), 1]], 2, p)
 
     def test_mismatched_ambient(self):
         a = Subspace.from_vectors([[1, 0]], 2)

@@ -24,7 +24,7 @@ from crpencils.modules import (
     symplectic_form,
     symplectic_module,
 )
-from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
+from crpencils.partitions import gl_dim, sp_module_dim
 from crpencils.tensors import gl_generator_matrices
 
 

@@ -1,5 +1,4 @@
 import math
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
