@@ -34,7 +34,7 @@ def main(argv=None) -> int:
         pencil = build_from_params(params)
         path = outdir / f"{name}.json"
         path.write_text(dumps_pencil(pencil, params), encoding="utf-8")
-        if pencil.transitive_base:
+        if pencil.spec.transitive:
             rep = constant_rank_verdict(pencil, "transitivity",
                                         seed=args.seed)
             rank, verdict = rep.generic_rank, rep.verdict

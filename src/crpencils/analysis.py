@@ -24,7 +24,7 @@ from .linalg import (
     bareiss_rank,
     check_prime,
     modp_kernel,
-    modp_rank,
+    modp_rank,  # noqa: F401  (wrapped here by perfbench/spans.py)
     modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     reduce_mod,
@@ -129,7 +129,8 @@ def structured_points(pencil: Pencil, prime: int, rng: random.Random,
         e = [0] * s
         e[i] = 1
         pts.append((tuple(e), "coordinate"))
-    if pencil.builder == "so":
+    kind = pencil.spec.kind if pencil.spec is not None else None
+    if kind == "so":
         m = s
         # split form: q(x) = sum x_{2k} x_{2k+1} (+ x_last^2 for odd m)
         for _ in range(count):
@@ -148,11 +149,8 @@ def structured_points(pencil: Pencil, prime: int, rng: random.Random,
             if q % prime:
                 pts.append((tuple(v % prime for v in x), "non-isotropic"))
         pts.append((tuple([1, 1] + [0] * (m - 2)), "non-isotropic"))
-    if pencil.builder == "spin":
-        n = 1
-        while 2 ** (n - 1) < s:
-            n += 1
-        even = spin_space(n).even_basis
+    if kind == "spin":
+        even = spin_space(pencil.spec.args[0]).even_basis
         pairs = [I for I in even if len(I) == 2]
         for _ in range(count):
             delta = exp_two_form({I: rng.randrange(prime) for I in pairs})
@@ -166,7 +164,7 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
                           seed: int = 0, budget: int = 10 ** 6) -> RankReport:
     check_prime(prime)
     if mode == "transitivity":
-        if not pencil.transitive_base:
+        if pencil.spec is None or not pencil.spec.transitive:
             raise ValueError(
                 "transitivity certificate requires a pencil whose group acts "
                 "transitively on the projective base (GL- or Sp-built)"
@@ -332,9 +330,9 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
         while samples_used < target:
             x = [rng.randrange(prime) for _ in range(pencil.nvars)]
             a = pencil.evaluate_modp(x, stacked, prime)
-            if modp_rank(a, prime) < r:
-                continue
             ker = modp_kernel(a, prime)  # rows span Ker A
+            if b - len(ker) < r:
+                continue
             coker = modp_kernel(a.T % prime, prime)  # rows span (Im A)^perp
             # the row of (f, u) is the flattened outer product f u^T
             constraints.add((coker[:, None, :, None] * ker[None, :, None, :])

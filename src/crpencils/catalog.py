@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import traceback
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .partitions import (
     weyl_dim,
 )
 from .pencils import (
+    BuildSpec,
     Pencil,
     build_adjoint_pencil,
     build_gl_pencil,
@@ -165,7 +167,6 @@ def parse_fixture_text(text: str, name: str = "<fixture>",
         coeffs=tuple(sorted(coeffs)),
         denom=1,
         var_labels=tuple(labels),
-        builder=f"fixture:{'transposed:' if transpose else ''}",
     )
 
 
@@ -254,7 +255,6 @@ def document_to_pencil(doc: dict) -> Pencil:
                      for var, r, c, num, den in entries if num),
         denom=denom,
         var_labels=labels,
-        builder="file",
     )
 
 
@@ -265,6 +265,9 @@ def dumps_pencil(p: Pencil, builder_params: Optional[dict] = None) -> str:
 
 
 def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
+    """The pencil of a JSON document and its raw builder record.  The pencil
+    gets the record's spec when the record parses and gives the document's
+    variable count; nothing is built."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -272,48 +275,20 @@ def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
     if not isinstance(doc, dict):
         raise FixtureParseError("pencil document must be a JSON object")
     pencil, record = document_to_pencil(doc), doc.get("builder")
-    if _record_fits(record, pencil.nvars):
-        pencil = replace(pencil, builder=record["kind"])
+    try:
+        spec = BuildSpec.from_record(record)
+    except ValueError:  # no record, or one that does not parse
+        return pencil, record
+    if spec.fits(pencil.nvars):
+        pencil = replace(pencil, spec=spec)
     return pencil, record
 
 
-def _record_fits(record, nvars: int) -> bool:
-    """Whether an "so" (m = nvars) or "spin" (2^(n-1) = nvars) record may pick
-    the structured sample points, which need at least two variables."""
-    if not isinstance(record, dict) or nvars < 2:
-        return False
-    if record.get("kind") == "so":
-        return record.get("m") == nvars
-    n = nvars.bit_length()
-    spin = record.get("kind") == "spin" and record.get("n") == n
-    return spin and nvars == 2 ** (n - 1)
-
-
 def build_from_params(params: dict) -> Pencil:
-    """Dispatch a builder-invocation record to the pencil constructors."""
-    try:
-        kind = params["kind"]
-        if kind == "gl":
-            return build_gl_pencil(
-                tuple(params["mu"]), tuple(params["nu"]), int(params["v"])
-            )
-        if kind == "sp":
-            return build_sp_pencil(
-                tuple(params["mu"]), tuple(params["nu"]), int(params["N"])
-            )
-        if kind == "so":
-            return build_so_pencil(
-                tuple(params["mu"]), tuple(params["nu"]), int(params["m"])
-            )
-        if kind == "spin":
-            return build_spin_pencil(int(params["n"]))
-        if kind == "koszul":
-            return build_koszul_pencil(int(params["k"]), int(params["v"]))
-        if kind == "adjoint":
-            return build_adjoint_pencil(int(params["a"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed builder record: {exc}") from None
-    raise ValueError(f"unknown builder kind {params.get('kind')!r}")
+    """Build the pencil of a builder record; raises ValueError when the
+    record is malformed.  The builder is looked up by name at call time."""
+    spec = BuildSpec.from_record(params)
+    return globals()[f"build_{spec.kind}_pencil"](*spec.args)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,9 +1129,10 @@ def run_entry(entry: CatalogEntry, cfg: CatalogRunConfig) -> EntryResult:
     t0 = perf_counter()
     try:
         details, failures = entry.check(cfg)
-    except Exception as exc:  # a crash is a failed expectation, not a crash of the run
+    except Exception:  # a crash is a failed expectation, not a crash of the run
+        trace = traceback.format_exc(limit=-3).strip()
         return EntryResult(entry.entry_id, "fail", {},
-                           [f"exception: {exc!r}"], perf_counter() - t0)
+                           [f"exception: {trace}"], perf_counter() - t0)
     status = "pass" if not failures else "fail"
     return EntryResult(entry.entry_id, status, details, failures,
                        perf_counter() - t0)

@@ -14,14 +14,13 @@ from typing import Optional, Sequence
 from .analysis import constant_rank_verdict
 from .catalog import (
     CatalogRunConfig,
-    FixtureParseError,
     build_from_params,
     dumps_pencil,
     loads_pencil,
     run_catalog,
 )
 from .linalg import DEFAULT_PRIME
-from .pencils import Pencil
+from .pencils import RECORD_FIELDS
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -95,46 +94,27 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _builder_params(args) -> dict:
+def _build_record(args) -> dict:
+    """The builder record from the `build` flags: each field from the flag of
+    its name, except that sp/so take m from --N and gl takes v = n + 1."""
     g = args.group
-
-    def need(**kw):
-        missing = [k for k, v in kw.items() if v is None]
-        if missing:
-            raise ValueError(
-                f"build {g} requires --{', --'.join(missing)}"
-            )
-
+    flag = {"m": "N", "v": "n"} if g == "gl" else {"m": "N"}
+    fields = {f: getattr(args, flag.get(f, f)) for f in RECORD_FIELDS[g]}
+    missing = [flag.get(f, f) for f, x in fields.items() if x is None]
+    if missing:
+        raise ValueError(f"build {g} requires --{', --'.join(missing)}")
     if g == "gl":
-        need(mu=args.mu, nu=args.nu, n=args.n)
-        return {"kind": "gl", "mu": list(args.mu), "nu": list(args.nu),
-                "v": args.n + 1}
-    if g == "sp":
-        need(mu=args.mu, nu=args.nu, N=args.N)
-        return {"kind": "sp", "mu": list(args.mu), "nu": list(args.nu),
-                "N": args.N}
-    if g == "so":
-        need(mu=args.mu, nu=args.nu, N=args.N)
-        return {"kind": "so", "mu": list(args.mu), "nu": list(args.nu),
-                "m": args.N}
-    if g == "spin":
-        need(n=args.n)
-        return {"kind": "spin", "n": args.n}
-    if g == "koszul":
-        need(k=args.k, v=args.v)
-        return {"kind": "koszul", "k": args.k, "v": args.v}
-    need(a=args.a)
-    return {"kind": "adjoint", "a": args.a}
+        fields["v"] += 1
+    return {"kind": g, **fields}
 
 
 def cmd_build(args) -> int:
     try:
-        params = _builder_params(args)
-        pencil = build_from_params(params)
+        pencil = build_from_params(_build_record(args))
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = dumps_pencil(pencil, params)
+    text = dumps_pencil(pencil, pencil.spec.record())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -143,36 +123,13 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load_file(path: str) -> tuple[Pencil, Optional[dict]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FixtureParseError(f"cannot read {path}: {exc}") from None
-    return loads_pencil(text)
-
-
 def cmd_verify(args) -> int:
     try:
-        pencil, builder = _load_file(args.file)
-    except FixtureParseError as exc:
+        with open(args.file, encoding="utf-8") as fh:
+            pencil, _ = loads_pencil(fh.read())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or malformed
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.mode == "transitivity":
-        if builder is None:
-            print("error: transitivity mode needs builder metadata in the file",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            rebuilt = build_from_params(builder)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if (rebuilt.coeffs, rebuilt.denom) != (pencil.coeffs, pencil.denom):
-            print("error: file entries do not match the recorded builder",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        pencil = rebuilt
     try:
         report = constant_rank_verdict(
             pencil, args.mode, prime=args.prime, trials=args.trials,

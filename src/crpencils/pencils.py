@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
-from typing import Sequence
+from math import comb, gcd, lcm
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +74,78 @@ class EquivarianceData:
     rho_target: tuple
 
 
+# the JSON field names of each builder's arguments, in argument order
+RECORD_FIELDS = {
+    "gl": ("mu", "nu", "v"),
+    "sp": ("mu", "nu", "N"),
+    "so": ("mu", "nu", "m"),
+    "spin": ("n",),
+    "koszul": ("k", "v"),
+    "adjoint": ("a",),
+}
+
+
+def _record_value(name: str, value):
+    """A record field as the builder argument: a partition for mu/nu, else
+    an int >= 0; raises ValueError otherwise."""
+    if name in ("mu", "nu"):
+        if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
+            raise ValueError(f"{name} must be a list of integers")
+        return check_partition(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0")
+    return value
+
+
+@dataclass(frozen=True)
+class BuildSpec:
+    """How a pencil was built: the builder's kind and its normalized
+    arguments, in the order of RECORD_FIELDS[kind]."""
+
+    kind: str
+    args: tuple
+
+    @classmethod
+    def from_record(cls, record) -> BuildSpec:
+        """Parse a JSON builder record; raises ValueError when malformed."""
+        if not isinstance(record, dict):
+            raise ValueError("malformed builder record: not an object")
+        kind = record.get("kind")
+        if kind not in RECORD_FIELDS:
+            raise ValueError(f"unknown builder kind {kind!r}")
+        try:
+            args = tuple(_record_value(f, record[f]) for f in RECORD_FIELDS[kind])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed builder record: {exc}") from None
+        return cls(kind, args)
+
+    def record(self) -> dict:
+        """The JSON builder record, partitions as lists."""
+        return {"kind": self.kind, **{
+            f: list(x) if isinstance(x, tuple) else x
+            for f, x in zip(RECORD_FIELDS[self.kind], self.args)
+        }}
+
+    @property
+    def transitive(self) -> bool:
+        """Whether the group acts transitively on the nonzero points of the
+        variable space (the natural GL and Sp representations)."""
+        return self.kind in ("gl", "sp", "koszul")
+
+    def fits(self, nvars: int) -> bool:
+        """Whether a pencil built from this spec has nvars >= 2 variables,
+        decided without building anything.  One variable is a single
+        projective point, which needs no build record."""
+        if nvars < 2:
+            return False
+        if self.kind == "spin":
+            n = self.args[0]
+            return n == nvars.bit_length() and nvars == 2 ** (n - 1)
+        if self.kind == "adjoint":
+            return comb(self.args[0], 3) == nvars
+        return self.args[-1] == nvars
+
+
 @dataclass(frozen=True)
 class Pencil:
     nvars: int
@@ -82,9 +154,7 @@ class Pencil:
     coeffs: tuple  # sorted (var, row, col, num) int tuples, num != 0
     denom: int
     var_labels: tuple
-    builder: str = ""
-    equivariance: tuple = ()
-    transitive_base: bool = False
+    spec: Optional[BuildSpec] = None  # None for fixtures and record-less files
 
     def evaluate(self, x: Sequence) -> list[list[Fraction]]:
         """sum x_i A_i without the global denominator (rank-equivalent)."""
@@ -131,15 +201,27 @@ def _sparse_columns(m) -> list[list[tuple[int, Fraction]]]:
     return [[(r, row[c]) for r, row in enumerate(m) if row[c]] for c in range(len(m))]
 
 
+def _transpose(cols: list) -> tuple:
+    """The matrix whose j-th column is cols[j]."""
+    return tuple(tuple(col[i] for col in cols) for i in range(len(cols)))
+
+
 def check_equivariance(p: Pencil) -> bool:
     """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
-    every generator and every variable i, on the sparse coefficients."""
-    if not p.equivariance:
+    every generator of the spec's group and every variable i, on the sparse
+    coefficients.  False without a spec, or when the spec's action matrices
+    do not fit the pencil's dimensions."""
+    data = equivariance_data(p.spec) if p.spec is not None else ()
+    dims = (p.nvars, p.source_dim, p.target_dim)
+    if not data or any(
+        (len(eq.x_on_vars), len(eq.rho_source), len(eq.rho_target)) != dims
+        for eq in data
+    ):
         return False
     by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
     for var, r, c, num in p.coeffs:
         by_var[var].append((r, c, num))
-    for eq in p.equivariance:
+    for eq in data:
         t_cols = _sparse_columns(eq.rho_target)
         s_rows = [[(j, x) for j, x in enumerate(row) if x] for row in eq.rho_source]
         x_cols = _sparse_columns(eq.x_on_vars)
@@ -166,8 +248,7 @@ def _coordinate_action(mod: RealizedModule, X) -> tuple:
         if c is None:
             raise AssertionError("module basis is not stable under the Lie action")
         cols.append(c)
-    dim = mod.dim
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+    return _transpose(cols)
 
 
 def _wedge_action(X, basis) -> list[dict]:
@@ -226,15 +307,6 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
     if not entries:
         raise AssertionError("GL pencil is identically zero")
     cleared, den = _clear_denominators(entries)
-    equiv = []
-    for X in gl_generator_matrices(v):
-        equiv.append(
-            EquivarianceData(
-                tuple(tuple(Fraction(x) for x in row) for row in X),
-                _coordinate_action(smod, X),
-                _coordinate_action(tmod, X),
-            )
-        )
     return Pencil(
         nvars=v,
         source_dim=smod.dim,
@@ -242,9 +314,7 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        builder="gl",
-        equivariance=tuple(equiv),
-        transitive_base=True,
+        spec=BuildSpec("gl", (mu, nu, v)),
     )
 
 
@@ -267,15 +337,6 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
         if i not in K
     }
     cleared, den = _clear_denominators(entries)
-    equiv = []
-    for X in gl_generator_matrices(v):
-        equiv.append(
-            EquivarianceData(
-                tuple(tuple(Fraction(x) for x in row) for row in X),
-                _wedge_matrix(X, src),
-                _wedge_matrix(X, tgt),
-            )
-        )
     return Pencil(
         nvars=v,
         source_dim=len(src),
@@ -283,9 +344,7 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        builder="koszul",
-        equivariance=tuple(equiv),
-        transitive_base=True,
+        spec=BuildSpec("koszul", (k, v)),
     )
 
 
@@ -305,7 +364,7 @@ def _partner_table(form: FormSpec) -> list[tuple[int, int]]:
 
 
 def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
-                       box: BoxPosition, builder: str, transitive: bool) -> Pencil:
+                       box: BoxPosition, spec: BuildSpec) -> Pencil:
     form = smod.form
     v = form.dim
     nu = tmod.weight
@@ -345,22 +404,6 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     if not any(entries.values()):
         raise AssertionError("form pencil is identically zero")
     cleared, den = _clear_denominators(entries)
-
-    equiv = []
-    for X in form_lie_basis(form):
-        rho_t = _coordinate_action(tmod, X)
-        n = len(rho_t)
-        rho_t_paired = tuple(
-            tuple(-rho_t[j][i] for j in range(n)) for i in range(n)
-        )
-        equiv.append(
-            EquivarianceData(
-                tuple(tuple(Fraction(x) for x in row) for row in X),
-                _coordinate_action(smod, X),
-                rho_t_paired,
-            )
-        )
-    family = smod.group.family
     return Pencil(
         nvars=v,
         source_dim=smod.dim,
@@ -368,9 +411,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
         coeffs=cleared,
         denom=den,
         var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        builder=builder,
-        equivariance=tuple(equiv),
-        transitive_base=transitive,
+        spec=spec,
     )
 
 
@@ -380,7 +421,7 @@ def build_sp_pencil(mu: Partition, nu: Partition, two_n: int) -> Pencil:
     box = _one_box(mu, nu, two_n // 2)
     return _build_form_pencil(
         symplectic_module(mu, two_n), symplectic_module(nu, two_n), box,
-        "sp", transitive=True,
+        BuildSpec("sp", (mu, nu, two_n)),
     )
 
 
@@ -390,19 +431,12 @@ def build_so_pencil(mu: Partition, nu: Partition, m: int) -> Pencil:
     box = _one_box(mu, nu, m)
     return _build_form_pencil(
         orthogonal_module(mu, m), orthogonal_module(nu, m), box,
-        "so", transitive=False,
+        BuildSpec("so", (mu, nu, m)),
     )
 
 
 # ---------------------------------------------------------------------------
 # spin pencil
-
-
-def _spinor_coords(s: dict, basis: list, index: dict) -> list[Fraction]:
-    out = [ZERO] * len(basis)
-    for I, c in s.items():
-        out[index[I]] = c
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +445,6 @@ def build_spin_pencil(n: int) -> Pencil:
     ss = spin_space(n)
     even, odd = ss.even_basis, ss.odd_basis
     odd_index = {I: i for i, I in enumerate(odd)}
-    even_index = {I: i for i, I in enumerate(even)}
     dim_w = 2 * n
     entries = {}
     for i, I in enumerate(even):
@@ -422,26 +455,6 @@ def build_spin_pencil(n: int) -> Pencil:
             for J, c in img.items():
                 entries[i, odd_index[J], j] = c
     cleared, den = _clear_denominators(entries)
-
-    def spin_matrix(a, b, basis, index):
-        cols = [
-            _spinor_coords(spin_lie_action(a, b, {I: Fraction(1)}, n), basis, index)
-            for I in basis
-        ]
-        return tuple(
-            tuple(cols[j][i] for j in range(len(basis))) for i in range(len(basis))
-        )
-
-    equiv = []
-    for a, b in spin_lie_generators(n):
-        m = spin_lie_on_w(a, b, n)
-        equiv.append(
-            EquivarianceData(
-                spin_matrix(a, b, even, even_index),
-                tuple(tuple(Fraction(x) for x in row) for row in m),
-                spin_matrix(a, b, odd, odd_index),
-            )
-        )
     labels = tuple(
         "delta_" + ("".join(str(i + 1) for i in I) if I else "0") for I in even
     )
@@ -452,9 +465,7 @@ def build_spin_pencil(n: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=labels,
-        builder="spin",
-        equivariance=tuple(equiv),
-        transitive_base=False,
+        spec=BuildSpec("spin", (n,)),
     )
 
 
@@ -544,35 +555,6 @@ def build_adjoint_pencil(a: int) -> Pencil:
                 # phi_{e_K}(X) = X . e_K
                 entries[j, index3[L], col] = c
     cleared, den = _clear_denominators(entries)
-
-    # equivariance under Y in sl(A): rho_source = ad_Y, rho_target and the
-    # variable action are both the wedge action of Y
-
-    def ad_matrix(Y):
-        cols = []
-        for X in sl:
-            brk = [
-                [
-                    sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
-                    for j in range(a)
-                ]
-                for i in range(a)
-            ]
-            cols.append(_sl_coords(brk, a))
-        return tuple(
-            tuple(cols[j][i] for j in range(len(sl))) for i in range(len(sl))
-        )
-
-    gens = []
-    for k in range(a - 1):
-        for (i, j) in ((k, k + 1), (k + 1, k)):
-            m = [[0] * a for _ in range(a)]
-            m[i][j] = 1
-            gens.append(tuple(tuple(r) for r in m))
-    equiv = [
-        EquivarianceData(_wedge_matrix(Y, basis3), ad_matrix(Y), _wedge_matrix(Y, basis3))
-        for Y in gens
-    ]
     labels = tuple("w_" + "".join(str(x + 1) for x in K) for K in basis3)
     return Pencil(
         nvars=len(basis3),
@@ -581,9 +563,7 @@ def build_adjoint_pencil(a: int) -> Pencil:
         coeffs=cleared,
         denom=den,
         var_labels=labels,
-        builder="adjoint",
-        equivariance=tuple(equiv),
-        transitive_base=False,
+        spec=BuildSpec("adjoint", (a,)),
     )
 
 
@@ -603,6 +583,87 @@ def _sl_coords(m, a: int) -> list[Fraction]:
     if tr:
         raise ValueError("matrix is not traceless")
     return coords
+
+
+# ---------------------------------------------------------------------------
+# equivariance data, derived from the build spec on demand
+
+
+def _gl_equivariance(mu: Partition, nu: Partition, v: int) -> list[EquivarianceData]:
+    smod, tmod = schur_module(mu, v), schur_module(nu, v)
+    return [
+        EquivarianceData(X, _coordinate_action(smod, X), _coordinate_action(tmod, X))
+        for X in gl_generator_matrices(v)
+    ]
+
+
+def _koszul_equivariance(k: int, v: int) -> list[EquivarianceData]:
+    src = list(combinations(range(v), k))
+    tgt = list(combinations(range(v), k + 1))
+    return [
+        EquivarianceData(X, _wedge_matrix(X, src), _wedge_matrix(X, tgt))
+        for X in gl_generator_matrices(v)
+    ]
+
+
+def _form_equivariance(smod: RealizedModule, tmod: RealizedModule) -> list[EquivarianceData]:
+    # the target coordinates pair against the target basis: rho_t = -rho^T
+    out = []
+    for X in form_lie_basis(smod.form):
+        rho_t = _coordinate_action(tmod, X)
+        out.append(EquivarianceData(
+            X, _coordinate_action(smod, X),
+            tuple(tuple(-x for x in row) for row in zip(*rho_t)),
+        ))
+    return out
+
+
+def _spin_equivariance(n: int) -> list[EquivarianceData]:
+    ss = spin_space(n)
+
+    def spin_matrix(a, b, basis):
+        images = (spin_lie_action(a, b, {I: Fraction(1)}, n) for I in basis)
+        return _transpose([[img.get(J, ZERO) for J in basis] for img in images])
+
+    return [
+        EquivarianceData(spin_matrix(a, b, ss.even_basis),
+                         tuple(map(tuple, spin_lie_on_w(a, b, n))),
+                         spin_matrix(a, b, ss.odd_basis))
+        for a, b in spin_lie_generators(n)
+    ]
+
+
+def _adjoint_equivariance(a: int) -> list[EquivarianceData]:
+    # under Y in sl(A): rho_source = ad_Y, rho_target and the variable
+    # action are both the wedge action of Y
+    basis3 = list(combinations(range(a), 3))
+    sl = sl_basis(a)
+
+    def ad_matrix(Y):
+        return _transpose([
+            _sl_coords([[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
+                         for j in range(a)] for i in range(a)], a)
+            for X in sl
+        ])
+
+    out = []
+    for Y in gl_generator_matrices(a)[: 2 * (a - 1)]:  # E_{k,k+1}, E_{k+1,k}
+        wedge = _wedge_matrix(Y, basis3)
+        out.append(EquivarianceData(wedge, ad_matrix(Y), wedge))
+    return out
+
+
+@lru_cache(maxsize=None)
+def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
+    """The Lie-algebra generators of the spec's group with their actions on
+    the variables, the source and the target of the pencil it builds."""
+    if spec.kind in ("sp", "so"):
+        realize = symplectic_module if spec.kind == "sp" else orthogonal_module
+        mu, nu, dim = spec.args
+        return tuple(_form_equivariance(realize(mu, dim), realize(nu, dim)))
+    derive = {"gl": _gl_equivariance, "koszul": _koszul_equivariance,
+              "spin": _spin_equivariance, "adjoint": _adjoint_equivariance}[spec.kind]
+    return tuple(derive(*spec.args))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from crpencils import cli
 from crpencils.catalog import (
     CATALOG,
     FIXTURE_NAMES,
+    CatalogEntry,
     CatalogRunConfig,
     FixtureParseError,
     build_from_params,
@@ -210,6 +211,19 @@ def test_run_entry_respects_ambient_cap():
     assert res.status == "skipped"
 
 
+def test_run_entry_keeps_the_traceback():
+    def _failing_helper():
+        raise RuntimeError("boom")
+
+    def check(cfg):
+        _failing_helper()
+
+    res = run_entry(CatalogEntry("crash", "raises", 1, check), CatalogRunConfig())
+    assert res.status == "fail"
+    assert "_failing_helper" in res.failures[0]
+    assert "RuntimeError: boom" in res.failures[0]
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -261,6 +275,37 @@ def test_cli_verify_transitivity_uses_builder_metadata(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_transitivity_refuses_an_edited_entry(tmp_path, capsys):
+    out = tmp_path / "pencil.json"
+    cli.main(["build", "sp", "--mu", "1,1", "--nu", "1,1,1", "--N", "6",
+              "--out", str(out)])
+    doc = json.loads(out.read_text())
+    entry = doc["entries"][0]
+    entry["num"] = str(int(entry["num"]) + int(entry["den"]))  # still reduced
+    out.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    assert "equivariance certificate failed" in capsys.readouterr().err
+
+
+def test_cli_transitivity_refuses_a_record_of_other_dimensions(tmp_path, capsys):
+    # a GL(3) record (6 -> 8) on the 3-variable Koszul 3 -> 3 pencil
+    out = tmp_path / "pencil.json"
+    out.write_text(dumps_pencil(build_koszul_pencil(1, 3),
+                                {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3}))
+    assert loads_pencil(out.read_text())[0].spec is not None
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    err = capsys.readouterr().err
+    assert "equivariance certificate failed" in err
+    assert "Traceback" not in err
+
+
+def test_loaded_sp6_file_certifies_constant_rank():
+    params = {"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6}
+    loaded, _ = loads_pencil(dumps_pencil(build_from_params(params), params))
+    rep = constant_rank_verdict(loaded, "transitivity")
+    assert (rep.verdict, rep.generic_rank) == ("constant", 9)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # usage error: missing required builder flags
     assert cli.main(["build", "gl", "--mu", "2"]) == 2
@@ -281,6 +326,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     plain.write_text(dumps_pencil(build_koszul_pencil(1, 3)))
     assert cli.main(["verify", str(plain), "--mode", "transitivity"]) == 2
     capsys.readouterr()
+
+
+def test_cli_verify_unreadable_files_are_parse_errors(tmp_path, capsys):
+    binary = tmp_path / "pencil.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert cli.main(["verify", str(binary)]) == 3
+    assert cli.main(["verify", str(tmp_path / "missing.json")]) == 3
+    assert capsys.readouterr().err.count("parse error") == 2
 
 
 @pytest.mark.parametrize("prime", ["9", "15", "1", "2146654199"])
@@ -309,26 +362,26 @@ def test_cli_rejects_non_positive_counts(tmp_path, capsys, flag, value):
 def test_loaded_so_and_spin_files_keep_structured_points():
     params = {"kind": "so", "mu": [2], "nu": [2, 1], "m": 5}
     pen, _ = loads_pencil(dumps_pencil(build_from_params(params), params))
-    assert pen.builder == "so"
+    assert pen.spec.kind == "so"
     rep = constant_rank_verdict(pen, "sampled", trials=5, seed=0)
     assert any(cls == "isotropic" for _, _, cls in rep.strata)
     spin = {"kind": "spin", "n": 5}
-    assert loads_pencil(dumps_pencil(build_from_params(spin), spin))[0].builder == "spin"
+    assert loads_pencil(dumps_pencil(build_from_params(spin), spin))[0].spec.kind == "spin"
     # a record that disagrees with the shape, or is malformed, is not trusted
     text = dumps_pencil(build_koszul_pencil(1, 3))
     for record in ({"kind": "so", "m": 4}, {"kind": "spin", "n": 10 ** 9},
                    {"kind": "so"}, ["so"], "spin"):
         doc = json.loads(text)
         doc["builder"] = record
-        assert loads_pencil(json.dumps(doc))[0].builder == "file"
+        assert loads_pencil(json.dumps(doc))[0].spec is None
     # one variable is too few for isotropic or pure-spinor points
     one = dumps_pencil(Pencil(nvars=1, source_dim=1, target_dim=1, coeffs=((0, 0, 0, 1),),
-                              denom=1, var_labels=("x",), builder="gl"))
+                              denom=1, var_labels=("x",)))
     for record in ({"kind": "so", "m": 1}, {"kind": "so", "m": True}, {"kind": "spin", "n": 1}):
         doc = json.loads(one)
         doc["builder"] = record
         pen = loads_pencil(json.dumps(doc))[0]
-        assert pen.builder == "file"
+        assert pen.spec is None
         assert constant_rank_verdict(pen, "sampled", trials=3).generic_rank == 1
 
 

@@ -1,5 +1,6 @@
 """Builder-level anchors: shapes, ranks, equivariance, kernel vectors."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -13,6 +14,7 @@ from crpencils.linalg import DEFAULT_PRIME, qq_rank, reduce_mod
 from crpencils.modules import a_vector, gamma_pairing, spin_space
 from crpencils.partitions import family_sizes, gl_dim, hook_family_rank
 from crpencils.pencils import (
+    BuildSpec,
     build_adjoint_pencil,
     build_gl_pencil,
     build_koszul_pencil,
@@ -53,6 +55,39 @@ def test_evaluate_modp_matches_evaluate_over_q(params, p, point):
     want = [[reduce_mod(e, p) for e in row] for row in pen.evaluate(x)]
     got = pen.evaluate_modp([xi % p for xi in x], pen.coeff_array_modp(p), p)
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("params", EXAMPLES, ids=lambda r: r["kind"])
+def test_every_builder_example_is_equivariant(params):
+    assert check_equivariance(build_from_params(params))
+
+
+@pytest.mark.parametrize("params", EXAMPLES, ids=lambda r: r["kind"])
+def test_build_spec_record_round_trip(params):
+    spec = build_from_params(params).spec
+    assert spec.record() == params
+    assert BuildSpec.from_record(spec.record()) == spec
+    assert build_from_params(spec.record()).spec == spec
+
+
+def test_build_spec_rejects_malformed_records():
+    for record in ({"kind": "gl", "mu": [2], "nu": [2, 1]},
+                   {"kind": "gl", "mu": "2", "nu": [2, 1], "v": 3},
+                   {"kind": "gl", "mu": [1, 2], "nu": [2, 1], "v": 3},
+                   {"kind": "koszul", "k": True, "v": 3},
+                   {"kind": "adjoint", "a": -4},
+                   {"kind": "spin", "n": "5"},
+                   {"kind": "sl", "a": 3}, ["gl"], None):
+        with pytest.raises(ValueError):
+            BuildSpec.from_record(record)
+
+
+def test_equivariance_needs_a_spec_that_fits():
+    koszul = build_koszul_pencil(1, 3)
+    assert check_equivariance(koszul)
+    assert not check_equivariance(replace(koszul, spec=None))
+    # GL(3) acting on S_2 -> S_21 (6 -> 8) does not fit the 3 -> 3 pencil
+    assert not check_equivariance(replace(koszul, spec=build_gl_pencil((2,), (2, 1), 3).spec))
 
 
 # -- GL ---------------------------------------------------------------------
