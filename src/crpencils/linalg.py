@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -22,20 +24,26 @@ DEFAULT_PRIME = 2147483629
 _PRIME_LIMIT = 1 << 31
 
 
-def check_prime(p: int) -> int:
-    """p itself when it is an odd prime below 2^31, else ValueError.
+def is_prime(p: int) -> bool:
+    """Whether p is an odd prime below 2^31.
 
     Deterministic Miller-Rabin with bases 2, 7 and 61, which is exact below
     4,759,123,141 (Jaeschke 1993).
     """
-    if 2 < p < _PRIME_LIMIT and p % 2:
-        d, s = p - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        if all(a % p == 0 or pow(a, d, p) == 1
+    if not (2 < p < _PRIME_LIMIT and p % 2):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(a % p == 0 or pow(a, d, p) == 1
                or any(pow(a, d << r, p) == p - 1 for r in range(s))
-               for a in (2, 7, 61)):
-            return p
+               for a in (2, 7, 61))
+
+
+def check_prime(p: int) -> int:
+    """p itself when it is an odd prime below 2^31, else ValueError."""
+    if is_prime(p):
+        return p
     raise ValueError(f"prime must be an odd prime < 2^31, got {p}")
 
 
@@ -49,10 +57,12 @@ def reduce_mod(x, p: int) -> int:
 
 def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
     """The matrix reduced into [0, p) as int64: integer entries with one
-    numpy `% p`, any other entry (a Fraction) through reduce_mod."""
+    numpy `% p`, any other entry (a Fraction) through reduce_mod.  Python
+    ints of mixed sign past 2^63 would promote to float64, so any matrix
+    that numpy does not read as integers is rebuilt from the rows exactly."""
     a = np.asarray(rows)
     if a.dtype.kind not in "iu":
-        a = a.astype(object)
+        a = np.array(rows, dtype=object)
         for idx, x in np.ndenumerate(a):
             if not isinstance(x, (int, np.integer)):
                 a[idx] = reduce_mod(x, p)
@@ -63,29 +73,135 @@ def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
 # rational elimination
 
 
-def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
+@lru_cache(maxsize=None)
+def _prime_below(p: int) -> int:
+    return next(q for q in range(p - 2, 2, -2) if is_prime(q))
+
+
+def _primes():
+    """DEFAULT_PRIME, then every smaller odd prime in decreasing order."""
+    p = DEFAULT_PRIME
+    while p > 3:
+        yield p
+        p = _prime_below(p)
+
+
+def integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: same row space, int entries."""
+    out = []
+    for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a[:r], pivots
+        row = [Fraction(x) for x in row]
+        den = lcm(1, *(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _rational_lift(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(numerators, denominators) n/d = res mod m with |n|, d <= sqrt(m/2)
+    and gcd(d, m) = 1, entrywise; None when some entry has no such lift.
+
+    The half extended Euclidean algorithm on (m, res), stopped at the first
+    remainder <= sqrt(m/2) (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 5.10), run on all entries at once: in int64 for one
+    prime, where every remainder and cofactor stays below m < 2^31, and in
+    Python ints (an object array) for a CRT modulus.
+    """
+    bound = isqrt(m // 2)
+    r1 = res.reshape(-1).copy()
+    r0, t0, t1 = np.full_like(r1, m), np.zeros_like(r1), np.ones_like(r1)
+    act = np.flatnonzero(r1 > bound)
+    while act.size:
+        q = r0[act] // r1[act]
+        r0[act], r1[act] = r1[act], r0[act] - q * r1[act]
+        t0[act], t1[act] = t1[act], t0[act] - q * t1[act]
+        act = act[r1[act] > bound]
+    den = np.abs(t1)
+    if (den > bound).any() or any(gcd(d, m) != 1 for d in set(den.tolist())):
+        return None
+    return np.where(t1 < 0, -r1, r1).reshape(res.shape), den.reshape(res.shape)
+
+
+def _spans_rows(a: list[list[int]], pivots: list[int],
+                num: np.ndarray, den: np.ndarray) -> bool:
+    """Whether every row of a equals sum_j row[pivots[j]] R_j for R = num/den.
+
+    Exact and sparse: R is scaled by the lcm L of its denominators, and each
+    row times L is compared with its combination in Python ints.
+    """
+    scale = lcm(*set(den.ravel().tolist()))
+    basis = [[(c, n * (scale // d)) for c, (n, d) in enumerate(zip(nrow, drow)) if n]
+             for nrow, drow in zip(num.tolist(), den.tolist())]
+    for row in a:
+        acc: dict[int, int] = {}
+        for pc, brow in zip(pivots, basis):
+            x = row[pc]
+            if x:
+                for c, y in brow:
+                    acc[c] = acc.get(c, 0) + x * y
+        if ({c: y for c, y in acc.items() if y}
+                != {c: scale * x for c, x in enumerate(row) if x}):
+            return False
+    return True
+
+
+def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
+
+    The rows are scaled to integers (a matrix A) and A mod p is brought to
+    reduced echelon form R_p by ModpEchelon.  Each entry of R_p is lifted to
+    a rational n/d by rational reconstruction; when a lift does not exist,
+    or the lifted R fails the check below, the residues of one more prime
+    are combined by CRT and the lift is tried again.  A prime whose echelon
+    has lower rank, or the same rank with later pivots, than one seen
+    before divides a minor of A and is skipped.
+
+    The lifted R is accepted only when every row a of A equals
+    sum_j a[pivot_j] R_j exactly.  Why that makes R exact: the check gives
+    row(A) in row(R).  R has the identity in its pivot columns, so its
+    rows are independent, and rank_Q(A) >= rank_p(A) = #rows of R; hence
+    row(A) = row(R).  R is in reduced row echelon form by construction (a
+    zero residue lifts to 0), and a row space has exactly one such basis,
+    so R is the RREF of A over Q.  A wrong lift can fail the check, never
+    pass it.
+    """
+    a = [row for row in integer_rows(rows) if any(row)]
+    if len(a) <= 1:  # nothing to eliminate: scale the leading entry to 1
+        pivots = [next(j for j, x in enumerate(row) if x) for row in a]
+        return [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)], pivots
+    ncols = len(a[0])
+    best: Optional[tuple[list[int], np.ndarray, int]] = None  # pivots, residues, modulus
+    limit = None
+    for tried, p in enumerate(_primes()):
+        if limit is not None and tried > limit:
+            raise ArithmeticError("the RREF lift needed more primes than the Hadamard bound")
+        ech = ModpEchelon(ncols, p)
+        ech.add(mat_mod(a, p))
+        pivots = ech.pivots.tolist()
+        if best is None or (-len(pivots), pivots) < (-len(best[0]), best[0]):
+            best = (pivots, ech.basis, p)
+        elif pivots == best[0]:
+            _, res, m = best
+            res = res.astype(object)
+            step = (ech.basis.astype(object) - res) * pow(m, -1, p) % p
+            best = (pivots, res + m * step, m * p)
+        else:
+            continue
+        lift = _rational_lift(best[1], best[2])
+        if lift is not None and _spans_rows(a, pivots, *lift):
+            num, den = (x.tolist() for x in lift)
+            pairs = [list(zip(nrow, drow)) for nrow, drow in zip(num, den)]
+            fracs = {nd: Fraction(*nd) for nd in set().union(*pairs)}
+            return [[fracs[nd] for nd in row] for row in pairs], pivots
+        if limit is None:
+            # every minor is at most H = prod |row| < 2^bits: at most bits/30
+            # primes above 2^30 divide a nonzero one, and a CRT modulus
+            # above 2 H^2 lifts every RREF entry
+            bits = sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in a)
+            limit = (3 * bits + 1) // 30 + 2
+    raise ArithmeticError("the primes below 2^31 are exhausted")
 
 
 def qq_rank(rows: Sequence[Sequence]) -> int:

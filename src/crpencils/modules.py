@@ -19,9 +19,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PRIME,
+    integer_rows,
     modp_independent_rows,
     qq_kernel,
-    reduce_mod,
+    qq_rref,
 )
 from .partitions import (
     GroupSpec,
@@ -36,14 +37,15 @@ from .tensors import (
     GradedSpan,
     SparseTensor,
     Word,
-    apply_perms_word,
+    apply_symmetrizer,
     content,
+    integer_scaled,
     matrix_on_letters,
     perm_sign,
     semistandard_tableaux,
+    square_matrix,
     tableau_word,
     tensor_iadd,
-    young_symmetrizer_perms,
 )
 
 ZERO = Fraction(0)
@@ -68,107 +70,69 @@ class FormSpec:
     def torus_rank(self) -> int:
         return (self.dim + 1) // 2
 
-    def letter_weight(self, a: int) -> tuple[int, ...]:
-        w = [0] * self.torus_rank
-        if self.kind == "orthogonal" and self.dim % 2 and a == self.dim - 1:
-            return tuple(w)
-        w[a // 2] = 1 if a % 2 == 0 else -1
-        return tuple(w)
-
     def word_weight(self, word: Word) -> tuple[int, ...]:
+        """The sum of the letter weights: letter 2i adds e_i, letter 2i+1
+        subtracts it, and the non-isotropic letter of odd SO(m) adds 0."""
         w = [0] * self.torus_rank
+        paired = self.dim - self.dim % 2
         for a in word:
-            lw = self.letter_weight(a)
-            for i, x in enumerate(lw):
-                w[i] += x
+            if a < paired:
+                w[a >> 1] += -1 if a & 1 else 1
         return tuple(w)
 
     def dual_tensor(self) -> SparseTensor:
-        """The invariant 2-tensor: q-hat = sum q^{ab} e_a x e_b (inverse Gram)."""
-        g = [[Fraction(x) for x in row] for row in self.gram]
+        """The invariant 2-tensor: q-hat = sum q^{ab} e_a x e_b (inverse Gram),
+        read off the RREF [I | G^-1] of [G | I]."""
         n = self.dim
-        inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        # tiny dense inversion
-        for c in range(n):
-            piv = next(i for i in range(c, n) if g[i][c])
-            g[c], g[piv] = g[piv], g[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-            f = 1 / g[c][c]
-            g[c] = [x * f for x in g[c]]
-            inv[c] = [x * f for x in inv[c]]
-            for i in range(n):
-                if i != c and g[i][c]:
-                    f = g[i][c]
-                    g[i] = [x - f * y for x, y in zip(g[i], g[c])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
-        return {
-            (a, b): inv[a][b] for a in range(n) for b in range(n) if inv[a][b]
-        }
+        rref, _ = qq_rref([list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(self.gram)])
+        return {(a, b): rref[a][n + b] for a in range(n) for b in range(n) if rref[a][n + b]}
 
 
 @lru_cache(maxsize=None)
 def symplectic_form(two_n: int) -> FormSpec:
     if two_n % 2:
         raise ValueError("symplectic form needs even dimension")
-    g = [[0] * two_n for _ in range(two_n)]
-    for k in range(two_n // 2):
-        g[2 * k][2 * k + 1] = 1
-        g[2 * k + 1][2 * k] = -1
-    return FormSpec("symplectic", two_n, tuple(tuple(r) for r in g))
+    # omega(e_2k, e_2k+1) = 1 = -omega(e_2k+1, e_2k)
+    gram = square_matrix(two_n, {(a, a ^ 1): -1 if a & 1 else 1 for a in range(two_n)})
+    return FormSpec("symplectic", two_n, gram)
 
 
 @lru_cache(maxsize=None)
 def orthogonal_form(m: int) -> FormSpec:
-    g = [[0] * m for _ in range(m)]
-    for k in range(m // 2):
-        g[2 * k][2 * k + 1] = 1
-        g[2 * k + 1][2 * k] = 1
-    if m % 2:
-        g[m - 1][m - 1] = 1
-    return FormSpec("orthogonal", m, tuple(tuple(r) for r in g))
+    # hyperbolic pairs (e_2k, e_2k+1), and q(e_m) = 1 for odd m
+    pairs = {(a, a ^ 1): 1 for a in range(m - m % 2)}
+    return FormSpec("orthogonal", m, square_matrix(m, {**pairs, (m - 1, m - 1): m % 2}))
 
 
 def form_lie_basis(form: FormSpec) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """Basis of the Lie algebra preserving the form: X with X^T G + G X = 0."""
+    """Basis of the Lie algebra preserving the form: X with X^T G + G X = 0,
+    namely X = G^{-1} S for S = E_ab + E_ba (Sp, a <= b) or E_ab - E_ba
+    (SO, a < b)."""
     n = form.dim
     ginv = form.dual_tensor()
-    ginv_m = [[ginv.get((i, j), ZERO) for j in range(n)] for i in range(n)]
-    sym = form.kind == "symplectic"
+    sign = 1 if form.kind == "symplectic" else -1
     out = []
     for a in range(n):
-        brange = range(a, n) if sym else range(a + 1, n)
-        for b in brange:
-            # S = E_ab + E_ba (Sp) or E_ab - E_ba (SO); X = G^{-1} S
-            s = [[ZERO] * n for _ in range(n)]
-            s[a][b] += 1
-            if sym:
-                s[b][a] += 1
-            else:
-                s[b][a] -= 1
-            x = [
-                [
-                    sum(ginv_m[i][k] * s[k][j] for k in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            out.append(tuple(tuple(r) for r in x))
+        for b in range(a if sign == 1 else a + 1, n):
+            x = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                x[i][b] += ginv.get((i, a), ZERO)
+                x[i][a] += sign * ginv.get((i, b), ZERO)
+            out.append(tuple(map(tuple, x)))
     return out
 
 
 def contract(t: SparseTensor, s1: int, s2: int, form: FormSpec) -> SparseTensor:
     """Contract slots s1 < s2 of a tensor with the form."""
     out: SparseTensor = {}
+    gram = form.gram
     for w, c in t.items():
-        g = form.value(w[s1], w[s2])
+        g = gram[w[s1]][w[s2]]
         if g:
             nw = w[:s1] + w[s1 + 1 : s2] + w[s2 + 1 :]
-            v = out.get(nw, ZERO) + c * g
-            if v:
-                out[nw] = v
-            else:
-                del out[nw]
-    return out
+            out[nw] = out.get(nw, 0) + c * g
+    return {w: c for w, c in out.items() if c}
 
 
 def pairing(t: SparseTensor, u: SparseTensor, form: FormSpec) -> Fraction:
@@ -212,9 +176,9 @@ class RealizedModule:
 
 def _schur_span(lam: Partition, v: int, grade_fn) -> GradedSpan:
     lam = check_partition(lam)
-    perms = young_symmetrizer_perms(lam)
-    tensors = [apply_perms_word(tableau_word(t), perms) for t in semistandard_tableaux(lam, v)]
-    return GradedSpan.from_tensors(tensors, size(lam), grade_fn)
+    tensors = [apply_symmetrizer({tableau_word(t): 1}, lam)
+               for t in semistandard_tableaux(lam, v)]
+    return GradedSpan.from_tensors(tensors, grade_fn)
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +194,9 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
     return RealizedModule(GroupSpec("GL", v), lam, size(lam), span)
 
 
-def _sparse_exact_kernel(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """Exact kernel of sparse constraint rows, preselected mod p.
+def _sparse_exact_kernel(rows: list[dict], ncols: int) -> list[list[int]]:
+    """A kernel basis of sparse integer constraint rows, as integer vectors,
+    preselected mod p.
 
     A maximal independent row subset is found over F_p, the exact kernel of
     that subset is computed over Q, and every remaining row is verified to
@@ -239,36 +204,17 @@ def _sparse_exact_kernel(rows: list[dict], ncols: int) -> list[list[Fraction]]:
     retry with another prime.
     """
     rows = [r for r in rows if r]
-    if not rows:
-        return [
-            [Fraction(1 if j == i else 0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
     for p in (DEFAULT_PRIME, 2147483587, 2147483563):
-        try:
-            a = np.zeros((len(rows), ncols), dtype=np.int64)
-            for i, r in enumerate(rows):
-                for j, x in r.items():
-                    a[i, j] = reduce_mod(x, p)
-        except ZeroDivisionError:
-            continue
-        sel = modp_independent_rows(a, p)
-        dense = [
-            [rows[i].get(j, ZERO) for j in range(ncols)] for i in sel
-        ]
-        ker = qq_kernel(dense, ncols)
-        ok = True
-        selset = set(sel)
+        a = np.zeros((len(rows), ncols), dtype=np.int64)
         for i, r in enumerate(rows):
-            if i in selset:
-                continue
-            for k in ker:
-                if sum(x * k[j] for j, x in r.items()):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            for j, x in r.items():
+                a[i, j] = x % p
+        sel = modp_independent_rows(a, p)
+        ker = integer_rows(qq_kernel([[rows[i].get(j, 0) for j in range(ncols)] for i in sel],
+                                     ncols))
+        selset = set(sel)
+        if all(not sum(x * k[j] for j, x in r.items())
+               for i, r in enumerate(rows) if i not in selset for k in ker):
             return ker
     raise ArithmeticError("kernel preselection failed for all fallback primes")
 
@@ -280,9 +226,9 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     span_gl = _schur_span(lam, form.dim, grade)
     kept: list[SparseTensor] = []
     for g in sorted(span_gl.blocks, key=repr):
-        blk = span_gl.blocks[g]
-        vecs = blk.rows
-        constraints: dict[tuple, dict[int, Fraction]] = {}
+        # integer multiples of the RREF rows span the same block
+        vecs = [integer_scaled(t)[0] for t in span_gl.blocks[g].rows]
+        constraints: dict[tuple, dict[int, int]] = {}
         for j, t in enumerate(vecs):
             for s1, s2 in combinations(range(d), 2):
                 ct = contract(t, s1, s2, form)
@@ -295,7 +241,7 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
                 if c:
                     tensor_iadd(nt, vecs[j], c)
             kept.append(nt)
-    span = GradedSpan.from_tensors(kept, d, grade)
+    span = GradedSpan.from_tensors(kept, grade)
     if span.dim != expected:
         raise AssertionError(
             f"{group.family} module {lam}: got dim {span.dim}, expected {expected}"
@@ -357,50 +303,39 @@ def spin_space(n: int) -> SpinSpace:
 
 
 def wedge_e(i: int, s: Spinor) -> Spinor:
-    out: Spinor = {}
-    for idx, c in s.items():
-        if i in idx:
-            continue
-        key = tuple(sorted(idx + (i,)))
-        v = out.get(key, ZERO) + perm_sign((i,) + idx) * c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
+    """e_i ^ s; distinct index sets stay distinct, so nothing accumulates."""
+    return {tuple(sorted(idx + (i,))): perm_sign((i,) + idx) * c
+            for idx, c in s.items() if i not in idx and c}
 
 
 def contract_f(i: int, s: Spinor) -> Spinor:
+    """f_i -| s: i leaves each index set holding it, with the sign (-1)^(its
+    position); distinct index sets stay distinct, so nothing accumulates."""
     out: Spinor = {}
     for idx, c in s.items():
-        if i not in idx:
-            continue
-        pos = idx.index(i)
-        key = idx[:pos] + idx[pos + 1 :]
-        v = out.get(key, ZERO) + (c if pos % 2 == 0 else -c)
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        if i in idx and c:
+            pos = idx.index(i)
+            out[idx[:pos] + idx[pos + 1 :]] = -c if pos % 2 else c
     return out
+
+
+def clifford_unit(j: int, s: Spinor, n: int) -> Spinor:
+    """w_j . s for the j-th basis vector of W: e_j for j < n, else f_{j-n}."""
+    return wedge_e(j, s) if j < n else contract_f(j - n, s)
 
 
 def clifford_action(w: Sequence, s: Spinor, n: int) -> Spinor:
     """(e + f) . s = e ^ s + f -| s for w = (e-coords, f-coords) in E + F."""
     out: Spinor = {}
-    for i in range(n):
-        if w[i]:
-            tensor_iadd(out, wedge_e(i, s), Fraction(w[i]))
-        if w[n + i]:
-            tensor_iadd(out, contract_f(i, s), Fraction(w[n + i]))
+    for j, x in enumerate(w):
+        if x:
+            tensor_iadd(out, clifford_unit(j, s, n), Fraction(x))
     return out
 
 
 def spin_form_value(a: int, b: int, n: int) -> Fraction:
     """Polarized quadratic form B on W = E + F: B(e_i, f_i) = 1/2."""
-    if a // n != b // n and a % n == b % n:
-        return Fraction(1, 2)
-    return ZERO
+    return Fraction(1, 2) if a // n != b // n and a % n == b % n else ZERO
 
 
 def beta_pairing(s: Spinor, t: Spinor, n: int) -> Fraction:
@@ -447,9 +382,7 @@ def gamma_pairing(k: int, s: Spinor, t: Spinor, n: int) -> dict[tuple[int, ...],
     for J in combinations(range(2 * n), k):
         acted = s
         for j in reversed(J):
-            w = [0] * (2 * n)
-            w[j] = 1
-            acted = clifford_action(w, acted, n)
+            acted = clifford_unit(j, acted, n)
         val = beta_pairing(acted, t, n)
         if val:
             out[J] = val
@@ -478,15 +411,9 @@ def spin_lie_generators(n: int) -> list[tuple[int, int]]:
 
 def spin_lie_action(a: int, b: int, s: Spinor, n: int) -> Spinor:
     """F_ab . s with F_ab = (w_a w_b - w_b w_a)/4."""
-    wa = [0] * (2 * n)
-    wa[a] = 1
-    wb = [0] * (2 * n)
-    wb[b] = 1
-    t1 = clifford_action(wa, clifford_action(wb, s, n), n)
-    t2 = clifford_action(wb, clifford_action(wa, s, n), n)
     out: Spinor = {}
-    tensor_iadd(out, t1, Fraction(1, 4))
-    tensor_iadd(out, t2, Fraction(-1, 4))
+    tensor_iadd(out, clifford_unit(a, clifford_unit(b, s, n), n), Fraction(1, 4))
+    tensor_iadd(out, clifford_unit(b, clifford_unit(a, s, n), n), Fraction(-1, 4))
     return out
 
 
@@ -495,10 +422,6 @@ def spin_lie_on_w(a: int, b: int, n: int) -> list[list[Fraction]]:
     dim = 2 * n
     m = [[ZERO] * dim for _ in range(dim)]
     for c in range(dim):
-        bb = spin_form_value(b, c, n)
-        ba = spin_form_value(a, c, n)
-        if bb:
-            m[a][c] += bb
-        if ba:
-            m[b][c] -= ba
+        m[a][c] += spin_form_value(b, c, n)
+        m[b][c] -= spin_form_value(a, c, n)
     return m

@@ -39,6 +39,8 @@ class GroupSpec:
             raise ValueError("natural_dim must be positive")
         if self.family in ("Sp", "Spin") and self.natural_dim % 2:
             raise ValueError(f"{self.family} requires even natural_dim")
+        if self.family == "SO" and self.natural_dim < 2:
+            raise ValueError("SO(m) needs m >= 2: SO(1) has rank 0 and no weights")
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
@@ -28,7 +28,7 @@ from .linalg import modp_matmul
 from .modules import (
     FormSpec,
     RealizedModule,
-    clifford_action,
+    clifford_unit,
     form_lie_basis,
     lie_action,
     orthogonal_module,
@@ -48,13 +48,13 @@ from .partitions import (
     size,
 )
 from .tensors import (
-    adjoint_perms,
-    apply_perms,
+    apply_symmetrizer,
     cell_slot,
     gl_generator_matrices,
     insert_letter,
+    integer_scaled,
     perm_sign,
-    young_symmetrizer_perms,
+    square_matrix,
 )
 
 ZERO = Fraction(0)
@@ -285,6 +285,25 @@ def _one_box(mu: Partition, nu: Partition, max_rows: int) -> BoxPosition:
 # GL pencils
 
 
+def _insertion_images(smod: RealizedModule, tmod: RealizedModule, pos: int) -> list:
+    """images[j][i]: the nonzero target coordinates {k: c} of c_nu applied to
+    source basis vector j with letter i inserted at slot pos (nu the target's
+    weight).  Each basis vector is scaled to integers and the scale divided
+    back out."""
+    images = []
+    for u in smod.span.basis:
+        u, scale = integer_scaled(u)
+        row = []
+        for i in range(smod.group.natural_dim):
+            t = apply_symmetrizer(insert_letter(u, pos, i), tmod.weight)
+            coords = tmod.span.coordinates(t, check=True)
+            if coords is None:
+                raise AssertionError("symmetrized insertion left the target module")
+            row.append({k: c / scale for k, c in enumerate(coords) if c})
+        images.append(row)
+    return images
+
+
 @lru_cache(maxsize=None)
 def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
     """The equivariant pencil V -> Hom(S_mu V, S_nu V) for a one-box pair."""
@@ -292,18 +311,9 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
     box = _one_box(mu, nu, v)
     smod = schur_module(mu, v)
     tmod = schur_module(nu, v)
-    pos = cell_slot(nu, box.row - 1, box.col - 1)
-    perms = young_symmetrizer_perms(nu)
-    entries: dict = {}
-    for j, u in enumerate(smod.span.basis):
-        for i in range(v):
-            t = apply_perms(insert_letter(u, pos, i), perms)
-            coords = tmod.span.coordinates(t, check=True)
-            if coords is None:
-                raise AssertionError("symmetrized insertion left the target module")
-            for k, c in enumerate(coords):
-                if c:
-                    entries[i, k, j] = c
+    images = _insertion_images(smod, tmod, cell_slot(nu, box.row - 1, box.col - 1))
+    entries = {(i, k, j): c for j, row in enumerate(images)
+               for i, coords in enumerate(row) for k, c in coords.items()}
     if not entries:
         raise AssertionError("GL pencil is identically zero")
     cleared, den = _clear_denominators(entries)
@@ -369,14 +379,17 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     v = form.dim
     nu = tmod.weight
     pos = cell_slot(nu, box.row - 1, box.col - 1)
-    adj = adjoint_perms(young_symmetrizer_perms(nu))
     partner = _partner_table(form)
 
-    # index source basis by paired words for fast simultaneous pairing
+    # index the source basis, scaled to integers, by paired words for fast
+    # simultaneous pairing
+    src_scales = []
     src_index: dict = {}
     for j, u in enumerate(smod.span.basis):
+        u, scale = integer_scaled(u)
+        src_scales.append(scale)
         for w, c in u.items():
-            prod = Fraction(1)
+            prod = 1
             pw = []
             for a in w:
                 b, g = partner[a]
@@ -387,21 +400,22 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
 
     entries: dict = {}
     for k, bk in enumerate(tmod.span.basis):
-        dk = apply_perms(bk, adj)
+        bk, scale = integer_scaled(bk)
+        dk = apply_symmetrizer(bk, nu, adjoint=True)
         grouped: dict[int, dict] = {}
         for w, c in dk.items():
             grouped.setdefault(w[pos], {})[w[:pos] + w[pos + 1 :]] = c
+        sums: dict = {}
         for letter, r in grouped.items():
             pl, g = partner[letter]
             # this group contributes to variable pl with weight B(letter, pl)
-            row_vals: dict[int, Fraction] = {}
             for w, c in r.items():
                 for j, cu in src_index.get(w, ()):
-                    row_vals[j] = row_vals.get(j, ZERO) + c * cu
-            for j, val in row_vals.items():
-                if val:
-                    entries[pl, k, j] = entries.get((pl, k, j), ZERO) + g * val
-    if not any(entries.values()):
+                    sums[pl, j] = sums.get((pl, j), 0) + g * c * cu
+        for (pl, j), val in sums.items():
+            if val:
+                entries[pl, k, j] = Fraction(val) / (scale * src_scales[j])
+    if not entries:
         raise AssertionError("form pencil is identically zero")
     cleared, den = _clear_denominators(entries)
     return Pencil(
@@ -446,14 +460,11 @@ def build_spin_pencil(n: int) -> Pencil:
     even, odd = ss.even_basis, ss.odd_basis
     odd_index = {I: i for i, I in enumerate(odd)}
     dim_w = 2 * n
-    entries = {}
-    for i, I in enumerate(even):
-        for j in range(dim_w):
-            w = [0] * dim_w
-            w[j] = 1
-            img = clifford_action(w, {I: Fraction(1)}, n)
-            for J, c in img.items():
-                entries[i, odd_index[J], j] = c
+    entries = {
+        (i, odd_index[J], j): c
+        for i, I in enumerate(even) for j in range(dim_w)
+        for J, c in clifford_unit(j, {I: Fraction(1)}, n).items()
+    }
     cleared, den = _clear_denominators(entries)
     labels = tuple(
         "delta_" + ("".join(str(i + 1) for i in I) if I else "0") for I in even
@@ -493,11 +504,9 @@ def spin_kernel_vector(delta: dict, n: int = 5) -> list[Fraction]:
     # delta4* as an F-vector, then contract into delta2
     for J, c in d4.items():
         comp, sign = _complement_sign(J, n)
-        w = [0] * (2 * n)
-        w[n + comp[0]] = 1
-        contracted = clifford_action(w, d2, n)
+        contracted = clifford_unit(n + comp[0], d2, n)
         # contraction convention: delta4* pairs with the *second* factor of
-        # delta2, opposite to the f-contraction used by clifford_action
+        # delta2, opposite to the f-contraction of clifford_unit
         for (i,), x in contracted.items():
             e_part[i] -= sign * c * x
     # (d0 d4 - 1/2 d2 ^ d2)^# in F
@@ -525,19 +534,8 @@ def spin_kernel_vector(delta: dict, n: int = 5) -> list[Fraction]:
 
 def sl_basis(a: int) -> list[tuple[tuple[int, ...], ...]]:
     """Basis of sl_a: E_ij for i != j, then H_k = E_kk - E_{k+1,k+1}."""
-    out = []
-    for i in range(a):
-        for j in range(a):
-            if i != j:
-                m = [[0] * a for _ in range(a)]
-                m[i][j] = 1
-                out.append(tuple(tuple(r) for r in m))
-    for k in range(a - 1):
-        m = [[0] * a for _ in range(a)]
-        m[k][k] = 1
-        m[k + 1][k + 1] = -1
-        out.append(tuple(tuple(r) for r in m))
-    return out
+    return ([square_matrix(a, {(i, j): 1}) for i in range(a) for j in range(a) if i != j]
+            + [square_matrix(a, {(k, k): 1, (k + 1, k + 1): -1}) for k in range(a - 1)])
 
 
 @lru_cache(maxsize=None)
@@ -569,20 +567,11 @@ def build_adjoint_pencil(a: int) -> Pencil:
 
 def _sl_coords(m, a: int) -> list[Fraction]:
     """Coordinates of a traceless matrix in the sl_basis ordering."""
-    coords = []
-    for i in range(a):
-        for j in range(a):
-            if i != j:
-                coords.append(Fraction(m[i][j]))
-    # diagonal part: d_k = sum_{l<=k} m_ll gives coordinates on H_k
-    acc = ZERO
-    for k in range(a - 1):
-        acc += Fraction(m[k][k])
-        coords.append(acc)
-    tr = sum(Fraction(m[i][i]) for i in range(a))
-    if tr:
+    if sum(Fraction(m[i][i]) for i in range(a)):
         raise ValueError("matrix is not traceless")
-    return coords
+    # diagonal part: d_k = sum_{l<=k} m_ll gives coordinates on H_k
+    return ([Fraction(m[i][j]) for i in range(a) for j in range(a) if i != j]
+            + list(accumulate(Fraction(m[k][k]) for k in range(a - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +677,10 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     sb, sbp = schur_module(mu, b), schur_module(mu_p, b)
     slot_rm = cell_slot(lam, box_rm.row - 1, box_rm.col - 1)
     slot_add = cell_slot(mu_p, box_add.row - 1, box_add.col - 1)
-    perms_ap = young_symmetrizer_perms(lam_p)
-    perms_bp = young_symmetrizer_perms(mu_p)
 
-    coords_a: list[dict[int, list[Fraction]]] = []
+    coords_a: list[dict[int, dict[int, Fraction]]] = []
     for u in sa.span.basis:
+        u, scale = integer_scaled(u)
         per_letter: dict[int, dict] = {}
         for w, c in u.items():
             per_letter.setdefault(w[slot_rm], {})[
@@ -700,24 +688,15 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
             ] = c
         entry = {}
         for alpha, r in per_letter.items():
-            t = apply_perms(r, perms_ap)
+            t = apply_symmetrizer(r, lam_p)
             cs = sap.span.coordinates(t, check=True)
             if cs is None:
                 raise AssertionError("slot removal left the smaller Schur module")
             if any(cs):
-                entry[alpha] = cs
+                entry[alpha] = {k: c / scale for k, c in enumerate(cs) if c}
         coords_a.append(entry)
 
-    coords_b: list[list] = []
-    for vvec in sb.span.basis:
-        entry = []
-        for beta in range(b):
-            t = apply_perms(insert_letter(vvec, slot_add, beta), perms_bp)
-            cs = sbp.span.coordinates(t, check=True)
-            if cs is None:
-                raise AssertionError("insertion left the larger Schur module")
-            entry.append(cs)
-        coords_b.append(entry)
+    coords_b = _insertion_images(sb, sbp, slot_add)
 
     rows = sap.dim * sbp.dim
     cols = sa.dim * sb.dim
@@ -731,13 +710,10 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
                         continue
                     cb = coords_b[jb][beta]
                     col = ja * sb.dim + jb
-                    for ka, va in enumerate(ca):
-                        if not va:
-                            continue
+                    for ka, va in ca.items():
                         base = ka * sbp.dim
-                        for kb, vb in enumerate(cb):
-                            if vb:
-                                out[base + kb][col] += x * va * vb
+                        for kb, vb in cb.items():
+                            out[base + kb][col] += x * va * vb
     return out
 
 

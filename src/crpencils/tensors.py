@@ -1,9 +1,10 @@
 """Sparse tensors on word bases, Young symmetrizers, and graded spans.
 
 A tensor in V^{tensor d} is a dict mapping words (tuples of 0-based letters)
-to Fraction coefficients.  Permutations act on slots: (sigma . w) puts the
-letter from slot i into slot sigma[i].  Young symmetrizers are expanded once
-into an explicit signed permutation list and applied term by term.
+to int or Fraction coefficients.  Permutations act on slots: (sigma . w) puts
+the letter from slot i into slot sigma[i].  A Young symmetrizer is applied
+factored, one symmetrizing pass per row and one antisymmetrizing pass per
+column of the diagram; integer tensors stay integer throughout.
 
 GradedSpan holds a canonical (per-block RREF) basis of a span of tensors that
 are homogeneous for some grading of words (content, or torus weight); all
@@ -13,21 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import permutations
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .linalg import qq_rref
 from .partitions import Partition, check_partition, conjugate
 
 Word = tuple[int, ...]
-SparseTensor = dict  # Word -> Fraction
+SparseTensor = dict  # Word -> int or Fraction
 
 ZERO = Fraction(0)
 
 
-def tensor_iadd(acc: SparseTensor, t: SparseTensor, c: Fraction = Fraction(1)) -> SparseTensor:
+def tensor_iadd(acc: SparseTensor, t: SparseTensor, c=1) -> SparseTensor:
     for w, x in t.items():
-        v = acc.get(w, ZERO) + c * x
+        v = acc.get(w, 0) + c * x
         if v:
             acc[w] = v
         else:
@@ -48,86 +52,77 @@ def row_major_cells(lam: Partition) -> list[tuple[int, int]]:
 
 def cell_slot(lam: Partition, row: int, col: int) -> int:
     """Slot index of a 0-based cell in the row-major word layout."""
-    cells = row_major_cells(lam)
-    return cells.index((row, col))
+    return row_major_cells(lam).index((row, col))
 
 
-def _group_perms(n: int, groups: Sequence[Sequence[int]], signed: bool) -> list[tuple[tuple[int, ...], int]]:
-    """All permutations of n slots fixing each group setwise, as (mapping, sign)."""
-    out: list[tuple[tuple[int, ...], int]] = []
-    per_group = []
-    for g in groups:
-        opts = []
-        for perm in permutations(g):
-            sign = perm_sign([g.index(x) for x in perm]) if signed else 1
-            opts.append((perm, sign))
-        per_group.append((g, opts))
-    for combo in product(*(opts for _, opts in per_group)):
-        mapping = list(range(n))
-        sign = 1
-        for (g, _), (perm, s) in zip(per_group, combo):
-            for src, dst in zip(g, perm):
-                mapping[src] = dst
-            sign *= s
-    # mapping[i] = destination slot of the letter in slot i
-        out.append((tuple(mapping), sign))
+@lru_cache(maxsize=None)
+def _young_groups(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Slots of the rows and of the columns of length > 1, cells row-major."""
+    slot = {c: i for i, c in enumerate(row_major_cells(lam))}
+    rows = tuple(tuple(slot[i, j] for j in range(r)) for i, r in enumerate(lam) if r > 1)
+    cols = tuple(tuple(slot[i, j] for i in range(h))
+                 for j, h in enumerate(conjugate(lam)) if h > 1)
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
+def _orbit(key: tuple[int, ...], signed: bool) -> dict:
+    """sum_sigma (sign sigma) sigma.key over the permutations of the slots,
+    for sorted letters key, as {arrangement: coefficient}: multiplicities
+    when symmetrizing; signs, and nothing at all for a repeated letter, when
+    antisymmetrizing.  Keyed by the multiset, the cache stays small."""
+    out: dict = {}
+    if signed and len(set(key)) < len(key):
+        return out
+    for perm in permutations(range(len(key))):
+        arr = tuple(key[i] for i in perm)
+        out[arr] = out.get(arr, 0) + (perm_sign(perm) if signed else 1)
     return out
 
 
-def young_symmetrizer_perms(lam: Partition) -> list[tuple[tuple[int, ...], int]]:
-    """Signed permutation expansion of the Young symmetrizer for lam.
-
-    Convention: symmetrize along rows first, then antisymmetrize along
-    columns, cells numbered row-major.  Returned pairs (mapping, sign) are
-    the terms of the column operator composed after the row operator.
-    """
-    lam = check_partition(lam)
-    cells = row_major_cells(lam)
-    slot = {c: i for i, c in enumerate(cells)}
-    rows = [[slot[(i, j)] for j in range(r)] for i, r in enumerate(lam)]
-    cols = [
-        [slot[(i, j)] for i in range(h)] for j, h in enumerate(conjugate(lam))
-    ]
-    n = len(cells)
-    row_perms = _group_perms(n, [r for r in rows if len(r) > 1], signed=False)
-    col_perms = _group_perms(n, [c for c in cols if len(c) > 1], signed=True)
-    out = []
-    for cp, cs in col_perms:
-        for rp, _ in row_perms:
-            # first rp, then cp: slot i -> rp[i] -> cp[rp[i]]
-            out.append((tuple(cp[rp[i]] for i in range(n)), cs))
-    return out
+@lru_cache(maxsize=None)
+def _slot_getters(n: int, slots: tuple[int, ...]) -> tuple[itemgetter, itemgetter]:
+    """(the letters in slots, the word w + arr with arr put into slots)."""
+    put = [n + slots.index(i) if i in slots else i for i in range(n)]
+    return itemgetter(*slots), itemgetter(*put)
 
 
-def adjoint_perms(perms: list[tuple[tuple[int, ...], int]]) -> list[tuple[tuple[int, ...], int]]:
-    """Adjoint of a signed permutation sum under any slotwise pairing."""
-    out = []
-    for mapping, sign in perms:
-        inv = [0] * len(mapping)
-        for i, m in enumerate(mapping):
-            inv[m] = i
-        out.append((tuple(inv), sign))
-    return out
-
-
-def apply_perms(t: SparseTensor, perms: list[tuple[tuple[int, ...], int]]) -> SparseTensor:
+def _group_pass(t: SparseTensor, slots: tuple[int, ...], signed: bool) -> SparseTensor:
+    """Sum (or signed sum) over all permutations of the letters in `slots`."""
     out: SparseTensor = {}
     for w, c in t.items():
-        for mapping, sign in perms:
-            nw = [0] * len(w)
-            for i, letter in enumerate(w):
-                nw[mapping[i]] = letter
-            key = tuple(nw)
-            v = out.get(key, ZERO) + (c if sign > 0 else -c)
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+        take, put = _slot_getters(len(w), slots)
+        letters = take(w)
+        orbit = _orbit(tuple(sorted(letters)), signed)
+        if signed and orbit:  # the sign of the word's own order of its letters
+            c *= orbit[letters]
+        for arr, k in orbit.items():
+            key = put(w + arr)
+            out[key] = out.get(key, 0) + k * c
+    return {w: c for w, c in out.items() if c}
 
 
-def apply_perms_word(word: Word, perms: list[tuple[tuple[int, ...], int]]) -> SparseTensor:
-    return apply_perms({word: Fraction(1)}, perms)
+def apply_symmetrizer(t: SparseTensor, lam: Partition, adjoint: bool = False) -> SparseTensor:
+    """The Young symmetrizer c_lam = b_lam a_lam applied to t, factored.
+
+    a_lam symmetrizes each row and b_lam antisymmetrizes each column (cells
+    numbered row-major), one pass per row or column of length > 1, rows
+    first.  Each pass is a sum over a group, which is its own adjoint under
+    any slotwise pairing, so the adjoint runs the same passes in reverse.
+    """
+    rows, cols = _young_groups(check_partition(lam))
+    passes = [(g, False) for g in rows] + [(g, True) for g in cols]
+    for slots, signed in reversed(passes) if adjoint else passes:
+        t = _group_pass(t, slots, signed)
+    return t
+
+
+def integer_scaled(t: SparseTensor) -> tuple[SparseTensor, Fraction]:
+    """(s t, s): t scaled to a primitive integer tensor by a rational s > 0."""
+    den = lcm(1, *(x.denominator for x in t.values()))
+    nums = {w: x.numerator * (den // x.denominator) for w, x in t.items()}
+    g = gcd(*nums.values()) or 1
+    return {w: x // g for w, x in nums.items()}, Fraction(den, g)
 
 
 def insert_letter(t: SparseTensor, pos: int, letter: int) -> SparseTensor:
@@ -177,19 +172,15 @@ def tableau_word(tab: tuple[tuple[int, ...], ...]) -> Word:
     return tuple(x for row in tab for x in row)
 
 
+def square_matrix(n: int, entries: dict) -> tuple[tuple[int, ...], ...]:
+    """The n x n matrix with the given {(row, col): value} entries, else 0."""
+    return tuple(tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n))
+
+
 def gl_generator_matrices(v: int) -> list[tuple[tuple[int, ...], ...]]:
     """Chevalley-style generators of gl_v: E_{k,k+1}, E_{k+1,k}, E_{kk}."""
-    gens = []
-    for k in range(v - 1):
-        for (a, b) in ((k, k + 1), (k + 1, k)):
-            m = [[0] * v for _ in range(v)]
-            m[a][b] = 1
-            gens.append(tuple(tuple(r) for r in m))
-    for k in range(v):
-        m = [[0] * v for _ in range(v)]
-        m[k][k] = 1
-        gens.append(tuple(tuple(r) for r in m))
-    return gens
+    return ([square_matrix(v, {ab: 1}) for k in range(v - 1) for ab in ((k, k + 1), (k + 1, k))]
+            + [square_matrix(v, {(k, k): 1}) for k in range(v)])
 
 
 def matrix_on_letters(X: Sequence[Sequence], t: SparseTensor) -> SparseTensor:
@@ -198,20 +189,14 @@ def matrix_on_letters(X: Sequence[Sequence], t: SparseTensor) -> SparseTensor:
     for w, c in t.items():
         for s, a in enumerate(w):
             for b in range(len(X)):
-                x = X[b][a]
-                if x:
+                if X[b][a]:
                     nw = w[:s] + (b,) + w[s + 1 :]
-                    v = out.get(nw, ZERO) + c * Fraction(x)
-                    if v:
-                        out[nw] = v
-                    else:
-                        del out[nw]
-    return out
+                    out[nw] = out.get(nw, ZERO) + c * Fraction(X[b][a])
+    return {w: c for w, c in out.items() if c}
 
 
 @dataclass
 class _Block:
-    words: list[Word]
     rows: list[SparseTensor]
     pivot_words: list[Word]
     row_offset: int
@@ -221,13 +206,12 @@ class _Block:
 class GradedSpan:
     """Canonical basis of a span of grade-homogeneous sparse tensors."""
 
-    degree: int
     grade_fn: Callable[[Word], Hashable]
     blocks: dict = field(default_factory=dict)
     basis: list = field(default_factory=list)
 
     @staticmethod
-    def from_tensors(tensors: Iterable[SparseTensor], degree: int,
+    def from_tensors(tensors: Iterable[SparseTensor],
                      grade_fn: Callable[[Word], Hashable]) -> "GradedSpan":
         by_grade: dict[Hashable, list[SparseTensor]] = {}
         for t in tensors:
@@ -237,22 +221,19 @@ class GradedSpan:
             if len(grades) != 1:
                 raise ValueError("spanning tensor is not grade-homogeneous")
             by_grade.setdefault(grades.pop(), []).append(t)
-        span = GradedSpan(degree, grade_fn)
+        span = GradedSpan(grade_fn)
         offset = 0
         for g in sorted(by_grade, key=repr):
             vecs = by_grade[g]
             words = sorted({w for t in vecs for w in t})
             index = {w: i for i, w in enumerate(words)}
-            dense = [[ZERO] * len(words) for _ in vecs]
+            dense = [[0] * len(words) for _ in vecs]
             for r, t in enumerate(vecs):
                 for w, c in t.items():
                     dense[r][index[w]] = c
             rref, pivots = qq_rref(dense)
-            rows = [
-                {words[j]: x for j, x in enumerate(row) if x} for row in rref
-            ]
-            blk = _Block(words, rows, [words[p] for p in pivots], offset)
-            span.blocks[g] = blk
+            rows = [{words[j]: x for j, x in enumerate(row) if x} for row in rref]
+            span.blocks[g] = _Block(rows, [words[p] for p in pivots], offset)
             span.basis.extend(rows)
             offset += len(rows)
         return span

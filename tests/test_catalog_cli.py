@@ -1,5 +1,6 @@
 """Catalog completeness, pencil-file serialization, fixtures, and the CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -399,3 +400,43 @@ def test_cli_catalog_subcommand(capsys):
                      "--format", "text"]) == 0
     text = capsys.readouterr().out
     assert "1/1 passed" in text and "seed=0" in text
+
+
+# sha256 of the `crpencils build` JSON, recorded before the factored
+# symmetrizer and the F_p-lifted RREF: the eight scripts/build_examples.py
+# records, then the SO (3,1,1) -> (3,2,1) m=5 hook, the one record whose
+# target symmetrizer takes four passes
+BUILD_DIGESTS = [
+    (["gl", "--mu", "2", "--nu", "2,1", "--n", "2"],
+     "4f8b6039622e41136b2a81dfff9e9592719874714b8b9d5b834c0645d5ea7545"),
+    (["gl", "--mu", "2,2", "--nu", "2,2,1", "--n", "3"],
+     "a76b8dc44e7da377149126d92c236732759a06809ed6fcd5f6e7c5c4f0d2be43"),
+    (["gl", "--mu", "2,1", "--nu", "2,1,1", "--n", "3"],
+     "206159bbba691b2b89a0de049287c9eea69d3bd530013f8e893d3d969b36d34a"),
+    (["koszul", "--k", "2", "--v", "6"],
+     "7fa02a0e19ff4817f723aed392b64e4fe3a06372078258f708445a24b4869c83"),
+    (["sp", "--mu", "1,1", "--nu", "1,1,1", "--N", "6"],
+     "2b93c65e83b79ff4179da72db08ccd90c410d75d4cf2991265be5e60d8e8785a"),
+    (["so", "--mu", "2", "--nu", "2,1", "--N", "3"],
+     "aaf5c570ae399cad97c40bc5381ddc90626f7bf895ab4b4a9cfbe0221a85a694"),
+    (["spin", "--n", "5"],
+     "a884d974d48aa2178b7780c425ecc034af08e913d593282fe5f5d9c7371d2cb8"),
+    (["adjoint", "--a", "7"],
+     "f290bb208de476b17f6bf8ba2e12d892e925dd87ba0a771ea41f1dd6227b972f"),
+    (["so", "--mu", "3,1,1", "--nu", "3,2,1", "--N", "5"],
+     "59949cc963ef52dcdcd3ea433aa46c51e1e89bde4d177843d40556a78b085426"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BUILD_DIGESTS,
+                         ids=["".join(argv).replace("--", "-") for argv, _ in BUILD_DIGESTS])
+def test_cli_build_json_digest_is_unchanged(tmp_path, argv, digest):
+    out = tmp_path / "pencil.json"
+    assert cli.main(["build", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_build_so_below_rank_one_is_a_usage_error(capsys):
+    # SO(1) has rank 0: its weights used to raise IndexError in weyl_dim
+    assert cli.main(["build", "so", "--mu", "", "--nu", "1", "--N", "1"]) == 2
+    assert "error: SO(m) needs m >= 2" in capsys.readouterr().err

@@ -261,3 +261,122 @@ class TestSubspace:
         b = Subspace.from_vectors([[1, 0, 0]], 3)
         with pytest.raises(ValueError):
             a.contains_subspace(b)
+
+
+# -- the exact RREF lifted from F_p against plain Gauss-Jordan over Q --------
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Q in Fractions: the oracle for qq_rref."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def fraction_kernel(rows, ncols):
+    rref, pivots = fraction_rref(rows)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rref[r][f]
+        out.append(v)
+    return out
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices of four kinds: plain, rank-deficient products,
+    denominators divisible by DEFAULT_PRIME, and entries large enough that
+    the RREF needs more than one prime."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("plain", "deficient", "p-denominators", "large")))
+
+    def matrix(r, c, entries):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    small = st.integers(-5, 5)
+    if kind == "plain":
+        return matrix(nrows, ncols, st.fractions(-9, 9, max_denominator=7))
+    if kind == "deficient":
+        k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        b, c = matrix(nrows, k, small), matrix(k, ncols, small)
+        return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(ncols)]
+                for i in range(nrows)]
+    if kind == "p-denominators":
+        den = st.sampled_from((1, DEFAULT_PRIME, 3 * DEFAULT_PRIME, DEFAULT_PRIME ** 2))
+        return [[Fraction(x, d) for x, d in zip(row, draw(st.lists(den, min_size=ncols,
+                                                                   max_size=ncols)))]
+                for row in matrix(nrows, ncols, small)]
+    return matrix(nrows, ncols, st.integers(-10 ** 7, 10 ** 7))
+
+
+def _integer_sparse_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in linalg.integer_rows(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_lifted_rref_matches_gauss_jordan(m):
+    ncols = len(m[0])
+    assert qq_rref(m) == fraction_rref(m)
+    assert qq_kernel(m) == fraction_kernel(m, ncols)
+    from crpencils.modules import _sparse_exact_kernel
+    ker = _sparse_exact_kernel(_integer_sparse_rows(m), ncols)
+    assert all(type(x) is int for v in ker for x in v)
+    assert fraction_rref(ker) == fraction_rref(fraction_kernel(m, ncols))
+
+
+def _count_primes(monkeypatch):
+    seen = []
+
+    class Counting(ModpEchelon):
+        def __init__(self, ncols, p):
+            seen.append(p)
+            super().__init__(ncols, p)
+
+    monkeypatch.setattr(linalg, "ModpEchelon", Counting)
+    return seen
+
+
+def test_lifted_rref_adds_a_prime_for_large_entries(monkeypatch):
+    seen = _count_primes(monkeypatch)
+    m = [[7, 10 ** 6, 0], [0, 0, 1], [14, 2 * 10 ** 6, 3]]
+    assert qq_rref(m) == ([[1, Fraction(10 ** 6, 7), 0], [0, 0, 1]], [0, 2])
+    assert len(seen) == 2  # 10^6 > sqrt(p/2): one prime cannot lift it
+
+
+def test_lifted_rref_skips_primes_that_divide_a_minor(monkeypatch):
+    p = DEFAULT_PRIME
+    seen = _count_primes(monkeypatch)
+    # mod p the second row is a multiple of the first: rank 1, then rank 2
+    assert qq_rref([[1, 1], [1, 1 + p]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert seen[0] == p and len(seen) == 2
+    # 1/p is an RREF entry: mod p the pivots move right; the later primes
+    # need a CRT modulus above 2 p^2 to lift it
+    seen.clear()
+    assert qq_rref([[p, 1, 0], [0, 0, 1], [2 * p, 2, 5]]) == (
+        [[1, Fraction(1, p), 0], [0, 0, 1]], [0, 2])
+    assert seen[0] == p and len(seen) >= 3
+
+
+def test_mat_mod_is_exact_past_int64():
+    # numpy reads the first matrix as float64 and the second as objects; the
+    # residues must be exact either way
+    for rows in ([[-1, 2 ** 63 + 1], [5, 3]], [[2 ** 64 + 5, -(2 ** 70)]]):
+        for p in (7, DEFAULT_PRIME):
+            assert mat_mod(rows, p).tolist() == [[x % p for x in row] for row in rows]
