@@ -24,7 +24,7 @@ from .linalg import (
     bareiss_rank,
     check_prime,
     modp_kernel,
-    modp_rank,  # noqa: F401  (wrapped here by perfbench/spans.py)
+    modp_rank,
     modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     reduce_mod,
@@ -82,7 +82,8 @@ class RankReport:
 def ranks_at(pencil: Pencil, points, p: int,
              stacked: Optional[np.ndarray] = None) -> list[int]:
     """Rank mod p of the pencil at each row of the (N, s) points, evaluated
-    and eliminated in chunks of at most CHUNK_CELLS cells to bound memory.
+    and eliminated in chunks of at most CHUNK_CELLS cells to bound memory;
+    a larger matrix is ranked alone by the echelon, on BLAS products.
 
     `stacked` is the pencil's coeff_array_modp(p), when the caller has it.
     """
@@ -90,7 +91,10 @@ def ranks_at(pencil: Pencil, points, p: int,
     if stacked is None:
         stacked = pencil.coeff_array_modp(p)
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
-    step = max(1, CHUNK_CELLS // (pencil.target_dim * pencil.source_dim))
+    cells = pencil.target_dim * pencil.source_dim
+    if cells > CHUNK_CELLS:
+        return [modp_rank(pencil.evaluate_modp(x, stacked, p), p) for x in pts]
+    step = CHUNK_CELLS // cells
     ranks: list[int] = []
     for i in range(0, len(pts), step):
         chunk = pts[i : i + step]
@@ -318,7 +322,8 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     c, b = pencil.target_dim, pencil.source_dim
     ambient = c * b
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
-    span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
+    flat = stacked.reshape(pencil.nvars, ambient).astype(np.int64)
+    span = Subspace.from_vectors(flat, ambient, prime)
     s = span.dim
     # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
     constraints = ModpEchelon(ambient, prime)

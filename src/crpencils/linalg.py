@@ -3,9 +3,9 @@
 Rational matrices are lists of lists of Fraction (or int); prime-field
 matrices are numpy int64 arrays with entries reduced into [0, p).  Primes
 must be odd and below 2**31 so that products of two residues fit in int64.
-The RREF, rank, kernel and row selection of one matrix over F_p read a
-ModpEchelon, whose block updates are exact float64 BLAS products;
-modp_ranks ranks a whole stack of small matrices at once.
+modp_matmul is the one product mod p, exact on float64 BLAS.  ModpEchelon
+(RREF, rank, kernel and row selection of one matrix) is built on it, and
+modp_ranks ranks a stack of small matrices at once, reducing mod p lazily.
 
 Subspace is the canonical (RREF basis) representation of a row space.
 """
@@ -258,29 +258,45 @@ _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
 ECHELON_BLOCK = 64  # rows reduced against the echelon basis per exact product
 
 
-def _mul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue matrices in [0, p), on float64 BLAS.
+def modp_matmul(a, b, p: int) -> np.ndarray:
+    """a @ b mod p, in [0, p) as int64, of integer-valued int64 or float64
+    matrices, exact on float64 BLAS.
 
-    Above 2^16 the residues are split into 16-bit limbs, so each limb product
-    is below 2^32 and float64 sums of up to 2^21 of them are exact integers.
-    The inner dimension is chunked at 2^21 and the limb products are
-    recombined mod p in int64.
+    One product is exact when k max|a| max|b| < 2^53 (k the inner
+    dimension), as every partial sum is then an integer below 2^53.
+    Otherwise operands outside [0, p) are reduced, and if the bound still
+    fails they are split into 16-bit limbs: limb products are below 2^32, so
+    sums of 2^21 of them are exact, and the chunks are recombined mod p.
     """
-    m, n = a.shape[0], b.shape[1]
-    split = p > 1 << _LIMB_BITS
+    a, b = np.asarray(a), np.asarray(b)
+    m, k, n = a.shape[0], a.shape[1], b.shape[1]
+    if not a.size or not b.size:
+        return np.zeros((m, n), dtype=np.int64)
+    (alo, ahi), (blo, bhi) = ((int(x.min()), int(x.max())) for x in (a, b))
+    ra, rb = max(ahi, -alo), max(bhi, -blo)
+    if k * ra * rb >= 1 << 53:
+        (a, ra), (b, rb) = _residues(a, alo, ahi, p), _residues(b, blo, bhi, p)
+    if k * ra * rb < 1 << 53:
+        return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+                ).astype(np.int64) % p
     mask = (1 << _LIMB_BITS) - 1
     out = np.zeros((m, n), dtype=np.int64)
-    for s in range(0, a.shape[1], _EXACT_INNER):
+    for s in range(0, k, _EXACT_INNER):
         ac, bc = a[:, s : s + _EXACT_INNER], b[s : s + _EXACT_INNER]
-        if split:
-            ac = np.concatenate([ac & mask, ac >> _LIMB_BITS])
-            bc = np.concatenate([bc & mask, bc >> _LIMB_BITS], axis=1)
+        ac = np.concatenate([ac & mask, ac >> _LIMB_BITS])
+        bc = np.concatenate([bc & mask, bc >> _LIMB_BITS], axis=1)
         c = (ac.astype(np.float64) @ bc.astype(np.float64)).astype(np.int64)
-        if split:  # [[lo lo, lo hi], [hi lo, hi hi]]; the sum stays below 2^63
-            c = (c[:m, :n] + ((c[:m, n:] + c[m:, :n]) % p << _LIMB_BITS)
-                 + c[m:, n:] % p * (2 ** (2 * _LIMB_BITS) % p))
+        # [[lo lo, lo hi], [hi lo, hi hi]]; the sum stays below 2^63
+        c = (c[:m, :n] + ((c[:m, n:] + c[m:, :n]) % p << _LIMB_BITS)
+             + c[m:, n:] % p * (2 ** (2 * _LIMB_BITS) % p))
         out = (out + c) % p
     return out
+
+
+def _residues(x: np.ndarray, lo: int, hi: int, p: int) -> tuple[np.ndarray, int]:
+    """x in [0, p) as int64 and its largest entry bound, from its extremes."""
+    x = x.astype(np.int64, copy=False)
+    return (x, hi) if 0 <= lo and hi < p else (x % p, p - 1)
 
 
 def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -340,7 +356,7 @@ class ModpEchelon:
         free[pivots] = False
         if pivots.size:
             block[:, free] = (block[:, free]
-                              - _mul_exact(block[:, pivots], basis[:, free], p)) % p
+                              - modp_matmul(block[:, pivots], basis[:, free], p)) % p
             block[:, pivots] = 0
         cols = np.flatnonzero(block.any(axis=0))  # row operations keep zero columns zero
         rows, new_pivots, source = _gauss_jordan(block[:, cols], p)
@@ -351,7 +367,7 @@ class ModpEchelon:
         new_pivots = cols[new_pivots]
         if pivots.size:  # new[:, new_pivots] = I, so this clears those columns
             basis[:, free] = (basis[:, free]
-                              - _mul_exact(basis[:, new_pivots], new[:, free], p)) % p
+                              - modp_matmul(basis[:, new_pivots], new[:, free], p)) % p
         pivots = np.concatenate([pivots, new_pivots])
         order = np.argsort(pivots)
         self.basis = np.concatenate([basis, new])[order]
@@ -385,8 +401,11 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
 
     Column by column, each matrix picks its own pivot among the rows it has
     not used yet and clears that column from its other unused rows with the
-    inverse-free update row <- pivot*row - a_ic*pivot_row.  Both products
-    are below p^2 < 2^62, and scaling a row by a unit keeps the rank.
+    inverse-free update row <- pivot*row - a_ic*pivot_row; scaling a row by a
+    unit keeps the rank.  The steps are ring operations on integers, so only
+    the pivot column is reduced mod p, to test pivots, until the next update
+    could pass 2^63 - 1: with pivot, a_ic in [0, p) and |entries| <= B, an
+    update leaves them at most 2(p-1)B, and 2(p-1)^2 < 2^63 for p < 2^31.
     """
     a = np.asarray(stack, dtype=np.int64) % p
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
@@ -394,14 +413,18 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     count, m, ncols = a.shape
     mats = np.arange(count)
     used = np.zeros((count, m), dtype=bool)
-    for c in range(ncols):
-        col = np.where(used, 0, a[:, :, c])
+    bound = p - 1  # on |entry| of a
+    for _ in range(ncols):  # a holds the columns not yet eliminated
+        col = np.where(used, 0, a[:, :, 0] % p)
         piv = (col != 0).argmax(axis=1)
         pivot = col[mats, piv]
         col[mats, piv] = 0
         scale = np.where(col != 0, pivot[:, None], 1)
-        a[:, :, c + 1:] = (scale[:, :, None] * a[:, :, c + 1:]
-                           - col[:, :, None] * a[mats, piv, None, c + 1:]) % p
+        a = scale[:, :, None] * a[:, :, 1:] - col[:, :, None] * a[mats, piv, None, 1:]
+        bound *= 2 * (p - 1)
+        if 2 * (p - 1) * bound >= 1 << 63:  # the next update could overflow
+            a %= p
+            bound = p - 1
         used[mats, piv] |= pivot != 0
     return used.sum(axis=1)
 
@@ -416,21 +439,6 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray:
     ech = ModpEchelon(np.shape(a)[1], p)
     ech.add(a)
     return ech.kernel()
-
-
-def modp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product mod p, chunked so int64 accumulation cannot overflow."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64)
-    if b.size and not 0 <= b.min() <= b.max() < p:  # a reduced b is not copied
-        b = b % p
-    # each product < p^2 < 2^62; sum at most one extra doubling before reduce
-    step = max(1, (1 << 62) // (p * p))
-    n = a.shape[1]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, n, step):
-        out = (out + a[:, s : s + step] @ b[s : s + step]) % p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,13 @@ class Pencil:
         return out
 
     def coeff_array_modp(self, p: int) -> np.ndarray:
+        """The (s, c, b) coefficients mod p, centred into |num| <= p/2, as the
+        float64 operand of evaluate_modp."""
         if self.denom % p == 0:
             raise ValueError(f"prime {p} divides the cleared denominator")
-        a = np.zeros((self.nvars, self.target_dim, self.source_dim), dtype=np.int64)
+        a = np.zeros((self.nvars, self.target_dim, self.source_dim))
         idx = np.array([e[:3] for e in self.coeffs], dtype=np.int64).reshape(-1, 3)
-        a[idx[:, 0], idx[:, 1], idx[:, 2]] = [e[3] % p for e in self.coeffs]
+        a[idx[:, 0], idx[:, 1], idx[:, 2]] = [(e[3] + p // 2) % p - p // 2 for e in self.coeffs]
         return a
 
     def evaluate_modp(self, x: Sequence, stacked: np.ndarray, p: int) -> np.ndarray:

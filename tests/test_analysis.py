@@ -23,7 +23,8 @@ from crpencils.analysis import (
     structured_points,
     theta_rank_formula,
 )
-from crpencils.linalg import DEFAULT_PRIME, modp_rank
+from crpencils import analysis
+from crpencils.linalg import DEFAULT_PRIME, mat_mod, modp_rank
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
     Pencil,
@@ -94,6 +95,35 @@ def test_ranks_at_matches_per_point_rank():
             for x in points]
     assert ranks_at(pen, points, DEFAULT_PRIME) == want
     assert ranks_at(pen, np.zeros((0, 4), dtype=np.int64), DEFAULT_PRIME) == []
+
+
+@st.composite
+def _raw_pencils(draw):
+    """(p, a Pencil built directly, points in [0, p)): numerators small,
+    near p/2 or above 2^40, which forces the limb split at DEFAULT_PRIME."""
+    p = draw(st.sampled_from((5, 7, DEFAULT_PRIME)))
+    s, c, b = (draw(st.integers(1, k)) for k in (4, 7, 7))
+    num = st.one_of(st.integers(-3, 3), st.integers(p // 2 - 2, p // 2 + 2),
+                    st.integers(2 ** 40, 2 ** 42), st.integers(-2 ** 42, -2 ** 40))
+    cells = st.tuples(st.integers(0, s - 1), st.integers(0, c - 1), st.integers(0, b - 1))
+    entries = draw(st.dictionaries(cells, num, max_size=s * c * b))
+    coeffs = tuple(sorted(k + (x,) for k, x in entries.items() if x))
+    pencil = Pencil(s, b, c, coeffs, 1, tuple(f"x{i}" for i in range(s)))
+    points = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=s, max_size=s),
+                           min_size=1, max_size=12))
+    return p, pencil, points
+
+
+@given(_raw_pencils(), st.sampled_from((analysis.CHUNK_CELLS, 16)))
+@settings(max_examples=150, deadline=None)
+def test_batched_ranks_match_per_point_ranks(case, chunk_cells):
+    # chunk_cells 16 sends every matrix above 16 cells to the echelon and
+    # packs the others a few to a chunk
+    p, pencil, points = case
+    want = [modp_rank(mat_mod(pencil.evaluate(x), p), p) for x in points]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "CHUNK_CELLS", chunk_cells)
+        assert ranks_at(pencil, points, p) == want
 
 
 @pytest.mark.parametrize("prime", [9, 15, 1, 46337 * 46327])

@@ -108,6 +108,19 @@ class TestBatchedRank:
         stack = np.array(mats, dtype=np.int64)
         assert modp_ranks(stack, DEFAULT_PRIME).tolist() == [bareiss_rank(m) for m in mats]
 
+    @pytest.mark.parametrize("p, n", [(1048573, 5), (3, 128)])
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=10, deadline=None)
+    def test_lazy_reduction_mid_elimination(self, p, n, seed):
+        # unreduced entries outgrow int64 after about 3 pivot steps at
+        # p = 1048573 and, for these random matrices, after about 100 at
+        # p = 3, so these ranks read garbage unless the kernel reduces
+        # mid-elimination
+        rng = random.Random(seed)
+        stack = np.array([_tall_rank_deficient(p, rng, n, n, r)
+                          for r in (n - 2, n - 1, n)])
+        assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
+
 
 @given(int_matrices, st.sampled_from((3, 7, DEFAULT_PRIME)), st.booleans())
 def test_matmul_matches_exact_product(m, p, reduce_first):
@@ -123,33 +136,53 @@ EXACT_PRIMES = (3, 5, 46337, 2147483629, 2147483647)
 
 
 @given(st.sampled_from(EXACT_PRIMES), st.integers(0, 6), st.integers(0, 40),
-       st.integers(0, 6), st.integers(0, 2 ** 32), st.booleans())
+       st.integers(0, 6), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
 @settings(max_examples=150)
-def test_exact_product_matches_python_ints(p, m, k, n, seed, tiny_chunks):
+def test_exact_product_matches_python_ints(p, m, k, n, seed, tiny_chunks, centred):
     # tiny_chunks splits the inner dimension into chunks of 3 to exercise
-    # the recombination across chunks
+    # the recombination across chunks; centred operands lie in |x| <= p/2
     rng = random.Random(seed)
     top = rng.choice((1, p - 1))
-    a = [[rng.randint(0, top) for _ in range(k)] for _ in range(m)]
-    b = [[rng.randint(0, top) for _ in range(n)] for _ in range(k)]
+    shift = p // 2 if centred else 0
+    a = [[rng.randint(0, top) - shift for _ in range(k)] for _ in range(m)]
+    b = [[rng.randint(0, top) - shift for _ in range(n)] for _ in range(k)]
     want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)]
             for i in range(m)]
     chunk = 3 if tiny_chunks else linalg._EXACT_INNER
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_EXACT_INNER", chunk)
-        got = linalg._mul_exact(np.array(a, dtype=np.int64).reshape(m, k),
-                                np.array(b, dtype=np.int64).reshape(k, n), p)
+        got = modp_matmul(np.array(a, dtype=np.int64).reshape(m, k),
+                          np.array(b, dtype=np.int64).reshape(k, n), p)
     assert got.tolist() == want
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
 def test_exact_product_worst_case(p):
-    # every residue p-1 and an inner dimension above 2^16: the float64 limb
-    # sums reach k (2^16 - 1)^2 > 2^48 and must still be exact
+    # every residue p-1 (then every centred residue -(p-1)/2) and an inner
+    # dimension above 2^16: the float64 limb sums reach k (2^16 - 1)^2 > 2^48
+    # and must still be exact
     k = (1 << 16) + 3
-    a = np.full((2, k), p - 1, dtype=np.int64)
-    b = np.full((k, 3), p - 1, dtype=np.int64)
-    assert linalg._mul_exact(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+    for x in (p - 1, -(p // 2)):
+        a = np.full((2, k), x, dtype=np.int64)
+        b = np.full((k, 3), x, dtype=np.int64)
+        assert modp_matmul(a, b, p).tolist() == [[k * x * x % p] * 3] * 2
+
+
+@pytest.mark.parametrize("p", (46337, DEFAULT_PRIME))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_exact_product_at_the_float64_limit(p, sign):
+    # k max|a| max|b| just below 2^53 is one exact float64 product; just
+    # above, the odd 2^53 + 2^27 + 2^26 + 1 rounds in float64, so the
+    # operands must be reduced (46337) or split into limbs (DEFAULT_PRIME).
+    # Operands past 2^45 must be reduced before the split too: their high
+    # limbs would reach 2^29
+    for x, y in (((1 << 27) - 1, 1 << 26), ((1 << 27) + 1, (1 << 26) + 1),
+                 ((1 << 45) + 123456789, (1 << 45) + 987654321)):
+        a = np.array([[sign * x], [x]], dtype=np.int64)
+        b = np.array([[y, sign]], dtype=np.int64)
+        want = [[sign * x * y % p, x % p], [x * y % p, sign * x % p]]
+        assert modp_matmul(a, b, p).tolist() == want
+        assert modp_matmul(a.astype(np.float64), b, p).tolist() == want
 
 
 def _tall_rank_deficient(p, rng, nrows, ncols, rank):
