@@ -5,7 +5,6 @@ Thin wrapper over `crpencils catalog`; any extra arguments are forwarded,
 e.g.:
 
     python3 scripts/run_catalog.py --filter 'gl-*' --format text
-    python3 scripts/run_catalog.py --max-ambient 1000
 """
 
 import sys

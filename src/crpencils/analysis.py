@@ -21,12 +21,12 @@ from .linalg import (
     DEFAULT_PRIME,
     ModpEchelon,
     Subspace,
-    bareiss_rank,
     check_prime,
     modp_kernel,
     modp_rank,
     modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
+    qq_rank,
     reduce_mod,
 )
 from .modules import exp_two_form, spin_space
@@ -322,8 +322,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     c, b = pencil.target_dim, pencil.source_dim
     ambient = c * b
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
-    flat = stacked.reshape(pencil.nvars, ambient).astype(np.int64)
-    span = Subspace.from_vectors(flat, ambient, prime)
+    span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
     s = span.dim
     # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
     constraints = ModpEchelon(ambient, prime)
@@ -384,7 +383,7 @@ def flattening_rank_of_tensor(pencil: Pencil) -> int:
                 sign = 1 if i > l else -1
                 pi = pair_index[(min(i, l), max(i, l))]
                 rows[pi * c + k][l * b + j] += sign * x
-    return bareiss_rank(rows)
+    return qq_rank(rows)
 
 
 def koszul_flattening_rank(mu: Partition, nu: Partition, v: int) -> int:

@@ -88,8 +88,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("catalog", help="run the example catalog")
     c.add_argument("--filter", default="*", help="glob over entry ids")
-    c.add_argument("--max-ambient", type=int, default=None,
-                   help="skip entries whose largest tensor space exceeds this")
     _add_common_flags(c)
     return parser
 
@@ -161,10 +159,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     try:
-        cfg = CatalogRunConfig(
-            prime=args.prime, seed=args.seed, budget=args.budget,
-            max_ambient=args.max_ambient,
-        )
+        cfg = CatalogRunConfig(prime=args.prime, seed=args.seed, budget=args.budget)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

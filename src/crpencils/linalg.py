@@ -7,7 +7,12 @@ modp_matmul is the one product mod p, exact on float64 BLAS.  ModpEchelon
 (RREF, rank, kernel and row selection of one matrix) is built on it, and
 modp_ranks ranks a stack of small matrices at once, reducing mod p lazily.
 
-Subspace is the canonical (RREF basis) representation of a row space.
+Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q
+and checks it exactly, and every exact rank (qq_rank) and kernel
+(qq_kernel, hence every contraction kernel of the modules) goes through it.
+
+Subspace is the canonical (RREF basis) representation of a row space over
+F_p.
 """
 from __future__ import annotations
 
@@ -56,11 +61,15 @@ def reduce_mod(x, p: int) -> int:
 
 
 def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
-    """The matrix reduced into [0, p) as int64: integer entries with one
-    numpy `% p`, any other entry (a Fraction) through reduce_mod.  Python
-    ints of mixed sign past 2^63 would promote to float64, so any matrix
-    that numpy does not read as integers is rebuilt from the rows exactly."""
+    """The matrix reduced into [0, p) as int64: integer entries, and a
+    float array whose entries are all integers, with one numpy `% p`; any
+    other entry (a Fraction) through reduce_mod.  Python ints of mixed sign
+    past 2^63 would promote to float64, so any other matrix that numpy does
+    not read as integers is rebuilt from the rows exactly."""
     a = np.asarray(rows)
+    if (isinstance(rows, np.ndarray) and a.dtype.kind == "f"
+            and np.abs(a).max(initial=0) < 2.0 ** 63 and (a == np.trunc(a)).all()):
+        a = a.astype(np.int64)  # integer-valued floats: exact in int64
     if a.dtype.kind not in "iu":
         a = np.array(rows, dtype=object)
         for idx, x in np.ndenumerate(a):
@@ -205,32 +214,7 @@ def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def qq_rank(rows: Sequence[Sequence]) -> int:
-    if rows and all(isinstance(x, int) for row in rows for x in row):
-        return bareiss_rank(rows)
-    return len(qq_rref(rows)[0])
-
-
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(map(int, row)) for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(qq_rref(rows)[1])
 
 
 def qq_kernel(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[Fraction]]:
@@ -429,11 +413,6 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     return used.sum(axis=1)
 
 
-def modp_independent_rows(a: np.ndarray, p: int) -> list[int]:
-    """Original indices of a maximal independent subset of rows, mod p."""
-    return sorted(ModpEchelon(np.shape(a)[1], p).add(a))
-
-
 def modp_kernel(a: np.ndarray, p: int) -> np.ndarray:
     """Right kernel basis as rows of an int64 array."""
     ech = ModpEchelon(np.shape(a)[1], p)
@@ -447,29 +426,22 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace in canonical form: RREF basis rows.
-
-    p == 0 means the rationals; otherwise an odd prime < 2^31.  Equality of
-    subspaces is equality of the stored data.
+    """A linear subspace of F_p^n in canonical form: its RREF basis rows,
+    with entries in [0, p).  Equality of subspaces is equality of the data.
     """
 
     ambient_dim: int
-    basis: tuple[tuple, ...]
-    p: int = 0
+    basis: tuple[tuple[int, ...], ...]
+    p: int
 
     @staticmethod
-    def from_vectors(vectors: Iterable[Sequence], ambient_dim: int, p: int = 0) -> "Subspace":
-        vecs = list(vectors)
+    def from_vectors(vectors: Iterable[Sequence], ambient_dim: int, p: int) -> "Subspace":
+        check_prime(p)
+        vecs = vectors if isinstance(vectors, np.ndarray) else list(vectors)
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length does not match ambient_dim")
-        if p == 0:
-            rref, _ = qq_rref(vecs) if vecs else ([], [])
-            basis = tuple(tuple(row) for row in rref)
-        else:
-            check_prime(p)
-            rref = modp_rref(mat_mod(vecs, p), p)[0].tolist() if vecs else []
-            basis = tuple(map(tuple, rref))
-        return Subspace(ambient_dim, basis, p)
+        rref = modp_rref(mat_mod(vecs, p), p)[0].tolist() if len(vecs) else []
+        return Subspace(ambient_dim, tuple(map(tuple, rref)), p)
 
     @property
     def dim(self) -> int:
@@ -478,22 +450,16 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient_dim")
-        if self.p == 0:
-            v = [Fraction(x) for x in v]
-            for row in self.basis:
-                c = next(i for i, x in enumerate(row) if x)
-                if v[c]:
-                    f = v[c]
-                    v = [x - f * y for x, y in zip(v, row)]
-            return not any(v)
-        v = mat_mod([v], self.p)[0]
-        for row in self.basis:
-            c = next(i for i, x in enumerate(row) if x)
-            if v[c]:
-                v = (v - int(v[c]) * np.array(row, dtype=np.int64)) % self.p
-        return not v.any()
+        return self._spans(mat_mod([v], self.p))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim or self.p != other.p:
             raise ValueError("subspaces live in different ambient spaces")
-        return all(self.contains(row) for row in other.basis)
+        return self._spans(np.array(other.basis, dtype=np.int64).reshape(-1, self.ambient_dim))
+
+    def _spans(self, rows: np.ndarray) -> bool:
+        """Whether every row (in [0, p)) lies in the span.  basis[:, pivots]
+        is the identity, so v lies in it exactly when v = v[pivots] @ basis."""
+        basis = np.array(self.basis, dtype=np.int64).reshape(-1, self.ambient_dim)
+        pivots = (basis != 0).argmax(axis=1)
+        return bool((modp_matmul(rows[:, pivots], basis, self.p) == rows).all())

@@ -15,15 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .linalg import (
-    DEFAULT_PRIME,
-    integer_rows,
-    modp_independent_rows,
-    qq_kernel,
-    qq_rref,
-)
+from .linalg import integer_rows, qq_kernel, qq_rref
 from .partitions import (
     GroupSpec,
     Partition,
@@ -135,28 +127,6 @@ def contract(t: SparseTensor, s1: int, s2: int, form: FormSpec) -> SparseTensor:
     return {w: c for w, c in out.items() if c}
 
 
-def pairing(t: SparseTensor, u: SparseTensor, form: FormSpec) -> Fraction:
-    """Slotwise form pairing <t, u> = sum t_w u_w' prod_s B(w_s, w'_s)."""
-    total = ZERO
-    for w, c in t.items():
-        # with a split form each letter pairs with at most two letters; walk
-        # all partner words by expanding slotwise against u's support
-        acc = {(): Fraction(1)}
-        for a in w:
-            nxt = {}
-            for prefix, coeff in acc.items():
-                for b in range(form.dim):
-                    g = form.value(a, b)
-                    if g:
-                        nxt[prefix + (b,)] = coeff * g
-            acc = nxt
-        for w2, coeff in acc.items():
-            x = u.get(w2)
-            if x:
-                total += c * coeff * x
-    return total
-
-
 # ---------------------------------------------------------------------------
 # realized modules
 
@@ -194,31 +164,6 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
     return RealizedModule(GroupSpec("GL", v), lam, size(lam), span)
 
 
-def _sparse_exact_kernel(rows: list[dict], ncols: int) -> list[list[int]]:
-    """A kernel basis of sparse integer constraint rows, as integer vectors,
-    preselected mod p.
-
-    A maximal independent row subset is found over F_p, the exact kernel of
-    that subset is computed over Q, and every remaining row is verified to
-    vanish on the kernel basis; on a bad prime the verification fails and we
-    retry with another prime.
-    """
-    rows = [r for r in rows if r]
-    for p in (DEFAULT_PRIME, 2147483587, 2147483563):
-        a = np.zeros((len(rows), ncols), dtype=np.int64)
-        for i, r in enumerate(rows):
-            for j, x in r.items():
-                a[i, j] = x % p
-        sel = modp_independent_rows(a, p)
-        ker = integer_rows(qq_kernel([[rows[i].get(j, 0) for j in range(ncols)] for i in sel],
-                                     ncols))
-        selset = set(sel)
-        if all(not sum(x * k[j] for j, x in r.items())
-               for i, r in enumerate(rows) if i not in selset for k in ker):
-            return ker
-    raise ArithmeticError("kernel preselection failed for all fallback primes")
-
-
 def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int) -> RealizedModule:
     lam = check_partition(lam)
     d = size(lam)
@@ -234,7 +179,8 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
                 ct = contract(t, s1, s2, form)
                 for w, c in ct.items():
                     constraints.setdefault(((s1, s2), w), {})[j] = c
-        ker = _sparse_exact_kernel(list(constraints.values()), len(vecs))
+        ker = integer_rows(qq_kernel([[r.get(j, 0) for j in range(len(vecs))]
+                                      for r in constraints.values()], len(vecs)))
         for kvec in ker:
             nt: SparseTensor = {}
             for j, c in enumerate(kvec):

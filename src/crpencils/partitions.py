@@ -46,8 +46,6 @@ class GroupSpec:
     def rank(self) -> int:
         if self.family == "GL":
             return self.natural_dim
-        if self.family == "SO":
-            return self.natural_dim // 2
         return self.natural_dim // 2
 
 
@@ -143,62 +141,6 @@ def horizontal_strips(mu: Partition, k: int) -> list[Partition]:
 
     rec(0, k, [])
     return out
-
-
-def _lr_skew_tableaux_count(lam: Partition, zeta: Partition, eta: Partition) -> int:
-    """Count LR tableaux of shape lam/zeta and content eta by backtracking."""
-    lam, zeta, eta = normalize(lam), normalize(zeta), normalize(eta)
-    nrows = len(lam)
-    zrow = list(zeta) + [0] * (nrows - len(zeta))
-    neta = len(eta)
-    cells = []
-    for i in range(nrows):
-        for j in range(zrow[i], lam[i]):
-            cells.append((i, j))
-    # fill in reverse reading order (rows top to bottom, right to left) so the
-    # lattice-word condition can be enforced incrementally
-    order = sorted(cells, key=lambda c: (c[0], -c[1]))
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * neta
-    total = 0
-
-    def rec(pos: int) -> None:
-        nonlocal total
-        if pos == len(order):
-            total += 1
-            return
-        i, j = order[pos]
-        for v in range(neta):
-            if counts[v] >= eta[v]:
-                continue
-            # lattice: after placing v, #v <= #(v-1)
-            if v > 0 and counts[v] + 1 > counts[v - 1]:
-                continue
-            # rows weakly increase left to right
-            right = filling.get((i, j + 1))
-            if right is not None and v > right:
-                continue
-            # columns strictly increase top to bottom
-            up = filling.get((i - 1, j))
-            if i > 0 and j >= zrow[i - 1] and j < lam[i - 1]:
-                if up is None or v <= up:
-                    continue
-            filling[(i, j)] = v
-            counts[v] += 1
-            rec(pos + 1)
-            counts[v] -= 1
-            del filling[(i, j)]
-
-    rec(0)
-    return total
-
-
-def lr_coefficient(zeta: Partition, eta: Partition, lam: Partition) -> int:
-    """Littlewood-Richardson coefficient c_{zeta,eta}^{lam}."""
-    zeta, eta, lam = check_partition(zeta), check_partition(eta), check_partition(lam)
-    if size(zeta) + size(eta) != size(lam) or not contains(lam, zeta):
-        return 0
-    return _lr_skew_tableaux_count(lam, zeta, eta)
 
 
 def gl_dim(lam: Iterable[int], n: int) -> int:

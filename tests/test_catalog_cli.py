@@ -67,7 +67,6 @@ def test_catalog_covers_every_entry_exactly_once():
 def test_catalog_entries_have_descriptions_and_expectations():
     for entry in CATALOG:
         assert entry.description
-        assert entry.ambient_dim >= 1
 
 
 # -- pencil file round trips -------------------------------------------------
@@ -206,12 +205,6 @@ def test_run_catalog_filter_and_order():
     assert all(r.status == "pass" for r in results)
 
 
-def test_run_entry_respects_ambient_cap():
-    entry = next(e for e in CATALOG if e.entry_id == "sp6-wedge2-pencil")
-    res = run_entry(entry, CatalogRunConfig(max_ambient=1))
-    assert res.status == "skipped"
-
-
 def test_run_entry_keeps_the_traceback():
     def _failing_helper():
         raise RuntimeError("boom")
@@ -219,7 +212,7 @@ def test_run_entry_keeps_the_traceback():
     def check(cfg):
         _failing_helper()
 
-    res = run_entry(CatalogEntry("crash", "raises", 1, check), CatalogRunConfig())
+    res = run_entry(CatalogEntry("crash", "raises", check), CatalogRunConfig())
     assert res.status == "fail"
     assert "_failing_helper" in res.failures[0]
     assert "RuntimeError: boom" in res.failures[0]

@@ -11,10 +11,8 @@ from crpencils.linalg import (
     DEFAULT_PRIME,
     ModpEchelon,
     Subspace,
-    bareiss_rank,
     check_prime,
     mat_mod,
-    modp_independent_rows,
     modp_kernel,
     modp_matmul,
     modp_rank,
@@ -39,6 +37,28 @@ int_matrices = st.integers(1, 5).flatmap(
 )
 
 
+def bareiss_rank(rows):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination: the
+    oracle for qq_rank and for the mod-p ranks of small matrices."""
+    a = [list(map(int, row)) for row in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    prev, r = 1, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def rand_matrix(rng, r, c, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
 
@@ -56,7 +76,7 @@ class TestRank:
 
     @given(int_matrices)
     def test_bareiss_matches_rref(self, m):
-        assert bareiss_rank(m) == len(qq_rref(m)[0])
+        assert bareiss_rank(m) == len(qq_rref(m)[0]) == qq_rank(m)
 
     @given(int_matrices)
     def test_rank_nullity_qq(self, m):
@@ -203,13 +223,13 @@ def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, 
     ref_rows, ref_pivots, _ = linalg._gauss_jordan(a.copy(), p)
     ech = ModpEchelon(ncols, p)
     bounds = [0] + sorted(min(c, nrows) for c in cuts) + [nrows]
+    sel = []  # the rows that raised the rank, over every block
     for lo, hi in zip(bounds, bounds[1:]):
-        ech.add(a[lo:hi])
+        sel += [lo + i for i in ech.add(a[lo:hi])]
     assert ech.pivots.tolist() == ref_pivots
     assert ech.basis.tolist() == ref_rows.tolist()
     rref, pivots = modp_rref(a, p)
     assert (rref.tolist(), pivots) == (ref_rows.tolist(), ref_pivots)
-    sel = modp_independent_rows(a, p)
     assert len(sel) == len(pivots) == modp_rank(a[sel], p)
     if len(pivots) < ncols:
         assert not modp_matmul(a, ech.kernel().T, p).any()
@@ -261,24 +281,25 @@ class TestSubspace:
     def test_canonical_form(self):
         rng = random.Random(3)
         vecs = rand_matrix(rng, 3, 6)
-        s1 = Subspace.from_vectors(vecs, 6)
+        s1 = Subspace.from_vectors(vecs, 6, DEFAULT_PRIME)
         # scramble with invertible combinations
         mixed = [
             [2 * a + b for a, b in zip(vecs[0], vecs[1])],
             [a - 3 * c for a, c in zip(vecs[0], vecs[2])],
             vecs[2],
         ]
-        s2 = Subspace.from_vectors(mixed, 6)
-        if s1.dim == 3:
-            assert s1 == s2
+        s2 = Subspace.from_vectors(mixed, 6, DEFAULT_PRIME)
+        assert s1.dim == 3
+        assert s1 == s2
 
     def test_contains(self):
-        s = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3)
-        assert s.contains([1, 1, 2])
-        assert not s.contains([1, 1, 1])
-        sp = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3, p=7)
-        assert sp.contains([1, 1, 2])
-        assert not sp.contains([1, 1, 1])
+        for p in (7, DEFAULT_PRIME):
+            s = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3, p)
+            assert s.contains([1, 1, 2])
+            assert s.contains([1, p + 1, 2])
+            assert not s.contains([1, 1, 1])
+        with pytest.raises(ValueError):
+            Subspace.from_vectors([[1, 0, 1]], 3, 0)
 
     def test_residues_of_ints_and_fractions(self):
         p = 7
@@ -290,10 +311,38 @@ class TestSubspace:
             Subspace.from_vectors([[Fraction(1, 7), 1]], 2, p)
 
     def test_mismatched_ambient(self):
-        a = Subspace.from_vectors([[1, 0]], 2)
-        b = Subspace.from_vectors([[1, 0, 0]], 3)
+        a = Subspace.from_vectors([[1, 0]], 2, 7)
+        b = Subspace.from_vectors([[1, 0, 0]], 3, 7)
         with pytest.raises(ValueError):
             a.contains_subspace(b)
+        with pytest.raises(ValueError):
+            a.contains_subspace(Subspace.from_vectors([[1, 0]], 2, 11))
+
+
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(1, 12), st.integers(0, 12),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_contains_subspace_of_sub_spans(p, ncols, rank, seed):
+    rng = random.Random(seed)
+    a = _tall_rank_deficient(p, rng, rank + 3, ncols, min(rank, ncols))
+    space = Subspace.from_vectors(a, ncols, p)
+
+    def combinations(k):
+        return modp_matmul(_tall_rank_deficient(p, rng, k, len(a), len(a)), a, p).tolist()
+
+    # random combinations of the rows span a subspace of the span
+    sub = combinations(rng.randrange(len(a) + 1))
+    assert space.contains_subspace(Subspace.from_vectors(sub, ncols, p))
+    assert all(space.contains(v) for v in sub)
+    pivots = {next(c for c, x in enumerate(row) if x) for row in space.basis}
+    free = [c for c in range(ncols) if c not in pivots]
+    if free:
+        # a combination plus a nonzero entry in a free column leaves the span
+        v = combinations(1)[0]
+        f = rng.choice(free)
+        v[f] = (v[f] + 1 + rng.randrange(p - 1)) % p
+        assert not space.contains(v)
+        assert not space.contains_subspace(Subspace.from_vectors(sub + [v], ncols, p))
 
 
 # -- the exact RREF lifted from F_p against plain Gauss-Jordan over Q --------
@@ -358,18 +407,14 @@ def rational_matrices(draw):
     return matrix(nrows, ncols, st.integers(-10 ** 7, 10 ** 7))
 
 
-def _integer_sparse_rows(m):
-    return [{j: x for j, x in enumerate(row) if x} for row in linalg.integer_rows(m)]
-
-
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_lifted_rref_matches_gauss_jordan(m):
     ncols = len(m[0])
     assert qq_rref(m) == fraction_rref(m)
     assert qq_kernel(m) == fraction_kernel(m, ncols)
-    from crpencils.modules import _sparse_exact_kernel
-    ker = _sparse_exact_kernel(_integer_sparse_rows(m), ncols)
+    # the contraction kernels of the modules take this integer form
+    ker = linalg.integer_rows(qq_kernel(linalg.integer_rows(m), ncols))
     assert all(type(x) is int for v in ker for x in v)
     assert fraction_rref(ker) == fraction_rref(fraction_kernel(m, ncols))
 
@@ -413,3 +458,16 @@ def test_mat_mod_is_exact_past_int64():
     for rows in ([[-1, 2 ** 63 + 1], [5, 3]], [[2 ** 64 + 5, -(2 ** 70)]]):
         for p in (7, DEFAULT_PRIME):
             assert mat_mod(rows, p).tolist() == [[x % p for x in row] for row in rows]
+
+
+def test_mat_mod_reads_integer_floats_exactly():
+    from crpencils.pencils import build_gl_pencil, build_spin_pencil
+
+    for pencil in (build_gl_pencil((2,), (2, 1), 3), build_spin_pencil(5)):
+        for p in (3, 101, DEFAULT_PRIME):
+            stacked = pencil.coeff_array_modp(p)
+            assert stacked.dtype == np.float64
+            flat = stacked.reshape(pencil.nvars, -1)
+            assert mat_mod(flat, p).tolist() == mat_mod(flat.astype(np.int64), p).tolist()
+    # a float that is not an integer still reads exactly, as a rational
+    assert mat_mod(np.array([[0.5, -3.0]]), 7).tolist() == [[4, 4]]

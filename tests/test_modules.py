@@ -15,7 +15,6 @@ from crpencils.modules import (
     lie_action,
     orthogonal_form,
     orthogonal_module,
-    pairing,
     schur_module,
     spin_lie_action,
     spin_lie_generators,
@@ -119,12 +118,6 @@ class TestForms:
             qhat = form.dual_tensor()
             for X in form_lie_basis(form):
                 assert lie_action(X, qhat) == {}
-
-    def test_pairing_matches_gram(self):
-        form = orthogonal_form(4)
-        t = {(0, 2): Fraction(1)}
-        u = {(1, 3): Fraction(2)}
-        assert pairing(t, u, form) == 2
 
 
 class TestFormModules:

@@ -13,7 +13,6 @@ from crpencils.partitions import (
     gl_dim,
     hook_family_rank,
     horizontal_strips,
-    lr_coefficient,
     normalize,
     pieri_add,
     size,
@@ -129,44 +128,6 @@ class TestHorizontalStrips:
             if all(pa[i] >= mu[i + 1] for i in range(len(mu) - 1)):
                 expect.add(alpha)
         assert got == expect
-
-
-class TestLR:
-    def test_known_values(self):
-        assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
-        assert lr_coefficient((2, 1), (2, 1), (4, 2)) == 1
-        assert lr_coefficient((1,), (1,), (2,)) == 1
-        assert lr_coefficient((1,), (1,), (1, 1)) == 1
-        assert lr_coefficient((2,), (1, 1), (3, 1)) == 1
-        assert lr_coefficient((2,), (1, 1), (2, 2)) == 0
-
-    def test_pieri_rule_special_case(self):
-        # multiplying by a single row gives multiplicity-free products
-        mu = (3, 2)
-        for lam in partitions_of(size(mu) + 2):
-            c = lr_coefficient(mu, (2,), lam)
-            pa = list(mu) + [0] * (len(lam) - len(mu))
-            is_hstrip = contains(lam, mu) and all(
-                lam[i + 1] <= pa[i] for i in range(len(lam) - 1)
-            )
-            assert c == (1 if is_hstrip else 0)
-
-    @given(small_partitions, small_partitions)
-    @settings(max_examples=40, deadline=None)
-    def test_symmetry(self, zeta, eta):
-        for lam in partitions_of(size(zeta) + size(eta)) or [()]:
-            assert lr_coefficient(zeta, eta, lam) == lr_coefficient(eta, zeta, lam)
-
-    @given(small_partitions, small_partitions, st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_dimension_expansion(self, zeta, eta, n):
-        # dim(S_zeta x S_eta) = sum_lam c_{zeta,eta}^lam dim S_lam
-        lhs = gl_dim(zeta, n) * gl_dim(eta, n)
-        rhs = sum(
-            lr_coefficient(zeta, eta, lam) * gl_dim(lam, n)
-            for lam in partitions_of(size(zeta) + size(eta)) or [()]
-        )
-        assert lhs == rhs
 
 
 class TestGLDim:
