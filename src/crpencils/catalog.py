@@ -217,7 +217,7 @@ def document_to_pencil(doc: dict) -> Pencil:
         target_dim = int(doc["target_dim"])
         labels = tuple(str(v) for v in doc["var_labels"])
         raw = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise FixtureParseError(f"malformed pencil document: {exc}") from None
     if len(labels) != nvars or nvars < 1 or source_dim < 1 or target_dim < 1:
         raise FixtureParseError("inconsistent pencil document header")
@@ -238,7 +238,7 @@ def document_to_pencil(doc: dict) -> Pencil:
                 raise FixtureParseError("entry index out of range")
             entries.append((var, r, c, num, den))
             denom = lcm(denom, den)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FixtureParseError):
             raise
         raise FixtureParseError(f"malformed pencil entry: {exc}") from None

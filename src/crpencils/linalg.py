@@ -96,13 +96,19 @@ def _primes():
 
 
 def integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: same row space, int entries."""
+    """Each row times the lcm of its denominators: same row space, int entries.
+
+    Ints and Fractions are read through numerator/denominator as they are;
+    any other number (a numpy int, whose numerator is not a Python int, a
+    float, a bool) goes through Fraction first."""
     out = []
     for row in rows:
-        if set(map(type, row)) <= {int}:
+        kinds = set(map(type, row))
+        if kinds <= {int}:
             out.append(list(row))
             continue
-        row = [Fraction(x) for x in row]
+        if not kinds <= {int, Fraction}:
+            row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
         den = lcm(1, *(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out

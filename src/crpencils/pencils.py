@@ -5,7 +5,9 @@ on pairs of Schur modules.
 A pencil maps a source module (dimension b) to a target module (dimension c):
 evaluate(x) = sum x_i A_i is a c x b matrix.  The coefficients are stored
 sparse, as sorted (var, row, col, num) integer entries with one global
-denominator, so they reduce mod any prime not dividing it.
+denominator, so they reduce mod any prime not dividing it.  The group
+actions that certify equivariance are stored the same way: each as sorted
+(row, col, num) integer entries over one denominator (IntMatrix).
 
 For Sp/SO pencils the target coordinates are taken against the form-pairing
 with the target basis (the adjoint of the symmetrizer), which differs from
@@ -50,14 +52,58 @@ from .partitions import (
 from .tensors import (
     apply_symmetrizer,
     cell_slot,
-    gl_generator_matrices,
+    chevalley_generators,
     insert_letter,
     integer_scaled,
+    letter_images,
     perm_sign,
     square_matrix,
+    tensor_iadd,
 )
 
 ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """A square matrix num / den, stored as sorted (row, col, num) integer
+    entries with num != 0 over one denominator den >= 1."""
+
+    dim: int
+    entries: tuple
+    den: int = 1
+
+    @classmethod
+    def from_entries(cls, dim: int, entries: dict) -> IntMatrix:
+        """The matrix of rational {(row, col): value} entries, over the lcm
+        of their denominators."""
+        den = lcm(1, *(x.denominator for x in entries.values()))
+        return cls(dim, tuple(sorted(
+            (r, c, x.numerator * (den // x.denominator))
+            for (r, c), x in entries.items() if x
+        )), den)
+
+    @classmethod
+    def from_dense(cls, m: Sequence[Sequence]) -> IntMatrix:
+        return cls.from_entries(len(m), {(r, c): x for r, row in enumerate(m)
+                                         for c, x in enumerate(row)})
+
+    @classmethod
+    def from_columns(cls, basis: Sequence, cols: Sequence[dict]) -> IntMatrix:
+        """The matrix whose j-th column is cols[j], {basis element: value}."""
+        index = {K: r for r, K in enumerate(basis)}
+        return cls.from_entries(len(basis), {(index[K], j): x for j, col in enumerate(cols)
+                                             for K, x in col.items()})
+
+    def lines(self, scale: int, by_col: bool) -> list[list[tuple[int, int]]]:
+        """The entries of the integer matrix scale * self (den divides
+        scale), per column as (row, value) or per row as (col, value)."""
+        f = scale // self.den
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for r, c, num in self.entries:
+            line, at = (c, r) if by_col else (r, c)
+            out[line].append((at, num * f))
+        return out
 
 
 @dataclass(frozen=True)
@@ -69,9 +115,9 @@ class EquivarianceData:
     rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b.
     """
 
-    x_on_vars: tuple
-    rho_source: tuple
-    rho_target: tuple
+    x_on_vars: IntMatrix
+    rho_source: IntMatrix
+    rho_target: IntMatrix
 
 
 # the JSON field names of each builder's arguments, in argument order
@@ -111,7 +157,7 @@ class BuildSpec:
         if not isinstance(record, dict):
             raise ValueError("malformed builder record: not an object")
         kind = record.get("kind")
-        if kind not in RECORD_FIELDS:
+        if not isinstance(kind, str) or kind not in RECORD_FIELDS:
             raise ValueError(f"unknown builder kind {kind!r}")
         try:
             args = tuple(_record_value(f, record[f]) for f in RECORD_FIELDS[kind])
@@ -198,25 +244,17 @@ def _clear_denominators(entries: dict) -> tuple[tuple, int]:
     return tuple(sorted(k + (x,) for k, x in nums.items())), den
 
 
-def _sparse_columns(m) -> list[list[tuple[int, Fraction]]]:
-    """The nonzero (row, value) pairs of each column of a square matrix."""
-    return [[(r, row[c]) for r, row in enumerate(m) if row[c]] for c in range(len(m))]
-
-
-def _transpose(cols: list) -> tuple:
-    """The matrix whose j-th column is cols[j]."""
-    return tuple(tuple(col[i] for col in cols) for i in range(len(cols)))
-
-
 def check_equivariance(p: Pencil) -> bool:
     """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
-    every generator of the spec's group and every variable i, on the sparse
-    coefficients.  False without a spec, or when the spec's action matrices
-    do not fit the pencil's dimensions."""
+    every generator in equivariance_data(p.spec) and every variable i, in
+    integers: the identity is multiplied by the lcm of the three
+    denominators, and the pencil's global denominator cancels.  False
+    without a spec, or when the spec's action matrices do not fit the
+    pencil's dimensions."""
     data = equivariance_data(p.spec) if p.spec is not None else ()
     dims = (p.nvars, p.source_dim, p.target_dim)
     if not data or any(
-        (len(eq.x_on_vars), len(eq.rho_source), len(eq.rho_target)) != dims
+        (eq.x_on_vars.dim, eq.rho_source.dim, eq.rho_target.dim) != dims
         for eq in data
     ):
         return False
@@ -224,55 +262,74 @@ def check_equivariance(p: Pencil) -> bool:
     for var, r, c, num in p.coeffs:
         by_var[var].append((r, c, num))
     for eq in data:
-        t_cols = _sparse_columns(eq.rho_target)
-        s_rows = [[(j, x) for j, x in enumerate(row) if x] for row in eq.rho_source]
-        x_cols = _sparse_columns(eq.x_on_vars)
+        m = lcm(eq.x_on_vars.den, eq.rho_source.den, eq.rho_target.den)
+        t_cols = eq.rho_target.lines(m, by_col=True)
+        s_rows = eq.rho_source.lines(m, by_col=False)
+        x_cols = eq.x_on_vars.lines(m, by_col=True)
         for i in range(p.nvars):
             diff: dict = {}
             for r, c, num in by_var[i]:
                 for k, x in t_cols[r]:
-                    diff[k, c] = diff.get((k, c), ZERO) + x * num
+                    diff[k, c] = diff.get((k, c), 0) + x * num
                 for j, x in s_rows[c]:
-                    diff[r, j] = diff.get((r, j), ZERO) - num * x
+                    diff[r, j] = diff.get((r, j), 0) - num * x
             for b, x in x_cols[i]:
                 for r, c, num in by_var[b]:
-                    diff[r, c] = diff.get((r, c), ZERO) - x * num
+                    diff[r, c] = diff.get((r, c), 0) - x * num
             if any(diff.values()):
                 return False
     return True
 
 
-def _coordinate_action(mod: RealizedModule, X) -> tuple:
-    """Matrix of the derivation action of X on the module's basis coordinates."""
-    cols = []
-    for t in mod.span.basis:
-        c = mod.span.coordinates(lie_action(X, t), check=True)
-        if c is None:
+def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
+    """Matrix of the derivation action of X on the module's basis
+    coordinates, computed in integers.
+
+    With X = Xn / dx and each basis tensor b_j scaled to the primitive
+    integer tensor u_j = s_j b_j (span.scaled_basis), y = Xn . u_j is the
+    integer tensor s_j dx X.b_j.  Its coordinate c_k on b_k is y at b_k's
+    pivot word, where b_k is 1 and every other basis tensor is 0.  y lies in
+    the span exactly when L y = sum_k c_k (L / s_k) u_k, with L the lcm of
+    those s_k; otherwise AssertionError.  The entry c_k / (s_j dx) is stored
+    over the denominator dx lcm(s).
+    """
+    x = IntMatrix.from_dense(X)
+    xn = square_matrix(x.dim, {(r, c): num for r, c, num in x.entries})
+    pivots, scaled, scales = mod.span.scaled_basis
+    s_all = lcm(1, *scales)
+    entries = []
+    for j, u in enumerate(scaled):
+        y = lie_action(xn, u)
+        coords = {pivots[w]: c for w, c in y.items() if w in pivots}
+        big = lcm(1, *(scales[k] for k in coords))
+        resid = {w: big * c for w, c in y.items()}
+        for k, c in coords.items():
+            tensor_iadd(resid, scaled[k], -c * (big // scales[k]))
+        if resid:
             raise AssertionError("module basis is not stable under the Lie action")
-        cols.append(c)
-    return _transpose(cols)
+        entries += [(k, j, c * (s_all // scales[j])) for k, c in coords.items()]
+    return IntMatrix(len(scaled), tuple(sorted(entries)), x.den * s_all)
 
 
 def _wedge_action(X, basis) -> list[dict]:
     """Derivation action of X in gl(C^v) on Lambda^k(C^v): the image of each
     e_K, K a sorted index tuple of the basis, as {sorted tuple: coefficient}."""
+    images = letter_images(X)
     cols = []
     for K in basis:
         col: dict = {}
         for s, a in enumerate(K):
-            rest = K[:s] + K[s + 1 :]
-            for b in range(len(X)):
-                if X[b][a] and b not in rest:
+            for b, x in images.get(a, ()):
+                if b == a or b not in K:
                     rearr = K[:s] + (b,) + K[s + 1 :]
                     key = tuple(sorted(rearr))
-                    col[key] = col.get(key, ZERO) + Fraction(X[b][a]) * perm_sign(rearr)
+                    col[key] = col.get(key, 0) + x * perm_sign(rearr)
         cols.append(col)
     return cols
 
 
-def _wedge_matrix(X, basis) -> tuple:
-    cols = _wedge_action(X, basis)
-    return tuple(tuple(col.get(L, ZERO) for col in cols) for L in basis)
+def _wedge_matrix(X, basis) -> IntMatrix:
+    return IntMatrix.from_columns(basis, _wedge_action(X, basis))
 
 
 def _one_box(mu: Partition, nu: Partition, max_rows: int) -> BoxPosition:
@@ -583,8 +640,9 @@ def _sl_coords(m, a: int) -> list[Fraction]:
 def _gl_equivariance(mu: Partition, nu: Partition, v: int) -> list[EquivarianceData]:
     smod, tmod = schur_module(mu, v), schur_module(nu, v)
     return [
-        EquivarianceData(X, _coordinate_action(smod, X), _coordinate_action(tmod, X))
-        for X in gl_generator_matrices(v)
+        EquivarianceData(IntMatrix.from_dense(X), _coordinate_action(smod, X),
+                         _coordinate_action(tmod, X))
+        for X in chevalley_generators(v)
     ]
 
 
@@ -592,8 +650,8 @@ def _koszul_equivariance(k: int, v: int) -> list[EquivarianceData]:
     src = list(combinations(range(v), k))
     tgt = list(combinations(range(v), k + 1))
     return [
-        EquivarianceData(X, _wedge_matrix(X, src), _wedge_matrix(X, tgt))
-        for X in gl_generator_matrices(v)
+        EquivarianceData(IntMatrix.from_dense(X), _wedge_matrix(X, src), _wedge_matrix(X, tgt))
+        for X in chevalley_generators(v)
     ]
 
 
@@ -601,11 +659,9 @@ def _form_equivariance(smod: RealizedModule, tmod: RealizedModule) -> list[Equiv
     # the target coordinates pair against the target basis: rho_t = -rho^T
     out = []
     for X in form_lie_basis(smod.form):
-        rho_t = _coordinate_action(tmod, X)
-        out.append(EquivarianceData(
-            X, _coordinate_action(smod, X),
-            tuple(tuple(-x for x in row) for row in zip(*rho_t)),
-        ))
+        rho = _coordinate_action(tmod, X)
+        rho_t = IntMatrix(rho.dim, tuple(sorted((c, r, -x) for r, c, x in rho.entries)), rho.den)
+        out.append(EquivarianceData(IntMatrix.from_dense(X), _coordinate_action(smod, X), rho_t))
     return out
 
 
@@ -613,12 +669,11 @@ def _spin_equivariance(n: int) -> list[EquivarianceData]:
     ss = spin_space(n)
 
     def spin_matrix(a, b, basis):
-        images = (spin_lie_action(a, b, {I: Fraction(1)}, n) for I in basis)
-        return _transpose([[img.get(J, ZERO) for J in basis] for img in images])
+        return IntMatrix.from_columns(basis, [spin_lie_action(a, b, {I: 1}, n) for I in basis])
 
     return [
         EquivarianceData(spin_matrix(a, b, ss.even_basis),
-                         tuple(map(tuple, spin_lie_on_w(a, b, n))),
+                         IntMatrix.from_dense(spin_lie_on_w(a, b, n)),
                          spin_matrix(a, b, ss.odd_basis))
         for a, b in spin_lie_generators(n)
     ]
@@ -631,14 +686,15 @@ def _adjoint_equivariance(a: int) -> list[EquivarianceData]:
     sl = sl_basis(a)
 
     def ad_matrix(Y):
-        return _transpose([
-            _sl_coords([[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
-                         for j in range(a)] for i in range(a)], a)
-            for X in sl
-        ])
+        return IntMatrix.from_entries(len(sl), {
+            (r, col): x for col, X in enumerate(sl)
+            for r, x in enumerate(_sl_coords(
+                [[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
+                  for j in range(a)] for i in range(a)], a))
+        })
 
     out = []
-    for Y in gl_generator_matrices(a)[: 2 * (a - 1)]:  # E_{k,k+1}, E_{k+1,k}
+    for Y in chevalley_generators(a):
         wedge = _wedge_matrix(Y, basis3)
         out.append(EquivarianceData(wedge, ad_matrix(Y), wedge))
     return out
@@ -647,7 +703,17 @@ def _adjoint_equivariance(a: int) -> list[EquivarianceData]:
 @lru_cache(maxsize=None)
 def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
     """The Lie-algebra generators of the spec's group with their actions on
-    the variables, the source and the target of the pencil it builds."""
+    the variables, the source and the target of the pencil it builds.
+
+    Sp and SO take the full basis of their form's Lie algebra, spin all of
+    so(2n).  GL, Koszul and adjoint take only the Chevalley generators
+    E_{k,k+1} and E_{k+1,k} of sl_v, which is enough for the transitivity
+    certificate: the X in gl_v under which a pencil is equivariant form a
+    Lie subalgebra (each action here is a Lie algebra representation);
+    these generators generate sl_v, so the pencil is SL_v-equivariant; and
+    SL_v is transitive on V minus 0 for v >= 2.  For v = 1, where sl_1 = 0
+    and the projective base is one point, the identity is checked instead.
+    """
     if spec.kind in ("sp", "so"):
         realize = symplectic_module if spec.kind == "sp" else orthogonal_module
         mu, nu, dim = spec.args

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import gcd, lcm
 from operator import itemgetter
@@ -177,21 +177,34 @@ def square_matrix(n: int, entries: dict) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n))
 
 
-def gl_generator_matrices(v: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Chevalley-style generators of gl_v: E_{k,k+1}, E_{k+1,k}, E_{kk}."""
-    return ([square_matrix(v, {ab: 1}) for k in range(v - 1) for ab in ((k, k + 1), (k + 1, k))]
-            + [square_matrix(v, {(k, k): 1}) for k in range(v)])
+def chevalley_generators(v: int) -> list[tuple[tuple[int, ...], ...]]:
+    """E_{k,k+1} and E_{k+1,k} for k < v - 1, which generate sl_v as a Lie
+    algebra; for v = 1, where sl_1 = 0, the identity E_00 instead."""
+    if v == 1:
+        return [square_matrix(1, {(0, 0): 1})]
+    return [square_matrix(v, {ab: 1}) for k in range(v - 1) for ab in ((k, k + 1), (k + 1, k))]
+
+
+def letter_images(X: Sequence[Sequence]) -> dict[int, list[tuple[int, object]]]:
+    """{a: [(b, X[b][a]) for each nonzero X[b][a]]}: the image of letter a."""
+    images: dict[int, list] = {}
+    for b, row in enumerate(X):
+        for a, x in enumerate(row):
+            if x:
+                images.setdefault(a, []).append((b, x))
+    return images
 
 
 def matrix_on_letters(X: Sequence[Sequence], t: SparseTensor) -> SparseTensor:
-    """Derivation action of X in gl(V) on a tensor: sum over slots."""
+    """Derivation action of X in gl(V) on a tensor: sum over slots.  X's
+    nonzero entries are read once; integer X and t give an integer result."""
+    images = letter_images(X)
     out: SparseTensor = {}
     for w, c in t.items():
         for s, a in enumerate(w):
-            for b in range(len(X)):
-                if X[b][a]:
-                    nw = w[:s] + (b,) + w[s + 1 :]
-                    out[nw] = out.get(nw, ZERO) + c * Fraction(X[b][a])
+            for b, x in images.get(a, ()):
+                nw = w[:s] + (b,) + w[s + 1 :]
+                out[nw] = out.get(nw, 0) + c * x
     return {w: c for w, c in out.items() if c}
 
 
@@ -266,3 +279,13 @@ class GradedSpan:
 
     def contains(self, t: SparseTensor) -> bool:
         return self.coordinates(t, check=True) is not None
+
+    @cached_property
+    def scaled_basis(self) -> tuple[dict, list, list]:
+        """(pivot word -> basis index, each basis tensor b_k scaled to a
+        primitive integer tensor u_k = s_k b_k, the scales s_k).  Each s_k is
+        an integer: b_k is 1 at its pivot word, so u_k is s_k there."""
+        words = [w for blk in self.blocks.values() for w in blk.pivot_words]
+        scaled = [integer_scaled(t)[0] for t in self.basis]
+        return ({w: k for k, w in enumerate(words)}, scaled,
+                [u[w] for u, w in zip(scaled, words)])

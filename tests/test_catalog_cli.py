@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crpencils import cli
@@ -433,3 +433,129 @@ def test_cli_build_so_below_rank_one_is_a_usage_error(capsys):
     # SO(1) has rank 0: its weights used to raise IndexError in weyl_dim
     assert cli.main(["build", "so", "--mu", "", "--nu", "1", "--N", "1"]) == 2
     assert "error: SO(m) needs m >= 2" in capsys.readouterr().err
+
+
+def test_cli_transitivity_refuses_a_gl_file_with_one_variable_doubled(tmp_path, capsys):
+    # A_0 -> 2 A_0 keeps every torus weight but breaks sl_3-equivariance
+    out = tmp_path / "pencil.json"
+    assert cli.main(["build", "gl", "--mu", "2", "--nu", "2,1", "--n", "2",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for entry in doc["entries"]:
+        if entry["var"] == 0:
+            assert entry["den"] == "1"
+            entry["num"] = str(2 * int(entry["num"]))
+    out.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    err = capsys.readouterr().err
+    assert "equivariance certificate failed" in err
+    assert "Traceback" not in err
+
+
+def test_cli_verify_infinite_numbers_are_parse_errors(tmp_path, capsys):
+    # json reads Infinity as a float, and int(inf) raised OverflowError
+    text = dumps_pencil(build_koszul_pencil(1, 3))
+    for path in (("nvars",), ("entries", 0, "row"), ("entries", 1, "num")):
+        doc = json.loads(text)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(bad)]) == 3
+        assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_verify_unhashable_builder_kind_is_no_record(tmp_path, capsys):
+    # a list or object "kind" raised TypeError in BuildSpec.from_record
+    params = {"kind": "koszul", "k": 1, "v": 3}
+    for kind in (["koszul"], {"kind": "koszul"}):
+        doc = json.loads(dumps_pencil(build_from_params(params), params))
+        doc["builder"]["kind"] = kind
+        out = tmp_path / "pencil.json"
+        out.write_text(json.dumps(doc))
+        assert loads_pencil(out.read_text())[0].spec is None
+        assert cli.main(["verify", str(out), "--trials", "3"]) == 0
+        assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# -- robustness: small arbitrary flags and mutated documents -----------------
+
+
+def _exit_code(argv, capsys) -> int:
+    """The exit code of `crpencils argv`: argparse exits through SystemExit,
+    anything else that escapes fails the test with its traceback."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+_partition_flag = st.lists(st.integers(-1, 4), max_size=3).map(
+    lambda xs: ",".join(map(str, xs)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("gl", "sp", "so", "spin", "koszul", "adjoint")),
+       st.fixed_dictionaries({}, optional={
+           **{flag: _partition_flag for flag in ("--mu", "--nu")},
+           **{flag: st.integers(-2, 4) for flag in ("--n", "--N", "--k", "--v", "--a")},
+       }))
+def test_cli_build_exits_cleanly_on_small_flags(tmp_path, capsys, group, flags):
+    argv = ["build", group, *(f"{f}={x}" for f, x in flags.items()),
+            "--out", str(tmp_path / "pencil.json")]
+    assert _exit_code(argv, capsys) in (0, 1, 2, 3)
+
+
+_MUTATION_RECORDS = [
+    {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3},
+    {"kind": "gl", "mu": [1], "nu": [1, 1], "v": 2},
+    {"kind": "koszul", "k": 1, "v": 3},
+    {"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6},
+    {"kind": "so", "mu": [2], "nu": [2, 1], "m": 3},
+]
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8), st.integers(),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(("kind", "k", "v")), st.integers(0, 3), max_size=2),
+    st.sampled_from(("gl", "sp", "so", "spin", "koszul", "adjoint", "1", "1/2")),
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A builder example's JSON document with one to three fields of the
+    document, its builder record or its entries replaced or deleted."""
+    params = draw(st.sampled_from(_MUTATION_RECORDS))
+    doc = json.loads(dumps_pencil(build_from_params(params), params))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = [doc]
+        if isinstance(doc.get("builder"), dict):
+            nodes.append(doc["builder"])
+        if isinstance(doc.get("entries"), list):
+            nodes += [e for e in doc["entries"] if isinstance(e, dict)]
+        node = draw(st.sampled_from([n for n in nodes if n]))
+        key = draw(st.sampled_from(sorted(node)))
+        if draw(st.integers(0, 5)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_documents(), st.sampled_from(("sampled", "exhaustive", "transitivity")),
+       st.sampled_from(("3", "5", "7", str(2 ** 31 - 1))))
+def test_cli_verify_exits_cleanly_on_mutated_documents(tmp_path, capsys, doc, mode, prime):
+    out = tmp_path / "pencil.json"
+    out.write_text(json.dumps(doc))
+    argv = ["verify", str(out), "--mode", mode, "--prime", prime,
+            "--trials", "3", "--budget", "3000"]
+    assert _exit_code(argv, capsys) in (0, 1, 2, 3)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -471,3 +472,40 @@ def test_mat_mod_reads_integer_floats_exactly():
             assert mat_mod(flat, p).tolist() == mat_mod(flat.astype(np.int64), p).tolist()
     # a float that is not an integer still reads exactly, as a rational
     assert mat_mod(np.array([[0.5, -3.0]]), 7).tolist() == [[4, 4]]
+
+
+def _integer_rows_through_fraction(rows):
+    """integer_rows as it was before it read numerators directly: every
+    entry of a row that is not all int went through Fraction."""
+    out = []
+    for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+            continue
+        row = [Fraction(x) for x in row]
+        den = lcm(1, *(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+_entries = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(max_denominator=12),
+    st.integers(-50, 50).map(np.int64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_entries, max_size=6), max_size=4))
+def test_integer_rows_is_unchanged_on_ints_fractions_and_mixed_rows(rows):
+    got = linalg.integer_rows(rows)
+    want = _integer_rows_through_fraction(rows)
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+
+
+def test_integer_rows_of_int_valued_fractions_are_their_numerators():
+    rows = [[Fraction(3), Fraction(-4), 0], [Fraction(1, 2), 2, Fraction(2, 3)]]
+    assert linalg.integer_rows(rows) == [[3, -4, 0], [3, 12, 4]]

@@ -24,7 +24,7 @@ from crpencils.modules import (
     symplectic_module,
 )
 from crpencils.partitions import gl_dim, sp_module_dim
-from crpencils.tensors import gl_generator_matrices
+from crpencils.tensors import chevalley_generators, square_matrix
 
 
 def partitions_up_to(n, max_rows):
@@ -80,7 +80,8 @@ class TestSchurModules:
         rng = random.Random(0)
         for lam, v in [((2, 1), 3), ((2, 2), 4), ((3, 1), 4)]:
             mod = schur_module(lam, v)
-            for X in gl_generator_matrices(v):
+            torus = [square_matrix(v, {(k, k): 1}) for k in range(v)]
+            for X in chevalley_generators(v) + torus:
                 t = random_tensor_in(mod, rng)
                 assert mod.span.contains(lie_action(X, t))
 

@@ -4,17 +4,31 @@ from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crpencils.analysis import generic_rank
+from crpencils.analysis import constant_rank_verdict, generic_rank
 from crpencils.catalog import build_from_params
-from crpencils.linalg import DEFAULT_PRIME, qq_rank, reduce_mod
-from crpencils.modules import a_vector, gamma_pairing, spin_space
+from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, modp_matmul, qq_rank, reduce_mod
+from crpencils.modules import (
+    a_vector,
+    form_lie_basis,
+    gamma_pairing,
+    lie_action,
+    orthogonal_form,
+    orthogonal_module,
+    schur_module,
+    spin_space,
+    symplectic_form,
+    symplectic_module,
+)
 from crpencils.partitions import family_sizes, gl_dim, hook_family_rank
 from crpencils.pencils import (
     BuildSpec,
+    IntMatrix,
+    _coordinate_action,
     build_adjoint_pencil,
     build_gl_pencil,
     build_koszul_pencil,
@@ -22,10 +36,12 @@ from crpencils.pencils import (
     build_sp_pencil,
     build_spin_pencil,
     check_equivariance,
+    equivariance_data,
     hyperplane_bound_criterion,
     spin_kernel_vector,
     theta_map,
 )
+from crpencils.tensors import chevalley_generators, square_matrix
 
 
 def _rank_at(pencil, x):
@@ -88,6 +104,135 @@ def test_equivariance_needs_a_spec_that_fits():
     assert not check_equivariance(replace(koszul, spec=None))
     # GL(3) acting on S_2 -> S_21 (6 -> 8) does not fit the 3 -> 3 pencil
     assert not check_equivariance(replace(koszul, spec=build_gl_pencil((2,), (2, 1), 3).spec))
+
+
+# -- the equivariance certificate on integers --------------------------------
+
+
+def _dense(m: IntMatrix) -> list[list[Fraction]]:
+    out = [[Fraction(0)] * m.dim for _ in range(m.dim)]
+    for r, c, num in m.entries:
+        out[r][c] = Fraction(num, m.den)
+    return out
+
+
+def _fraction_coordinate_action(mod, X) -> list[list[Fraction]]:
+    """The coordinate action as Fractions, by the former path: the
+    derivation action of X on each RREF basis tensor, read back through
+    GradedSpan.coordinates with its residual check."""
+    xq = [[Fraction(x) for x in row] for row in X]
+    cols = []
+    for t in mod.span.basis:
+        c = mod.span.coordinates(lie_action(xq, t), check=True)
+        assert c is not None, "module basis is not stable under the Lie action"
+        cols.append(c)
+    return [list(row) for row in zip(*cols)]
+
+
+def _example_modules():
+    """(id, module, generators) for both modules of every builder example
+    that has realized modules: the generators equivariance_data uses, the
+    GL torus, and a combination with denominator 2."""
+    out = []
+    for params in EXAMPLES:
+        spec = BuildSpec.from_record(params)
+        if spec.kind not in ("gl", "sp", "so"):
+            continue
+        mu, nu, dim = spec.args
+        if spec.kind == "gl":
+            mods = (schur_module(mu, dim), schur_module(nu, dim))
+            gens = chevalley_generators(dim) + [square_matrix(dim, {(k, k): 1})
+                                                for k in range(dim)]
+        else:
+            realize = symplectic_module if spec.kind == "sp" else orthogonal_module
+            mods = (realize(mu, dim), realize(nu, dim))
+            gens = form_lie_basis(mods[0].form)
+        odd = next(X for X in gens if any(x % 2 for row in X for x in row))
+        half = [[Fraction(x, 2) for x in row] for row in odd]
+        assert IntMatrix.from_dense(half).den == 2
+        for mod in mods:
+            out.append((f"{spec.kind}{mod.weight}-{dim}", mod, gens + [half]))
+    return out
+
+
+@pytest.mark.parametrize("mod,gens", [pytest.param(m, g, id=i) for i, m, g in _example_modules()])
+def test_coordinate_action_matches_the_fraction_oracle(mod, gens):
+    for X in gens:
+        assert _dense(_coordinate_action(mod, X)) == _fraction_coordinate_action(mod, X)
+
+
+def test_form_lie_bases_are_integral():
+    for form in (orthogonal_form(4), orthogonal_form(5), symplectic_form(6)):
+        assert all(IntMatrix.from_dense(X).den == 1 for X in form_lie_basis(form))
+
+
+def test_coordinate_action_refuses_a_generator_that_leaves_the_span():
+    # E_{0,2} does not preserve the symplectic form, and it moves the
+    # form-traceless part of Lambda^2 off itself
+    mod = symplectic_module((1, 1), 6)
+    X = square_matrix(6, {(0, 2): 1})
+    assert any(mod.span.coordinates(lie_action(X, t)) is None for t in mod.span.basis)
+    with pytest.raises(AssertionError, match="not stable"):
+        _coordinate_action(mod, X)
+
+
+def _lie_closure_dim(gens: list[IntMatrix], p: int = DEFAULT_PRIME) -> int:
+    """dim over F_p of the Lie algebra the matrices generate, by adding
+    [g, y] for every generator g and every y found so far until nothing
+    new appears.  It bounds the dimension over Q from below."""
+    ech = ModpEchelon(gens[0].dim ** 2, p)
+    mats = []
+    for g in gens:  # den * g, which generates the same dimension
+        mats.append(np.zeros((g.dim, g.dim), dtype=np.int64))
+        for r, c, num in g.entries:
+            mats[-1][r, c] = num % p
+
+    def new(ms):
+        return [ms[i] for i in ech.add([m.reshape(-1) for m in ms])]
+
+    queue = new(mats)
+    while queue:
+        y = queue.pop()
+        queue += new([(modp_matmul(g, y, p) - modp_matmul(y, g, p)) % p for g in mats])
+    return len(ech.pivots)
+
+
+@pytest.mark.parametrize("kind,v", [(kind, v) for kind in ("gl", "koszul")
+                                    for v in range(2, 6)] + [("adjoint", 7)])
+def test_checked_generators_generate_sl(kind, v):
+    # gl and koszul act on the variables by X itself, the adjoint pencil on
+    # its source by ad X; ad is faithful on sl_a, so both closures have
+    # dimension v^2 - 1 exactly when the X generate sl_v
+    spec = {"gl": BuildSpec("gl", ((1,), (2,), v)), "koszul": BuildSpec("koszul", (1, v)),
+            "adjoint": BuildSpec("adjoint", (v,))}[kind]
+    data = equivariance_data(spec)
+    gens = [eq.rho_source if kind == "adjoint" else eq.x_on_vars for eq in data]
+    assert len(gens) == 2 * (v - 1)
+    assert _lie_closure_dim(gens) == v * v - 1
+
+
+def _scaled_var0(pen, factor=2):
+    return replace(pen, coeffs=tuple((var, r, c, factor * num if var == 0 else num)
+                                     for var, r, c, num in pen.coeffs))
+
+
+@pytest.mark.parametrize("pen", [build_gl_pencil((2,), (2, 1), 3), build_koszul_pencil(1, 3)],
+                         ids=["gl-2-21-3", "koszul-1-3"])
+def test_doubling_one_variable_breaks_sl_equivariance(pen):
+    # A_0 -> 2 A_0 keeps every torus weight, so the dropped diagonal
+    # generators would still pass; E_{0,1} and E_{1,0} must not
+    assert check_equivariance(pen)
+    assert not check_equivariance(_scaled_var0(pen))
+
+
+def test_one_variable_gl_and_koszul_still_certify():
+    for pen in (build_gl_pencil((), (1,), 1), build_gl_pencil((2,), (3,), 1),
+                build_koszul_pencil(0, 1)):
+        assert pen.nvars == 1
+        assert [eq.x_on_vars for eq in equivariance_data(pen.spec)] == [IntMatrix(1, ((0, 0, 1),))]
+        assert check_equivariance(pen)
+        rep = constant_rank_verdict(pen, "transitivity")
+        assert (rep.verdict, rep.generic_rank) == ("constant", 1)
 
 
 # -- GL ---------------------------------------------------------------------
