@@ -31,7 +31,6 @@ from .tensors import (
     Word,
     apply_symmetrizer,
     content,
-    integer_scaled,
     matrix_on_letters,
     perm_sign,
     semistandard_tableaux,
@@ -144,20 +143,15 @@ class RealizedModule:
         return self.span.dim
 
 
-def _schur_span(lam: Partition, v: int, grade_fn) -> GradedSpan:
-    lam = check_partition(lam)
-    tensors = [apply_symmetrizer({tableau_word(t): 1}, lam)
-               for t in semistandard_tableaux(lam, v)]
-    return GradedSpan.from_tensors(tensors, grade_fn)
-
-
 @lru_cache(maxsize=None)
 def schur_module(lam: Partition, v: int) -> RealizedModule:
     """S_lam(C^v) inside V^{tensor |lam|}, basis graded by word content."""
     lam = check_partition(lam)
     if len(lam) > v:
         raise ValueError(f"{lam} has more than {v} rows")
-    span = _schur_span(lam, v, lambda w: content(w, v))
+    tensors = [apply_symmetrizer({tableau_word(t): 1}, lam)
+               for t in semistandard_tableaux(lam, v)]
+    span = GradedSpan.from_tensors(tensors, lambda w: content(w, v))
     expected = gl_dim(lam, v)
     if span.dim != expected:
         raise AssertionError(f"S_{lam}(C^{v}): got dim {span.dim}, expected {expected}")
@@ -165,14 +159,20 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
 
 
 def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int) -> RealizedModule:
+    """The joint kernel of the contractions with the form on S_lam(V), taken
+    directly on the tensors c_lam e_T (T semistandard) of each torus weight,
+    which span that weight block of S_lam(V): every word of c_lam e_T is an
+    arrangement of T's letters.  The one RREF, of the kept tensors, makes the
+    basis canonical."""
     lam = check_partition(lam)
     d = size(lam)
     grade = form.word_weight
-    span_gl = _schur_span(lam, form.dim, grade)
+    blocks: dict[tuple, list[SparseTensor]] = {}
+    for tab in semistandard_tableaux(lam, form.dim):
+        word = tableau_word(tab)
+        blocks.setdefault(grade(word), []).append(apply_symmetrizer({word: 1}, lam))
     kept: list[SparseTensor] = []
-    for g in sorted(span_gl.blocks, key=repr):
-        # integer multiples of the RREF rows span the same block
-        vecs = [integer_scaled(t)[0] for t in span_gl.blocks[g].rows]
+    for vecs in blocks.values():
         constraints: dict[tuple, dict[int, int]] = {}
         for j, t in enumerate(vecs):
             for s1, s2 in combinations(range(d), 2):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,9 +45,12 @@ from .partitions import (
     BoxPosition,
     Partition,
     check_partition,
+    conjugate,
     gl_dim,
     pieri_add,
     size,
+    so_module_dim,
+    sp_module_dim,
 )
 from .tensors import (
     apply_symmetrizer,
@@ -58,6 +61,7 @@ from .tensors import (
     letter_images,
     perm_sign,
     square_matrix,
+    symmetrize_rows,
     tensor_iadd,
 )
 
@@ -178,6 +182,20 @@ class BuildSpec:
         variable space (the natural GL and Sp representations)."""
         return self.kind in ("gl", "sp", "koszul")
 
+    def dims(self) -> tuple[int, int, int]:
+        """(nvars, source dim, target dim) of the pencil this spec builds,
+        from closed forms: nothing is built."""
+        kind, a = self.kind, self.args
+        if kind in ("gl", "sp", "so"):
+            dim = {"gl": gl_dim, "sp": sp_module_dim, "so": so_module_dim}[kind]
+            return a[2], dim(a[0], a[2]), dim(a[1], a[2])
+        if kind == "koszul":
+            return a[1], comb(a[1], a[0]), comb(a[1], a[0] + 1)
+        if kind == "adjoint":
+            return comb(a[0], 3), a[0] ** 2 - 1, comb(a[0], 3)
+        half = 2 ** a[0] // 2  # spin: Delta+ -> Hom(W, Delta-), dim W = 2n
+        return half, 2 * a[0], half
+
     def fits(self, nvars: int) -> bool:
         """Whether a pencil built from this spec has nvars >= 2 variables,
         decided without building anything.  One variable is a single
@@ -249,15 +267,12 @@ def check_equivariance(p: Pencil) -> bool:
     every generator in equivariance_data(p.spec) and every variable i, in
     integers: the identity is multiplied by the lcm of the three
     denominators, and the pencil's global denominator cancels.  False
-    without a spec, or when the spec's action matrices do not fit the
-    pencil's dimensions."""
-    data = equivariance_data(p.spec) if p.spec is not None else ()
-    dims = (p.nvars, p.source_dim, p.target_dim)
-    if not data or any(
-        (eq.x_on_vars.dim, eq.rho_source.dim, eq.rho_target.dim) != dims
-        for eq in data
-    ):
+    without a spec, or when the spec's closed-form dimensions
+    (BuildSpec.dims) do not fit the pencil's, which is decided before any
+    module is built."""
+    if p.spec is None or p.spec.dims() != (p.nvars, p.source_dim, p.target_dim):
         return False
+    data = equivariance_data(p.spec)
     by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
     for var, r, c, num in p.coeffs:
         by_var[var].append((r, c, num))
@@ -448,19 +463,21 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
         u, scale = integer_scaled(u)
         src_scales.append(scale)
         for w, c in u.items():
-            prod = 1
+            pairing = 1
             pw = []
             for a in w:
                 b, g = partner[a]
                 pw.append(b)
-                prod *= g
-            # <r, u> picks up r_w * prod when r contains the partner word
-            src_index.setdefault(tuple(pw), []).append((j, c * prod))
+                pairing *= g
+            # <r, u> picks up r_w * pairing when r contains the partner word
+            src_index.setdefault(tuple(pw), []).append((j, c * pairing))
 
+    # on module vectors the adjoint c_nu^* is `columns` times the row passes
+    columns = prod(factorial(h) for h in conjugate(nu))
     entries: dict = {}
     for k, bk in enumerate(tmod.span.basis):
         bk, scale = integer_scaled(bk)
-        dk = apply_symmetrizer(bk, nu, adjoint=True)
+        dk = symmetrize_rows(bk, nu)
         grouped: dict[int, dict] = {}
         for w, c in dk.items():
             grouped.setdefault(w[pos], {})[w[:pos] + w[pos + 1 :]] = c
@@ -473,7 +490,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
                     sums[pl, j] = sums.get((pl, j), 0) + g * c * cu
         for (pl, j), val in sums.items():
             if val:
-                entries[pl, k, j] = Fraction(val) / (scale * src_scales[j])
+                entries[pl, k, j] = Fraction(val * columns, scale * src_scales[j])
     if not entries:
         raise AssertionError("form pencil is identically zero")
     cleared, den = _clear_denominators(entries)

@@ -4,7 +4,10 @@ A tensor in V^{tensor d} is a dict mapping words (tuples of 0-based letters)
 to int or Fraction coefficients.  Permutations act on slots: (sigma . w) puts
 the letter from slot i into slot sigma[i].  A Young symmetrizer is applied
 factored, one symmetrizing pass per row and one antisymmetrizing pass per
-column of the diagram; integer tensors stay integer throughout.
+column of the diagram; a pass visits each distinct arrangement of a word's
+letters once, with its multiplicity, and integer tensors stay integer
+throughout.  On the image of c_lam the adjoint is the row passes times a
+scalar (symmetrize_rows).
 
 GradedSpan holds a canonical (per-block RREF) basis of a span of tensors that
 are homogeneous for some grading of words (content, or torus weight); all
@@ -12,13 +15,13 @@ coordinate extraction happens blockwise via pivot words.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .linalg import qq_rref
 from .partitions import Partition, check_partition, conjugate
@@ -65,19 +68,29 @@ def _young_groups(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[tu
     return rows, cols
 
 
+def _arrangements(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of the sorted letters, lexicographically."""
+    if not letters:
+        yield ()
+    for i, a in enumerate(letters):
+        if i == 0 or letters[i - 1] != a:
+            for rest in _arrangements(letters[:i] + letters[i + 1 :]):
+                yield (a,) + rest
+
+
 @lru_cache(maxsize=None)
 def _orbit(key: tuple[int, ...], signed: bool) -> dict:
     """sum_sigma (sign sigma) sigma.key over the permutations of the slots,
-    for sorted letters key, as {arrangement: coefficient}: multiplicities
-    when symmetrizing; signs, and nothing at all for a repeated letter, when
-    antisymmetrizing.  Keyed by the multiset, the cache stays small."""
-    out: dict = {}
-    if signed and len(set(key)) < len(key):
-        return out
-    for perm in permutations(range(len(key))):
-        arr = tuple(key[i] for i in perm)
-        out[arr] = out.get(arr, 0) + (perm_sign(perm) if signed else 1)
-    return out
+    for sorted letters key, as {arrangement: coefficient}.  Symmetrizing,
+    each distinct arrangement comes from prod_i m_i! permutations (m_i the
+    multiplicity of each letter).  Antisymmetrizing, a repeated letter gives
+    nothing, and distinct letters give every arrangement with its sign.
+    Keyed by the multiset, the cache stays small."""
+    if not signed:
+        return dict.fromkeys(_arrangements(key), prod(map(factorial, Counter(key).values())))
+    if len(set(key)) < len(key):
+        return {}
+    return {arr: perm_sign(arr) for arr in _arrangements(key)}
 
 
 @lru_cache(maxsize=None)
@@ -102,18 +115,28 @@ def _group_pass(t: SparseTensor, slots: tuple[int, ...], signed: bool) -> Sparse
     return {w: c for w, c in out.items() if c}
 
 
-def apply_symmetrizer(t: SparseTensor, lam: Partition, adjoint: bool = False) -> SparseTensor:
-    """The Young symmetrizer c_lam = b_lam a_lam applied to t, factored.
+def symmetrize_rows(t: SparseTensor, lam: Partition) -> SparseTensor:
+    """a_lam t: one symmetrizing pass per row of length > 1, cells numbered
+    row-major.
 
-    a_lam symmetrizes each row and b_lam antisymmetrizes each column (cells
-    numbered row-major), one pass per row or column of length > 1, rows
-    first.  Each pass is a sum over a group, which is its own adjoint under
-    any slotwise pairing, so the adjoint runs the same passes in reverse.
+    On t = c_lam s this is the adjoint up to a scalar.  Each pass is a sum
+    over a group, its own adjoint under any slotwise pairing, so c_lam^* =
+    a_lam b_lam; t is in the image of b_lam, hence antisymmetric in each
+    column, where a column pass multiplies by h_j!.  So c_lam^* t =
+    (prod_j h_j!) a_lam t over the column heights h_j.
     """
-    rows, cols = _young_groups(check_partition(lam))
-    passes = [(g, False) for g in rows] + [(g, True) for g in cols]
-    for slots, signed in reversed(passes) if adjoint else passes:
-        t = _group_pass(t, slots, signed)
+    for slots in _young_groups(check_partition(lam))[0]:
+        t = _group_pass(t, slots, False)
+    return t
+
+
+def apply_symmetrizer(t: SparseTensor, lam: Partition) -> SparseTensor:
+    """The Young symmetrizer c_lam = b_lam a_lam applied to t, factored: the
+    row passes of a_lam, then one antisymmetrizing pass per column of height
+    > 1 for b_lam."""
+    t = symmetrize_rows(t, lam)
+    for slots in _young_groups(check_partition(lam))[1]:
+        t = _group_pass(t, slots, True)
     return t
 
 
@@ -226,11 +249,12 @@ class GradedSpan:
     @staticmethod
     def from_tensors(tensors: Iterable[SparseTensor],
                      grade_fn: Callable[[Word], Hashable]) -> "GradedSpan":
+        grade = lru_cache(maxsize=None)(grade_fn)  # a word in many tensors is graded once
         by_grade: dict[Hashable, list[SparseTensor]] = {}
         for t in tensors:
             if not t:
                 continue
-            grades = {grade_fn(w) for w in t}
+            grades = set(map(grade, t))
             if len(grades) != 1:
                 raise ValueError("spanning tensor is not grade-homogeneous")
             by_grade.setdefault(grades.pop(), []).append(t)
@@ -245,7 +269,10 @@ class GradedSpan:
                 for w, c in t.items():
                     dense[r][index[w]] = c
             rref, pivots = qq_rref(dense)
-            rows = [{words[j]: x for j, x in enumerate(row) if x} for row in rref]
+            # qq_rref shares one Fraction object per value, so testing identity
+            # with one zero entry skips nearly every zero without Fraction.__bool__
+            zero = rref[0][pivots[1]] if len(rref) > 1 else None
+            rows = [{w: x for w, x in zip(words, row) if x is not zero and x} for row in rref]
             span.blocks[g] = _Block(rows, [words[p] for p in pivots], offset)
             span.basis.extend(rows)
             offset += len(rows)

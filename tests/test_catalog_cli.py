@@ -27,7 +27,14 @@ from crpencils.catalog import (
 )
 from crpencils.analysis import constant_rank_verdict
 from crpencils.linalg import qq_rank
-from crpencils.pencils import Pencil, build_gl_pencil, build_koszul_pencil
+from crpencils.modules import schur_module
+from crpencils.pencils import (
+    Pencil,
+    build_gl_pencil,
+    build_koszul_pencil,
+    check_equivariance,
+    equivariance_data,
+)
 
 EXPECTED_IDS = (
     "adjoint-wedge3-c7",
@@ -291,6 +298,21 @@ def test_cli_transitivity_refuses_a_record_of_other_dimensions(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "equivariance certificate failed" in err
     assert "Traceback" not in err
+
+
+def test_cli_transitivity_refuses_a_long_row_record_before_building(tmp_path, capsys):
+    # S_9 -> S_91 of GL(3) is 55 -> 99: the closed forms refuse the 3 -> 3
+    # Koszul file at once, where building S_9 and S_91 takes seconds
+    record = {"kind": "gl", "mu": [9], "nu": [9, 1], "v": 3}
+    out = tmp_path / "pencil.json"
+    out.write_text(dumps_pencil(build_koszul_pencil(1, 3), record))
+    loaded = loads_pencil(out.read_text())[0]
+    assert loaded.spec.dims() == (3, 55, 99)
+    before = equivariance_data.cache_info().misses, schur_module.cache_info().misses
+    assert not check_equivariance(loaded)
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    assert "equivariance certificate failed" in capsys.readouterr().err
+    assert (equivariance_data.cache_info().misses, schur_module.cache_info().misses) == before
 
 
 def test_loaded_sp6_file_certifies_constant_rank():

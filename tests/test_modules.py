@@ -23,8 +23,17 @@ from crpencils.modules import (
     symplectic_form,
     symplectic_module,
 )
-from crpencils.partitions import gl_dim, sp_module_dim
-from crpencils.tensors import chevalley_generators, square_matrix
+from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
+from crpencils.tensors import (
+    GradedSpan,
+    apply_symmetrizer,
+    chevalley_generators,
+    integer_scaled,
+    semistandard_tableaux,
+    square_matrix,
+    tableau_word,
+    tensor_iadd,
+)
 
 
 def partitions_up_to(n, max_rows):
@@ -57,7 +66,44 @@ def random_tensor_in(mod, rng, nnz=3):
     return out
 
 
+def rref_first_span(lam, form):
+    """The contraction kernel taken on an RREF basis of S_lam(V): the Schur
+    span is brought to RREF first, and each weight block's kernel is taken
+    on its integer-scaled rows.  Kept here as the oracle of the build that
+    takes the kernel on the symmetrized tableau tensors directly."""
+    grade = form.word_weight
+    schur = GradedSpan.from_tensors(
+        [apply_symmetrizer({tableau_word(t): 1}, lam) for t in semistandard_tableaux(lam, form.dim)],
+        grade)
+    kept = []
+    for blk in schur.blocks.values():
+        vecs = [integer_scaled(t)[0] for t in blk.rows]
+        constraints = {}
+        for j, t in enumerate(vecs):
+            for s1, s2 in combinations(range(sum(lam)), 2):
+                for w, c in contract(t, s1, s2, form).items():
+                    constraints.setdefault(((s1, s2), w), {})[j] = c
+        rows = [[r.get(j, 0) for j in range(len(vecs))] for r in constraints.values()]
+        for kvec in qq_kernel(rows, len(vecs)):
+            nt = {}
+            for j, c in enumerate(kvec):
+                if c:
+                    tensor_iadd(nt, vecs[j], c)
+            kept.append(nt)
+    return GradedSpan.from_tensors(kept, grade)
+
+
+# the partitions inside (3, 2, 1)
+INSIDE_321 = [lam for lam in partitions_up_to(6, 3)
+              if all(x <= y for x, y in zip(lam, (3, 2, 1)))]
+
+
 class TestSchurModules:
+    def test_long_row_is_polynomial(self):
+        # a row pass enumerates the distinct arrangements only: 9 letters of
+        # 3 kinds have at most 1,680 of them, against 9! permutations
+        assert schur_module((9,), 3).dim == 55
+
     def test_dims_small(self):
         for v in range(1, 5):
             for lam in partitions_up_to(4, v):
@@ -156,6 +202,21 @@ class TestFormModules:
 
     def test_degree_one(self):
         assert symplectic_module((1,), 6).dim == 6
+
+    @pytest.mark.parametrize("group, dim", [("Sp", 4), ("Sp", 6), ("SO", 4), ("SO", 5)])
+    def test_tableau_kernel_matches_the_rref_first_route(self, group, dim):
+        if group == "Sp":
+            form, realize, lams = symplectic_form(dim), symplectic_module, [
+                lam for lam in INSIDE_321 if sp_module_dim(lam, dim)]
+        else:
+            form, realize, lams = orthogonal_form(dim), orthogonal_module, [
+                lam for lam in INSIDE_321 if so_module_dim(lam, dim)]
+        assert len(lams) >= 6
+        for lam in lams:
+            span, oracle = realize(lam, dim).span, rref_first_span(lam, form)
+            assert span.basis == oracle.basis
+            assert {g: b.pivot_words for g, b in span.blocks.items()} == {
+                g: b.pivot_words for g, b in oracle.blocks.items()}
 
 
 def basis_vector_w(j, n):

@@ -86,6 +86,12 @@ def test_build_spec_record_round_trip(params):
     assert build_from_params(spec.record()).spec == spec
 
 
+@pytest.mark.parametrize("params", EXAMPLES, ids=lambda r: r["kind"])
+def test_build_spec_dims_are_the_built_dims(params):
+    pen = build_from_params(params)
+    assert pen.spec.dims() == (pen.nvars, pen.source_dim, pen.target_dim)
+
+
 def test_build_spec_rejects_malformed_records():
     for record in ({"kind": "gl", "mu": [2], "nu": [2, 1]},
                    {"kind": "gl", "mu": "2", "nu": [2, 1], "v": 3},

@@ -3,12 +3,20 @@ permutations, which is kept here as the test oracle."""
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpencils.partitions import conjugate
-from crpencils.tensors import apply_symmetrizer, perm_sign, row_major_cells
+from crpencils.tensors import (
+    _orbit,
+    apply_symmetrizer,
+    perm_sign,
+    row_major_cells,
+    symmetrize_rows,
+)
 
 
 def _group_perms(n, groups, signed):
@@ -93,11 +101,10 @@ def tensors_for(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tensors_for(), st.booleans())
-def test_factored_symmetrizer_matches_expansion(case, adjoint):
+@given(tensors_for())
+def test_factored_symmetrizer_matches_expansion(case):
     lam, t = case
-    assert apply_symmetrizer(t, lam, adjoint) == apply_expanded(
-        t, expanded_symmetrizer(lam, adjoint))
+    assert apply_symmetrizer(t, lam) == apply_expanded(t, expanded_symmetrizer(lam))
 
 
 def test_factored_symmetrizer_pinned_321():
@@ -105,12 +112,48 @@ def test_factored_symmetrizer_pinned_321():
     assert len(expanded_symmetrizer(lam)) == 144
     t = {(0, 1, 2, 0, 1, 0): 3, (0, 0, 1, 1, 2, 3): Fraction(-1, 2),
          (2, 1, 0, 3, 0, 1): 5}
-    for adjoint in (False, True):
-        got = apply_symmetrizer(t, lam, adjoint)
-        assert got
-        assert got == apply_expanded(t, expanded_symmetrizer(lam, adjoint))
+    got = apply_symmetrizer(t, lam)
+    assert got
+    assert got == apply_expanded(t, expanded_symmetrizer(lam))
     # integer tensors stay integer
     assert all(type(c) is int for c in apply_symmetrizer({(0, 1, 2, 0, 1, 0): 1}, lam).values())
-    # the adjoint antisymmetrizes first: a letter repeated in a column dies
-    assert apply_symmetrizer({(0, 1, 2, 0, 1, 0): 1}, lam, adjoint=True) == {}
+    # a letter repeated in a column dies
     assert apply_symmetrizer({(0, 1, 2, 0, 1, 2): 1}, (1, 1, 1, 1, 1, 1)) == {}
+
+
+def permutation_orbit(key, signed):
+    """sum_sigma (sign sigma) sigma.key over all d! permutations."""
+    out = {}
+    for perm in permutations(range(len(key))):
+        arr = tuple(key[i] for i in perm)
+        out[arr] = out.get(arr, 0) + (perm_sign(perm) if signed else 1)
+    return {arr: c for arr, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=7), st.booleans())
+def test_orbit_matches_the_permutation_sum(letters, signed):
+    key = tuple(sorted(letters))
+    assert _orbit(key, signed) == permutation_orbit(key, signed)
+
+
+def test_orbit_of_repeated_letters_pinned():
+    # 3 arrangements of {0, 0, 1}, each from 2! permutations
+    assert _orbit((0, 0, 1), False) == {(0, 0, 1): 2, (0, 1, 0): 2, (1, 0, 0): 2}
+    assert _orbit((0, 0, 1), True) == {}
+    assert len(_orbit((0, 0, 0, 1, 1, 1, 2, 2, 2), False)) == 1680
+    assert set(_orbit((0, 0, 0, 1, 1, 1, 2, 2, 2), False).values()) == {216}
+
+
+@pytest.mark.parametrize("lam", SMALL_PARTITIONS, ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_adjoint_on_symmetrized_tensors_is_the_row_passes(lam, data):
+    v = data.draw(st.integers(2, 4))
+    words = st.tuples(*[st.integers(0, v - 1)] * sum(lam))
+    t = data.draw(st.dictionaries(words, st.integers(-20, 20).filter(bool),
+                                  min_size=1, max_size=6))
+    s = apply_symmetrizer(t, lam)
+    columns = prod(factorial(h) for h in conjugate(lam))
+    assert apply_expanded(s, expanded_symmetrizer(lam, adjoint=True)) == {
+        w: columns * c for w, c in symmetrize_rows(s, lam).items()}
