@@ -48,6 +48,7 @@ from .partitions import (
 from .pencils import (
     BuildSpec,
     Pencil,
+    _one_box,
     build_adjoint_pencil,
     build_gl_pencil,
     build_koszul_pencil,
@@ -348,14 +349,6 @@ def _mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
             for row in mat]
 
 
-def _added_box_row(mu: tuple, nu: tuple) -> int:
-    padded = tuple(mu) + (0,) * (len(nu) - len(mu))
-    for i, (a, b) in enumerate(zip(padded, nu)):
-        if b == a + 1:
-            return i + 1
-    raise ValueError("nu is not mu plus one box")
-
-
 # -- GL entries -------------------------------------------------------------
 
 
@@ -379,7 +372,7 @@ def _check_gl_one_box(cfg: CatalogRunConfig):
         ranks = _sample_ranks(pen, cfg.prime, rng, 25)
         _eq(failures, details, f"{tag} sampled ranks", ranks, {pred.image_dim})
         _eq(failures, details, f"{tag} injective iff first-row box",
-            pred.kernel_dim == 0, _added_box_row(mu, nu) == 1)
+            pred.kernel_dim == 0, _one_box(mu, nu, v).row == 1)
     return details, failures
 
 

@@ -9,6 +9,7 @@ m, the last basis vector is non-isotropic with q(e_m) = 1.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -249,9 +250,14 @@ def spin_space(n: int) -> SpinSpace:
 
 
 def wedge_e(i: int, s: Spinor) -> Spinor:
-    """e_i ^ s; distinct index sets stay distinct, so nothing accumulates."""
-    return {tuple(sorted(idx + (i,))): perm_sign((i,) + idx) * c
-            for idx, c in s.items() if i not in idx and c}
+    """e_i ^ s: i joins each index set without it, with the sign (-1)^(its
+    position); distinct index sets stay distinct, so nothing accumulates."""
+    out: Spinor = {}
+    for idx, c in s.items():
+        if i not in idx and c:
+            pos = bisect_left(idx, i)
+            out[idx[:pos] + (i,) + idx[pos:]] = -c if pos % 2 else c
+    return out
 
 
 def contract_f(i: int, s: Spinor) -> Spinor:
@@ -265,18 +271,22 @@ def contract_f(i: int, s: Spinor) -> Spinor:
     return out
 
 
+def wedge(s: Spinor, t: Spinor) -> Spinor:
+    """s ^ t of sparse forms {sorted index tuple: coefficient}: e_I ^ t is
+    e_i1 ^ (e_i2 ^ (... ^ t)) for I = (i1 < i2 < ...)."""
+    out: Spinor = {}
+    for idx, c in s.items():
+        if c:
+            acted = t
+            for i in reversed(idx):
+                acted = wedge_e(i, acted)
+            tensor_iadd(out, acted, c)
+    return out
+
+
 def clifford_unit(j: int, s: Spinor, n: int) -> Spinor:
     """w_j . s for the j-th basis vector of W: e_j for j < n, else f_{j-n}."""
     return wedge_e(j, s) if j < n else contract_f(j - n, s)
-
-
-def clifford_action(w: Sequence, s: Spinor, n: int) -> Spinor:
-    """(e + f) . s = e ^ s + f -| s for w = (e-coords, f-coords) in E + F."""
-    out: Spinor = {}
-    for j, x in enumerate(w):
-        if x:
-            tensor_iadd(out, clifford_unit(j, s, n), Fraction(x))
-    return out
 
 
 def spin_form_value(a: int, b: int, n: int) -> Fraction:
@@ -302,20 +312,16 @@ def beta_pairing(s: Spinor, t: Spinor, n: int) -> Fraction:
 
 
 def exp_two_form(d2: dict) -> Spinor:
-    """exp(delta2) . 1 = 1 + delta2 + (delta2 ^ delta2)/2 for a two-form
-    {sorted pair: coefficient}; always a pure spinor."""
-    delta: Spinor = {(): Fraction(1)}
-    for I, c in d2.items():
-        if c:
-            delta[I] = delta.get(I, ZERO) + c
-    for i1, c1 in d2.items():
-        for i2, c2 in d2.items():
-            if set(i1) & set(i2) or not (c1 and c2):
-                continue
-            merged = i1 + i2
-            key = tuple(sorted(merged))
-            delta[key] = delta.get(key, ZERO) + Fraction(perm_sign(merged), 2) * c1 * c2
-    return {I: c for I, c in delta.items() if c}
+    """exp(delta2) . 1 = sum_k delta2^k / k! (wedge powers) for a two-form
+    {sorted pair: coefficient}: a pure spinor for every n.  The sum stops
+    once a power vanishes, at k = n // 2 + 1 at the latest."""
+    out: Spinor = {(): Fraction(1)}
+    term, k = out, 0
+    while term:
+        k += 1
+        term = {I: c / k for I, c in wedge(d2, term).items()}
+        out.update(term)
+    return out
 
 
 def gamma_pairing(k: int, s: Spinor, t: Spinor, n: int) -> dict[tuple[int, ...], Fraction]:

@@ -144,7 +144,13 @@ def horizontal_strips(mu: Partition, k: int) -> list[Partition]:
 
 
 def gl_dim(lam: Iterable[int], n: int) -> int:
-    """dim S_lam(C^n) by the hook content formula.
+    """dim S_lam(C^n) by the Weyl product over the l = len(lam) nonzero rows:
+
+        prod_{i<j<l} (lam_i - lam_j + j - i) / (j - i)
+        * prod_{i<l} C(lam_i + n-1-i, n-l) / C(n-1-i, n-l),
+
+    the second factor being the pairs i < l <= j < n, where lam_j = 0.  Its
+    cost is quadratic in l, not in |lam|.
 
     Weights with negative entries are shifted uniformly (the dimension only
     depends on the GL weight up to a determinant twist).  Returns 0 when lam
@@ -159,16 +165,16 @@ def gl_dim(lam: Iterable[int], n: int) -> int:
         shift = -lam[-1]
         lam = tuple(x + shift for x in (list(lam) + [0] * (n - len(lam))))
     lam = normalize(lam)
-    if len(lam) > n:
+    ell = len(lam)
+    if ell > n:
         return 0
-    if not lam:
-        return 1
-    conj = conjugate(lam)
     num, den = 1, 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            num *= n + j - i
-            den *= (row - j) + (conj[j] - i) - 1
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+        num *= comb(lam[i] + n - 1 - i, n - ell)
+        den *= comb(n - 1 - i, n - ell)
     assert num % den == 0
     return num // den
 
@@ -211,13 +217,7 @@ def weyl_dim(group: GroupSpec, weight: Iterable[int], doubled: bool = False) -> 
             raise ValueError("GL weights must be integral")
         if any(w[i] < w[i + 1] for i in range(n - 1)):
             raise ValueError("weight is not dominant")
-        num, den = 1, 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                num *= int(w[i] - w[j]) + j - i
-                den *= j - i
-        assert num % den == 0
-        return num // den
+        return gl_dim(tuple(int(x) for x in w), n)
 
     rank = group.rank
     if len(w) > rank:

@@ -31,6 +31,7 @@ from .modules import (
     FormSpec,
     RealizedModule,
     clifford_unit,
+    contract_f,
     form_lie_basis,
     lie_action,
     orthogonal_module,
@@ -40,6 +41,8 @@ from .modules import (
     spin_lie_on_w,
     spin_space,
     symplectic_module,
+    wedge,
+    wedge_e,
 )
 from .partitions import (
     BoxPosition,
@@ -220,6 +223,29 @@ class Pencil:
     var_labels: tuple
     spec: Optional[BuildSpec] = None  # None for fixtures and record-less files
 
+    @classmethod
+    def from_entries(cls, entries: dict, nvars: int, source_dim: int, target_dim: int,
+                     spec: BuildSpec, var_labels: Optional[tuple] = None) -> Pencil:
+        """The built pencil of rational {(var, row, col): value} coefficients,
+        stored over a common denominator with the overall integer content
+        divided out (a global scalar, irrelevant to every rank property but
+        essential for reductions modulo small primes).  The variables are
+        labelled x_1..x_nvars unless var_labels is given.  Parsed files and
+        group actions keep their own paths: they must store values exactly,
+        and dividing out the content would rescale them."""
+        entries = {k: Fraction(x) for k, x in entries.items() if x}
+        if not entries:
+            raise AssertionError(f"{spec.kind} pencil is identically zero")
+        den = lcm(1, *(x.denominator for x in entries.values()))
+        nums = {k: int(x * den) for k, x in entries.items()}
+        g = gcd(*nums.values())
+        if g > 1:
+            nums = {k: x // g for k, x in nums.items()}
+            den //= gcd(den, g)
+        coeffs = tuple(sorted(k + (x,) for k, x in nums.items()))
+        labels = var_labels or tuple(f"x_{i+1}" for i in range(nvars))
+        return cls(nvars, source_dim, target_dim, coeffs, den, labels, spec)
+
     def evaluate(self, x: Sequence) -> list[list[Fraction]]:
         """sum x_i A_i without the global denominator (rank-equivalent)."""
         xs = [Fraction(xi) for xi in x]
@@ -245,21 +271,6 @@ class Pencil:
         out = modp_matmul(xv.reshape(-1, self.nvars),
                           stacked.reshape(self.nvars, -1), p)
         return out.reshape(xv.shape[:-1] + (self.target_dim, self.source_dim))
-
-
-def _clear_denominators(entries: dict) -> tuple[tuple, int]:
-    """The sorted (var, row, col, num) coefficients and a common denominator
-    of {(var, row, col): rational}, with the overall integer content divided
-    out (a global scalar, irrelevant to every rank property but essential for
-    reductions modulo small primes)."""
-    entries = {k: Fraction(x) for k, x in entries.items() if x}
-    den = lcm(1, *(x.denominator for x in entries.values()))
-    nums = {k: int(x * den) for k, x in entries.items()}
-    g = gcd(*nums.values())
-    if g > 1:
-        nums = {k: x // g for k, x in nums.items()}
-        den //= gcd(den, g)
-    return tuple(sorted(k + (x,) for k, x in nums.items())), den
 
 
 def check_equivariance(p: Pencil) -> bool:
@@ -327,18 +338,18 @@ def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
 
 
 def _wedge_action(X, basis) -> list[dict]:
-    """Derivation action of X in gl(C^v) on Lambda^k(C^v): the image of each
-    e_K, K a sorted index tuple of the basis, as {sorted tuple: coefficient}."""
+    """Derivation action of X in gl(C^v) on Lambda^k(C^v), the sum of
+    X_ba e_b ^ (e_a* -| -): the image of each e_K, K a sorted index tuple of
+    the basis, as {sorted tuple: coefficient}."""
     images = letter_images(X)
     cols = []
     for K in basis:
         col: dict = {}
-        for s, a in enumerate(K):
-            for b, x in images.get(a, ()):
-                if b == a or b not in K:
-                    rearr = K[:s] + (b,) + K[s + 1 :]
-                    key = tuple(sorted(rearr))
-                    col[key] = col.get(key, 0) + x * perm_sign(rearr)
+        for a in K:
+            if a in images:
+                rest = contract_f(a, {K: 1})
+                for b, x in images[a]:
+                    tensor_iadd(col, wedge_e(b, rest), x)
         cols.append(col)
     return cols
 
@@ -388,18 +399,7 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
     images = _insertion_images(smod, tmod, cell_slot(nu, box.row - 1, box.col - 1))
     entries = {(i, k, j): c for j, row in enumerate(images)
                for i, coords in enumerate(row) for k, c in coords.items()}
-    if not entries:
-        raise AssertionError("GL pencil is identically zero")
-    cleared, den = _clear_denominators(entries)
-    return Pencil(
-        nvars=v,
-        source_dim=smod.dim,
-        target_dim=tmod.dim,
-        coeffs=cleared,
-        denom=den,
-        var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        spec=BuildSpec("gl", (mu, nu, v)),
-    )
+    return Pencil.from_entries(entries, v, smod.dim, tmod.dim, BuildSpec("gl", (mu, nu, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +414,9 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
     src = list(combinations(range(v), k))
     tgt = list(combinations(range(v), k + 1))
     tgt_index = {K: r for r, K in enumerate(tgt)}
-    entries = {
-        (i, tgt_index[tuple(sorted(K + (i,)))], j): perm_sign((i,) + K)
-        for j, K in enumerate(src)
-        for i in range(v)
-        if i not in K
-    }
-    cleared, den = _clear_denominators(entries)
-    return Pencil(
-        nvars=v,
-        source_dim=len(src),
-        target_dim=len(tgt),
-        coeffs=cleared,
-        denom=den,
-        var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        spec=BuildSpec("koszul", (k, v)),
-    )
+    entries = {(i, tgt_index[L], j): c for j, K in enumerate(src)
+               for i in range(v) for L, c in wedge_e(i, {K: 1}).items()}
+    return Pencil.from_entries(entries, v, len(src), len(tgt), BuildSpec("koszul", (k, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +478,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
         for (pl, j), val in sums.items():
             if val:
                 entries[pl, k, j] = Fraction(val * columns, scale * src_scales[j])
-    if not entries:
-        raise AssertionError("form pencil is identically zero")
-    cleared, den = _clear_denominators(entries)
-    return Pencil(
-        nvars=v,
-        source_dim=smod.dim,
-        target_dim=tmod.dim,
-        coeffs=cleared,
-        denom=den,
-        var_labels=tuple(f"x_{i+1}" for i in range(v)),
-        spec=spec,
-    )
+    return Pencil.from_entries(entries, v, smod.dim, tmod.dim, spec)
 
 
 @lru_cache(maxsize=None)
@@ -541,19 +517,11 @@ def build_spin_pencil(n: int) -> Pencil:
         for i, I in enumerate(even) for j in range(dim_w)
         for J, c in clifford_unit(j, {I: Fraction(1)}, n).items()
     }
-    cleared, den = _clear_denominators(entries)
     labels = tuple(
         "delta_" + ("".join(str(i + 1) for i in I) if I else "0") for I in even
     )
-    return Pencil(
-        nvars=len(even),
-        source_dim=dim_w,
-        target_dim=len(odd),
-        coeffs=cleared,
-        denom=den,
-        var_labels=labels,
-        spec=BuildSpec("spin", (n,)),
-    )
+    return Pencil.from_entries(entries, len(even), dim_w, len(odd),
+                               BuildSpec("spin", (n,)), labels)
 
 
 def _complement_sign(J: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
@@ -586,19 +554,8 @@ def spin_kernel_vector(delta: dict, n: int = 5) -> list[Fraction]:
         for (i,), x in contracted.items():
             e_part[i] -= sign * c * x
     # (d0 d4 - 1/2 d2 ^ d2)^# in F
-    top4: dict = {}
-    for J, c in d4.items():
-        top4[J] = top4.get(J, ZERO) + d0 * c
-    for I1, c1 in d2.items():
-        for I2, c2 in d2.items():
-            if set(I1) & set(I2):
-                continue
-            merged = I1 + I2
-            key = tuple(sorted(merged))
-            top4[key] = top4.get(key, ZERO) - Fraction(perm_sign(merged), 2) * c1 * c2
+    top4 = tensor_iadd({J: d0 * c for J, c in d4.items()}, wedge(d2, d2), Fraction(-1, 2))
     for J, c in top4.items():
-        if not c:
-            continue
         comp, sign = _complement_sign(J, n)
         f_part[comp[0]] += sign * c
     return e_part + f_part
@@ -628,17 +585,9 @@ def build_adjoint_pencil(a: int) -> Pencil:
             for L, c in image.items():
                 # phi_{e_K}(X) = X . e_K
                 entries[j, index3[L], col] = c
-    cleared, den = _clear_denominators(entries)
     labels = tuple("w_" + "".join(str(x + 1) for x in K) for K in basis3)
-    return Pencil(
-        nvars=len(basis3),
-        source_dim=len(sl),
-        target_dim=len(basis3),
-        coeffs=cleared,
-        denom=den,
-        var_labels=labels,
-        spec=BuildSpec("adjoint", (a,)),
-    )
+    return Pencil.from_entries(entries, len(basis3), len(sl), len(basis3),
+                               BuildSpec("adjoint", (a,)), labels)
 
 
 def _sl_coords(m, a: int) -> list[Fraction]:

@@ -178,15 +178,19 @@ def test_sampled_never_claims_constant():
     assert {r for r, _, _ in rep.strata} == {5}
 
 
-def test_sampled_spin_strata():
-    rep = constant_rank_verdict(build_spin_pencil(5), "sampled",
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_sampled_spin_strata(n):
+    generic, verdict = {5: (9, "bounded"), 6: (12, "non-constant"), 7: (14, "non-constant")}[n]
+    rep = constant_rank_verdict(build_spin_pencil(n), "sampled",
                                 trials=30, seed=0)
     ranks_by_class = {}
     for r, _, cls in rep.strata:
         ranks_by_class.setdefault(cls, set()).add(r)
-    assert ranks_by_class["generic"] == {9}
-    assert 5 in ranks_by_class["pure-spinor"]
-    assert rep.verdict == "bounded"
+    assert ranks_by_class["generic"] == {generic}
+    # W annihilates a pure spinor along a maximal isotropic subspace, of
+    # dimension n: the Clifford map has rank 2n - n there
+    assert ranks_by_class["pure-spinor"] == {n}
+    assert rep.verdict == verdict
 
 
 def test_structured_points_cover_so_orbits():

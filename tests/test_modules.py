@@ -3,13 +3,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crpencils.linalg import qq_kernel
 from crpencils.modules import (
     a_vector,
     beta_pairing,
-    clifford_action,
+    clifford_unit,
     contract,
+    exp_two_form,
     form_lie_basis,
     gamma_pairing,
     lie_action,
@@ -22,6 +25,8 @@ from crpencils.modules import (
     spin_space,
     symplectic_form,
     symplectic_module,
+    wedge,
+    wedge_e,
 )
 from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
 from crpencils.tensors import (
@@ -29,6 +34,7 @@ from crpencils.tensors import (
     apply_symmetrizer,
     chevalley_generators,
     integer_scaled,
+    perm_sign,
     semistandard_tableaux,
     square_matrix,
     tableau_word,
@@ -223,6 +229,68 @@ def basis_vector_w(j, n):
     w = [0] * (2 * n)
     w[j] = 1
     return w
+
+
+def clifford_action(w, s, n):
+    """(e + f) . s = e ^ s + f -| s for w = (e-coords, f-coords) in E + F."""
+    out = {}
+    for j, x in enumerate(w):
+        if x:
+            tensor_iadd(out, clifford_unit(j, s, n), Fraction(x))
+    return out
+
+
+def square_two_form(d2):
+    """delta2 ^ delta2 by the double loop over pairs of index pairs with
+    explicit permutation signs.  Kept here as the oracle of `wedge`."""
+    out = {}
+    for i1, c1 in d2.items():
+        for i2, c2 in d2.items():
+            if set(i1) & set(i2) or not (c1 and c2):
+                continue
+            merged = i1 + i2
+            key = tuple(sorted(merged))
+            out[key] = out.get(key, 0) + perm_sign(merged) * c1 * c2
+    return {I: c for I, c in out.items() if c}
+
+
+index_sets = st.sets(st.integers(0, 7), max_size=4).map(lambda x: tuple(sorted(x)))
+forms = st.dictionaries(st.sets(st.integers(0, 6), max_size=3).map(lambda x: tuple(sorted(x))),
+                        st.integers(-3, 3), max_size=5)
+two_forms = st.integers(2, 7).flatmap(lambda n: st.dictionaries(
+    st.sampled_from(list(combinations(range(n), 2))), st.integers(-4, 4), max_size=12))
+
+
+class TestExterior:
+    @given(index_sets, index_sets)
+    def test_basis_wedge_is_the_sorting_sign(self, I, J):
+        want = {} if set(I) & set(J) else {tuple(sorted(I + J)): perm_sign(I + J)}
+        assert wedge({I: 1}, {J: 1}) == want
+        if len(I) == 1:
+            assert wedge_e(I[0], {J: 1}) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(forms, forms, forms)
+    def test_wedge_is_associative_and_bilinear(self, r, s, t):
+        assert wedge(wedge(r, s), t) == wedge(r, wedge(s, t))
+        sum_st = tensor_iadd(dict(s), t)
+        assert wedge(r, sum_st) == tensor_iadd(wedge(r, s), wedge(r, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_forms)
+    def test_square_and_exp_of_a_two_form_match_the_double_loop(self, d2):
+        assert wedge(d2, d2) == square_two_form(d2)
+        got = exp_two_form(d2)
+        assert got[()] == 1
+        assert {I: c for I, c in got.items() if len(I) == 2} == {I: c for I, c in d2.items() if c}
+        assert {I: 2 * c for I, c in got.items() if len(I) == 4} == square_two_form(d2)
+
+    def test_exp_of_disjoint_pairs_is_their_product(self):
+        # exp(sum c_i e_pair_i) = prod (1 + c_i e_pair_i) for disjoint pairs;
+        # the 6-form is delta2^3 / 3!, a term only the full sum has
+        got = exp_two_form({(0, 1): 2, (2, 3): 3, (4, 5): 5})
+        assert got == {(): 1, (0, 1): 2, (2, 3): 3, (4, 5): 5, (0, 1, 2, 3): 6,
+                       (0, 1, 4, 5): 10, (2, 3, 4, 5): 15, (0, 1, 2, 3, 4, 5): 30}
 
 
 class TestSpin:

@@ -130,7 +130,28 @@ class TestHorizontalStrips:
         assert got == expect
 
 
+def hook_content_dim(lam, n):
+    """dim S_lam(C^n) as the product over boxes of (n + content) / hook,
+    quadratic in |lam|.  Kept here as the oracle of gl_dim."""
+    conj = conjugate(lam)
+    num, den = 1, 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= n + j - i
+            den *= (row - j) + (conj[j] - i) - 1
+    return num // den
+
+
 class TestGLDim:
+    def test_long_row_is_immediate(self):
+        assert gl_dim((10 ** 6,), 3) == math.comb(10 ** 6 + 2, 2)
+
+    @given(st.lists(st.integers(0, 9), max_size=6), st.integers(1, 8))
+    def test_matches_hook_content(self, parts, n):
+        lam = normalize(sorted(parts, reverse=True))
+        want = hook_content_dim(lam, n) if len(lam) <= n else 0
+        assert gl_dim(lam, n) == want
+
     def test_anchors(self):
         assert gl_dim((2,), 3) == 6
         assert gl_dim((2, 1), 3) == 8

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 import numpy as np
@@ -28,7 +29,9 @@ from crpencils.partitions import family_sizes, gl_dim, hook_family_rank
 from crpencils.pencils import (
     BuildSpec,
     IntMatrix,
+    Pencil,
     _coordinate_action,
+    _wedge_action,
     build_adjoint_pencil,
     build_gl_pencil,
     build_koszul_pencil,
@@ -38,10 +41,11 @@ from crpencils.pencils import (
     check_equivariance,
     equivariance_data,
     hyperplane_bound_criterion,
+    sl_basis,
     spin_kernel_vector,
     theta_map,
 )
-from crpencils.tensors import chevalley_generators, square_matrix
+from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
 
 def _rank_at(pencil, x):
@@ -165,6 +169,52 @@ def _example_modules():
 def test_coordinate_action_matches_the_fraction_oracle(mod, gens):
     for X in gens:
         assert _dense(_coordinate_action(mod, X)) == _fraction_coordinate_action(mod, X)
+
+
+def wedge_action_by_rearrangement(X, basis):
+    """The derivation action of X on Lambda^k by replacing each letter a of
+    e_K with each letter b of X e_a and sorting with an explicit permutation
+    sign.  Kept here as the oracle of the action through contraction and
+    wedge."""
+    images = letter_images(X)
+    cols = []
+    for K in basis:
+        col = {}
+        for s, a in enumerate(K):
+            for b, x in images.get(a, ()):
+                if b == a or b not in K:
+                    rearr = K[:s] + (b,) + K[s + 1 :]
+                    key = tuple(sorted(rearr))
+                    col[key] = col.get(key, 0) + x * perm_sign(rearr)
+        cols.append({K: c for K, c in col.items() if c})
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda v: st.tuples(
+    st.integers(0, min(v, 3)),
+    st.lists(st.lists(st.integers(-3, 3), min_size=v, max_size=v), min_size=v, max_size=v))))
+def test_wedge_action_matches_the_rearrangement_oracle(case):
+    k, X = case
+    basis = list(combinations(range(len(X)), k))
+    assert _wedge_action(X, basis) == wedge_action_by_rearrangement(X, basis)
+
+
+def test_wedge_action_on_the_adjoint_cube_matches_the_oracle():
+    basis3 = list(combinations(range(7), 3))
+    for X in sl_basis(7):
+        assert _wedge_action(X, basis3) == wedge_action_by_rearrangement(X, basis3)
+
+
+def test_pencil_from_entries_clears_denominators_and_content():
+    spec = BuildSpec("koszul", (0, 2))
+    pen = Pencil.from_entries({(0, 0, 0): Fraction(2, 3), (1, 1, 0): Fraction(4, 3),
+                               (1, 0, 0): 0}, 2, 1, 2, spec)
+    assert (pen.coeffs, pen.denom) == (((0, 0, 0, 1), (1, 1, 0, 2)), 3)
+    assert pen.var_labels == ("x_1", "x_2") and pen.spec == spec
+    assert Pencil.from_entries({(0, 0, 0): 1}, 1, 1, 1, spec, ("y",)).var_labels == ("y",)
+    with pytest.raises(AssertionError, match="koszul pencil is identically zero"):
+        Pencil.from_entries({(0, 0, 0): 0}, 1, 1, 1, spec)
 
 
 def test_form_lie_bases_are_integral():
