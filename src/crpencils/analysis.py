@@ -79,27 +79,46 @@ class RankReport:
         return out
 
 
+def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
+    """The pencil mod p at each row of the (N, s) points, in order: stacks
+    of at most CHUNK_CELLS cells, to bound memory, or one matrix at a time
+    when a matrix has more cells, for the echelon and its BLAS products."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
+    cells = pencil.target_dim * pencil.source_dim
+    if cells > CHUNK_CELLS:
+        for x in pts:
+            yield pencil.evaluate_modp(x, stacked, p)
+        return
+    step = CHUNK_CELLS // cells
+    for i in range(0, len(pts), step):
+        yield pencil.evaluate_modp(pts[i : i + step], stacked, p)
+
+
 def ranks_at(pencil: Pencil, points, p: int,
              stacked: Optional[np.ndarray] = None) -> list[int]:
-    """Rank mod p of the pencil at each row of the (N, s) points, evaluated
-    and eliminated in chunks of at most CHUNK_CELLS cells to bound memory;
-    a larger matrix is ranked alone by the echelon, on BLAS products.
+    """Rank mod p of the pencil at each row of the (N, s) points, a stack
+    of _evaluated at a time; a larger matrix is ranked alone by the echelon.
 
     `stacked` is the pencil's coeff_array_modp(p), when the caller has it.
     """
     check_prime(p)
     if stacked is None:
         stacked = pencil.coeff_array_modp(p)
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
-    cells = pencil.target_dim * pencil.source_dim
-    if cells > CHUNK_CELLS:
-        return [modp_rank(pencil.evaluate_modp(x, stacked, p), p) for x in pts]
-    step = CHUNK_CELLS // cells
     ranks: list[int] = []
-    for i in range(0, len(pts), step):
-        chunk = pts[i : i + step]
-        ranks += modp_ranks(pencil.evaluate_modp(chunk, stacked, p), p).tolist()
+    for a in _evaluated(pencil, points, p, stacked):
+        ranks += modp_ranks(a, p).tolist() if a.ndim == 3 else [modp_rank(a, p)]
     return ranks
+
+
+def _kernels(pencil: Pencil, points, p: int, stacked: np.ndarray):
+    """(Ker A, (Im A)^perp) bases as rows at each point, in order: each
+    stack of _evaluated and its transpose go through one stacked
+    modp_kernel each, and a larger matrix through the echelon alone."""
+    for a in _evaluated(pencil, points, p, stacked):
+        if a.ndim == 2:
+            yield modp_kernel(a, p), modp_kernel(a.T, p)
+        else:
+            yield from zip(modp_kernel(a, p), modp_kernel(a.transpose(0, 2, 1), p))
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,
@@ -332,16 +351,17 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     stable = 0
     while samples_used < max_samples:
         while samples_used < target:
-            x = [rng.randrange(prime) for _ in range(pencil.nvars)]
-            a = pencil.evaluate_modp(x, stacked, prime)
-            ker = modp_kernel(a, prime)  # rows span Ker A
-            if b - len(ker) < r:
-                continue
-            coker = modp_kernel(a.T % prime, prime)  # rows span (Im A)^perp
-            # the row of (f, u) is the flattened outer product f u^T
-            constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
-                            .reshape(-1, ambient))
-            samples_used += 1
+            # the draws still needed, accepted in draw order: a rejected
+            # draw is made up for by the next batch, as one at a time
+            xs = [[rng.randrange(prime) for _ in range(pencil.nvars)]
+                  for _ in range(target - samples_used)]
+            for ker, coker in _kernels(pencil, xs, prime, stacked):
+                if b - len(ker) < r:
+                    continue
+                # the row of (f, u) is the flattened outer product f u^T
+                constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
+                                .reshape(-1, ambient))
+                samples_used += 1
         space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
         if not space.contains_subspace(span):
             raise AssertionError("pencil span escaped its own RND constraints")

@@ -3,9 +3,17 @@
 Rational matrices are lists of lists of Fraction (or int); prime-field
 matrices are numpy int64 arrays with entries reduced into [0, p).  Primes
 must be odd and below 2**31 so that products of two residues fit in int64.
-modp_matmul is the one product mod p, exact on float64 BLAS.  ModpEchelon
-(RREF, rank, kernel and row selection of one matrix) is built on it, and
-modp_ranks ranks a stack of small matrices at once, reducing mod p lazily.
+modp_matmul is the one product mod p, exact on float64 BLAS.
+
+Over F_p there are two eliminations, each with its own callers:
+  - the stacked forward loop (_forward) serves the ranks (modp_ranks) and
+    kernels (modp_kernel of an (N, m, n) stack) of evaluated pencil
+    matrices: one vectorized pass over a stack of small matrices,
+    reducing mod p lazily;
+  - ModpEchelon, built on modp_matmul, serves growing systems (the
+    neutral-direction constraints), the qq_rref lift, Subspace, and a
+    single matrix too large to stack (modp_rref, modp_rank, modp_kernel of
+    one matrix).
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q
 and checks it exactly, and every exact rank (qq_rank) and kernel
@@ -386,28 +394,45 @@ def modp_rank(a: np.ndarray, p: int) -> int:
     return len(modp_rref(a, p)[1])
 
 
-def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of each matrix in an (N, m, n) stack, all at once.
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p entrywise: the inverse of each unit, and 0 for 0."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
 
-    Column by column, each matrix picks its own pivot among the rows it has
-    not used yet and clears that column from its other unused rows with the
-    inverse-free update row <- pivot*row - a_ic*pivot_row; scaling a row by a
-    unit keeps the rank.  The steps are ring operations on integers, so only
-    the pivot column is reduced mod p, to test pivots, until the next update
-    could pass 2^63 - 1: with pivot, a_ic in [0, p) and |entries| <= B, an
-    update leaves them at most 2(p-1)B, and 2(p-1)^2 < 2^63 for p < 2^31.
+
+def _forward(a: np.ndarray, p: int, keep_rows: bool):
+    """Forward elimination of an (N, m, n) stack, column by column: the
+    rank of each matrix and, when keep_rows, the (N, n, n) array whose
+    row c is the pivot row of column c mod p (zero where c has no pivot).
+
+    Each matrix picks its own pivot among the rows it has not used yet and
+    clears that column from its other unused rows with the inverse-free
+    update row <- pivot*row - a_ic*pivot_row; scaling a row by a unit keeps
+    the rank and the row space.  The steps are ring operations on integers,
+    so only the pivot column is reduced mod p, to test pivots, until the
+    next update could pass 2^63 - 1: with pivot, a_ic in [0, p) and
+    |entries| <= B, an update leaves them at most 2(p-1)B, and
+    2(p-1)^2 < 2^63 for p < 2^31.  Each step drops its column, so `a`
+    holds the columns not yet eliminated.
     """
-    a = np.asarray(stack, dtype=np.int64) % p
-    if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
-        a = a.transpose(0, 2, 1)
     count, m, ncols = a.shape
+    if m == 0:  # no rows: rank 0, no pivots
+        a = np.zeros((count, 1, ncols), dtype=np.int64)
+        m = 1
     mats = np.arange(count)
     used = np.zeros((count, m), dtype=bool)
+    rows = np.zeros((count, ncols, ncols), dtype=np.int64) if keep_rows else None
     bound = p - 1  # on |entry| of a
-    for _ in range(ncols):  # a holds the columns not yet eliminated
+    for c in range(ncols):
         col = np.where(used, 0, a[:, :, 0] % p)
         piv = (col != 0).argmax(axis=1)
         pivot = col[mats, piv]
+        if keep_rows:
+            rows[:, c, c:] = np.where(pivot[:, None] != 0, a[mats, piv] % p, 0)
         col[mats, piv] = 0
         scale = np.where(col != 0, pivot[:, None], 1)
         a = scale[:, :, None] * a[:, :, 1:] - col[:, :, None] * a[mats, piv, None, 1:]
@@ -416,14 +441,42 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
             a %= p
             bound = p - 1
         used[mats, piv] |= pivot != 0
-    return used.sum(axis=1)
+    return used.sum(axis=1), rows
 
 
-def modp_kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Right kernel basis as rows of an int64 array."""
-    ech = ModpEchelon(np.shape(a)[1], p)
-    ech.add(a)
-    return ech.kernel()
+def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank mod p of each matrix in an (N, m, n) stack, all at once, by the
+    forward elimination of _forward on the side with fewer columns."""
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
+        a = a.transpose(0, 2, 1)
+    return _forward(a, p, keep_rows=False)[0]
+
+
+def modp_kernel(a: np.ndarray, p: int) -> np.ndarray | list[np.ndarray]:
+    """Right kernel basis mod p as rows of an int64 array: the row
+    e_f - sum_r R[r, f] e_pivot(r) for each free column f of the RREF R.
+
+    One (m, n) matrix is eliminated by ModpEchelon, on BLAS products.  An
+    (N, m, n) stack gives a list of N bases, the same ones: _forward keeps
+    the pivot row of each column, and a stacked back substitution scales
+    each to a leading 1 and clears its column from the rows above, which
+    leaves R in the pivot rows.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim == 2:
+        ech = ModpEchelon(a.shape[1], p)
+        ech.add(a)
+        return ech.kernel()
+    _, u = _forward(a % p, p, keep_rows=True)
+    n = a.shape[2]
+    diag = np.arange(n)
+    u = u * _inverse_mod(u[:, diag, diag], p)[:, :, None] % p
+    for c in range(n - 1, 0, -1):
+        u[:, :c, c:] = (u[:, :c, c:] - u[:, :c, c, None] * u[:, c, None, c:]) % p
+    # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
+    ker = (np.eye(n, dtype=np.int64) - u).transpose(0, 2, 1) % p
+    return [k[u[i, diag, diag] == 0] for i, k in enumerate(ker)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
@@ -590,15 +590,6 @@ def build_adjoint_pencil(a: int) -> Pencil:
                                BuildSpec("adjoint", (a,)), labels)
 
 
-def _sl_coords(m, a: int) -> list[Fraction]:
-    """Coordinates of a traceless matrix in the sl_basis ordering."""
-    if sum(Fraction(m[i][i]) for i in range(a)):
-        raise ValueError("matrix is not traceless")
-    # diagonal part: d_k = sum_{l<=k} m_ll gives coordinates on H_k
-    return ([Fraction(m[i][j]) for i in range(a) for j in range(a) if i != j]
-            + list(accumulate(Fraction(m[k][k]) for k in range(a - 1))))
-
-
 # ---------------------------------------------------------------------------
 # equivariance data, derived from the build spec on demand
 
@@ -645,24 +636,44 @@ def _spin_equivariance(n: int) -> list[EquivarianceData]:
     ]
 
 
+def _sl_ad(Y: Sequence[Sequence], a: int) -> IntMatrix:
+    """ad_Y on sl_a in the sl_basis coordinates, in integers: the bracket
+    of each entry of Y with each entry of a basis element is
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj.  An off-diagonal E_il is
+    its own coordinate; the coordinate of a traceless matrix on H_k is
+    d_k = sum_{l<=k} m_ll, so a diagonal E_ll adds to each H_k with k >= l."""
+    def sparse(X):
+        return {(i, j): x for i, row in enumerate(X) for j, x in enumerate(row) if x}
+
+    off = [(i, j) for i in range(a) for j in range(a) if i != j]  # sl_basis order
+    index = {ij: n for n, ij in enumerate(off)}
+    y = sparse(Y)
+    entries: dict[tuple[int, int], int] = {}
+
+    def add(r: int, c: int, col: int, v: int) -> None:
+        rows = (index[r, c],) if r != c else range(len(off) + r, len(off) + a - 1)
+        for n in rows:
+            entries[n, col] = entries.get((n, col), 0) + v
+
+    for col, X in enumerate(sl_basis(a)):
+        X = sparse(X)
+        for (i, j), u in y.items():
+            for (k, l), x in X.items():
+                if j == k:
+                    add(i, l, col, u * x)
+                if l == i:
+                    add(k, j, col, -u * x)
+    return IntMatrix.from_entries(len(off) + a - 1, entries)
+
+
 def _adjoint_equivariance(a: int) -> list[EquivarianceData]:
     # under Y in sl(A): rho_source = ad_Y, rho_target and the variable
     # action are both the wedge action of Y
     basis3 = list(combinations(range(a), 3))
-    sl = sl_basis(a)
-
-    def ad_matrix(Y):
-        return IntMatrix.from_entries(len(sl), {
-            (r, col): x for col, X in enumerate(sl)
-            for r, x in enumerate(_sl_coords(
-                [[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
-                  for j in range(a)] for i in range(a)], a))
-        })
-
     out = []
     for Y in chevalley_generators(a):
         wedge = _wedge_matrix(Y, basis3)
-        out.append(EquivarianceData(wedge, ad_matrix(Y), wedge))
+        out.append(EquivarianceData(wedge, _sl_ad(Y, a), wedge))
     return out
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpencils.analysis import (
+    RndReport,
     constant_rank_verdict,
     flattening_rank_of_tensor,
     generic_rank,
@@ -24,7 +25,7 @@ from crpencils.analysis import (
     theta_rank_formula,
 )
 from crpencils import analysis
-from crpencils.linalg import DEFAULT_PRIME, mat_mod, modp_rank
+from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, mat_mod, modp_rank
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
     Pencil,
@@ -281,6 +282,107 @@ def test_rnd_contains_pencil_span():
         rep = rnd(pen, seed=1)
         assert rep.space.dim >= rep.pencil_span_dim
         assert rep.method["seed"] == 1
+
+
+def rnd_one_at_a_time(pencil, prime=DEFAULT_PRIME, seed=0, max_samples=512):
+    """The oracle: rnd drawing, evaluating and eliminating one sample at a
+    time, each kernel from its own echelon.  Returns the report and the
+    rank of every draw in draw order, with whether it was accepted."""
+    rng = random.Random(seed)
+    stacked = pencil.coeff_array_modp(prime)
+    c, b = pencil.target_dim, pencil.source_dim
+    ambient = c * b
+    r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
+    span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
+    constraints = ModpEchelon(ambient, prime)
+    method = {"prime": prime, "seed": seed, "generic_rank": r}
+    draws = []
+    samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
+
+    def kernel(a):
+        ech = ModpEchelon(a.shape[1], prime)
+        ech.add(a)
+        return ech.kernel()
+
+    while samples_used < max_samples:
+        while samples_used < target:
+            x = [rng.randrange(prime) for _ in range(pencil.nvars)]
+            a = pencil.evaluate_modp(x, stacked, prime)
+            ker = kernel(a)
+            draws.append((b - len(ker), b - len(ker) >= r))
+            if b - len(ker) < r:
+                continue
+            coker = kernel(a.T % prime)
+            constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
+                            .reshape(-1, ambient))
+            samples_used += 1
+        space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
+        assert space.contains_subspace(span)
+        if space.dim == span.dim:
+            return RndReport(space, "rank-critical-certified", span.dim, samples_used,
+                             method), draws
+        stable = stable + 1 if space.dim == prev_dim else 0
+        if stable >= 2:
+            return RndReport(space, "strictly-larger", span.dim, samples_used, method), draws
+        prev_dim = space.dim
+        target = min(max_samples, target * 2)
+    return RndReport(space, "inconclusive", span.dim, samples_used, method), draws
+
+
+# the pencils of the benchmark's rnd workload
+RND_PENCILS = [
+    build_koszul_pencil(2, 7), build_gl_pencil((2, 1), (2, 1, 1), 4),
+    build_koszul_pencil(2, 6), build_so_pencil((2,), (2, 1), 4), build_spin_pencil(5),
+    build_gl_pencil((2,), (2, 1), 3),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7301])
+@pytest.mark.parametrize("pen", RND_PENCILS, ids=[
+    "koszul-2-7", "gl-21-211-v4", "koszul-2-6", "so-2-21-m4", "spin-5", "gl-2-21-v3"])
+def test_rnd_matches_the_one_at_a_time_oracle(pen, seed):
+    assert rnd(pen, seed=seed) == rnd_one_at_a_time(pen, seed=seed)[0]
+
+
+@pytest.mark.parametrize("chunk_cells", [100, 16])
+def test_rnd_matches_the_oracle_in_small_chunks(chunk_cells):
+    # 100 cells: stacks of two 8x6 matrices; 16: each matrix to the echelon
+    pen = build_gl_pencil((2,), (2, 1), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "CHUNK_CELLS", chunk_cells)
+        assert rnd(pen, seed=1) == rnd_one_at_a_time(pen, seed=1)[0]
+
+
+def test_rnd_rejects_zero_draws_like_the_oracle():
+    # over F_3, one draw in 27 is the zero point, of rank 0
+    pen = build_gl_pencil((2,), (2, 1), 3)
+    want, draws = rnd_one_at_a_time(pen, prime=3, seed=0)
+    assert (0, False) in draws
+    assert rnd(pen, prime=3, seed=0) == want
+
+
+def _two_by_two_blocks(k: int) -> Pencil:
+    """The direct sum of k blocks [[x, y], [0, x]], each in its own x, y.
+    Over F_3 a point has full rank 2k only when every x is nonzero, and
+    rank 2k - 1 when one x is zero and its y is not; there the kernel and
+    cokernel sit in that block, where every A_i maps the kernel into the
+    image, so the pencil's span stays in the constraints."""
+    coeffs = []
+    for j in range(k):
+        coeffs += [(2 * j, 2 * j, 2 * j, 1), (2 * j, 2 * j + 1, 2 * j + 1, 1),
+                   (2 * j + 1, 2 * j, 2 * j + 1, 1)]
+    return Pencil(2 * k, 2 * k, 2 * k, tuple(sorted(coeffs)), 1,
+                  tuple(f"x{i}" for i in range(2 * k)))
+
+
+def test_rnd_accepts_draws_above_the_sampled_generic_rank_like_the_oracle():
+    # at seed 5 the 20 trials of generic_rank miss full rank, and later
+    # draws of full rank pass the test b - dim Ker >= r like any other
+    pen = _two_by_two_blocks(5)
+    want, draws = rnd_one_at_a_time(pen, prime=3, seed=5)
+    r = want.method["generic_rank"]
+    assert any(rank > r and accepted for rank, accepted in draws)
+    assert rnd(pen, prime=3, seed=5) == want
 
 
 # -- Koszul flattening -------------------------------------------------------

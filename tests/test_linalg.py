@@ -4,7 +4,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crpencils import linalg
@@ -234,6 +234,33 @@ def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, 
     assert len(sel) == len(pivots) == modp_rank(a[sel], p)
     if len(pivots) < ncols:
         assert not modp_matmul(a, ech.kernel().T, p).any()
+
+
+def _echelon_kernel(a, p):
+    """The oracle: the kernel basis of one matrix from its own echelon."""
+    ech = ModpEchelon(a.shape[1], p)
+    ech.add(a)
+    return ech.kernel()
+
+
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 9), st.integers(0, 9),
+       st.lists(st.integers(0, 9), max_size=5), st.integers(0, 2 ** 32))
+@example(p=3, m=2, n=6, ranks=[], seed=0)
+@example(p=101, m=7, n=3, ranks=[], seed=0)
+@example(p=DEFAULT_PRIME, m=3, n=8, ranks=[2], seed=1)
+@example(p=3, m=8, n=5, ranks=[5], seed=2)
+@settings(max_examples=150, deadline=None)
+def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
+    # N matrices of mixed rank from 0 to min(m, n), wide or tall
+    rng = random.Random(seed)
+    stack = np.array([_tall_rank_deficient(p, rng, m, n, min(r, m, n)) for r in ranks],
+                     dtype=np.int64).reshape(len(ranks), m, n)
+    kernels = modp_kernel(stack, p)
+    assert len(kernels) == len(ranks)
+    for a, ker in zip(stack, kernels):
+        want = _echelon_kernel(a, p)
+        assert (ker.shape, ker.tolist()) == (want.shape, want.tolist())
+    assert modp_ranks(stack, p).tolist() == [n - len(ker) for ker in kernels]
 
 
 def test_check_prime_is_miller_rabin():

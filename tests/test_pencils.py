@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd
 
 import numpy as np
@@ -31,6 +31,7 @@ from crpencils.pencils import (
     IntMatrix,
     Pencil,
     _coordinate_action,
+    _sl_ad,
     _wedge_action,
     build_adjoint_pencil,
     build_gl_pencil,
@@ -204,6 +205,30 @@ def test_wedge_action_on_the_adjoint_cube_matches_the_oracle():
     basis3 = list(combinations(range(7), 3))
     for X in sl_basis(7):
         assert _wedge_action(X, basis3) == wedge_action_by_rearrangement(X, basis3)
+
+
+def ad_by_dense_commutator(Y, a):
+    """ad_Y on sl_a in sl_basis coordinates: each [Y, X] as a dense
+    Fraction matrix, read back through the coordinates of a traceless
+    matrix (off-diagonal entries, then d_k = sum_{l<=k} m_ll on H_k)."""
+    def coords(m):
+        assert sum(Fraction(m[i][i]) for i in range(a)) == 0
+        return ([Fraction(m[i][j]) for i in range(a) for j in range(a) if i != j]
+                + list(accumulate(Fraction(m[k][k]) for k in range(a - 1))))
+
+    return IntMatrix.from_entries(a * a - 1, {
+        (r, col): x for col, X in enumerate(sl_basis(a))
+        for r, x in enumerate(coords(
+            [[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
+              for j in range(a)] for i in range(a)]))
+    })
+
+
+@pytest.mark.parametrize("a", range(2, 9))
+def test_sl_ad_matches_the_dense_commutator(a):
+    gens = chevalley_generators(a) + (sl_basis(a) if a <= 5 else [])
+    for Y in gens:
+        assert _sl_ad(Y, a) == ad_by_dense_commutator(Y, a)
 
 
 def test_pencil_from_entries_clears_denominators_and_content():
