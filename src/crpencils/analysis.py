@@ -334,6 +334,13 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     constraint space contains RND(L)) and rank-criticality is certified.
     If the dimension stabilizes strictly above dim L for two consecutive
     doubling rounds the verdict is "strictly-larger".
+
+    Samples of rank below r, the largest of 20 sampled ranks, are rejected.
+    When those 20 miss the generic rank, lower-rank samples are accepted and
+    L can escape their constraints, which proves r too low.  Sampling then
+    goes on until a rank above r is accepted; r is raised to it and the
+    accumulation starts again.  Only when max_samples samples show no rank
+    above r does the escape raise.
     """
     check_prime(prime)
     rng = random.Random(seed)
@@ -346,6 +353,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
     constraints = ModpEchelon(ambient, prime)
     samples_used = 0
+    top = r  # the largest rank accepted
     target = pencil.nvars + 2
     prev_dim = None
     stable = 0
@@ -358,13 +366,23 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
             for ker, coker in _kernels(pencil, xs, prime, stacked):
                 if b - len(ker) < r:
                     continue
+                top = max(top, b - len(ker))
                 # the row of (f, u) is the flattened outer product f u^T
                 constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
                                 .reshape(-1, ambient))
                 samples_used += 1
         space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
-        if not space.contains_subspace(span):
-            raise AssertionError("pencil span escaped its own RND constraints")
+        escaped = not space.contains_subspace(span)
+        if escaped and top > r:
+            # a sample below the generic rank was accepted: start again,
+            # accepting only samples of the largest rank seen
+            r = top
+            constraints = ModpEchelon(ambient, prime)
+            samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
+            continue
+        if escaped:  # no rank above r accepted yet: draw the next round
+            target = min(max_samples, target * 2)
+            continue
         if space.dim == s:
             return RndReport(
                 space, "rank-critical-certified", s, samples_used,
@@ -381,6 +399,8 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
             stable = 0
         prev_dim = space.dim
         target = min(max_samples, target * 2)
+    if escaped:
+        raise AssertionError("pencil span escaped its own RND constraints")
     return RndReport(
         space, "inconclusive", s, samples_used,
         {"prime": prime, "seed": seed, "generic_rank": r},

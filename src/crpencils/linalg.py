@@ -8,8 +8,12 @@ modp_matmul is the one product mod p, exact on float64 BLAS.
 Over F_p there are two eliminations, each with its own callers:
   - the stacked forward loop (_forward) serves the ranks (modp_ranks) and
     kernels (modp_kernel of an (N, m, n) stack) of evaluated pencil
-    matrices: one vectorized pass over a stack of small matrices,
-    reducing mod p lazily;
+    matrices: one vectorized pass over a stack of small matrices, stored
+    column-major as (n, N, m) so that each step reads one contiguous slab,
+    reducing with the sign-preserving np.fmod and only when the next step
+    could overflow.  Its entries are int32 when 2(p-1)^2 < 2^31 (p <= 32749)
+    and int64 otherwise, so the small primes of exhaustive runs move half
+    the bytes;
   - ModpEchelon, built on modp_matmul, serves growing systems (the
     neutral-direction constraints), the qq_rref lift, Subspace, and a
     single matrix too large to stack (modp_rref, modp_rank, modp_kernel of
@@ -263,8 +267,11 @@ def modp_matmul(a, b, p: int) -> np.ndarray:
     One product is exact when k max|a| max|b| < 2^53 (k the inner
     dimension), as every partial sum is then an integer below 2^53.
     Otherwise operands outside [0, p) are reduced, and if the bound still
-    fails they are split into 16-bit limbs: limb products are below 2^32, so
-    sums of 2^21 of them are exact, and the chunks are recombined mod p.
+    fails they are split into 16-bit limbs.  When the inner dimension is
+    short, k max|a| (2^16 - 1) < 2^53 (k <= 64 for residues of
+    DEFAULT_PRIME), only b is split: two products of a with its limbs.
+    Otherwise both are: limb products are below 2^32, so sums of 2^21 of
+    them are exact, and the chunks are recombined mod p.
     """
     a, b = np.asarray(a), np.asarray(b)
     m, k, n = a.shape[0], a.shape[1], b.shape[1]
@@ -278,6 +285,11 @@ def modp_matmul(a, b, p: int) -> np.ndarray:
         return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
                 ).astype(np.int64) % p
     mask = (1 << _LIMB_BITS) - 1
+    if k * ra * mask < 1 << 53:
+        af = a.astype(np.float64, copy=False)
+        lo = (af @ (b & mask).astype(np.float64)).astype(np.int64)
+        hi = (af @ (b >> _LIMB_BITS).astype(np.float64)).astype(np.int64)
+        return (lo + (hi % p << _LIMB_BITS)) % p  # below 2^53 + 2^47
     out = np.zeros((m, n), dtype=np.int64)
     for s in range(0, k, _EXACT_INNER):
         ac, bc = a[:, s : s + _EXACT_INNER], b[s : s + _EXACT_INNER]
@@ -405,49 +417,70 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _forward(a: np.ndarray, p: int, keep_rows: bool):
-    """Forward elimination of an (N, m, n) stack, column by column: the
-    rank of each matrix and, when keep_rows, the (N, n, n) array whose
-    row c is the pivot row of column c mod p (zero where c has no pivot).
+    """Forward elimination of an (N, m, n) integer stack, column by column:
+    the rank of each matrix and, when keep_rows, the (N, n, n) int64 array
+    whose row c is the pivot row of column c mod p (zero where c has no
+    pivot).
 
-    Each matrix picks its own pivot among the rows it has not used yet and
-    clears that column from its other unused rows with the inverse-free
-    update row <- pivot*row - a_ic*pivot_row; scaling a row by a unit keeps
-    the rank and the row space.  The steps are ring operations on integers,
-    so only the pivot column is reduced mod p, to test pivots, until the
-    next update could pass 2^63 - 1: with pivot, a_ic in [0, p) and
-    |entries| <= B, an update leaves them at most 2(p-1)B, and
-    2(p-1)^2 < 2^63 for p < 2^31.  Each step drops its column, so `a`
-    holds the columns not yet eliminated.
+    The stack is reduced once and stored column-major, as (n, N, m): the
+    column being eliminated is the contiguous slab a[0], and the update runs
+    over the contiguous a[1:].  Each step drops its column, so `a` holds the
+    columns not yet eliminated.  Each matrix picks its own pivot among the
+    rows it has not used yet and clears that column from its other rows
+    with the inverse-free update row <- pivot*row - a_ic*pivot_row, where
+    a_ic is taken as 0 in the rows it has used; a matrix without a pivot in
+    the column keeps its rows.  Scaling a row by a unit keeps the rank and
+    the row space.
+
+    The steps are ring operations on integers, so only the pivot column is
+    reduced, to test pivots, until the next update could overflow.  Every
+    reduction is np.fmod, which keeps the sign: it leaves residues in
+    (-p, p), each congruent to the entry mod p, so |entry| <= p-1 still
+    holds, an entry is 0 mod p exactly when its residue is 0, and a nonzero
+    pivot, negative or not, is still a unit.  With pivot and a_ic of
+    absolute value at most p-1 and |entries| <= B, an update leaves them at
+    most 2(p-1)B, so `a` is reduced again once 2(p-1)B reaches the limit of
+    its dtype.  The dtype depends on p alone: int32 (limit 2^31) when one
+    update of residues fits, 2(p-1)^2 < 2^31, that is p <= 32749, and int64
+    (limit 2^63) otherwise, where 2(p-1)^2 < 2^63 for p < 2^31.
     """
     count, m, ncols = a.shape
+    narrow = 2 * (p - 1) ** 2 < 1 << 31
+    dtype, limit = (np.int32, 1 << 31) if narrow else (np.int64, 1 << 63)
+    a = np.array(np.fmod(a, p).transpose(2, 0, 1), dtype=dtype, order="C")
     if m == 0:  # no rows: rank 0, no pivots
-        a = np.zeros((count, 1, ncols), dtype=np.int64)
+        a = np.zeros((ncols, count, 1), dtype=dtype)
         m = 1
     mats = np.arange(count)
     used = np.zeros((count, m), dtype=bool)
     rows = np.zeros((count, ncols, ncols), dtype=np.int64) if keep_rows else None
     bound = p - 1  # on |entry| of a
     for c in range(ncols):
-        col = np.where(used, 0, a[:, :, 0] % p)
+        col = np.fmod(a[0], p)
+        col[used] = 0
         piv = (col != 0).argmax(axis=1)
         pivot = col[mats, piv]
+        found = pivot != 0
+        a = a[1:]
+        prow = a[:, mats, piv]
         if keep_rows:
-            rows[:, c, c:] = np.where(pivot[:, None] != 0, a[mats, piv] % p, 0)
+            rows[:, c, c] = pivot % p
+            rows[found, c, c + 1:] = prow[:, found].T % p
         col[mats, piv] = 0
-        scale = np.where(col != 0, pivot[:, None], 1)
-        a = scale[:, :, None] * a[:, :, 1:] - col[:, :, None] * a[mats, piv, None, 1:]
+        a *= (pivot + ~found)[:, None]  # a matrix without a pivot keeps its rows
+        a -= col * prow[:, :, None]
         bound *= 2 * (p - 1)
-        if 2 * (p - 1) * bound >= 1 << 63:  # the next update could overflow
-            a %= p
+        if 2 * (p - 1) * bound >= limit:  # the next update could overflow
+            np.fmod(a, p, out=a)
             bound = p - 1
-        used[mats, piv] |= pivot != 0
+        used[mats, piv] |= found
     return used.sum(axis=1), rows
 
 
 def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p of each matrix in an (N, m, n) stack, all at once, by the
     forward elimination of _forward on the side with fewer columns."""
-    a = np.asarray(stack, dtype=np.int64) % p
+    a = np.asarray(stack, dtype=np.int64)
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
         a = a.transpose(0, 2, 1)
     return _forward(a, p, keep_rows=False)[0]
@@ -468,7 +501,7 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray | list[np.ndarray]:
         ech = ModpEchelon(a.shape[1], p)
         ech.add(a)
         return ech.kernel()
-    _, u = _forward(a % p, p, keep_rows=True)
+    _, u = _forward(a, p, keep_rows=True)
     n = a.shape[2]
     diag = np.arange(n)
     u = u * _inverse_mod(u[:, diag, diag], p)[:, :, None] % p

@@ -385,6 +385,22 @@ def test_rnd_accepts_draws_above_the_sampled_generic_rank_like_the_oracle():
     assert rnd(pen, prime=3, seed=5) == want
 
 
+def test_rnd_raises_a_generic_rank_that_its_trials_missed():
+    # over F_3, diag(x_1..x_6) has full rank at 64/729 of the points; the 20
+    # trials at seed 0 read 5, so the first round accepts rank-5 samples,
+    # whose constraints the span escapes.  rnd samples on until it accepts
+    # a rank-6 draw, restarts at rank 6 and keeps the span inside
+    pen = Pencil(6, 6, 6, tuple((i, i, i, 1) for i in range(6)), 1,
+                 tuple(f"x{i}" for i in range(6)))
+    assert generic_rank(pen, 3, trials=20, seed=0) == 5
+    rep = rnd(pen, prime=3, seed=0)
+    assert rep.method["generic_rank"] == 6
+    span = Subspace.from_vectors(pen.coeff_array_modp(3).reshape(6, 36), 36, 3)
+    assert rep.space.contains_subspace(span)
+    # at full rank no direction changes the rank: every 6x6 matrix is neutral
+    assert (rep.verdict, rep.space.dim) == ("strictly-larger", 36)
+
+
 # -- Koszul flattening -------------------------------------------------------
 
 

@@ -206,6 +206,24 @@ def test_exact_product_at_the_float64_limit(p, sign):
         assert modp_matmul(a.astype(np.float64), b, p).tolist() == want
 
 
+@pytest.mark.parametrize("p", (2147483629, 2147483647))
+@pytest.mark.parametrize("k", (64, 65))
+def test_exact_product_splits_one_operand_up_to_its_inner_limit(p, k):
+    # k (p-1) (2^16 - 1) < 2^53 holds for k = 64 and fails for k = 65: the
+    # last inner dimension that splits only b into limbs, and the first that
+    # splits both.  Entries p-1 throughout, then p-2, whose odd low limb
+    # makes the sums odd, so a float64 sum past 2^53 would round, then
+    # random residues
+    rng = random.Random(k)
+    for top in (p - 1, p - 2, None):
+        a = [[top or rng.randrange(p) for _ in range(k)] for _ in range(3)]
+        b = [[top or rng.randrange(p) for _ in range(2)] for _ in range(k)]
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(2)]
+                for i in range(3)]
+        got = modp_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        assert got.tolist() == want
+
+
 def _tall_rank_deficient(p, rng, nrows, ncols, rank):
     left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)],
                     dtype=np.int64).reshape(nrows, rank)
@@ -261,6 +279,49 @@ def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
         want = _echelon_kernel(a, p)
         assert (ker.shape, ker.tolist()) == (want.shape, want.tolist())
     assert modp_ranks(stack, p).tolist() == [n - len(ker) for ker in kernels]
+
+
+# 32749 is the largest prime with 2(p-1)^2 < 2^31, eliminated in int32;
+# 32771 is the next prime, eliminated in int64.  At 32749 the stack is
+# reduced after every step, at 32771 after every second and at 7 after every
+# seventh, so 14 or more columns force several reductions
+@given(st.sampled_from((7, 32749, 32771)), st.integers(0, 4), st.integers(0, 16),
+       st.integers(0, 16), st.integers(0, 2 ** 32))
+@example(p=32749, count=0, m=5, n=14, seed=0)
+@example(p=32771, count=0, m=14, n=5, seed=0)
+@example(p=32749, count=3, m=0, n=14, seed=0)
+@example(p=32771, count=3, m=0, n=14, seed=0)
+@example(p=32749, count=4, m=16, n=16, seed=1)
+@example(p=32771, count=4, m=16, n=16, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
+    rng = random.Random(seed)
+    stack = np.array([_tall_rank_deficient(p, rng, m, n, rng.randint(0, min(m, n)))
+                      for _ in range(count)], dtype=np.int64).reshape(count, m, n)
+    # entries off by multiples of p, of both signs and past 2^31, are
+    # reduced before the stack is narrowed to int32
+    shifted = stack + p * np.array([rng.randint(-2 ** 20, 2 ** 20) for _ in range(stack.size)],
+                                   dtype=np.int64).reshape(stack.shape)
+    want = [_echelon_kernel(a, p) for a in stack]
+    for a in (stack, shifted):
+        kernels = modp_kernel(a, p)
+        assert [k.tolist() for k in kernels] == [k.tolist() for k in want]
+        assert all(k.shape == (n - modp_rank(x, p), n) for k, x in zip(kernels, stack))
+        assert modp_ranks(a, p).tolist() == [n - len(k) for k in want]
+
+
+@pytest.mark.parametrize("p", (7, 32749, 32771, DEFAULT_PRIME))
+def test_stacked_elimination_of_extreme_residues(p):
+    # entries +-(p-1), which the sign-preserving reduction keeps as they
+    # are, among random residues: an update of two of them reaches its bound
+    # 2(p-1)^2, which overflows int32 for every prime above 32749
+    rng = random.Random(p)
+    for m, n in ((6, 9), (9, 6), (8, 8)):
+        stack = np.array([[[rng.choice((1 - p, p - 1, rng.randrange(p))) for _ in range(n)]
+                           for _ in range(m)] for _ in range(6)], dtype=np.int64)
+        want = [_echelon_kernel(a % p, p) for a in stack]
+        assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
+        assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
 
 
 def test_check_prime_is_miller_rabin():
