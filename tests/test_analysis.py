@@ -385,7 +385,7 @@ def test_rnd_accepts_draws_above_the_sampled_generic_rank_like_the_oracle():
     assert rnd(pen, prime=3, seed=5) == want
 
 
-def test_rnd_raises_a_generic_rank_that_its_trials_missed():
+def test_rnd_recovers_a_generic_rank_that_its_trials_missed():
     # over F_3, diag(x_1..x_6) has full rank at 64/729 of the points; the 20
     # trials at seed 0 read 5, so the first round accepts rank-5 samples,
     # whose constraints the span escapes.  rnd samples on until it accepts

@@ -306,7 +306,6 @@ def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
     for a in (stack, shifted):
         kernels = modp_kernel(a, p)
         assert [k.tolist() for k in kernels] == [k.tolist() for k in want]
-        assert all(k.shape == (n - modp_rank(x, p), n) for k, x in zip(kernels, stack))
         assert modp_ranks(a, p).tolist() == [n - len(k) for k in want]
 
 
