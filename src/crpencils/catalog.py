@@ -60,7 +60,7 @@ from .pencils import (
     theta_map,
 )
 from .modules import a_vector, exp_two_form
-from .tensors import perm_sign
+from .tensors import WordBatch, integer_scaled, perm_sign
 
 ZERO = Fraction(0)
 
@@ -736,12 +736,14 @@ def _check_so_sym2_family(cfg: CatalogRunConfig):
             v = [rng.randint(-9, 9) for _ in range(m)]
             if not any(v):
                 v[0] = 1
-            coords = smod.span.coordinates(_so_sym2_kernel_tensor(v, m),
-                                           check=True)
+            # a positive multiple of the kernel tensor, in integers
+            t, _ = integer_scaled(_so_sym2_kernel_tensor(v, m))
+            coords = smod.span.coordinates(WordBatch.from_tensors([t], 2, m))[0]
             if coords is None:
                 ok = False
                 break
-            image = _mat_vec(pen.evaluate(v), [Fraction(c) for c in coords])
+            image = _mat_vec(pen.evaluate(v),
+                             [Fraction(coords.get(k, 0)) for k in range(smod.dim)])
             if any(image):
                 ok = False
                 break

@@ -30,6 +30,7 @@ from .tensors import (
     GradedSpan,
     SparseTensor,
     Word,
+    WordBatch,
     apply_symmetrizer,
     content,
     matrix_on_letters,
@@ -150,8 +151,8 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
     lam = check_partition(lam)
     if len(lam) > v:
         raise ValueError(f"{lam} has more than {v} rows")
-    tensors = [apply_symmetrizer({tableau_word(t): 1}, lam)
-               for t in semistandard_tableaux(lam, v)]
+    words = [{tableau_word(t): 1} for t in semistandard_tableaux(lam, v)]
+    tensors = apply_symmetrizer(WordBatch.from_tensors(words, size(lam), v), lam).to_tensors()
     span = GradedSpan.from_tensors(tensors, lambda w: content(w, v))
     expected = gl_dim(lam, v)
     if span.dim != expected:
@@ -168,10 +169,11 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     lam = check_partition(lam)
     d = size(lam)
     grade = form.word_weight
+    words = [{tableau_word(tab): 1} for tab in semistandard_tableaux(lam, form.dim)]
+    tensors = apply_symmetrizer(WordBatch.from_tensors(words, d, form.dim), lam).to_tensors()
     blocks: dict[tuple, list[SparseTensor]] = {}
-    for tab in semistandard_tableaux(lam, form.dim):
-        word = tableau_word(tab)
-        blocks.setdefault(grade(word), []).append(apply_symmetrizer({word: 1}, lam))
+    for word, t in zip(words, tensors):
+        blocks.setdefault(grade(next(iter(word))), []).append(t)
     kept: list[SparseTensor] = []
     for vecs in blocks.values():
         constraints: dict[tuple, dict[int, int]] = {}
@@ -215,9 +217,9 @@ def orthogonal_module(lam: Partition, m: int) -> RealizedModule:
     return _form_module(lam, orthogonal_form(m), GroupSpec("SO", m), expected)
 
 
-def lie_action(X: Sequence[Sequence], t: SparseTensor) -> SparseTensor:
-    """Derivation action of a gl element on a word tensor."""
-    return matrix_on_letters(X, t)
+def lie_action(X: Sequence[Sequence[int]], batch: WordBatch) -> WordBatch:
+    """Derivation action of an integer gl element on each tensor of a batch."""
+    return matrix_on_letters(X, batch)
 
 
 # ---------------------------------------------------------------------------

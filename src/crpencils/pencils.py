@@ -56,14 +56,18 @@ from .partitions import (
     sp_module_dim,
 )
 from .tensors import (
+    PASS_CELLS,
     apply_symmetrizer,
     cell_slot,
     chevalley_generators,
-    insert_letter,
-    integer_scaled,
+    coef_dtype,
     letter_images,
+    max_abs,
     perm_sign,
+    place_values,
+    ragged,
     square_matrix,
+    sum_by_key,
     symmetrize_rows,
     tensor_iadd,
 )
@@ -312,29 +316,22 @@ def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
     coordinates, computed in integers.
 
     With X = Xn / dx and each basis tensor b_j scaled to the primitive
-    integer tensor u_j = s_j b_j (span.scaled_basis), y = Xn . u_j is the
-    integer tensor s_j dx X.b_j.  Its coordinate c_k on b_k is y at b_k's
-    pivot word, where b_k is 1 and every other basis tensor is 0.  y lies in
-    the span exactly when L y = sum_k c_k (L / s_k) u_k, with L the lcm of
-    those s_k; otherwise AssertionError.  The entry c_k / (s_j dx) is stored
-    over the denominator dx lcm(s).
+    integer tensor u_j = s_j b_j (span.scaled_basis), y_j = Xn . u_j is the
+    integer tensor s_j dx X.b_j, and its coordinates c_k on the b_k are
+    read, and its membership checked, by span.coordinates; a y_j outside
+    the span raises AssertionError.  The entry c_k / (s_j dx) is stored over
+    the denominator dx lcm(s).
     """
     x = IntMatrix.from_dense(X)
     xn = square_matrix(x.dim, {(r, c): num for r, c, num in x.entries})
-    pivots, scaled, scales = mod.span.scaled_basis
+    scales = mod.span.scaled_basis[2]
     s_all = lcm(1, *scales)
-    entries = []
-    for j, u in enumerate(scaled):
-        y = lie_action(xn, u)
-        coords = {pivots[w]: c for w, c in y.items() if w in pivots}
-        big = lcm(1, *(scales[k] for k in coords))
-        resid = {w: big * c for w, c in y.items()}
-        for k, c in coords.items():
-            tensor_iadd(resid, scaled[k], -c * (big // scales[k]))
-        if resid:
-            raise AssertionError("module basis is not stable under the Lie action")
-        entries += [(k, j, c * (s_all // scales[j])) for k, c in coords.items()]
-    return IntMatrix(len(scaled), tuple(sorted(entries)), x.den * s_all)
+    images = mod.span.coordinates(lie_action(xn, mod.span.scaled_batch(mod.group.natural_dim)))
+    if None in images:
+        raise AssertionError("module basis is not stable under the Lie action")
+    entries = [(k, j, c * (s_all // scales[j])) for j, coords in enumerate(images)
+               for k, c in coords.items()]
+    return IntMatrix(len(scales), tuple(sorted(entries)), x.den * s_all)
 
 
 def _wedge_action(X, basis) -> list[dict]:
@@ -373,19 +370,22 @@ def _one_box(mu: Partition, nu: Partition, max_rows: int) -> BoxPosition:
 def _insertion_images(smod: RealizedModule, tmod: RealizedModule, pos: int) -> list:
     """images[j][i]: the nonzero target coordinates {k: c} of c_nu applied to
     source basis vector j with letter i inserted at slot pos (nu the target's
-    weight).  Each basis vector is scaled to integers and the scale divided
-    back out."""
+    weight).  The basis vectors are scaled to integers, a bounded chunk of
+    them at a time, and each scale is divided back out."""
+    v, nu = smod.group.natural_dim, tmod.weight
+    scales = smod.span.scaled_basis[2]
+    # c_nu makes at most prod r_i! prod h_j! terms of a word
+    growth = v * prod(factorial(r) for r in nu + conjugate(nu))
     images = []
-    for u in smod.span.basis:
-        u, scale = integer_scaled(u)
-        row = []
-        for i in range(smod.group.natural_dim):
-            t = apply_symmetrizer(insert_letter(u, pos, i), tmod.weight)
-            coords = tmod.span.coordinates(t, check=True)
-            if coords is None:
-                raise AssertionError("symmetrized insertion left the target module")
-            row.append({k: c / scale for k, c in enumerate(coords) if c})
-        images.append(row)
+    for first, part in smod.span.scaled_batch(v).chunks(PASS_CELLS // growth):
+        coords = tmod.span.coordinates(
+            apply_symmetrizer(part.with_letter_inserted(pos), nu))
+        if None in coords:
+            raise AssertionError("symmetrized insertion left the target module")
+        for j in range(part.n):
+            scale = scales[first + j]
+            images.append([{k: Fraction(c, scale) for k, c in coords[j * v + i].items()}
+                           for i in range(v)])
     return images
 
 
@@ -436,48 +436,47 @@ def _partner_table(form: FormSpec) -> list[tuple[int, int]]:
 
 def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
                        box: BoxPosition, spec: BuildSpec) -> Pencil:
+    """Entry (l, k, j) is <a_nu u_k with the letter at slot pos paired with
+    e_l, s_j b_j>, times prod h_j! / (s_k s_j): on module vectors the
+    adjoint c_nu^* is that scalar times the row passes a_nu.  The pairing
+    of a word w with a source word is B's value on each pair of letters,
+    nonzero only at the partner word of w, so it is one sorted join on
+    partner-word codes."""
     form = smod.form
     v = form.dim
     nu = tmod.weight
     pos = cell_slot(nu, box.row - 1, box.col - 1)
-    partner = _partner_table(form)
+    table = np.array(_partner_table(form), dtype=np.int64)
+    partner, value = table[:, 0], table[:, 1]
 
-    # index the source basis, scaled to integers, by paired words for fast
-    # simultaneous pairing
-    src_scales = []
-    src_index: dict = {}
-    for j, u in enumerate(smod.span.basis):
-        u, scale = integer_scaled(u)
-        src_scales.append(scale)
-        for w, c in u.items():
-            pairing = 1
-            pw = []
-            for a in w:
-                b, g = partner[a]
-                pw.append(b)
-                pairing *= g
-            # <r, u> picks up r_w * pairing when r contains the partner word
-            src_index.setdefault(tuple(pw), []).append((j, c * pairing))
+    # each source word u_j[w] becomes (code of its partner word, j, u_j[w] B(w, partner))
+    src = smod.span.scaled_batch(v)
+    letters = src.letters()
+    pcode = partner[letters] @ place_values(v, src.degree)
+    order = np.argsort(pcode, kind="stable")
+    pcode, pj = pcode[order], src.idx[order]
+    pval = src.coef.astype(coef_dtype(max_abs(src.coef) * max_abs(value) ** src.degree))
+    pval = (pval * np.prod(value[letters], axis=1))[order]
 
-    # on module vectors the adjoint c_nu^* is `columns` times the row passes
     columns = prod(factorial(h) for h in conjugate(nu))
+    src_scales, tgt_scales = smod.span.scaled_basis[2], tmod.span.scaled_basis[2]
     entries: dict = {}
-    for k, bk in enumerate(tmod.span.basis):
-        bk, scale = integer_scaled(bk)
-        dk = symmetrize_rows(bk, nu)
-        grouped: dict[int, dict] = {}
-        for w, c in dk.items():
-            grouped.setdefault(w[pos], {})[w[:pos] + w[pos + 1 :]] = c
-        sums: dict = {}
-        for letter, r in grouped.items():
-            pl, g = partner[letter]
-            # this group contributes to variable pl with weight B(letter, pl)
-            for w, c in r.items():
-                for j, cu in src_index.get(w, ()):
-                    sums[pl, j] = sums.get((pl, j), 0) + g * c * cu
-        for (pl, j), val in sums.items():
-            if val:
-                entries[pl, k, j] = Fraction(val * columns, scale * src_scales[j])
+    target = tmod.span.scaled_batch(v)
+    for first, part in target.chunks(PASS_CELLS // prod(factorial(r) for r in nu)):
+        dk = symmetrize_rows(part, nu)
+        letter, rest = dk.cut(pos)
+        lo = np.searchsorted(pcode, rest)
+        owner, at = ragged(lo, np.searchsorted(pcode, rest, "right") - lo)
+        # each sum has at most len(at) terms
+        dtype = coef_dtype(len(at) * max_abs(dk.coef) * max_abs(value) * max_abs(pval))
+        keys, sums = sum_by_key(
+            ((partner[letter] * part.n + dk.idx) * smod.dim)[owner] + pj[at],
+            (dk.coef.astype(dtype) * value[letter])[owner] * pval.astype(dtype)[at])
+        for key, val in zip(keys.tolist(), sums.tolist()):
+            key, j = divmod(key, smod.dim)
+            pl, k = divmod(key, part.n)
+            entries[pl, first + k, j] = Fraction(val * columns,
+                                                 tgt_scales[first + k] * src_scales[j])
     return Pencil.from_entries(entries, v, smod.dim, tmod.dim, spec)
 
 
@@ -723,23 +722,15 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     slot_rm = cell_slot(lam, box_rm.row - 1, box_rm.col - 1)
     slot_add = cell_slot(mu_p, box_add.row - 1, box_add.col - 1)
 
-    coords_a: list[dict[int, dict[int, Fraction]]] = []
-    for u in sa.span.basis:
-        u, scale = integer_scaled(u)
-        per_letter: dict[int, dict] = {}
-        for w, c in u.items():
-            per_letter.setdefault(w[slot_rm], {})[
-                w[:slot_rm] + w[slot_rm + 1 :]
-            ] = c
-        entry = {}
-        for alpha, r in per_letter.items():
-            t = apply_symmetrizer(r, lam_p)
-            cs = sap.span.coordinates(t, check=True)
-            if cs is None:
-                raise AssertionError("slot removal left the smaller Schur module")
-            if any(cs):
-                entry[alpha] = {k: c / scale for k, c in enumerate(cs) if c}
-        coords_a.append(entry)
+    # coords_a[j][alpha]: the coordinates of c_lam' applied to what u_j holds
+    # with the letter alpha at the removed slot
+    scales = sa.span.scaled_basis[2]
+    parts = sap.span.coordinates(
+        apply_symmetrizer(sa.span.scaled_batch(a).split_at(slot_rm), lam_p))
+    if None in parts:
+        raise AssertionError("slot removal left the smaller Schur module")
+    coords_a = [{alpha: {k: Fraction(c, scales[j]) for k, c in parts[j * a + alpha].items()}
+                 for alpha in range(a) if parts[j * a + alpha]} for j in range(sa.dim)]
 
     coords_b = _insertion_images(sb, sbp, slot_add)
 

@@ -1,27 +1,38 @@
-"""Sparse tensors on word bases, Young symmetrizers, and graded spans.
+"""Sparse tensors on word bases, batched Young symmetrizers, and graded spans.
 
 A tensor in V^{tensor d} is a dict mapping words (tuples of 0-based letters)
 to int or Fraction coefficients.  Permutations act on slots: (sigma . w) puts
-the letter from slot i into slot sigma[i].  A Young symmetrizer is applied
-factored, one symmetrizing pass per row and one antisymmetrizing pass per
-column of the diagram; a pass visits each distinct arrangement of a word's
-letters once, with its multiplicity, and integer tensors stay integer
-throughout.  On the image of c_lam the adjoint is the row passes times a
-scalar (symmetrize_rows).
+the letter from slot i into slot sigma[i].
+
+Young symmetrizers act on a WordBatch: many integer tensors of one degree,
+held as numpy arrays of (tensor index, word code, coefficient) sorted by
+tensor and code, where the code of a word reads its letters as base-radix
+digits.  c_lam = b_lam a_lam is applied factored, one symmetrizing pass per
+row and one antisymmetrizing pass per column of the diagram.  A pass drops
+the words with a letter repeated in an antisymmetrized column, expands every
+permutation of its slots over whole tensors at a time, at most PASS_CELLS
+terms at once, and sums equal words with a stable sort and np.add.reduceat.
+Coefficients are int64 while no sum a step forms can reach 2^62, and Python
+ints in object arrays otherwise, so integer tensors stay exact.  On the
+image of c_lam the adjoint is the row passes times a scalar
+(symmetrize_rows).
 
 GradedSpan holds a canonical (per-block RREF) basis of a span of tensors that
-are homogeneous for some grading of words (content, or torus weight); all
-coordinate extraction happens blockwise via pivot words.
+are homogeneous for some grading of words (content, or torus weight).  It
+reads the coordinates of a whole batch at once, as the values at the pivot
+words, and checks membership in integers against the basis scaled to
+primitive integer tensors.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, prod
-from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from itertools import permutations
+from math import gcd, lcm
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .linalg import qq_rref
 from .partitions import Partition, check_partition, conjugate
@@ -29,7 +40,8 @@ from .partitions import Partition, check_partition, conjugate
 Word = tuple[int, ...]
 SparseTensor = dict  # Word -> int or Fraction
 
-ZERO = Fraction(0)
+PASS_CELLS = 1 << 15  # expanded terms a symmetrizing pass holds at once
+EXACT_BOUND = 1 << 62  # int64 arithmetic is used only below this bound
 
 
 def tensor_iadd(acc: SparseTensor, t: SparseTensor, c=1) -> SparseTensor:
@@ -68,56 +80,183 @@ def _young_groups(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[tu
     return rows, cols
 
 
-def _arrangements(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of the sorted letters, lexicographically."""
-    if not letters:
-        yield ()
-    for i, a in enumerate(letters):
-        if i == 0 or letters[i - 1] != a:
-            for rest in _arrangements(letters[:i] + letters[i + 1 :]):
-                yield (a,) + rest
+def coef_dtype(bound: int):
+    """int64 when no value a step can form reaches `bound`, else Python ints
+    in an object array."""
+    return np.int64 if bound < EXACT_BOUND else object
+
+
+def max_abs(a: np.ndarray) -> int:
+    if not len(a):
+        return 0
+    return max(map(abs, a)) if a.dtype == object else int(np.abs(a).max())
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Integer values as int64, or as Python ints when one reaches 2^62."""
+    if not all(type(c) is int for c in values):
+        raise TypeError("a batch holds int coefficients only")
+    return np.array(values, dtype=coef_dtype(max(map(abs, values), default=0)))
+
+
+def place_values(radix: int, degree: int) -> np.ndarray:
+    """radix^(degree - 1 - s) for each slot s: word codes are letters @ this."""
+    return radix ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+
+
+def sum_by_key(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys in increasing order, the sum of val over each),
+    zero sums dropped: a stable sort and np.add.reduceat."""
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    if len(key):
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key, val = key[starts], np.add.reduceat(val, starts)
+        live = val != 0
+        key, val = key[live], val[live]
+    return key, val
+
+
+def _summed(idx: np.ndarray, code: np.ndarray, coef: np.ndarray, size: int):
+    """(idx, code, coef) sorted by tensor and word, equal words summed and
+    zero sums dropped; every code is below size."""
+    key, coef = sum_by_key(idx * size + code, coef)
+    return key // size, key % size, coef
+
+
+def ragged(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, at): count[i] entries with owner i and at = start[i],
+    start[i] + 1, ..., for each i in turn."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+@dataclass(frozen=True)
+class WordBatch:
+    """n integer tensors of one degree over the letters 0 .. radix - 1, as
+    their nonzero terms sorted by (tensor index, word code).  The code of a
+    word reads its letters as base-radix digits, the first slot the most
+    significant, so codes sort as words do."""
+
+    n: int
+    degree: int
+    radix: int
+    idx: np.ndarray
+    code: np.ndarray
+    coef: np.ndarray
+
+    @staticmethod
+    def build(n: int, degree: int, radix: int, idx, code, coef) -> WordBatch:
+        """The batch of the given terms, equal words of a tensor summed."""
+        size = radix ** degree
+        if max(n, 1) * size >= 1 << 63:
+            raise ValueError(f"{n} tensors of {degree} letters < {radix} overflow int64 codes")
+        return WordBatch(n, degree, radix, *_summed(idx, code, coef, size))
+
+    @staticmethod
+    def from_tensors(tensors: Sequence[SparseTensor], degree: int, radix: int) -> WordBatch:
+        """The batch of integer tensors {word: coefficient}."""
+        words = [w for t in tensors for w in t]
+        letters = np.array(words, dtype=np.int64).reshape(len(words), degree)
+        if letters.size and not 0 <= letters.min() <= letters.max() < radix:
+            raise ValueError(f"a letter is outside 0 .. {radix - 1}")
+        coef = _int_array([c for t in tensors for c in t.values()])
+        idx = np.repeat(np.arange(len(tensors), dtype=np.int64), [len(t) for t in tensors])
+        return WordBatch.build(len(tensors), degree, radix, idx,
+                               letters @ place_values(radix, degree), coef)
+
+    def to_tensors(self) -> list[SparseTensor]:
+        out: list[SparseTensor] = [{} for _ in range(self.n)]
+        words = map(tuple, self.letters().tolist())
+        for i, w, c in zip(self.idx.tolist(), words, self.coef.tolist()):
+            out[i][w] = c
+        return out
+
+    def letters(self, slots: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The letters of each term, one row per term: all of them, or those
+        in the given slots."""
+        pw = place_values(self.radix, self.degree)
+        if slots is not None:
+            pw = pw[list(slots)]
+        return self.code[:, None] // pw % self.radix
+
+    def cut(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        """(the letter at slot pos, the code of the word without that slot)
+        of each term."""
+        low = self.radix ** (self.degree - 1 - pos)
+        head, tail = np.divmod(self.code, low)
+        head, letter = np.divmod(head, self.radix)
+        return letter, head * low + tail
+
+    def split_at(self, pos: int) -> WordBatch:
+        """Tensor i * radix + a holds the words of tensor i with the letter a
+        at slot pos, that slot removed."""
+        letter, rest = self.cut(pos)
+        return WordBatch.build(self.n * self.radix, self.degree - 1, self.radix,
+                               self.idx * self.radix + letter, rest, self.coef)
+
+    def with_letter_inserted(self, pos: int) -> WordBatch:
+        """Tensor i * radix + a is tensor i with the letter a inserted at
+        slot pos."""
+        r, low = self.radix, self.radix ** (self.degree - pos)
+        head, tail = np.divmod(self.code, low)
+        a = np.arange(r, dtype=np.int64)
+        code = (head[:, None] * r + a) * low + tail[:, None]
+        return WordBatch.build(self.n * r, self.degree + 1, r, (self.idx[:, None] * r + a).ravel(),
+                               code.ravel(), np.repeat(self.coef, r))
+
+    def chunks(self, terms: int) -> Iterator[tuple[int, WordBatch]]:
+        """(first tensor, the batch of the next whole tensors, indexed from
+        0): as many tensors as hold at most `terms` terms, and at least one."""
+        bounds = np.searchsorted(self.idx, np.arange(self.n + 1))
+        first = 0
+        while first < self.n:
+            stop = max(first + 1, int(np.searchsorted(bounds, bounds[first] + terms, "right")) - 1)
+            lo, hi = bounds[first], bounds[stop]
+            yield first, WordBatch(stop - first, self.degree, self.radix,
+                                   self.idx[lo:hi] - first, self.code[lo:hi], self.coef[lo:hi])
+            first = stop
 
 
 @lru_cache(maxsize=None)
-def _orbit(key: tuple[int, ...], signed: bool) -> dict:
-    """sum_sigma (sign sigma) sigma.key over the permutations of the slots,
-    for sorted letters key, as {arrangement: coefficient}.  Symmetrizing,
-    each distinct arrangement comes from prod_i m_i! permutations (m_i the
-    multiplicity of each letter).  Antisymmetrizing, a repeated letter gives
-    nothing, and distinct letters give every arrangement with its sign.
-    Keyed by the multiset, the cache stays small."""
-    if not signed:
-        return dict.fromkeys(_arrangements(key), prod(map(factorial, Counter(key).values())))
-    if len(set(key)) < len(key):
-        return {}
-    return {arr: perm_sign(arr) for arr in _arrangements(key)}
+def _permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k), one per row, and their signs."""
+    perms = np.array(list(permutations(range(k))), dtype=np.int64).reshape(-1, k)
+    inversions = np.zeros(len(perms), dtype=np.int64)
+    for i in range(k):
+        for j in range(i + 1, k):
+            inversions += perms[:, i] > perms[:, j]
+    return perms, 1 - 2 * (inversions % 2)
 
 
-@lru_cache(maxsize=None)
-def _slot_getters(n: int, slots: tuple[int, ...]) -> tuple[itemgetter, itemgetter]:
-    """(the letters in slots, the word w + arr with arr put into slots)."""
-    put = [n + slots.index(i) if i in slots else i for i in range(n)]
-    return itemgetter(*slots), itemgetter(*put)
+def _permutation_pass(b: WordBatch, slots: tuple[int, ...], signed: bool) -> WordBatch:
+    """Sum (or signed sum) over all permutations of the letters in `slots`,
+    of each tensor of the batch."""
+    perms, signs = _permutations(len(slots))
+    if signed:  # a letter repeated in an antisymmetrized column gives 0
+        s = np.sort(b.letters(slots), axis=1)
+        live = (s[:, 1:] != s[:, :-1]).all(axis=1)
+        b = replace(b, idx=b.idx[live], code=b.code[live], coef=b.coef[live])
+    else:
+        signs = np.ones_like(signs)
+    # an output word takes at most one term from each permutation
+    b = replace(b, coef=b.coef.astype(coef_dtype(max_abs(b.coef) * len(perms))))
+    pw = place_values(b.radix, b.degree)[list(slots)]
+    moves = pw[perms].T  # column p moves the letter in slots[i] to slots[perms[p, i]]
+    size = b.radix ** b.degree
+    parts = [(b.idx[:0], b.code[:0], b.coef[:0])]
+    for first, part in b.chunks(PASS_CELLS // len(perms)):
+        letters = part.letters(slots)
+        code = (part.code - letters @ pw)[:, None] + letters @ moves
+        idx, code, coef = _summed(np.repeat(part.idx, len(perms)), code.ravel(),
+                                  (part.coef[:, None] * signs).ravel(), size)
+        parts.append((idx + first, code, coef))
+    return WordBatch(b.n, b.degree, b.radix, *map(np.concatenate, zip(*parts)))
 
 
-def _group_pass(t: SparseTensor, slots: tuple[int, ...], signed: bool) -> SparseTensor:
-    """Sum (or signed sum) over all permutations of the letters in `slots`."""
-    out: SparseTensor = {}
-    for w, c in t.items():
-        take, put = _slot_getters(len(w), slots)
-        letters = take(w)
-        orbit = _orbit(tuple(sorted(letters)), signed)
-        if signed and orbit:  # the sign of the word's own order of its letters
-            c *= orbit[letters]
-        for arr, k in orbit.items():
-            key = put(w + arr)
-            out[key] = out.get(key, 0) + k * c
-    return {w: c for w, c in out.items() if c}
-
-
-def symmetrize_rows(t: SparseTensor, lam: Partition) -> SparseTensor:
-    """a_lam t: one symmetrizing pass per row of length > 1, cells numbered
-    row-major.
+def symmetrize_rows(b: WordBatch, lam: Partition) -> WordBatch:
+    """a_lam applied to each tensor of the batch: one symmetrizing pass per
+    row of length > 1, cells numbered row-major.
 
     On t = c_lam s this is the adjoint up to a scalar.  Each pass is a sum
     over a group, its own adjoint under any slotwise pairing, so c_lam^* =
@@ -126,18 +265,18 @@ def symmetrize_rows(t: SparseTensor, lam: Partition) -> SparseTensor:
     (prod_j h_j!) a_lam t over the column heights h_j.
     """
     for slots in _young_groups(check_partition(lam))[0]:
-        t = _group_pass(t, slots, False)
-    return t
+        b = _permutation_pass(b, slots, False)
+    return b
 
 
-def apply_symmetrizer(t: SparseTensor, lam: Partition) -> SparseTensor:
-    """The Young symmetrizer c_lam = b_lam a_lam applied to t, factored: the
-    row passes of a_lam, then one antisymmetrizing pass per column of height
-    > 1 for b_lam."""
-    t = symmetrize_rows(t, lam)
+def apply_symmetrizer(b: WordBatch, lam: Partition) -> WordBatch:
+    """The Young symmetrizer c_lam = b_lam a_lam applied to each tensor of
+    the batch, factored: the row passes of a_lam, then one antisymmetrizing
+    pass per column of height > 1 for b_lam."""
+    b = symmetrize_rows(b, lam)
     for slots in _young_groups(check_partition(lam))[1]:
-        t = _group_pass(t, slots, True)
-    return t
+        b = _permutation_pass(b, slots, True)
+    return b
 
 
 def integer_scaled(t: SparseTensor) -> tuple[SparseTensor, Fraction]:
@@ -146,10 +285,6 @@ def integer_scaled(t: SparseTensor) -> tuple[SparseTensor, Fraction]:
     nums = {w: x.numerator * (den // x.denominator) for w, x in t.items()}
     g = gcd(*nums.values()) or 1
     return {w: x // g for w, x in nums.items()}, Fraction(den, g)
-
-
-def insert_letter(t: SparseTensor, pos: int, letter: int) -> SparseTensor:
-    return {w[:pos] + (letter,) + w[pos:]: c for w, c in t.items()}
 
 
 def content(word: Word, v: int) -> tuple[int, ...]:
@@ -218,33 +353,50 @@ def letter_images(X: Sequence[Sequence]) -> dict[int, list[tuple[int, object]]]:
     return images
 
 
-def matrix_on_letters(X: Sequence[Sequence], t: SparseTensor) -> SparseTensor:
-    """Derivation action of X in gl(V) on a tensor: sum over slots.  X's
-    nonzero entries are read once; integer X and t give an integer result."""
-    images = letter_images(X)
-    out: SparseTensor = {}
-    for w, c in t.items():
-        for s, a in enumerate(w):
-            for b, x in images.get(a, ()):
-                nw = w[:s] + (b,) + w[s + 1 :]
-                out[nw] = out.get(nw, 0) + c * x
-    return {w: c for w, c in out.items() if c}
+def matrix_on_letters(X: Sequence[Sequence[int]], b: WordBatch) -> WordBatch:
+    """Derivation action of an integer X in gl(V) on each tensor of the
+    batch: the sum over slots of X applied to the letter in that slot."""
+    moves = [(a, c, x) for a, images in sorted(letter_images(X).items()) for c, x in images]
+    src, dst = (np.array([m[i] for m in moves], dtype=np.int64) for i in (0, 1))
+    x = _int_array([m[2] for m in moves])
+    letters = b.letters()
+    a = letters.ravel()
+    lo = np.searchsorted(src, a)
+    owner, at = ragged(lo, np.searchsorted(src, a, "right") - lo)
+    term = np.repeat(np.arange(len(letters)), b.degree)[owner]
+    slot = np.tile(np.arange(b.degree), len(letters))[owner]
+    # an output word takes at most one term from each (slot, letter) pair
+    dtype = coef_dtype(max_abs(b.coef) * max_abs(x) * b.degree * b.radix)
+    return WordBatch.build(
+        b.n, b.degree, b.radix, b.idx[term],
+        b.code[term] + (dst[at] - a[owner]) * place_values(b.radix, b.degree)[slot],
+        b.coef.astype(dtype)[term] * x.astype(dtype)[at])
 
 
 @dataclass
 class _Block:
     rows: list[SparseTensor]
     pivot_words: list[Word]
-    row_offset: int
+
+
+class _Reader(NamedTuple):
+    """A span's scaled basis encoded for one radix (GradedSpan.coordinates)."""
+
+    scaled: WordBatch  # the u_k, tensor k = basis index k
+    starts: np.ndarray  # u_k's terms are scaled.code[starts[k]:starts[k + 1]]
+    pivot_code: np.ndarray  # sorted, then one sentinel above every code
+    pivot_k: np.ndarray  # the basis index of each pivot code
+    lcm: int  # L, the lcm of the scales s_k
+    factor: np.ndarray  # L / s_k
 
 
 @dataclass
 class GradedSpan:
     """Canonical basis of a span of grade-homogeneous sparse tensors."""
 
-    grade_fn: Callable[[Word], Hashable]
     blocks: dict = field(default_factory=dict)
     basis: list = field(default_factory=list)
+    _readers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def from_tensors(tensors: Iterable[SparseTensor],
@@ -258,8 +410,7 @@ class GradedSpan:
             if len(grades) != 1:
                 raise ValueError("spanning tensor is not grade-homogeneous")
             by_grade.setdefault(grades.pop(), []).append(t)
-        span = GradedSpan(grade_fn)
-        offset = 0
+        span = GradedSpan()
         for g in sorted(by_grade, key=repr):
             vecs = by_grade[g]
             words = sorted({w for t in vecs for w in t})
@@ -273,39 +424,13 @@ class GradedSpan:
             # with one zero entry skips nearly every zero without Fraction.__bool__
             zero = rref[0][pivots[1]] if len(rref) > 1 else None
             rows = [{w: x for w, x in zip(words, row) if x is not zero and x} for row in rref]
-            span.blocks[g] = _Block(rows, [words[p] for p in pivots], offset)
+            span.blocks[g] = _Block(rows, [words[p] for p in pivots])
             span.basis.extend(rows)
-            offset += len(rows)
         return span
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coordinates(self, t: SparseTensor, check: bool = True) -> Optional[list[Fraction]]:
-        """Coordinates of t in the basis, or None when t is outside the span."""
-        coords = [ZERO] * self.dim
-        by_grade: dict[Hashable, SparseTensor] = {}
-        for w, c in t.items():
-            by_grade.setdefault(self.grade_fn(w), {})[w] = c
-        for g, part in by_grade.items():
-            blk = self.blocks.get(g)
-            if blk is None:
-                return None
-            cs = [part.get(pw, ZERO) for pw in blk.pivot_words]
-            for r, c in enumerate(cs):
-                coords[blk.row_offset + r] = c
-            if check:
-                resid = dict(part)
-                for r, c in enumerate(cs):
-                    if c:
-                        tensor_iadd(resid, blk.rows[r], -c)
-                if resid:
-                    return None
-        return coords
-
-    def contains(self, t: SparseTensor) -> bool:
-        return self.coordinates(t, check=True) is not None
 
     @cached_property
     def scaled_basis(self) -> tuple[dict, list, list]:
@@ -316,3 +441,57 @@ class GradedSpan:
         scaled = [integer_scaled(t)[0] for t in self.basis]
         return ({w: k for k, w in enumerate(words)}, scaled,
                 [u[w] for u, w in zip(scaled, words)])
+
+    def _reader(self, radix: int) -> _Reader:
+        if radix not in self._readers:
+            pivots, scaled, scales = self.scaled_basis
+            degree = len(next(iter(pivots), ()))
+            u = WordBatch.from_tensors(scaled, degree, radix)
+            words = np.array(list(pivots), dtype=np.int64).reshape(len(pivots), degree)
+            codes = words @ place_values(radix, degree)
+            order = np.argsort(codes)
+            big = lcm(1, *scales)
+            self._readers[radix] = _Reader(
+                u, np.searchsorted(u.idx, np.arange(self.dim + 1)),
+                np.append(codes[order], np.iinfo(np.int64).max),
+                np.array(list(pivots.values()), dtype=np.int64)[order],
+                big, _int_array([big // s for s in scales]))
+        return self._readers[radix]
+
+    def scaled_batch(self, radix: int) -> WordBatch:
+        """The u_k of scaled_basis as one batch over the letters < radix."""
+        return self._reader(radix).scaled
+
+    def coordinates(self, batch: WordBatch) -> list[Optional[dict[int, int]]]:
+        """The coordinates {k: c_k} on the basis b_k of each integer tensor t
+        of the batch, or None when t is outside the span.
+
+        c_k is t at the pivot word of b_k, where b_k is 1 and every other
+        basis tensor is 0.  With u_k = s_k b_k the primitive integer tensors
+        of scaled_basis and L the lcm of the s_k, t lies in the span exactly
+        when L t = sum_k c_k (L / s_k) u_k, which is checked in integers.
+        """
+        r = self._reader(batch.radix)
+        if self.dim and batch.degree != r.scaled.degree:
+            raise ValueError(f"degree {batch.degree} tensors against a span of degree "
+                             f"{r.scaled.degree}")
+        at = np.searchsorted(r.pivot_code, batch.code)
+        hit = r.pivot_code[at] == batch.code
+        ti, k, c = batch.idx[hit], r.pivot_k[at[hit]], batch.coef[hit]
+        owner, term = ragged(r.starts[k], r.starts[k + 1] - r.starts[k])
+        # a word's residual sums L t_w and at most one term of each u_k
+        dtype = coef_dtype(r.lcm * max(1, max_abs(batch.coef))
+                           * (1 + self.dim * max_abs(r.scaled.coef)))
+        resid, _, _ = _summed(
+            np.concatenate([batch.idx, ti[owner]]),
+            np.concatenate([batch.code, r.scaled.code[term]]),
+            np.concatenate([batch.coef.astype(dtype) * r.lcm,
+                            -(c.astype(dtype)[owner] * r.factor.astype(dtype, copy=False)[k[owner]]
+                              * r.scaled.coef.astype(dtype, copy=False)[term])]),
+            batch.radix ** batch.degree)
+        out: list[Optional[dict[int, int]]] = [{} for _ in range(batch.n)]
+        for i, kk, cc in zip(ti.tolist(), k.tolist(), c.tolist()):
+            out[i][kk] = cc
+        for i in set(resid.tolist()):
+            out[i] = None
+        return out

@@ -31,6 +31,7 @@ from crpencils.modules import (
 from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
 from crpencils.tensors import (
     GradedSpan,
+    WordBatch,
     apply_symmetrizer,
     chevalley_generators,
     integer_scaled,
@@ -57,6 +58,17 @@ def partitions_up_to(n, max_rows):
     return sorted(set(out))
 
 
+def batch_in(mod, *ts):
+    """The tensors scaled to primitive integer tensors, as one batch."""
+    return WordBatch.from_tensors([integer_scaled(t)[0] for t in ts], mod.degree,
+                                  mod.group.natural_dim)
+
+
+def integer_matrix(X):
+    assert all(Fraction(x).denominator == 1 for row in X for x in row)
+    return [[int(x) for x in row] for row in X]
+
+
 def random_tensor_in(mod, rng, nnz=3):
     out = {}
     for _ in range(nnz):
@@ -78,8 +90,9 @@ def rref_first_span(lam, form):
     on its integer-scaled rows.  Kept here as the oracle of the build that
     takes the kernel on the symmetrized tableau tensors directly."""
     grade = form.word_weight
+    words = [{tableau_word(t): 1} for t in semistandard_tableaux(lam, form.dim)]
     schur = GradedSpan.from_tensors(
-        [apply_symmetrizer({tableau_word(t): 1}, lam) for t in semistandard_tableaux(lam, form.dim)],
+        apply_symmetrizer(WordBatch.from_tensors(words, sum(lam), form.dim), lam).to_tensors(),
         grade)
     kept = []
     for blk in schur.blocks.values():
@@ -106,8 +119,9 @@ INSIDE_321 = [lam for lam in partitions_up_to(6, 3)
 
 class TestSchurModules:
     def test_long_row_is_polynomial(self):
-        # a row pass enumerates the distinct arrangements only: 9 letters of
-        # 3 kinds have at most 1,680 of them, against 9! permutations
+        # a row pass of 9 slots expands 9! permutations of each of the 55
+        # tableau words, a chunk of whole tensors at a time, and sums them
+        # into at most 1,680 arrangements
         assert schur_module((9,), 3).dim == 55
 
     def test_dims_small(self):
@@ -135,15 +149,14 @@ class TestSchurModules:
             torus = [square_matrix(v, {(k, k): 1}) for k in range(v)]
             for X in chevalley_generators(v) + torus:
                 t = random_tensor_in(mod, rng)
-                assert mod.span.contains(lie_action(X, t))
+                assert None not in mod.span.coordinates(lie_action(X, batch_in(mod, t)))
 
     def test_identity_acts_by_degree(self):
         mod = schur_module((2, 1), 3)
         one = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-        t = mod.span.basis[0]
-        got = lie_action(one, t)
-        expect = {w: 3 * c for w, c in t.items()}
-        assert got == expect
+        t = integer_scaled(mod.span.basis[0])[0]
+        got = lie_action(one, batch_in(mod, t)).to_tensors()
+        assert got == [{w: 3 * c for w, c in t.items()}]
 
 
 class TestForms:
@@ -168,9 +181,9 @@ class TestForms:
 
     def test_dual_tensor_invariant(self):
         for form in (symplectic_form(4), orthogonal_form(5)):
-            qhat = form.dual_tensor()
+            qhat = WordBatch.from_tensors([integer_scaled(form.dual_tensor())[0]], 2, form.dim)
             for X in form_lie_basis(form):
-                assert lie_action(X, qhat) == {}
+                assert lie_action(integer_matrix(X), qhat).to_tensors() == [{}]
 
 
 class TestFormModules:
@@ -202,9 +215,9 @@ class TestFormModules:
         for mod in (symplectic_module((1, 1), 6), orthogonal_module((2,), 5)):
             gens = form_lie_basis(mod.form)
             for _ in range(10):
-                X = gens[rng.randrange(len(gens))]
+                X = integer_matrix(gens[rng.randrange(len(gens))])
                 t = random_tensor_in(mod, rng)
-                assert mod.span.contains(lie_action(X, t))
+                assert None not in mod.span.coordinates(lie_action(X, batch_in(mod, t)))
 
     def test_degree_one(self):
         assert symplectic_module((1,), 6).dim == 6
@@ -223,6 +236,43 @@ class TestFormModules:
             assert span.basis == oracle.basis
             assert {g: b.pivot_words for g, b in span.blocks.items()} == {
                 g: b.pivot_words for g, b in oracle.blocks.items()}
+
+
+READER_MODULES = [(schur_module, (2, 1), 3), (symplectic_module, (1, 1), 6),
+                  (orthogonal_module, (2, 1), 4)]
+
+
+@pytest.mark.parametrize("realize,lam,dim", READER_MODULES)
+class TestCoordinateReader:
+    def test_reads_integer_combinations_of_the_scaled_basis(self, realize, lam, dim):
+        mod = realize(lam, dim)
+        _, scaled, scales = mod.span.scaled_basis
+        rng = random.Random(3)
+        combos = [[rng.randint(-3, 3) for _ in scaled] for _ in range(4)] + [[0] * len(scaled)]
+        ts = []
+        for a in combos:
+            t = {}
+            for ak, u in zip(a, scaled):
+                tensor_iadd(t, u, ak)
+            ts.append(t)
+        # u_k = s_k b_k, so sum_k a_k u_k has the coordinates a_k s_k
+        assert mod.span.coordinates(WordBatch.from_tensors(ts, mod.degree, dim)) == [
+            {k: ak * s for k, (ak, s) in enumerate(zip(a, scales)) if ak} for a in combos]
+
+    def test_refuses_a_changed_coefficient_and_a_missing_weight(self, realize, lam, dim):
+        mod = realize(lam, dim)
+        pivots, scaled, scales = mod.span.scaled_basis
+        k, u = next((k, u) for k, u in enumerate(scaled) if len(u) > 1)
+        w = next(w for w in u if w not in pivots)
+        changed = {**u, w: u[w] + 1}
+        # (0, ..., 0) has the content, and the torus weight, d e_1, which is
+        # not a weight of the module: no basis tensor holds a word of it
+        zero = (0,) * mod.degree
+        assert all(zero not in t for t in scaled)
+        lacking = {**u, zero: 1}
+        got = mod.span.coordinates(
+            WordBatch.from_tensors([u, changed, lacking, {zero: 1}], mod.degree, dim))
+        assert got == [{k: scales[k]}, None, None, None]
 
 
 def basis_vector_w(j, n):

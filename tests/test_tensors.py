@@ -1,18 +1,26 @@
-"""The factored Young symmetrizer against its expansion into signed
-permutations, which is kept here as the test oracle."""
+"""The batched Young symmetrizer, the batched derivation action and the
+word-batch reshapes against per-tensor dict computations: the symmetrizer's
+expansion into signed permutations and a loop over words, which are kept
+here as the test oracles."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crpencils import tensors
 from crpencils.partitions import conjugate
 from crpencils.tensors import (
-    _orbit,
+    EXACT_BOUND,
+    WordBatch,
     apply_symmetrizer,
+    letter_images,
+    matrix_on_letters,
     perm_sign,
     row_major_cells,
     symmetrize_rows,
@@ -85,64 +93,119 @@ def _partitions(n, maxpart=None):
 
 SMALL_PARTITIONS = [lam for n in range(1, 6) for lam in _partitions(n)]
 
-coefficients = st.one_of(
-    st.integers(-20, 20),
-    st.fractions(min_value=-5, max_value=5, max_denominator=12),
-).filter(bool)  # sparse tensors store no zeros
+SMALL_PARTITIONS = [lam for n in range(1, 6) for lam in _partitions(n)]
+
+
+def batch(ts, lam, v):
+    return WordBatch.from_tensors(ts, sum(lam), v)
 
 
 @st.composite
-def tensors_for(draw):
+def batches_for(draw):
+    """(lam, v, tensors): 0-6 integer tensors of degree |lam|, some empty,
+    words of mixed content, and in some a pair of words that the first row
+    pass cancels: w and w with slots 0 and 1 swapped, opposite coefficients."""
     lam = draw(st.sampled_from(SMALL_PARTITIONS))
     v = draw(st.integers(2, 4))
     words = st.tuples(*[st.integers(0, v - 1)] * sum(lam))
-    t = draw(st.dictionaries(words, coefficients, min_size=1, max_size=6))
-    return lam, t
+    ts = draw(st.lists(st.dictionaries(words, st.integers(-20, 20).filter(bool), max_size=6),
+                       max_size=6))
+    for t in ts:
+        if t and lam[0] > 1 and draw(st.booleans()):
+            w, c = next(iter(t.items()))
+            swapped = (w[1], w[0]) + w[2:]
+            if swapped != w:
+                t[swapped] = -c
+    return lam, v, ts
 
 
 @settings(max_examples=150, deadline=None)
-@given(tensors_for())
+@given(batches_for())
 def test_factored_symmetrizer_matches_expansion(case):
-    lam, t = case
-    assert apply_symmetrizer(t, lam) == apply_expanded(t, expanded_symmetrizer(lam))
+    lam, v, ts = case
+    expanded = expanded_symmetrizer(lam)
+    assert apply_symmetrizer(batch(ts, lam, v), lam).to_tensors() == [
+        apply_expanded(t, expanded) for t in ts]
 
 
 def test_factored_symmetrizer_pinned_321():
     lam = (3, 2, 1)
     assert len(expanded_symmetrizer(lam)) == 144
-    t = {(0, 1, 2, 0, 1, 0): 3, (0, 0, 1, 1, 2, 3): Fraction(-1, 2),
-         (2, 1, 0, 3, 0, 1): 5}
-    got = apply_symmetrizer(t, lam)
-    assert got
-    assert got == apply_expanded(t, expanded_symmetrizer(lam))
-    # integer tensors stay integer
-    assert all(type(c) is int for c in apply_symmetrizer({(0, 1, 2, 0, 1, 0): 1}, lam).values())
+    ts = [{(0, 1, 2, 0, 1, 0): 3, (0, 0, 1, 1, 2, 3): -1, (2, 1, 0, 3, 0, 1): 5},
+          {(0, 1, 2, 0, 1, 0): 1}]
+    got = apply_symmetrizer(batch(ts, lam, 4), lam).to_tensors()
+    assert all(got)
+    assert got == [apply_expanded(t, expanded_symmetrizer(lam)) for t in ts]
+    assert all(type(c) is int for t in got for c in t.values())
     # a letter repeated in a column dies
-    assert apply_symmetrizer({(0, 1, 2, 0, 1, 2): 1}, (1, 1, 1, 1, 1, 1)) == {}
+    assert apply_symmetrizer(batch([{(0, 1, 2, 0, 1, 2): 1}], (1,) * 6, 3),
+                             (1,) * 6).to_tensors() == [{}]
 
 
-def permutation_orbit(key, signed):
-    """sum_sigma (sign sigma) sigma.key over all d! permutations."""
+def permutation_orbit(word, signed):
+    """sum_sigma (sign sigma) sigma.word over all d! permutations."""
     out = {}
-    for perm in permutations(range(len(key))):
-        arr = tuple(key[i] for i in perm)
+    for perm in permutations(range(len(word))):
+        arr = tuple(word[i] for i in perm)
         out[arr] = out.get(arr, 0) + (perm_sign(perm) if signed else 1)
     return {arr: c for arr, c in out.items() if c}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=7), st.booleans())
-def test_orbit_matches_the_permutation_sum(letters, signed):
-    key = tuple(sorted(letters))
-    assert _orbit(key, signed) == permutation_orbit(key, signed)
+def test_pass_over_every_slot_matches_the_permutation_sum(letters, signed):
+    # one row (symmetrizing) or one column (antisymmetrizing) of len(letters) cells
+    word, lam = tuple(letters), ((len(letters),) if not signed else (1,) * len(letters))
+    got = apply_symmetrizer(batch([{word: 1}], lam, 4), lam).to_tensors()[0]
+    assert got == permutation_orbit(word, signed)
+    if not signed:  # each arrangement comes from prod_i m_i! permutations
+        mult = prod(factorial(word.count(a)) for a in set(word))
+        assert set(got.values()) == {mult}
+        assert len(got) == factorial(len(word)) // mult
 
 
-def test_orbit_of_repeated_letters_pinned():
+def test_pass_of_repeated_letters_pinned():
     # 3 arrangements of {0, 0, 1}, each from 2! permutations
-    assert _orbit((0, 0, 1), False) == {(0, 0, 1): 2, (0, 1, 0): 2, (1, 0, 0): 2}
-    assert _orbit((0, 0, 1), True) == {}
-    assert len(_orbit((0, 0, 0, 1, 1, 1, 2, 2, 2), False)) == 1680
-    assert set(_orbit((0, 0, 0, 1, 1, 1, 2, 2, 2), False).values()) == {216}
+    row = symmetrize_rows(batch([{(0, 0, 1): 1}], (3,), 2), (3,))
+    assert row.to_tensors() == [{(0, 0, 1): 2, (0, 1, 0): 2, (1, 0, 0): 2}]
+    assert apply_symmetrizer(batch([{(0, 0, 1): 1}], (1, 1, 1), 2), (1, 1, 1)).to_tensors() == [{}]
+    nine = symmetrize_rows(batch([{(0, 0, 0, 1, 1, 1, 2, 2, 2): 1}], (9,), 3), (9,)).to_tensors()[0]
+    assert len(nine) == 1680
+    assert set(nine.values()) == {216}
+
+
+def test_pass_is_exact_across_the_int64_bound():
+    # the row pass of 3 slots keeps int64 while max|c| 3! < 2^62; the column
+    # pass of 2 slots after it crosses 2^62 and sums Python ints
+    lam = (3, 1)
+    for c in (EXACT_BOUND // 6 - 1, EXACT_BOUND // 6 + 1, -(EXACT_BOUND // 6)):
+        t = {(0, 0, 0, 1): c, (0, 1, 0, 2): c - 1, (1, 0, 0, 1): -c, (2, 0, 1, 1): 7}
+        rows = symmetrize_rows(batch([t], lam, 3), lam)
+        assert rows.coef.dtype == (np.int64 if max(map(abs, t.values())) * 6 < EXACT_BOUND
+                                   else object)
+        got = apply_symmetrizer(batch([t], lam, 3), lam)
+        assert got.coef.dtype == object
+        assert got.to_tensors() == [apply_expanded(t, expanded_symmetrizer(lam))]
+
+
+def _random_batch(rng, lam, v, n):
+    d = sum(lam)
+    return [{tuple(rng.randrange(v) for _ in range(d)): rng.randint(-9, 9) or 1
+             for _ in range(rng.randrange(12))} for _ in range(n)]
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+def test_chunked_passes_equal_the_unchunked(monkeypatch, cells):
+    rng = random.Random(5)
+    for lam in [(3, 2, 1), (2, 2, 1), (1, 1, 1, 1), (4, 1)]:
+        b = batch(_random_batch(rng, lam, 4, 9), lam, 4)
+        whole = apply_symmetrizer(b, lam)
+        monkeypatch.setattr(tensors, "PASS_CELLS", cells)
+        part = apply_symmetrizer(b, lam)
+        monkeypatch.undo()
+        assert whole.n == part.n
+        for a, c in ((whole.idx, part.idx), (whole.code, part.code), (whole.coef, part.coef)):
+            assert np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("lam", SMALL_PARTITIONS, ids=str)
@@ -151,9 +214,70 @@ def test_orbit_of_repeated_letters_pinned():
 def test_adjoint_on_symmetrized_tensors_is_the_row_passes(lam, data):
     v = data.draw(st.integers(2, 4))
     words = st.tuples(*[st.integers(0, v - 1)] * sum(lam))
-    t = data.draw(st.dictionaries(words, st.integers(-20, 20).filter(bool),
-                                  min_size=1, max_size=6))
-    s = apply_symmetrizer(t, lam)
+    ts = data.draw(st.lists(st.dictionaries(words, st.integers(-20, 20).filter(bool),
+                                            min_size=1, max_size=6), max_size=4))
+    s = apply_symmetrizer(batch(ts, lam, v), lam)
     columns = prod(factorial(h) for h in conjugate(lam))
-    assert apply_expanded(s, expanded_symmetrizer(lam, adjoint=True)) == {
-        w: columns * c for w, c in symmetrize_rows(s, lam).items()}
+    adjoint = expanded_symmetrizer(lam, adjoint=True)
+    assert [apply_expanded(t, adjoint) for t in s.to_tensors()] == [
+        {w: columns * c for w, c in t.items()} for t in symmetrize_rows(s, lam).to_tensors()]
+
+
+def derivation(X, t):
+    """sum over slots of X applied to the letter in that slot, word by word."""
+    images = letter_images(X)
+    out = {}
+    for w, c in t.items():
+        for s, a in enumerate(w):
+            for b, x in images.get(a, ()):
+                nw = w[:s] + (b,) + w[s + 1:]
+                out[nw] = out.get(nw, 0) + c * x
+    return {w: c for w, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_batched_derivation_matches_the_word_loop(v, d, data):
+    X = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=v, max_size=v),
+                           min_size=v, max_size=v))
+    words = st.tuples(*[st.integers(0, v - 1)] * d)
+    ts = data.draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=5),
+                            max_size=4))
+    got = matrix_on_letters(X, WordBatch.from_tensors(ts, d, v)).to_tensors()
+    assert got == [derivation(X, t) for t in ts]
+
+
+def test_batched_derivation_is_exact_past_the_int64_bound():
+    X = [[0, 1], [3, 0]]
+    t = {(0, 1, 1): EXACT_BOUND - 5, (1, 0, 1): -EXACT_BOUND, (1, 1, 1): 2 ** 70}
+    got = matrix_on_letters(X, WordBatch.from_tensors([t], 3, 2))
+    assert got.coef.dtype == object
+    assert got.to_tensors() == [derivation(X, t)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_word_reshapes_match_the_word_loop(v, d, data):
+    pos = data.draw(st.integers(0, d - 1))
+    words = st.tuples(*[st.integers(0, v - 1)] * d)
+    ts = data.draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=5),
+                            max_size=4))
+    b = WordBatch.from_tensors(ts, d, v)
+    inserted = b.with_letter_inserted(pos).to_tensors()
+    assert inserted == [{w[:pos] + (a,) + w[pos:]: c for w, c in t.items()}
+                        for t in ts for a in range(v)]
+    assert b.with_letter_inserted(pos).split_at(pos).to_tensors() == [
+        t if a == cut else {} for t in ts for a in range(v) for cut in range(v)]
+    assert b.split_at(pos).to_tensors() == [
+        {w[:pos] + w[pos + 1:]: c for w, c in t.items() if w[pos] == a} for t in ts for a in range(v)]
+    for first, part in b.chunks(data.draw(st.integers(0, 6))):
+        assert part.n >= 1 and part.to_tensors() == ts[first:first + part.n]
+
+
+def test_batches_refuse_what_they_cannot_hold_exactly():
+    with pytest.raises(TypeError):
+        WordBatch.from_tensors([{(0, 1): Fraction(1, 2)}], 2, 2)
+    with pytest.raises(ValueError):
+        WordBatch.from_tensors([{(0, 2): 1}], 2, 2)
+    with pytest.raises(ValueError):
+        WordBatch.from_tensors([{(0,) * 40: 1}], 40, 3)
