@@ -436,12 +436,12 @@ def _partner_table(form: FormSpec) -> list[tuple[int, int]]:
 
 def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
                        box: BoxPosition, spec: BuildSpec) -> Pencil:
-    """Entry (l, k, j) is <a_nu u_k with the letter at slot pos paired with
-    e_l, s_j b_j>, times prod h_j! / (s_k s_j): on module vectors the
-    adjoint c_nu^* is that scalar times the row passes a_nu.  The pairing
-    of a word w with a source word is B's value on each pair of letters,
-    nonzero only at the partner word of w, so it is one sorted join on
-    partner-word codes."""
+    """Entry (l, k, j) pairs c_nu^* b_k with e_l at slot pos and b_j in the
+    other slots.  On module vectors c_nu^* is prod h_j! times the row
+    passes a_nu, and two words pair to the product of B over their letters,
+    which is nonzero only at a word's partner word; so the entries are one
+    sorted join on partner-word codes of the integer-scaled bases
+    u = s b, with the scales divided back out."""
     form = smod.form
     v = form.dim
     nu = tmod.weight
