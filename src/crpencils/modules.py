@@ -153,7 +153,7 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
         raise ValueError(f"{lam} has more than {v} rows")
     words = [{tableau_word(t): 1} for t in semistandard_tableaux(lam, v)]
     tensors = apply_symmetrizer(WordBatch.from_tensors(words, size(lam), v), lam).to_tensors()
-    span = GradedSpan.from_tensors(tensors, lambda w: content(w, v))
+    span = GradedSpan.from_tensors(tensors, lambda w: content(w, v), v)
     expected = gl_dim(lam, v)
     if span.dim != expected:
         raise AssertionError(f"S_{lam}(C^{v}): got dim {span.dim}, expected {expected}")
@@ -190,7 +190,7 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
                 if c:
                     tensor_iadd(nt, vecs[j], c)
             kept.append(nt)
-    span = GradedSpan.from_tensors(kept, grade)
+    span = GradedSpan.from_tensors(kept, grade, form.dim)
     if span.dim != expected:
         raise AssertionError(
             f"{group.family} module {lam}: got dim {span.dim}, expected {expected}"

@@ -326,7 +326,7 @@ def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
     xn = square_matrix(x.dim, {(r, c): num for r, c, num in x.entries})
     scales = mod.span.scaled_basis[2]
     s_all = lcm(1, *scales)
-    images = mod.span.coordinates(lie_action(xn, mod.span.scaled_batch(mod.group.natural_dim)))
+    images = mod.span.coordinates(lie_action(xn, mod.span.scaled_batch))
     if None in images:
         raise AssertionError("module basis is not stable under the Lie action")
     entries = [(k, j, c * (s_all // scales[j])) for j, coords in enumerate(images)
@@ -377,7 +377,7 @@ def _insertion_images(smod: RealizedModule, tmod: RealizedModule, pos: int) -> l
     # c_nu makes at most prod r_i! prod h_j! terms of a word
     growth = v * prod(factorial(r) for r in nu + conjugate(nu))
     images = []
-    for first, part in smod.span.scaled_batch(v).chunks(PASS_CELLS // growth):
+    for first, part in smod.span.scaled_batch.chunks(PASS_CELLS // growth):
         coords = tmod.span.coordinates(
             apply_symmetrizer(part.with_letter_inserted(pos), nu))
         if None in coords:
@@ -450,7 +450,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     partner, value = table[:, 0], table[:, 1]
 
     # each source word u_j[w] becomes (code of its partner word, j, u_j[w] B(w, partner))
-    src = smod.span.scaled_batch(v)
+    src = smod.span.scaled_batch
     letters = src.letters()
     pcode = partner[letters] @ place_values(v, src.degree)
     order = np.argsort(pcode, kind="stable")
@@ -461,7 +461,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     columns = prod(factorial(h) for h in conjugate(nu))
     src_scales, tgt_scales = smod.span.scaled_basis[2], tmod.span.scaled_basis[2]
     entries: dict = {}
-    target = tmod.span.scaled_batch(v)
+    target = tmod.span.scaled_batch
     for first, part in target.chunks(PASS_CELLS // prod(factorial(r) for r in nu)):
         dk = symmetrize_rows(part, nu)
         letter, rest = dk.cut(pos)
@@ -726,7 +726,7 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     # with the letter alpha at the removed slot
     scales = sa.span.scaled_basis[2]
     parts = sap.span.coordinates(
-        apply_symmetrizer(sa.span.scaled_batch(a).split_at(slot_rm), lam_p))
+        apply_symmetrizer(sa.span.scaled_batch.split_at(slot_rm), lam_p))
     if None in parts:
         raise AssertionError("slot removal left the smaller Schur module")
     coords_a = [{alpha: {k: Fraction(c, scales[j]) for k, c in parts[j * a + alpha].items()}

@@ -8,12 +8,14 @@ Young symmetrizers act on a WordBatch: many integer tensors of one degree,
 held as numpy arrays of (tensor index, word code, coefficient) sorted by
 tensor and code, where the code of a word reads its letters as base-radix
 digits.  c_lam = b_lam a_lam is applied factored, one symmetrizing pass per
-row and one antisymmetrizing pass per column of the diagram.  A pass drops
-the words with a letter repeated in an antisymmetrized column, expands every
-permutation of its slots over whole tensors at a time, at most PASS_CELLS
-terms at once, and sums equal words with a stable sort and np.add.reduceat.
-Coefficients are int64 while no sum a step forms can reach 2^62, and Python
-ints in object arrays otherwise, so integer tensors stay exact.  On the
+row and one antisymmetrizing pass per column of the diagram.  A pass over
+k slots drops the words with a letter repeated in an antisymmetrized column
+and runs k - 1 coset passes, of 2, 3, ..., k moves; each expands whole
+tensors at a time, at most PASS_CELLS terms at once, and sums equal words
+with a stable sort and np.add.reduceat, so a pass holds distinct
+arrangements, never k! terms of a word.  Coefficients are int64 while no sum
+a step forms can reach 2^62, and Python ints in object arrays otherwise, so
+integer tensors stay exact.  On the
 image of c_lam the adjoint is the row passes times a scalar
 (symmetrize_rows).
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -40,7 +41,7 @@ from .partitions import Partition, check_partition, conjugate
 Word = tuple[int, ...]
 SparseTensor = dict  # Word -> int or Fraction
 
-PASS_CELLS = 1 << 15  # expanded terms a symmetrizing pass holds at once
+PASS_CELLS = 1 << 15  # expanded terms a coset pass holds at once
 EXACT_BOUND = 1 << 62  # int64 arithmetic is used only below this bound
 
 
@@ -218,40 +219,45 @@ class WordBatch:
             first = stop
 
 
-@lru_cache(maxsize=None)
-def _permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k! permutations of range(k), one per row, and their signs."""
-    perms = np.array(list(permutations(range(k))), dtype=np.int64).reshape(-1, k)
-    inversions = np.zeros(len(perms), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            inversions += perms[:, i] > perms[:, j]
-    return perms, 1 - 2 * (inversions % 2)
+def _coset_pass(b: WordBatch, slots: tuple[int, ...], signed: bool) -> WordBatch:
+    """(e + sum_i (+-) (slots[i] slots[-1])) applied to each tensor of the
+    batch: the identity plus each transposition of the last slot with
+    another, signed when antisymmetrizing."""
+    k = len(slots)
+    # an output word takes at most one term from each of the k moves
+    b = replace(b, coef=b.coef.astype(coef_dtype(max_abs(b.coef) * k)))
+    pw = place_values(b.radix, b.degree)[list(slots)]
+    signs = np.array([1] + [-1 if signed else 1] * (k - 1), dtype=np.int64)
+    size = b.radix ** b.degree
+    parts = [(b.idx[:0], b.code[:0], b.coef[:0])]
+    for first, part in b.chunks(PASS_CELLS // k):
+        letters = part.letters(slots)
+        # swapping slots[i] and slots[-1] adds (l_last - l_i)(pw_i - pw_last)
+        moved = part.code[:, None] + (letters[:, -1:] - letters[:, :-1]) * (pw[:-1] - pw[-1])
+        code = np.concatenate([part.code[:, None], moved], axis=1)
+        idx, code, coef = _summed(np.repeat(part.idx, k), code.ravel(),
+                                  (part.coef[:, None] * signs).ravel(), size)
+        parts.append((idx + first, code, coef))
+    return WordBatch(b.n, b.degree, b.radix, *map(np.concatenate, zip(*parts)))
 
 
 def _permutation_pass(b: WordBatch, slots: tuple[int, ...], signed: bool) -> WordBatch:
     """Sum (or signed sum) over all permutations of the letters in `slots`,
-    of each tensor of the batch."""
-    perms, signs = _permutations(len(slots))
+    of each tensor of the batch.
+
+    With R_j the identity and the transpositions of slots[j - 1] with the
+    slots before it, S_j = R_j S_(j-1), so the sum over S_k is the coset
+    passes R_2, R_3, ..., R_k in turn.  After R_j each tensor is symmetric
+    (or antisymmetric) in its first j slots and its equal words are summed,
+    so a pass holds at most j times the distinct arrangements of a tensor's
+    words, never k! terms per word."""
     if signed:  # a letter repeated in an antisymmetrized column gives 0
         s = np.sort(b.letters(slots), axis=1)
         live = (s[:, 1:] != s[:, :-1]).all(axis=1)
         b = replace(b, idx=b.idx[live], code=b.code[live], coef=b.coef[live])
-    else:
-        signs = np.ones_like(signs)
-    # an output word takes at most one term from each permutation
-    b = replace(b, coef=b.coef.astype(coef_dtype(max_abs(b.coef) * len(perms))))
-    pw = place_values(b.radix, b.degree)[list(slots)]
-    moves = pw[perms].T  # column p moves the letter in slots[i] to slots[perms[p, i]]
-    size = b.radix ** b.degree
-    parts = [(b.idx[:0], b.code[:0], b.coef[:0])]
-    for first, part in b.chunks(PASS_CELLS // len(perms)):
-        letters = part.letters(slots)
-        code = (part.code - letters @ pw)[:, None] + letters @ moves
-        idx, code, coef = _summed(np.repeat(part.idx, len(perms)), code.ravel(),
-                                  (part.coef[:, None] * signs).ravel(), size)
-        parts.append((idx + first, code, coef))
-    return WordBatch(b.n, b.degree, b.radix, *map(np.concatenate, zip(*parts)))
+    for j in range(2, len(slots) + 1):
+        b = _coset_pass(b, slots[:j], signed)
+    return b
 
 
 def symmetrize_rows(b: WordBatch, lam: Partition) -> WordBatch:
@@ -380,7 +386,7 @@ class _Block:
 
 
 class _Reader(NamedTuple):
-    """A span's scaled basis encoded for one radix (GradedSpan.coordinates)."""
+    """A span's scaled basis encoded as word codes (GradedSpan.coordinates)."""
 
     scaled: WordBatch  # the u_k, tensor k = basis index k
     starts: np.ndarray  # u_k's terms are scaled.code[starts[k]:starts[k + 1]]
@@ -392,15 +398,16 @@ class _Reader(NamedTuple):
 
 @dataclass
 class GradedSpan:
-    """Canonical basis of a span of grade-homogeneous sparse tensors."""
+    """Canonical basis of a span of grade-homogeneous sparse tensors over
+    the letters 0 .. radix - 1."""
 
+    radix: int
     blocks: dict = field(default_factory=dict)
     basis: list = field(default_factory=list)
-    _readers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
-    def from_tensors(tensors: Iterable[SparseTensor],
-                     grade_fn: Callable[[Word], Hashable]) -> "GradedSpan":
+    def from_tensors(tensors: Iterable[SparseTensor], grade_fn: Callable[[Word], Hashable],
+                     radix: int) -> "GradedSpan":
         grade = lru_cache(maxsize=None)(grade_fn)  # a word in many tensors is graded once
         by_grade: dict[Hashable, list[SparseTensor]] = {}
         for t in tensors:
@@ -410,7 +417,7 @@ class GradedSpan:
             if len(grades) != 1:
                 raise ValueError("spanning tensor is not grade-homogeneous")
             by_grade.setdefault(grades.pop(), []).append(t)
-        span = GradedSpan()
+        span = GradedSpan(radix)
         for g in sorted(by_grade, key=repr):
             vecs = by_grade[g]
             words = sorted({w for t in vecs for w in t})
@@ -442,25 +449,24 @@ class GradedSpan:
         return ({w: k for k, w in enumerate(words)}, scaled,
                 [u[w] for u, w in zip(scaled, words)])
 
-    def _reader(self, radix: int) -> _Reader:
-        if radix not in self._readers:
-            pivots, scaled, scales = self.scaled_basis
-            degree = len(next(iter(pivots), ()))
-            u = WordBatch.from_tensors(scaled, degree, radix)
-            words = np.array(list(pivots), dtype=np.int64).reshape(len(pivots), degree)
-            codes = words @ place_values(radix, degree)
-            order = np.argsort(codes)
-            big = lcm(1, *scales)
-            self._readers[radix] = _Reader(
-                u, np.searchsorted(u.idx, np.arange(self.dim + 1)),
-                np.append(codes[order], np.iinfo(np.int64).max),
-                np.array(list(pivots.values()), dtype=np.int64)[order],
-                big, _int_array([big // s for s in scales]))
-        return self._readers[radix]
+    @cached_property
+    def _reader(self) -> _Reader:
+        pivots, scaled, scales = self.scaled_basis
+        degree = len(next(iter(pivots), ()))
+        u = WordBatch.from_tensors(scaled, degree, self.radix)
+        words = np.array(list(pivots), dtype=np.int64).reshape(len(pivots), degree)
+        codes = words @ place_values(self.radix, degree)
+        order = np.argsort(codes)
+        big = lcm(1, *scales)
+        return _Reader(u, np.searchsorted(u.idx, np.arange(self.dim + 1)),
+                       np.append(codes[order], np.iinfo(np.int64).max),
+                       np.array(list(pivots.values()), dtype=np.int64)[order],
+                       big, _int_array([big // s for s in scales]))
 
-    def scaled_batch(self, radix: int) -> WordBatch:
-        """The u_k of scaled_basis as one batch over the letters < radix."""
-        return self._reader(radix).scaled
+    @property
+    def scaled_batch(self) -> WordBatch:
+        """The u_k of scaled_basis as one batch."""
+        return self._reader.scaled
 
     def coordinates(self, batch: WordBatch) -> list[Optional[dict[int, int]]]:
         """The coordinates {k: c_k} on the basis b_k of each integer tensor t
@@ -471,7 +477,9 @@ class GradedSpan:
         of scaled_basis and L the lcm of the s_k, t lies in the span exactly
         when L t = sum_k c_k (L / s_k) u_k, which is checked in integers.
         """
-        r = self._reader(batch.radix)
+        r = self._reader
+        if batch.radix != self.radix:
+            raise ValueError(f"letters < {batch.radix} against a span over letters < {self.radix}")
         if self.dim and batch.degree != r.scaled.degree:
             raise ValueError(f"degree {batch.degree} tensors against a span of degree "
                              f"{r.scaled.degree}")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,6 +30,7 @@ from crpencils.modules import (
     wedge_e,
 )
 from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
+from crpencils.pencils import build_gl_pencil
 from crpencils.tensors import (
     GradedSpan,
     WordBatch,
@@ -93,7 +95,7 @@ def rref_first_span(lam, form):
     words = [{tableau_word(t): 1} for t in semistandard_tableaux(lam, form.dim)]
     schur = GradedSpan.from_tensors(
         apply_symmetrizer(WordBatch.from_tensors(words, sum(lam), form.dim), lam).to_tensors(),
-        grade)
+        grade, form.dim)
     kept = []
     for blk in schur.blocks.values():
         vecs = [integer_scaled(t)[0] for t in blk.rows]
@@ -109,7 +111,7 @@ def rref_first_span(lam, form):
                 if c:
                     tensor_iadd(nt, vecs[j], c)
             kept.append(nt)
-    return GradedSpan.from_tensors(kept, grade)
+    return GradedSpan.from_tensors(kept, grade, form.dim)
 
 
 # the partitions inside (3, 2, 1)
@@ -119,10 +121,28 @@ INSIDE_321 = [lam for lam in partitions_up_to(6, 3)
 
 class TestSchurModules:
     def test_long_row_is_polynomial(self):
-        # a row pass of 9 slots expands 9! permutations of each of the 55
-        # tableau words, a chunk of whole tensors at a time, and sums them
-        # into at most 1,680 arrangements
+        # a row pass of 9 slots is 8 coset passes, of 2, 3, ..., 9 moves;
+        # each sums equal words, so it holds at most 9 times the 1,680
+        # arrangements of 9 letters < 3, never 9! terms per word
         assert schur_module((9,), 3).dim == 55
+
+    @pytest.mark.parametrize("build,args", [
+        (schur_module, ((9,), 3)),
+        (schur_module, ((12,), 2)),
+        (build_gl_pencil, ((8,), (9,), 3)),
+        (build_gl_pencil, ((11,), (12,), 2)),
+    ], ids=["S9-v3", "S12-v2", "gl-8-9-v3", "gl-11-12-v2"])
+    def test_long_rows_stay_small_in_memory(self, build, args):
+        # every tensor of S^8 C^3 holds up to 560 words: expanding the 9!
+        # permutations of each would take gigabytes, its distinct
+        # arrangements take a few megabytes
+        tracemalloc.start()
+        try:
+            build.__wrapped__(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_dims_small(self):
         for v in range(1, 5):
@@ -273,6 +293,8 @@ class TestCoordinateReader:
         got = mod.span.coordinates(
             WordBatch.from_tensors([u, changed, lacking, {zero: 1}], mod.degree, dim))
         assert got == [{k: scales[k]}, None, None, None]
+        with pytest.raises(ValueError):
+            mod.span.coordinates(WordBatch.from_tensors([u], mod.degree, dim + 1))
 
 
 def basis_vector_w(j, n):

@@ -48,6 +48,8 @@ from crpencils.pencils import (
 )
 from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
+from word_oracles import derivation
+
 
 def _rank_at(pencil, x):
     return qq_rank(pencil.evaluate(list(x)))
@@ -132,16 +134,11 @@ def _fraction_coordinate_action(mod, X) -> list[list[Fraction]]:
     derivation action of X on each RREF basis tensor, word by word, with its
     coordinates read at the pivot words and the residual checked in
     Fractions."""
-    images = letter_images([[Fraction(x) for x in row] for row in X])
+    X = [[Fraction(x) for x in row] for row in X]
     pivots = [w for blk in mod.span.blocks.values() for w in blk.pivot_words]
     cols = []
     for t in mod.span.basis:
-        y = {}
-        for w, c in t.items():
-            for s, a in enumerate(w):
-                for b, x in images.get(a, ()):
-                    nw = w[:s] + (b,) + w[s + 1:]
-                    y[nw] = y.get(nw, 0) + c * x
+        y = derivation(X, t)
         col = [y.get(w, Fraction(0)) for w in pivots]
         resid = dict(y)
         for c, b in zip(col, mod.span.basis):
@@ -264,7 +261,7 @@ def test_coordinate_action_refuses_a_generator_that_leaves_the_span():
     # form-traceless part of Lambda^2 off itself
     mod = symplectic_module((1, 1), 6)
     X = square_matrix(6, {(0, 2): 1})
-    assert None in mod.span.coordinates(lie_action(X, mod.span.scaled_batch(6)))
+    assert None in mod.span.coordinates(lie_action(X, mod.span.scaled_batch))
     with pytest.raises(AssertionError, match="not stable"):
         _coordinate_action(mod, X)
 

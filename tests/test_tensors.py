@@ -1,7 +1,7 @@
 """The batched Young symmetrizer, the batched derivation action and the
 word-batch reshapes against per-tensor dict computations: the symmetrizer's
-expansion into signed permutations and a loop over words, which are kept
-here as the test oracles."""
+expansion into signed permutations, kept here, and the word loop of
+word_oracles.derivation."""
 
 import random
 from fractions import Fraction
@@ -19,12 +19,13 @@ from crpencils.tensors import (
     EXACT_BOUND,
     WordBatch,
     apply_symmetrizer,
-    letter_images,
     matrix_on_letters,
     perm_sign,
     row_major_cells,
     symmetrize_rows,
 )
+
+from word_oracles import derivation
 
 
 def _group_perms(n, groups, signed):
@@ -90,8 +91,6 @@ def _partitions(n, maxpart=None):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
 
-
-SMALL_PARTITIONS = [lam for n in range(1, 6) for lam in _partitions(n)]
 
 SMALL_PARTITIONS = [lam for n in range(1, 6) for lam in _partitions(n)]
 
@@ -175,14 +174,16 @@ def test_pass_of_repeated_letters_pinned():
 
 
 def test_pass_is_exact_across_the_int64_bound():
-    # the row pass of 3 slots keeps int64 while max|c| 3! < 2^62; the column
-    # pass of 2 slots after it crosses 2^62 and sums Python ints
+    # the row pass of 3 slots is two coset passes, of 2 and 3 moves: the
+    # word (0, 0, 0, 1) reaches 2c, then 6c, and int64 is kept while 6|c| <
+    # 2^62; the column pass of 2 slots after it crosses 2^62 and sums Python
+    # ints
     lam = (3, 1)
     for c in (EXACT_BOUND // 6 - 1, EXACT_BOUND // 6 + 1, -(EXACT_BOUND // 6)):
-        t = {(0, 0, 0, 1): c, (0, 1, 0, 2): c - 1, (1, 0, 0, 1): -c, (2, 0, 1, 1): 7}
+        t = {(0, 0, 0, 1): c, (0, 1, 0, 2): 5, (1, 0, 0, 1): -3, (2, 0, 1, 1): 7}
         rows = symmetrize_rows(batch([t], lam, 3), lam)
-        assert rows.coef.dtype == (np.int64 if max(map(abs, t.values())) * 6 < EXACT_BOUND
-                                   else object)
+        assert rows.coef.dtype == (np.int64 if abs(c) * 6 < EXACT_BOUND else object)
+        assert rows.to_tensors()[0][0, 0, 0, 1] == 6 * c
         got = apply_symmetrizer(batch([t], lam, 3), lam)
         assert got.coef.dtype == object
         assert got.to_tensors() == [apply_expanded(t, expanded_symmetrizer(lam))]
@@ -221,18 +222,6 @@ def test_adjoint_on_symmetrized_tensors_is_the_row_passes(lam, data):
     adjoint = expanded_symmetrizer(lam, adjoint=True)
     assert [apply_expanded(t, adjoint) for t in s.to_tensors()] == [
         {w: columns * c for w, c in t.items()} for t in symmetrize_rows(s, lam).to_tensors()]
-
-
-def derivation(X, t):
-    """sum over slots of X applied to the letter in that slot, word by word."""
-    images = letter_images(X)
-    out = {}
-    for w, c in t.items():
-        for s, a in enumerate(w):
-            for b, x in images.get(a, ()):
-                nw = w[:s] + (b,) + w[s + 1:]
-                out[nw] = out.get(nw, 0) + c * x
-    return {w: c for w, c in out.items() if c}
 
 
 @settings(max_examples=60, deadline=None)
