@@ -121,28 +121,22 @@ INSIDE_321 = [lam for lam in partitions_up_to(6, 3)
 
 class TestSchurModules:
     def test_long_row_is_polynomial(self):
-        # a row pass of 9 slots is 8 coset passes, of 2, 3, ..., 9 moves;
-        # each sums equal words, so it holds at most 9 times the 1,680
-        # arrangements of 9 letters < 3, never 9! terms per word
+        # a row pass of k slots is k - 1 coset passes, of 2, 3, ..., k moves;
+        # each sums equal words, so it holds a few times the distinct
+        # arrangements of a tensor's words (at most 1,680 for 9 letters < 3),
+        # never k! terms per word: every tensor of S^8 C^3 holds up to 560
+        # words, and expanding 9! permutations of each would take gigabytes
         assert schur_module((9,), 3).dim == 55
-
-    @pytest.mark.parametrize("build,args", [
-        (schur_module, ((9,), 3)),
-        (schur_module, ((12,), 2)),
-        (build_gl_pencil, ((8,), (9,), 3)),
-        (build_gl_pencil, ((11,), (12,), 2)),
-    ], ids=["S9-v3", "S12-v2", "gl-8-9-v3", "gl-11-12-v2"])
-    def test_long_rows_stay_small_in_memory(self, build, args):
-        # every tensor of S^8 C^3 holds up to 560 words: expanding the 9!
-        # permutations of each would take gigabytes, its distinct
-        # arrangements take a few megabytes
-        tracemalloc.start()
-        try:
-            build.__wrapped__(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 << 20
+        for build, args in [(schur_module, ((9,), 3)), (schur_module, ((12,), 2)),
+                            (build_gl_pencil, ((8,), (9,), 3)),
+                            (build_gl_pencil, ((11,), (12,), 2))]:
+            tracemalloc.start()
+            try:
+                build.__wrapped__(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 << 20, (build.__name__, args)
 
     def test_dims_small(self):
         for v in range(1, 5):
