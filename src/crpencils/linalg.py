@@ -22,6 +22,8 @@ Over F_p there are two eliminations, each with its own callers:
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q
 and checks it exactly, and every exact rank (qq_rank) and kernel
 (qq_kernel, hence every contraction kernel of the modules) goes through it.
+distinct_primitive_rows drops the rows of an integer matrix that repeat
+another up to a scalar before its kernel is taken.
 
 Subspace is the canonical (RREF basis) representation of a row space over
 F_p.
@@ -250,6 +252,17 @@ def qq_kernel(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[lis
             v[c] = -rref[r][f]
         out.append(v)
     return out
+
+
+def distinct_primitive_rows(a: np.ndarray) -> list[tuple[int, ...]]:
+    """The nonzero rows of an integer matrix, each divided by the gcd of its
+    entries and signed so that its first nonzero entry is positive, each
+    once: the same row space, hence the same kernel, in fewer rows."""
+    a = a[(a != 0).any(axis=1)]
+    g = np.gcd.reduce(a, axis=1)
+    lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
+    a = a // np.where(lead < 0, -g, g)[:, None]
+    return list(dict.fromkeys(map(tuple, a.tolist())))
 
 
 # ---------------------------------------------------------------------------

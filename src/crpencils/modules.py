@@ -10,13 +10,15 @@ m, the last basis vector is non-isotropic with q(e_m) = 1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import integer_rows, qq_kernel, qq_rref
+import numpy as np
+
+from .linalg import distinct_primitive_rows, integer_rows, qq_kernel, qq_rref
 from .partitions import (
     GroupSpec,
     Partition,
@@ -27,14 +29,17 @@ from .partitions import (
     sp_module_dim,
 )
 from .tensors import (
+    PASS_CELLS,
     GradedSpan,
     SparseTensor,
-    Word,
     WordBatch,
     apply_symmetrizer,
-    content,
+    coef_dtype,
+    linear_combinations,
     matrix_on_letters,
+    max_abs,
     perm_sign,
+    place_values,
     semistandard_tableaux,
     square_matrix,
     tableau_word,
@@ -59,19 +64,28 @@ class FormSpec:
     def value(self, a: int, b: int) -> int:
         return self.gram[a][b]
 
-    @property
-    def torus_rank(self) -> int:
-        return (self.dim + 1) // 2
+    @cached_property
+    def partners(self) -> tuple[np.ndarray, np.ndarray]:
+        """(partner, value): for each letter a the one letter b = partner[a]
+        with B(a, b) != 0, and value[a] = B(a, b)."""
+        table = []
+        for row in self.gram:
+            hits = [(b, x) for b, x in enumerate(row) if x]
+            if len(hits) != 1:
+                raise AssertionError("form is not in split coordinates")
+            table.append(hits[0])
+        partner, value = np.array(table, dtype=np.int64).reshape(self.dim, 2).T
+        return partner, value
 
-    def word_weight(self, word: Word) -> tuple[int, ...]:
-        """The sum of the letter weights: letter 2i adds e_i, letter 2i+1
-        subtracts it, and the non-isotropic letter of odd SO(m) adds 0."""
-        w = [0] * self.torus_rank
-        paired = self.dim - self.dim % 2
-        for a in word:
-            if a < paired:
-                w[a >> 1] += -1 if a & 1 else 1
-        return tuple(w)
+    @cached_property
+    def letter_weights(self) -> np.ndarray:
+        """The torus weight of each letter, one row per letter: letter 2i has
+        e_i, letter 2i+1 has -e_i, and the non-isotropic letter of odd SO(m)
+        has 0.  A word's weight is the sum over its letters."""
+        w = np.zeros((self.dim, (self.dim + 1) // 2), dtype=np.int64)
+        for a in range(self.dim - self.dim % 2):
+            w[a, a >> 1] = -1 if a & 1 else 1
+        return w
 
     def dual_tensor(self) -> SparseTensor:
         """The invariant 2-tensor: q-hat = sum q^{ab} e_a x e_b (inverse Gram),
@@ -116,16 +130,31 @@ def form_lie_basis(form: FormSpec) -> list[tuple[tuple[Fraction, ...], ...]]:
     return out
 
 
-def contract(t: SparseTensor, s1: int, s2: int, form: FormSpec) -> SparseTensor:
-    """Contract slots s1 < s2 of a tensor with the form."""
-    out: SparseTensor = {}
-    gram = form.gram
-    for w, c in t.items():
-        g = gram[w[s1]][w[s2]]
-        if g:
-            nw = w[:s1] + w[s1 + 1 : s2] + w[s2 + 1 :]
-            out[nw] = out.get(nw, 0) + c * g
-    return {w: c for w, c in out.items() if c}
+def contractions(b: WordBatch, form: FormSpec) -> WordBatch:
+    """Tensor i * P + p of the result is tensor i of the batch contracted
+    with the form over the p-th of its P slot pairs s1 < s2, in
+    combinations order (no tensor below two slots).
+
+    B(a, c) is nonzero only at c = partner[a], so a term adds x B(a,
+    partner[a]) to the word without slots s1 and s2 exactly when its letter
+    at s2 is the partner of its letter a at s1.  The terms of whole tensors
+    are expanded over the pairs at most PASS_CELLS at a time, and summed by
+    one sort."""
+    pairs = list(combinations(range(b.degree), 2))
+    partner, value = form.partners
+    # an output word takes at most one term from each letter a at s1
+    b = replace(b, coef=b.coef.astype(coef_dtype(max_abs(b.coef) * max_abs(value) * b.radix)))
+    degree = max(b.degree - 2, 0)
+    pw = place_values(b.radix, degree)
+    parts = [(b.idx[:0], b.code[:0], b.coef[:0])]
+    for first, part in b.chunks(PASS_CELLS // max(len(pairs), 1)):
+        letters = part.letters()
+        for p, (s1, s2) in enumerate(pairs):
+            hit = np.flatnonzero(partner[letters[:, s1]] == letters[:, s2])
+            parts.append(((part.idx[hit] + first) * len(pairs) + p,
+                          np.delete(letters[hit], (s1, s2), axis=1) @ pw,
+                          part.coef[hit] * value[letters[hit, s1]]))
+    return WordBatch.build(b.n * len(pairs), degree, b.radix, *map(np.concatenate, zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +181,9 @@ def schur_module(lam: Partition, v: int) -> RealizedModule:
     if len(lam) > v:
         raise ValueError(f"{lam} has more than {v} rows")
     words = [{tableau_word(t): 1} for t in semistandard_tableaux(lam, v)]
-    tensors = apply_symmetrizer(WordBatch.from_tensors(words, size(lam), v), lam).to_tensors()
-    span = GradedSpan.from_tensors(tensors, lambda w: content(w, v), v)
+    span = GradedSpan.from_tensors(
+        apply_symmetrizer(WordBatch.from_tensors(words, size(lam), v), lam),
+        np.eye(v, dtype=np.int64))
     expected = gl_dim(lam, v)
     if span.dim != expected:
         raise AssertionError(f"S_{lam}(C^{v}): got dim {span.dim}, expected {expected}")
@@ -164,33 +194,36 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     """The joint kernel of the contractions with the form on S_lam(V), taken
     directly on the tensors c_lam e_T (T semistandard) of each torus weight,
     which span that weight block of S_lam(V): every word of c_lam e_T is an
-    arrangement of T's letters.  The one RREF, of the kept tensors, makes the
-    basis canonical."""
+    arrangement of T's letters.  Row (p, w) and column j of a block's
+    constraint matrix hold contraction p of its tensor j at the word w; the
+    rows that repeat another up to a scalar are dropped before the kernel is
+    taken.  The one RREF, of the kept tensors, makes the basis canonical."""
     lam = check_partition(lam)
     d = size(lam)
-    grade = form.word_weight
-    words = [{tableau_word(tab): 1} for tab in semistandard_tableaux(lam, form.dim)]
-    tensors = apply_symmetrizer(WordBatch.from_tensors(words, d, form.dim), lam).to_tensors()
-    blocks: dict[tuple, list[SparseTensor]] = {}
-    for word, t in zip(words, tensors):
-        blocks.setdefault(grade(next(iter(word))), []).append(t)
-    kept: list[SparseTensor] = []
-    for vecs in blocks.values():
-        constraints: dict[tuple, dict[int, int]] = {}
-        for j, t in enumerate(vecs):
-            for s1, s2 in combinations(range(d), 2):
-                ct = contract(t, s1, s2, form)
-                for w, c in ct.items():
-                    constraints.setdefault(((s1, s2), w), {})[j] = c
-        ker = integer_rows(qq_kernel([[r.get(j, 0) for j in range(len(vecs))]
-                                      for r in constraints.values()], len(vecs)))
-        for kvec in ker:
-            nt: SparseTensor = {}
-            for j, c in enumerate(kvec):
-                if c:
-                    tensor_iadd(nt, vecs[j], c)
-            kept.append(nt)
-    span = GradedSpan.from_tensors(kept, grade, form.dim)
+    words = [tableau_word(tab) for tab in semistandard_tableaux(lam, form.dim)]
+    weights = form.letter_weights[np.array(words, dtype=np.int64).reshape(len(words), d)]
+    keys = list(map(tuple, weights.sum(axis=1).tolist()))
+    # the tableaux by weight, so that each weight block is a range of the batch
+    order = sorted(range(len(words)), key=keys.__getitem__)
+    bounds = [0] + [i for i in range(1, len(order))
+                    if keys[order[i]] != keys[order[i - 1]]] + [len(order)]
+    b = apply_symmetrizer(WordBatch.from_tensors([{words[j]: 1} for j in order], d, form.dim),
+                          lam)
+    c = contractions(b, form)
+    pairs = d * (d - 1) // 2
+    j, p = np.divmod(c.idx, max(pairs, 1))  # below two slots there is no term
+    row_key = p * form.dim ** c.degree + c.code
+    at = np.searchsorted(c.idx, np.array(bounds) * pairs)
+    kernel: list[dict] = []  # each kernel vector as {(tensor index,): coefficient}
+    for lo, hi, start, stop in zip(bounds, bounds[1:], at, at[1:]):
+        rows, row = np.unique(row_key[start:stop], return_inverse=True)
+        constraints = np.zeros((len(rows), hi - lo), dtype=c.coef.dtype)
+        constraints[row, j[start:stop] - lo] = c.coef[start:stop]
+        ker = qq_kernel(distinct_primitive_rows(constraints), hi - lo)
+        kernel += [{(lo + col,): x for col, x in enumerate(kvec) if x}
+                   for kvec in integer_rows(ker)]
+    kept = linear_combinations(b, WordBatch.from_tensors(kernel, 1, b.n))
+    span = GradedSpan.from_tensors(kept, form.letter_weights)
     if span.dim != expected:
         raise AssertionError(
             f"{group.family} module {lam}: got dim {span.dim}, expected {expected}"

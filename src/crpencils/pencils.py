@@ -28,7 +28,6 @@ import numpy as np
 
 from .linalg import modp_matmul
 from .modules import (
-    FormSpec,
     RealizedModule,
     clifford_unit,
     contract_f,
@@ -316,7 +315,7 @@ def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
     coordinates, computed in integers.
 
     With X = Xn / dx and each basis tensor b_j scaled to the primitive
-    integer tensor u_j = s_j b_j (span.scaled_basis), y_j = Xn . u_j is the
+    integer tensor u_j = s_j b_j (span.scaled_batch), y_j = Xn . u_j is the
     integer tensor s_j dx X.b_j, and its coordinates c_k on the b_k are
     read, and its membership checked, by span.coordinates; a y_j outside
     the span raises AssertionError.  The entry c_k / (s_j dx) is stored over
@@ -324,7 +323,7 @@ def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
     """
     x = IntMatrix.from_dense(X)
     xn = square_matrix(x.dim, {(r, c): num for r, c, num in x.entries})
-    scales = mod.span.scaled_basis[2]
+    scales = mod.span.scales
     s_all = lcm(1, *scales)
     images = mod.span.coordinates(lie_action(xn, mod.span.scaled_batch))
     if None in images:
@@ -373,7 +372,7 @@ def _insertion_images(smod: RealizedModule, tmod: RealizedModule, pos: int) -> l
     weight).  The basis vectors are scaled to integers, a bounded chunk of
     them at a time, and each scale is divided back out."""
     v, nu = smod.group.natural_dim, tmod.weight
-    scales = smod.span.scaled_basis[2]
+    scales = smod.span.scales
     # c_nu makes at most prod r_i! prod h_j! terms of a word
     growth = v * prod(factorial(r) for r in nu + conjugate(nu))
     images = []
@@ -423,17 +422,6 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
 # Sp / SO pencils
 
 
-def _partner_table(form: FormSpec) -> list[tuple[int, int]]:
-    """For each letter a the unique (b, B(a,b)) with nonzero pairing."""
-    out = []
-    for a in range(form.dim):
-        hits = [(b, form.value(a, b)) for b in range(form.dim) if form.value(a, b)]
-        if len(hits) != 1:
-            raise AssertionError("form is not in split coordinates")
-        out.append(hits[0])
-    return out
-
-
 def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
                        box: BoxPosition, spec: BuildSpec) -> Pencil:
     """Entry (l, k, j) pairs c_nu^* b_k with e_l at slot pos and b_j in the
@@ -446,8 +434,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     v = form.dim
     nu = tmod.weight
     pos = cell_slot(nu, box.row - 1, box.col - 1)
-    table = np.array(_partner_table(form), dtype=np.int64)
-    partner, value = table[:, 0], table[:, 1]
+    partner, value = form.partners
 
     # each source word u_j[w] becomes (code of its partner word, j, u_j[w] B(w, partner))
     src = smod.span.scaled_batch
@@ -459,7 +446,7 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     pval = (pval * np.prod(value[letters], axis=1))[order]
 
     columns = prod(factorial(h) for h in conjugate(nu))
-    src_scales, tgt_scales = smod.span.scaled_basis[2], tmod.span.scaled_basis[2]
+    src_scales, tgt_scales = smod.span.scales, tmod.span.scales
     entries: dict = {}
     target = tmod.span.scaled_batch
     for first, part in target.chunks(PASS_CELLS // prod(factorial(r) for r in nu)):
@@ -724,7 +711,7 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
 
     # coords_a[j][alpha]: the coordinates of c_lam' applied to what u_j holds
     # with the letter alpha at the removed slot
-    scales = sa.span.scaled_basis[2]
+    scales = sa.span.scales
     parts = sap.span.coordinates(
         apply_symmetrizer(sa.span.scaled_batch.split_at(slot_rm), lam_p))
     if None in parts:

@@ -19,19 +19,21 @@ integer tensors stay exact.  On the
 image of c_lam the adjoint is the row passes times a scalar
 (symmetrize_rows).
 
-GradedSpan holds a canonical (per-block RREF) basis of a span of tensors that
-are homogeneous for some grading of words (content, or torus weight).  It
-reads the coordinates of a whole batch at once, as the values at the pivot
-words, and checks membership in integers against the basis scaled to
-primitive integer tensors.
+GradedSpan holds a canonical (per-block RREF) basis of the span of a batch
+of tensors that are homogeneous for some grading of words (content, or
+torus weight), as that basis scaled to primitive integer tensors.  Each
+block goes from the batch to one dense integer matrix for its RREF, with no
+per-word dict.  The span reads the coordinates of a whole batch at once, as
+the values at the pivot words, and checks membership in integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -166,13 +168,6 @@ class WordBatch:
         return WordBatch.build(len(tensors), degree, radix, idx,
                                letters @ place_values(radix, degree), coef)
 
-    def to_tensors(self) -> list[SparseTensor]:
-        out: list[SparseTensor] = [{} for _ in range(self.n)]
-        words = map(tuple, self.letters().tolist())
-        for i, w, c in zip(self.idx.tolist(), words, self.coef.tolist()):
-            out[i][w] = c
-        return out
-
     def letters(self, slots: Optional[Sequence[int]] = None) -> np.ndarray:
         """The letters of each term, one row per term: all of them, or those
         in the given slots."""
@@ -293,13 +288,6 @@ def integer_scaled(t: SparseTensor) -> tuple[SparseTensor, Fraction]:
     return {w: x // g for w, x in nums.items()}, Fraction(den, g)
 
 
-def content(word: Word, v: int) -> tuple[int, ...]:
-    counts = [0] * v
-    for a in word:
-        counts[a] += 1
-    return tuple(counts)
-
-
 def semistandard_tableaux(lam: Partition, v: int) -> list[tuple[tuple[int, ...], ...]]:
     """All SSYT of shape lam with 0-based entries < v, rows as tuples."""
     lam = check_partition(lam)
@@ -379,123 +367,128 @@ def matrix_on_letters(X: Sequence[Sequence[int]], b: WordBatch) -> WordBatch:
         b.coef.astype(dtype)[term] * x.astype(dtype)[at])
 
 
-@dataclass
-class _Block:
-    rows: list[SparseTensor]
-    pivot_words: list[Word]
+def linear_combinations(b: WordBatch, m: WordBatch) -> WordBatch:
+    """Tensor k of the result is sum_j m_k[j] t_j over the tensors t_j of b,
+    for an integer matrix m held as a batch of one-letter tensors m_k over
+    the letters 0 .. b.n - 1.  It is expanded whole rows m_k at a time, at
+    most about PASS_CELLS terms at once."""
+    starts = np.searchsorted(b.idx, np.arange(b.n + 1))
+    longest = int(np.diff(starts).max(initial=1))
+    # an output word takes at most one term from each j of its row
+    dtype = coef_dtype(max_abs(b.coef) * max_abs(m.coef)
+                       * int(np.bincount(m.idx, minlength=1).max()))
+    parts = [(b.idx[:0], b.code[:0], b.coef[:0].astype(dtype))]
+    for first, part in m.chunks(max(1, PASS_CELLS // longest)):
+        owner, at = ragged(starts[part.code], starts[part.code + 1] - starts[part.code])
+        out = WordBatch.build(part.n, b.degree, b.radix, part.idx[owner], b.code[at],
+                              part.coef[owner].astype(dtype) * b.coef[at].astype(dtype))
+        parts.append((out.idx + first, out.code, out.coef))
+    return WordBatch(m.n, b.degree, b.radix, *map(np.concatenate, zip(*parts)))
 
 
-class _Reader(NamedTuple):
-    """A span's scaled basis encoded as word codes (GradedSpan.coordinates)."""
+def _primitive_rows(rows: list[list[Fraction]]) -> np.ndarray:
+    """Rational rows, each scaled by a positive rational to a primitive
+    integer row.  qq_rref shares one Fraction object per value, so each
+    distinct object is read once, and the scaling runs on arrays."""
+    flat = list(chain.from_iterable(rows))
+    ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
+    _, first, at = np.unique(ids, return_index=True, return_inverse=True)
+    values = [flat[i] for i in first.tolist()]
+    num = [x.numerator for x in values]
+    den = [x.denominator for x in values]
+    # every entry is at most max|num| times the lcm of all denominators
+    dtype = coef_dtype(lcm(*den) * max(map(abs, num)))
+    den_at = np.array(den, dtype=dtype)[at].reshape(len(rows), -1)
+    u = (np.array(num, dtype=dtype)[at].reshape(len(rows), -1)
+         * (np.lcm.reduce(den_at, axis=1)[:, None] // den_at))
+    return u // np.gcd.reduce(u, axis=1)[:, None]
 
-    scaled: WordBatch  # the u_k, tensor k = basis index k
-    starts: np.ndarray  # u_k's terms are scaled.code[starts[k]:starts[k + 1]]
-    pivot_code: np.ndarray  # sorted, then one sentinel above every code
-    pivot_k: np.ndarray  # the basis index of each pivot code
-    lcm: int  # L, the lcm of the scales s_k
-    factor: np.ndarray  # L / s_k
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GradedSpan:
-    """Canonical basis of a span of grade-homogeneous sparse tensors over
-    the letters 0 .. radix - 1."""
+    """Canonical basis of a span of grade-homogeneous integer tensors: for
+    each grade, in the order of repr(grade), the RREF rows b_k of its block,
+    the matrix of its tensors over their words.  The basis is held scaled to
+    primitive integer tensors u_k = s_k b_k; b_k is 1 at its pivot word, so
+    each scale s_k is u_k there, an integer."""
 
-    radix: int
-    blocks: dict = field(default_factory=dict)
-    basis: list = field(default_factory=list)
+    scaled_batch: WordBatch  # the u_k, tensor k = basis index k
+    scales: tuple[int, ...]  # the s_k
+    pivots: np.ndarray  # the code of the pivot word of each b_k
 
     @staticmethod
-    def from_tensors(tensors: Iterable[SparseTensor], grade_fn: Callable[[Word], Hashable],
-                     radix: int) -> "GradedSpan":
-        grade = lru_cache(maxsize=None)(grade_fn)  # a word in many tensors is graded once
-        by_grade: dict[Hashable, list[SparseTensor]] = {}
-        for t in tensors:
-            if not t:
-                continue
-            grades = set(map(grade, t))
-            if len(grades) != 1:
-                raise ValueError("spanning tensor is not grade-homogeneous")
-            by_grade.setdefault(grades.pop(), []).append(t)
-        span = GradedSpan(radix)
-        for g in sorted(by_grade, key=repr):
-            vecs = by_grade[g]
-            words = sorted({w for t in vecs for w in t})
-            index = {w: i for i, w in enumerate(words)}
-            dense = [[0] * len(words) for _ in vecs]
-            for r, t in enumerate(vecs):
-                for w, c in t.items():
-                    dense[r][index[w]] = c
-            rref, pivots = qq_rref(dense)
-            # qq_rref shares one Fraction object per value, so testing identity
-            # with one zero entry skips nearly every zero without Fraction.__bool__
-            zero = rref[0][pivots[1]] if len(rref) > 1 else None
-            rows = [{w: x for w, x in zip(words, row) if x is not zero and x} for row in rref]
-            span.blocks[g] = _Block(rows, [words[p] for p in pivots])
-            span.basis.extend(rows)
-        return span
+    def from_tensors(batch: WordBatch, letter_grades: np.ndarray) -> GradedSpan:
+        """The span of the batch's tensors, a word graded by the sum over its
+        letters of their rows of letter_grades.  Each block is built as one
+        dense integer matrix for qq_rref."""
+        grades = np.zeros((len(batch.code), letter_grades.shape[1]), dtype=np.int64)
+        for letters in batch.letters().T:
+            grades += letter_grades[letters]
+        starts = np.searchsorted(batch.idx, np.arange(batch.n + 1))
+        if (grades != grades[starts[batch.idx]]).any():
+            raise ValueError("spanning tensor is not grade-homogeneous")
+        live = np.flatnonzero(np.diff(starts))  # empty tensors have no grade
+        keys = [tuple(g) for g in grades[starts[live]].tolist()]
+        rank = {g: r for r, g in enumerate(sorted(set(keys), key=repr))}
+        block = np.zeros(batch.n, dtype=np.int64)
+        block[live] = [rank[g] for g in keys]
+        # the terms of each block, in a contiguous run by tensor and word
+        order = np.argsort(block[batch.idx], kind="stable")
+        bounds = np.searchsorted(block[batch.idx[order]], np.arange(len(rank) + 1))
+        parts = [(batch.idx[:0], batch.code[:0], batch.coef[:0])]
+        scales: list[int] = []
+        pivots = [batch.code[:0]]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            at = order[lo:hi]
+            tensors, row = np.unique(batch.idx[at], return_inverse=True)
+            words, col = np.unique(batch.code[at], return_inverse=True)
+            dense = np.zeros((len(tensors), len(words)), dtype=batch.coef.dtype)
+            dense[row, col] = batch.coef[at]
+            rref, piv = qq_rref(dense.tolist())
+            u = _primitive_rows(rref)
+            k, c = np.nonzero(u)
+            parts.append((k + len(scales), words[c], u[k, c]))
+            scales += u[np.arange(len(piv)), piv].tolist()
+            pivots.append(words[piv])
+        return GradedSpan(WordBatch(len(scales), batch.degree, batch.radix,
+                                    *map(np.concatenate, zip(*parts))),
+                          tuple(scales), np.concatenate(pivots))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def scaled_basis(self) -> tuple[dict, list, list]:
-        """(pivot word -> basis index, each basis tensor b_k scaled to a
-        primitive integer tensor u_k = s_k b_k, the scales s_k).  Each s_k is
-        an integer: b_k is 1 at its pivot word, so u_k is s_k there."""
-        words = [w for blk in self.blocks.values() for w in blk.pivot_words]
-        scaled = [integer_scaled(t)[0] for t in self.basis]
-        return ({w: k for k, w in enumerate(words)}, scaled,
-                [u[w] for u, w in zip(scaled, words)])
-
-    @cached_property
-    def _reader(self) -> _Reader:
-        pivots, scaled, scales = self.scaled_basis
-        degree = len(next(iter(pivots), ()))
-        u = WordBatch.from_tensors(scaled, degree, self.radix)
-        words = np.array(list(pivots), dtype=np.int64).reshape(len(pivots), degree)
-        codes = words @ place_values(self.radix, degree)
-        order = np.argsort(codes)
-        big = lcm(1, *scales)
-        return _Reader(u, np.searchsorted(u.idx, np.arange(self.dim + 1)),
-                       np.append(codes[order], np.iinfo(np.int64).max),
-                       np.array(list(pivots.values()), dtype=np.int64)[order],
-                       big, _int_array([big // s for s in scales]))
-
-    @property
-    def scaled_batch(self) -> WordBatch:
-        """The u_k of scaled_basis as one batch."""
-        return self._reader.scaled
+        return self.scaled_batch.n
 
     def coordinates(self, batch: WordBatch) -> list[Optional[dict[int, int]]]:
         """The coordinates {k: c_k} on the basis b_k of each integer tensor t
         of the batch, or None when t is outside the span.
 
         c_k is t at the pivot word of b_k, where b_k is 1 and every other
-        basis tensor is 0.  With u_k = s_k b_k the primitive integer tensors
-        of scaled_basis and L the lcm of the s_k, t lies in the span exactly
-        when L t = sum_k c_k (L / s_k) u_k, which is checked in integers.
+        basis tensor is 0.  With L the lcm of the s_k, t lies in the span
+        exactly when L t = sum_k c_k (L / s_k) u_k, which is checked in
+        integers.
         """
-        r = self._reader
-        if batch.radix != self.radix:
-            raise ValueError(f"letters < {batch.radix} against a span over letters < {self.radix}")
-        if self.dim and batch.degree != r.scaled.degree:
-            raise ValueError(f"degree {batch.degree} tensors against a span of degree "
-                             f"{r.scaled.degree}")
-        at = np.searchsorted(r.pivot_code, batch.code)
-        hit = r.pivot_code[at] == batch.code
-        ti, k, c = batch.idx[hit], r.pivot_k[at[hit]], batch.coef[hit]
-        owner, term = ragged(r.starts[k], r.starts[k + 1] - r.starts[k])
+        u = self.scaled_batch
+        if batch.radix != u.radix:
+            raise ValueError(f"letters < {batch.radix} against a span over letters < {u.radix}")
+        if batch.degree != u.degree:
+            raise ValueError(f"degree {batch.degree} tensors against a span of degree {u.degree}")
+        order = np.argsort(self.pivots)
+        pivot_code = np.append(self.pivots[order], np.iinfo(np.int64).max)
+        at = np.searchsorted(pivot_code, batch.code)
+        hit = pivot_code[at] == batch.code
+        ti, k, c = batch.idx[hit], order[at[hit]], batch.coef[hit]
+        starts = np.searchsorted(u.idx, np.arange(self.dim + 1))
+        owner, term = ragged(starts[k], starts[k + 1] - starts[k])
+        big = lcm(1, *self.scales)
+        factor = _int_array([big // s for s in self.scales])
         # a word's residual sums L t_w and at most one term of each u_k
-        dtype = coef_dtype(r.lcm * max(1, max_abs(batch.coef))
-                           * (1 + self.dim * max_abs(r.scaled.coef)))
+        dtype = coef_dtype(big * max(1, max_abs(batch.coef)) * (1 + self.dim * max_abs(u.coef)))
         resid, _, _ = _summed(
             np.concatenate([batch.idx, ti[owner]]),
-            np.concatenate([batch.code, r.scaled.code[term]]),
-            np.concatenate([batch.coef.astype(dtype) * r.lcm,
-                            -(c.astype(dtype)[owner] * r.factor.astype(dtype, copy=False)[k[owner]]
-                              * r.scaled.coef.astype(dtype, copy=False)[term])]),
+            np.concatenate([batch.code, u.code[term]]),
+            np.concatenate([batch.coef.astype(dtype) * big,
+                            -(c.astype(dtype)[owner] * factor.astype(dtype, copy=False)[k[owner]]
+                              * u.coef.astype(dtype, copy=False)[term])]),
             batch.radix ** batch.degree)
         out: list[Optional[dict[int, int]]] = [{} for _ in range(batch.n)]
         for i, kk, cc in zip(ti.tolist(), k.tolist(), c.tolist()):

@@ -13,6 +13,7 @@ from crpencils.linalg import (
     ModpEchelon,
     Subspace,
     check_prime,
+    distinct_primitive_rows,
     mat_mod,
     modp_kernel,
     modp_matmul,
@@ -505,6 +506,32 @@ def test_lifted_rref_matches_gauss_jordan(m):
     ker = linalg.integer_rows(qq_kernel(linalg.integer_rows(m), ncols))
     assert all(type(x) is int for v in ker for x in v)
     assert fraction_rref(ker) == fraction_rref(fraction_kernel(m, ncols))
+
+
+def test_distinct_primitive_rows_keep_the_kernel():
+    r, s = [2, -4, 0, 6], [0, 3, 3, -3]
+    rows = [r, [-x for x in r], [0] * 4, [2 * x for x in r], s, [0] * 4, [-5 * x for x in s]]
+    got = distinct_primitive_rows(np.array(rows, dtype=np.int64))
+    assert got == [(1, -2, 0, 3), (0, 1, 1, -1)]
+    assert qq_kernel(got, 4) == qq_kernel(rows, 4)
+    huge = np.array([[x * 2 ** 70 for x in row] for row in rows], dtype=object)
+    assert distinct_primitive_rows(huge) == got
+    assert distinct_primitive_rows(np.zeros((3, 4), dtype=np.int64)) == []
+    assert distinct_primitive_rows(np.zeros((0, 4), dtype=np.int64)) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices, st.data())
+def test_distinct_primitive_rows_keep_the_row_space(m, data):
+    ncols = len(m[0])
+    rows = m + [[k * x for x in data.draw(st.sampled_from(m))]
+                for k in data.draw(st.lists(st.integers(-4, 4), max_size=6))]
+    got = distinct_primitive_rows(np.array(rows, dtype=np.int64))
+    assert len(set(got)) == len(got)
+    for row in got:
+        assert next(x for x in row if x) > 0 and np.gcd.reduce(row) == 1
+    assert qq_rref(got) == qq_rref(rows)
+    assert qq_kernel(got, ncols) == qq_kernel(rows, ncols)
 
 
 def _count_primes(monkeypatch):

@@ -3,16 +3,19 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crpencils.linalg import qq_kernel
+from crpencils import modules, tensors
+from crpencils.linalg import integer_rows, qq_kernel
 from crpencils.modules import (
+    FormSpec,
     a_vector,
     beta_pairing,
     clifford_unit,
-    contract,
+    contractions,
     exp_two_form,
     form_lie_basis,
     gamma_pairing,
@@ -32,6 +35,7 @@ from crpencils.modules import (
 from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
 from crpencils.pencils import build_gl_pencil
 from crpencils.tensors import (
+    EXACT_BOUND,
     GradedSpan,
     WordBatch,
     apply_symmetrizer,
@@ -43,6 +47,7 @@ from crpencils.tensors import (
     tableau_word,
     tensor_iadd,
 )
+from word_oracles import basis_tensors, contract, pivot_words, tensors_of, word_grade
 
 
 def partitions_up_to(n, max_rows):
@@ -77,7 +82,7 @@ def random_tensor_in(mod, rng, nnz=3):
         i = rng.randrange(mod.dim)
         c = Fraction(rng.randint(-4, 4))
         if c:
-            for w, x in mod.span.basis[i].items():
+            for w, x in basis_tensors(mod.span)[i].items():
                 v = out.get(w, Fraction(0)) + c * x
                 if v:
                     out[w] = v
@@ -89,29 +94,31 @@ def random_tensor_in(mod, rng, nnz=3):
 def rref_first_span(lam, form):
     """The contraction kernel taken on an RREF basis of S_lam(V): the Schur
     span is brought to RREF first, and each weight block's kernel is taken
-    on its integer-scaled rows.  Kept here as the oracle of the build that
-    takes the kernel on the symmetrized tableau tensors directly."""
-    grade = form.word_weight
+    on its integer-scaled rows, with the word-by-word contraction.  Kept
+    here as the oracle of the build that takes the kernel on the
+    symmetrized tableau tensors directly."""
+    d, weights = sum(lam), form.letter_weights
     words = [{tableau_word(t): 1} for t in semistandard_tableaux(lam, form.dim)]
     schur = GradedSpan.from_tensors(
-        apply_symmetrizer(WordBatch.from_tensors(words, sum(lam), form.dim), lam).to_tensors(),
-        grade, form.dim)
+        apply_symmetrizer(WordBatch.from_tensors(words, d, form.dim), lam), weights)
+    blocks = {}
+    for u in tensors_of(schur.scaled_batch):
+        blocks.setdefault(word_grade(next(iter(u)), weights), []).append(u)
     kept = []
-    for blk in schur.blocks.values():
-        vecs = [integer_scaled(t)[0] for t in blk.rows]
+    for vecs in blocks.values():
         constraints = {}
         for j, t in enumerate(vecs):
-            for s1, s2 in combinations(range(sum(lam)), 2):
+            for s1, s2 in combinations(range(d), 2):
                 for w, c in contract(t, s1, s2, form).items():
                     constraints.setdefault(((s1, s2), w), {})[j] = c
         rows = [[r.get(j, 0) for j in range(len(vecs))] for r in constraints.values()]
-        for kvec in qq_kernel(rows, len(vecs)):
+        for kvec in integer_rows(qq_kernel(rows, len(vecs))):
             nt = {}
             for j, c in enumerate(kvec):
                 if c:
                     tensor_iadd(nt, vecs[j], c)
             kept.append(nt)
-    return GradedSpan.from_tensors(kept, grade, form.dim)
+    return GradedSpan.from_tensors(WordBatch.from_tensors(kept, d, form.dim), weights)
 
 
 # the partitions inside (3, 2, 1)
@@ -168,12 +175,80 @@ class TestSchurModules:
     def test_identity_acts_by_degree(self):
         mod = schur_module((2, 1), 3)
         one = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-        t = integer_scaled(mod.span.basis[0])[0]
-        got = lie_action(one, batch_in(mod, t)).to_tensors()
+        t = tensors_of(mod.span.scaled_batch)[0]
+        got = tensors_of(lie_action(one, batch_in(mod, t)))
         assert got == [{w: 3 * c for w, c in t.items()}]
 
 
+FORMS = [symplectic_form(4), symplectic_form(6), orthogonal_form(4), orthogonal_form(5)]
+
+
+@st.composite
+def form_batches(draw):
+    """(form, d, tensors): 0-5 integer tensors of degree 0-4 over the form's
+    letters, some empty.  In some, a word whose letters at slots s1 < s2
+    are partners sits beside that word with the two letters swapped, so that
+    its contraction over (s1, s2) cancels: equal coefficients for the
+    antisymmetric symplectic form, opposite ones for the symmetric form."""
+    form = draw(st.sampled_from(FORMS))
+    d = draw(st.integers(0, 4))
+    words = st.tuples(*[st.integers(0, form.dim - 1)] * d)
+    ts = draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=6),
+                       max_size=5))
+    partner = form.partners[0].tolist()
+    for t in ts:
+        if d >= 2 and draw(st.booleans()):
+            s1, s2 = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                                          unique=True)))
+            w = list(draw(words))
+            w[s2] = partner[w[s1]]
+            swapped = list(w)
+            swapped[s1], swapped[s2] = w[s2], w[s1]
+            c = draw(st.integers(1, 9))
+            t[tuple(w)] = c
+            t[tuple(swapped)] = c if form.kind == "symplectic" else -c
+    return form, d, ts
+
+
+@settings(max_examples=120, deadline=None)
+@given(form_batches())
+def test_batched_contractions_match_the_word_loop(case):
+    form, d, ts = case
+    got = tensors_of(contractions(WordBatch.from_tensors(ts, d, form.dim), form))
+    assert got == [contract(t, s1, s2, form) for t in ts for s1, s2 in combinations(range(d), 2)]
+
+
+def test_contractions_pinned():
+    # q(e_4) = 1 for the non-isotropic letter of SO(5)
+    got = contractions(WordBatch.from_tensors([{(4, 4): 3}], 2, 5), orthogonal_form(5))
+    assert tensors_of(got) == [{(): 3}]
+    got = contractions(WordBatch.from_tensors([{(4, 2, 4): 1, (3, 0, 1): 2}], 3, 5),
+                       orthogonal_form(5))
+    assert tensors_of(got) == [{}, {(2,): 1}, {(3,): 2}]
+    # omega(e_1, e_0) = -1: e_0 e_1 + e_1 e_0 contracts to 0, e_0 e_1 - e_1 e_0 to 2
+    got = contractions(WordBatch.from_tensors(
+        [{(1, 0): 1}, {(0, 1): 1, (1, 0): 1}, {(0, 1): 1, (1, 0): -1}], 2, 4), symplectic_form(4))
+    assert tensors_of(got) == [{(): -1}, {}, {(): 2}]
+    # the sum of two terms below 2^62 can pass it
+    big = {(0, 1): EXACT_BOUND - 1, (1, 0): EXACT_BOUND - 1}
+    got = contractions(WordBatch.from_tensors([big], 2, 4), orthogonal_form(4))
+    assert got.coef.dtype == object and tensors_of(got) == [{(): 2 * EXACT_BOUND - 2}]
+    # below two slots there is no pair, hence no contraction
+    assert contractions(WordBatch.from_tensors([{(2,): 1}], 1, 5), orthogonal_form(5)).n == 0
+
+
 class TestForms:
+    def test_partners_and_letter_weights(self):
+        partner, value = symplectic_form(4).partners
+        assert partner.tolist() == [1, 0, 3, 2] and value.tolist() == [1, -1, 1, -1]
+        partner, value = orthogonal_form(5).partners
+        assert partner.tolist() == [1, 0, 3, 2, 4] and value.tolist() == [1] * 5
+        assert orthogonal_form(5).letter_weights.tolist() == [
+            [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 0]]
+        for gram in (((1, 1), (1, 1)), ((1, 0), (0, 0))):
+            with pytest.raises(AssertionError, match="not in split coordinates"):
+                FormSpec("orthogonal", 2, gram).partners
+
     def test_gram_shapes(self):
         w = symplectic_form(6)
         assert w.value(0, 1) == 1 and w.value(1, 0) == -1
@@ -197,7 +272,7 @@ class TestForms:
         for form in (symplectic_form(4), orthogonal_form(5)):
             qhat = WordBatch.from_tensors([integer_scaled(form.dual_tensor())[0]], 2, form.dim)
             for X in form_lie_basis(form):
-                assert lie_action(integer_matrix(X), qhat).to_tensors() == [{}]
+                assert tensors_of(lie_action(integer_matrix(X), qhat)) == [{}]
 
 
 class TestFormModules:
@@ -220,7 +295,7 @@ class TestFormModules:
     def test_contractions_vanish(self):
         for mod in (symplectic_module((1, 1), 6), orthogonal_module((2, 1), 4)):
             d = mod.degree
-            for t in mod.span.basis:
+            for t in basis_tensors(mod.span):
                 for s1, s2 in combinations(range(d), 2):
                     assert contract(t, s1, s2, mod.form) == {}
 
@@ -236,6 +311,33 @@ class TestFormModules:
     def test_degree_one(self):
         assert symplectic_module((1,), 6).dim == 6
 
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_chunked_build_equals_the_unchunked(self, monkeypatch, cells):
+        for realize, lam, dim in [(orthogonal_module, (2, 1), 5), (symplectic_module, (2, 1), 4),
+                                  (orthogonal_module, (1, 1, 1), 4)]:
+            whole = realize(lam, dim).span
+            monkeypatch.setattr(modules, "PASS_CELLS", cells)
+            monkeypatch.setattr(tensors, "PASS_CELLS", cells)
+            part = realize.__wrapped__(lam, dim).span
+            monkeypatch.undo()
+            assert part.scales == whole.scales
+            for a, c in ((whole.scaled_batch.code, part.scaled_batch.code),
+                         (whole.scaled_batch.coef, part.scaled_batch.coef),
+                         (whole.pivots, part.pivots)):
+                assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("realize, lam, dim, want", [
+        (orthogonal_module, (), 5, 1), (symplectic_module, (), 4, 1),
+        (orthogonal_module, (1,), 3, 3), (orthogonal_module, (1, 1), 2, 1),
+        (orthogonal_module, (2,), 2, 2)])
+    def test_edge_modules(self, realize, lam, dim, want):
+        # below two boxes there is no slot pair; the one tensor e_0 ^ e_1 of
+        # Lambda^2 C^2 has every contraction with a symmetric form cancel,
+        # so its constraint matrix is empty
+        mod = realize(lam, dim)
+        assert mod.dim == want
+        assert basis_tensors(mod.span) == basis_tensors(rref_first_span(lam, mod.form))
+
     @pytest.mark.parametrize("group, dim", [("Sp", 4), ("Sp", 6), ("SO", 4), ("SO", 5)])
     def test_tableau_kernel_matches_the_rref_first_route(self, group, dim):
         if group == "Sp":
@@ -247,9 +349,8 @@ class TestFormModules:
         assert len(lams) >= 6
         for lam in lams:
             span, oracle = realize(lam, dim).span, rref_first_span(lam, form)
-            assert span.basis == oracle.basis
-            assert {g: b.pivot_words for g, b in span.blocks.items()} == {
-                g: b.pivot_words for g, b in oracle.blocks.items()}
+            assert basis_tensors(span) == basis_tensors(oracle)
+            assert pivot_words(span) == pivot_words(oracle)
 
 
 READER_MODULES = [(schur_module, (2, 1), 3), (symplectic_module, (1, 1), 6),
@@ -260,7 +361,7 @@ READER_MODULES = [(schur_module, (2, 1), 3), (symplectic_module, (1, 1), 6),
 class TestCoordinateReader:
     def test_reads_integer_combinations_of_the_scaled_basis(self, realize, lam, dim):
         mod = realize(lam, dim)
-        _, scaled, scales = mod.span.scaled_basis
+        scaled, scales = tensors_of(mod.span.scaled_batch), mod.span.scales
         rng = random.Random(3)
         combos = [[rng.randint(-3, 3) for _ in scaled] for _ in range(4)] + [[0] * len(scaled)]
         ts = []
@@ -275,7 +376,8 @@ class TestCoordinateReader:
 
     def test_refuses_a_changed_coefficient_and_a_missing_weight(self, realize, lam, dim):
         mod = realize(lam, dim)
-        pivots, scaled, scales = mod.span.scaled_basis
+        scaled, scales, pivots = (tensors_of(mod.span.scaled_batch), mod.span.scales,
+                                  pivot_words(mod.span))
         k, u = next((k, u) for k, u in enumerate(scaled) if len(u) > 1)
         w = next(w for w in u if w not in pivots)
         changed = {**u, w: u[w] + 1}

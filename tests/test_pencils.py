@@ -48,7 +48,7 @@ from crpencils.pencils import (
 )
 from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
-from word_oracles import derivation
+from word_oracles import basis_tensors, derivation, pivot_words
 
 
 def _rank_at(pencil, x):
@@ -135,13 +135,13 @@ def _fraction_coordinate_action(mod, X) -> list[list[Fraction]]:
     coordinates read at the pivot words and the residual checked in
     Fractions."""
     X = [[Fraction(x) for x in row] for row in X]
-    pivots = [w for blk in mod.span.blocks.values() for w in blk.pivot_words]
+    pivots, basis = pivot_words(mod.span), basis_tensors(mod.span)
     cols = []
-    for t in mod.span.basis:
+    for t in basis:
         y = derivation(X, t)
         col = [y.get(w, Fraction(0)) for w in pivots]
         resid = dict(y)
-        for c, b in zip(col, mod.span.basis):
+        for c, b in zip(col, basis):
             for w, x in b.items():
                 resid[w] = resid.get(w, 0) - c * x
         assert not any(resid.values()), "module basis is not stable under the Lie action"

@@ -17,15 +17,17 @@ from crpencils import tensors
 from crpencils.partitions import conjugate
 from crpencils.tensors import (
     EXACT_BOUND,
+    GradedSpan,
     WordBatch,
     apply_symmetrizer,
+    linear_combinations,
     matrix_on_letters,
     perm_sign,
     row_major_cells,
     symmetrize_rows,
 )
 
-from word_oracles import derivation
+from word_oracles import basis_tensors, derivation, pivot_words, span_basis, tensors_of
 
 
 def _group_perms(n, groups, signed):
@@ -123,7 +125,7 @@ def batches_for(draw):
 def test_factored_symmetrizer_matches_expansion(case):
     lam, v, ts = case
     expanded = expanded_symmetrizer(lam)
-    assert apply_symmetrizer(batch(ts, lam, v), lam).to_tensors() == [
+    assert tensors_of(apply_symmetrizer(batch(ts, lam, v), lam)) == [
         apply_expanded(t, expanded) for t in ts]
 
 
@@ -132,13 +134,13 @@ def test_factored_symmetrizer_pinned_321():
     assert len(expanded_symmetrizer(lam)) == 144
     ts = [{(0, 1, 2, 0, 1, 0): 3, (0, 0, 1, 1, 2, 3): -1, (2, 1, 0, 3, 0, 1): 5},
           {(0, 1, 2, 0, 1, 0): 1}]
-    got = apply_symmetrizer(batch(ts, lam, 4), lam).to_tensors()
+    got = tensors_of(apply_symmetrizer(batch(ts, lam, 4), lam))
     assert all(got)
     assert got == [apply_expanded(t, expanded_symmetrizer(lam)) for t in ts]
     assert all(type(c) is int for t in got for c in t.values())
     # a letter repeated in a column dies
-    assert apply_symmetrizer(batch([{(0, 1, 2, 0, 1, 2): 1}], (1,) * 6, 3),
-                             (1,) * 6).to_tensors() == [{}]
+    assert tensors_of(apply_symmetrizer(batch([{(0, 1, 2, 0, 1, 2): 1}], (1,) * 6, 3),
+                                        (1,) * 6)) == [{}]
 
 
 def permutation_orbit(word, signed):
@@ -155,7 +157,7 @@ def permutation_orbit(word, signed):
 def test_pass_over_every_slot_matches_the_permutation_sum(letters, signed):
     # one row (symmetrizing) or one column (antisymmetrizing) of len(letters) cells
     word, lam = tuple(letters), ((len(letters),) if not signed else (1,) * len(letters))
-    got = apply_symmetrizer(batch([{word: 1}], lam, 4), lam).to_tensors()[0]
+    got = tensors_of(apply_symmetrizer(batch([{word: 1}], lam, 4), lam))[0]
     assert got == permutation_orbit(word, signed)
     if not signed:  # each arrangement comes from prod_i m_i! permutations
         mult = prod(factorial(word.count(a)) for a in set(word))
@@ -166,9 +168,9 @@ def test_pass_over_every_slot_matches_the_permutation_sum(letters, signed):
 def test_pass_of_repeated_letters_pinned():
     # 3 arrangements of {0, 0, 1}, each from 2! permutations
     row = symmetrize_rows(batch([{(0, 0, 1): 1}], (3,), 2), (3,))
-    assert row.to_tensors() == [{(0, 0, 1): 2, (0, 1, 0): 2, (1, 0, 0): 2}]
-    assert apply_symmetrizer(batch([{(0, 0, 1): 1}], (1, 1, 1), 2), (1, 1, 1)).to_tensors() == [{}]
-    nine = symmetrize_rows(batch([{(0, 0, 0, 1, 1, 1, 2, 2, 2): 1}], (9,), 3), (9,)).to_tensors()[0]
+    assert tensors_of(row) == [{(0, 0, 1): 2, (0, 1, 0): 2, (1, 0, 0): 2}]
+    assert tensors_of(apply_symmetrizer(batch([{(0, 0, 1): 1}], (1, 1, 1), 2), (1, 1, 1))) == [{}]
+    nine = tensors_of(symmetrize_rows(batch([{(0, 0, 0, 1, 1, 1, 2, 2, 2): 1}], (9,), 3), (9,)))[0]
     assert len(nine) == 1680
     assert set(nine.values()) == {216}
 
@@ -183,10 +185,10 @@ def test_pass_is_exact_across_the_int64_bound():
         t = {(0, 0, 0, 1): c, (0, 1, 0, 2): 5, (1, 0, 0, 1): -3, (2, 0, 1, 1): 7}
         rows = symmetrize_rows(batch([t], lam, 3), lam)
         assert rows.coef.dtype == (np.int64 if abs(c) * 6 < EXACT_BOUND else object)
-        assert rows.to_tensors()[0][0, 0, 0, 1] == 6 * c
+        assert tensors_of(rows)[0][0, 0, 0, 1] == 6 * c
         got = apply_symmetrizer(batch([t], lam, 3), lam)
         assert got.coef.dtype == object
-        assert got.to_tensors() == [apply_expanded(t, expanded_symmetrizer(lam))]
+        assert tensors_of(got) == [apply_expanded(t, expanded_symmetrizer(lam))]
 
 
 def _random_batch(rng, lam, v, n):
@@ -220,8 +222,8 @@ def test_adjoint_on_symmetrized_tensors_is_the_row_passes(lam, data):
     s = apply_symmetrizer(batch(ts, lam, v), lam)
     columns = prod(factorial(h) for h in conjugate(lam))
     adjoint = expanded_symmetrizer(lam, adjoint=True)
-    assert [apply_expanded(t, adjoint) for t in s.to_tensors()] == [
-        {w: columns * c for w, c in t.items()} for t in symmetrize_rows(s, lam).to_tensors()]
+    assert [apply_expanded(t, adjoint) for t in tensors_of(s)] == [
+        {w: columns * c for w, c in t.items()} for t in tensors_of(symmetrize_rows(s, lam))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +234,7 @@ def test_batched_derivation_matches_the_word_loop(v, d, data):
     words = st.tuples(*[st.integers(0, v - 1)] * d)
     ts = data.draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=5),
                             max_size=4))
-    got = matrix_on_letters(X, WordBatch.from_tensors(ts, d, v)).to_tensors()
+    got = tensors_of(matrix_on_letters(X, WordBatch.from_tensors(ts, d, v)))
     assert got == [derivation(X, t) for t in ts]
 
 
@@ -241,7 +243,7 @@ def test_batched_derivation_is_exact_past_the_int64_bound():
     t = {(0, 1, 1): EXACT_BOUND - 5, (1, 0, 1): -EXACT_BOUND, (1, 1, 1): 2 ** 70}
     got = matrix_on_letters(X, WordBatch.from_tensors([t], 3, 2))
     assert got.coef.dtype == object
-    assert got.to_tensors() == [derivation(X, t)]
+    assert tensors_of(got) == [derivation(X, t)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,15 +254,15 @@ def test_word_reshapes_match_the_word_loop(v, d, data):
     ts = data.draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=5),
                             max_size=4))
     b = WordBatch.from_tensors(ts, d, v)
-    inserted = b.with_letter_inserted(pos).to_tensors()
+    inserted = tensors_of(b.with_letter_inserted(pos))
     assert inserted == [{w[:pos] + (a,) + w[pos:]: c for w, c in t.items()}
                         for t in ts for a in range(v)]
-    assert b.with_letter_inserted(pos).split_at(pos).to_tensors() == [
+    assert tensors_of(b.with_letter_inserted(pos).split_at(pos)) == [
         t if a == cut else {} for t in ts for a in range(v) for cut in range(v)]
-    assert b.split_at(pos).to_tensors() == [
+    assert tensors_of(b.split_at(pos)) == [
         {w[:pos] + w[pos + 1:]: c for w, c in t.items() if w[pos] == a} for t in ts for a in range(v)]
     for first, part in b.chunks(data.draw(st.integers(0, 6))):
-        assert part.n >= 1 and part.to_tensors() == ts[first:first + part.n]
+        assert part.n >= 1 and tensors_of(part) == ts[first:first + part.n]
 
 
 def test_batches_refuse_what_they_cannot_hold_exactly():
@@ -270,3 +272,69 @@ def test_batches_refuse_what_they_cannot_hold_exactly():
         WordBatch.from_tensors([{(0, 2): 1}], 2, 2)
     with pytest.raises(ValueError):
         WordBatch.from_tensors([{(0,) * 40: 1}], 40, 3)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 15])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_linear_combinations_match_the_word_loop(cells, data):
+    v, d = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    words = st.tuples(*[st.integers(0, v - 1)] * d)
+    ts = data.draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=5),
+                            min_size=1, max_size=5))
+    big = data.draw(st.sampled_from([1, EXACT_BOUND]))
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, len(ts) - 1),
+                                              st.integers(-3, 3).filter(bool), max_size=4),
+                              max_size=5))
+    want = []
+    for row in rows:
+        out = {}
+        for j, c in row.items():
+            for w, x in ts[j].items():
+                out[w] = out.get(w, 0) + c * big * x
+        want.append({w: x for w, x in out.items() if x})
+    m = WordBatch.from_tensors([{(j,): c * big for j, c in row.items()} for row in rows],
+                               1, len(ts))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors, "PASS_CELLS", cells)
+        assert tensors_of(linear_combinations(WordBatch.from_tensors(ts, d, v), m)) == want
+
+
+@st.composite
+def homogeneous_tensors(draw):
+    """(v, d, tensors): 0-6 integer tensors of degree d over v letters, each
+    on the arrangements of one multiset of letters; some empty, some on the
+    multiset of an earlier one, and some with coefficients past 2^62, whose
+    RREF entries pass it too."""
+    v, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    big = draw(st.booleans())
+    ts = []
+    for _ in range(draw(st.integers(0, 6))):
+        if ts and draw(st.booleans()):
+            base = next(iter(draw(st.sampled_from(ts))), (0,) * d)
+        else:
+            base = draw(st.tuples(*[st.integers(0, v - 1)] * d))
+        coefs = st.integers(-2 ** 70, 2 ** 70) if big else st.integers(-4, 4)
+        ts.append({w: c for w, c in draw(st.dictionaries(
+            st.permutations(base).map(tuple), coefs, max_size=4)).items() if c})
+    return v, d, ts
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_tensors())
+def test_span_matches_the_word_loop(case):
+    v, d, ts = case
+    grades = np.eye(v, dtype=np.int64)
+    span = GradedSpan.from_tensors(WordBatch.from_tensors(ts, d, v), grades)
+    basis = basis_tensors(span)
+    assert basis == span_basis(ts, grades)
+    assert [b[w] for b, w in zip(basis, pivot_words(span))] == [1] * span.dim
+    # u_k = s_k b_k is primitive
+    for u in tensors_of(span.scaled_batch):
+        assert np.gcd.reduce(list(u.values())) == 1
+
+
+def test_span_refuses_a_tensor_of_two_grades():
+    with pytest.raises(ValueError, match="grade-homogeneous"):
+        GradedSpan.from_tensors(WordBatch.from_tensors([{(0, 1): 1, (0, 0): 1}], 2, 2),
+                                np.eye(2, dtype=np.int64))

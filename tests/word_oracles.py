@@ -1,6 +1,8 @@
 """Word-by-word dict computations that the batched kernels are tested
 against, shared by the test modules."""
+from fractions import Fraction
 
+from crpencils.linalg import qq_rref
 from crpencils.tensors import letter_images
 
 
@@ -14,3 +16,60 @@ def derivation(X, t):
                 nw = w[:s] + (b,) + w[s + 1:]
                 out[nw] = out.get(nw, 0) + c * x
     return {w: c for w, c in out.items() if c}
+
+
+def contract(t, s1, s2, form):
+    """Slots s1 < s2 of a tensor contracted with the form, word by word."""
+    out = {}
+    for w, c in t.items():
+        g = form.gram[w[s1]][w[s2]]
+        if g:
+            nw = w[:s1] + w[s1 + 1:s2] + w[s2 + 1:]
+            out[nw] = out.get(nw, 0) + c * g
+    return {w: c for w, c in out.items() if c}
+
+
+def word_grade(w, letter_grades):
+    """The sum of the letters' rows of letter_grades, as a tuple."""
+    return tuple(sum(int(letter_grades[a][i]) for a in w)
+                 for i in range(len(letter_grades[0])))
+
+
+def span_basis(tensors, letter_grades):
+    """The RREF basis of each grade's block of the tensors, blocks in the
+    order of repr(grade), each basis tensor as {word: Fraction}: the word
+    loop that GradedSpan.from_tensors replaces."""
+    by_grade = {}
+    for t in tensors:
+        if t:
+            grades = {word_grade(w, letter_grades) for w in t}
+            assert len(grades) == 1
+            by_grade.setdefault(grades.pop(), []).append(t)
+    out = []
+    for g in sorted(by_grade, key=repr):
+        words = sorted({w for t in by_grade[g] for w in t})
+        rref, _ = qq_rref([[t.get(w, 0) for w in words] for t in by_grade[g]])
+        out += [{w: x for w, x in zip(words, row) if x} for row in rref]
+    return out
+
+
+def tensors_of(batch):
+    """The batch's tensors, each as {word: coefficient}."""
+    out = [{} for _ in range(batch.n)]
+    words = map(tuple, batch.letters().tolist())
+    for i, w, c in zip(batch.idx.tolist(), words, batch.coef.tolist()):
+        out[i][w] = c
+    return out
+
+
+def basis_tensors(span):
+    """The span's basis b_k = u_k / s_k, each as {word: Fraction}."""
+    return [{w: Fraction(c, s) for w, c in u.items()}
+            for u, s in zip(tensors_of(span.scaled_batch), span.scales)]
+
+
+def pivot_words(span):
+    """The pivot word of each basis tensor."""
+    u = span.scaled_batch
+    return [tuple(int(c) // u.radix ** (u.degree - 1 - i) % u.radix for i in range(u.degree))
+            for c in span.pivots.tolist()]
