@@ -210,15 +210,19 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     b = apply_symmetrizer(WordBatch.from_tensors([{words[j]: 1} for j in order], d, form.dim),
                           lam)
     c = contractions(b, form)
-    pairs = d * (d - 1) // 2
-    j, p = np.divmod(c.idx, max(pairs, 1))  # below two slots there is no term
-    row_key = p * form.dim ** c.degree + c.code
-    at = np.searchsorted(c.idx, np.array(bounds) * pairs)
+    pairs = max(d * (d - 1) // 2, 1)  # below two slots c holds no term
+    j, p = np.divmod(c.idx, pairs)
+    # the rows (p, w) of all blocks, numbered block by block
+    ncodes = form.dim ** c.degree
+    row_keys, row = np.unique(((np.searchsorted(bounds, j, "right") - 1) * pairs + p) * ncodes
+                              + c.code, return_inverse=True)
+    row_lo = np.searchsorted(row_keys // (pairs * ncodes), np.arange(len(bounds)))
+    at = np.searchsorted(j, bounds)
     kernel: list[dict] = []  # each kernel vector as {(tensor index,): coefficient}
-    for lo, hi, start, stop in zip(bounds, bounds[1:], at, at[1:]):
-        rows, row = np.unique(row_key[start:stop], return_inverse=True)
-        constraints = np.zeros((len(rows), hi - lo), dtype=c.coef.dtype)
-        constraints[row, j[start:stop] - lo] = c.coef[start:stop]
+    for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        constraints = np.zeros((row_lo[g + 1] - row_lo[g], hi - lo), dtype=c.coef.dtype)
+        terms = slice(at[g], at[g + 1])
+        constraints[row[terms] - row_lo[g], j[terms] - lo] = c.coef[terms]
         ker = qq_kernel(distinct_primitive_rows(constraints), hi - lo)
         kernel += [{(lo + col,): x for col, x in enumerate(kvec) if x}
                    for kvec in integer_rows(ker)]

@@ -387,9 +387,12 @@ def linear_combinations(b: WordBatch, m: WordBatch) -> WordBatch:
 
 
 def _primitive_rows(rows: list[list[Fraction]]) -> np.ndarray:
-    """Rational rows, each scaled by a positive rational to a primitive
-    integer row.  qq_rref shares one Fraction object per value, so each
-    distinct object is read once, and the scaling runs on arrays."""
+    """The entries of the rational rows in one flat array, each row scaled
+    by a positive rational to a primitive integer row.  qq_rref shares one
+    Fraction object per value, so each distinct object is read once, and
+    the scaling runs on arrays."""
+    lengths = [len(r) for r in rows]
+    start = np.cumsum([0] + lengths)[:-1]
     flat = list(chain.from_iterable(rows))
     ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
     _, first, at = np.unique(ids, return_index=True, return_inverse=True)
@@ -397,11 +400,11 @@ def _primitive_rows(rows: list[list[Fraction]]) -> np.ndarray:
     num = [x.numerator for x in values]
     den = [x.denominator for x in values]
     # every entry is at most max|num| times the lcm of all denominators
-    dtype = coef_dtype(lcm(*den) * max(map(abs, num)))
-    den_at = np.array(den, dtype=dtype)[at].reshape(len(rows), -1)
-    u = (np.array(num, dtype=dtype)[at].reshape(len(rows), -1)
-         * (np.lcm.reduce(den_at, axis=1)[:, None] // den_at))
-    return u // np.gcd.reduce(u, axis=1)[:, None]
+    dtype = coef_dtype(lcm(1, *den) * max(map(abs, num), default=0))
+    den_at = np.array(den, dtype=dtype)[at]
+    u = np.array(num, dtype=dtype)[at] * (
+        np.repeat(np.lcm.reduceat(den_at, start), lengths) // den_at)
+    return u // np.repeat(np.gcd.reduceat(u, start), lengths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +423,8 @@ class GradedSpan:
     def from_tensors(batch: WordBatch, letter_grades: np.ndarray) -> GradedSpan:
         """The span of the batch's tensors, a word graded by the sum over its
         letters of their rows of letter_grades.  Each block is built as one
-        dense integer matrix for qq_rref."""
+        dense integer matrix for qq_rref: row i for its i-th tensor, column
+        c for its c-th word in code order."""
         grades = np.zeros((len(batch.code), letter_grades.shape[1]), dtype=np.int64)
         for letters in batch.letters().T:
             grades += letter_grades[letters]
@@ -432,27 +436,38 @@ class GradedSpan:
         rank = {g: r for r, g in enumerate(sorted(set(keys), key=repr))}
         block = np.zeros(batch.n, dtype=np.int64)
         block[live] = [rank[g] for g in keys]
-        # the terms of each block, in a contiguous run by tensor and word
-        order = np.argsort(block[batch.idx], kind="stable")
-        bounds = np.searchsorted(block[batch.idx[order]], np.arange(len(rank) + 1))
-        parts = [(batch.idx[:0], batch.code[:0], batch.coef[:0])]
-        scales: list[int] = []
-        pivots = [batch.code[:0]]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            at = order[lo:hi]
-            tensors, row = np.unique(batch.idx[at], return_inverse=True)
-            words, col = np.unique(batch.code[at], return_inverse=True)
-            dense = np.zeros((len(tensors), len(words)), dtype=batch.coef.dtype)
-            dense[row, col] = batch.coef[at]
+        tensors = live[np.argsort(block[live], kind="stable")]
+        row_lo = np.searchsorted(block[tensors], np.arange(len(rank) + 1))
+        row = np.zeros(batch.n, dtype=np.int64)
+        row[tensors] = np.arange(len(tensors)) - row_lo[block[tensors]]
+        # the terms by block and word
+        order = np.lexsort((batch.code, block[batch.idx]))
+        term_block, code = block[batch.idx[order]], batch.code[order]
+        new = np.ones(len(code), dtype=bool)
+        new[1:] = (term_block[1:] != term_block[:-1]) | (code[1:] != code[:-1])
+        words, word_lo = code[new], np.searchsorted(term_block[new], np.arange(len(rank) + 1))
+        col = np.cumsum(new) - 1 - word_lo[term_block]
+        term_lo = np.searchsorted(term_block, np.arange(len(rank) + 1))
+        rows: list[list[Fraction]] = []
+        word_at = [np.zeros(0, dtype=np.int64)]  # each row entry's index into words
+        pivot_at: list[int] = []  # each row's pivot among the rows' flat entries
+        offset = 0
+        for g in range(len(rank)):
+            at = order[term_lo[g]:term_lo[g + 1]]
+            width = word_lo[g + 1] - word_lo[g]
+            dense = np.zeros((row_lo[g + 1] - row_lo[g], width), dtype=batch.coef.dtype)
+            dense[row[batch.idx[at]], col[term_lo[g]:term_lo[g + 1]]] = batch.coef[at]
             rref, piv = qq_rref(dense.tolist())
-            u = _primitive_rows(rref)
-            k, c = np.nonzero(u)
-            parts.append((k + len(scales), words[c], u[k, c]))
-            scales += u[np.arange(len(piv)), piv].tolist()
-            pivots.append(words[piv])
-        return GradedSpan(WordBatch(len(scales), batch.degree, batch.radix,
-                                    *map(np.concatenate, zip(*parts))),
-                          tuple(scales), np.concatenate(pivots))
+            pivot_at += [offset + i * width + p for i, p in enumerate(piv)]
+            offset += len(rref) * width
+            rows += rref
+            word_at.append(np.tile(np.arange(word_lo[g], word_lo[g + 1]), len(rref)))
+        u, w = _primitive_rows(rows), np.concatenate(word_at)
+        k = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        nz = u != 0
+        return GradedSpan(WordBatch(len(rows), batch.degree, batch.radix, k[nz], words[w[nz]],
+                                    u[nz]),
+                          tuple(u[pivot_at].tolist()), words[w[pivot_at]])
 
     @property
     def dim(self) -> int:
