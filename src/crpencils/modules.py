@@ -74,8 +74,9 @@ class FormSpec:
             if len(hits) != 1:
                 raise AssertionError("form is not in split coordinates")
             table.append(hits[0])
-        partner, value = np.array(table, dtype=np.int64).reshape(self.dim, 2).T
-        return partner, value
+        table = np.array(table, dtype=np.int64).reshape(self.dim, 2)
+        table.setflags(write=False)  # every caller shares the cached arrays
+        return table[:, 0], table[:, 1]
 
     @cached_property
     def letter_weights(self) -> np.ndarray:
@@ -85,6 +86,7 @@ class FormSpec:
         w = np.zeros((self.dim, (self.dim + 1) // 2), dtype=np.int64)
         for a in range(self.dim - self.dim % 2):
             w[a, a >> 1] = -1 if a & 1 else 1
+        w.setflags(write=False)
         return w
 
     def dual_tensor(self) -> SparseTensor:

@@ -387,10 +387,12 @@ def linear_combinations(b: WordBatch, m: WordBatch) -> WordBatch:
 
 
 def _primitive_rows(rows: list[list[Fraction]]) -> np.ndarray:
-    """The entries of the rational rows in one flat array, each row scaled
-    by a positive rational to a primitive integer row.  qq_rref shares one
-    Fraction object per value, so each distinct object is read once, and
-    the scaling runs on arrays."""
+    """The entries of RREF rows in one flat array, each row times the lcm L
+    of its denominators.  Each such integer row is primitive: its pivot 1
+    becomes L, prime to every prime q that does not divide L, and for q^e
+    exactly dividing L some entry n/d has q^e | d, so n L / d is prime to
+    q.  qq_rref shares one Fraction object per value, so each distinct
+    object is read once, and the scaling runs on arrays."""
     lengths = [len(r) for r in rows]
     start = np.cumsum([0] + lengths)[:-1]
     flat = list(chain.from_iterable(rows))
@@ -402,9 +404,8 @@ def _primitive_rows(rows: list[list[Fraction]]) -> np.ndarray:
     # every entry is at most max|num| times the lcm of all denominators
     dtype = coef_dtype(lcm(1, *den) * max(map(abs, num), default=0))
     den_at = np.array(den, dtype=dtype)[at]
-    u = np.array(num, dtype=dtype)[at] * (
+    return np.array(num, dtype=dtype)[at] * (
         np.repeat(np.lcm.reduceat(den_at, start), lengths) // den_at)
-    return u // np.repeat(np.gcd.reduceat(u, start), lengths)
 
 
 @dataclass(frozen=True, eq=False)

@@ -243,6 +243,8 @@ class TestForms:
         assert partner.tolist() == [1, 0, 3, 2] and value.tolist() == [1, -1, 1, -1]
         partner, value = orthogonal_form(5).partners
         assert partner.tolist() == [1, 0, 3, 2, 4] and value.tolist() == [1] * 5
+        # the cached arrays are shared by every caller
+        assert not partner.flags.writeable and not orthogonal_form(5).letter_weights.flags.writeable
         assert orthogonal_form(5).letter_weights.tolist() == [
             [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 0]]
         for gram in (((1, 1), (1, 1)), ((1, 0), (0, 0))):
