@@ -68,13 +68,13 @@ class FormSpec:
     def partners(self) -> tuple[np.ndarray, np.ndarray]:
         """(partner, value): for each letter a the one letter b = partner[a]
         with B(a, b) != 0, and value[a] = B(a, b)."""
-        table = []
+        found = []
         for row in self.gram:
             hits = [(b, x) for b, x in enumerate(row) if x]
             if len(hits) != 1:
                 raise AssertionError("form is not in split coordinates")
-            table.append(hits[0])
-        table = np.array(table, dtype=np.int64).reshape(self.dim, 2)
+            found.append(hits[0])
+        table = np.array(found, dtype=np.int64).reshape(self.dim, 2)
         table.setflags(write=False)  # every caller shares the cached arrays
         return table[:, 0], table[:, 1]
 
