@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import traceback
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
@@ -210,16 +211,27 @@ def pencil_to_document(p: Pencil, builder_params: Optional[dict] = None) -> dict
     return doc
 
 
+def _json_int(x) -> int:
+    """A JSON integer or a decimal string; a float, a bool or anything else
+    is refused, not truncated."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise FixtureParseError(f"expected an integer, got {x!r}")
+
+
 def document_to_pencil(doc: dict) -> Pencil:
     """Parse a PencilFile document; raises FixtureParseError when malformed."""
     try:
-        nvars = int(doc["nvars"])
-        source_dim = int(doc["source_dim"])
-        target_dim = int(doc["target_dim"])
-        labels = tuple(str(v) for v in doc["var_labels"])
+        nvars = _json_int(doc["nvars"])
+        source_dim = _json_int(doc["source_dim"])
+        target_dim = _json_int(doc["target_dim"])
+        labels = doc["var_labels"]
         raw = doc["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (KeyError, TypeError, ValueError) as exc:
         raise FixtureParseError(f"malformed pencil document: {exc}") from None
+    if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+        raise FixtureParseError("var_labels must be a list of strings")
+    labels = tuple(labels)
     if len(labels) != nvars or nvars < 1 or source_dim < 1 or target_dim < 1:
         raise FixtureParseError("inconsistent pencil document header")
     if nvars * target_dim * source_dim > MAX_PENCIL_CELLS:
@@ -231,15 +243,15 @@ def document_to_pencil(doc: dict) -> Pencil:
     denom = 1
     try:
         for e in raw:
-            var, r, c = int(e["var"]), int(e["row"]), int(e["col"])
-            num, den = int(e["num"]), int(e["den"])
+            var, r, c = _json_int(e["var"]), _json_int(e["row"]), _json_int(e["col"])
+            num, den = _json_int(e["num"]), _json_int(e["den"])
             if den <= 0 or gcd(abs(num), den) != 1:
                 raise FixtureParseError("entries must be reduced with den > 0")
             if not (0 <= var < nvars and 0 <= r < target_dim and 0 <= c < source_dim):
                 raise FixtureParseError("entry index out of range")
             entries.append((var, r, c, num, den))
             denom = lcm(denom, den)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FixtureParseError):
             raise
         raise FixtureParseError(f"malformed pencil entry: {exc}") from None
@@ -536,8 +548,7 @@ def _smith_rep(a: int, b: int, r: int) -> list[list[int]]:
 
 
 def _theta_rank(X) -> int:
-    mat = theta_map(X, (2,), (1,), (1,), (1, 1))
-    return qq_rank(mat) if mat and mat[0] else 0
+    return qq_rank(theta_map(X, (2,), (1,), (1,), (1, 1)))
 
 
 def _check_theta_formula(cfg: CatalogRunConfig):
@@ -1085,10 +1096,6 @@ CATALOG: tuple[CatalogEntry, ...] = (
         _check_spin10_rank_critical,
     ),
 )
-
-
-def catalog_ids() -> tuple[str, ...]:
-    return tuple(e.entry_id for e in CATALOG)
 
 
 def run_entry(entry: CatalogEntry, cfg: CatalogRunConfig) -> EntryResult:

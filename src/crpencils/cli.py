@@ -137,9 +137,6 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = report.to_jsonable()
-    payload["method"].setdefault("prime", args.prime)
-    payload["method"].setdefault("seed", args.seed)
-    payload["method"].setdefault("trials", args.trials)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

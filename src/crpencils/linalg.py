@@ -1,9 +1,11 @@
 """Exact dense linear algebra over Q and over prime fields F_p.
 
-Rational matrices are lists of lists of Fraction (or int); prime-field
-matrices are numpy int64 arrays with entries reduced into [0, p).  Primes
-must be odd and below 2**31 so that products of two residues fit in int64.
-modp_matmul is the one product mod p, exact on float64 BLAS.
+Matrices over Q are integer numpy arrays, int64 while no value a step forms
+can reach EXACT_BOUND and Python ints in object arrays otherwise; rational
+rows are scaled to integers by integer_rows.  Prime-field matrices are
+int64 arrays with entries reduced into [0, p), p an odd prime below 2**31,
+so that products of two residues fit in int64.  modp_matmul is the one
+product mod p, exact on float64 BLAS.
 
 Over F_p there are two eliminations, each with its own callers:
   - the stacked forward loop (_forward) serves the ranks (modp_ranks) and
@@ -19,9 +21,11 @@ Over F_p there are two eliminations, each with its own callers:
     single matrix too large to stack (modp_rref, modp_rank, modp_kernel of
     one matrix).
 
-Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q
-and checks it exactly, and every exact rank (qq_rank) and kernel
-(qq_kernel, hence every contraction kernel of the modules) goes through it.
+Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
+checks it with one integer product, and returns it as (u, s, pivots), row
+k the primitive integer row u[k] over s[k] = u[k, pivots[k]] > 0.  Every
+exact rank (qq_rank) and integer kernel (qq_kernel, hence every
+contraction kernel of the modules) goes through it.
 distinct_primitive_rows drops the rows of an integer matrix that repeat
 another up to a scalar before its kernel is taken.
 
@@ -41,6 +45,26 @@ import numpy as np
 DEFAULT_PRIME = 2147483629
 
 _PRIME_LIMIT = 1 << 31
+
+EXACT_BOUND = 1 << 62  # int64 arithmetic is used only below this bound
+
+
+def coef_dtype(bound: int):
+    """int64 when no value a step can form reaches `bound`, else Python ints
+    in an object array."""
+    return np.int64 if bound < EXACT_BOUND else object
+
+
+def max_abs(a: np.ndarray) -> int:
+    """The largest |entry| of an int64 or object array; 0 when it is empty."""
+    return int(np.abs(a).max(initial=0))
+
+
+def int_array(values: list) -> np.ndarray:
+    """Integer values as int64, or as Python ints when one reaches 2^62."""
+    if not all(type(c) is int for c in values):
+        raise TypeError("a batch holds int coefficients only")
+    return np.array(values, dtype=coef_dtype(max(map(abs, values), default=0)))
 
 
 def is_prime(p: int) -> bool:
@@ -117,12 +141,7 @@ def integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     float, a bool) goes through Fraction first."""
     out = []
     for row in rows:
-        kinds = set(map(type, row))
-        if kinds <= {int}:
-            out.append(list(row))
-            continue
-        if not kinds <= {int, Fraction}:
-            row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+        row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
         den = lcm(1, *(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
@@ -153,61 +172,80 @@ def _rational_lift(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.nda
     return np.where(t1 < 0, -r1, r1).reshape(res.shape), den.reshape(res.shape)
 
 
-def _spans_rows(a: list[list[int]], pivots: list[int],
-                num: np.ndarray, den: np.ndarray) -> bool:
-    """Whether every row of a equals sum_j row[pivots[j]] R_j for R = num/den.
-
-    Exact and sparse: R is scaled by the lcm L of its denominators, and each
-    row times L is compared with its combination in Python ints.
-    """
-    scale = lcm(*set(den.ravel().tolist()))
-    basis = [[(c, n * (scale // d)) for c, (n, d) in enumerate(zip(nrow, drow)) if n]
-             for nrow, drow in zip(num.tolist(), den.tolist())]
-    for row in a:
-        acc: dict[int, int] = {}
-        for pc, brow in zip(pivots, basis):
-            x = row[pc]
-            if x:
-                for c, y in brow:
-                    acc[c] = acc.get(c, 0) + x * y
-        if ({c: y for c, y in acc.items() if y}
-                != {c: scale * x for c, x in enumerate(row) if x}):
-            return False
-    return True
+def _tight(a: np.ndarray) -> np.ndarray:
+    """An integer array as int64, or as Python ints once an entry reaches EXACT_BOUND."""
+    return a.astype(coef_dtype(max_abs(a)), copy=False)
 
 
-def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
+def _scaled_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Each row of R = num / den times the lcm s_k of its denominators.
 
-    The rows are scaled to integers (a matrix A) and A mod p is brought to
-    reduced echelon form R_p by ModpEchelon.  Each entry of R_p is lifted to
-    a rational n/d by rational reconstruction; when a lift does not exist,
-    or the lifted R fails the check below, the residues of one more prime
-    are combined by CRT and the lift is tried again.  A prime whose echelon
-    has lower rank, or the same rank with later pivots, than one seen
-    before divides a minor of A and is skipped.
+    When R is in reduced echelon form the row u_k is primitive: its pivot 1
+    becomes s_k, prime to every prime q that does not divide s_k, and for
+    q^e exactly dividing s_k some entry n/d has q^e | d, so n s_k / d is
+    prime to q."""
+    # every entry is at most max|num| times the lcm of all denominators
+    dtype = coef_dtype(lcm(*np.unique(den).tolist()) * max_abs(num))
+    num, den = num.astype(dtype), den.astype(dtype)
+    return _tight(num * (np.lcm.reduce(den, axis=1)[:, None] // den))
+
+
+def _is_lift(a: np.ndarray, pivots: list[int], u: np.ndarray, s: np.ndarray) -> bool:
+    """Whether every row of a equals sum_k row[pivots[k]] u_k / s_k, as the
+    one integer product L a == a[:, pivots] @ ((L / s) u), L the lcm of the
+    s_k, run in int64 or in Python ints by the bound of qq_rref."""
+    scale = lcm(*s.tolist())
+    dtype = coef_dtype(len(pivots) * max_abs(a) * scale * max_abs(u))
+    a, u, s = (x.astype(dtype, copy=False) for x in (a, u, s))
+    return np.array_equal(a[:, pivots] @ (u * (scale // s)[:, None]), scale * a)
+
+
+def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Reduced row echelon form over Q, scaled to integers: (u, s, pivots).
+
+    RREF row k is u[k] / s[k], u[k] a primitive integer row and
+    s[k] = u[k, pivots[k]] > 0; u and s are int64, or object arrays once an
+    entry of u reaches EXACT_BOUND.  rows is an int64 or object ndarray, or
+    rational rows that integer_rows scales to integers: the matrix A.
+
+    A mod p is brought to reduced echelon form R_p by ModpEchelon.  Each
+    entry of R_p is lifted to a rational n/d by rational reconstruction;
+    when a lift does not exist, or the lifted R fails the check below, the
+    residues of one more prime are combined by CRT and the lift is tried
+    again.  A prime whose echelon has lower rank, or the same rank with
+    later pivots, than one seen before divides a minor of A and is skipped.
 
     The lifted R is accepted only when every row a of A equals
-    sum_j a[pivot_j] R_j exactly.  Why that makes R exact: the check gives
-    row(A) in row(R).  R has the identity in its pivot columns, so its
-    rows are independent, and rank_Q(A) >= rank_p(A) = #rows of R; hence
-    row(A) = row(R).  R is in reduced row echelon form by construction (a
-    zero residue lifts to 0), and a row space has exactly one such basis,
-    so R is the RREF of A over Q.  A wrong lift can fail the check, never
-    pass it.
+    sum_j a[pivot_j] R_j exactly, that is, with L the lcm of the s_k, when
+    L A == A[:, pivots] @ ((L / s) u).  Each entry of (L / s_k) u_k is at
+    most L max|u|, so L A and every partial sum of the product are at most
+    #pivots max|A| L max|u|; the product runs in int64 when that bound is
+    below EXACT_BOUND, and in Python ints otherwise.  Why the check makes R
+    exact: it gives row(A) in row(R).  R has the identity in its pivot
+    columns, so its rows are independent, and rank_Q(A) >= rank_p(A) =
+    #rows of R; hence row(A) = row(R).  R is in reduced row echelon form by
+    construction (a zero residue lifts to 0), and a row space has exactly
+    one such basis, so R is the RREF of A over Q.  A wrong lift can fail
+    the check, never pass it.
     """
-    a = [row for row in integer_rows(rows) if any(row)]
-    if len(a) <= 1:  # nothing to eliminate: scale the leading entry to 1
-        pivots = [next(j for j, x in enumerate(row) if x) for row in a]
-        return [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)], pivots
-    ncols = len(a[0])
+    if not isinstance(rows, np.ndarray):
+        rows = integer_rows(rows)
+        rows = np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
+    a = _tight(rows)
+    a = a[(a != 0).any(axis=1)]
+    if len(a) <= 1:  # nothing to eliminate: the row over its gcd, positive at its pivot
+        pivots = [int(np.flatnonzero(row)[0]) for row in a]
+        lead = a[np.arange(len(a)), pivots]
+        u = _tight(a // (np.gcd.reduce(a, axis=1) * np.sign(lead))[:, None])
+        return u, u[np.arange(len(u)), pivots], pivots
+    ncols = a.shape[1]
     best: Optional[tuple[list[int], np.ndarray, int]] = None  # pivots, residues, modulus
     limit = None
     for tried, p in enumerate(_primes()):
         if limit is not None and tried > limit:
             raise ArithmeticError("the RREF lift needed more primes than the Hadamard bound")
         ech = ModpEchelon(ncols, p)
-        ech.add(mat_mod(a, p))
+        ech.add(a % p)
         pivots = ech.pivots.tolist()
         if best is None or (-len(pivots), pivots) < (-len(best[0]), best[0]):
             best = (pivots, ech.basis, p)
@@ -219,50 +257,54 @@ def qq_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         else:
             continue
         lift = _rational_lift(best[1], best[2])
-        if lift is not None and _spans_rows(a, pivots, *lift):
-            num, den = (x.tolist() for x in lift)
-            pairs = [list(zip(nrow, drow)) for nrow, drow in zip(num, den)]
-            fracs = {nd: Fraction(*nd) for nd in set().union(*pairs)}
-            return [[fracs[nd] for nd in row] for row in pairs], pivots
+        if lift is not None:
+            u = _scaled_rows(*lift)
+            s = u[np.arange(len(u)), pivots]
+            if _is_lift(a, pivots, u, s):
+                return u, s, pivots
         if limit is None:
             # every minor is at most H = prod |row| < 2^bits: at most bits/30
             # primes above 2^30 divide a nonzero one, and a CRT modulus
             # above 2 H^2 lifts every RREF entry
-            bits = sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in a)
+            norms = (a.astype(object) ** 2).sum(axis=1).tolist()
+            bits = sum((n.bit_length() + 1) // 2 for n in norms)
             limit = (3 * bits + 1) // 30 + 2
     raise ArithmeticError("the primes below 2^31 are exhausted")
 
 
-def qq_rank(rows: Sequence[Sequence]) -> int:
-    return len(qq_rref(rows)[1])
+def qq_rank(rows) -> int:
+    return len(qq_rref(rows)[2])
 
 
-def qq_kernel(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : m x = 0}, one row per basis vector."""
+def qq_kernel(rows, ncols: Optional[int] = None) -> np.ndarray:
+    """Basis of the right kernel {x : m x = 0}, one integer row per basis
+    vector: for each free column f of the RREF R, e_f - sum_k R[k, f]
+    e_pivots[k] times the lcm D_f of its denominators, which makes it
+    primitive.  With L the lcm of the s_k, L e_f - sum_k (L / s_k) u[k, f]
+    e_pivots[k] is that row times L / D_f, so it is divided by its gcd."""
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    rref, pivots = qq_rref(rows) if rows else ([], [])
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        out.append(v)
-    return out
+        ncols = len(rows[0]) if len(rows) else 0
+    u, s, pivots = qq_rref(rows if len(rows) else np.zeros((0, ncols), dtype=np.int64))
+    scale = lcm(*s.tolist())
+    dtype = coef_dtype(scale * max_abs(u))
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    out = np.zeros((len(free), ncols), dtype=dtype)
+    out[np.arange(len(free)), free] = scale
+    out[:, pivots] = -(u[:, free].astype(dtype) * (scale // s.astype(dtype))[:, None]).T
+    return _tight(out // np.gcd.reduce(out, axis=1, keepdims=True))
 
 
-def distinct_primitive_rows(a: np.ndarray) -> list[tuple[int, ...]]:
+def distinct_primitive_rows(a: np.ndarray) -> np.ndarray:
     """The nonzero rows of an integer matrix, each divided by the gcd of its
     entries and signed so that its first nonzero entry is positive, each
-    once: the same row space, hence the same kernel, in fewer rows."""
+    once in the order of first appearance: the same row space, hence the
+    same kernel, in fewer rows."""
     a = a[(a != 0).any(axis=1)]
     g = np.gcd.reduce(a, axis=1)
     lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
     a = a // np.where(lead < 0, -g, g)[:, None]
-    return list(dict.fromkeys(map(tuple, a.tolist())))
+    rows = dict.fromkeys(map(tuple, a.tolist()))
+    return np.array(list(rows), dtype=a.dtype).reshape(len(rows), a.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import distinct_primitive_rows, integer_rows, qq_kernel, qq_rref
+from .linalg import coef_dtype, distinct_primitive_rows, max_abs, qq_kernel, qq_rref
 from .partitions import (
     GroupSpec,
     Partition,
@@ -34,10 +34,8 @@ from .tensors import (
     SparseTensor,
     WordBatch,
     apply_symmetrizer,
-    coef_dtype,
     linear_combinations,
     matrix_on_letters,
-    max_abs,
     perm_sign,
     place_values,
     semistandard_tableaux,
@@ -91,11 +89,12 @@ class FormSpec:
 
     def dual_tensor(self) -> SparseTensor:
         """The invariant 2-tensor: q-hat = sum q^{ab} e_a x e_b (inverse Gram),
-        read off the RREF [I | G^-1] of [G | I]."""
+        read off the RREF [I | G^-1] of [G | I], row a as u[a] / s[a]."""
         n = self.dim
-        rref, _ = qq_rref([list(row) + [int(i == j) for j in range(n)]
-                           for i, row in enumerate(self.gram)])
-        return {(a, b): rref[a][n + b] for a in range(n) for b in range(n) if rref[a][n + b]}
+        u, s, _ = qq_rref(np.hstack([self.gram, np.eye(n, dtype=np.int64)]))
+        u, s = u.tolist(), s.tolist()
+        return {(a, b): Fraction(u[a][n + b], s[a])
+                for a in range(n) for b in range(n) if u[a][n + b]}
 
 
 @lru_cache(maxsize=None)
@@ -220,15 +219,17 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
                               + c.code, return_inverse=True)
     row_lo = np.searchsorted(row_keys // (pairs * ncodes), np.arange(len(bounds)))
     at = np.searchsorted(j, bounds)
-    kernel: list[dict] = []  # each kernel vector as {(tensor index,): coefficient}
+    # each kernel vector as a one-letter tensor over the tensor indices
+    kernel, nker = [(np.zeros(0, dtype=np.int64),) * 3], 0
     for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         constraints = np.zeros((row_lo[g + 1] - row_lo[g], hi - lo), dtype=c.coef.dtype)
         terms = slice(at[g], at[g + 1])
         constraints[row[terms] - row_lo[g], j[terms] - lo] = c.coef[terms]
         ker = qq_kernel(distinct_primitive_rows(constraints), hi - lo)
-        kernel += [{(lo + col,): x for col, x in enumerate(kvec) if x}
-                   for kvec in integer_rows(ker)]
-    kept = linear_combinations(b, WordBatch.from_tensors(kernel, 1, b.n))
+        k, col = np.nonzero(ker)
+        kernel.append((nker + k, lo + col, ker[k, col]))
+        nker += len(ker)
+    kept = linear_combinations(b, WordBatch(nker, 1, b.n, *map(np.concatenate, zip(*kernel))))
     span = GradedSpan.from_tensors(kept, form.letter_weights)
     if span.dim != expected:
         raise AssertionError(

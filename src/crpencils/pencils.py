@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import modp_matmul
+from .linalg import coef_dtype, max_abs, modp_matmul
 from .modules import (
     RealizedModule,
     clifford_unit,
@@ -59,9 +59,7 @@ from .tensors import (
     apply_symmetrizer,
     cell_slot,
     chevalley_generators,
-    coef_dtype,
     letter_images,
-    max_abs,
     perm_sign,
     place_values,
     ragged,

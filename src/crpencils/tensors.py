@@ -13,38 +13,36 @@ k slots drops the words with a letter repeated in an antisymmetrized column
 and runs k - 1 coset passes, of 2, 3, ..., k moves; each expands whole
 tensors at a time, at most PASS_CELLS terms at once, and sums equal words
 with a stable sort and np.add.reduceat, so a pass holds distinct
-arrangements, never k! terms of a word.  Coefficients are int64 while no sum
-a step forms can reach 2^62, and Python ints in object arrays otherwise, so
-integer tensors stay exact.  On the
+arrangements, never k! terms of a word.  Coefficients follow the int64 or
+object rule of linalg.coef_dtype, so integer tensors stay exact.  On the
 image of c_lam the adjoint is the row passes times a scalar
 (symmetrize_rows).
 
 GradedSpan holds a canonical (per-block RREF) basis of the span of a batch
 of tensors that are homogeneous for some grading of words (content, or
-torus weight), as that basis scaled to primitive integer tensors.  Each
-block goes from the batch to one dense integer matrix for its RREF, with no
-per-word dict.  The span reads the coordinates of a whole batch at once, as
-the values at the pivot words, and checks membership in integers.
+torus weight), as that basis scaled to primitive integer tensors: the
+(u, s, pivots) that qq_rref returns for each block's dense integer matrix,
+with no per-word dict and no Fraction.  The span reads the coordinates of a
+whole batch at once, as the values at the pivot words, and checks
+membership in integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .linalg import qq_rref
+from .linalg import coef_dtype, int_array, max_abs, qq_rref
 from .partitions import Partition, check_partition, conjugate
 
 Word = tuple[int, ...]
 SparseTensor = dict  # Word -> int or Fraction
 
 PASS_CELLS = 1 << 15  # expanded terms a coset pass holds at once
-EXACT_BOUND = 1 << 62  # int64 arithmetic is used only below this bound
 
 
 def tensor_iadd(acc: SparseTensor, t: SparseTensor, c=1) -> SparseTensor:
@@ -81,25 +79,6 @@ def _young_groups(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[tu
     cols = tuple(tuple(slot[i, j] for i in range(h))
                  for j, h in enumerate(conjugate(lam)) if h > 1)
     return rows, cols
-
-
-def coef_dtype(bound: int):
-    """int64 when no value a step can form reaches `bound`, else Python ints
-    in an object array."""
-    return np.int64 if bound < EXACT_BOUND else object
-
-
-def max_abs(a: np.ndarray) -> int:
-    if not len(a):
-        return 0
-    return max(map(abs, a)) if a.dtype == object else int(np.abs(a).max())
-
-
-def _int_array(values: list) -> np.ndarray:
-    """Integer values as int64, or as Python ints when one reaches 2^62."""
-    if not all(type(c) is int for c in values):
-        raise TypeError("a batch holds int coefficients only")
-    return np.array(values, dtype=coef_dtype(max(map(abs, values), default=0)))
 
 
 def place_values(radix: int, degree: int) -> np.ndarray:
@@ -163,7 +142,7 @@ class WordBatch:
         letters = np.array(words, dtype=np.int64).reshape(len(words), degree)
         if letters.size and not 0 <= letters.min() <= letters.max() < radix:
             raise ValueError(f"a letter is outside 0 .. {radix - 1}")
-        coef = _int_array([c for t in tensors for c in t.values()])
+        coef = int_array([c for t in tensors for c in t.values()])
         idx = np.repeat(np.arange(len(tensors), dtype=np.int64), [len(t) for t in tensors])
         return WordBatch.build(len(tensors), degree, radix, idx,
                                letters @ place_values(radix, degree), coef)
@@ -352,7 +331,7 @@ def matrix_on_letters(X: Sequence[Sequence[int]], b: WordBatch) -> WordBatch:
     batch: the sum over slots of X applied to the letter in that slot."""
     moves = [(a, c, x) for a, images in sorted(letter_images(X).items()) for c, x in images]
     src, dst = (np.array([m[i] for m in moves], dtype=np.int64) for i in (0, 1))
-    x = _int_array([m[2] for m in moves])
+    x = int_array([m[2] for m in moves])
     letters = b.letters()
     a = letters.ravel()
     lo = np.searchsorted(src, a)
@@ -384,28 +363,6 @@ def linear_combinations(b: WordBatch, m: WordBatch) -> WordBatch:
                               part.coef[owner].astype(dtype) * b.coef[at].astype(dtype))
         parts.append((out.idx + first, out.code, out.coef))
     return WordBatch(m.n, b.degree, b.radix, *map(np.concatenate, zip(*parts)))
-
-
-def _primitive_rows(rows: list[list[Fraction]]) -> np.ndarray:
-    """The entries of RREF rows in one flat array, each row times the lcm L
-    of its denominators.  Each such integer row is primitive: its pivot 1
-    becomes L, prime to every prime q that does not divide L, and for q^e
-    exactly dividing L some entry n/d has q^e | d, so n L / d is prime to
-    q.  qq_rref shares one Fraction object per value, so each distinct
-    object is read once, and the scaling runs on arrays."""
-    lengths = [len(r) for r in rows]
-    start = np.cumsum([0] + lengths)[:-1]
-    flat = list(chain.from_iterable(rows))
-    ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
-    _, first, at = np.unique(ids, return_index=True, return_inverse=True)
-    values = [flat[i] for i in first.tolist()]
-    num = [x.numerator for x in values]
-    den = [x.denominator for x in values]
-    # every entry is at most max|num| times the lcm of all denominators
-    dtype = coef_dtype(lcm(1, *den) * max(map(abs, num), default=0))
-    den_at = np.array(den, dtype=dtype)[at]
-    return np.array(num, dtype=dtype)[at] * (
-        np.repeat(np.lcm.reduceat(den_at, start), lengths) // den_at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,26 +406,22 @@ class GradedSpan:
         words, word_lo = code[new], np.searchsorted(term_block[new], np.arange(len(rank) + 1))
         col = np.cumsum(new) - 1 - word_lo[term_block]
         term_lo = np.searchsorted(term_block, np.arange(len(rank) + 1))
-        rows: list[list[Fraction]] = []
-        word_at = [np.zeros(0, dtype=np.int64)]  # each row entry's index into words
-        pivot_at: list[int] = []  # each row's pivot among the rows' flat entries
-        offset = 0
+        empty = np.zeros(0, dtype=np.int64)
+        terms, scales, pivots, dim = [(empty,) * 3], [empty], [empty], 0
         for g in range(len(rank)):
             at = order[term_lo[g]:term_lo[g + 1]]
-            width = word_lo[g + 1] - word_lo[g]
-            dense = np.zeros((row_lo[g + 1] - row_lo[g], width), dtype=batch.coef.dtype)
+            dense = np.zeros((row_lo[g + 1] - row_lo[g], word_lo[g + 1] - word_lo[g]),
+                             dtype=batch.coef.dtype)
             dense[row[batch.idx[at]], col[term_lo[g]:term_lo[g + 1]]] = batch.coef[at]
-            rref, piv = qq_rref(dense.tolist())
-            pivot_at += [offset + i * width + p for i, p in enumerate(piv)]
-            offset += len(rref) * width
-            rows += rref
-            word_at.append(np.tile(np.arange(word_lo[g], word_lo[g + 1]), len(rref)))
-        u, w = _primitive_rows(rows), np.concatenate(word_at)
-        k = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        nz = u != 0
-        return GradedSpan(WordBatch(len(rows), batch.degree, batch.radix, k[nz], words[w[nz]],
-                                    u[nz]),
-                          tuple(u[pivot_at].tolist()), words[w[pivot_at]])
+            u, s, piv = qq_rref(dense)
+            k, c = np.nonzero(u)  # row-major: by basis index, then word code
+            terms.append((dim + k, words[word_lo[g] + c], u[k, c]))
+            scales.append(s)
+            pivots.append(words[word_lo[g] + np.array(piv, dtype=np.int64)])
+            dim += len(u)
+        return GradedSpan(WordBatch(dim, batch.degree, batch.radix,
+                                    *map(np.concatenate, zip(*terms))),
+                          tuple(np.concatenate(scales).tolist()), np.concatenate(pivots))
 
     @property
     def dim(self) -> int:
@@ -496,7 +449,7 @@ class GradedSpan:
         starts = np.searchsorted(u.idx, np.arange(self.dim + 1))
         owner, term = ragged(starts[k], starts[k + 1] - starts[k])
         big = lcm(1, *self.scales)
-        factor = _int_array([big // s for s in self.scales])
+        factor = int_array([big // s for s in self.scales])
         # a word's residual sums L t_w and at most one term of each u_k
         dtype = coef_dtype(big * max(1, max_abs(batch.coef)) * (1 + self.dim * max_abs(u.coef)))
         resid, _, _ = _summed(

@@ -15,7 +15,6 @@ from crpencils.catalog import (
     CatalogRunConfig,
     FixtureParseError,
     build_from_params,
-    catalog_ids,
     document_to_pencil,
     dumps_pencil,
     fixture_parse,
@@ -62,6 +61,10 @@ EXPECTED_IDS = (
     "spin10-pencil",
     "spin10-rank-critical",
 )
+
+
+def catalog_ids():
+    return tuple(e.entry_id for e in CATALOG)
 
 
 def test_catalog_covers_every_entry_exactly_once():
@@ -420,7 +423,8 @@ def test_cli_catalog_subcommand(capsys):
 # sha256 of the `crpencils build` JSON, recorded before the factored
 # symmetrizer and the F_p-lifted RREF: the eight scripts/build_examples.py
 # records, then the SO (3,1,1) -> (3,2,1) m=5 hook, the one record whose
-# target symmetrizer takes four passes
+# target symmetrizer takes four passes.  Its m=6 build, the largest, was
+# recorded before qq_rref returned the integer-scaled RREF.
 BUILD_DIGESTS = [
     (["gl", "--mu", "2", "--nu", "2,1", "--n", "2"],
      "4f8b6039622e41136b2a81dfff9e9592719874714b8b9d5b834c0645d5ea7545"),
@@ -440,6 +444,8 @@ BUILD_DIGESTS = [
      "f290bb208de476b17f6bf8ba2e12d892e925dd87ba0a771ea41f1dd6227b972f"),
     (["so", "--mu", "3,1,1", "--nu", "3,2,1", "--N", "5"],
      "59949cc963ef52dcdcd3ea433aa46c51e1e89bde4d177843d40556a78b085426"),
+    (["so", "--mu", "3,1,1", "--nu", "3,2,1", "--N", "6"],
+     "1ba57f6f670b2edc0a4858074ae84258b78bc652833303943c1ac25026596a24"),
 ]
 
 
@@ -581,3 +587,77 @@ def test_cli_verify_exits_cleanly_on_mutated_documents(tmp_path, capsys, doc, mo
     argv = ["verify", str(out), "--mode", mode, "--prime", prime,
             "--trials", "3", "--budget", "3000"]
     assert _exit_code(argv, capsys) in (0, 1, 2, 3)
+
+
+# -- what a verify report and a pencil document say ---------------------------
+
+
+@pytest.mark.parametrize("mode,argv,method", [
+    ("exhaustive", ["--prime", "5"], {"kind": "exhaustive", "prime": 5, "points": 31}),
+    ("sampled", ["--trials", "7", "--seed", "3"],
+     {"kind": "sampled", "prime": 2147483629, "trials": 7, "seed": 3}),
+    ("transitivity", ["--seed", "3"],
+     {"kind": "transitivity", "prime": 2147483629, "seed": 3, "equivariance": "exact"}),
+])
+def test_cli_verify_method_names_only_what_the_mode_used(tmp_path, capsys, mode, argv, method):
+    out = tmp_path / "pencil.json"
+    assert cli.main(["build", "gl", "--mu", "2", "--nu", "2,1", "--n", "2",
+                     "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out), "--mode", mode, *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == method
+
+
+def _koszul_document():
+    return json.loads(dumps_pencil(build_koszul_pencil(1, 3)))
+
+
+def _entry_field(key, value):
+    def edit(doc):
+        doc["entries"][0][key] = value
+    return edit
+
+
+def _header_field(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+# a non-integer where an integer belongs, or labels that are not a list of
+# strings: int() and str() used to read these as 3, 2, 1 and ('a', 'b')
+_NOT_INTEGERS = {
+    "num-float": _entry_field("num", 3.9),
+    "num-integral-float": _entry_field("num", 1.0),
+    "num-bool": _entry_field("num", True),
+    "num-signed-string": _entry_field("num", "+1"),
+    "num-spaced-string": _entry_field("num", " 1"),
+    "den-fraction-string": _entry_field("den", "1/1"),
+    "row-bool": _entry_field("row", False),
+    "var-string-float": _entry_field("var", "0.0"),
+    "nvars-float": _header_field("nvars", 2.9),
+    "nvars-bool": _header_field("nvars", True),
+    "source-dim-list": _header_field("source_dim", [3]),
+    "labels-string": _header_field("var_labels", "abc"),
+    "labels-numbers": _header_field("var_labels", [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("edit", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS)
+def test_pencil_document_refuses_what_is_not_an_integer(tmp_path, capsys, edit):
+    doc = _koszul_document()
+    edit(doc)
+    with pytest.raises(FixtureParseError):
+        loads_pencil(json.dumps(doc))
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 3
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_pencil_document_reads_json_integers_and_decimal_strings():
+    doc = _koszul_document()
+    want = loads_pencil(json.dumps(doc))[0]
+    doc["nvars"] = str(doc["nvars"])
+    for e in doc["entries"]:
+        e["var"], e["num"], e["den"] = str(e["var"]), int(e["num"]), int(e["den"])
+    assert loads_pencil(json.dumps(doc))[0] == want

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crpencils import linalg
 from crpencils.linalg import (
     DEFAULT_PRIME,
+    EXACT_BOUND,
     ModpEchelon,
     Subspace,
     check_prime,
@@ -25,6 +26,7 @@ from crpencils.linalg import (
     qq_rref,
     reduce_mod,
 )
+from word_oracles import fraction_rref, scaled_rref
 
 PRIMES_31BIT = [2147483629, 2147483587, 2147483563]
 
@@ -437,25 +439,6 @@ def test_contains_subspace_of_sub_spans(p, ncols, rank, seed):
 # -- the exact RREF lifted from F_p against plain Gauss-Jordan over Q --------
 
 
-def fraction_rref(rows):
-    """Gauss-Jordan over Q in Fractions: the oracle for qq_rref."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots, r = [], 0
-    for c in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
 def fraction_kernel(rows, ncols):
     rref, pivots = fraction_rref(rows)
     out = []
@@ -496,28 +479,99 @@ def rational_matrices(draw):
     return matrix(nrows, ncols, st.integers(-10 ** 7, 10 ** 7))
 
 
+def assert_scaled_rref(m, got):
+    """got = qq_rref(m): u[k] / s[k] is the Gauss-Jordan RREF of m in
+    Fractions, each u[k] primitive with s[k] = u[k, pivots[k]] > 0, and u
+    is int64 exactly when no entry reaches EXACT_BOUND."""
+    u, s, pivots = got
+    assert (scaled_rref(u, s), pivots) == fraction_rref(m)
+    assert s.tolist() == u[np.arange(len(u)), pivots].tolist()
+    assert all(x > 0 for x in s.tolist())
+    assert all(gcd(*row) == 1 for row in u.tolist())
+    assert u.dtype == (np.int64 if linalg.max_abs(u) < EXACT_BOUND else object)
+    assert s.dtype == u.dtype
+
+
+def rref_lists(m):
+    u, s, pivots = qq_rref(m)
+    return u.tolist(), s.tolist(), pivots
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_lifted_rref_matches_gauss_jordan(m):
     ncols = len(m[0])
-    assert qq_rref(m) == fraction_rref(m)
-    assert qq_kernel(m) == fraction_kernel(m, ncols)
-    # the contraction kernels of the modules take this integer form
-    ker = linalg.integer_rows(qq_kernel(linalg.integer_rows(m), ncols))
-    assert all(type(x) is int for v in ker for x in v)
-    assert fraction_rref(ker) == fraction_rref(fraction_kernel(m, ncols))
+    assert_scaled_rref(m, qq_rref(m))
+    # each kernel vector times the lcm of its denominators
+    ker = qq_kernel(m)
+    assert ker.tolist() == linalg.integer_rows(fraction_kernel(m, ncols))
+    # the same from the integer matrix, as an int64 and as an object array
+    a = linalg.integer_rows(m)
+    assert rref_lists(np.array(a, dtype=object)) == rref_lists(m)
+    assert qq_kernel(np.array(a, dtype=object), ncols).tolist() == ker.tolist()
+    if linalg.max_abs(np.array(a, dtype=object)) < EXACT_BOUND:
+        assert rref_lists(np.array(a, dtype=np.int64)) == rref_lists(m)
+
+
+def test_lifted_rref_checks_past_int64():
+    """The check product L A and A[:, pivots] @ ((L / s) u) passes 2^63, so
+    it runs in Python ints; the RREF still equals the Fraction oracle."""
+    rng = random.Random(11)
+    cases = [
+        [[2 ** 62, 0, 2 ** 62], [0, 3, 1]],  # a small RREF of a large A
+        rand_matrix(rng, 4, 6, -10 ** 12, 10 ** 12),  # RREF entries past 2^62
+        [[x * 2 ** 70 + y for x, y in zip(row, rand_matrix(rng, 1, 5)[0])]
+         for row in rand_matrix(rng, 3, 5)],
+    ]
+    for m in cases:
+        a = np.array(m, dtype=object)
+        u, s, pivots = got = qq_rref(a)
+        assert_scaled_rref(m, got)
+        scale = lcm(*s.tolist())
+        product = a[:, pivots] @ (u.astype(object) * (scale // s.astype(object))[:, None])
+        assert max(linalg.max_abs(product), scale * linalg.max_abs(a)) >= 2 ** 63
+
+
+@pytest.mark.parametrize("big", [1, 2 ** 62])
+def test_lift_check_rejects_a_perturbed_entry(big):
+    m = [[2, 4, 1, 0, 3], [1, 3, 0, 5, 1], [3, 7, 1, 5, 4], [0, 1, 2, 1, 1]]
+    rref, pivots = fraction_rref(m)
+    a = np.array(m, dtype=object) * big
+    scales = [lcm(*(x.denominator for x in row)) for row in rref]
+    u = np.array([[x * sk for x in row] for row, sk in zip(rref, scales)], dtype=object)
+    s = np.array(scales, dtype=object)
+    assert linalg._is_lift(a, pivots, u, s)
+    for idx in np.ndindex(u.shape):
+        for delta in (1, -1):
+            bad = u.copy()
+            bad[idx] += delta
+            assert not linalg._is_lift(a, pivots, bad, s)
+    for k in range(len(s)):
+        bad = s.copy()
+        bad[k] += 1
+        assert not linalg._is_lift(a, pivots, u, bad)
+
+
+def test_lift_check_sees_a_perturbation_that_int64_would_wrap():
+    # every entry fits in int64, but 2^24 more in u[0, 2] moves the product
+    # by 2^64, which int64 arithmetic would wrap to no change
+    a = np.array([[2 ** 40, 0, 3 * 2 ** 40], [0, 1, 5]], dtype=np.int64)
+    u, s = np.array([[1, 0, 3], [0, 1, 5]], dtype=np.int64), np.ones(2, dtype=np.int64)
+    assert linalg._is_lift(a, [0, 1], u, s)
+    u[0, 2] += 2 ** 24
+    assert not linalg._is_lift(a, [0, 1], u, s)
 
 
 def test_distinct_primitive_rows_keep_the_kernel():
     r, s = [2, -4, 0, 6], [0, 3, 3, -3]
     rows = [r, [-x for x in r], [0] * 4, [2 * x for x in r], s, [0] * 4, [-5 * x for x in s]]
     got = distinct_primitive_rows(np.array(rows, dtype=np.int64))
-    assert got == [(1, -2, 0, 3), (0, 1, 1, -1)]
-    assert qq_kernel(got, 4) == qq_kernel(rows, 4)
+    assert got.tolist() == [[1, -2, 0, 3], [0, 1, 1, -1]]
+    assert qq_kernel(got, 4).tolist() == qq_kernel(rows, 4).tolist()
     huge = np.array([[x * 2 ** 70 for x in row] for row in rows], dtype=object)
-    assert distinct_primitive_rows(huge) == got
-    assert distinct_primitive_rows(np.zeros((3, 4), dtype=np.int64)) == []
-    assert distinct_primitive_rows(np.zeros((0, 4), dtype=np.int64)) == []
+    assert distinct_primitive_rows(huge).tolist() == got.tolist()
+    assert distinct_primitive_rows(np.zeros((3, 4), dtype=np.int64)).shape == (0, 4)
+    assert distinct_primitive_rows(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
 
 
 @settings(max_examples=80, deadline=None)
@@ -527,11 +581,11 @@ def test_distinct_primitive_rows_keep_the_row_space(m, data):
     rows = m + [[k * x for x in data.draw(st.sampled_from(m))]
                 for k in data.draw(st.lists(st.integers(-4, 4), max_size=6))]
     got = distinct_primitive_rows(np.array(rows, dtype=np.int64))
-    assert len(set(got)) == len(got)
-    for row in got:
+    assert len(set(map(tuple, got.tolist()))) == len(got)
+    for row in got.tolist():
         assert next(x for x in row if x) > 0 and np.gcd.reduce(row) == 1
-    assert qq_rref(got) == qq_rref(rows)
-    assert qq_kernel(got, ncols) == qq_kernel(rows, ncols)
+    assert rref_lists(got) == rref_lists(rows)
+    assert qq_kernel(got, ncols).tolist() == qq_kernel(rows, ncols).tolist()
 
 
 def _count_primes(monkeypatch):
@@ -549,7 +603,8 @@ def _count_primes(monkeypatch):
 def test_lifted_rref_adds_a_prime_for_large_entries(monkeypatch):
     seen = _count_primes(monkeypatch)
     m = [[7, 10 ** 6, 0], [0, 0, 1], [14, 2 * 10 ** 6, 3]]
-    assert qq_rref(m) == ([[1, Fraction(10 ** 6, 7), 0], [0, 0, 1]], [0, 2])
+    u, s, pivots = qq_rref(m)
+    assert (scaled_rref(u, s), pivots) == ([[1, Fraction(10 ** 6, 7), 0], [0, 0, 1]], [0, 2])
     assert len(seen) == 2  # 10^6 > sqrt(p/2): one prime cannot lift it
 
 
@@ -557,13 +612,14 @@ def test_lifted_rref_skips_primes_that_divide_a_minor(monkeypatch):
     p = DEFAULT_PRIME
     seen = _count_primes(monkeypatch)
     # mod p the second row is a multiple of the first: rank 1, then rank 2
-    assert qq_rref([[1, 1], [1, 1 + p]]) == ([[1, 0], [0, 1]], [0, 1])
+    u, s, pivots = qq_rref([[1, 1], [1, 1 + p]])
+    assert (scaled_rref(u, s), pivots) == ([[1, 0], [0, 1]], [0, 1])
     assert seen[0] == p and len(seen) == 2
     # 1/p is an RREF entry: mod p the pivots move right; the later primes
     # need a CRT modulus above 2 p^2 to lift it
     seen.clear()
-    assert qq_rref([[p, 1, 0], [0, 0, 1], [2 * p, 2, 5]]) == (
-        [[1, Fraction(1, p), 0], [0, 0, 1]], [0, 2])
+    u, s, pivots = qq_rref([[p, 1, 0], [0, 0, 1], [2 * p, 2, 5]])
+    assert (scaled_rref(u, s), pivots) == ([[1, Fraction(1, p), 0], [0, 0, 1]], [0, 2])
     assert seen[0] == p and len(seen) >= 3
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpencils import modules, tensors
-from crpencils.linalg import integer_rows, qq_kernel
+from crpencils.linalg import EXACT_BOUND, qq_kernel
 from crpencils.modules import (
     FormSpec,
     a_vector,
@@ -35,7 +35,6 @@ from crpencils.modules import (
 from crpencils.partitions import gl_dim, so_module_dim, sp_module_dim
 from crpencils.pencils import build_gl_pencil
 from crpencils.tensors import (
-    EXACT_BOUND,
     GradedSpan,
     WordBatch,
     apply_symmetrizer,
@@ -112,7 +111,7 @@ def rref_first_span(lam, form):
                 for w, c in contract(t, s1, s2, form).items():
                     constraints.setdefault(((s1, s2), w), {})[j] = c
         rows = [[r.get(j, 0) for j in range(len(vecs))] for r in constraints.values()]
-        for kvec in integer_rows(qq_kernel(rows, len(vecs))):
+        for kvec in qq_kernel(rows, len(vecs)).tolist():
             nt = {}
             for j, c in enumerate(kvec):
                 if c:

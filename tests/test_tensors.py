@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpencils import tensors
+from crpencils.linalg import EXACT_BOUND
 from crpencils.partitions import conjugate
 from crpencils.tensors import (
-    EXACT_BOUND,
     GradedSpan,
     WordBatch,
     apply_symmetrizer,

@@ -2,8 +2,31 @@
 against, shared by the test modules."""
 from fractions import Fraction
 
-from crpencils.linalg import qq_rref
 from crpencils.tensors import letter_images
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Q in Fractions: the oracle for qq_rref."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def scaled_rref(u, s):
+    """The RREF rows u[k] / s[k] of qq_rref's integer-scaled form, in Fractions."""
+    return [[Fraction(x, sk) for x in row] for row, sk in zip(u.tolist(), s.tolist())]
 
 
 def derivation(X, t):
@@ -38,7 +61,8 @@ def word_grade(w, letter_grades):
 def span_basis(tensors, letter_grades):
     """The RREF basis of each grade's block of the tensors, blocks in the
     order of repr(grade), each basis tensor as {word: Fraction}: the word
-    loop that GradedSpan.from_tensors replaces."""
+    loop that GradedSpan.from_tensors replaces, with Gauss-Jordan in
+    Fractions for each block's RREF."""
     by_grade = {}
     for t in tensors:
         if t:
@@ -48,7 +72,7 @@ def span_basis(tensors, letter_grades):
     out = []
     for g in sorted(by_grade, key=repr):
         words = sorted({w for t in by_grade[g] for w in t})
-        rref, _ = qq_rref([[t.get(w, 0) for w in words] for t in by_grade[g]])
+        rref, _ = fraction_rref([[t.get(w, 0) for w in words] for t in by_grade[g]])
         out += [{w: x for w, x in zip(words, row) if x} for row in rref]
     return out
 
