@@ -185,7 +185,7 @@ def _scaled_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     q^e exactly dividing s_k some entry n/d has q^e | d, so n s_k / d is
     prime to q."""
     # every entry is at most max|num| times the lcm of all denominators
-    dtype = coef_dtype(lcm(*np.unique(den).tolist()) * max_abs(num))
+    dtype = coef_dtype(lcm(*set(den.ravel().tolist())) * max_abs(num))
     num, den = num.astype(dtype), den.astype(dtype)
     return _tight(num * (np.lcm.reduce(den, axis=1)[:, None] // den))
 
@@ -231,8 +231,7 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
     if not isinstance(rows, np.ndarray):
         rows = integer_rows(rows)
         rows = np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
-    a = _tight(rows)
-    a = a[(a != 0).any(axis=1)]
+    a = _tight(rows[(rows != 0).any(axis=1)])
     if len(a) <= 1:  # nothing to eliminate: the row over its gcd, positive at its pivot
         pivots = [int(np.flatnonzero(row)[0]) for row in a]
         lead = a[np.arange(len(a)), pivots]
@@ -284,10 +283,12 @@ def qq_kernel(rows, ncols: Optional[int] = None) -> np.ndarray:
     e_pivots[k] is that row times L / D_f, so it is divided by its gcd."""
     if ncols is None:
         ncols = len(rows[0]) if len(rows) else 0
-    u, s, pivots = qq_rref(rows if len(rows) else np.zeros((0, ncols), dtype=np.int64))
+    if not len(rows):
+        return np.eye(ncols, dtype=np.int64)
+    u, s, pivots = qq_rref(rows)
     scale = lcm(*s.tolist())
     dtype = coef_dtype(scale * max_abs(u))
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.delete(np.arange(ncols), pivots)
     out = np.zeros((len(free), ncols), dtype=dtype)
     out[np.arange(len(free)), free] = scale
     out[:, pivots] = -(u[:, free].astype(dtype) * (scale // s.astype(dtype))[:, None]).T
