@@ -5,21 +5,22 @@ can reach EXACT_BOUND and Python ints in object arrays otherwise; rational
 rows are scaled to integers by integer_rows.  Prime-field matrices are
 int64 arrays with entries reduced into [0, p), p an odd prime below 2**31,
 so that products of two residues fit in int64.  modp_matmul is the one
-product mod p, exact on float64 BLAS.
+product mod p, exact on float64 BLAS, and _mod the one reduction of an
+integer array, x - (x // p) p, which numpy runs on libdivide.
 
 Over F_p there are two eliminations, each with its own callers:
   - the stacked forward loop (_forward) serves the ranks (modp_ranks) and
     kernels (modp_kernel of an (N, m, n) stack) of evaluated pencil
     matrices: one vectorized pass over a stack of small matrices, stored
     column-major as (n, N, m) so that each step reads one contiguous slab,
-    reducing with the sign-preserving np.fmod and only when the next step
-    could overflow.  Its entries are int32 when 2(p-1)^2 < 2^31 (p <= 32749)
-    and int64 otherwise, so the small primes of exhaustive runs move half
-    the bytes;
+    reducing only when the next step could overflow.  Its entries are int32
+    when 2(p-1)^2 < 2^31 (p <= 32749) and int64 otherwise, so the small
+    primes of exhaustive runs move half the bytes;
   - ModpEchelon, built on modp_matmul, serves growing systems (the
     neutral-direction constraints), the qq_rref lift, Subspace, and a
     single matrix too large to stack (modp_rref, modp_rank, modp_kernel of
-    one matrix).
+    one matrix).  It keeps only its free-column block: the pivot columns,
+    the free columns and X, the RREF restricted to the free columns.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -98,9 +99,21 @@ def reduce_mod(x, p: int) -> int:
     return f.numerator * pow(f.denominator, -1, p) % p
 
 
+def _mod(x, p: int):
+    """x mod p entrywise, in [0, p), as an array of x's dtype: x - (x // p) p,
+    formed in place in the quotient array.  numpy divides by a scalar on
+    libdivide, which makes this several times faster than its `%`.  It is
+    exact on fixed-width integers too: the result lies in [0, p), so a
+    two's-complement wrap of (x // p) p cancels in the difference.  Python
+    ints (object arrays) are exact."""
+    r = np.floor_divide(x, p, out=np.empty_like(x))
+    r *= p
+    return np.subtract(x, r, out=r)
+
+
 def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
     """The matrix reduced into [0, p) as int64: integer entries, and a
-    float array whose entries are all integers, with one numpy `% p`; any
+    float array whose entries are all integers, with one _mod; any
     other entry (a Fraction) through reduce_mod.  Python ints of mixed sign
     past 2^63 would promote to float64, so any other matrix that numpy does
     not read as integers is rebuilt from the rows exactly."""
@@ -113,7 +126,7 @@ def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
         for idx, x in np.ndenumerate(a):
             if not isinstance(x, (int, np.integer)):
                 a[idx] = reduce_mod(x, p)
-    return (a % p).astype(np.int64)
+    return _mod(a, p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +257,14 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
         if limit is not None and tried > limit:
             raise ArithmeticError("the RREF lift needed more primes than the Hadamard bound")
         ech = ModpEchelon(ncols, p)
-        ech.add(a % p)
+        ech.add(_mod(a, p))
         pivots = ech.pivots.tolist()
         if best is None or (-len(pivots), pivots) < (-len(best[0]), best[0]):
             best = (pivots, ech.basis, p)
         elif pivots == best[0]:
             _, res, m = best
             res = res.astype(object)
-            step = (ech.basis.astype(object) - res) * pow(m, -1, p) % p
+            step = _mod((ech.basis.astype(object) - res) * pow(m, -1, p), p)
             best = (pivots, res + m * step, m * p)
         else:
             continue
@@ -338,14 +351,14 @@ def modp_matmul(a, b, p: int) -> np.ndarray:
     if k * ra * rb >= 1 << 53:
         (a, ra), (b, rb) = _residues(a, alo, ahi, p), _residues(b, blo, bhi, p)
     if k * ra * rb < 1 << 53:
-        return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-                ).astype(np.int64) % p
+        return _mod((a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+                     ).astype(np.int64), p)
     mask = (1 << _LIMB_BITS) - 1
     if k * ra * mask < 1 << 53:
         af = a.astype(np.float64, copy=False)
         lo = (af @ (b & mask).astype(np.float64)).astype(np.int64)
         hi = (af @ (b >> _LIMB_BITS).astype(np.float64)).astype(np.int64)
-        return (lo + (hi % p << _LIMB_BITS)) % p  # below 2^53 + 2^47
+        return _mod(lo + (_mod(hi, p) << _LIMB_BITS), p)  # below 2^53 + 2^47
     out = np.zeros((m, n), dtype=np.int64)
     for s in range(0, k, _EXACT_INNER):
         ac, bc = a[:, s : s + _EXACT_INNER], b[s : s + _EXACT_INNER]
@@ -353,101 +366,112 @@ def modp_matmul(a, b, p: int) -> np.ndarray:
         bc = np.concatenate([bc & mask, bc >> _LIMB_BITS], axis=1)
         c = (ac.astype(np.float64) @ bc.astype(np.float64)).astype(np.int64)
         # [[lo lo, lo hi], [hi lo, hi hi]]; the sum stays below 2^63
-        c = (c[:m, :n] + ((c[:m, n:] + c[m:, :n]) % p << _LIMB_BITS)
-             + c[m:, n:] % p * (2 ** (2 * _LIMB_BITS) % p))
-        out = (out + c) % p
+        c = (c[:m, :n] + (_mod(c[:m, n:] + c[m:, :n], p) << _LIMB_BITS)
+             + _mod(c[m:, n:], p) * (2 ** (2 * _LIMB_BITS) % p))
+        out = _mod(out + c, p)
     return out
 
 
 def _residues(x: np.ndarray, lo: int, hi: int, p: int) -> tuple[np.ndarray, int]:
     """x in [0, p) as int64 and its largest entry bound, from its extremes."""
     x = x.astype(np.int64, copy=False)
-    return (x, hi) if 0 <= lo and hi < p else (x % p, p - 1)
+    return (x, hi) if 0 <= lo and hi < p else (_mod(x, p), p - 1)
 
 
-def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """RREF of a few residue rows, in place, pivot by pivot: the nonzero
-    rows, their pivot columns and the row of `a` each of them came from."""
-    nrows, ncols = a.shape
-    order = np.arange(nrows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RREF of a few residue rows, row by row: the pivot rows, their pivot
+    columns and the index of the row each came from.
+
+    Row i has been cleared of the pivots of the rows before it, so it is
+    zero exactly when it depends on them; otherwise its first nonzero entry
+    is the next pivot, scaled to 1 and cleared from every other row.  The
+    rows reported are thus those independent of the rows before them: the
+    lexicographically first maximal independent subset."""
+    live = np.flatnonzero(a.any(axis=1))  # a zero row stays zero
+    a = a[live]
+    source, pivots = [], []
+    for i in range(len(a)):
+        row = a[i]
+        c = int((row != 0).argmax())
+        if not row[c]:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            order[[r, piv]] = order[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        rest = np.flatnonzero(a[:, c])
-        rest = rest[rest != r]
-        if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
+        row = _mod(row * pow(int(row[c]), -1, p), p)
+        f = a[:, c].copy()
+        f[i] = 0
+        a -= f[:, None] * row
+        a = _mod(a, p)
+        a[i] = row
+        source.append(i)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a[:r], pivots, order[:r]
+    return a[source], np.array(pivots, dtype=np.int64), live[source]
 
 
 class ModpEchelon:
     """The reduced row echelon form over F_p of a growing set of rows.
 
-    `basis` holds the RREF rows sorted by pivot column, so basis[:, pivots]
-    is the identity.  `add` takes rows in blocks of ECHELON_BLOCK: a block is
-    reduced against the basis with one exact product, its remaining rows are
-    eliminated pivot by pivot, and the new pivots are cleared from the basis
-    with one more exact product.
+    Only the free-column block is stored: the pivot columns `_piv`, the free
+    columns `_free` (increasing) and X = basis[:, _free], row k of X the
+    basis row with pivot `_piv[k]`.  `basis` (rows sorted by pivot column,
+    so basis[:, pivots] is the identity) and `pivots` are built when read.
+    `add` takes rows in blocks of ECHELON_BLOCK: a block is reduced into
+    free coordinates with one exact product, block[:, piv] @ X, its rows are
+    eliminated row by row (_gauss_jordan) into N, the new pivots are cleared
+    from X with one more product, X[:, new] @ N[:, keep], and N's rows are
+    appended.  Every reduction mod p is _mod.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
         self.p = p
-        self.basis = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.int64)
+        self._piv = np.zeros(0, dtype=np.int64)
+        self._free = np.arange(ncols)
+        self._x = np.zeros((0, ncols), dtype=np.int64)
+
+    @property
+    def pivots(self) -> np.ndarray:
+        return np.sort(self._piv)
+
+    @property
+    def basis(self) -> np.ndarray:
+        order = np.argsort(self._piv)
+        out = np.zeros((order.size, self._piv.size + self._free.size), dtype=np.int64)
+        out[:, self._free] = self._x[order]
+        out[np.arange(order.size), self._piv[order]] = 1
+        return out
 
     def add(self, rows) -> list[int]:
         """Add the rows; returns the indices of those that raised the rank,
-        a maximal subset independent modulo the rows added before."""
-        rows = np.asarray(rows, dtype=np.int64) % self.p
+        each independent of the rows added before it: the lexicographically
+        first maximal subset independent modulo the earlier rows."""
+        rows = _mod(np.asarray(rows, dtype=np.int64), self.p)
         raised: list[int] = []
         for s in range(0, len(rows), ECHELON_BLOCK):
             raised += (s + self._add_block(rows[s : s + ECHELON_BLOCK])).tolist()
         return raised
 
     def _add_block(self, block: np.ndarray) -> np.ndarray:
-        p, basis, pivots = self.p, self.basis, self.pivots
-        free = np.ones(basis.shape[1], dtype=bool)
-        free[pivots] = False
-        if pivots.size:
-            block[:, free] = (block[:, free]
-                              - modp_matmul(block[:, pivots], basis[:, free], p)) % p
-            block[:, pivots] = 0
-        cols = np.flatnonzero(block.any(axis=0))  # row operations keep zero columns zero
-        rows, new_pivots, source = _gauss_jordan(block[:, cols], p)
-        if not new_pivots:
-            return source
-        new = np.zeros((len(rows), basis.shape[1]), dtype=np.int64)
-        new[:, cols] = rows
-        new_pivots = cols[new_pivots]
-        if pivots.size:  # new[:, new_pivots] = I, so this clears those columns
-            basis[:, free] = (basis[:, free]
-                              - modp_matmul(basis[:, new_pivots], new[:, free], p)) % p
-        pivots = np.concatenate([pivots, new_pivots])
-        order = np.argsort(pivots)
-        self.basis = np.concatenate([basis, new])[order]
-        self.pivots = pivots[order]
+        p, piv, free, x = self.p, self._piv, self._free, self._x
+        y = block[:, free]
+        if piv.size:
+            y = _mod(y - modp_matmul(block[:, piv], x, p), p)
+        n, new, source = _gauss_jordan(y, p)
+        if new.size:
+            keep = np.ones(free.size, dtype=bool)
+            keep[new] = False
+            n = n[:, keep]
+            # N[:, new] = I, so this clears the new pivot columns of X
+            x = _mod(x[:, keep] - modp_matmul(x[:, new], n, p), p)
+            self._x = np.concatenate([x, n])
+            self._piv = np.concatenate([piv, free[new]])
+            self._free = free[keep]
         return source
 
     def kernel(self) -> np.ndarray:
-        """Right kernel basis: the row e_f - sum_r basis[r, f] e_pivot(r) for
-        each free column f."""
-        ncols = self.basis.shape[1]
-        free = np.setdiff1d(np.arange(ncols), self.pivots)
-        out = np.zeros((free.size, ncols), dtype=np.int64)
+        """Right kernel basis: the row e_f - sum_k X[k, f] e_piv(k) for each
+        free column f, in increasing order."""
+        free = self._free
+        out = np.zeros((free.size, free.size + self._piv.size), dtype=np.int64)
         out[np.arange(free.size), free] = 1
-        out[:, self.pivots] = -self.basis[:, free].T % self.p
+        out[:, self._piv] = _mod(-self._x.T, self.p)
         return out
 
 
@@ -467,8 +491,8 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     out, e = np.ones_like(x), p - 2
     while e:
         if e & 1:
-            out = out * x % p
-        x, e = x * x % p, e >> 1
+            out = _mod(out * x, p)
+        x, e = _mod(x * x, p), e >> 1
     return out
 
 
@@ -490,20 +514,18 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
 
     The steps are ring operations on integers, so only the pivot column is
     reduced, to test pivots, until the next update could overflow.  Every
-    reduction is np.fmod, which keeps the sign: it leaves residues in
-    (-p, p), each congruent to the entry mod p, so |entry| <= p-1 still
-    holds, an entry is 0 mod p exactly when its residue is 0, and a nonzero
-    pivot, negative or not, is still a unit.  With pivot and a_ic of
-    absolute value at most p-1 and |entries| <= B, an update leaves them at
-    most 2(p-1)B, so `a` is reduced again once 2(p-1)B reaches the limit of
-    its dtype.  The dtype depends on p alone: int32 (limit 2^31) when one
-    update of residues fits, 2(p-1)^2 < 2^31, that is p <= 32749, and int64
-    (limit 2^63) otherwise, where 2(p-1)^2 < 2^63 for p < 2^31.
+    reduction is _mod, which leaves residues in [0, p), so |entry| <= p-1
+    holds again after it.  With pivot and a_ic in [0, p) and |entries| <= B,
+    an update leaves them at most 2(p-1)B in absolute value, so `a` is
+    reduced again once 2(p-1)B reaches the limit of its dtype.  The dtype
+    depends on p alone: int32 (limit 2^31) when one update of residues fits,
+    2(p-1)^2 < 2^31, that is p <= 32749, and int64 (limit 2^63) otherwise,
+    where 2(p-1)^2 < 2^63 for p < 2^31.
     """
     count, m, ncols = a.shape
     narrow = 2 * (p - 1) ** 2 < 1 << 31
     dtype, limit = (np.int32, 1 << 31) if narrow else (np.int64, 1 << 63)
-    a = np.array(np.fmod(a, p).transpose(2, 0, 1), dtype=dtype, order="C")
+    a = np.array(_mod(a, p).transpose(2, 0, 1), dtype=dtype, order="C")
     if m == 0:  # no rows: rank 0, no pivots
         a = np.zeros((ncols, count, 1), dtype=dtype)
         m = 1
@@ -512,7 +534,7 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
     rows = np.zeros((count, ncols, ncols), dtype=np.int64) if keep_rows else None
     bound = p - 1  # on |entry| of a
     for c in range(ncols):
-        col = np.fmod(a[0], p)
+        col = _mod(a[0], p)
         col[used] = 0
         piv = (col != 0).argmax(axis=1)
         pivot = col[mats, piv]
@@ -520,14 +542,14 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
         a = a[1:]
         prow = a[:, mats, piv]
         if keep_rows:
-            rows[:, c, c] = pivot % p
-            rows[found, c, c + 1:] = prow[:, found].T % p
+            rows[:, c, c] = pivot
+            rows[found, c, c + 1:] = _mod(prow[:, found].T, p)
         col[mats, piv] = 0
         a *= (pivot + ~found)[:, None]  # a matrix without a pivot keeps its rows
         a -= col * prow[:, :, None]
         bound *= 2 * (p - 1)
         if 2 * (p - 1) * bound >= limit:  # the next update could overflow
-            np.fmod(a, p, out=a)
+            a = _mod(a, p)
             bound = p - 1
         used[mats, piv] |= found
     return used.sum(axis=1), rows
@@ -560,11 +582,11 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray | list[np.ndarray]:
     _, u = _forward(a, p, keep_rows=True)
     n = a.shape[2]
     diag = np.arange(n)
-    u = u * _inverse_mod(u[:, diag, diag], p)[:, :, None] % p
+    u = _mod(u * _inverse_mod(u[:, diag, diag], p)[:, :, None], p)
     for c in range(n - 1, 0, -1):
-        u[:, :c, c:] = (u[:, :c, c:] - u[:, :c, c, None] * u[:, c, None, c:]) % p
+        u[:, :c, c:] = _mod(u[:, :c, c:] - u[:, :c, c, None] * u[:, c, None, c:], p)
     # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
-    ker = (np.eye(n, dtype=np.int64) - u).transpose(0, 2, 1) % p
+    ker = _mod((np.eye(n, dtype=np.int64) - u).transpose(0, 2, 1), p)
     return [k[u[i, diag, diag] == 0] for i, k in enumerate(ker)]
 
 

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from crpencils.linalg import (
     qq_rref,
     reduce_mod,
 )
-from word_oracles import fraction_rref, scaled_rref
+from word_oracles import fraction_rref, modp_row_reduce, modp_rref_kernel, scaled_rref
 
 PRIMES_31BIT = [2147483629, 2147483587, 2147483563]
 
@@ -115,7 +119,7 @@ def _stacks(primes, max_dim, entries):
 
 
 class TestBatchedRank:
-    @given(_stacks((3, 5, 7, DEFAULT_PRIME), 9,
+    @given(_stacks((3, 5, 7, 32749, 32771, DEFAULT_PRIME), 9,
                    lambda p: st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))))
     @settings(max_examples=200)
     def test_matches_per_matrix_rank(self, case):
@@ -235,26 +239,33 @@ def _tall_rank_deficient(p, rng, nrows, ncols, rank):
     return modp_matmul(left, right, p)
 
 
-@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 200), st.integers(1, 40),
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 200), st.integers(0, 40),
        st.integers(0, 40), st.lists(st.integers(0, 200), max_size=6),
        st.integers(0, 2 ** 32))
+@example(p=3, nrows=0, ncols=5, rank=0, cuts=[], seed=0)
+@example(p=101, nrows=200, ncols=0, rank=0, cuts=[70], seed=0)
 @settings(max_examples=60, deadline=None)
 def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, seed):
-    a = _tall_rank_deficient(p, random.Random(seed), nrows, ncols, rank)
-    # the reference: one pivot-by-pivot Gauss-Jordan over all rows at once
-    ref_rows, ref_pivots, _ = linalg._gauss_jordan(a.copy(), p)
+    rng = random.Random(seed)
+    a = _tall_rank_deficient(p, rng, nrows, ncols, rank)
+    # some rows repeated or zero, so that dependent rows sit between
+    # independent ones inside a block
+    for i in rng.sample(range(nrows), min(nrows, 8)):
+        a[i] = a[rng.randrange(nrows)] * rng.randrange(p) % p
+    want_rows, want_pivots, want_raised = modp_row_reduce(a.tolist(), p)
     ech = ModpEchelon(ncols, p)
     bounds = [0] + sorted(min(c, nrows) for c in cuts) + [nrows]
-    sel = []  # the rows that raised the rank, over every block
+    raised = []  # the rows that raised the rank, over every block
     for lo, hi in zip(bounds, bounds[1:]):
-        sel += [lo + i for i in ech.add(a[lo:hi])]
-    assert ech.pivots.tolist() == ref_pivots
-    assert ech.basis.tolist() == ref_rows.tolist()
+        raised += [lo + i for i in ech.add(a[lo:hi])]
+    assert raised == want_raised
+    assert ech.pivots.tolist() == want_pivots
+    assert ech.basis.tolist() == want_rows
+    assert ech.basis.shape == (len(want_pivots), ncols)
+    assert ech.kernel().tolist() == modp_rref_kernel(want_rows, want_pivots, ncols, p)
+    assert ech.kernel().shape == (ncols - len(want_pivots), ncols)
     rref, pivots = modp_rref(a, p)
-    assert (rref.tolist(), pivots) == (ref_rows.tolist(), ref_pivots)
-    assert len(sel) == len(pivots) == modp_rank(a[sel], p)
-    if len(pivots) < ncols:
-        assert not modp_matmul(a, ech.kernel().T, p).any()
+    assert (rref.tolist(), pivots) == (want_rows, want_pivots)
 
 
 def _echelon_kernel(a, p):
@@ -264,12 +275,16 @@ def _echelon_kernel(a, p):
     return ech.kernel()
 
 
-@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 9), st.integers(0, 9),
-       st.lists(st.integers(0, 9), max_size=5), st.integers(0, 2 ** 32))
+# 32749 and 32771 are the primes on either side of _forward's switch from
+# int32 to int64 entries
+@given(st.sampled_from((3, 101, 32749, 32771, DEFAULT_PRIME)), st.integers(0, 9),
+       st.integers(0, 9), st.lists(st.integers(0, 9), max_size=5), st.integers(0, 2 ** 32))
 @example(p=3, m=2, n=6, ranks=[], seed=0)
 @example(p=101, m=7, n=3, ranks=[], seed=0)
 @example(p=DEFAULT_PRIME, m=3, n=8, ranks=[2], seed=1)
 @example(p=3, m=8, n=5, ranks=[5], seed=2)
+@example(p=32749, m=9, n=9, ranks=[9, 8, 0], seed=3)
+@example(p=32771, m=9, n=9, ranks=[9, 8, 0], seed=3)
 @settings(max_examples=150, deadline=None)
 def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
     # N matrices of mixed rank from 0 to min(m, n), wide or tall
@@ -314,9 +329,9 @@ def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
 
 @pytest.mark.parametrize("p", (7, 32749, 32771, DEFAULT_PRIME))
 def test_stacked_elimination_of_extreme_residues(p):
-    # entries +-(p-1), which the sign-preserving reduction keeps as they
-    # are, among random residues: an update of two of them reaches its bound
-    # 2(p-1)^2, which overflows int32 for every prime above 32749
+    # entries +-(p-1) among random residues, reduced to 1 and p-1: an
+    # update of two of them nears its bound 2(p-1)^2, which overflows int32
+    # for every prime above 32749
     rng = random.Random(p)
     for m, n in ((6, 9), (9, 6), (8, 8)):
         stack = np.array([[[rng.choice((1 - p, p - 1, rng.randrange(p))) for _ in range(n)]
@@ -324,6 +339,49 @@ def test_stacked_elimination_of_extreme_residues(p):
         want = [_echelon_kernel(a % p, p) for a in stack]
         assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
         assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
+
+
+@pytest.mark.parametrize("p", (3, 32749, 32771, DEFAULT_PRIME))
+def test_mod_matches_python_mod(p):
+    near = [lo + d for lo in (-2 ** 63, 2 ** 63 - p) for d in range(p if p < 100 else 100)]
+    near += [2 ** 63 - 1 - d for d in range(50)] + [-2 ** 63 + d * p for d in range(50)]
+    ints = near + [-p - 1, -p, -1, 0, 1, p - 1, p, p + 1, p * p, -p * p]
+    # int64 entries within p of +-2^63, where (x // p) p wraps
+    got = linalg._mod(np.array(ints, dtype=np.int64), p)
+    assert got.dtype == np.int64 and got.tolist() == [x % p for x in ints]
+    # object arrays past 2^63
+    big = [x * 2 ** 70 + d for x in (-3, 5) for d in (-1, 0, 1)] + ints
+    got = linalg._mod(np.array(big, dtype=object), p)
+    assert got.tolist() == [x % p for x in big]
+    # int32 entries below 2^31 in absolute value, the entries of _forward
+    if p <= 32749:
+        small = [lo + d for lo in (-2 ** 31, 2 ** 31 - 100) for d in range(100)] + [-1, 0, 1]
+        got = linalg._mod(np.array(small, dtype=np.int32), p)
+        assert got.dtype == np.int32 and got.tolist() == [x % p for x in small]
+    # unsigned entries up to 2^64 - 1
+    top = [2 ** 64 - 1 - d for d in range(50)] + [0, 1, p]
+    got = linalg._mod(np.array(top, dtype=np.uint64), p)
+    assert got.dtype == np.uint64 and got.tolist() == [x % p for x in top]
+    # empty and 0-d arrays
+    for dtype, x in ((np.int64, -7), (np.int32, -7), (np.uint64, 2 * p + 5), (object, -7)):
+        empty = linalg._mod(np.zeros((0, 3), dtype=dtype), p)
+        assert empty.shape == (0, 3) and empty.dtype == dtype
+        got = linalg._mod(np.array(x, dtype=dtype), p)
+        assert got.shape == () and got.dtype == dtype and got == x % p
+
+
+def test_rnd_imports_no_numpy_ma():
+    # numpy.ma costs about 10 ms and 1.3 MB on first import; np.unique and
+    # np.setdiff1d import it, the echelon and its kernel must not
+    code = ("import sys\n"
+            "from crpencils.analysis import rnd\n"
+            "from crpencils.pencils import build_koszul_pencil\n"
+            "rnd(build_koszul_pencil(2, 6), seed=0)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(linalg.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_check_prime_is_miller_rabin():

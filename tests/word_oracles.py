@@ -24,6 +24,44 @@ def fraction_rref(rows):
     return a[:r], pivots
 
 
+def modp_row_reduce(rows, p):
+    """Row reduction mod p in Python lists, one row at a time: the oracle
+    for ModpEchelon.  Returns the RREF rows sorted by pivot column, the
+    pivot columns, and the index of each row that raised the rank of the
+    rows before it."""
+    basis = {}  # pivot column -> its RREF row, 0 at every other pivot
+    raised = []
+    for i, row in enumerate(rows):
+        v = [int(x) % p for x in row]
+        for c, b in basis.items():
+            if v[c]:
+                v = [(x - v[c] * y) % p for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        v = [x * inv % p for x in v]
+        for k, b in basis.items():
+            if b[c]:
+                basis[k] = [(x - b[c] * y) % p for x, y in zip(b, v)]
+        basis[c] = v
+        raised.append(i)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots, raised
+
+
+def modp_rref_kernel(rref, pivots, ncols, p):
+    """e_f - sum_k rref[k][f] e_pivots[k] for each free column f, in order."""
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        row = [0] * ncols
+        row[f] = 1
+        for k, c in enumerate(pivots):
+            row[c] = -rref[k][f] % p
+        out.append(row)
+    return out
+
+
 def scaled_rref(u, s):
     """The RREF rows u[k] / s[k] of qq_rref's integer-scaled form, in Fractions."""
     return [[Fraction(x, sk) for x in row] for row, sk in zip(u.tolist(), s.tolist())]
