@@ -42,6 +42,7 @@ from .pencils import Pencil, check_equivariance, _one_box
 
 CHUNK_CELLS = 1 << 15  # matrix cells evaluated and eliminated at once
 EXHAUSTIVE_BLOCK = 1 << 14  # projective points decoded at once
+RND_MAX_SAMPLES = 512  # accepted draws after which rnd stops doubling
 
 
 @dataclass
@@ -324,8 +325,7 @@ class RndReport:
     method: dict
 
 
-def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
-        max_samples: int = 512) -> RndReport:
+def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     """The space of rank neutral directions {B : B(Ker A) <= Im A for all
     max-rank A in the pencil}, computed over F_prime by sampling.
 
@@ -339,7 +339,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     When those 20 miss the generic rank, lower-rank samples are accepted and
     L can escape their constraints, which proves r too low.  Sampling then
     goes on until a rank above r is accepted; r is raised to it and the
-    accumulation starts again.  Only when max_samples samples show no rank
+    accumulation starts again.  Only when RND_MAX_SAMPLES samples show no rank
     above r does the escape raise.
     """
     check_prime(prime)
@@ -357,7 +357,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
     target = pencil.nvars + 2
     prev_dim = None
     stable = 0
-    while samples_used < max_samples:
+    while samples_used < RND_MAX_SAMPLES:
         while samples_used < target:
             # the draws still needed, accepted in draw order: a rejected
             # draw is made up for by the next batch, as one at a time
@@ -381,7 +381,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
             samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
             continue
         if escaped:  # no rank above r accepted yet: draw the next round
-            target = min(max_samples, target * 2)
+            target = min(RND_MAX_SAMPLES, target * 2)
             continue
         if space.dim == s:
             return RndReport(
@@ -398,7 +398,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0,
         else:
             stable = 0
         prev_dim = space.dim
-        target = min(max_samples, target * 2)
+        target = min(RND_MAX_SAMPLES, target * 2)
     if escaped:
         raise AssertionError("pencil span escaped its own RND constraints")
     return RndReport(

@@ -42,6 +42,8 @@ from .partitions import (
     family_sizes,
     gl_dim,
     hook_family_rank,
+    horizontal_strips,
+    pieri_add,
     so_module_dim,
     sp_module_dim,
     weyl_dim,
@@ -299,8 +301,14 @@ def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
 
 def build_from_params(params: dict) -> Pencil:
     """Build the pencil of a builder record; raises ValueError when the
-    record is malformed.  The builder is looked up by name at call time."""
+    record is malformed or its pencil, by the closed-form dimensions, would
+    exceed MAX_PENCIL_CELLS, before anything is built.  The builder is
+    looked up by name at call time."""
     spec = BuildSpec.from_record(params)
+    nvars, source_dim, target_dim = spec.dims()
+    if nvars * target_dim * source_dim > MAX_PENCIL_CELLS:
+        raise ValueError(f"pencil of {nvars} x {target_dim} x {source_dim} exceeds "
+                         f"{MAX_PENCIL_CELLS} coefficient cells")
     return globals()[f"build_{spec.kind}_pencil"](*spec.args)
 
 
@@ -594,21 +602,7 @@ def _check_theta_rank_dependence(cfg: CatalogRunConfig):
 
 def _one_box_neighbors(mu: tuple, max_rows: int) -> list[tuple]:
     """mu plus or minus one box, with at most max_rows rows."""
-    shape = list(mu)
-    out = []
-    for i in range(len(shape) + 1):
-        new = shape[:]
-        if i == len(new):
-            new.append(0)
-        new[i] += 1
-        if (i == 0 or new[i - 1] >= new[i]) and len([x for x in new if x]) <= max_rows:
-            out.append(tuple(x for x in new if x))
-    for i in range(len(shape)):
-        new = shape[:]
-        new[i] -= 1
-        if i == len(new) - 1 or new[i] >= new[i + 1]:
-            out.append(tuple(x for x in new if x))
-    return out
+    return [nu for nu, _ in pieri_add(mu, max_rows)] + horizontal_strips(mu, 1)
 
 
 def _check_sp_branching(cfg: CatalogRunConfig):

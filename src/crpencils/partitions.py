@@ -294,10 +294,8 @@ def hook_family_rank(n: int, b: int) -> int:
 def family_sizes(family_id: str, **params) -> tuple[int, int, int]:
     """Closed-form (source_dim, target_dim, rank-or-corank) for the catalog families.
 
-    family_id in {"GL_2_21", "GL_22_221", "GL_hook", "SO_2_21", "SO_311_321"}.
+    family_id in {"GL_2_21", "GL_22_221", "SO_2_21"}.
     GL families take n (number of variables is n+1); SO families take m.
-    GL_hook additionally takes a and b and only has a rank formula for a=1.
-    For SO_311_321 the third component is the constant corank (kernel dim).
     """
     if family_id == "GL_2_21":
         n = params["n"]
@@ -312,28 +310,9 @@ def family_sizes(family_id: str, **params) -> tuple[int, int, int]:
         b = (n + 2) * (n + 1) ** 2 * n * (n - 1) // 24
         r = n * (n * n - 1) * (n + 4) // 12
         return (a, b, r)
-    if family_id == "GL_hook":
-        a, b, n = params["a"], params["b"], params["n"]
-        if n < b + 1:
-            raise ValueError("GL_hook needs n >= b+1")
-        mu = (2,) * a + (1,) * b
-        nu = (2,) * a + (1,) * (b + 1)
-        src = gl_dim(mu, n + 1)
-        tgt = gl_dim(nu, n + 1)
-        if a != 1:
-            raise ValueError("rank closed form only known for a=1")
-        return (src, tgt, hook_family_rank(n, b))
     if family_id == "SO_2_21":
         m = params["m"]
         if m < 3:
             raise ValueError("SO_2_21 needs m >= 3")
         return ((m * m + m - 2) // 2, (m ** 3 - 4 * m) // 3, (m * m + m - 4) // 2)
-    if family_id == "SO_311_321":
-        m = params["m"]
-        if m < 5:
-            raise ValueError("SO_311_321 needs m >= 5")
-        src = so_module_dim((3, 1, 1), m)
-        tgt = so_module_dim((3, 2, 1), m)
-        corank = comb(m - 1, 3) + comb(m - 1, 2)
-        return (src, tgt, corank)
     raise ValueError(f"unknown family {family_id!r}")

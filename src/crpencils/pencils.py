@@ -9,6 +9,9 @@ denominator, so they reduce mod any prime not dividing it.  The group
 actions that certify equivariance are stored the same way: each as sorted
 (row, col, num) integer entries over one denominator (IntMatrix).
 
+Every map out of a realized module is read by _span_map, in integers over
+one denominator, and handed to Pencil.from_entries as such.
+
 For Sp/SO pencils the target coordinates are taken against the form-pairing
 with the target basis (the adjoint of the symmetrizer), which differs from
 the honest projection by an invertible change of target basis; ranks, kernels
@@ -225,27 +228,27 @@ class Pencil:
     spec: Optional[BuildSpec] = None  # None for fixtures and record-less files
 
     @classmethod
-    def from_entries(cls, entries: dict, nvars: int, source_dim: int, target_dim: int,
-                     spec: BuildSpec, var_labels: Optional[tuple] = None) -> Pencil:
-        """The built pencil of rational {(var, row, col): value} coefficients,
-        stored over a common denominator with the overall integer content
-        divided out (a global scalar, irrelevant to every rank property but
-        essential for reductions modulo small primes).  The variables are
-        labelled x_1..x_nvars unless var_labels is given.  Parsed files and
-        group actions keep their own paths: they must store values exactly,
-        and dividing out the content would rescale them."""
-        entries = {k: Fraction(x) for k, x in entries.items() if x}
+    def from_entries(cls, entries: dict, den: int, nvars: int, source_dim: int,
+                     target_dim: int, spec: BuildSpec,
+                     var_labels: Optional[tuple] = None) -> Pencil:
+        """The built pencil of the integer {(var, row, col): num} coefficients
+        num / den over one common denominator den >= 1, stored with the
+        overall integer content divided out (a global scalar, irrelevant to
+        every rank property but essential for reductions modulo small
+        primes).  The stored pencil does not depend on which common
+        denominator is given: over den = m D, D the least one, every num and
+        so their gcd g is m times its value over D, so num / g and
+        den / gcd(den, g) come out the same.  The variables are labelled
+        x_1..x_nvars unless var_labels is given.  Parsed files and group
+        actions keep their own paths: they must store values exactly, and
+        dividing out the content would rescale them."""
+        entries = {k: x for k, x in entries.items() if x}
         if not entries:
             raise AssertionError(f"{spec.kind} pencil is identically zero")
-        den = lcm(1, *(x.denominator for x in entries.values()))
-        nums = {k: int(x * den) for k, x in entries.items()}
-        g = gcd(*nums.values())
-        if g > 1:
-            nums = {k: x // g for k, x in nums.items()}
-            den //= gcd(den, g)
-        coeffs = tuple(sorted(k + (x,) for k, x in nums.items()))
+        g = gcd(*entries.values())
+        coeffs = tuple(sorted(k + (x // g,) for k, x in entries.items()))
         labels = var_labels or tuple(f"x_{i+1}" for i in range(nvars))
-        return cls(nvars, source_dim, target_dim, coeffs, den, labels, spec)
+        return cls(nvars, source_dim, target_dim, coeffs, den // gcd(den, g), labels, spec)
 
     def evaluate(self, x: Sequence) -> list[list[Fraction]]:
         """sum x_i A_i without the global denominator (rank-equivalent)."""
@@ -308,27 +311,40 @@ def check_equivariance(p: Pencil) -> bool:
     return True
 
 
-def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
-    """Matrix of the derivation action of X on the module's basis
-    coordinates, computed in integers.
+def _span_map(mod: RealizedModule, op, target: RealizedModule, per: int,
+              growth: int = 1) -> tuple[dict, int]:
+    """({(i, k, j): n}, L): n / L is coordinate k in the target's basis of
+    the i-th image under op of the module's basis vector b_j.
 
-    With X = Xn / dx and each basis tensor b_j scaled to the primitive
-    integer tensor u_j = s_j b_j (span.scaled_batch), y_j = Xn . u_j is the
-    integer tensor s_j dx X.b_j, and its coordinates c_k on the b_k are
-    read, and its membership checked, by span.coordinates; a y_j outside
-    the span raises AssertionError.  The entry c_k / (s_j dx) is stored over
-    the denominator dx lcm(s).
+    op maps a batch of the integer tensors u_j = s_j b_j (span.scaled_batch)
+    to per images of each, tensor j * per + i the i-th of u_j; it gets
+    PASS_CELLS // growth terms at a time.  target.span.coordinates reads
+    each image's coordinates c_k in integers and refuses one outside the
+    target span (AssertionError); c_k is stored as c_k (L / s_j), L = lcm(s).
     """
+    scales = mod.span.scales
+    big = lcm(1, *scales)
+    entries: dict = {}
+    for first, part in mod.span.scaled_batch.chunks(PASS_CELLS // growth):
+        images = target.span.coordinates(op(part))
+        if None in images:
+            raise AssertionError("target span is not stable under the map: an image leaves it")
+        for t, coords in enumerate(images):
+            j, i = divmod(t, per)
+            f = big // scales[first + j]
+            for k, c in coords.items():
+                entries[i, k, first + j] = c * f
+    return entries, big
+
+
+def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
+    """Matrix of the derivation action of X = Xn / dx on the module's basis
+    coordinates: the span map of Xn, over dx times its denominator."""
     x = IntMatrix.from_dense(X)
     xn = square_matrix(x.dim, {(r, c): num for r, c, num in x.entries})
-    scales = mod.span.scales
-    s_all = lcm(1, *scales)
-    images = mod.span.coordinates(lie_action(xn, mod.span.scaled_batch))
-    if None in images:
-        raise AssertionError("module basis is not stable under the Lie action")
-    entries = [(k, j, c * (s_all // scales[j])) for j, coords in enumerate(images)
-               for k, c in coords.items()]
-    return IntMatrix(len(scales), tuple(sorted(entries)), x.den * s_all)
+    entries, den = _span_map(mod, lambda part: lie_action(xn, part), mod, 1)
+    return IntMatrix(mod.dim, tuple(sorted((k, j, c) for (_, k, j), c in entries.items())),
+                     x.den * den)
 
 
 def _wedge_action(X, basis) -> list[dict]:
@@ -364,39 +380,20 @@ def _one_box(mu: Partition, nu: Partition, max_rows: int) -> BoxPosition:
 # GL pencils
 
 
-def _insertion_images(smod: RealizedModule, tmod: RealizedModule, pos: int) -> list:
-    """images[j][i]: the nonzero target coordinates {k: c} of c_nu applied to
-    source basis vector j with letter i inserted at slot pos (nu the target's
-    weight).  The basis vectors are scaled to integers, a bounded chunk of
-    them at a time, and each scale is divided back out."""
-    v, nu = smod.group.natural_dim, tmod.weight
-    scales = smod.span.scales
-    # c_nu makes at most prod r_i! prod h_j! terms of a word
-    growth = v * prod(factorial(r) for r in nu + conjugate(nu))
-    images = []
-    for first, part in smod.span.scaled_batch.chunks(PASS_CELLS // growth):
-        coords = tmod.span.coordinates(
-            apply_symmetrizer(part.with_letter_inserted(pos), nu))
-        if None in coords:
-            raise AssertionError("symmetrized insertion left the target module")
-        for j in range(part.n):
-            scale = scales[first + j]
-            images.append([{k: Fraction(c, scale) for k, c in coords[j * v + i].items()}
-                           for i in range(v)])
-    return images
-
-
 @lru_cache(maxsize=None)
 def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
-    """The equivariant pencil V -> Hom(S_mu V, S_nu V) for a one-box pair."""
+    """The equivariant pencil V -> Hom(S_mu V, S_nu V) for a one-box pair:
+    x_i gives c_nu of letter i inserted at the new box's slot."""
     mu, nu = check_partition(mu), check_partition(nu)
     box = _one_box(mu, nu, v)
     smod = schur_module(mu, v)
     tmod = schur_module(nu, v)
-    images = _insertion_images(smod, tmod, cell_slot(nu, box.row - 1, box.col - 1))
-    entries = {(i, k, j): c for j, row in enumerate(images)
-               for i, coords in enumerate(row) for k, c in coords.items()}
-    return Pencil.from_entries(entries, v, smod.dim, tmod.dim, BuildSpec("gl", (mu, nu, v)))
+    pos = cell_slot(nu, box.row - 1, box.col - 1)
+    # c_nu makes at most prod r_i! prod h_j! terms of a word
+    growth = v * prod(factorial(r) for r in nu + conjugate(nu))
+    entries, den = _span_map(smod, lambda part: apply_symmetrizer(part.with_letter_inserted(pos), nu),
+                             tmod, v, growth)
+    return Pencil.from_entries(entries, den, v, smod.dim, tmod.dim, BuildSpec("gl", (mu, nu, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +410,7 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
     tgt_index = {K: r for r, K in enumerate(tgt)}
     entries = {(i, tgt_index[L], j): c for j, K in enumerate(src)
                for i in range(v) for L, c in wedge_e(i, {K: 1}).items()}
-    return Pencil.from_entries(entries, v, len(src), len(tgt), BuildSpec("koszul", (k, v)))
+    return Pencil.from_entries(entries, 1, v, len(src), len(tgt), BuildSpec("koszul", (k, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +423,10 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     other slots.  On module vectors c_nu^* is prod h_j! times the row
     passes a_nu, and two words pair to the product of B over their letters,
     which is nonzero only at a word's partner word; so the entries are one
-    sorted join on partner-word codes of the integer-scaled bases
-    u = s b, with the scales divided back out."""
+    sorted join on partner-word codes of the integer-scaled bases u = s b.
+    Entry (l, k, j) of the u is t_k s_j times that of the b, so it is
+    stored times (Lt / t_k)(Ls / s_j) over Lt Ls, Lt and Ls the lcms of the
+    target and source scales t and s."""
     form = smod.form
     v = form.dim
     nu = tmod.weight
@@ -444,7 +443,9 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     pval = (pval * np.prod(value[letters], axis=1))[order]
 
     columns = prod(factorial(h) for h in conjugate(nu))
-    src_scales, tgt_scales = smod.span.scales, tmod.span.scales
+    ls, lt = lcm(1, *smod.span.scales), lcm(1, *tmod.span.scales)
+    src_factor = [ls // s for s in smod.span.scales]
+    tgt_factor = [columns * (lt // t) for t in tmod.span.scales]
     entries: dict = {}
     target = tmod.span.scaled_batch
     for first, part in target.chunks(PASS_CELLS // prod(factorial(r) for r in nu)):
@@ -460,9 +461,8 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
         for key, val in zip(keys.tolist(), sums.tolist()):
             key, j = divmod(key, smod.dim)
             pl, k = divmod(key, part.n)
-            entries[pl, first + k, j] = Fraction(val * columns,
-                                                 tgt_scales[first + k] * src_scales[j])
-    return Pencil.from_entries(entries, v, smod.dim, tmod.dim, spec)
+            entries[pl, first + k, j] = val * tgt_factor[first + k] * src_factor[j]
+    return Pencil.from_entries(entries, lt * ls, v, smod.dim, tmod.dim, spec)
 
 
 @lru_cache(maxsize=None)
@@ -499,12 +499,12 @@ def build_spin_pencil(n: int) -> Pencil:
     entries = {
         (i, odd_index[J], j): c
         for i, I in enumerate(even) for j in range(dim_w)
-        for J, c in clifford_unit(j, {I: Fraction(1)}, n).items()
+        for J, c in clifford_unit(j, {I: 1}, n).items()
     }
     labels = tuple(
         "delta_" + ("".join(str(i + 1) for i in I) if I else "0") for I in even
     )
-    return Pencil.from_entries(entries, len(even), dim_w, len(odd),
+    return Pencil.from_entries(entries, 1, len(even), dim_w, len(odd),
                                BuildSpec("spin", (n,)), labels)
 
 
@@ -570,7 +570,7 @@ def build_adjoint_pencil(a: int) -> Pencil:
                 # phi_{e_K}(X) = X . e_K
                 entries[j, index3[L], col] = c
     labels = tuple("w_" + "".join(str(x + 1) for x in K) for K in basis3)
-    return Pencil.from_entries(entries, len(basis3), len(sl), len(basis3),
+    return Pencil.from_entries(entries, 1, len(basis3), len(sl), len(basis3),
                                BuildSpec("adjoint", (a,)), labels)
 
 
@@ -707,34 +707,32 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     slot_rm = cell_slot(lam, box_rm.row - 1, box_rm.col - 1)
     slot_add = cell_slot(mu_p, box_add.row - 1, box_add.col - 1)
 
-    # coords_a[j][alpha]: the coordinates of c_lam' applied to what u_j holds
-    # with the letter alpha at the removed slot
-    scales = sa.span.scales
-    parts = sap.span.coordinates(
-        apply_symmetrizer(sa.span.scaled_batch.split_at(slot_rm), lam_p))
-    if None in parts:
-        raise AssertionError("slot removal left the smaller Schur module")
-    coords_a = [{alpha: {k: Fraction(c, scales[j]) for k, c in parts[j * a + alpha].items()}
-                 for alpha in range(a) if parts[j * a + alpha]} for j in range(sa.dim)]
-
-    coords_b = _insertion_images(sb, sbp, slot_add)
-
-    rows = sap.dim * sbp.dim
-    cols = sa.dim * sb.dim
-    out = [[ZERO] * cols for _ in range(rows)]
-    for ja in range(sa.dim):
-        for alpha, ca in coords_a[ja].items():
-            for jb in range(sb.dim):
-                for beta in range(b):
-                    x = Fraction(X[alpha][beta])
-                    if not x:
-                        continue
-                    cb = coords_b[jb][beta]
-                    col = ja * sb.dim + jb
-                    for ka, va in ca.items():
-                        base = ka * sbp.dim
-                        for kb, vb in cb.items():
-                            out[base + kb][col] += x * va * vb
+    # the A side holds c_lam' of what u_j holds with letter alpha at the
+    # removed slot, the B side c_mu' of u_j with letter beta inserted
+    a_side, da = _span_map(sa, lambda part: apply_symmetrizer(part.split_at(slot_rm), lam_p),
+                           sap, a)
+    b_side, db = _span_map(sb, lambda part: apply_symmetrizer(
+        part.with_letter_inserted(slot_add), mu_p), sbp, b)
+    # X = xn / dx, and Theta_X sums xn[alpha, beta] times both sides' products
+    xs = {(alpha, beta): Fraction(x) for alpha, row in enumerate(X)
+          for beta, x in enumerate(row) if x}
+    dx = lcm(1, *(x.denominator for x in xs.values()))
+    xn = {ab: x.numerator * (dx // x.denominator) for ab, x in xs.items()}
+    by_beta: dict = {}
+    for (beta, kb, jb), vb in b_side.items():
+        by_beta.setdefault(beta, []).append((kb, jb, vb))
+    sums: dict = {}
+    for (alpha, ka, ja), va in a_side.items():
+        for beta, terms in by_beta.items():
+            x = xn.get((alpha, beta), 0) * va
+            if not x:
+                continue
+            for kb, jb, vb in terms:
+                at = (ka * sbp.dim + kb, ja * sb.dim + jb)
+                sums[at] = sums.get(at, 0) + x * vb
+    out = [[ZERO] * (sa.dim * sb.dim) for _ in range(sap.dim * sbp.dim)]
+    for (r, c), n in sums.items():
+        out[r][c] = Fraction(n, da * db * dx)
     return out
 
 

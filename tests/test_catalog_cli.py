@@ -31,6 +31,7 @@ from crpencils.pencils import (
     Pencil,
     build_gl_pencil,
     build_koszul_pencil,
+    build_spin_pencil,
     check_equivariance,
     equivariance_data,
 )
@@ -316,6 +317,20 @@ def test_cli_transitivity_refuses_a_long_row_record_before_building(tmp_path, ca
     assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
     assert "equivariance certificate failed" in capsys.readouterr().err
     assert (equivariance_data.cache_info().misses, schur_module.cache_info().misses) == before
+
+
+def test_cli_build_refuses_a_pencil_that_verify_would_refuse(tmp_path, capsys):
+    # 11 x 462 x 462 cells are past MAX_PENCIL_CELLS: verify exits 3 on such
+    # a file, so build writes none; spin n=30 is refused before its 2^29
+    # basis sets are listed
+    out = tmp_path / "pencil.json"
+    assert cli.main(["build", "koszul", "--k", "5", "--v", "11", "--out", str(out)]) == 2
+    assert "exceeds 1048576 coefficient cells" in capsys.readouterr().err
+    assert not out.exists()
+    before = build_spin_pencil.cache_info().misses
+    assert cli.main(["build", "spin", "--n", "30", "--out", str(out)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists() and build_spin_pencil.cache_info().misses == before
 
 
 def test_loaded_sp6_file_certifies_constant_rank():

@@ -277,8 +277,9 @@ class TestFamilySizes:
         assert (src, tgt) == (gl_dim((2, 2), 5), gl_dim((2, 2, 1), 5))
 
     def test_gl_hook(self):
-        assert family_sizes("GL_hook", a=1, b=1, n=3) == (20, 15, 11)
-        assert family_sizes("GL_hook", a=1, b=0, n=2) == (6, 8, 5)
+        # the (2, 1^b) -> (2, 1^(b+1)) hook family in n + 1 variables
+        assert (gl_dim((2, 1), 4), gl_dim((2, 1, 1), 4), hook_family_rank(3, 1)) == (20, 15, 11)
+        assert (gl_dim((2,), 3), gl_dim((2, 1), 3), hook_family_rank(2, 0)) == (6, 8, 5)
 
     def test_hook_rank_consistency(self):
         # b=0 reduces to the (2)->(2,1) family rank n(n+3)/2
@@ -300,12 +301,8 @@ class TestFamilySizes:
         assert r == src - 1
 
     def test_so_311_321(self):
-        src, tgt, cork = family_sizes("SO_311_321", m=5)
-        assert (src, tgt) == (81, 105)
-        assert cork == math.comb(4, 3) + math.comb(4, 2)
-        src6, tgt6, cork6 = family_sizes("SO_311_321", m=6)
-        assert (src6, tgt6) == (252, 512)
-        assert cork6 == math.comb(5, 3) + math.comb(5, 2)
+        assert (so_module_dim((3, 1, 1), 5), so_module_dim((3, 2, 1), 5)) == (81, 105)
+        assert (so_module_dim((3, 1, 1), 6), so_module_dim((3, 2, 1), 6)) == (252, 512)
 
     def test_unknown(self):
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ from crpencils.pencils import (
 )
 from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
-from word_oracles import basis_tensors, derivation, pivot_words
+from word_oracles import basis_tensors, derivation, pivot_words, theta_fractions
 
 
 def _rank_at(pencil, x):
@@ -242,13 +242,15 @@ def test_sl_ad_matches_the_dense_commutator(a):
 
 def test_pencil_from_entries_clears_denominators_and_content():
     spec = BuildSpec("koszul", (0, 2))
-    pen = Pencil.from_entries({(0, 0, 0): Fraction(2, 3), (1, 1, 0): Fraction(4, 3),
-                               (1, 0, 0): 0}, 2, 1, 2, spec)
+    pen = Pencil.from_entries({(0, 0, 0): 2, (1, 1, 0): 4, (1, 0, 0): 0}, 3, 2, 1, 2, spec)
     assert (pen.coeffs, pen.denom) == (((0, 0, 0, 1), (1, 1, 0, 2)), 3)
     assert pen.var_labels == ("x_1", "x_2") and pen.spec == spec
-    assert Pencil.from_entries({(0, 0, 0): 1}, 1, 1, 1, spec, ("y",)).var_labels == ("y",)
+    # the same values over a common denominator that is not the least one
+    twice = Pencil.from_entries({(0, 0, 0): 4, (1, 1, 0): 8, (1, 0, 0): 0}, 6, 2, 1, 2, spec)
+    assert (twice.coeffs, twice.denom) == (pen.coeffs, pen.denom)
+    assert Pencil.from_entries({(0, 0, 0): 1}, 1, 1, 1, 1, spec, ("y",)).var_labels == ("y",)
     with pytest.raises(AssertionError, match="koszul pencil is identically zero"):
-        Pencil.from_entries({(0, 0, 0): 0}, 1, 1, 1, spec)
+        Pencil.from_entries({(0, 0, 0): 0}, 1, 1, 1, 1, spec)
 
 
 def test_form_lie_bases_are_integral():
@@ -481,6 +483,18 @@ def test_theta_map_small_anchors():
     X = [[1, 0], [0, 1]]
     mat = theta_map(X, (2,), (1,), (1,), (1, 1))
     assert qq_rank(mat) == 2
+
+
+@pytest.mark.parametrize("X, lam, lam_p, mu, mu_p", [
+    ([[1, 2], [3, 4]], (2,), (1,), (1,), (1, 1)),
+    ([[Fraction(1, 2), -1, 0], [Fraction(2, 3), 0, 5]], (2, 1), (1, 1), (1,), (2,)),
+    ([[1, 0, 2], [0, Fraction(-3, 4), 1], [1, 1, 0]], (2, 1), (2,), (1, 1), (2, 1)),
+    ([[0, 1, 0, 2], [1, 0, 0, 0], [0, 0, Fraction(5, 3), 0]], (1, 1), (1,), (2,), (2, 1)),
+    ([[2, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, Fraction(1, 7)], [0, 0, 1, 1]],
+     (2, 1, 1), (1, 1, 1), (1,), (1, 1)),
+])
+def test_theta_map_matches_the_fraction_loop(X, lam, lam_p, mu, mu_p):
+    assert theta_map(X, lam, lam_p, mu, mu_p) == theta_fractions(X, lam, lam_p, mu, mu_p)
 
 
 def test_hyperplane_criterion_anchor():

@@ -6,7 +6,7 @@ word_oracles.derivation."""
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -331,7 +331,7 @@ def test_span_matches_the_word_loop(case):
     assert [b[w] for b, w in zip(basis, pivot_words(span))] == [1] * span.dim
     # u_k = s_k b_k is primitive
     for u in tensors_of(span.scaled_batch):
-        assert np.gcd.reduce(list(u.values())) == 1
+        assert gcd(*u.values()) == 1
 
 
 def test_span_refuses_a_tensor_of_two_grades():

@@ -2,7 +2,9 @@
 against, shared by the test modules."""
 from fractions import Fraction
 
-from crpencils.tensors import letter_images
+from crpencils.modules import schur_module
+from crpencils.pencils import _one_box
+from crpencils.tensors import apply_symmetrizer, cell_slot, letter_images
 
 
 def fraction_rref(rows):
@@ -135,3 +137,39 @@ def pivot_words(span):
     u = span.scaled_batch
     return [tuple(int(c) // u.radix ** (u.degree - 1 - i) % u.radix for i in range(u.degree))
             for c in span.pivots.tolist()]
+
+
+def theta_fractions(X, lam, lam_p, mu, mu_p):
+    """The matrix of Theta_X in Fractions, entry by entry: each side's
+    coordinates divided by their basis vector's scale, and the products
+    summed one (alpha, beta) and one target pair at a time.  The loop that
+    theta_map's integer sums replace."""
+    a, b = len(X), len(X[0])
+    box_rm, box_add = _one_box(lam_p, lam, a), _one_box(mu, mu_p, b)
+    sa, sap = schur_module(lam, a), schur_module(lam_p, a)
+    sb, sbp = schur_module(mu, b), schur_module(mu_p, b)
+
+    def coords(mod, images, target, per):
+        # coords[j][i]: the coordinates of image i of basis vector j
+        read = target.span.coordinates(images)
+        assert None not in read
+        return [[{k: Fraction(c, mod.span.scales[j]) for k, c in read[j * per + i].items()}
+                 for i in range(per)] for j in range(mod.dim)]
+
+    slot_rm = cell_slot(lam, box_rm.row - 1, box_rm.col - 1)
+    slot_add = cell_slot(mu_p, box_add.row - 1, box_add.col - 1)
+    coords_a = coords(sa, apply_symmetrizer(sa.span.scaled_batch.split_at(slot_rm), lam_p), sap, a)
+    coords_b = coords(sb, apply_symmetrizer(
+        sb.span.scaled_batch.with_letter_inserted(slot_add), mu_p), sbp, b)
+    out = [[Fraction(0)] * (sa.dim * sb.dim) for _ in range(sap.dim * sbp.dim)]
+    for ja in range(sa.dim):
+        for alpha in range(a):
+            for jb in range(sb.dim):
+                for beta in range(b):
+                    x = Fraction(X[alpha][beta])
+                    if not x:
+                        continue
+                    for ka, va in coords_a[ja][alpha].items():
+                        for kb, vb in coords_b[jb][beta].items():
+                            out[ka * sbp.dim + kb][ja * sb.dim + jb] += x * va * vb
+    return out
