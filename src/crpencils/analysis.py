@@ -42,7 +42,7 @@ from .pencils import Pencil, check_equivariance, _one_box
 
 CHUNK_CELLS = 1 << 15  # matrix cells evaluated and eliminated at once
 EXHAUSTIVE_BLOCK = 1 << 14  # projective points decoded at once
-RND_MAX_SAMPLES = 512  # accepted draws after which rnd stops doubling
+RND_MAX_SAMPLES = 512  # accepted samples after which rnd gives up
 
 
 @dataclass

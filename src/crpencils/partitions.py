@@ -292,7 +292,7 @@ def hook_family_rank(n: int, b: int) -> int:
 
 
 def family_sizes(family_id: str, **params) -> tuple[int, int, int]:
-    """Closed-form (source_dim, target_dim, rank-or-corank) for the catalog families.
+    """Closed-form (source_dim, target_dim, rank) for the catalog families.
 
     family_id in {"GL_2_21", "GL_22_221", "SO_2_21"}.
     GL families take n (number of variables is n+1); SO families take m.
