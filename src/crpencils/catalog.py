@@ -18,7 +18,9 @@ from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
 from math import ceil, comb, gcd, lcm
+from operator import floordiv, itemgetter, lt, mul
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -187,48 +189,68 @@ def fixture_parse(name: str, transpose: bool = False) -> Pencil:
 MAX_PENCIL_CELLS = 1 << 20
 
 
-def pencil_to_document(p: Pencil, builder_params: Optional[dict] = None) -> dict:
-    """Canonical JSON document for a pencil; integers as decimal strings."""
-    entries = []
-    for var, r, c, x in p.coeffs:
-        g = gcd(abs(x), p.denom)
-        entries.append(
-            {
-                "var": var,
-                "row": r,
-                "col": c,
-                "num": str(x // g),
-                "den": str(p.denom // g),
-            }
-        )
-    doc = {
-        "nvars": p.nvars,
-        "source_dim": p.source_dim,
-        "target_dim": p.target_dim,
-        "var_labels": list(p.var_labels),
-        "entries": entries,
-    }
-    if builder_params is not None:
-        doc["builder"] = builder_params
-    return doc
+# one entry of the canonical text, keys sorted: col, den, num, row, var
+_ENTRY = ('    {\n      "col": %d,\n      "den": "%d",\n      "num": "%d",\n'
+          '      "row": %d,\n      "var": %d\n    }')
+_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")  # comma-separated integers
+_ENTRY_COLUMNS = itemgetter("var", "row", "col", "num", "den")
 
 
-def _json_int(x) -> int:
-    """A JSON integer or a decimal string; a float, a bool or anything else
-    is refused, not truncated."""
-    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        return int(x)
-    raise FixtureParseError(f"expected an integer, got {x!r}")
+def _nested_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) one level deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def dumps_pencil(p: Pencil, builder_params: Optional[dict] = None) -> str:
+    """The canonical JSON text of a pencil, byte for byte
+    json.dumps(document, indent=2, sort_keys=True) + "\\n" of the document
+    {builder, entries, nvars, source_dim, target_dim, var_labels}: each
+    entry {col, den, num, row, var} is num / den reduced by its own gcd,
+    num and den as decimal strings, in the pencil's (var, row, col) order.
+    The entries are written by one % template each; the builder record and
+    the labels go through json.dumps."""
+    d = p.denom
+    entries = ",\n".join([_ENTRY % (c, d // (g := gcd(x, d)), x // g, r, var)
+                          for var, r, c, x in p.coeffs])
+    builder = ("" if builder_params is None
+               else f'  "builder": {_nested_json(builder_params)},\n')
+    entries = f"[\n{entries}\n  ]" if entries else "[]"
+    return (f'{{\n{builder}  "entries": {entries},\n  "nvars": {p.nvars},\n'
+            f'  "source_dim": {p.source_dim},\n  "target_dim": {p.target_dim},\n'
+            f'  "var_labels": {_nested_json(list(p.var_labels))}\n}}\n')
+
+
+def _json_ints(values) -> list:
+    """The integers of a column of JSON integers and decimal strings; a
+    float, a bool or anything else is refused, not truncated."""
+    types = set(map(type, values))
+    if types <= {int}:
+        return list(values)
+    strings = values if types == {str} else [x for x in values if type(x) is str]
+    # one match over the strings joined by commas; a string that holds a
+    # comma of its own adds one to the count, so it cannot pass as two
+    text = ",".join(strings)
+    if not (types <= {int, str} and text.count(",") == len(strings) - 1
+            and _DECIMALS.fullmatch(text)):
+        bad = next(x for x in values if not (
+            type(x) is int or type(x) is str and _DECIMALS.fullmatch(x) and "," not in x))
+        raise FixtureParseError(f"expected an integer, got {bad!r}")
+    try:
+        return list(map(int, values))
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise FixtureParseError(f"malformed pencil entry: {exc}") from None
 
 
 def document_to_pencil(doc: dict) -> Pencil:
-    """Parse a PencilFile document; raises FixtureParseError when malformed."""
+    """Parse a PencilFile document; raises FixtureParseError when malformed.
+    The entries are read a column at a time: var, row, col, num and den each
+    become one list, checked as a whole for type, sign, reduction, range,
+    order and duplicates."""
     try:
-        nvars = _json_int(doc["nvars"])
-        source_dim = _json_int(doc["source_dim"])
-        target_dim = _json_int(doc["target_dim"])
+        nvars, source_dim, target_dim = _json_ints(
+            [doc["nvars"], doc["source_dim"], doc["target_dim"]])
         labels = doc["var_labels"]
-        raw = doc["entries"]
+        raw = list(doc["entries"])  # any iterable, as when read entry by entry
     except (KeyError, TypeError, ValueError) as exc:
         raise FixtureParseError(f"malformed pencil document: {exc}") from None
     if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
@@ -241,51 +263,38 @@ def document_to_pencil(doc: dict) -> Pencil:
             f"pencil of {nvars} x {target_dim} x {source_dim} exceeds "
             f"{MAX_PENCIL_CELLS} coefficient cells"
         )
-    entries = []
-    denom = 1
+    if not raw:
+        return Pencil(nvars, source_dim, target_dim, (), 1, labels)
     try:
-        for e in raw:
-            var, r, c = _json_int(e["var"]), _json_int(e["row"]), _json_int(e["col"])
-            num, den = _json_int(e["num"]), _json_int(e["den"])
-            if den <= 0 or gcd(abs(num), den) != 1:
-                raise FixtureParseError("entries must be reduced with den > 0")
-            if not (0 <= var < nvars and 0 <= r < target_dim and 0 <= c < source_dim):
-                raise FixtureParseError("entry index out of range")
-            entries.append((var, r, c, num, den))
-            denom = lcm(denom, den)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FixtureParseError):
-            raise
-        raise FixtureParseError(f"malformed pencil entry: {exc}") from None
-    keys = [e[:3] for e in entries]
-    if keys != sorted(keys):
-        raise FixtureParseError("entries must be sorted by (var, row, col)")
-    if len(set(keys)) != len(keys):
+        columns = zip(*map(_ENTRY_COLUMNS, raw))
+    except (KeyError, TypeError) as exc:  # a missing key, or not an object
+        raise FixtureParseError(f"malformed pencil entry: {exc!r}") from None
+    vs, rs, cs, nums, dens = map(_json_ints, columns)
+    if min(dens) <= 0 or set(map(gcd, nums, dens)) != {1}:
+        raise FixtureParseError("entries must be reduced with den > 0")
+    if not (0 <= min(vs) and max(vs) < nvars and 0 <= min(rs) and max(rs) < target_dim
+            and 0 <= min(cs) and max(cs) < source_dim):
+        raise FixtureParseError("entry index out of range")
+    keys = list(zip(vs, rs, cs))
+    if not all(map(lt, keys, keys[1:])):
+        if keys != sorted(keys):
+            raise FixtureParseError("entries must be sorted by (var, row, col)")
         raise FixtureParseError("duplicate entry in pencil document")
-    return Pencil(
-        nvars=nvars,
-        source_dim=source_dim,
-        target_dim=target_dim,
-        coeffs=tuple((var, r, c, num * (denom // den))
-                     for var, r, c, num, den in entries if num),
-        denom=denom,
-        var_labels=labels,
-    )
-
-
-def dumps_pencil(p: Pencil, builder_params: Optional[dict] = None) -> str:
-    return json.dumps(
-        pencil_to_document(p, builder_params), indent=2, sort_keys=True
-    ) + "\n"
+    denom = lcm(*set(dens))
+    nums = map(mul, nums, map(floordiv, repeat(denom), dens))  # over denom
+    return Pencil(nvars, source_dim, target_dim,
+                  tuple(filter(itemgetter(3), zip(vs, rs, cs, nums))), denom, labels)
 
 
 def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
     """The pencil of a JSON document and its raw builder record.  The pencil
     gets the record's spec when the record parses and gives the document's
-    variable count; nothing is built."""
+    variable count; nothing is built.  Any text that json.loads cannot read
+    (malformed, nested past the recursion limit, or with an integer past the
+    interpreter's digit limit) raises FixtureParseError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FixtureParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FixtureParseError("pencil document must be a JSON object")
@@ -305,10 +314,9 @@ def build_from_params(params: dict) -> Pencil:
     exceed MAX_PENCIL_CELLS, before anything is built.  The builder is
     looked up by name at call time."""
     spec = BuildSpec.from_record(params)
-    nvars, source_dim, target_dim = spec.dims()
-    if nvars * target_dim * source_dim > MAX_PENCIL_CELLS:
-        raise ValueError(f"pencil of {nvars} x {target_dim} x {source_dim} exceeds "
-                         f"{MAX_PENCIL_CELLS} coefficient cells")
+    if not spec.within(MAX_PENCIL_CELLS):
+        raise ValueError(f"{spec.kind} pencil exceeds {MAX_PENCIL_CELLS} coefficient "
+                         "cells (variables x source x target)")
     return globals()[f"build_{spec.kind}_pencil"](*spec.args)
 
 

@@ -203,6 +203,23 @@ class BuildSpec:
         half = 2 ** a[0] // 2  # spin: Delta+ -> Hom(W, Delta-), dim W = 2n
         return half, 2 * a[0], half
 
+    def within(self, cells: int) -> bool:
+        """Whether the pencil this spec builds has at most `cells`
+        coefficient cells (nvars x source x target), by dims() once the
+        sizes that grow fastest are known to be small.  Refused before any
+        of them is formed: spin with 2^(n-1) > cells variables; a last field
+        (v, N, m, or a, where the adjoint source is a^2 - 1) above cells;
+        Koszul with min(k, v - k) > log2(cells), where C(v, k) alone is at
+        least 2^min(k, v - k).  So spin n = 10^7 is refused at once."""
+        kind, a = self.kind, self.args
+        bits = cells.bit_length()
+        if (a[0] > bits) if kind == "spin" else (a[-1] > cells):
+            return False
+        if kind == "koszul" and min(a[0], a[1] - a[0]) > bits:
+            return False
+        nvars, source_dim, target_dim = self.dims()
+        return nvars * source_dim * target_dim <= cells
+
     def fits(self, nvars: int) -> bool:
         """Whether a pencil built from this spec has nvars >= 2 variables,
         decided without building anything.  One variable is a single

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +23,6 @@ from crpencils.catalog import (
     fixture_parse,
     loads_pencil,
     parse_fixture_text,
-    pencil_to_document,
     run_catalog,
     run_entry,
 )
@@ -35,6 +37,7 @@ from crpencils.pencils import (
     check_equivariance,
     equivariance_data,
 )
+from word_oracles import document_to_pencil_by_entry, pencil_to_document
 
 EXPECTED_IDS = (
     "adjoint-wedge3-c7",
@@ -85,9 +88,9 @@ def test_catalog_entries_have_descriptions_and_expectations():
 
 def test_document_round_trip_on_built_pencils():
     for pen in (build_gl_pencil((2,), (2, 1), 3), build_koszul_pencil(1, 4)):
-        doc = pencil_to_document(pen)
+        doc = json.loads(dumps_pencil(pen))
         back = document_to_pencil(doc)
-        assert pencil_to_document(back) == doc
+        assert json.loads(dumps_pencil(back)) == doc
         assert (back.coeffs, back.denom) == (pen.coeffs, pen.denom)
 
 
@@ -123,12 +126,12 @@ def test_document_round_trip_random_pencils(nvars, rows, cols, data):
         denom=data.draw(st.integers(1, 6)),
         var_labels=tuple(f"x{i}" for i in range(nvars)),
     )
-    doc = pencil_to_document(pen)
-    assert pencil_to_document(document_to_pencil(doc)) == doc
+    doc = json.loads(dumps_pencil(pen))
+    assert json.loads(dumps_pencil(document_to_pencil(doc))) == doc
 
 
 def test_entries_are_sorted_and_stringly_typed():
-    doc = pencil_to_document(build_gl_pencil((2,), (2, 1), 3))
+    doc = json.loads(dumps_pencil(build_gl_pencil((2,), (2, 1), 3)))
     keys = [(e["var"], e["row"], e["col"]) for e in doc["entries"]]
     assert keys == sorted(keys)
     assert all(isinstance(e["num"], str) and isinstance(e["den"], str)
@@ -136,7 +139,7 @@ def test_entries_are_sorted_and_stringly_typed():
 
 
 def test_document_validation_errors():
-    good = pencil_to_document(build_koszul_pencil(1, 3))
+    good = json.loads(dumps_pencil(build_koszul_pencil(1, 3)))
     bad = json.loads(json.dumps(good))
     bad["entries"] = list(reversed(bad["entries"]))
     with pytest.raises(FixtureParseError):
@@ -164,6 +167,183 @@ def test_oversized_document_rejected(tmp_path, capsys, nvars, target, source):
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 3
     assert "exceeds" in capsys.readouterr().err
+
+
+# -- the canonical writer and the column-wise reader against their oracles ---
+
+
+# labels with quotes, backslashes, control characters and non-ASCII text
+_labels = st.text(alphabet=st.sampled_from('x_1"\\\n\t\x00\x1f\x7fé∑\U0001f600 '),
+                  max_size=5) | st.text(max_size=4)
+
+_records = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20) | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                             max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _pencils(draw):
+    """A pencil of at most 3 x 3 x 3 cells with signed numerators over a
+    denominator that need not divide them, so that entries reduce apart."""
+    nvars, rows, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    cells = draw(st.lists(st.tuples(st.integers(0, nvars - 1), st.integers(0, rows - 1),
+                                     st.integers(0, cols - 1)), unique=True, max_size=12,
+                          min_size=draw(st.sampled_from((0, 1, 1, 1)))))
+    nums = st.integers(-60, 60).filter(bool) | st.integers(-10 ** 30, 10 ** 30).filter(bool)
+    return Pencil(nvars=nvars, source_dim=cols, target_dim=rows,
+                  coeffs=tuple(sorted(k + (draw(nums),) for k in cells)),
+                  denom=draw(st.integers(1, 60) | st.integers(1, 10 ** 20)),
+                  var_labels=tuple(draw(_labels) for _ in range(nvars)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pencils(), _records | st.dictionaries(st.text(max_size=4), _records, max_size=4))
+def test_dumps_pencil_is_the_canonical_json_of_the_document(pen, record):
+    want = json.dumps(pencil_to_document(pen, record), indent=2, sort_keys=True) + "\n"
+    assert dumps_pencil(pen, record) == want
+    if record is None:
+        assert dumps_pencil(pen) == want
+
+
+# what may replace a field: a float, a bool, a signed, spaced, fractional or
+# comma-joined string, null, and integers in and out of range, as numbers
+# and as decimal strings
+_field_values = st.one_of(
+    st.floats(), st.booleans(), st.none(),
+    st.sampled_from(("+1", " 1", "1 ", "1/1", "1,2", ",", "", "-", "0x1", "1_0", "-0",
+                     "١", "²", "1\n")),
+    st.integers(-3, 8), st.integers(-3, 8).map(str), st.integers(),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+def _integer(x):
+    """x as an int when it is one or a decimal string of one, else None."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    return None
+
+
+def _mutate_entry(draw, doc):
+    entries = doc["entries"]
+    i = draw(st.integers(0, len(entries) - 1))
+    kind = draw(st.sampled_from(("restyle", "restyle", "value", "delete", "unreduce",
+                                 "swap", "duplicate", "not-an-object")))
+    if kind == "restyle":  # the same integer as a JSON number or a decimal string
+        for key in draw(st.lists(st.sampled_from(sorted(entries[i])), max_size=5)):
+            x = entries[i][key]
+            if _integer(x) is not None:
+                entries[i][key] = str(x) if type(x) is int else int(x)
+    elif kind == "value":
+        entries[i][draw(st.sampled_from(sorted(entries[i])))] = draw(_field_values)
+    elif kind == "delete":
+        del entries[i][draw(st.sampled_from(sorted(entries[i])))]
+    elif kind == "unreduce":
+        num, den = (_integer(entries[i].get(key)) for key in ("num", "den"))
+        if num is not None and den is not None:
+            k = draw(st.sampled_from((2, 3, 0, -1)))
+            entries[i]["num"], entries[i]["den"] = str(k * num), str(k * den)
+    elif kind == "swap":
+        j = draw(st.integers(0, len(entries) - 1))
+        entries[i], entries[j] = entries[j], entries[i]
+    elif kind == "duplicate":
+        entries.insert(i, dict(entries[i]))
+    else:
+        entries[i] = draw(st.sampled_from(([], "var", 0, None)))
+
+
+@st.composite
+def _mutated_pencil_documents(draw):
+    """A written document with up to two mutations of its header, its
+    entries or the entries' list itself."""
+    doc = json.loads(dumps_pencil(draw(_pencils())))
+    for _ in range(draw(st.integers(0, 2))):
+        entries = doc.get("entries")
+        target = draw(st.sampled_from(("header", "entries", "entries", "entries", "list")))
+        if target == "entries" and isinstance(entries, list) and entries \
+                and all(isinstance(e, dict) and e for e in entries):
+            _mutate_entry(draw, doc)
+        elif target == "list":
+            doc["entries"] = draw(st.sampled_from(({}, "", "ab", {"var": 0}, 3, None, True)))
+        else:
+            key = draw(st.sampled_from(sorted(doc)))
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(_field_values)
+    return doc
+
+
+def _read_or_refuse(reader, doc):
+    try:
+        return reader(doc)
+    except FixtureParseError:
+        return "refused"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_pencil_documents())
+def test_column_reader_accepts_and_refuses_as_the_entry_reader(doc):
+    assert (_read_or_refuse(document_to_pencil, doc)
+            == _read_or_refuse(document_to_pencil_by_entry, doc))
+
+
+_EDIT_VALUES = (1.0, 2.5, True, False, None, [1], {}, "+1", " 1", "1 ", "1/1", "1,2", ",",
+                "", "-", "0x1", "1_0", "-0", "١", "²", "1\n", "9" * 5000, 10 ** 30,
+                *range(-1, 8), *map(str, range(-1, 8)))
+
+
+def _single_edits(doc):
+    """Every document that differs from doc by one edit: a field of the
+    header or of the first or second entry replaced or deleted, the second
+    entry scaled out of lowest terms, the entries reversed, the second entry
+    doubled, or the entries' list replaced."""
+    def edited(change):
+        new = json.loads(json.dumps(doc))
+        change(new)
+        return new
+    for node in (lambda d: d, lambda d: d["entries"][0], lambda d: d["entries"][1]):
+        for key in sorted(node(doc)):
+            yield edited(lambda d: node(d).pop(key))
+            for x in _EDIT_VALUES:
+                yield edited(lambda d: node(d).__setitem__(key, x))
+    for k in (2, 3, 0, -1):
+        yield edited(lambda d: d["entries"][1].update(
+            num=str(k * int(d["entries"][1]["num"])), den=str(k * int(d["entries"][1]["den"]))))
+    yield edited(lambda d: d["entries"].reverse())
+    yield edited(lambda d: d["entries"].insert(1, d["entries"][1]))
+    for x in ({}, "", "ab", {"var": 0}, 3, None, True, [[]], ["var"], [0], [None]):
+        yield edited(lambda d: d.__setitem__("entries", x))
+
+
+def test_column_reader_matches_the_entry_reader_on_each_single_edit():
+    # entries 1/2, -1/6, -2/3 and 1 over the common denominator 6
+    pen = Pencil(nvars=2, source_dim=3, target_dim=2, denom=6, var_labels=("a", "b"),
+                 coeffs=((0, 0, 0, 3), (0, 1, 2, -1), (1, 0, 1, -4), (1, 1, 0, 6)))
+    outcomes = set()
+    for doc in _single_edits(json.loads(dumps_pencil(pen))):
+        got = _read_or_refuse(document_to_pencil, doc)
+        assert got == _read_or_refuse(document_to_pencil_by_entry, doc), doc
+        outcomes.add(got == "refused")
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"nvars": 1' + "0" * 5000 + "}"],
+                         ids=["nested-100000", "integer-5001-digits"])
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, text):
+    # the nesting raised RecursionError out of json.loads, and verify exited 1
+    # with a traceback; the integer raised a bare ValueError
+    with pytest.raises(FixtureParseError, match="invalid JSON"):
+        loads_pencil(text)
+    path = tmp_path / "pencil.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
 
 
 # -- bundled fixtures --------------------------------------------------------
@@ -331,6 +511,31 @@ def test_cli_build_refuses_a_pencil_that_verify_would_refuse(tmp_path, capsys):
     assert cli.main(["build", "spin", "--n", "30", "--out", str(out)]) == 2
     assert "exceeds" in capsys.readouterr().err
     assert not out.exists() and build_spin_pencil.cache_info().misses == before
+
+
+@pytest.mark.parametrize("argv", [["spin", "--n", "100000"],
+                                  ["koszul", "--k", "20000", "--v", "40000"]])
+def test_cli_build_refuses_a_huge_record_by_its_size(tmp_path, capsys, argv):
+    # both printed "Exceeds the limit (4300 digits) for integer string
+    # conversion": the size message formatted 2^99999 and C(40000, 20000)
+    out = tmp_path / "pencil.json"
+    assert cli.main(["build", *argv, "--out", str(out)]) == 2
+    assert "exceeds 1048576 coefficient cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spin_record_is_refused_before_its_dimension_is_formed():
+    # 2^(10^7 - 1) variables: forming that number took 0.14 s and 1.25 MB
+    tracemalloc.start()
+    try:
+        start = perf_counter()
+        with pytest.raises(ValueError, match="exceeds 1048576 coefficient cells"):
+            build_from_params({"kind": "spin", "n": 10 ** 7})
+        seconds = perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.05 and peak < 100_000
 
 
 def test_loaded_sp6_file_certifies_constant_rank():

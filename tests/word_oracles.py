@@ -1,9 +1,14 @@
 """Word-by-word dict computations that the batched kernels are tested
-against, shared by the test modules."""
+against, and the entry-by-entry pencil-file document builder and reader
+that the canonical writer and the column-wise reader are tested against,
+shared by the test modules."""
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
+from crpencils.catalog import MAX_PENCIL_CELLS, FixtureParseError
 from crpencils.modules import schur_module
-from crpencils.pencils import _one_box
+from crpencils.pencils import Pencil, _one_box
 from crpencils.tensors import apply_symmetrizer, cell_slot, letter_images
 
 
@@ -173,3 +178,74 @@ def theta_fractions(X, lam, lam_p, mu, mu_p):
                         for kb, vb in coords_b[jb][beta].items():
                             out[ka * sbp.dim + kb][ja * sb.dim + jb] += x * va * vb
     return out
+
+
+def pencil_to_document(p, builder_params=None):
+    """The pencil-file document as a dict: the oracle for dumps_pencil,
+    whose text is json.dumps(document, indent=2, sort_keys=True) + "\\n"."""
+    entries = []
+    for var, r, c, x in p.coeffs:
+        g = gcd(abs(x), p.denom)
+        entries.append({"var": var, "row": r, "col": c,
+                        "num": str(x // g), "den": str(p.denom // g)})
+    doc = {
+        "nvars": p.nvars,
+        "source_dim": p.source_dim,
+        "target_dim": p.target_dim,
+        "var_labels": list(p.var_labels),
+        "entries": entries,
+    }
+    if builder_params is not None:
+        doc["builder"] = builder_params
+    return doc
+
+
+def _json_int(x):
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise FixtureParseError(f"expected an integer, got {x!r}")
+
+
+def document_to_pencil_by_entry(doc):
+    """The pencil of a document, read and checked one entry at a time: the
+    oracle for catalog.document_to_pencil."""
+    try:
+        nvars = _json_int(doc["nvars"])
+        source_dim = _json_int(doc["source_dim"])
+        target_dim = _json_int(doc["target_dim"])
+        labels = doc["var_labels"]
+        raw = doc["entries"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FixtureParseError(f"malformed pencil document: {exc}") from None
+    if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+        raise FixtureParseError("var_labels must be a list of strings")
+    labels = tuple(labels)
+    if len(labels) != nvars or nvars < 1 or source_dim < 1 or target_dim < 1:
+        raise FixtureParseError("inconsistent pencil document header")
+    if nvars * target_dim * source_dim > MAX_PENCIL_CELLS:
+        raise FixtureParseError("too many coefficient cells")
+    entries = []
+    denom = 1
+    try:
+        for e in raw:
+            var, r, c = _json_int(e["var"]), _json_int(e["row"]), _json_int(e["col"])
+            num, den = _json_int(e["num"]), _json_int(e["den"])
+            if den <= 0 or gcd(abs(num), den) != 1:
+                raise FixtureParseError("entries must be reduced with den > 0")
+            if not (0 <= var < nvars and 0 <= r < target_dim and 0 <= c < source_dim):
+                raise FixtureParseError("entry index out of range")
+            entries.append((var, r, c, num, den))
+            denom = lcm(denom, den)
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, FixtureParseError):
+            raise
+        raise FixtureParseError(f"malformed pencil entry: {exc}") from None
+    keys = [e[:3] for e in entries]
+    if keys != sorted(keys):
+        raise FixtureParseError("entries must be sorted by (var, row, col)")
+    if len(set(keys)) != len(keys):
+        raise FixtureParseError("duplicate entry in pencil document")
+    return Pencil(nvars=nvars, source_dim=source_dim, target_dim=target_dim,
+                  coeffs=tuple((var, r, c, num * (denom // den))
+                               for var, r, c, num, den in entries if num),
+                  denom=denom, var_labels=labels)
