@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from fractions import Fraction
 from importlib import resources
-from itertools import repeat
 from math import ceil, comb, gcd, lcm
-from operator import floordiv, itemgetter, lt, mul
+from operator import itemgetter, lt
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -281,9 +280,10 @@ def document_to_pencil(doc: dict) -> Pencil:
             raise FixtureParseError("entries must be sorted by (var, row, col)")
         raise FixtureParseError("duplicate entry in pencil document")
     denom = lcm(*set(dens))
-    nums = map(mul, nums, map(floordiv, repeat(denom), dens))  # over denom
     return Pencil(nvars, source_dim, target_dim,
-                  tuple(filter(itemgetter(3), zip(vs, rs, cs, nums))), denom, labels)
+                  tuple((v, r, c, num * (denom // den))
+                        for v, r, c, num, den in zip(vs, rs, cs, nums, dens) if num),
+                  denom, labels)
 
 
 def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
