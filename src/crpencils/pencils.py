@@ -154,6 +154,36 @@ def _record_value(name: str, value):
     return value
 
 
+def _dim_floor(kind: str, lam: Partition, n: int) -> int:
+    """A lower bound on the dimension of the gl, sp or so module of lam in
+    dimension n, read off lam's rows alone: 0 for the zero module (and, as
+    no claim, for a negative weight the dimension functions treat apart),
+    1 for the trivial and determinant modules, and for any other module
+    max(n, r + 1), r its first row less its last (gl) or its first row (sp,
+    so).  The natural module is the smallest of the others, and the root
+    string through the highest weight has at least r + 1 weights (for so
+    only when m >= 3, where SO(m) has roots)."""
+    if lam and lam[-1] < 0 and (kind != "gl" or len(lam) < n):
+        return 0
+    if kind == "gl":
+        if len(lam) > n:
+            return 0
+        r = lam[0] - lam[-1] if len(lam) == n and lam else (lam[0] if lam else 0)
+    elif kind == "sp":
+        if len(lam) > n // 2:
+            return 0
+        r = lam[0] if lam else 0
+    else:
+        if len(lam) + sum(x >= 2 for x in lam) > n:  # the first two columns
+            return 0
+        if len(lam) == n:  # (1^m), the determinant
+            return 1
+        r = lam[0] if lam else 0
+        if n < 3:
+            return n if r else 1
+    return max(n, r + 1) if r else 1
+
+
 @dataclass(frozen=True)
 class BuildSpec:
     """How a pencil was built: the builder's kind and its normalized
@@ -210,12 +240,18 @@ class BuildSpec:
         of them is formed: spin with 2^(n-1) > cells variables; a last field
         (v, N, m, or a, where the adjoint source is a^2 - 1) above cells;
         Koszul with min(k, v - k) > log2(cells), where C(v, k) alone is at
-        least 2^min(k, v - k).  So spin n = 10^7 is refused at once."""
+        least 2^min(k, v - k); gl, sp and so when n times the _dim_floor of
+        both partitions exceeds cells, n the last field.  So spin n = 10^7
+        is refused at once, and so m = 600 without the Weyl products of
+        dims(), whose cost grows about with m^3."""
         kind, a = self.kind, self.args
         bits = cells.bit_length()
         if (a[0] > bits) if kind == "spin" else (a[-1] > cells):
             return False
         if kind == "koszul" and min(a[0], a[1] - a[0]) > bits:
+            return False
+        if kind in ("gl", "sp", "so") and (
+                a[2] * _dim_floor(kind, a[0], a[2]) * _dim_floor(kind, a[1], a[2]) > cells):
             return False
         nvars, source_dim, target_dim = self.dims()
         return nvars * source_dim * target_dim <= cells

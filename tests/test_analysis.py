@@ -24,8 +24,10 @@ from crpencils.analysis import (
     structured_points,
     theta_rank_formula,
 )
-from crpencils import analysis
-from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, mat_mod, modp_rank
+from crpencils import analysis, linalg
+from crpencils.linalg import (
+    DEFAULT_PRIME, ModpEchelon, Subspace, mat_mod, modp_rank, modp_ranks,
+)
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
     Pencil,
@@ -115,16 +117,61 @@ def _raw_pencils(draw):
     return p, pencil, points
 
 
-@given(_raw_pencils(), st.sampled_from((analysis.CHUNK_CELLS, 16)))
+@given(_raw_pencils(), st.sampled_from((analysis.STACK_CELLS, 100, 16, 1)),
+       st.sampled_from((analysis.ECHELON_CELLS, 16, 0)))
 @settings(max_examples=150, deadline=None)
-def test_batched_ranks_match_per_point_ranks(case, chunk_cells):
-    # chunk_cells 16 sends every matrix above 16 cells to the echelon and
-    # packs the others a few to a chunk
+def test_batched_ranks_match_per_point_ranks(case, stack_cells, echelon_cells):
+    # the two bounds vary apart: stack_cells 16 or 1 with the default
+    # echelon bound gives many tiny stacks (one matrix each above the
+    # budget), echelon_cells 0 sends every matrix to the echelon whatever
+    # the stack budget, and 16 only those above 16 cells
     p, pencil, points = case
     want = [modp_rank(mat_mod(pencil.evaluate(x), p), p) for x in points]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(analysis, "STACK_CELLS", stack_cells)
+        mp.setattr(analysis, "ECHELON_CELLS", echelon_cells)
         assert ranks_at(pencil, points, p) == want
+
+
+def _diagonal_pencil(c: int, b: int) -> Pencil:
+    """x0 on the diagonal and x1 just above it: a c x b matrix of rank
+    min(c, b) wherever x0 or x1 is nonzero."""
+    coeffs = [(0, i, i, 1) for i in range(min(c, b))]
+    coeffs += [(1, i, i + 1, 1) for i in range(min(c, b - 1))]
+    return Pencil(2, b, c, tuple(sorted(coeffs)), 1, ("x0", "x1"))
+
+
+@pytest.mark.parametrize("shape, stacks, echelons", [
+    ((128, 256), 1, 0),  # 2^15 cells: at the bound, the three points in one stack
+    ((129, 256), 0, 3),  # above it: each matrix alone through the echelon
+])
+def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stacks, echelons):
+    assert analysis.ECHELON_CELLS == 1 << 15 < analysis.STACK_CELLS
+    pencil = _diagonal_pencil(*shape)
+    points = [[1, 0], [0, 1], [3, 5]]
+    stacked_calls, echelon_rows = [], []
+
+    class Counting(ModpEchelon):
+        def add(self, rows):
+            echelon_rows.append(len(rows))
+            return super().add(rows)
+
+    def counting_ranks(a, p):
+        stacked_calls.append(a.shape)
+        return modp_ranks(a, p)
+
+    monkeypatch.setattr(linalg, "ModpEchelon", Counting)
+    monkeypatch.setattr(analysis, "modp_ranks", counting_ranks)
+    assert ranks_at(pencil, points, DEFAULT_PRIME) == [min(shape)] * 3
+    assert (len(stacked_calls), len(echelon_rows)) == (stacks, echelons)
+    if stacks:
+        assert stacked_calls == [(3, *shape)]
+    # the kernels of rnd take the same route: A and its transpose apart
+    echelon_rows.clear()
+    kernels = list(analysis._kernels(pencil, points, DEFAULT_PRIME,
+                                     pencil.coeff_array_modp(DEFAULT_PRIME)))
+    assert [(len(k), len(c)) for k, c in kernels] == [(shape[1] - shape[0], 0)] * 3
+    assert len(echelon_rows) == 2 * echelons
 
 
 @pytest.mark.parametrize("prime", [9, 15, 1, 46337 * 46327])
@@ -344,12 +391,17 @@ def test_rnd_matches_the_one_at_a_time_oracle(pen, seed):
     assert rnd(pen, seed=seed) == rnd_one_at_a_time(pen, seed=seed)[0]
 
 
-@pytest.mark.parametrize("chunk_cells", [100, 16])
-def test_rnd_matches_the_oracle_in_small_chunks(chunk_cells):
-    # 100 cells: stacks of two 8x6 matrices; 16: each matrix to the echelon
+@pytest.mark.parametrize("stack_cells, echelon_cells", [
+    pytest.param(100, analysis.ECHELON_CELLS, id="100"),  # stacks of two 8x6 matrices
+    pytest.param(16, 16, id="16"),  # each matrix to the echelon
+    pytest.param(1, analysis.ECHELON_CELLS, id="one-per-stack"),
+    pytest.param(analysis.STACK_CELLS, 0, id="echelon-under-a-large-stack-budget"),
+])
+def test_rnd_matches_the_oracle_in_small_chunks(stack_cells, echelon_cells):
     pen = build_gl_pencil((2,), (2, 1), 3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(analysis, "STACK_CELLS", stack_cells)
+        mp.setattr(analysis, "ECHELON_CELLS", echelon_cells)
         assert rnd(pen, seed=1) == rnd_one_at_a_time(pen, seed=1)[0]
 
 
