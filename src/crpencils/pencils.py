@@ -156,31 +156,33 @@ def _record_value(name: str, value):
 
 def _dim_floor(kind: str, lam: Partition, n: int) -> int:
     """A lower bound on the dimension of the gl, sp or so module of lam in
-    dimension n, read off lam's rows alone: 0 for the zero module (and, as
-    no claim, for a negative weight the dimension functions treat apart),
-    1 for the trivial and determinant modules, and for any other module
-    max(n, r + 1), r its first row less its last (gl) or its first row (sp,
-    so).  The natural module is the smallest of the others, and the root
-    string through the highest weight has at least r + 1 weights (for so
-    only when m >= 3, where SO(m) has roots)."""
-    if lam and lam[-1] < 0 and (kind != "gl" or len(lam) < n):
+    dimension n, read off lam's rows alone: 1 for the trivial and
+    determinant modules, 0 for the zero module (and, making no claim, for a
+    negative weight the dimension functions treat apart), and for any
+    other module max(n, r + 1), r its first row less its last (gl) or its
+    first row (sp, so).  The natural module is the smallest of the others,
+    and the root string through the highest weight has r + 1 weights (for
+    so only when m >= 3, where SO(m) has roots)."""
+    if not lam:
+        return 1
+    if lam[-1] < 0 and (kind != "gl" or len(lam) < n):
         return 0
     if kind == "gl":
         if len(lam) > n:
             return 0
-        r = lam[0] - lam[-1] if len(lam) == n and lam else (lam[0] if lam else 0)
+        r = lam[0] - (lam[-1] if len(lam) == n else 0)
     elif kind == "sp":
         if len(lam) > n // 2:
             return 0
-        r = lam[0] if lam else 0
+        r = lam[0]
     else:
         if len(lam) + sum(x >= 2 for x in lam) > n:  # the first two columns
             return 0
         if len(lam) == n:  # (1^m), the determinant
             return 1
-        r = lam[0] if lam else 0
         if n < 3:
-            return n if r else 1
+            return n
+        r = lam[0]
     return max(n, r + 1) if r else 1
 
 

@@ -20,6 +20,7 @@ from crpencils.partitions import (
     sp_module_dim,
     weyl_dim,
 )
+from crpencils.pencils import _dim_floor
 
 
 def partitions_of(n, max_rows=None):
@@ -307,3 +308,26 @@ class TestFamilySizes:
     def test_unknown(self):
         with pytest.raises(ValueError):
             family_sizes("nope")
+
+
+@pytest.mark.parametrize("kind, dim, dims", [
+    ("gl", gl_dim, range(10)), ("sp", sp_module_dim, range(2, 10, 2)),
+    ("so", so_module_dim, range(2, 10))])
+def test_dimension_floor_bounds_every_small_module(kind, dim, dims):
+    # a lower bound that is 0 exactly for the zero modules
+    for n in dims:
+        for k in range(8):
+            for lam in partitions_of(k):
+                floor, want = _dim_floor(kind, lam, n), dim(lam, n)
+                assert floor <= want and (floor == 0) == (want == 0), (lam, n)
+
+
+def test_dimension_floor_bounds_gl_weights_with_negative_entries():
+    # a weight of n entries is a partition shifted by a power of det
+    for n in range(1, 6):
+        for shift in range(1, 3):
+            for k in range(6):
+                for lam in partitions_of(k, max_rows=n):
+                    w = tuple(x - shift for x in lam + (0,) * (n - len(lam)))
+                    floor, want = _dim_floor("gl", w, n), gl_dim(w, n)
+                    assert 0 < floor <= want and want == gl_dim(lam, n), (w, n)
