@@ -12,8 +12,12 @@ Over F_p there are two eliminations, each with its own callers:
   - the stacked forward loop (_forward) serves the ranks (modp_ranks) and
     kernels (modp_kernel of an (N, m, n) stack) of evaluated pencil
     matrices: one vectorized pass over a stack of small matrices, stored
-    column-major as (n, N, m) so that each step reads one contiguous slab,
-    reducing only when the next step could overflow.  Its entries are int32
+    column-major with the stack innermost, as (n, m, N), so that each step
+    reads one contiguous slab and each numpy loop of its update runs along
+    the N matrices of the stack rather than the m rows of one matrix,
+    reducing only when the next step could overflow.  The exhaustive runs
+    rank hundreds of 14x14 matrices per stack, where a run of 14 entries
+    cost more in loop overhead than in arithmetic.  Its entries are int32
     when 2(p-1)^2 < 2^31 (p <= 32749) and int64 otherwise, so the small
     primes of exhaustive runs move half the bytes.  analysis stacks up to
     2^17 cells (analysis.STACK_CELLS): the loop's per-column numpy calls
@@ -21,12 +25,12 @@ Over F_p there are two eliminations, each with its own callers:
   - ModpEchelon, built on modp_matmul, serves growing systems (the
     neutral-direction constraints), the qq_rref lift, Subspace, and a
     single matrix too large to stack (modp_rref, modp_rank, modp_kernel of
-    one matrix), which analysis takes to mean above 2^15 cells
-    (analysis.ECHELON_CELLS): at DEFAULT_PRIME a full stack of 128x128
-    matrices and the echelon are about even per matrix, and one 512x252
-    matrix takes 17 ms in the echelon against 75 ms stacked.  It keeps only
-    its free-column block: the pivot columns, the free columns and X, the
-    RREF restricted to the free columns.
+    one matrix), which analysis takes to mean above 10,000 cells
+    (analysis.ECHELON_CELLS): at DEFAULT_PRIME full stacks of 100x100
+    random matrices and the echelon are about even per matrix, and the
+    echelon ranks a 181x181 matrix in 9 ms against 28 ms stacked.  It keeps
+    only its free-column block: the pivot columns, the free columns and X,
+    the RREF restricted to the free columns.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -504,14 +508,16 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 def _forward(a: np.ndarray, p: int, keep_rows: bool):
     """Forward elimination of an (N, m, n) integer stack, column by column:
-    the rank of each matrix and, when keep_rows, the (N, n, n) int64 array
-    whose row c is the pivot row of column c mod p (zero where c has no
-    pivot).
+    the rank of each matrix and, when keep_rows, the (n, n, N) int64 array
+    whose [c, :, i] is the pivot row of column c of matrix i mod p (zero
+    where c has no pivot).
 
-    The stack is reduced once and stored column-major, as (n, N, m): the
-    column being eliminated is the contiguous slab a[0], and the update runs
-    over the contiguous a[1:].  Each step drops its column, so `a` holds the
-    columns not yet eliminated.  Each matrix picks its own pivot among the
+    The stack is reduced once and stored column-major with the stack index
+    innermost, as (n, m, N): the column being eliminated is the contiguous
+    (m, N) slab a[0], the pivot rows are gathered into one contiguous
+    (n - c - 1, N) array, and the update runs over the contiguous a[1:],
+    each of its numpy loops along the N matrices.  Each step drops its
+    column, so `a` holds the columns not yet eliminated.  Each matrix picks its own pivot among the
     rows it has not used yet and clears that column from its other rows
     with the inverse-free update row <- pivot*row - a_ic*pivot_row, where
     a_ic is taken as 0 in the rows it has used; a matrix without a pivot in
@@ -531,34 +537,34 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
     count, m, ncols = a.shape
     narrow = 2 * (p - 1) ** 2 < 1 << 31
     dtype, limit = (np.int32, 1 << 31) if narrow else (np.int64, 1 << 63)
-    a = np.array(_mod(a, p).transpose(2, 0, 1), dtype=dtype, order="C")
+    a = np.array(_mod(a, p).transpose(2, 1, 0), dtype=dtype, order="C")
     if m == 0:  # no rows: rank 0, no pivots
-        a = np.zeros((ncols, count, 1), dtype=dtype)
+        a = np.zeros((ncols, 1, count), dtype=dtype)
         m = 1
     mats = np.arange(count)
-    used = np.zeros((count, m), dtype=bool)
-    rows = np.zeros((count, ncols, ncols), dtype=np.int64) if keep_rows else None
+    used = np.zeros((m, count), dtype=bool)
+    rows = np.zeros((ncols, ncols, count), dtype=np.int64) if keep_rows else None
     bound = p - 1  # on |entry| of a
     for c in range(ncols):
         col = _mod(a[0], p)
         col[used] = 0
-        piv = (col != 0).argmax(axis=1)
-        pivot = col[mats, piv]
+        piv = (col != 0).argmax(axis=0)
+        pivot = col[piv, mats]
         found = pivot != 0
         a = a[1:]
-        prow = a[:, mats, piv]
+        prow = np.ascontiguousarray(a[:, piv, mats])
         if keep_rows:
-            rows[:, c, c] = pivot
-            rows[found, c, c + 1:] = _mod(prow[:, found].T, p)
-        col[mats, piv] = 0
-        a *= (pivot + ~found)[:, None]  # a matrix without a pivot keeps its rows
-        a -= col * prow[:, :, None]
+            rows[c, c] = pivot
+            rows[c, c + 1:] = _mod(prow, p) * found
+        col[piv, mats] = 0
+        a *= pivot + ~found  # a matrix without a pivot keeps its rows
+        a -= col * prow[:, None]
         bound *= 2 * (p - 1)
         if 2 * (p - 1) * bound >= limit:  # the next update could overflow
             a = _mod(a, p)
             bound = p - 1
-        used[mats, piv] |= found
-    return used.sum(axis=1), rows
+        used[piv, mats] |= found
+    return used.sum(axis=0), rows
 
 
 def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
@@ -578,7 +584,8 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray | list[np.ndarray]:
     (N, m, n) stack gives a list of N bases, the same ones: _forward keeps
     the pivot row of each column, and a stacked back substitution scales
     each to a leading 1 and clears its column from the rows above, which
-    leaves R in the pivot rows.
+    leaves R in the pivot rows.  The back substitution keeps _forward's
+    layout, the stack innermost, (n, n, N).
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim == 2:
@@ -588,12 +595,12 @@ def modp_kernel(a: np.ndarray, p: int) -> np.ndarray | list[np.ndarray]:
     _, u = _forward(a, p, keep_rows=True)
     n = a.shape[2]
     diag = np.arange(n)
-    u = _mod(u * _inverse_mod(u[:, diag, diag], p)[:, :, None], p)
+    u = _mod(u * _inverse_mod(u[diag, diag], p)[:, None], p)
     for c in range(n - 1, 0, -1):
-        u[:, :c, c:] = _mod(u[:, :c, c:] - u[:, :c, c, None] * u[:, c, None, c:], p)
+        u[:c, c:] = _mod(u[:c, c:] - u[:c, c, None] * u[c, None, c:], p)
     # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
-    ker = _mod((np.eye(n, dtype=np.int64) - u).transpose(0, 2, 1), p)
-    return [k[u[i, diag, diag] == 0] for i, k in enumerate(ker)]
+    ker = _mod(np.eye(n, dtype=np.int64)[:, :, None] - u, p).transpose(2, 1, 0)
+    return [k[d == 0] for k, d in zip(ker, u[diag, diag].T)]
 
 
 # ---------------------------------------------------------------------------

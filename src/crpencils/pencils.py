@@ -242,10 +242,13 @@ class BuildSpec:
         of them is formed: spin with 2^(n-1) > cells variables; a last field
         (v, N, m, or a, where the adjoint source is a^2 - 1) above cells;
         Koszul with min(k, v - k) > log2(cells), where C(v, k) alone is at
-        least 2^min(k, v - k); gl, sp and so when n times the _dim_floor of
-        both partitions exceeds cells, n the last field.  So spin n = 10^7
-        is refused at once, and so m = 600 without the Weyl products of
-        dims(), whose cost grows about with m^3."""
+        least 2^min(k, v - k); gl, sp and so when a partition has more than
+        cells boxes, the letters of each of its basis words, or when n times
+        the _dim_floor of both partitions exceeds cells, n the last field.
+        So spin n = 10^7 is refused at once, so m = 600 without the Weyl
+        products of dims(), whose cost grows about with m^3, and so m = 2
+        with a row of 10^9 boxes without the walk over its boxes in
+        conjugate."""
         kind, a = self.kind, self.args
         bits = cells.bit_length()
         if (a[0] > bits) if kind == "spin" else (a[-1] > cells):
@@ -253,7 +256,8 @@ class BuildSpec:
         if kind == "koszul" and min(a[0], a[1] - a[0]) > bits:
             return False
         if kind in ("gl", "sp", "so") and (
-                a[2] * _dim_floor(kind, a[0], a[2]) * _dim_floor(kind, a[1], a[2]) > cells):
+                max(size(a[0]), size(a[1])) > cells
+                or a[2] * _dim_floor(kind, a[0], a[2]) * _dim_floor(kind, a[1], a[2]) > cells):
             return False
         nvars, source_dim, target_dim = self.dims()
         return nvars * source_dim * target_dim <= cells

@@ -142,11 +142,11 @@ def _diagonal_pencil(c: int, b: int) -> Pencil:
 
 
 @pytest.mark.parametrize("shape, stacks, echelons", [
-    ((128, 256), 1, 0),  # 2^15 cells: at the bound, the three points in one stack
-    ((129, 256), 0, 3),  # above it: each matrix alone through the echelon
+    ((50, 200), 1, 0),  # 10,000 cells: at the bound, the three points in one stack
+    ((50, 201), 0, 3),  # above it: each matrix alone through the echelon
 ])
 def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stacks, echelons):
-    assert analysis.ECHELON_CELLS == 1 << 15 < analysis.STACK_CELLS
+    assert analysis.ECHELON_CELLS == 10_000 < analysis.STACK_CELLS
     pencil = _diagonal_pencil(*shape)
     points = [[1, 0], [0, 1], [3, 5]]
     stacked_calls, echelon_rows = [], []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crpencils import cli, pencils
+from crpencils import cli, partitions, pencils
 from crpencils.catalog import (
     CATALOG,
     FIXTURE_NAMES,
@@ -555,6 +555,18 @@ def test_form_records_are_refused_before_any_module_dimension(monkeypatch, recor
         monkeypatch.setattr(pencils, name, forbidden)
     with pytest.raises(ValueError, match="exceeds 1048576 coefficient cells"):
         build_from_params(record)
+
+
+def test_a_long_partition_is_refused_before_its_boxes_are_walked(monkeypatch):
+    # at m = 2 the row of 10^9 boxes has dims (2, 2, 2), which no cell
+    # bound refuses, and so_module_dim would walk every box in conjugate
+    def forbidden(*args):
+        raise AssertionError("a partition was conjugated")
+
+    monkeypatch.setattr(partitions, "conjugate", forbidden)
+    monkeypatch.setattr(pencils, "conjugate", forbidden)
+    with pytest.raises(ValueError, match="exceeds 1048576 coefficient cells"):
+        build_from_params({"kind": "so", "mu": [10 ** 9], "nu": [10 ** 9 + 1], "m": 2})
 
 
 def test_loaded_sp6_file_certifies_constant_rank():

@@ -341,6 +341,38 @@ def test_stacked_elimination_of_extreme_residues(p):
         assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
 
 
+def _staggered_stack(p, count, m, n, seed):
+    """count m x n matrices of every rank from 0 to min(m, n) in turn, with
+    the entries above row i mod m of column 0 cleared in matrix i, so that
+    the matrices of one stack pivot on different rows of the same column."""
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((count, m, n), dtype=np.int64)
+    for i in range(count):
+        r = i % (min(m, n) + 1)
+        stack[i] = modp_matmul(rng.integers(0, p, size=(m, r)), rng.integers(0, p, size=(r, n)), p)
+        stack[i, : i % max(m, 1), 0] = 0
+    return stack
+
+
+# 668 matrices of 14 x 14 are one stack of the exhaustive certify jobs
+@pytest.mark.parametrize("p", (7, DEFAULT_PRIME))
+@pytest.mark.parametrize("count, m, n", [(668, 14, 14), (1, 14, 14), (3, 0, 14), (1, 0, 5)])
+def test_stacked_elimination_of_benchmark_shapes(p, count, m, n):
+    stack = _staggered_stack(p, count, m, n, seed=count + m + p)
+    if count > m > 0:
+        leads = {int(np.flatnonzero(a[:, 0])[0]) for a in stack if a[:, 0].any()}
+        assert len(leads) > 1
+    echelons = [ModpEchelon(n, p) for _ in stack]
+    for ech, a in zip(echelons, stack):
+        ech.add(a)
+    assert modp_ranks(stack, p).tolist() == [len(ech.pivots) for ech in echelons]
+    kernels = modp_kernel(stack, p)
+    assert len(kernels) == count
+    for ker, ech in zip(kernels, echelons):
+        want = ech.kernel()
+        assert (ker.shape, ker.tolist()) == (want.shape, want.tolist())
+
+
 @pytest.mark.parametrize("p", (3, 32749, 32771, DEFAULT_PRIME))
 def test_mod_matches_python_mod(p):
     near = [lo + d for lo in (-2 ** 63, 2 ** 63 - p) for d in range(p if p < 100 else 100)]
