@@ -29,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +43,9 @@ def end_to_end() -> dict[str, str]:
 
 
 def quartiles(xs: list[float]) -> dict[str, float]:
+    """Inclusive quartiles, numpy's linear percentiles; one run is all three."""
+    if len(xs) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), xs[0])
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"q1": q1, "median": med, "q3": q3}
 
@@ -129,7 +133,7 @@ def measure(args) -> int:
         "command": "python3 perfbench/run.py --workload <w> --seconds "
                    f"{args.seconds:g} --trace 0 --seed <seed>",
         "machine": f"{os.cpu_count()}-CPU {platform.machine()}, "
-                   f"Python {platform.python_version()}, numpy {numpy_version()}",
+                   f"Python {platform.python_version()}, numpy {version('numpy')}",
         "pairing": "pair i runs parent first when i is even and change first when i is "
                    "odd; each side runs from its own clean clone of its commit",
         "commits": {side: commit for side, (_, commit) in sides.items()},
@@ -141,19 +145,31 @@ def measure(args) -> int:
     return 0
 
 
-def numpy_version() -> str:
-    try:
-        import numpy
-    except ImportError:
-        return "absent"
-    return numpy.__version__
+def rounded(x):
+    """x with every float to 12 significant digits: quartiles interpolated
+    by another formula may differ in the last bit."""
+    if isinstance(x, float):
+        return float(f"{x:.12g}")
+    if isinstance(x, dict):
+        return {k: rounded(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [rounded(v) for v in x]
+    return x
+
+
+def by_metric(summary: dict) -> dict:
+    """The summary as {workload: {metric: row}}, whatever the order."""
+    return {w: {row["metric"]: rounded(row) for row in rows} for w, rows in summary.items()}
 
 
 def check(path: str) -> int:
     doc = json.loads(Path(path).read_text())
-    got = summarize(doc["runs"], end_to_end())
-    stored = doc["summary"]
-    same = json.dumps(got, sort_keys=True) == json.dumps(stored, sort_keys=True)
+    try:
+        got = summarize(doc["runs"], end_to_end())
+        same = by_metric(got) == by_metric(doc["summary"])
+    except (KeyError, TypeError) as exc:
+        print(f"{path}: not in the layout this script writes ({exc!r})")
+        return 1
     print(f"{path}: summary {'matches' if same else 'differs from'} its runs")
     if not same:
         print(json.dumps(got, indent=1))

@@ -89,15 +89,16 @@ def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
 
     Both bounds are measured at DEFAULT_PRIME (2-CPU VM, numpy 2.4, per
     matrix, full stacks against the echelon): the stacked loop wins on
-    small matrices (64x64: 0.7 against 2.1 ms; the SO m=5 hook pencil,
-    105x81: 1.9 against 2.4 ms), the two are about even at 100x100 random
-    residues, and the echelon wins above the bound (the Koszul pencil
-    Lambda^3 -> Lambda^4 of C^9, 126x84: 3.2 stacked against 2.9 ms;
-    128x128: 6.6 against 5.6 ms).  The stacked loop runs its numpy loops along the
-    stack, so it slows as stacks of larger matrices get shorter.  A stack
-    shares the loop's numpy calls per column among its matrices; 2^17
-    cells (37 matrices of 56x63, 668 of 14x14, 1 MB of int64) ranked the
-    certify jobs about as fast as 2^16 and faster than 2^15 or 2^18."""
+    small matrices (64x64: 0.6 against 1.7 ms; the SO m=5 hook pencil,
+    105x81: 1.7 against 2.1 ms), the two are about even at 100x100 random
+    residues (2.4 against 2.7 ms), and the echelon wins above the bound
+    (the Koszul pencil Lambda^3 -> Lambda^4 of C^9, 126x84: 3.0 stacked
+    against 2.5 ms; 128x128: 5.5 against 4.6 ms).  The stacked loop runs
+    its numpy loops along the stack, so it slows as stacks of larger
+    matrices get shorter.  A stack shares the loop's numpy calls per column
+    among its matrices; 2^17 cells (37 matrices of 56x63, 668 of 14x14,
+    1 MB of int64) ranked the certify jobs fastest, 328, 271, 243 and
+    272 ms at 2^15, 2^16, 2^17 and 2^18 cells."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
     cells = pencil.target_dim * pencil.source_dim
     if cells > ECHELON_CELLS:

@@ -28,9 +28,9 @@ Over F_p there are two eliminations, each with its own callers:
     one matrix), which analysis takes to mean above 10,000 cells
     (analysis.ECHELON_CELLS): at DEFAULT_PRIME full stacks of 100x100
     random matrices and the echelon are about even per matrix, and the
-    echelon ranks a 181x181 matrix in 9 ms against 28 ms stacked.  It keeps
-    only its free-column block: the pivot columns, the free columns and X,
-    the RREF restricted to the free columns.
+    echelon ranks a 181x181 matrix in 7.5 ms against 21 ms stacked.  It
+    keeps only its free-column block: the pivot columns, the free columns
+    and X, the RREF restricted to the free columns.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -517,12 +517,12 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
     (m, N) slab a[0], the pivot rows are gathered into one contiguous
     (n - c - 1, N) array, and the update runs over the contiguous a[1:],
     each of its numpy loops along the N matrices.  Each step drops its
-    column, so `a` holds the columns not yet eliminated.  Each matrix picks its own pivot among the
-    rows it has not used yet and clears that column from its other rows
-    with the inverse-free update row <- pivot*row - a_ic*pivot_row, where
-    a_ic is taken as 0 in the rows it has used; a matrix without a pivot in
-    the column keeps its rows.  Scaling a row by a unit keeps the rank and
-    the row space.
+    column, so `a` holds the columns not yet eliminated.  Each matrix picks
+    its own pivot among the rows it has not used yet and clears that column
+    from its other rows with the inverse-free update
+    row <- pivot*row - a_ic*pivot_row, where a_ic is taken as 0 in the rows
+    it has used; a matrix without a pivot in the column keeps its rows.
+    Scaling a row by a unit keeps the rank and the row space.
 
     The steps are ring operations on integers, so only the pivot column is
     reduced, to test pivots, until the next update could overflow.  Every
