@@ -4,20 +4,15 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
         --workloads construct,certify,rnd --seed 2101 --out BENCH_21.json
 
-Each side runs `perfbench/run.py --trace 0` from its own clean clone of its
-commit.  Pair i runs the parent first when i is even and the change first
-when i is odd, and both sides of pair i of the k-th workload use the seed
---seed + 20 k + i (the stride grows with --pairs beyond 20).  The output
-file gets the keys command, machine, pairing, commits, seeds, runs (one
+Each side runs `perfbench/run.py --trace 0` for the `run_seconds` of
+BENCHMARK.json from its own clean clone of its commit.  Pair i runs the
+parent first when i is even and the change first when i is odd, and both
+sides of pair i of the k-th workload use the seed --seed + 20 k + i (the
+stride grows with --pairs beyond 20).  The output file gets the keys command, machine, pairing, commits, seeds, runs (one
 record per run, in the order they ran) and summary: per workload and per
 end-to-end metric of BENCHMARK.json, the quartiles of each side, the ratio
 of the medians and the number of pairs the change won, ties counting for
 neither side.  Other keys already in the file are kept.
-
-    python3 scripts/bench_pairs.py --check BENCH_20.json
-
-recomputes the summary of an existing file from its own runs and exits 1
-when it differs from the stored one.
 """
 from __future__ import annotations
 
@@ -36,10 +31,13 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
 
 
+def benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def end_to_end() -> dict[str, str]:
     """Each end-to-end metric of BENCHMARK.json and its better direction."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
 
 
 def quartiles(xs: list[float]) -> dict[str, float]:
@@ -108,6 +106,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def measure(args) -> int:
     workloads = args.workloads.split(",")
+    seconds = benchmark()["run_seconds"]
     stride = max(20, args.pairs)
     out_path = Path(args.out)
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -124,14 +123,14 @@ def measure(args) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     checkout, commit = sides[side]
-                    result = run_once(checkout, w, first_seed + i, args.seconds)
+                    result = run_once(checkout, w, first_seed + i, seconds)
                     runs.append({"side": side, "workload": w, "pair": i, "first": order[0],
                                  "seed": first_seed + i, "commit": commit, "result": result})
                     print(w, i, side, json.dumps(result.get("metrics", result))[:200],
                           file=sys.stderr, flush=True)
     doc.update({
-        "command": "python3 perfbench/run.py --workload <w> --seconds "
-                   f"{args.seconds:g} --trace 0 --seed <seed>",
+        "command": f"python3 perfbench/run.py --workload <w> --seconds {seconds:g} "
+                   "--trace 0 --seed <seed>",
         "machine": f"{os.cpu_count()}-CPU {platform.machine()}, "
                    f"Python {platform.python_version()}, numpy {version('numpy')}",
         "pairing": "pair i runs parent first when i is even and change first when i is "
@@ -145,53 +144,15 @@ def measure(args) -> int:
     return 0
 
 
-def rounded(x):
-    """x with every float to 12 significant digits: quartiles interpolated
-    by another formula may differ in the last bit."""
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
-    if isinstance(x, dict):
-        return {k: rounded(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [rounded(v) for v in x]
-    return x
-
-
-def by_metric(summary: dict) -> dict:
-    """The summary as {workload: {metric: row}}, whatever the order."""
-    return {w: {row["metric"]: rounded(row) for row in rows} for w, rows in summary.items()}
-
-
-def check(path: str) -> int:
-    doc = json.loads(Path(path).read_text())
-    try:
-        got = summarize(doc["runs"], end_to_end())
-        same = by_metric(got) == by_metric(doc["summary"])
-    except (KeyError, TypeError) as exc:
-        print(f"{path}: not in the layout this script writes ({exc!r})")
-        return 1
-    print(f"{path}: summary {'matches' if same else 'differs from'} its runs")
-    if not same:
-        print(json.dumps(got, indent=1))
-    return 0 if same else 1
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--check", metavar="FILE", help="recompute FILE's summary from its runs")
-    ap.add_argument("--parent", help="the commit measured as parent")
-    ap.add_argument("--change", help="the commit measured as change")
+    ap.add_argument("--parent", required=True, help="the commit measured as parent")
+    ap.add_argument("--change", required=True, help="the commit measured as change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workloads", default="construct,certify,rnd")
     ap.add_argument("--seed", type=int, default=0, help="first seed of the first workload")
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--out", help="the BENCH_<n>.json file to write")
-    args = ap.parse_args(argv)
-    if args.check:
-        return check(args.check)
-    if not (args.parent and args.change and args.out):
-        ap.error("--parent, --change and --out are required unless --check is given")
-    return measure(args)
+    ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
+    return measure(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -509,8 +509,10 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 def _forward(a: np.ndarray, p: int, keep_rows: bool):
     """Forward elimination of an (N, m, n) integer stack, column by column:
     the rank of each matrix and, when keep_rows, the (n, n, N) int64 array
-    whose [c, :, i] is the pivot row of column c of matrix i mod p (zero
-    where c has no pivot).
+    whose [c, :, i] is the pivot row of column c of matrix i mod p.  Where
+    c has no pivot, its diagonal entry [c, c, i] is 0 and the rest of the
+    row is arbitrary: modp_kernel scales each kept row by the inverse of
+    its diagonal, which is 0 for 0.
 
     The stack is reduced once and stored column-major with the stack index
     innermost, as (n, m, N): the column being eliminated is the contiguous
@@ -555,7 +557,7 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
         prow = np.ascontiguousarray(a[:, piv, mats])
         if keep_rows:
             rows[c, c] = pivot
-            rows[c, c + 1:] = _mod(prow, p) * found
+            rows[c, c + 1:] = _mod(prow, p)
         col[piv, mats] = 0
         a *= pivot + ~found  # a matrix without a pivot keeps its rows
         a -= col * prow[:, None]
