@@ -27,7 +27,6 @@ from .linalg import (
     modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
-    reduce_mod,
 )
 from .modules import exp_two_form, spin_space
 from .partitions import (
@@ -193,7 +192,7 @@ def structured_points(pencil: Pencil, prime: int, rng: random.Random,
         pairs = [I for I in even if len(I) == 2]
         for _ in range(count):
             delta = exp_two_form({I: rng.randrange(prime) for I in pairs})
-            x = tuple(reduce_mod(delta.get(I, 0), prime) for I in even)
+            x = tuple(delta.get(I, 0) % prime for I in even)
             pts.append((x, "pure-spinor"))
     return pts
 

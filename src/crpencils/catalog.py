@@ -16,12 +16,11 @@ import re
 import traceback
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
-from fractions import Fraction
 from importlib import resources
 from math import ceil, comb, gcd, lcm
 from operator import itemgetter, lt
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,9 +63,7 @@ from .pencils import (
     theta_map,
 )
 from .modules import a_vector, exp_two_form
-from .tensors import WordBatch, integer_scaled, perm_sign
-
-ZERO = Fraction(0)
+from .tensors import WordBatch, perm_sign, tensor_iadd
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +369,6 @@ def _sample_ranks(pencil: Pencil, prime: int, rng: random.Random,
     return set(ranks_at(pencil, _random_points(pencil.nvars, prime, rng, count), prime))
 
 
-def _mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
-    return [sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), ZERO)
-            for row in mat]
-
-
 # -- GL entries -------------------------------------------------------------
 
 
@@ -564,7 +556,7 @@ def _smith_rep(a: int, b: int, r: int) -> list[list[int]]:
 
 
 def _theta_rank(X) -> int:
-    return qq_rank(theta_map(X, (2,), (1,), (1,), (1, 1)))
+    return qq_rank(theta_map(X, (2,), (1,), (1,), (1, 1))[0])
 
 
 def _check_theta_formula(cfg: CatalogRunConfig):
@@ -706,18 +698,13 @@ def _check_sp6_koszul_expansion(cfg: CatalogRunConfig):
 
 
 def _so_sym2_kernel_tensor(v: list[int], m: int):
-    """The traceless kernel tensor m*(v x v) - q(v)*qhat at a point v."""
+    """The traceless kernel tensor m*(v x v) - q(v)*qhat at an integer
+    point v, in integers."""
     form = orthogonal_form(m)
     qv = sum(form.value(i, j) * v[i] * v[j]
              for i in range(m) for j in range(m))
-    t: dict = {}
-    for i in range(m):
-        for j in range(m):
-            if v[i] and v[j]:
-                t[(i, j)] = t.get((i, j), ZERO) + Fraction(m * v[i] * v[j])
-    for w, c in orthogonal_form(m).dual_tensor().items():
-        t[w] = t.get(w, ZERO) - qv * c
-    return {w: c for w, c in t.items() if c}
+    t = {(i, j): m * v[i] * v[j] for i in range(m) for j in range(m) if v[i] and v[j]}
+    return tensor_iadd(t, form.dual_tensor(), -qv)
 
 
 def _check_so_sym2_family(cfg: CatalogRunConfig):
@@ -749,15 +736,12 @@ def _check_so_sym2_family(cfg: CatalogRunConfig):
             v = [rng.randint(-9, 9) for _ in range(m)]
             if not any(v):
                 v[0] = 1
-            # a positive multiple of the kernel tensor, in integers
-            t, _ = integer_scaled(_so_sym2_kernel_tensor(v, m))
+            t = _so_sym2_kernel_tensor(v, m)
             coords = smod.span.coordinates(WordBatch.from_tensors([t], 2, m))[0]
             if coords is None:
                 ok = False
                 break
-            image = _mat_vec(pen.evaluate(v),
-                             [Fraction(coords.get(k, 0)) for k in range(smod.dim)])
-            if any(image):
+            if any(pen.evaluate(v) @ [coords.get(k, 0) for k in range(smod.dim)]):
                 ok = False
                 break
         if not ok:
@@ -821,7 +805,7 @@ def _spin_var_vector(delta: dict, even_basis: list) -> list:
 
 def _random_pure_spinor(rng: random.Random, n: int = 5) -> dict:
     pairs = [I for I in spin_space(n).even_basis if len(I) == 2]
-    return exp_two_form({I: Fraction(rng.randint(-5, 5)) for I in pairs})
+    return exp_two_form({I: rng.randint(-5, 5) for I in pairs})
 
 
 def _check_spin10_pencil(cfg: CatalogRunConfig):
@@ -838,13 +822,13 @@ def _check_spin10_pencil(cfg: CatalogRunConfig):
     even_basis = spin_space(5).even_basis
     ok_prop, ok_kernel = True, True
     for _ in range(100):
-        delta = {I: Fraction(rng.randint(-5, 5)) for I in even_basis}
+        delta = {I: rng.randint(-5, 5) for I in even_basis}
         kv = spin_kernel_vector(delta, 5)
         av = a_vector(delta, 5)
         if [4 * c for c in kv] != av:
             ok_prop = False
         mat = pen.evaluate(_spin_var_vector(delta, even_basis))
-        if any(_mat_vec(mat, kv)) or any(_mat_vec(mat, av)):
+        if any(mat @ kv) or any(mat @ av):
             ok_kernel = False
     _true(failures, details, "kernel map proportional to gamma pairing",
           ok_prop)
@@ -859,19 +843,19 @@ def _check_spin10_pencil(cfg: CatalogRunConfig):
     return details, failures
 
 
-def _spin_fixture_h(delta_of: Callable[[tuple], Fraction]) -> list[Fraction]:
+def _spin_fixture_h(delta_of: Callable[[tuple], int]) -> list[int]:
     """The orthogonal vector (h_1..h_5, h_1*..h_5*) for the bundled matrix."""
-    def d(i: int, j: int) -> Fraction:
+    def d(i: int, j: int) -> int:
         return delta_of((min(i, j), max(i, j)))
 
-    def theta(m: int) -> Fraction:
+    def theta(m: int) -> int:
         rest = tuple(sorted(set(range(1, 6)) - {m}))
         return perm_sign((m,) + rest) * delta_of(rest)
 
     h = []
     for i in range(1, 6):
-        h.append(sum((d(i, j) * theta(j) for j in range(i + 1, 6)), ZERO)
-                 - sum((d(i, j) * theta(j) for j in range(1, i)), ZERO))
+        h.append(sum(d(i, j) * theta(j) for j in range(i + 1, 6))
+                 - sum(d(i, j) * theta(j) for j in range(1, i)))
     for i in range(1, 6):
         j, k, l, m = sorted(set(range(1, 6)) - {i})
         quad = d(j, k) * d(l, m) - d(j, l) * d(k, m) + d(j, m) * d(k, l)
@@ -897,10 +881,10 @@ def _check_spin10_fixture(cfg: CatalogRunConfig):
                   for m in (5, 4, 3, 2, 1)])
     ok = True
     for _ in range(100):
-        vals = {s: Fraction(rng.randint(-5, 5)) for s in subsets}
+        vals = {s: rng.randint(-5, 5) for s in subsets}
         mat = fix.evaluate([vals[s] for s in subsets])
         h = _spin_fixture_h(lambda s: vals[s])
-        if any(_mat_vec(mat, h)):
+        if any(mat @ h):
             ok = False
             break
     _true(failures, details,

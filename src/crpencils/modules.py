@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import coef_dtype, distinct_primitive_rows, max_abs, qq_kernel, qq_rref
+from .linalg import coef_dtype, distinct_primitive_rows, max_abs, qq_kernel
 from .partitions import (
     GroupSpec,
     Partition,
@@ -43,8 +42,6 @@ from .tensors import (
     tableau_word,
     tensor_iadd,
 )
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +85,14 @@ class FormSpec:
         return w
 
     def dual_tensor(self) -> SparseTensor:
-        """The invariant 2-tensor: q-hat = sum q^{ab} e_a x e_b (inverse Gram),
-        read off the RREF [I | G^-1] of [G | I], row a as u[a] / s[a]."""
-        n = self.dim
-        u, s, _ = qq_rref(np.hstack([self.gram, np.eye(n, dtype=np.int64)]))
-        u, s = u.tolist(), s.tolist()
-        return {(a, b): Fraction(u[a][n + b], s[a])
-                for a in range(n) for b in range(n) if u[a][n + b]}
+        """The invariant 2-tensor: q-hat = sum q^{ab} e_a x e_b (inverse Gram).
+        In split coordinates G is a signed permutation, so G^-1 = G^T: row a
+        holds B(b, a) at b = partner[a]."""
+        partner, value = self.partners
+        if not np.isin(value, (-1, 1)).all():
+            raise AssertionError("the Gram matrix is not a signed permutation")
+        value = value.tolist()
+        return {(a, b): value[b] for a, b in enumerate(partner.tolist())}
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +111,7 @@ def orthogonal_form(m: int) -> FormSpec:
     return FormSpec("orthogonal", m, square_matrix(m, {**pairs, (m - 1, m - 1): m % 2}))
 
 
-def form_lie_basis(form: FormSpec) -> list[tuple[tuple[Fraction, ...], ...]]:
+def form_lie_basis(form: FormSpec) -> list[tuple[tuple[int, ...], ...]]:
     """Basis of the Lie algebra preserving the form: X with X^T G + G X = 0,
     namely X = G^{-1} S for S = E_ab + E_ba (Sp, a <= b) or E_ab - E_ba
     (SO, a < b)."""
@@ -123,10 +121,10 @@ def form_lie_basis(form: FormSpec) -> list[tuple[tuple[Fraction, ...], ...]]:
     out = []
     for a in range(n):
         for b in range(a if sign == 1 else a + 1, n):
-            x = [[ZERO] * n for _ in range(n)]
+            x = [[0] * n for _ in range(n)]
             for i in range(n):
-                x[i][b] += ginv.get((i, a), ZERO)
-                x[i][a] += sign * ginv.get((i, b), ZERO)
+                x[i][b] += ginv.get((i, a), 0)
+                x[i][a] += sign * ginv.get((i, b), 0)
             out.append(tuple(map(tuple, x)))
     return out
 
@@ -265,7 +263,7 @@ def lie_action(X: Sequence[Sequence[int]], batch: WordBatch) -> WordBatch:
 # ---------------------------------------------------------------------------
 # spin representations on the exterior algebra of a maximal isotropic E
 
-Spinor = dict  # sorted tuple of indices in range(n) -> Fraction
+Spinor = dict  # sorted tuple of indices in range(n) -> int
 
 
 def spin_basis(n: int, parity: int) -> list[tuple[int, ...]]:
@@ -331,69 +329,64 @@ def clifford_unit(j: int, s: Spinor, n: int) -> Spinor:
     return wedge_e(j, s) if j < n else contract_f(j - n, s)
 
 
-def spin_form_value(a: int, b: int, n: int) -> Fraction:
-    """Polarized quadratic form B on W = E + F: B(e_i, f_i) = 1/2."""
-    return Fraction(1, 2) if a // n != b // n and a % n == b % n else ZERO
+@lru_cache(maxsize=None)
+def complement_sign(idx: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """(comp, sign): the indices of range(n) outside idx, and the sign of
+    the permutation sorting idx followed by comp."""
+    comp = tuple(x for x in range(n) if x not in idx)
+    return comp, perm_sign(idx + comp)
 
 
-def beta_pairing(s: Spinor, t: Spinor, n: int) -> Fraction:
+def beta_pairing(s: Spinor, t: Spinor, n: int) -> int:
     """Canonical spinor pairing: coefficient of e_1^...^e_n in s ^ rev(t)."""
-    total = ZERO
-    full = tuple(range(n))
+    total = 0
     for idx, c in s.items():
-        comp = tuple(x for x in full if x not in idx)
+        comp, sign = complement_sign(idx, n)
         x = t.get(comp)
-        if not x:
-            continue
-        # shuffle sign of idx followed by comp into sorted order, times the
-        # sign of reversing comp
-        k = len(comp)
-        sign = perm_sign(idx + comp) * (-1) ** (k * (k - 1) // 2)
-        total += sign * c * x
+        if x:
+            # the shuffle sign of idx followed by comp, times the sign of
+            # reversing comp
+            k = len(comp)
+            total += sign * (-1) ** (k * (k - 1) // 2) * c * x
     return total
 
 
 def exp_two_form(d2: dict) -> Spinor:
-    """exp(delta2) . 1 = sum_k delta2^k / k! (wedge powers) for a two-form
-    {sorted pair: coefficient}: a pure spinor for every n.  The sum stops
-    once a power vanishes, at k = n // 2 + 1 at the latest."""
-    out: Spinor = {(): Fraction(1)}
+    """exp(delta2) . 1 = sum_k delta2^k / k! (wedge powers) for an integer
+    two-form {sorted pair: coefficient}: a pure spinor for every n.  The
+    coefficients of delta2^k / k! are Pfaffians, so each power divides
+    exactly.  The sum stops once a power vanishes, at k = n // 2 + 1 at the
+    latest."""
+    out: Spinor = {(): 1}
     term, k = out, 0
     while term:
         k += 1
-        term = {I: c / k for I, c in wedge(d2, term).items()}
+        term = {I: c // k for I, c in wedge(d2, term).items()}
         out.update(term)
     return out
 
 
-def gamma_pairing(k: int, s: Spinor, t: Spinor, n: int) -> dict[tuple[int, ...], Fraction]:
-    """Coefficients of beta(x_J . s, t) over monomials x_J of Lambda^k W.
-
-    Keys are strictly increasing index tuples into the W basis
-    (e_0..e_{n-1}, f_0..f_{n-1}); the Clifford factors act rightmost first.
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for J in combinations(range(2 * n), k):
-        acted = s
-        for j in reversed(J):
-            acted = clifford_unit(j, acted, n)
-        val = beta_pairing(acted, t, n)
+def gamma_pairing(s: Spinor, t: Spinor, n: int) -> dict[int, int]:
+    """The nonzero beta(w_j . s, t) by index j into the W basis
+    (e_0..e_{n-1}, f_0..f_{n-1})."""
+    out: dict[int, int] = {}
+    for j in range(2 * n):
+        val = beta_pairing(clifford_unit(j, s, n), t, n)
         if val:
-            out[J] = val
+            out[j] = val
     return out
 
 
-def a_vector(delta: Spinor, n: int) -> list[Fraction]:
+def a_vector(delta: Spinor, n: int) -> list[int]:
     """The equivariant quadratic map Sym^2(Delta+) -> W evaluated at delta.
 
-    gamma_pairing(1, delta, delta) yields the covector w -> beta(w.delta,
+    gamma_pairing(delta, delta) yields the covector w -> beta(w.delta,
     delta); identifying W^* with W through the polarized form B (the B-dual
     of e_j is 2 f_j and vice versa) gives a genuine vector of W, which spans
     Ker(psi_delta) whenever that kernel is a line.
     """
-    cov = gamma_pairing(1, delta, delta, n)
-    out = [ZERO] * (2 * n)
-    for (j,), c in cov.items():
+    out = [0] * (2 * n)
+    for j, c in gamma_pairing(delta, delta, n).items():
         out[(j + n) % (2 * n)] = 2 * c
     return out
 
@@ -404,18 +397,19 @@ def spin_lie_generators(n: int) -> list[tuple[int, int]]:
 
 
 def spin_lie_action(a: int, b: int, s: Spinor, n: int) -> Spinor:
-    """F_ab . s with F_ab = (w_a w_b - w_b w_a)/4."""
+    """4 F_ab . s = (w_a w_b - w_b w_a) . s, in integers."""
     out: Spinor = {}
-    tensor_iadd(out, clifford_unit(a, clifford_unit(b, s, n), n), Fraction(1, 4))
-    tensor_iadd(out, clifford_unit(b, clifford_unit(a, s, n), n), Fraction(-1, 4))
+    tensor_iadd(out, clifford_unit(a, clifford_unit(b, s, n), n))
+    tensor_iadd(out, clifford_unit(b, clifford_unit(a, s, n), n), -1)
     return out
 
 
-def spin_lie_on_w(a: int, b: int, n: int) -> list[list[Fraction]]:
-    """Matrix of [F_ab, -] on W: [F_ab, w] = B(w_b,w) w_a - B(w_a,w) w_b."""
+def spin_lie_on_w(a: int, b: int, n: int) -> list[list[int]]:
+    """Matrix of 2 [F_ab, -] on W, in integers: [F_ab, w] = B(w_b,w) w_a -
+    B(w_a,w) w_b, and the polarized form B pairs e_i with f_i to 1/2 and
+    is zero on every other pair of basis vectors."""
     dim = 2 * n
-    m = [[ZERO] * dim for _ in range(dim)]
-    for c in range(dim):
-        m[a][c] += spin_form_value(b, c, n)
-        m[b][c] -= spin_form_value(a, c, n)
+    m = [[0] * dim for _ in range(dim)]
+    m[a][(b + n) % dim] += 1
+    m[b][(a + n) % dim] -= 1
     return m

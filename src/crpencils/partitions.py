@@ -6,8 +6,8 @@ is allowed for GL weights such as (2, 0, ..., 0, -1).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple
 
@@ -179,9 +179,10 @@ def gl_dim(lam: Iterable[int], n: int) -> int:
     return num // den
 
 
-def _product_formula(lvec: list[Fraction], rvec: list[Fraction], kind: str) -> int:
-    """Weyl dimension product for types B/C/D with l = lam+rho, r = rho."""
-    num, den = Fraction(1), Fraction(1)
+def _product_formula(lvec: list[int], rvec: list[int], kind: str) -> int:
+    """Weyl dimension product for types B/C/D with l = lam+rho, r = rho,
+    both doubled: each factor's numerator and denominator scale alike."""
+    num, den = 1, 1
     k = len(lvec)
     for i in range(k):
         for j in range(i + 1, k):
@@ -191,10 +192,9 @@ def _product_formula(lvec: list[Fraction], rvec: list[Fraction], kind: str) -> i
         for i in range(k):
             num *= lvec[i]
             den *= rvec[i]
-    d = num / den
-    if d.denominator != 1:
+    if num % den:
         raise ArithmeticError("Weyl dimension is not an integer; bad weight?")
-    return int(d)
+    return num // den
 
 
 def weyl_dim(group: GroupSpec, weight: Iterable[int], doubled: bool = False) -> int:
@@ -205,40 +205,41 @@ def weyl_dim(group: GroupSpec, weight: Iterable[int], doubled: bool = False) -> 
     spin weights are passed with doubled=True, meaning every entry is twice
     the actual coordinate.  For the D series the last entry may be negative
     (the two half-spin families); otherwise weights must be dominant.
+    Every coordinate is doubled here, so the arithmetic is in integers.
     """
-    w = [Fraction(x, 2 if doubled else 1) for x in weight]
+    w = [operator.index(x) * (1 if doubled else 2) for x in weight]
     fam = group.family
     if fam == "GL":
         n = group.natural_dim
         if len(w) > n:
             raise ValueError("weight longer than GL rank")
-        w = w + [Fraction(0)] * (n - len(w))
-        if any(x.denominator != 1 for x in w):
+        w = w + [0] * (n - len(w))
+        if any(x % 2 for x in w):
             raise ValueError("GL weights must be integral")
         if any(w[i] < w[i + 1] for i in range(n - 1)):
             raise ValueError("weight is not dominant")
-        return gl_dim(tuple(int(x) for x in w), n)
+        return gl_dim(tuple(x // 2 for x in w), n)
 
     rank = group.rank
     if len(w) > rank:
         raise ValueError(f"weight longer than rank {rank} of {fam}({group.natural_dim})")
-    w = w + [Fraction(0)] * (rank - len(w))
+    w = w + [0] * (rank - len(w))
     if fam == "Sp":
         if any(w[i] < w[i + 1] for i in range(rank - 1)) or w[-1] < 0:
             raise ValueError("weight is not dominant for Sp")
-        if any(x.denominator != 1 for x in w):
+        if any(x % 2 for x in w):
             raise ValueError("Sp weights must be integral")
-        rho = [Fraction(rank - i) for i in range(rank)]
+        rho = [2 * (rank - i) for i in range(rank)]
         return _product_formula([w[i] + rho[i] for i in range(rank)], rho, "C")
     if fam == "SO" and group.natural_dim % 2 == 1:
         if any(w[i] < w[i + 1] for i in range(rank - 1)) or w[-1] < 0:
             raise ValueError("weight is not dominant for SO(odd)")
-        rho = [Fraction(2 * (rank - i) - 1, 2) for i in range(rank)]
+        rho = [2 * (rank - i) - 1 for i in range(rank)]
         return _product_formula([w[i] + rho[i] for i in range(rank)], rho, "B")
     # D series: SO(2k) and Spin(2k); allow w[-1] < 0
     if any(w[i] < w[i + 1] for i in range(rank - 1)) or (rank >= 2 and w[-2] < abs(w[-1])):
         raise ValueError("weight is not dominant for the D series")
-    rho = [Fraction(rank - 1 - i) for i in range(rank)]
+    rho = [2 * (rank - 1 - i) for i in range(rank)]
     return _product_formula([w[i] + rho[i] for i in range(rank)], rho, "D")
 
 

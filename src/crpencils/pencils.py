@@ -20,8 +20,8 @@ adjusted accordingly (rho_t = -rho^T for the directly realized action rho).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
@@ -33,6 +33,7 @@ from .linalg import coef_dtype, max_abs, modp_matmul
 from .modules import (
     RealizedModule,
     clifford_unit,
+    complement_sign,
     contract_f,
     form_lie_basis,
     lie_action,
@@ -63,7 +64,6 @@ from .tensors import (
     cell_slot,
     chevalley_generators,
     letter_images,
-    perm_sign,
     place_values,
     ragged,
     square_matrix,
@@ -71,8 +71,6 @@ from .tensors import (
     symmetrize_rows,
     tensor_iadd,
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -309,13 +307,15 @@ class Pencil:
         labels = var_labels or tuple(f"x_{i+1}" for i in range(nvars))
         return cls(nvars, source_dim, target_dim, coeffs, den // gcd(den, g), labels, spec)
 
-    def evaluate(self, x: Sequence) -> list[list[Fraction]]:
-        """sum x_i A_i without the global denominator (rank-equivalent)."""
-        xs = [Fraction(xi) for xi in x]
-        out = [[ZERO] * self.source_dim for _ in range(self.target_dim)]
+    def evaluate(self, x: Sequence[int]) -> np.ndarray:
+        """sum x_i A_i at an integer point without the global denominator
+        (rank-equivalent), as an object array of Python ints: exact at any
+        size, and so is its product with an integer vector."""
+        xs = [operator.index(xi) for xi in x]
+        out = np.zeros((self.target_dim, self.source_dim), dtype=object)
         for var, r, c, num in self.coeffs:
             if xs[var]:
-                out[r][c] += xs[var] * num
+                out[r, c] += xs[var] * num
         return out
 
     def coeff_array_modp(self, p: int) -> np.ndarray:
@@ -567,39 +567,37 @@ def build_spin_pencil(n: int) -> Pencil:
                                BuildSpec("spin", (n,)), labels)
 
 
-def _complement_sign(J: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    comp = tuple(x for x in range(n) if x not in J)
-    return comp, perm_sign(J + comp)
-
-
-def spin_kernel_vector(delta: dict, n: int = 5) -> list[Fraction]:
+def spin_kernel_vector(delta: dict, n: int = 5) -> list[int]:
     """The kernel line of psi_delta from the graded pieces of delta.
 
     delta = delta0 + delta2 + delta4 in Lambda(even) E; the result lives in
     W = E + F: the E-part is the contraction of delta2 with the functional
     delta4* (Lambda^4 E identified with E* via the volume form), the F-part
     is (delta0 delta4 - 1/2 delta2 ^ delta2) under Lambda^4 E = F.  Returns
-    the zero vector on the degenerate locus (e.g. pure spinors).
+    the zero vector on the degenerate locus (e.g. pure spinors).  delta
+    is integral, and so is the result: the coefficients of delta2 ^ delta2
+    are twice Pfaffians.
     """
     if n != 5:
         raise ValueError("the closed-form kernel vector is specific to n=5")
-    e_part = [ZERO] * n
-    f_part = [ZERO] * n
-    d0 = delta.get((), ZERO)
+    e_part = [0] * n
+    f_part = [0] * n
+    d0 = delta.get((), 0)
     d2 = {I: c for I, c in delta.items() if len(I) == 2}
     d4 = {I: c for I, c in delta.items() if len(I) == 4}
     # delta4* as an F-vector, then contract into delta2
     for J, c in d4.items():
-        comp, sign = _complement_sign(J, n)
+        comp, sign = complement_sign(J, n)
         contracted = clifford_unit(n + comp[0], d2, n)
         # contraction convention: delta4* pairs with the *second* factor of
         # delta2, opposite to the f-contraction of clifford_unit
         for (i,), x in contracted.items():
             e_part[i] -= sign * c * x
     # (d0 d4 - 1/2 d2 ^ d2)^# in F
-    top4 = tensor_iadd({J: d0 * c for J, c in d4.items()}, wedge(d2, d2), Fraction(-1, 2))
+    top4 = tensor_iadd({J: d0 * c for J, c in d4.items()},
+                       {J: c // 2 for J, c in wedge(d2, d2).items()}, -1)
     for J, c in top4.items():
-        comp, sign = _complement_sign(J, n)
+        comp, sign = complement_sign(J, n)
         f_part[comp[0]] += sign * c
     return e_part + f_part
 
@@ -666,14 +664,16 @@ def _form_equivariance(smod: RealizedModule, tmod: RealizedModule) -> list[Equiv
 
 
 def _spin_equivariance(n: int) -> list[EquivarianceData]:
+    # spin_lie_action is 4 F_ab and spin_lie_on_w is 2 [F_ab, -]
     ss = spin_space(n)
 
     def spin_matrix(a, b, basis):
-        return IntMatrix.from_columns(basis, [spin_lie_action(a, b, {I: 1}, n) for I in basis])
+        cols = [spin_lie_action(a, b, {I: 1}, n) for I in basis]
+        return replace(IntMatrix.from_columns(basis, cols), den=4)
 
     return [
         EquivarianceData(spin_matrix(a, b, ss.even_basis),
-                         IntMatrix.from_dense(spin_lie_on_w(a, b, n)),
+                         replace(IntMatrix.from_dense(spin_lie_on_w(a, b, n)), den=2),
                          spin_matrix(a, b, ss.odd_basis))
         for a, b in spin_lie_generators(n)
     ]
@@ -748,13 +748,15 @@ def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
 
 
 def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
-              mu: Partition, mu_p: Partition) -> list[list[Fraction]]:
+              mu: Partition, mu_p: Partition) -> tuple[np.ndarray, int]:
     """Matrix of Theta_X: S_lam A x S_mu B -> S_lam' A x S_mu' B.
 
     lam' is lam minus one box and mu' is mu plus one box; X in Hom(A,B) is an
     a x b matrix sending the i-th basis vector of A to sum_j X[i][j] e_j.
     Rows are indexed by (target-A, target-B) pairs, columns by (source-A,
-    source-B) pairs, both in row-major pair order.
+    source-B) pairs, both in row-major pair order.  Returns (rows, den):
+    the matrix is rows / den, rows an object array of Python ints.  X may
+    be rational; its entries are read through numerator / denominator.
     """
     lam, lam_p = check_partition(lam), check_partition(lam_p)
     mu, mu_p = check_partition(mu), check_partition(mu_p)
@@ -773,7 +775,7 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     b_side, db = _span_map(sb, lambda part: apply_symmetrizer(
         part.with_letter_inserted(slot_add), mu_p), sbp, b)
     # X = xn / dx, and Theta_X sums xn[alpha, beta] times both sides' products
-    xs = {(alpha, beta): Fraction(x) for alpha, row in enumerate(X)
+    xs = {(alpha, beta): x for alpha, row in enumerate(X)
           for beta, x in enumerate(row) if x}
     dx = lcm(1, *(x.denominator for x in xs.values()))
     xn = {ab: x.numerator * (dx // x.denominator) for ab, x in xs.items()}
@@ -789,10 +791,10 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
             for kb, jb, vb in terms:
                 at = (ka * sbp.dim + kb, ja * sb.dim + jb)
                 sums[at] = sums.get(at, 0) + x * vb
-    out = [[ZERO] * (sa.dim * sb.dim) for _ in range(sap.dim * sbp.dim)]
+    out = np.zeros((sap.dim * sbp.dim, sa.dim * sb.dim), dtype=object)
     for (r, c), n in sums.items():
-        out[r][c] = Fraction(n, da * db * dx)
-    return out
+        out[r, c] = n
+    return out, da * db * dx
 
 
 def hyperplane_bound_criterion(lam: Partition, mu: Partition, p: int) -> tuple[bool, int]:

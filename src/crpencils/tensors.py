@@ -1,7 +1,7 @@
 """Sparse tensors on word bases, batched Young symmetrizers, and graded spans.
 
 A tensor in V^{tensor d} is a dict mapping words (tuples of 0-based letters)
-to int or Fraction coefficients.  Permutations act on slots: (sigma . w) puts
+to int coefficients.  Permutations act on slots: (sigma . w) puts
 the letter from slot i into slot sigma[i].
 
 Young symmetrizers act on a WordBatch: many integer tensors of one degree,
@@ -22,16 +22,15 @@ GradedSpan holds a canonical (per-block RREF) basis of the span of a batch
 of tensors that are homogeneous for some grading of words (content, or
 torus weight), as that basis scaled to primitive integer tensors: the
 (u, s, pivots) that qq_rref returns for each block's dense integer matrix,
-with no per-word dict and no Fraction.  The span reads the coordinates of a
+with no per-word dict.  The span reads the coordinates of a
 whole batch at once, as the values at the pivot words, and checks
 membership in integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ from .linalg import coef_dtype, int_array, max_abs, qq_rref
 from .partitions import Partition, check_partition, conjugate
 
 Word = tuple[int, ...]
-SparseTensor = dict  # Word -> int or Fraction
+SparseTensor = dict  # Word -> int
 
 PASS_CELLS = 1 << 15  # expanded terms a coset pass holds at once
 
@@ -257,14 +256,6 @@ def apply_symmetrizer(b: WordBatch, lam: Partition) -> WordBatch:
     for slots in _young_groups(check_partition(lam))[1]:
         b = _permutation_pass(b, slots, True)
     return b
-
-
-def integer_scaled(t: SparseTensor) -> tuple[SparseTensor, Fraction]:
-    """(s t, s): t scaled to a primitive integer tensor by a rational s > 0."""
-    den = lcm(1, *(x.denominator for x in t.values()))
-    nums = {w: x.numerator * (den // x.denominator) for w, x in t.items()}
-    g = gcd(*nums.values()) or 1
-    return {w: x // g for w, x in nums.items()}, Fraction(den, g)
 
 
 def semistandard_tableaux(lam: Partition, v: int) -> list[tuple[tuple[int, ...], ...]]:

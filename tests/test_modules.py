@@ -39,14 +39,20 @@ from crpencils.tensors import (
     WordBatch,
     apply_symmetrizer,
     chevalley_generators,
-    integer_scaled,
     perm_sign,
     semistandard_tableaux,
     square_matrix,
     tableau_word,
     tensor_iadd,
 )
-from word_oracles import basis_tensors, contract, pivot_words, tensors_of, word_grade
+from word_oracles import (
+    basis_tensors,
+    contract,
+    integer_scaled,
+    pivot_words,
+    tensors_of,
+    word_grade,
+)
 
 
 def partitions_up_to(n, max_rows):
@@ -509,8 +515,8 @@ class TestSpin:
             }
 
         s, t, t2 = rand_even(), rand_even(), rand_even()
-        lhs = gamma_pairing(1, s, {k: t.get(k, Fraction(0)) + t2.get(k, Fraction(0)) for k in set(t) | set(t2)}, n)
-        r1, r2 = gamma_pairing(1, s, t, n), gamma_pairing(1, s, t2, n)
+        lhs = gamma_pairing(s, {k: t.get(k, Fraction(0)) + t2.get(k, Fraction(0)) for k in set(t) | set(t2)}, n)
+        r1, r2 = gamma_pairing(s, t, n), gamma_pairing(s, t2, n)
         for J in set(lhs) | set(r1) | set(r2):
             assert lhs.get(J, Fraction(0)) == r1.get(J, Fraction(0)) + r2.get(J, Fraction(0))
 
@@ -520,7 +526,7 @@ class TestSpin:
         ss = spin_space(n)
         for I in ss.even_basis:
             delta = {I: Fraction(3)}
-            assert gamma_pairing(1, delta, delta, n) == {}
+            assert gamma_pairing(delta, delta, n) == {}
             assert all(x == 0 for x in a_vector(delta, n))
 
     def test_a_vector_in_kernel(self):
@@ -536,7 +542,8 @@ class TestSpin:
             assert clifford_action(av, delta, n) == {}
 
     def test_spin_lie_consistency(self):
-        # [F_ab, w].s = F(w.s) - w.(F s)
+        # [F_ab, w].s = F(w.s) - w.(F s), where spin_lie_on_w is 2 [F_ab, -]
+        # and spin_lie_action is 4 F_ab
         n = 3
         ss = spin_space(n)
         rng = random.Random(5)
@@ -552,7 +559,7 @@ class TestSpin:
 
                 for i in range(2 * n):
                     if m[i][j]:
-                        tensor_iadd(lhs, clifford_action(basis_vector_w(i, n), s, n), m[i][j])
+                        tensor_iadd(lhs, clifford_action(basis_vector_w(i, n), s, n), 2 * m[i][j])
                 rhs = {}
                 tensor_iadd(rhs, spin_lie_action(a, b, clifford_action(w, s, n), n), Fraction(1))
                 tensor_iadd(rhs, clifford_action(w, spin_lie_action(a, b, s, n), n), Fraction(-1))

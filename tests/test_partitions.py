@@ -22,6 +22,8 @@ from crpencils.partitions import (
 )
 from crpencils.pencils import _dim_floor
 
+from word_oracles import weyl_dim_fractions
+
 
 def partitions_of(n, max_rows=None):
     """All partitions of n, brute force."""
@@ -193,6 +195,37 @@ class TestGLDim:
         assert total == gl_dim(mu, n + 1)
 
 
+# GL, C (Sp), B (odd SO) and D (even SO, Spin) groups, each with a weight of
+# up to one entry past its rank: a dominant one, an all-odd one (doubled,
+# the half-spin weights) or an arbitrary one
+groups = st.one_of(
+    st.integers(1, 5).map(lambda n: GroupSpec("GL", n)),
+    st.integers(1, 4).map(lambda n: GroupSpec("Sp", 2 * n)),
+    st.integers(2, 9).map(lambda m: GroupSpec("SO", m)),
+    st.integers(1, 4).map(lambda n: GroupSpec("Spin", 2 * n)),
+)
+
+
+def _weights(rank):
+    lists = st.lists(st.integers(-3, 6), max_size=rank + 1)
+    odd = st.lists(st.integers(0, 3), min_size=1, max_size=rank + 1).flatmap(
+        lambda w: st.sampled_from([1, -1]).map(
+            lambda sign: [2 * x + 1 for x in sorted(w, reverse=True)][:-1]
+            + [sign * (2 * min(w) + 1)]))
+    return st.one_of(lists.map(lambda w: sorted(w, reverse=True)), odd, lists)
+
+
+group_weights = groups.flatmap(lambda g: st.tuples(st.just(g), _weights(g.rank)))
+
+
+def _weyl_outcome(formula, group, weight, doubled):
+    """The dimension, or the type and message of the refusal."""
+    try:
+        return formula(group, weight, doubled)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
 class TestWeylDim:
     def test_sp_anchors(self):
         assert weyl_dim(GroupSpec("Sp", 6), (1, 1)) == 14
@@ -233,6 +266,29 @@ class TestWeylDim:
     def test_gl_agreement(self, lam):
         n = max(4, len(lam))
         assert weyl_dim(GroupSpec("GL", n), lam) == gl_dim(lam, n)
+
+    @given(group_weights, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_formula_matches_the_fraction_one(self, group_weight, doubled):
+        group, weight = group_weight
+        assert _weyl_outcome(weyl_dim, group, weight, doubled) == _weyl_outcome(
+            weyl_dim_fractions, group, weight, doubled)
+
+    @pytest.mark.parametrize("group,weight,doubled,refusal", [
+        (GroupSpec("GL", 2), (1, 2, 3), False, ValueError),  # longer than the rank
+        (GroupSpec("GL", 3), (1,), True, ValueError),  # half-integral
+        (GroupSpec("GL", 3), (1, 2), False, ValueError),  # not dominant
+        (GroupSpec("Sp", 4), (1, 1), True, ValueError),  # half-integral
+        (GroupSpec("SO", 5), (1, 0), True, ArithmeticError),  # (1/2, 0) in B2
+        (GroupSpec("SO", 4), (1, 0), True, ArithmeticError),  # (1/2, 0) in D2
+        (GroupSpec("SO", 6), (1, 1, 3), True, ValueError),  # not dominant for D3
+        (GroupSpec("Spin", 8), (1, 1, 1, 1, 1), True, ValueError),  # longer than the rank
+    ])
+    def test_refusals_match_the_fraction_formula(self, group, weight, doubled, refusal):
+        with pytest.raises(refusal):
+            weyl_dim(group, weight, doubled)
+        assert _weyl_outcome(weyl_dim, group, weight, doubled) == _weyl_outcome(
+            weyl_dim_fractions, group, weight, doubled)
 
 
 class TestModuleDims:

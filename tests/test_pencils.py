@@ -447,7 +447,7 @@ def test_spin_kernel_vector_annihilated_exactly():
 
     rng = random.Random(7)
     for _ in range(20):
-        delta = {I: Fraction(rng.randint(-5, 5)) for I in basis}
+        delta = {I: rng.randint(-5, 5) for I in basis}
         kv = spin_kernel_vector(delta, 5)
         mat = pen.evaluate([delta[I] for I in basis])
         assert all(
@@ -460,9 +460,9 @@ def test_spin_kernel_vector_annihilated_exactly():
 
 def test_gamma_pairing_degree_one_is_vector_valued():
     basis = spin_space(5).even_basis
-    delta = {I: Fraction(1) for I in basis}
-    comp = gamma_pairing(1, delta, delta, 5)
-    assert all(len(w) == 1 for w in comp)
+    delta = {I: 1 for I in basis}
+    comp = gamma_pairing(delta, delta, 5)
+    assert all(j in range(10) for j in comp)
 
 
 # -- adjoint / induced operator --------------------------------------------
@@ -476,12 +476,10 @@ def test_adjoint_a7_shape_and_rank():
 
 def test_theta_map_small_anchors():
     # r = 0: zero map
-    assert theta_map([[0, 0], [0, 0]], (2,), (1,), (1,), (1, 1)) == [
-        [Fraction(0)] * 6,
-        [Fraction(0)] * 6,
-    ]
+    rows, _ = theta_map([[0, 0], [0, 0]], (2,), (1,), (1,), (1, 1))
+    assert rows.tolist() == [[0] * 6, [0] * 6]
     X = [[1, 0], [0, 1]]
-    mat = theta_map(X, (2,), (1,), (1,), (1, 1))
+    mat, _ = theta_map(X, (2,), (1,), (1,), (1, 1))
     assert qq_rank(mat) == 2
 
 
@@ -494,7 +492,10 @@ def test_theta_map_small_anchors():
      (2, 1, 1), (1, 1, 1), (1,), (1, 1)),
 ])
 def test_theta_map_matches_the_fraction_loop(X, lam, lam_p, mu, mu_p):
-    assert theta_map(X, lam, lam_p, mu, mu_p) == theta_fractions(X, lam, lam_p, mu, mu_p)
+    rows, den = theta_map(X, lam, lam_p, mu, mu_p)
+    assert all(type(x) is int for row in rows.tolist() for x in row)
+    assert ([[Fraction(x, den) for x in row] for row in rows.tolist()]
+            == theta_fractions(X, lam, lam_p, mu, mu_p))
 
 
 def test_hyperplane_criterion_anchor():

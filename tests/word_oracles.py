@@ -1,13 +1,15 @@
 """Word-by-word dict computations that the batched kernels are tested
-against, and the entry-by-entry pencil-file document builder and reader
-that the canonical writer and the column-wise reader are tested against,
-shared by the test modules."""
+against, the entry-by-entry pencil-file document builder and reader that
+the canonical writer and the column-wise reader are tested against, and the
+Fraction form of the Weyl dimension formula that the integer one is tested
+against, shared by the test modules."""
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from crpencils.catalog import MAX_PENCIL_CELLS, FixtureParseError
 from crpencils.modules import schur_module
+from crpencils.partitions import gl_dim
 from crpencils.pencils import Pencil, _one_box
 from crpencils.tensors import apply_symmetrizer, cell_slot, letter_images
 
@@ -72,6 +74,69 @@ def modp_rref_kernel(rref, pivots, ncols, p):
 def scaled_rref(u, s):
     """The RREF rows u[k] / s[k] of qq_rref's integer-scaled form, in Fractions."""
     return [[Fraction(x, sk) for x in row] for row, sk in zip(u.tolist(), s.tolist())]
+
+
+def integer_scaled(t):
+    """(s t, s): t scaled to a primitive integer tensor by a rational s > 0."""
+    den = lcm(1, *(x.denominator for x in t.values()))
+    nums = {w: x.numerator * (den // x.denominator) for w, x in t.items()}
+    g = gcd(*nums.values()) or 1
+    return {w: x // g for w, x in nums.items()}, Fraction(den, g)
+
+
+def _product_formula_fractions(lvec, rvec, kind):
+    num, den = Fraction(1), Fraction(1)
+    k = len(lvec)
+    for i in range(k):
+        for j in range(i + 1, k):
+            num *= lvec[i] ** 2 - lvec[j] ** 2
+            den *= rvec[i] ** 2 - rvec[j] ** 2
+    if kind in ("B", "C"):
+        for i in range(k):
+            num *= lvec[i]
+            den *= rvec[i]
+    d = num / den
+    if d.denominator != 1:
+        raise ArithmeticError("Weyl dimension is not an integer; bad weight?")
+    return int(d)
+
+
+def weyl_dim_fractions(group, weight, doubled=False):
+    """The Weyl dimension formula in Fractions on the weight itself, half
+    spin weights as halves: the oracle of the doubled integer weyl_dim,
+    with its refusals in the same order."""
+    w = [Fraction(x, 2 if doubled else 1) for x in weight]
+    fam = group.family
+    if fam == "GL":
+        n = group.natural_dim
+        if len(w) > n:
+            raise ValueError("weight longer than GL rank")
+        w = w + [Fraction(0)] * (n - len(w))
+        if any(x.denominator != 1 for x in w):
+            raise ValueError("GL weights must be integral")
+        if any(w[i] < w[i + 1] for i in range(n - 1)):
+            raise ValueError("weight is not dominant")
+        return gl_dim(tuple(int(x) for x in w), n)
+    rank = group.rank
+    if len(w) > rank:
+        raise ValueError(f"weight longer than rank {rank} of {fam}({group.natural_dim})")
+    w = w + [Fraction(0)] * (rank - len(w))
+    if fam == "Sp":
+        if any(w[i] < w[i + 1] for i in range(rank - 1)) or w[-1] < 0:
+            raise ValueError("weight is not dominant for Sp")
+        if any(x.denominator != 1 for x in w):
+            raise ValueError("Sp weights must be integral")
+        rho = [Fraction(rank - i) for i in range(rank)]
+        return _product_formula_fractions([w[i] + rho[i] for i in range(rank)], rho, "C")
+    if fam == "SO" and group.natural_dim % 2 == 1:
+        if any(w[i] < w[i + 1] for i in range(rank - 1)) or w[-1] < 0:
+            raise ValueError("weight is not dominant for SO(odd)")
+        rho = [Fraction(2 * (rank - i) - 1, 2) for i in range(rank)]
+        return _product_formula_fractions([w[i] + rho[i] for i in range(rank)], rho, "B")
+    if any(w[i] < w[i + 1] for i in range(rank - 1)) or (rank >= 2 and w[-2] < abs(w[-1])):
+        raise ValueError("weight is not dominant for the D series")
+    rho = [Fraction(rank - 1 - i) for i in range(rank)]
+    return _product_formula_fractions([w[i] + rho[i] for i in range(rank)], rho, "D")
 
 
 def derivation(X, t):
