@@ -382,8 +382,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
                     continue
                 top = max(top, b - len(ker))
                 # the row of (f, u) is the flattened outer product f u^T
-                constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
-                                .reshape(-1, ambient))
+                constraints.add_outer(coker, ker)
                 samples_used += 1
         space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
         escaped = not space.contains_subspace(span)

@@ -17,9 +17,11 @@ Over F_p there are two eliminations, each with its own callers:
     the N matrices of the stack rather than the m rows of one matrix,
     reducing only when the next step could overflow.  The exhaustive runs
     rank hundreds of 14x14 matrices per stack, where a run of 14 entries
-    cost more in loop overhead than in arithmetic.  Its entries are int32
-    when 2(p-1)^2 < 2^31 (p <= 32749) and int64 otherwise, so the small
-    primes of exhaustive runs move half the bytes.  analysis stacks up to
+    cost more in loop overhead than in arithmetic.  Its entries are the
+    narrowest of int8, int16, int32 and int64 that holds one update of
+    residues, 2(p-1)^2 (int8 for p <= 7, int16 for p <= 127, int32 for
+    p <= 32749), so the small primes of exhaustive runs move an eighth to
+    a half of the bytes of int64.  analysis stacks up to
     2^17 cells (analysis.STACK_CELLS): the loop's per-column numpy calls
     are shared by every matrix in the stack;
   - ModpEchelon, built on modp_matmul, serves growing systems (the
@@ -30,7 +32,12 @@ Over F_p there are two eliminations, each with its own callers:
     random matrices and the echelon are about even per matrix, and the
     echelon ranks a 181x181 matrix in 7.5 ms against 21 ms stacked.  It
     keeps only its free-column block: the pivot columns, the free columns
-    and X, the RREF restricted to the free columns.
+    and X, the RREF restricted to the free columns.  Rows are reduced into
+    free coordinates with one product (add), or, for the outer-product
+    rows of the neutral-direction constraints, without being formed
+    (add_outer); they are then eliminated in blocks of ECHELON_BLOCK rows
+    by recursive halving (_eliminate), which leaves _gauss_jordan's
+    row-by-row elimination to blocks of at most 16 rows.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -336,7 +343,8 @@ def distinct_primitive_rows(a: np.ndarray) -> np.ndarray:
 
 _LIMB_BITS = 16
 _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
-ECHELON_BLOCK = 64  # rows reduced against the echelon basis per exact product
+ECHELON_BLOCK = 64  # rows eliminated, and cleared from X, per step of ModpEchelon
+_KERNEL_CELLS = 1 << 16  # kernel-row cells add_outer builds at once
 
 
 def modp_matmul(a, b, p: int) -> np.ndarray:
@@ -416,6 +424,36 @@ def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return a[source], np.array(pivots, dtype=np.int64), live[source]
 
 
+_BASE_ROWS = 16  # _eliminate hands blocks of at most this many rows to _gauss_jordan
+
+
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gauss_jordan's (rows, pivots, source) of residue rows, by recursive
+    halving (Dumas, Pernet and Sultan, ISSAC 2013): the top half is brought
+    to RREF T, the bottom half is reduced by T with one product and
+    eliminated on the columns T leaves, into B, and T is cleared of B's
+    pivots with one more product.  Each bottom row is reduced by every row
+    above it, as in _gauss_jordan, so the same rows raise the rank with the
+    same pivots, and the RREF of their span is unique."""
+    if len(a) <= _BASE_ROWS:
+        return _gauss_jordan(a, p)
+    half = len(a) // 2
+    top, tpiv, tsrc = _eliminate(a[:half], p)
+    rest = np.ones(a.shape[1], dtype=bool)
+    rest[tpiv] = False
+    low = a[half:, rest]
+    if tpiv.size:  # T[:, tpiv] = I
+        low = _mod(low - modp_matmul(a[half:, tpiv], top[:, rest], p), p)
+    bot, bpiv, bsrc = _eliminate(low, p)
+    bpiv = np.flatnonzero(rest)[bpiv]
+    rows = np.zeros((len(bot), a.shape[1]), dtype=np.int64)
+    rows[:, rest] = bot
+    if bpiv.size:  # B[:, bpiv] = I and B[:, tpiv] = 0
+        top = _mod(top - modp_matmul(top[:, bpiv], rows, p), p)
+    return (np.concatenate([top, rows]), np.concatenate([tpiv, bpiv]),
+            np.concatenate([tsrc, half + bsrc]))
+
+
 class ModpEchelon:
     """The reduced row echelon form over F_p of a growing set of rows.
 
@@ -423,11 +461,16 @@ class ModpEchelon:
     columns `_free` (increasing) and X = basis[:, _free], row k of X the
     basis row with pivot `_piv[k]`.  `basis` (rows sorted by pivot column,
     so basis[:, pivots] is the identity) and `pivots` are built when read.
-    `add` takes rows in blocks of ECHELON_BLOCK: a block is reduced into
-    free coordinates with one exact product, block[:, piv] @ X, its rows are
-    eliminated row by row (_gauss_jordan) into N, the new pivots are cleared
-    from X with one more product, X[:, new] @ N[:, keep], and N's rows are
-    appended.  Every reduction mod p is _mod.
+
+    New rows are first reduced into free coordinates, y = row[free] -
+    row[piv] @ X, which is row @ K^T for the kernel rows K of kernel().
+    `add` does this with one exact product per call; `add_outer` takes the
+    rows f_i (x) u_j of two factors without forming them, as F (K (I (x)
+    U^T)), built a chunk of free columns of K at a time.  Both then insert
+    y in blocks of ECHELON_BLOCK rows: a block is eliminated by _eliminate
+    into N, the rows after it are reduced by N's new pivots with one
+    product, the new pivots are cleared from X with one more, X[:, new] @
+    N[:, keep], and N's rows are appended.  Every reduction mod p is _mod.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
@@ -453,36 +496,70 @@ class ModpEchelon:
         each independent of the rows added before it: the lexicographically
         first maximal subset independent modulo the earlier rows."""
         rows = _mod(np.asarray(rows, dtype=np.int64), self.p)
-        raised: list[int] = []
-        for s in range(0, len(rows), ECHELON_BLOCK):
-            raised += (s + self._add_block(rows[s : s + ECHELON_BLOCK])).tolist()
-        return raised
+        y = rows[:, self._free]
+        if self._piv.size:
+            y = _mod(y - modp_matmul(rows[:, self._piv], self._x, self.p), self.p)
+        return self._insert(y)
 
-    def _add_block(self, block: np.ndarray) -> np.ndarray:
-        p, piv, free, x = self.p, self._piv, self._free, self._x
-        y = block[:, free]
-        if piv.size:
-            y = _mod(y - modp_matmul(block[:, piv], x, p), p)
-        n, new, source = _gauss_jordan(y, p)
-        if new.size:
-            keep = np.ones(free.size, dtype=bool)
+    def add_outer(self, f: np.ndarray, u: np.ndarray) -> list[int]:
+        """add of the rows f_i (x) u_j, i-major, for residue rows f_i of
+        length c and u_j of length b, c b the number of columns: the row of
+        (i, j) is the flattened outer product f_i u_j^T.
+
+        Row (i, j) in free coordinates is f_i^T K_g u_j in free column g,
+        K_g the kernel row of g read as a c x b matrix.  The rows are formed
+        only while no pivot is known, when they are their own free
+        coordinates."""
+        (kf, c), (ku, b) = f.shape, u.shape
+        if not self._piv.size:
+            return self.add((f[:, None, :, None] * u[None, :, None, :]).reshape(-1, c * b))
+        nf, p = self._free.size, self.p
+        y = np.empty((kf, ku, nf), dtype=np.int64)
+        step = max(1, _KERNEL_CELLS // (c * b))
+        for s in range(0, nf, step):
+            k = self._kernel_rows(s, s + step)
+            # (K_g u_j)[row] for each row of K_g, then f_i^T of it
+            ku_g = modp_matmul(k.reshape(-1, b), u.T, p).reshape(len(k), c, ku)
+            fku = modp_matmul(f, ku_g.transpose(1, 0, 2).reshape(c, -1), p)
+            y[:, :, s : s + step] = fku.reshape(kf, len(k), ku).transpose(0, 2, 1)
+        return self._insert(y.reshape(kf * ku, nf))
+
+    def _insert(self, y: np.ndarray) -> list[int]:
+        """Insert rows already in free coordinates; returns those that raised
+        the rank, as add."""
+        p, raised = self.p, []
+        for s in range(0, len(y), ECHELON_BLOCK):
+            n, new, source = _eliminate(y[:ECHELON_BLOCK], p)
+            raised += (s + source).tolist()
+            y = y[ECHELON_BLOCK:]
+            if not new.size:
+                continue
+            keep = np.ones(self._free.size, dtype=bool)
             keep[new] = False
             n = n[:, keep]
-            # N[:, new] = I, so this clears the new pivot columns of X
-            x = _mod(x[:, keep] - modp_matmul(x[:, new], n, p), p)
+            # N[:, new] = I, so these clear the new pivot columns from the
+            # rows still to insert and from X
+            if len(y):
+                y = _mod(y[:, keep] - modp_matmul(y[:, new], n, p), p)
+            x = _mod(self._x[:, keep] - modp_matmul(self._x[:, new], n, p), p)
             self._x = np.concatenate([x, n])
-            self._piv = np.concatenate([piv, free[new]])
-            self._free = free[keep]
-        return source
+            self._piv = np.concatenate([self._piv, self._free[new]])
+            self._free = self._free[keep]
+        return raised
+
+    def _kernel_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The kernel rows e_f - sum_k X[k, f] e_piv(k) of the free columns
+        f = _free[lo:hi]."""
+        free = self._free[lo:hi]
+        out = np.zeros((free.size, self._free.size + self._piv.size), dtype=np.int64)
+        out[np.arange(free.size), free] = 1
+        out[:, self._piv] = _mod(-self._x[:, lo:hi].T, self.p)
+        return out
 
     def kernel(self) -> np.ndarray:
         """Right kernel basis: the row e_f - sum_k X[k, f] e_piv(k) for each
         free column f, in increasing order."""
-        free = self._free
-        out = np.zeros((free.size, free.size + self._piv.size), dtype=np.int64)
-        out[np.arange(free.size), free] = 1
-        out[:, self._piv] = _mod(-self._x.T, self.p)
-        return out
+        return self._kernel_rows(0, self._free.size)
 
 
 def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -504,6 +581,11 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
             out = _mod(out * x, p)
         x, e = _mod(x * x, p), e >> 1
     return out
+
+
+# the narrowest first: 2(p-1)^2 < 2^7 for p <= 7, < 2^15 for p <= 127, < 2^31
+# for p <= 32749 and < 2^63 for every p < 2^31
+_STACK_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _forward(a: np.ndarray, p: int, keep_rows: bool):
@@ -532,13 +614,14 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
     holds again after it.  With pivot and a_ic in [0, p) and |entries| <= B,
     an update leaves them at most 2(p-1)B in absolute value, so `a` is
     reduced again once 2(p-1)B reaches the limit of its dtype.  The dtype
-    depends on p alone: int32 (limit 2^31) when one update of residues fits,
-    2(p-1)^2 < 2^31, that is p <= 32749, and int64 (limit 2^63) otherwise,
-    where 2(p-1)^2 < 2^63 for p < 2^31.
+    depends on p alone: the narrowest of _STACK_DTYPES in which one update
+    of residues fits, 2(p-1)^2 below its limit: int8 (limit 2^7) for
+    p <= 7, int16 (2^15) for p <= 127, int32 (2^31) for p <= 32749 and
+    int64 (2^63) otherwise, where 2(p-1)^2 < 2^63 for p < 2^31.
     """
     count, m, ncols = a.shape
-    narrow = 2 * (p - 1) ** 2 < 1 << 31
-    dtype, limit = (np.int32, 1 << 31) if narrow else (np.int64, 1 << 63)
+    dtype = next(t for t in _STACK_DTYPES if 2 * (p - 1) ** 2 < 1 << (np.iinfo(t).bits - 1))
+    limit = 1 << (np.iinfo(dtype).bits - 1)
     a = np.array(_mod(a, p).transpose(2, 1, 0), dtype=dtype, order="C")
     if m == 0:  # no rows: rank 0, no pivots
         a = np.zeros((ncols, 1, count), dtype=dtype)

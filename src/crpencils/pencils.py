@@ -747,6 +747,32 @@ def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
 # the induced operator on pairs of Schur modules
 
 
+@lru_cache(maxsize=None)
+def _theta_sides(lam: Partition, lam_p: Partition, mu: Partition, mu_p: Partition,
+                 a: int, b: int):
+    """The two sides of theta_map for A of dimension a and B of dimension b,
+    which do not depend on X: the A side {(alpha, ka, ja): va} over da, the
+    B side grouped by beta, {beta: [(kb, jb, vb)]}, over db, and the
+    dimensions (S_lam A, S_lam' A) and (S_mu B, S_mu' B).  Shared by every
+    caller: read only."""
+    box_rm = _one_box(lam_p, lam, a)
+    box_add = _one_box(mu, mu_p, b)
+    sa, sap = schur_module(lam, a), schur_module(lam_p, a)
+    sb, sbp = schur_module(mu, b), schur_module(mu_p, b)
+    slot_rm = cell_slot(lam, box_rm.row - 1, box_rm.col - 1)
+    slot_add = cell_slot(mu_p, box_add.row - 1, box_add.col - 1)
+    # the A side holds c_lam' of what u_j holds with letter alpha at the
+    # removed slot, the B side c_mu' of u_j with letter beta inserted
+    a_side, da = _span_map(sa, lambda part: apply_symmetrizer(part.split_at(slot_rm), lam_p),
+                           sap, a)
+    b_side, db = _span_map(sb, lambda part: apply_symmetrizer(
+        part.with_letter_inserted(slot_add), mu_p), sbp, b)
+    by_beta: dict = {}
+    for (beta, kb, jb), vb in b_side.items():
+        by_beta.setdefault(beta, []).append((kb, jb, vb))
+    return a_side, da, by_beta, db, (sa.dim, sap.dim), (sb.dim, sbp.dim)
+
+
 def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
               mu: Partition, mu_p: Partition) -> tuple[np.ndarray, int]:
     """Matrix of Theta_X: S_lam A x S_mu B -> S_lam' A x S_mu' B.
@@ -761,27 +787,12 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     lam, lam_p = check_partition(lam), check_partition(lam_p)
     mu, mu_p = check_partition(mu), check_partition(mu_p)
     a, b = len(X), len(X[0]) if X else 0
-    box_rm = _one_box(lam_p, lam, a)
-    box_add = _one_box(mu, mu_p, b)
-    sa, sap = schur_module(lam, a), schur_module(lam_p, a)
-    sb, sbp = schur_module(mu, b), schur_module(mu_p, b)
-    slot_rm = cell_slot(lam, box_rm.row - 1, box_rm.col - 1)
-    slot_add = cell_slot(mu_p, box_add.row - 1, box_add.col - 1)
-
-    # the A side holds c_lam' of what u_j holds with letter alpha at the
-    # removed slot, the B side c_mu' of u_j with letter beta inserted
-    a_side, da = _span_map(sa, lambda part: apply_symmetrizer(part.split_at(slot_rm), lam_p),
-                           sap, a)
-    b_side, db = _span_map(sb, lambda part: apply_symmetrizer(
-        part.with_letter_inserted(slot_add), mu_p), sbp, b)
+    a_side, da, by_beta, db, (sa, sap), (sb, sbp) = _theta_sides(lam, lam_p, mu, mu_p, a, b)
     # X = xn / dx, and Theta_X sums xn[alpha, beta] times both sides' products
     xs = {(alpha, beta): x for alpha, row in enumerate(X)
           for beta, x in enumerate(row) if x}
     dx = lcm(1, *(x.denominator for x in xs.values()))
     xn = {ab: x.numerator * (dx // x.denominator) for ab, x in xs.items()}
-    by_beta: dict = {}
-    for (beta, kb, jb), vb in b_side.items():
-        by_beta.setdefault(beta, []).append((kb, jb, vb))
     sums: dict = {}
     for (alpha, ka, ja), va in a_side.items():
         for beta, terms in by_beta.items():
@@ -789,9 +800,9 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
             if not x:
                 continue
             for kb, jb, vb in terms:
-                at = (ka * sbp.dim + kb, ja * sb.dim + jb)
+                at = (ka * sbp + kb, ja * sb + jb)
                 sums[at] = sums.get(at, 0) + x * vb
-    out = np.zeros((sap.dim * sbp.dim, sa.dim * sb.dim), dtype=object)
+    out = np.zeros((sap * sbp, sa * sb), dtype=object)
     for (r, c), n in sums.items():
         out[r, c] = n
     return out, da * db * dx

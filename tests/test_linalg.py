@@ -268,6 +268,61 @@ def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, 
     assert (rref.tolist(), pivots) == (want_rows, want_pivots)
 
 
+# the factors of mixed rank, so that some outer products depend on others
+# or on the rows added before; rank = c b leaves no free column
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 30), st.integers(0, 30), st.lists(st.tuples(
+           st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32))
+@example(p=3, c=2, b=3, before=0, rank=0, samples=[(2, 2), (2, 1)], seed=0)
+@example(p=101, c=3, b=4, before=12, rank=5, samples=[(0, 3), (3, 0), (2, 2)], seed=1)
+@example(p=DEFAULT_PRIME, c=3, b=3, before=12, rank=9, samples=[(3, 3)], seed=2)
+@example(p=DEFAULT_PRIME, c=5, b=5, before=30, rank=20, samples=[(5, 5), (4, 3)], seed=3)
+@settings(max_examples=60, deadline=None)
+def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, seed):
+    rng = random.Random(seed)
+    ambient = c * b
+    earlier = _tall_rank_deficient(p, rng, before, ambient, min(rank, before, ambient))
+    formed, outer = ModpEchelon(ambient, p), ModpEchelon(ambient, p)
+    formed.add(earlier)
+    outer.add(earlier)
+    every = [earlier]
+    for kf, ku in samples:
+        f = _tall_rank_deficient(p, rng, kf, c, rng.randint(0, min(kf, c)))
+        u = _tall_rank_deficient(p, rng, ku, b, rng.randint(0, min(ku, b)))
+        rows = (f[:, None, :, None] * u[None, :, None, :]).reshape(kf * ku, ambient)
+        start = sum(map(len, every))
+        every.append(rows)
+        want_rows, want_pivots, want_raised = modp_row_reduce(
+            np.concatenate(every).tolist(), p)
+        raised = outer.add_outer(f, u)
+        assert raised == [i - start for i in want_raised if i >= start]
+        assert raised == formed.add(rows)
+        assert outer.pivots.tolist() == formed.pivots.tolist() == want_pivots
+        assert outer.basis.tolist() == formed.basis.tolist() == want_rows
+        assert outer.kernel().tolist() == formed.kernel().tolist()
+
+
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 64), st.integers(0, 40),
+       st.integers(0, 64), st.lists(st.integers(0, 63), max_size=8), st.integers(0, 2 ** 32))
+@example(p=3, nrows=0, ncols=5, rank=0, zeros=[], seed=0)
+@example(p=101, nrows=1, ncols=7, rank=1, zeros=[], seed=0)
+@example(p=101, nrows=40, ncols=0, rank=0, zeros=[], seed=0)
+@example(p=DEFAULT_PRIME, nrows=64, ncols=40, rank=40, zeros=[], seed=1)
+@example(p=DEFAULT_PRIME, nrows=33, ncols=30, rank=7, zeros=[0, 16, 17, 32], seed=2)
+@example(p=3, nrows=64, ncols=20, rank=0, zeros=[], seed=3)
+@settings(max_examples=60, deadline=None)
+def test_recursive_elimination_matches_gauss_jordan(p, nrows, ncols, rank, zeros, seed):
+    # more than 16 rows are split in halves, at most 16 go to _gauss_jordan
+    rng = random.Random(seed)
+    a = _tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols))
+    a[[z for z in zeros if z < nrows]] = 0
+    want = linalg._gauss_jordan(a.copy(), p)
+    got = linalg._eliminate(a.copy(), p)
+    for w, g in zip(want, got):
+        assert (g.shape, g.tolist()) == (w.shape, w.tolist())
+
+
 def _echelon_kernel(a, p):
     """The oracle: the kernel basis of one matrix from its own echelon."""
     ech = ModpEchelon(a.shape[1], p)
@@ -299,25 +354,30 @@ def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
     assert modp_ranks(stack, p).tolist() == [n - len(ker) for ker in kernels]
 
 
-# 32749 is the largest prime with 2(p-1)^2 < 2^31, eliminated in int32;
-# 32771 is the next prime, eliminated in int64.  At 32749 the stack is
-# reduced after every step, at 32771 after every second and at 7 after every
-# seventh, so 14 or more columns force several reductions
-@given(st.sampled_from((7, 32749, 32771)), st.integers(0, 4), st.integers(0, 16),
-       st.integers(0, 16), st.integers(0, 2 ** 32))
+# 7, 127 and 32749 are the largest primes with 2(p-1)^2 below 2^7, 2^15
+# and 2^31, eliminated in int8, int16 and int32; 11, 131 and 32771 are the
+# next primes, eliminated in the next wider type.  At 7, 127 and 32749 the
+# stack is reduced after every step and at 11, 131 and 32771 after every
+# second, so 14 or more columns force several reductions
+@given(st.sampled_from((7, 11, 127, 131, 32749, 32771)), st.integers(0, 4),
+       st.integers(0, 16), st.integers(0, 16), st.integers(0, 2 ** 32))
 @example(p=32749, count=0, m=5, n=14, seed=0)
 @example(p=32771, count=0, m=14, n=5, seed=0)
 @example(p=32749, count=3, m=0, n=14, seed=0)
 @example(p=32771, count=3, m=0, n=14, seed=0)
+@example(p=7, count=4, m=16, n=16, seed=1)
+@example(p=11, count=4, m=16, n=16, seed=1)
+@example(p=127, count=4, m=16, n=16, seed=1)
+@example(p=131, count=4, m=16, n=16, seed=1)
 @example(p=32749, count=4, m=16, n=16, seed=1)
 @example(p=32771, count=4, m=16, n=16, seed=1)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
     rng = random.Random(seed)
     stack = np.array([_tall_rank_deficient(p, rng, m, n, rng.randint(0, min(m, n)))
                       for _ in range(count)], dtype=np.int64).reshape(count, m, n)
     # entries off by multiples of p, of both signs and past 2^31, are
-    # reduced before the stack is narrowed to int32
+    # reduced before the stack is narrowed
     shifted = stack + p * np.array([rng.randint(-2 ** 20, 2 ** 20) for _ in range(stack.size)],
                                    dtype=np.int64).reshape(stack.shape)
     want = [_echelon_kernel(a, p) for a in stack]
@@ -327,11 +387,11 @@ def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
         assert modp_ranks(a, p).tolist() == [n - len(k) for k in want]
 
 
-@pytest.mark.parametrize("p", (7, 32749, 32771, DEFAULT_PRIME))
+@pytest.mark.parametrize("p", (7, 11, 127, 131, 32749, 32771, DEFAULT_PRIME))
 def test_stacked_elimination_of_extreme_residues(p):
     # entries +-(p-1) among random residues, reduced to 1 and p-1: an
-    # update of two of them nears its bound 2(p-1)^2, which overflows int32
-    # for every prime above 32749
+    # update of two of them nears its bound 2(p-1)^2, which overflows int8
+    # above 7, int16 above 127 and int32 above 32749
     rng = random.Random(p)
     for m, n in ((6, 9), (9, 6), (8, 8)):
         stack = np.array([[[rng.choice((1 - p, p - 1, rng.randrange(p))) for _ in range(n)]
