@@ -467,10 +467,14 @@ class ModpEchelon:
     `add` does this with one exact product per call; `add_outer` takes the
     rows f_i (x) u_j of two factors without forming them, as F (K (I (x)
     U^T)), built a chunk of free columns of K at a time.  Both then insert
-    y in blocks of ECHELON_BLOCK rows: a block is eliminated by _eliminate
-    into N, the rows after it are reduced by N's new pivots with one
-    product, the new pivots are cleared from X with one more, X[:, new] @
-    N[:, keep], and N's rows are appended.  Every reduction mod p is _mod.
+    y in blocks of ECHELON_BLOCK rows: a block is reduced by the pivots
+    added since the call began with one product, eliminated by _eliminate
+    into N, the new pivots are cleared from X with one more, X[:, new] @
+    N[:, keep], and N's rows are appended.  A block is reduced only when its
+    turn comes, so at the fewest free columns: clearing every later row
+    after each block instead took 26 against 20 ms for a 512x252 rank of
+    random residues at DEFAULT_PRIME (2-CPU VM, numpy 2.4).
+    Every reduction mod p is _mod.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
@@ -525,22 +529,24 @@ class ModpEchelon:
         return self._insert(y.reshape(kf * ku, nf))
 
     def _insert(self, y: np.ndarray) -> list[int]:
-        """Insert rows already in free coordinates; returns those that raised
-        the rank, as add."""
+        """Insert rows in the free coordinates the echelon has on entry;
+        returns those that raised the rank, as add."""
         p, raised = self.p, []
+        cols, start = self._free, self._piv.size  # y's columns; X's rows from here are new
         for s in range(0, len(y), ECHELON_BLOCK):
-            n, new, source = _eliminate(y[:ECHELON_BLOCK], p)
+            block = y[s : s + ECHELON_BLOCK]
+            if self._piv.size > start:  # reduce by the pivots added since entry
+                added = np.searchsorted(cols, self._piv[start:])
+                block = _mod(block[:, np.searchsorted(cols, self._free)]
+                             - modp_matmul(block[:, added], self._x[start:], p), p)
+            n, new, source = _eliminate(block, p)
             raised += (s + source).tolist()
-            y = y[ECHELON_BLOCK:]
             if not new.size:
                 continue
             keep = np.ones(self._free.size, dtype=bool)
             keep[new] = False
             n = n[:, keep]
-            # N[:, new] = I, so these clear the new pivot columns from the
-            # rows still to insert and from X
-            if len(y):
-                y = _mod(y[:, keep] - modp_matmul(y[:, new], n, p), p)
+            # N[:, new] = I, so this clears the new pivot columns of X
             x = _mod(self._x[:, keep] - modp_matmul(self._x[:, new], n, p), p)
             self._x = np.concatenate([x, n])
             self._piv = np.concatenate([self._piv, self._free[new]])
