@@ -500,10 +500,10 @@ class ModpEchelon:
         each independent of the rows added before it: the lexicographically
         first maximal subset independent modulo the earlier rows."""
         rows = _mod(np.asarray(rows, dtype=np.int64), self.p)
-        y = rows[:, self._free]
-        if self._piv.size:
-            y = _mod(y - modp_matmul(rows[:, self._piv], self._x, self.p), self.p)
-        return self._insert(y)
+        if self._piv.size:  # otherwise every column is free
+            rows = _mod(rows[:, self._free] - modp_matmul(rows[:, self._piv], self._x, self.p),
+                        self.p)
+        return self._insert(rows)
 
     def add_outer(self, f: np.ndarray, u: np.ndarray) -> list[int]:
         """add of the rows f_i (x) u_j, i-major, for residue rows f_i of
