@@ -35,7 +35,8 @@ Over F_p there are two eliminations, each with its own callers:
     and X, the RREF restricted to the free columns.  Rows are reduced into
     free coordinates with one product (add), or, for the outer-product
     rows of the neutral-direction constraints, without being formed
-    (add_outer); they are then eliminated in blocks of ECHELON_BLOCK rows
+    (add_outer); they are then inserted in blocks of ECHELON_BLOCK rows,
+    each reduced by the pivots the call has added before it and eliminated
     by recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.
 
@@ -522,7 +523,7 @@ class ModpEchelon:
         step = max(1, _KERNEL_CELLS // (c * b))
         for s in range(0, nf, step):
             k = self._kernel_rows(s, s + step)
-            # (K_g u_j)[row] for each row of K_g, then f_i^T of it
+            # K_g u_j for every free column g and every j, then f_i^T of each
             ku_g = modp_matmul(k.reshape(-1, b), u.T, p).reshape(len(k), c, ku)
             fku = modp_matmul(f, ku_g.transpose(1, 0, 2).reshape(c, -1), p)
             y[:, :, s : s + step] = fku.reshape(kf, len(k), ku).transpose(0, 2, 1)
