@@ -23,7 +23,7 @@ from .linalg import (
     Subspace,
     check_prime,
     modp_kernel,
-    modp_rank,
+    modp_rank,  # noqa: F401  (wrapped here by perfbench/spans.py)
     modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
@@ -40,7 +40,6 @@ from .partitions import (
 from .pencils import Pencil, check_equivariance, _one_box
 
 STACK_CELLS = 1 << 17  # matrix cells evaluated and eliminated as one stack
-ECHELON_CELLS = 10_000  # a matrix with more cells is eliminated alone
 EXHAUSTIVE_BLOCK = 1 << 14  # projective points decoded at once
 RND_MAX_SAMPLES = 512  # accepted samples after which rnd gives up
 
@@ -81,30 +80,15 @@ class RankReport:
 
 
 def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
-    """The pencil mod p at each row of the (N, s) points, in order: one
-    matrix at a time when it has more than ECHELON_CELLS cells, for the
-    echelon and its BLAS products, and otherwise stacks of at most
-    STACK_CELLS cells (at least one matrix), for the stacked loop.
-
-    Both bounds are measured at DEFAULT_PRIME (2-CPU VM, numpy 2.4, per
-    matrix, full stacks against the echelon): the stacked loop wins on
-    small matrices (64x64: 0.6 against 1.7 ms; the SO m=5 hook pencil,
-    105x81: 1.7 against 2.1 ms), the two are about even at 100x100 random
-    residues (2.4 against 2.7 ms), and the echelon wins above the bound
-    (the Koszul pencil Lambda^3 -> Lambda^4 of C^9, 126x84: 3.0 stacked
-    against 2.5 ms; 128x128: 5.5 against 4.6 ms).  The stacked loop runs
-    its numpy loops along the stack, so it slows as stacks of larger
-    matrices get shorter.  A stack shares the loop's numpy calls per column
-    among its matrices; 2^17 cells (37 matrices of 56x63, 668 of 14x14,
-    1 MB of int64) ranked the certify jobs fastest, 328, 271, 243 and
-    272 ms at 2^15, 2^16, 2^17 and 2^18 cells."""
+    """The pencil mod p at each row of the (N, s) points, in order, as
+    stacks of at most STACK_CELLS cells and at least one matrix, which
+    linalg eliminates by matrix size.  A stack shares the stacked loop's
+    numpy calls per column among its matrices: 2^17 cells (37 matrices of
+    56x63, 668 of 14x14, 1 MB of int64) ranked the certify jobs fastest,
+    328, 271, 243 and 272 ms at 2^15, 2^16, 2^17 and 2^18 cells (2-CPU VM,
+    numpy 2.4, DEFAULT_PRIME)."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
-    cells = pencil.target_dim * pencil.source_dim
-    if cells > ECHELON_CELLS:
-        for x in pts:
-            yield pencil.evaluate_modp(x, stacked, p)
-        return
-    step = max(1, STACK_CELLS // cells)
+    step = max(1, STACK_CELLS // (pencil.target_dim * pencil.source_dim))
     for i in range(0, len(pts), step):
         yield pencil.evaluate_modp(pts[i : i + step], stacked, p)
 
@@ -112,28 +96,21 @@ def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
 def ranks_at(pencil: Pencil, points, p: int,
              stacked: Optional[np.ndarray] = None) -> list[int]:
     """Rank mod p of the pencil at each row of the (N, s) points, a stack
-    of _evaluated at a time; a larger matrix is ranked alone by the echelon.
+    of _evaluated at a time.
 
     `stacked` is the pencil's coeff_array_modp(p), when the caller has it.
     """
     check_prime(p)
     if stacked is None:
         stacked = pencil.coeff_array_modp(p)
-    ranks: list[int] = []
-    for a in _evaluated(pencil, points, p, stacked):
-        ranks += modp_ranks(a, p).tolist() if a.ndim == 3 else [modp_rank(a, p)]
-    return ranks
+    return [r for a in _evaluated(pencil, points, p, stacked) for r in modp_ranks(a, p).tolist()]
 
 
 def _kernels(pencil: Pencil, points, p: int, stacked: np.ndarray):
-    """(Ker A, (Im A)^perp) bases as rows at each point, in order: each
-    stack of _evaluated and its transpose go through one stacked
-    modp_kernel each, and a larger matrix through the echelon alone."""
+    """(Ker A, (Im A)^perp) bases as rows at each point, in order: the
+    kernels of each stack of _evaluated and of its transpose."""
     for a in _evaluated(pencil, points, p, stacked):
-        if a.ndim == 2:
-            yield modp_kernel(a, p), modp_kernel(a.T, p)
-        else:
-            yield from zip(modp_kernel(a, p), modp_kernel(a.transpose(0, 2, 1), p))
+        yield from zip(modp_kernel(a, p), modp_kernel(a.transpose(0, 2, 1), p))
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,

@@ -8,37 +8,35 @@ so that products of two residues fit in int64.  modp_matmul is the one
 product mod p, exact on float64 BLAS, and _mod the one reduction of an
 integer array, x - (x // p) p, which numpy runs on libdivide.
 
-Over F_p there are two eliminations, each with its own callers:
-  - the stacked forward loop (_forward) serves the ranks (modp_ranks) and
-    kernels (modp_kernel of an (N, m, n) stack) of evaluated pencil
-    matrices: one vectorized pass over a stack of small matrices, stored
-    column-major with the stack innermost, as (n, m, N), so that each step
-    reads one contiguous slab and each numpy loop of its update runs along
-    the N matrices of the stack rather than the m rows of one matrix,
-    reducing only when the next step could overflow.  The exhaustive runs
-    rank hundreds of 14x14 matrices per stack, where a run of 14 entries
-    cost more in loop overhead than in arithmetic.  Its entries are the
-    narrowest of int8, int16, int32 and int64 that holds one update of
-    residues, 2(p-1)^2 (int8 for p <= 7, int16 for p <= 127, int32 for
-    p <= 32749), so the small primes of exhaustive runs move an eighth to
-    a half of the bytes of int64.  analysis stacks up to
-    2^17 cells (analysis.STACK_CELLS): the loop's per-column numpy calls
-    are shared by every matrix in the stack;
+Over F_p there are two eliminations.  modp_ranks and modp_kernel take an
+(N, m, n) stack and choose by matrix size: a matrix of more than
+ECHELON_CELLS cells is eliminated alone by the echelon, smaller ones
+together by the stacked loop.
+  - the stacked forward loop (_forward): one vectorized pass over a stack
+    of small matrices, stored column-major with the stack innermost, as
+    (n, m, N), so that each step reads one contiguous slab and each numpy
+    loop of its update runs along the N matrices of the stack rather than
+    the m rows of one matrix, reducing only when the next step could
+    overflow.  The exhaustive runs rank hundreds of 14x14 matrices per
+    stack, where a run of 14 entries cost more in loop overhead than in
+    arithmetic.  Its entries are the narrowest of int8, int16, int32 and
+    int64 that holds one update of residues, 2(p-1)^2 (int8 for p <= 7,
+    int16 for p <= 127, int32 for p <= 32749), so the small primes of
+    exhaustive runs move an eighth to a half of the bytes of int64.
+    analysis stacks up to 2^17 cells (analysis.STACK_CELLS): the loop's
+    per-column numpy calls are shared by every matrix in the stack;
   - ModpEchelon, built on modp_matmul, serves growing systems (the
-    neutral-direction constraints), the qq_rref lift, Subspace, and a
-    single matrix too large to stack (modp_rref, modp_rank, modp_kernel of
-    one matrix), which analysis takes to mean above 10,000 cells
-    (analysis.ECHELON_CELLS): at DEFAULT_PRIME full stacks of 100x100
-    random matrices and the echelon are about even per matrix, and the
-    echelon ranks a 181x181 matrix in 7.5 ms against 21 ms stacked.  It
-    keeps only its free-column block: the pivot columns, the free columns
-    and X, the RREF restricted to the free columns.  Rows are reduced into
-    free coordinates with one product (add), or, for the outer-product
-    rows of the neutral-direction constraints, without being formed
-    (add_outer); they are then inserted in blocks of ECHELON_BLOCK rows,
-    each reduced by the pivots the call has added before it and eliminated
-    by recursive halving (_eliminate), which leaves _gauss_jordan's
-    row-by-row elimination to blocks of at most 16 rows.
+    neutral-direction constraints), the qq_rref lift, Subspace, and single
+    matrices: modp_rref, modp_rank, and the large matrices of modp_ranks
+    and modp_kernel.  It keeps only its free-column block: the pivot
+    columns, the free columns and X, the RREF restricted to the free
+    columns.  Rows are reduced into free coordinates with one product
+    (add), or, for the outer-product rows of the neutral-direction
+    constraints, without being formed (add_outer); they are then inserted
+    in blocks of ECHELON_BLOCK rows, each reduced by the pivots the call
+    has added before it and eliminated by recursive halving (_eliminate),
+    which leaves _gauss_jordan's row-by-row elimination to blocks of at
+    most 16 rows.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -347,6 +345,18 @@ _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
 ECHELON_BLOCK = 64  # rows eliminated, and cleared from X, per step of ModpEchelon
 _KERNEL_CELLS = 1 << 16  # kernel-row cells add_outer builds at once
 
+# modp_ranks and modp_kernel eliminate a matrix of more than ECHELON_CELLS
+# cells alone.  Per matrix at DEFAULT_PRIME, full 2^17-cell stacks against
+# the echelon, which skips the rank deficiency of pencil matrices (2-CPU
+# VM, numpy 2.4):                               stacked  echelon
+#   64x64, random                               0.6 ms   1.7 ms
+#   105x81, the SO m=5 hook pencil              1.7 ms   2.1 ms
+#   100x100, random                             2.4 ms   2.7 ms
+#   126x84, the Koszul pencil L^3 -> L^4 of C^9 3.0 ms   2.5 ms
+#   128x128, random                             5.5 ms   4.6 ms
+#   181x181, random (4 to a stack)               21 ms   7.5 ms
+ECHELON_CELLS = 10_000
+
 
 def modp_matmul(a, b, p: int) -> np.ndarray:
     """a @ b mod p, in [0, p) as int64, of integer-valued int64 or float64
@@ -569,15 +579,22 @@ class ModpEchelon:
         return self._kernel_rows(0, self._free.size)
 
 
-def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
+def _echelon(a: np.ndarray, p: int) -> ModpEchelon:
+    """The echelon of the rows of one matrix."""
     ech = ModpEchelon(np.shape(a)[1], p)
     ech.add(a)
+    return ech
+
+
+def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
+    ech = _echelon(a, p)
     return ech.basis, ech.pivots.tolist()
 
 
 def modp_rank(a: np.ndarray, p: int) -> int:
-    return len(modp_rref(a, p)[1])
+    """Rank mod p of one matrix: the rows that raise the echelon's rank."""
+    return len(ModpEchelon(np.shape(a)[1], p).add(a))
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -660,30 +677,33 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
 
 
 def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of each matrix in an (N, m, n) stack, all at once, by the
+    """Rank mod p of each matrix in an (N, m, n) stack: one at a time by
+    modp_rank when m n > ECHELON_CELLS, and otherwise all at once by the
     forward elimination of _forward on the side with fewer columns."""
     a = np.asarray(stack, dtype=np.int64)
+    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
+        return np.array([modp_rank(x, p) for x in a], dtype=np.int64)
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
         a = a.transpose(0, 2, 1)
     return _forward(a, p, keep_rows=False)[0]
 
 
-def modp_kernel(a: np.ndarray, p: int) -> np.ndarray | list[np.ndarray]:
-    """Right kernel basis mod p as rows of an int64 array: the row
-    e_f - sum_r R[r, f] e_pivot(r) for each free column f of the RREF R.
+def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
+    """Right kernel basis mod p of each matrix in an (N, m, n) stack, as
+    rows of an int64 array: the row e_f - sum_r R[r, f] e_pivot(r) for
+    each free column f of the RREF R.
 
-    One (m, n) matrix is eliminated by ModpEchelon, on BLAS products.  An
-    (N, m, n) stack gives a list of N bases, the same ones: _forward keeps
-    the pivot row of each column, and a stacked back substitution scales
-    each to a leading 1 and clears its column from the rows above, which
-    leaves R in the pivot rows.  The back substitution keeps _forward's
-    layout, the stack innermost, (n, n, N).
+    When m n > ECHELON_CELLS each matrix is eliminated alone by
+    ModpEchelon, on BLAS products.  Otherwise the stack gives the same
+    bases at once: _forward keeps the pivot row of each column, and a
+    stacked back substitution scales each to a leading 1 and clears its
+    column from the rows above, which leaves R in the pivot rows.  The
+    back substitution keeps _forward's layout, the stack innermost,
+    (n, n, N).
     """
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim == 2:
-        ech = ModpEchelon(a.shape[1], p)
-        ech.add(a)
-        return ech.kernel()
+    a = np.asarray(stack, dtype=np.int64)
+    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
+        return [_echelon(x, p).kernel() for x in a]
     _, u = _forward(a, p, keep_rows=True)
     n = a.shape[2]
     diag = np.arange(n)

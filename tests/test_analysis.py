@@ -26,7 +26,7 @@ from crpencils.analysis import (
 )
 from crpencils import analysis, linalg
 from crpencils.linalg import (
-    DEFAULT_PRIME, ModpEchelon, Subspace, mat_mod, modp_rank, modp_ranks,
+    DEFAULT_PRIME, ModpEchelon, Subspace, mat_mod, modp_rank,
 )
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
@@ -118,7 +118,7 @@ def _raw_pencils(draw):
 
 
 @given(_raw_pencils(), st.sampled_from((analysis.STACK_CELLS, 100, 16, 1)),
-       st.sampled_from((analysis.ECHELON_CELLS, 16, 0)))
+       st.sampled_from((linalg.ECHELON_CELLS, 16, 0)))
 @settings(max_examples=150, deadline=None)
 def test_batched_ranks_match_per_point_ranks(case, stack_cells, echelon_cells):
     # the two bounds vary apart: stack_cells 16 or 1 with the default
@@ -129,7 +129,7 @@ def test_batched_ranks_match_per_point_ranks(case, stack_cells, echelon_cells):
     want = [modp_rank(mat_mod(pencil.evaluate(x), p), p) for x in points]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "STACK_CELLS", stack_cells)
-        mp.setattr(analysis, "ECHELON_CELLS", echelon_cells)
+        mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
         assert ranks_at(pencil, points, p) == want
 
 
@@ -146,32 +146,34 @@ def _diagonal_pencil(c: int, b: int) -> Pencil:
     ((50, 201), 0, 3),  # above it: each matrix alone through the echelon
 ])
 def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stacks, echelons):
-    assert analysis.ECHELON_CELLS == 10_000 < analysis.STACK_CELLS
+    assert linalg.ECHELON_CELLS == 10_000 < analysis.STACK_CELLS
     pencil = _diagonal_pencil(*shape)
     points = [[1, 0], [0, 1], [3, 5]]
-    stacked_calls, echelon_rows = [], []
+    forward_shapes, echelon_rows = [], []
+    forward = linalg._forward
 
     class Counting(ModpEchelon):
         def add(self, rows):
             echelon_rows.append(len(rows))
             return super().add(rows)
 
-    def counting_ranks(a, p):
-        stacked_calls.append(a.shape)
-        return modp_ranks(a, p)
+    def counting_forward(a, p, keep_rows):
+        forward_shapes.append(a.shape)
+        return forward(a, p, keep_rows)
 
     monkeypatch.setattr(linalg, "ModpEchelon", Counting)
-    monkeypatch.setattr(analysis, "modp_ranks", counting_ranks)
+    monkeypatch.setattr(linalg, "_forward", counting_forward)
     assert ranks_at(pencil, points, DEFAULT_PRIME) == [min(shape)] * 3
-    assert (len(stacked_calls), len(echelon_rows)) == (stacks, echelons)
-    if stacks:
-        assert stacked_calls == [(3, *shape)]
+    assert (len(forward_shapes), len(echelon_rows)) == (stacks, echelons)
+    if stacks:  # ranked on the side with fewer columns
+        assert forward_shapes == [(3, shape[1], shape[0])]
     # the kernels of rnd take the same route: A and its transpose apart
+    forward_shapes.clear()
     echelon_rows.clear()
     kernels = list(analysis._kernels(pencil, points, DEFAULT_PRIME,
                                      pencil.coeff_array_modp(DEFAULT_PRIME)))
     assert [(len(k), len(c)) for k, c in kernels] == [(shape[1] - shape[0], 0)] * 3
-    assert len(echelon_rows) == 2 * echelons
+    assert (len(forward_shapes), len(echelon_rows)) == (2 * stacks, 2 * echelons)
 
 
 @pytest.mark.parametrize("prime", [9, 15, 1, 46337 * 46327])
@@ -392,16 +394,16 @@ def test_rnd_matches_the_one_at_a_time_oracle(pen, seed):
 
 
 @pytest.mark.parametrize("stack_cells, echelon_cells", [
-    pytest.param(100, analysis.ECHELON_CELLS, id="100"),  # stacks of two 8x6 matrices
+    pytest.param(100, linalg.ECHELON_CELLS, id="100"),  # stacks of two 8x6 matrices
     pytest.param(16, 16, id="16"),  # each matrix to the echelon
-    pytest.param(1, analysis.ECHELON_CELLS, id="one-per-stack"),
+    pytest.param(1, linalg.ECHELON_CELLS, id="one-per-stack"),
     pytest.param(analysis.STACK_CELLS, 0, id="echelon-under-a-large-stack-budget"),
 ])
 def test_rnd_matches_the_oracle_in_small_chunks(stack_cells, echelon_cells):
     pen = build_gl_pencil((2,), (2, 1), 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "STACK_CELLS", stack_cells)
-        mp.setattr(analysis, "ECHELON_CELLS", echelon_cells)
+        mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
         assert rnd(pen, seed=1) == rnd_one_at_a_time(pen, seed=1)[0]
 
 

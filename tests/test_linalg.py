@@ -94,7 +94,7 @@ class TestRank:
     @given(int_matrices, st.sampled_from(PRIMES_31BIT))
     def test_rank_nullity_modp(self, m, p):
         a = mat_mod(m, p)
-        assert modp_rank(a, p) + modp_kernel(a, p).shape[0] == a.shape[1]
+        assert modp_rank(a, p) + modp_kernel(a[None], p)[0].shape[0] == a.shape[1]
 
     @given(int_matrices)
     @settings(max_examples=30)
@@ -147,7 +147,9 @@ class TestBatchedRank:
         rng = random.Random(seed)
         stack = np.array([_tall_rank_deficient(p, rng, n, n, r)
                           for r in (n - 2, n - 1, n)])
-        assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
+        with pytest.MonkeyPatch.context() as mp:  # 128x128 is above the bound
+            mp.setattr(linalg, "ECHELON_CELLS", n * n)
+            assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
 
 
 @given(int_matrices, st.sampled_from((3, 7, DEFAULT_PRIME)), st.booleans())
@@ -342,16 +344,21 @@ def _echelon_kernel(a, p):
 @example(p=32771, m=9, n=9, ranks=[9, 8, 0], seed=3)
 @settings(max_examples=150, deadline=None)
 def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
-    # N matrices of mixed rank from 0 to min(m, n), wide or tall
+    # N matrices of mixed rank from 0 to min(m, n), wide or tall, on the
+    # stacked route and, with the bound at 0, on the echelon route
     rng = random.Random(seed)
     stack = np.array([_tall_rank_deficient(p, rng, m, n, min(r, m, n)) for r in ranks],
                      dtype=np.int64).reshape(len(ranks), m, n)
-    kernels = modp_kernel(stack, p)
-    assert len(kernels) == len(ranks)
-    for a, ker in zip(stack, kernels):
-        want = _echelon_kernel(a, p)
-        assert (ker.shape, ker.tolist()) == (want.shape, want.tolist())
-    assert modp_ranks(stack, p).tolist() == [n - len(ker) for ker in kernels]
+    want = [_echelon_kernel(a, p) for a in stack]
+    for echelon_cells in (linalg.ECHELON_CELLS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
+            kernels = modp_kernel(stack, p)
+            ranks_got = modp_ranks(stack, p).tolist()
+        assert len(kernels) == len(ranks)
+        for ker, w in zip(kernels, want):
+            assert (ker.shape, ker.tolist()) == (w.shape, w.tolist())
+        assert ranks_got == [n - len(ker) for ker in kernels]
 
 
 # 7, 127 and 32749 are the largest primes with 2(p-1)^2 below 2^7, 2^15
@@ -508,7 +515,7 @@ class TestKernelSolve:
     @given(int_matrices, st.sampled_from(PRIMES_31BIT))
     def test_modp_kernel_annihilates(self, m, p):
         a = mat_mod(m, p)
-        ker = modp_kernel(a, p)
+        ker = modp_kernel(a[None], p)[0]
         if ker.size:
             assert not modp_matmul(a, ker.T, p).any()
 
