@@ -147,7 +147,7 @@ class TestBatchedRank:
         rng = random.Random(seed)
         stack = np.array([_tall_rank_deficient(p, rng, n, n, r)
                           for r in (n - 2, n - 1, n)])
-        with pytest.MonkeyPatch.context() as mp:  # 128x128 is above the bound
+        with pytest.MonkeyPatch.context() as mp:  # keep 128x128 on the stacked loop
             mp.setattr(linalg, "ECHELON_CELLS", n * n)
             assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
 
