@@ -332,6 +332,12 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     goes on until a rank above r is accepted; r is raised to it and the
     accumulation starts again.  Only when RND_MAX_SAMPLES samples show no rank
     above r does the escape raise.
+
+    The constraints live in one ModpEchelon, and the accepted samples of
+    each batch of draws go in with one add_outer call.  A round reads the
+    dimension as the echelon's number of free columns and tests L with
+    kernel_contains; the canonical Subspace is built only for L's dimension
+    and for the reported space.
     """
     check_prime(prime)
     rng = random.Random(seed)
@@ -339,8 +345,8 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     c, b = pencil.target_dim, pencil.source_dim
     ambient = c * b
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
-    span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
-    s = span.dim
+    lset = stacked.reshape(pencil.nvars, ambient)
+    s = Subspace.from_vectors(lset, ambient, prime).dim
     # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
     constraints = ModpEchelon(ambient, prime)
     samples_used = 0
@@ -348,21 +354,27 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     target = pencil.nvars + 2
     prev_dim = None
     stable = 0
+
+    def report(verdict: str) -> RndReport:
+        space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
+        return RndReport(space, verdict, s, samples_used,
+                         {"prime": prime, "seed": seed, "generic_rank": r})
+
     while samples_used < RND_MAX_SAMPLES:
         while samples_used < target:
             # the draws still needed, accepted in draw order: a rejected
             # draw is made up for by the next batch, as one at a time
             xs = [[rng.randrange(prime) for _ in range(pencil.nvars)]
                   for _ in range(target - samples_used)]
-            for ker, coker in _kernels(pencil, xs, prime, stacked):
-                if b - len(ker) < r:
-                    continue
-                top = max(top, b - len(ker))
-                # the row of (f, u) is the flattened outer product f u^T
-                constraints.add_outer(coker, ker)
-                samples_used += 1
-        space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
-        escaped = not space.contains_subspace(span)
+            accepted = [(coker, ker) for ker, coker in _kernels(pencil, xs, prime, stacked)
+                        if b - len(ker) >= r]
+            top = max([top] + [b - len(ker) for _, ker in accepted])
+            # the row of (f, u) is the flattened outer product f u^T
+            constraints.add_outer(accepted)
+            samples_used += len(accepted)
+        # the dimension of the constraints' kernel, and whether it holds L
+        dim = ambient - constraints.pivots.size
+        escaped = not constraints.kernel_contains(lset)
         if escaped and top > r:
             # a sample below the generic rank was accepted: start again,
             # accepting only samples of the largest rank seen
@@ -373,28 +385,19 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
         if escaped:  # no rank above r accepted yet: draw the next round
             target = min(RND_MAX_SAMPLES, target * 2)
             continue
-        if space.dim == s:
-            return RndReport(
-                space, "rank-critical-certified", s, samples_used,
-                {"prime": prime, "seed": seed, "generic_rank": r},
-            )
-        if space.dim == prev_dim:
+        if dim == s:
+            return report("rank-critical-certified")
+        if dim == prev_dim:
             stable += 1
             if stable >= 2:
-                return RndReport(
-                    space, "strictly-larger", s, samples_used,
-                    {"prime": prime, "seed": seed, "generic_rank": r},
-                )
+                return report("strictly-larger")
         else:
             stable = 0
-        prev_dim = space.dim
+        prev_dim = dim
         target = min(RND_MAX_SAMPLES, target * 2)
     if escaped:
         raise AssertionError("pencil span escaped its own RND constraints")
-    return RndReport(
-        space, "inconclusive", s, samples_used,
-        {"prime": prime, "seed": seed, "generic_rank": r},
-    )
+    return report("inconclusive")
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,14 @@ together by the stacked loop.
     columns, the free columns and X, the RREF restricted to the free
     columns.  Rows are reduced into free coordinates with one product
     (add), or, for the outer-product rows of the neutral-direction
-    constraints, without being formed (add_outer); they are then inserted
-    in blocks of ECHELON_BLOCK rows, each reduced by the pivots the call
-    has added before it and eliminated by recursive halving (_eliminate),
-    which leaves _gauss_jordan's row-by-row elimination to blocks of at
-    most 16 rows.
+    constraints, without being formed (add_outer: one call for the samples
+    of a batch of draws, in groups of at most _KERNEL_CELLS cells of free
+    coordinates, a group whose free coordinates are all zero skipped);
+    they are then inserted in blocks of ECHELON_BLOCK rows, each reduced
+    by the pivots the call has added before it and eliminated by recursive
+    halving (_eliminate), which leaves _gauss_jordan's row-by-row
+    elimination to blocks of at most 16 rows.  kernel_contains tests rows
+    against the right kernel through X, without building it.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -47,7 +50,8 @@ distinct_primitive_rows drops the rows of an integer matrix that repeat
 another up to a scalar before its kernel is taken.
 
 Subspace is the canonical (RREF basis) representation of a row space over
-F_p.
+F_p.  The neutral-direction solve builds one for the pencil's span and one
+for the space it reports; its rounds read the echelon.
 """
 from __future__ import annotations
 
@@ -343,7 +347,7 @@ def distinct_primitive_rows(a: np.ndarray) -> np.ndarray:
 _LIMB_BITS = 16
 _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
 ECHELON_BLOCK = 64  # rows eliminated, and cleared from X, per step of ModpEchelon
-_KERNEL_CELLS = 1 << 16  # kernel-row cells add_outer builds at once
+_KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-row cells at once
 
 # modp_ranks and modp_kernel eliminate a matrix of more than ECHELON_CELLS
 # cells alone.  Per matrix at DEFAULT_PRIME, full 2^17-cell stacks against
@@ -476,16 +480,18 @@ class ModpEchelon:
     New rows are first reduced into free coordinates, y = row[free] -
     row[piv] @ X, which is row @ K^T for the kernel rows K of kernel().
     `add` does this with one exact product per call; `add_outer` takes the
-    rows f_i (x) u_j of two factors without forming them, as F (K (I (x)
-    U^T)), built a chunk of free columns of K at a time.  Both then insert
-    y in blocks of ECHELON_BLOCK rows: a block is reduced by the pivots
-    added since the call began with one product, eliminated by _eliminate
-    into N, the new pivots are cleared from X with one more, X[:, new] @
-    N[:, keep], and N's rows are appended.  A block is reduced only when its
-    turn comes, so at the fewest free columns: clearing every later row
-    after each block instead took 26 against 20 ms for a 512x252 rank of
-    random residues at DEFAULT_PRIME (2-CPU VM, numpy 2.4).
-    Every reduction mod p is _mod.
+    rows f_i (x) u_j of a sequence of factor pairs without forming them, as
+    F (K (I (x) U^T)): in groups of pairs of at most _KERNEL_CELLS cells of
+    free coordinates, each making one product of K with the U of all its
+    pairs and one with each F, and skipping a group whose rows all reduce
+    to zero.  Both then insert y in blocks of ECHELON_BLOCK rows: a block
+    is reduced by the pivots added since the call began with one product,
+    eliminated by _eliminate into N, the new pivots are cleared from X with
+    one more, X[:, new] @ N[:, keep], and N's rows are appended.  A block
+    is reduced only when its turn comes, so at the fewest free columns:
+    clearing every later row after each block instead took 26 against 20
+    ms for a 512x252 rank of random residues at DEFAULT_PRIME (2-CPU VM,
+    numpy 2.4).  Every reduction mod p is _mod.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
@@ -516,28 +522,74 @@ class ModpEchelon:
                         self.p)
         return self._insert(rows)
 
-    def add_outer(self, f: np.ndarray, u: np.ndarray) -> list[int]:
-        """add of the rows f_i (x) u_j, i-major, for residue rows f_i of
-        length c and u_j of length b, c b the number of columns: the row of
-        (i, j) is the flattened outer product f_i u_j^T.
+    def add_outer(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[int]:
+        """add of the rows f_i (x) u_j of each pair (f, u) in turn, i-major
+        within a pair, for residue rows f_i of length c and u_j of length b,
+        c b the number of columns: the row of (i, j) is the flattened outer
+        product f_i u_j^T.  The indices returned count the rows of all the
+        pairs, concatenated.
+
+        The pairs go in groups of at most _KERNEL_CELLS cells of free
+        coordinates (at least one pair to a group), each taken into free
+        coordinates by _outer_free and inserted unless they are all zero:
+        once the echelon holds the span, later rows cost their products
+        only."""
+        pairs = [(f, u) for f, u in pairs if len(f) and len(u)]
+        sizes = [len(f) * len(u) for f, u in pairs]
+        raised, lo = [], 0
+        while lo < len(pairs) and self._free.size:  # with no free column no row raises
+            nf, hi, rows = self._free.size, lo + 1, sizes[lo]
+            while hi < len(pairs) and (rows + sizes[hi]) * nf <= _KERNEL_CELLS:
+                rows += sizes[hi]
+                hi += 1
+            y = self._outer_free(pairs[lo:hi])
+            if y.any():
+                start = sum(sizes[:lo])
+                raised += [start + i for i in self._insert(y)]
+            lo = hi
+        return raised
+
+    def _outer_free(self, pairs: list) -> np.ndarray:
+        """The rows f_i (x) u_j of the pairs, in free coordinates.
 
         Row (i, j) in free coordinates is f_i^T K_g u_j in free column g,
-        K_g the kernel row of g read as a c x b matrix.  The rows are formed
-        only while no pivot is known, when they are their own free
+        K_g the kernel row of g read as a c x b matrix.  The kernel rows are
+        built a chunk of free columns at a time, so that neither the chunk
+        nor its product with the u's has more than _KERNEL_CELLS cells; each
+        chunk makes one product with every u of the group and then one with
+        each f.  The rows are
+        formed only while no pivot is known, when they are their own free
         coordinates."""
-        (kf, c), (ku, b) = f.shape, u.shape
+        c, b = pairs[0][0].shape[1], pairs[0][1].shape[1]
         if not self._piv.size:
-            return self.add((f[:, None, :, None] * u[None, :, None, :]).reshape(-1, c * b))
+            return _mod(np.concatenate([(f[:, None, :, None] * u[None, :, None, :])
+                                        .reshape(-1, c * b) for f, u in pairs]), self.p)
         nf, p = self._free.size, self.p
-        y = np.empty((kf, ku, nf), dtype=np.int64)
-        step = max(1, _KERNEL_CELLS // (c * b))
+        us = np.concatenate([u for _, u in pairs])
+        y = np.empty((sum(len(f) * len(u) for f, u in pairs), nf), dtype=np.int64)
+        step = max(1, _KERNEL_CELLS // (c * max(b, len(us))))
         for s in range(0, nf, step):
             k = self._kernel_rows(s, s + step)
-            # K_g u_j for every free column g and every j, then f_i^T of each
-            ku_g = modp_matmul(k.reshape(-1, b), u.T, p).reshape(len(k), c, ku)
-            fku = modp_matmul(f, ku_g.transpose(1, 0, 2).reshape(c, -1), p)
-            y[:, :, s : s + step] = fku.reshape(kf, len(k), ku).transpose(0, 2, 1)
-        return self._insert(y.reshape(kf * ku, nf))
+            # K_g u_j for every free column g and every u_j of the group, as (c, g, j)
+            ku_g = modp_matmul(k.reshape(-1, b), us.T, p).reshape(len(k), c, len(us))
+            ku_g = ku_g.transpose(1, 0, 2)
+            row = col = 0
+            for f, u in pairs:
+                kf, ku = len(f), len(u)
+                fku = modp_matmul(f, ku_g[:, :, col : col + ku].reshape(c, -1), p)
+                y[row : row + kf * ku].reshape(kf, ku, nf)[:, :, s : s + step] = (
+                    fku.reshape(kf, len(k), ku).transpose(0, 2, 1))
+                row, col = row + kf * ku, col + ku
+        return y
+
+    def kernel_contains(self, rows) -> bool:
+        """Whether every row v lies in the right kernel.  Basis row k is
+        e_piv(k) + sum_f X[k, f] e_f, so v does exactly when v[piv] + X
+        v[free] = 0."""
+        ncols = self._piv.size + self._free.size
+        rows = _mod(np.asarray(rows, dtype=np.int64).reshape(-1, ncols), self.p)
+        return not _mod(rows[:, self._piv] + modp_matmul(rows[:, self._free], self._x.T, self.p),
+                        self.p).any()
 
     def _insert(self, y: np.ndarray) -> list[int]:
         """Insert rows in the free coordinates the echelon has on entry;

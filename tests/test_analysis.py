@@ -393,6 +393,29 @@ def test_rnd_matches_the_one_at_a_time_oracle(pen, seed):
     assert rnd(pen, seed=seed) == rnd_one_at_a_time(pen, seed=seed)[0]
 
 
+@pytest.mark.parametrize("pen", RND_PENCILS[-2:], ids=["spin-5", "gl-2-21-v3"])
+def test_rnd_builds_the_canonical_subspace_only_for_the_report(pen, monkeypatch):
+    # the rounds read the constraints' echelon; Subspace is built for the
+    # span L and for the reported space, and each batch of draws makes one
+    # add_outer call
+    calls = {"from_vectors": 0, "_kernels": 0, "add_outer": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Subspace, "from_vectors",
+                        staticmethod(counted("from_vectors", Subspace.from_vectors)))
+    monkeypatch.setattr(analysis, "_kernels", counted("_kernels", analysis._kernels))
+    monkeypatch.setattr(ModpEchelon, "add_outer", counted("add_outer", ModpEchelon.add_outer))
+    rep = rnd(pen, seed=0)
+    assert calls["from_vectors"] == 2
+    assert calls["add_outer"] == calls["_kernels"] > 1
+    assert isinstance(rep.space, Subspace)
+
+
 @pytest.mark.parametrize("stack_cells, echelon_cells", [
     pytest.param(100, linalg.ECHELON_CELLS, id="100"),  # stacks of two 8x6 matrices
     pytest.param(16, 16, id="16"),  # each matrix to the echelon

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,38 +272,79 @@ def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, 
 
 
 # the factors of mixed rank, so that some outer products depend on others
-# or on the rows added before; rank = c b leaves no free column
+# or on the rows added before; rank = c b leaves no free column.  `repeat`
+# adds the pairs twice, so that the second copy reduces to zero, and a
+# small `cells` splits one call into many groups and the kernel rows into
+# many chunks.
 @given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(1, 5), st.integers(1, 5),
        st.integers(0, 30), st.integers(0, 30), st.lists(st.tuples(
-           st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=3),
+           st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4),
+       st.booleans(), st.sampled_from((1, 40, 300, linalg._KERNEL_CELLS)),
        st.integers(0, 2 ** 32))
-@example(p=3, c=2, b=3, before=0, rank=0, samples=[(2, 2), (2, 1)], seed=0)
-@example(p=101, c=3, b=4, before=12, rank=5, samples=[(0, 3), (3, 0), (2, 2)], seed=1)
-@example(p=DEFAULT_PRIME, c=3, b=3, before=12, rank=9, samples=[(3, 3)], seed=2)
-@example(p=DEFAULT_PRIME, c=5, b=5, before=30, rank=20, samples=[(5, 5), (4, 3)], seed=3)
+@example(p=3, c=2, b=3, before=0, rank=0, samples=[(2, 2), (2, 1)], repeat=False,
+         cells=linalg._KERNEL_CELLS, seed=0)
+@example(p=101, c=3, b=4, before=12, rank=5, samples=[(0, 3), (3, 0), (2, 2)], repeat=False,
+         cells=linalg._KERNEL_CELLS, seed=1)
+@example(p=DEFAULT_PRIME, c=3, b=3, before=12, rank=9, samples=[(3, 3)], repeat=False,
+         cells=linalg._KERNEL_CELLS, seed=2)
+@example(p=DEFAULT_PRIME, c=5, b=5, before=30, rank=20, samples=[(5, 5), (4, 3)],
+         repeat=False, cells=linalg._KERNEL_CELLS, seed=3)
+@example(p=101, c=4, b=5, before=6, rank=4, samples=[(2, 3), (4, 1), (0, 2), (1, 5)],
+         repeat=True, cells=1, seed=4)
+@example(p=DEFAULT_PRIME, c=3, b=4, before=0, rank=0, samples=[(3, 2), (1, 4)], repeat=True,
+         cells=40, seed=5)
+@example(p=DEFAULT_PRIME, c=2, b=2, before=9, rank=4, samples=[(2, 2), (1, 1)], repeat=True,
+         cells=1, seed=6)
 @settings(max_examples=60, deadline=None)
-def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, seed):
+def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, repeat, cells, seed):
     rng = random.Random(seed)
     ambient = c * b
     earlier = _tall_rank_deficient(p, rng, before, ambient, min(rank, before, ambient))
-    formed, outer = ModpEchelon(ambient, p), ModpEchelon(ambient, p)
-    formed.add(earlier)
-    outer.add(earlier)
-    every = [earlier]
-    for kf, ku in samples:
-        f = _tall_rank_deficient(p, rng, kf, c, rng.randint(0, min(kf, c)))
-        u = _tall_rank_deficient(p, rng, ku, b, rng.randint(0, min(ku, b)))
-        rows = (f[:, None, :, None] * u[None, :, None, :]).reshape(kf * ku, ambient)
-        start = sum(map(len, every))
-        every.append(rows)
-        want_rows, want_pivots, want_raised = modp_row_reduce(
-            np.concatenate(every).tolist(), p)
-        raised = outer.add_outer(f, u)
-        assert raised == [i - start for i in want_raised if i >= start]
-        assert raised == formed.add(rows)
-        assert outer.pivots.tolist() == formed.pivots.tolist() == want_pivots
-        assert outer.basis.tolist() == formed.basis.tolist() == want_rows
-        assert outer.kernel().tolist() == formed.kernel().tolist()
+    pairs = [(_tall_rank_deficient(p, rng, kf, c, rng.randint(0, min(kf, c))),
+              _tall_rank_deficient(p, rng, ku, b, rng.randint(0, min(ku, b))))
+             for kf, ku in samples]
+    pairs += pairs if repeat else []
+    rows = [(f[:, None, :, None] * u[None, :, None, :]).reshape(-1, ambient) for f, u in pairs]
+    want_rows, want_pivots, want_raised = modp_row_reduce(
+        np.concatenate([earlier] + rows).tolist(), p)
+    formed, per_pair, grouped = (ModpEchelon(ambient, p) for _ in range(3))
+    for ech in (formed, per_pair, grouped):
+        ech.add(earlier)
+    one_at_a_time, start = [], 0
+    with mock.patch.object(linalg, "_KERNEL_CELLS", cells):
+        raised = grouped.add_outer(pairs)
+        for pair, r in zip(pairs, rows):
+            one_at_a_time += [start + i for i in per_pair.add_outer([pair])]
+            start += len(r)
+    assert raised == one_at_a_time == [i - before for i in want_raised if i >= before]
+    assert raised == formed.add(np.concatenate(rows))
+    for ech in (grouped, per_pair):
+        assert ech.pivots.tolist() == formed.pivots.tolist() == want_pivots
+        assert ech.basis.tolist() == formed.basis.tolist() == want_rows
+        assert ech.kernel().tolist() == formed.kernel().tolist()
+
+
+# rank 0 leaves the echelon empty (every vector in its kernel); rank = ncols
+# fills it (only 0 in its kernel)
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(1, 12), st.integers(0, 16),
+       st.integers(0, 12), st.integers(0, 5), st.integers(0, 2 ** 32))
+@example(p=3, ncols=5, nrows=0, rank=0, nvecs=3, seed=0)
+@example(p=DEFAULT_PRIME, ncols=6, nrows=8, rank=6, nvecs=2, seed=1)
+@example(p=101, ncols=7, nrows=9, rank=3, nvecs=0, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_kernel_contains_matches_the_canonical_kernel(p, ncols, nrows, rank, nvecs, seed):
+    rng = random.Random(seed)
+    ech = ModpEchelon(ncols, p)
+    ech.add(_tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols)))
+    kernel = ech.kernel()
+    space = Subspace.from_vectors(kernel, ncols, p)
+    inside = _tall_rank_deficient(p, rng, nvecs, len(kernel), min(nvecs, len(kernel)))
+    inside = modp_matmul(inside, kernel, p)
+    other = np.array([[rng.randrange(p) for _ in range(ncols)]], dtype=np.int64)
+    assert ech.kernel_contains(inside)
+    for vecs in (inside, other, np.concatenate([inside, other])):
+        want = space.contains_subspace(Subspace.from_vectors(vecs, ncols, p))
+        assert ech.kernel_contains(vecs) == want
 
 
 @given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 64), st.integers(0, 40),
