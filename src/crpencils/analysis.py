@@ -345,8 +345,8 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     c, b = pencil.target_dim, pencil.source_dim
     ambient = c * b
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
-    lset = stacked.reshape(pencil.nvars, ambient)
-    s = Subspace.from_vectors(lset, ambient, prime).dim
+    span_rows = stacked.reshape(pencil.nvars, ambient)
+    s = Subspace.from_vectors(span_rows, ambient, prime).dim
     # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
     constraints = ModpEchelon(ambient, prime)
     samples_used = 0
@@ -374,7 +374,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
             samples_used += len(accepted)
         # the dimension of the constraints' kernel, and whether it holds L
         dim = ambient - constraints.pivots.size
-        escaped = not constraints.kernel_contains(lset)
+        escaped = not constraints.kernel_contains(span_rows)
         if escaped and top > r:
             # a sample below the generic rank was accepted: start again,
             # accepting only samples of the largest rank seen

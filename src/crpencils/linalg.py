@@ -34,11 +34,11 @@ together by the stacked loop.
     (add), or, for the outer-product rows of the neutral-direction
     constraints, without being formed (add_outer: one call for the samples
     of a batch of draws, in groups of at most _KERNEL_CELLS cells of free
-    coordinates, a group whose free coordinates are all zero skipped);
-    they are then inserted in blocks of ECHELON_BLOCK rows, each reduced
-    by the pivots the call has added before it and eliminated by recursive
-    halving (_eliminate), which leaves _gauss_jordan's row-by-row
-    elimination to blocks of at most 16 rows.  kernel_contains tests rows
+    coordinates); they are then inserted in blocks of ECHELON_BLOCK rows,
+    each reduced by the pivots the call has added before it, skipped if
+    that leaves it zero, and eliminated by recursive halving (_eliminate),
+    which leaves _gauss_jordan's row-by-row elimination to blocks of at
+    most 16 rows.  kernel_contains tests rows
     against the right kernel through X, without building it.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
@@ -483,15 +483,16 @@ class ModpEchelon:
     rows f_i (x) u_j of a sequence of factor pairs without forming them, as
     F (K (I (x) U^T)): in groups of pairs of at most _KERNEL_CELLS cells of
     free coordinates, each making one product of K with the U of all its
-    pairs and one with each F, and skipping a group whose rows all reduce
-    to zero.  Both then insert y in blocks of ECHELON_BLOCK rows: a block
-    is reduced by the pivots added since the call began with one product,
-    eliminated by _eliminate into N, the new pivots are cleared from X with
-    one more, X[:, new] @ N[:, keep], and N's rows are appended.  A block
-    is reduced only when its turn comes, so at the fewest free columns:
-    clearing every later row after each block instead took 26 against 20
-    ms for a 512x252 rank of random residues at DEFAULT_PRIME (2-CPU VM,
-    numpy 2.4).  Every reduction mod p is _mod.
+    pairs and one with each F.  Both then insert y in blocks of
+    ECHELON_BLOCK rows: a block is reduced by the pivots added since the
+    call began with one product, skipped if it is then zero (so a group of
+    rows the echelon already spans costs only its products), eliminated by
+    _eliminate into N, the new pivots are cleared from X with one more,
+    X[:, new] @ N[:, keep], and N's rows are appended.  A block is reduced
+    only when its turn comes, so at the fewest free columns: clearing every
+    later row after each block instead took 26 against 20 ms for a 512x252
+    rank of random residues at DEFAULT_PRIME (2-CPU VM, numpy 2.4).  Every
+    reduction mod p is _mod.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
@@ -531,9 +532,9 @@ class ModpEchelon:
 
         The pairs go in groups of at most _KERNEL_CELLS cells of free
         coordinates (at least one pair to a group), each taken into free
-        coordinates by _outer_free and inserted unless they are all zero:
-        once the echelon holds the span, later rows cost their products
-        only."""
+        coordinates by _outer_free and inserted.  _insert skips a block of
+        rows that are all zero, so once the echelon holds every row to come,
+        a group costs only its products."""
         pairs = [(f, u) for f, u in pairs if len(f) and len(u)]
         sizes = [len(f) * len(u) for f, u in pairs]
         raised, lo = [], 0
@@ -542,10 +543,8 @@ class ModpEchelon:
             while hi < len(pairs) and (rows + sizes[hi]) * nf <= _KERNEL_CELLS:
                 rows += sizes[hi]
                 hi += 1
-            y = self._outer_free(pairs[lo:hi])
-            if y.any():
-                start = sum(sizes[:lo])
-                raised += [start + i for i in self._insert(y)]
+            start = sum(sizes[:lo])
+            raised += [start + i for i in self._insert(self._outer_free(pairs[lo:hi]))]
             lo = hi
         return raised
 
@@ -557,9 +556,8 @@ class ModpEchelon:
         built a chunk of free columns at a time, so that neither the chunk
         nor its product with the u's has more than _KERNEL_CELLS cells; each
         chunk makes one product with every u of the group and then one with
-        each f.  The rows are
-        formed only while no pivot is known, when they are their own free
-        coordinates."""
+        each f.  The rows are formed only while no pivot is known, when they
+        are their own free coordinates."""
         c, b = pairs[0][0].shape[1], pairs[0][1].shape[1]
         if not self._piv.size:
             return _mod(np.concatenate([(f[:, None, :, None] * u[None, :, None, :])
@@ -602,6 +600,8 @@ class ModpEchelon:
                 added = np.searchsorted(cols, self._piv[start:])
                 block = _mod(block[:, np.searchsorted(cols, self._free)]
                              - modp_matmul(block[:, added], self._x[start:], p), p)
+            if not block.any():  # every row depends on the rows before it
+                continue
             n, new, source = _eliminate(block, p)
             raised += (s + source).tolist()
             if not new.size:
