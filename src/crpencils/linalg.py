@@ -537,19 +537,18 @@ class ModpEchelon:
         a group costs only its products."""
         pairs = [(f, u) for f, u in pairs if len(f) and len(u)]
         sizes = [len(f) * len(u) for f, u in pairs]
-        raised, lo = [], 0
+        raised, lo, start = [], 0, 0  # start: the group's first row over all the pairs
         while lo < len(pairs) and self._free.size:  # with no free column no row raises
             nf, hi, rows = self._free.size, lo + 1, sizes[lo]
             while hi < len(pairs) and (rows + sizes[hi]) * nf <= _KERNEL_CELLS:
                 rows += sizes[hi]
                 hi += 1
-            start = sum(sizes[:lo])
-            raised += [start + i for i in self._insert(self._outer_free(pairs[lo:hi]))]
-            lo = hi
+            raised += [start + i for i in self._insert(self._outer_free(pairs[lo:hi], rows))]
+            lo, start = hi, start + rows
         return raised
 
-    def _outer_free(self, pairs: list) -> np.ndarray:
-        """The rows f_i (x) u_j of the pairs, in free coordinates.
+    def _outer_free(self, pairs: list, nrows: int) -> np.ndarray:
+        """The nrows rows f_i (x) u_j of the pairs, in free coordinates.
 
         Row (i, j) in free coordinates is f_i^T K_g u_j in free column g,
         K_g the kernel row of g read as a c x b matrix.  The kernel rows are
@@ -564,7 +563,7 @@ class ModpEchelon:
                                         .reshape(-1, c * b) for f, u in pairs]), self.p)
         nf, p = self._free.size, self.p
         us = np.concatenate([u for _, u in pairs])
-        y = np.empty((sum(len(f) * len(u) for f, u in pairs), nf), dtype=np.int64)
+        y = np.empty((nrows, nf), dtype=np.int64)
         step = max(1, _KERNEL_CELLS // (c * max(b, len(us))))
         for s in range(0, nf, step):
             k = self._kernel_rows(s, s + step)

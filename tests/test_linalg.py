@@ -307,21 +307,32 @@ def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, repeat
     rows = [(f[:, None, :, None] * u[None, :, None, :]).reshape(-1, ambient) for f, u in pairs]
     want_rows, want_pivots, want_raised = modp_row_reduce(
         np.concatenate([earlier] + rows).tolist(), p)
-    formed, per_pair, grouped = (ModpEchelon(ambient, p) for _ in range(3))
-    for ech in (formed, per_pair, grouped):
+    formed, per_pair, grouped, formed_at_once = (ModpEchelon(ambient, p) for _ in range(4))
+    for ech in (formed, per_pair, grouped, formed_at_once):
         ech.add(earlier)
-    one_at_a_time, start = [], 0
+    one_at_a_time, every = [], [earlier]
     with mock.patch.object(linalg, "_KERNEL_CELLS", cells):
         raised = grouped.add_outer(pairs)
+        # one pair per call, each call checked against the formed rows and
+        # the row-by-row oracle on the rows added so far
         for pair, r in zip(pairs, rows):
-            one_at_a_time += [start + i for i in per_pair.add_outer([pair])]
-            start += len(r)
+            start = sum(map(len, every))
+            every.append(r)
+            so_far_rows, so_far_pivots, so_far_raised = modp_row_reduce(
+                np.concatenate(every).tolist(), p)
+            step = per_pair.add_outer([pair])
+            assert step == [i - start for i in so_far_raised if i >= start]
+            assert step == formed.add(r)
+            assert per_pair.pivots.tolist() == formed.pivots.tolist() == so_far_pivots
+            assert per_pair.basis.tolist() == formed.basis.tolist() == so_far_rows
+            assert per_pair.kernel().tolist() == formed.kernel().tolist()
+            one_at_a_time += [start - before + i for i in step]
     assert raised == one_at_a_time == [i - before for i in want_raised if i >= before]
-    assert raised == formed.add(np.concatenate(rows))
-    for ech in (grouped, per_pair):
-        assert ech.pivots.tolist() == formed.pivots.tolist() == want_pivots
-        assert ech.basis.tolist() == formed.basis.tolist() == want_rows
-        assert ech.kernel().tolist() == formed.kernel().tolist()
+    assert raised == formed_at_once.add(np.concatenate(rows))
+    for ech in (grouped, formed_at_once):
+        assert ech.pivots.tolist() == per_pair.pivots.tolist() == want_pivots
+        assert ech.basis.tolist() == per_pair.basis.tolist() == want_rows
+        assert ech.kernel().tolist() == per_pair.kernel().tolist()
 
 
 # rank 0 leaves the echelon empty (every vector in its kernel); rank = ncols
