@@ -13,6 +13,11 @@ record per run, in the order they ran) and summary: per workload and per
 end-to-end metric of BENCHMARK.json, the quartiles of each side, the ratio
 of the medians and the number of pairs the change won, ties counting for
 neither side.  Other keys already in the file are kept.
+
+A run record also holds raw_setup_s, the median over the run's passes of
+the setup time before normalization by the machine's speed probe, read from
+the run's perfbench/out/<workload>-trace0.json; the summary gives it a row
+of its own after setup_s.
 """
 from __future__ import annotations
 
@@ -26,9 +31,11 @@ import sys
 import tempfile
 from importlib.metadata import version
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
+RAW_SETUP = "raw_setup_s"
 
 
 def benchmark() -> dict:
@@ -50,16 +57,23 @@ def quartiles(xs: list[float]) -> dict[str, float]:
 
 def summarize(runs: list[dict], metrics: dict[str, str]) -> dict[str, list[dict]]:
     """Per workload, one entry per metric over the pairs where both sides
-    report it."""
+    report it, with raw_setup_s after setup_s."""
     values: dict[tuple, float] = {}
     for r in runs:
         for name, m in ((r.get("result") or {}).get("metrics") or {}).items():
             values[r["workload"], r["pair"], r["side"], name] = m["value"]
+        if RAW_SETUP in r:
+            values[r["workload"], r["pair"], r["side"], RAW_SETUP] = r[RAW_SETUP]
+    named = []
+    for name, better in metrics.items():
+        named.append((name, better))
+        if name == "setup_s":
+            named.append((RAW_SETUP, better))
     out: dict[str, list[dict]] = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
         pairs = sorted({r["pair"] for r in runs if r["workload"] == w})
         rows = []
-        for name, better in metrics.items():
+        for name, better in named:
             both = [(values[w, i, "parent", name], values[w, i, "change", name])
                     for i in pairs
                     if (w, i, "parent", name) in values and (w, i, "change", name) in values]
@@ -104,6 +118,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
 
 
+def raw_setup_median(trace: Path) -> Optional[float]:
+    """The median raw_setup_s of the passes in a run's trace file, or None
+    when the run wrote none."""
+    try:
+        return statistics.median(p[RAW_SETUP] for p in json.loads(trace.read_text())["passes"])
+    except (OSError, ValueError, KeyError):  # no file, bad JSON or no passes
+        return None
+
+
 def measure(args) -> int:
     workloads = args.workloads.split(",")
     seconds = benchmark()["run_seconds"]
@@ -123,9 +146,15 @@ def measure(args) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     checkout, commit = sides[side]
+                    trace = checkout / "perfbench" / "out" / f"{w}-trace0.json"
+                    trace.unlink(missing_ok=True)  # a failed run leaves no stale file
                     result = run_once(checkout, w, first_seed + i, seconds)
-                    runs.append({"side": side, "workload": w, "pair": i, "first": order[0],
-                                 "seed": first_seed + i, "commit": commit, "result": result})
+                    record = {"side": side, "workload": w, "pair": i, "first": order[0],
+                              "seed": first_seed + i, "commit": commit, "result": result}
+                    raw = raw_setup_median(trace)
+                    if raw is not None:
+                        record[RAW_SETUP] = raw
+                    runs.append(record)
                     print(w, i, side, json.dumps(result.get("metrics", result))[:200],
                           file=sys.stderr, flush=True)
     doc.update({

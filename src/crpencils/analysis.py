@@ -3,7 +3,7 @@
 Verdict semantics: "constant" is only ever claimed from exhaustive
 enumeration of the projective parameter space over a finite field or from
 the transitivity certificate (equivariant pencil whose symmetry group acts
-transitively on the projective base: the GL- and Sp-built pencils).  Sampled
+transitively on the projective base: the GL, Sp and Koszul pencils).  Sampled
 runs return "bounded" (all measured ranks below min(b,c)), "non-constant"
 (differing ranks with the maximum equal to min(b,c)) or "inconclusive",
 always with witnesses, a prime and a seed.
@@ -23,7 +23,7 @@ from .linalg import (
     Subspace,
     check_prime,
     modp_kernel,
-    modp_rank,  # noqa: F401  (wrapped here by perfbench/spans.py)
+    modp_rank,
     modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
@@ -182,7 +182,7 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
         if pencil.spec is None or not pencil.spec.transitive:
             raise ValueError(
                 "transitivity certificate requires a pencil whose group acts "
-                "transitively on the projective base (GL- or Sp-built)"
+                "transitively on the projective base (GL-, Sp- or Koszul-built)"
             )
         if not check_equivariance(pencil):
             raise ValueError("equivariance certificate failed")
@@ -336,8 +336,8 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     The constraints live in one ModpEchelon, and the accepted samples of
     each batch of draws go in with one add_outer call.  A round reads the
     dimension as the echelon's number of free columns and tests L with
-    kernel_contains; the canonical Subspace is built only for L's dimension
-    and for the reported space.
+    kernel_contains.  L's dimension is a modp_rank; the canonical Subspace
+    is built only for the reported space.
     """
     check_prime(prime)
     rng = random.Random(seed)
@@ -346,7 +346,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     ambient = c * b
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
     span_rows = stacked.reshape(pencil.nvars, ambient)
-    s = Subspace.from_vectors(span_rows, ambient, prime).dim
+    s = modp_rank(span_rows, prime)
     # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
     constraints = ModpEchelon(ambient, prime)
     samples_used = 0

@@ -1,13 +1,14 @@
 """Command-line interface: build pencils, verify rank behavior, run the catalog.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/shape error,
-3 parse error.
+3 parse error, 141 (128 + SIGPIPE) when the reader of stdout closed it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_PIPE = 141
 
 
 def _partition_arg(text: str) -> tuple:
@@ -193,12 +195,17 @@ def cmd_catalog(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
-    if args.command == "build":
-        return cmd_build(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_catalog(args)
+    try:
+        args = make_parser().parse_args(argv)
+        code = {"build": cmd_build, "verify": cmd_verify}.get(args.command, cmd_catalog)(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exact dense linear algebra over Q and over prime fields F_p.
 
-Matrices over Q are integer numpy arrays, int64 while no value a step forms
-can reach EXACT_BOUND and Python ints in object arrays otherwise; rational
-rows are scaled to integers by integer_rows.  Prime-field matrices are
+Every input is integer.  Matrices over Q are integer numpy arrays, int64
+while no value a step forms can reach EXACT_BOUND and Python ints in object
+arrays otherwise, or rows of Python ints.  Prime-field matrices are
 int64 arrays with entries reduced into [0, p), p an odd prime below 2**31,
 so that products of two residues fit in int64.  modp_matmul is the one
 product mod p, exact on float64 BLAS, and _mod the one reduction of an
@@ -38,8 +38,8 @@ together by the stacked loop.
     each reduced by the pivots the call has added before it, skipped if
     that leaves it zero, and eliminated by recursive halving (_eliminate),
     which leaves _gauss_jordan's row-by-row elimination to blocks of at
-    most 16 rows.  kernel_contains tests rows
-    against the right kernel through X, without building it.
+    most 16 rows.  kernel_contains tests rows against the right kernel
+    through X, without building it.
 
 Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
@@ -49,14 +49,13 @@ contraction kernel of the modules) goes through it.
 distinct_primitive_rows drops the rows of an integer matrix that repeat
 another up to a scalar before its kernel is taken.
 
-Subspace is the canonical (RREF basis) representation of a row space over
-F_p.  The neutral-direction solve builds one for the pencil's span and one
-for the space it reports; its rounds read the echelon.
+Subspace holds the canonical (RREF) basis of a row space over F_p, built
+from integer vectors.  The neutral-direction solve builds one, for the space
+it reports; the span's dimension is a modp_rank, its rounds read the echelon.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
@@ -111,14 +110,6 @@ def check_prime(p: int) -> int:
     raise ValueError(f"prime must be an odd prime < 2^31, got {p}")
 
 
-def reduce_mod(x, p: int) -> int:
-    """Image of a rational number in F_p; fails if p divides the denominator."""
-    f = Fraction(x)
-    if f.denominator % p == 0:
-        raise ZeroDivisionError(f"denominator of {f} vanishes mod {p}")
-    return f.numerator * pow(f.denominator, -1, p) % p
-
-
 def _mod(x, p: int):
     """x mod p entrywise, in [0, p), as an array of x's dtype: x - (x // p) p,
     formed in place in the quotient array.  numpy divides by a scalar on
@@ -129,24 +120,6 @@ def _mod(x, p: int):
     r = np.floor_divide(x, p, out=np.empty_like(x))
     r *= p
     return np.subtract(x, r, out=r)
-
-
-def mat_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
-    """The matrix reduced into [0, p) as int64: integer entries, and a
-    float array whose entries are all integers, with one _mod; any
-    other entry (a Fraction) through reduce_mod.  Python ints of mixed sign
-    past 2^63 would promote to float64, so any other matrix that numpy does
-    not read as integers is rebuilt from the rows exactly."""
-    a = np.asarray(rows)
-    if (isinstance(rows, np.ndarray) and a.dtype.kind == "f"
-            and np.abs(a).max(initial=0) < 2.0 ** 63 and (a == np.trunc(a)).all()):
-        a = a.astype(np.int64)  # integer-valued floats: exact in int64
-    if a.dtype.kind not in "iu":
-        a = np.array(rows, dtype=object)
-        for idx, x in np.ndenumerate(a):
-            if not isinstance(x, (int, np.integer)):
-                a[idx] = reduce_mod(x, p)
-    return _mod(a, p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +137,6 @@ def _primes():
     while p > 3:
         yield p
         p = _prime_below(p)
-
-
-def integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: same row space, int entries.
-
-    Ints and Fractions are read through numerator/denominator as they are;
-    any other number (a numpy int, whose numerator is not a Python int, a
-    float, a bool) goes through Fraction first."""
-    out = []
-    for row in rows:
-        row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
-        den = lcm(1, *(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
 
 
 def _rational_lift(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -238,8 +197,8 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     RREF row k is u[k] / s[k], u[k] a primitive integer row and
     s[k] = u[k, pivots[k]] > 0; u and s are int64, or object arrays once an
-    entry of u reaches EXACT_BOUND.  rows is an int64 or object ndarray, or
-    rational rows that integer_rows scales to integers: the matrix A.
+    entry of u reaches EXACT_BOUND.  rows is the integer matrix A: an int64
+    or object ndarray, or rows of Python ints (any other entry: TypeError).
 
     A mod p is brought to reduced echelon form R_p by ModpEchelon.  Each
     entry of R_p is lifted to a rational n/d by rational reconstruction;
@@ -262,7 +221,8 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
     the check, never pass it.
     """
     if not isinstance(rows, np.ndarray):
-        rows = integer_rows(rows)
+        if not all(type(x) is int for row in rows for x in row):
+            raise TypeError("qq_rref takes integer entries only")
         rows = np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
     a = _tight(rows[(rows != 0).any(axis=1)])
     if len(a) <= 1:  # nothing to eliminate: the row over its gcd, positive at its pivot
@@ -489,9 +449,7 @@ class ModpEchelon:
     rows the echelon already spans costs only its products), eliminated by
     _eliminate into N, the new pivots are cleared from X with one more,
     X[:, new] @ N[:, keep], and N's rows are appended.  A block is reduced
-    only when its turn comes, so at the fewest free columns: clearing every
-    later row after each block instead took 26 against 20 ms for a 512x252
-    rank of random residues at DEFAULT_PRIME (2-CPU VM, numpy 2.4).  Every
+    only when its turn comes, so at the fewest free columns.  Every
     reduction mod p is _mod.
     """
 
@@ -786,26 +744,19 @@ class Subspace:
         vecs = vectors if isinstance(vectors, np.ndarray) else list(vectors)
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length does not match ambient_dim")
-        rref = modp_rref(mat_mod(vecs, p), p)[0].tolist() if len(vecs) else []
+        rref = modp_rref(vecs, p)[0].tolist() if len(vecs) else []
         return Subspace(ambient_dim, tuple(map(tuple, rref)), p)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient_dim")
-        return self._spans(mat_mod([v], self.p))
-
     def contains_subspace(self, other: "Subspace") -> bool:
+        """Whether every basis row v of other lies in the span.  basis[:,
+        pivots] is the identity, so v does exactly when v = v[pivots] @ basis."""
         if self.ambient_dim != other.ambient_dim or self.p != other.p:
             raise ValueError("subspaces live in different ambient spaces")
-        return self._spans(np.array(other.basis, dtype=np.int64).reshape(-1, self.ambient_dim))
-
-    def _spans(self, rows: np.ndarray) -> bool:
-        """Whether every row (in [0, p)) lies in the span.  basis[:, pivots]
-        is the identity, so v lies in it exactly when v = v[pivots] @ basis."""
+        rows = np.array(other.basis, dtype=np.int64).reshape(-1, self.ambient_dim)
         basis = np.array(self.basis, dtype=np.int64).reshape(-1, self.ambient_dim)
         pivots = (basis != 0).argmax(axis=1)
         return bool((modp_matmul(rows[:, pivots], basis, self.p) == rows).all())

@@ -216,7 +216,7 @@ class BuildSpec:
     @property
     def transitive(self) -> bool:
         """Whether the group acts transitively on the nonzero points of the
-        variable space (the natural GL and Sp representations)."""
+        variable space: GL_v on C^v (GL- and Koszul-built) and Sp_N on C^N."""
         return self.kind in ("gl", "sp", "koszul")
 
     def dims(self) -> tuple[int, int, int]:

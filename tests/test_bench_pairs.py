@@ -57,6 +57,30 @@ def test_a_single_pair_is_summarized():
     assert (row["pairs"], row["change"]) == (1, {"q1": 1.0, "median": 1.0, "q3": 1.0})
 
 
+def test_raw_setup_gets_its_own_row_after_setup():
+    bench = _load()
+    runs = [_run(0, "parent", 2.0, 10.0), _run(0, "change", 1.0, 10.0),
+            _run(1, "parent", 2.0, 10.0), _run(1, "change", 1.0, 10.0)]
+    for r, setup, raw in zip(runs, (0.15, 0.16, 0.15, 0.14), (0.30, 0.25, 0.20, 0.22)):
+        r["result"]["metrics"]["setup_s"] = {"value": setup}
+        r["raw_setup_s"] = raw
+    rows = bench.summarize(runs, bench.end_to_end())["w"]
+    names = [row["metric"] for row in rows]
+    assert names[names.index("setup_s") + 1] == "raw_setup_s"
+    raw = rows[names.index("raw_setup_s")]
+    assert (raw["pairs"], raw["change_wins"]) == (2, 1)
+    assert raw["parent"]["median"] == 0.25 and raw["change"]["median"] == 0.235
+
+
+def test_raw_setup_is_the_median_of_the_trace_passes(tmp_path):
+    bench = _load()
+    trace = tmp_path / "rnd-trace0.json"
+    assert bench.raw_setup_median(trace) is None
+    passes = [{"setup_s": 0.1, "raw_setup_s": x} for x in (0.3, 0.1, 0.2)]
+    trace.write_text(json.dumps({"env": {}, "passes": passes}))
+    assert bench.raw_setup_median(trace) == 0.2
+
+
 def test_the_stored_summary_is_regenerated_from_its_runs():
     bench = _load()
     doc = json.loads((ROOT / "BENCH_20.json").read_text())

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -596,6 +600,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     plain.write_text(dumps_pencil(build_koszul_pencil(1, 3)))
     assert cli.main(["verify", str(plain), "--mode", "transitivity"]) == 2
     capsys.readouterr()
+
+
+def test_cli_verify_into_a_closed_pipe_exits_141_quietly(tmp_path, capsys):
+    out = tmp_path / "pencil.json"
+    assert cli.main(["build", "gl", "--mu", "2", "--nu", "2,1", "--n", "2",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    read, write = os.pipe()
+    os.close(read)  # no reader: the child's first write fails with EPIPE
+    src = str(Path(cli.__file__).parents[1])
+    try:
+        proc = subprocess.run([sys.executable, "-m", "crpencils.cli", "verify", str(out)],
+                              stdout=write, stderr=subprocess.PIPE, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_cli_verify_unreadable_files_are_parse_errors(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The compute paths build no Fraction: with fractions.Fraction refused,
-every build of the build-digest list, the certify benchmark jobs and the
-spinor, Eagon-Northcott and so-sym2 catalog entries still run and pass.
-Each case first empties the crpencils caches, so nothing it checks was
-built before the refusal."""
+every build of the build-digest list, the certify and rnd benchmark jobs
+and the spinor, Eagon-Northcott and so-sym2 catalog entries still run and
+pass.  Each case first empties the crpencils caches, so nothing it checks
+was built before the refusal.  Nor does the command line import fractions."""
 import fractions
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,13 +53,31 @@ def test_build_and_load_build_no_fraction(no_fraction, tmp_path, argv, digest):
     assert builder["kind"] == argv[0] and pencil.coeffs
 
 
-def test_certify_jobs_build_no_fraction(no_fraction, monkeypatch):
+def _jobs(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
     jobs = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, jobs)  # for its dataclasses
     spec.loader.exec_module(jobs)
-    for job in jobs.certify_plan(0).jobs:
+    return jobs
+
+
+def test_certify_jobs_build_no_fraction(no_fraction, monkeypatch):
+    for job in _jobs(monkeypatch).certify_plan(0).jobs:
         job.run()
+
+
+def test_rnd_jobs_build_no_fraction(no_fraction, monkeypatch):
+    for job in _jobs(monkeypatch).rnd_plan(0).jobs:
+        job.run()
+
+
+def test_the_command_line_imports_no_fractions():
+    # a fresh interpreter: this one has imported fractions for the tests
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, crpencils.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("entry_id", ["spin10-pencil", "spin10-fixture",

@@ -20,7 +20,6 @@ from crpencils.linalg import (
     Subspace,
     check_prime,
     distinct_primitive_rows,
-    mat_mod,
     modp_kernel,
     modp_matmul,
     modp_rank,
@@ -29,9 +28,16 @@ from crpencils.linalg import (
     qq_kernel,
     qq_rank,
     qq_rref,
-    reduce_mod,
 )
-from word_oracles import fraction_rref, modp_row_reduce, modp_rref_kernel, scaled_rref
+from word_oracles import (
+    fraction_rref,
+    integer_rows,
+    mat_mod,
+    modp_row_reduce,
+    modp_rref_kernel,
+    reduce_mod,
+    scaled_rref,
+)
 
 PRIMES_31BIT = [2147483629, 2147483587, 2147483563]
 
@@ -79,9 +85,13 @@ class TestRank:
         assert modp_rank(np.eye(4, dtype=np.int64), DEFAULT_PRIME) == 4
 
     def test_fraction_entries(self):
-        m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]
-        assert qq_rank(m) == 2
-        assert qq_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 1
+        # rows of anything but Python ints are refused; their integer rows rank
+        for m, r in (([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]], 2),
+                     ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], 1),
+                     ([[1, 2], [2, 4.0]], 1)):
+            with pytest.raises(TypeError):
+                qq_rank(m)
+            assert qq_rank(integer_rows(m)) == r
 
     @given(int_matrices)
     def test_bareiss_matches_rref(self, m):
@@ -596,9 +606,8 @@ class TestSubspace:
     def test_contains(self):
         for p in (7, DEFAULT_PRIME):
             s = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3, p)
-            assert s.contains([1, 1, 2])
-            assert s.contains([1, p + 1, 2])
-            assert not s.contains([1, 1, 1])
+            for v, inside in (([1, 1, 2], True), ([1, p + 1, 2], True), ([1, 1, 1], False)):
+                assert s.contains_subspace(Subspace.from_vectors([v], 3, p)) == inside
         with pytest.raises(ValueError):
             Subspace.from_vectors([[1, 0, 1]], 3, 0)
 
@@ -609,7 +618,7 @@ class TestSubspace:
         assert mat_mod(vecs, p).tolist() == want
         assert mat_mod(np.array([[-8, 9]]), p).tolist() == [[6, 2]]
         with pytest.raises(ZeroDivisionError):
-            Subspace.from_vectors([[Fraction(1, 7), 1]], 2, p)
+            mat_mod([[Fraction(1, 7), 1]], p)
 
     def test_mismatched_ambient(self):
         a = Subspace.from_vectors([[1, 0]], 2, 7)
@@ -634,7 +643,7 @@ def test_contains_subspace_of_sub_spans(p, ncols, rank, seed):
     # random combinations of the rows span a subspace of the span
     sub = combinations(rng.randrange(len(a) + 1))
     assert space.contains_subspace(Subspace.from_vectors(sub, ncols, p))
-    assert all(space.contains(v) for v in sub)
+    assert all(space.contains_subspace(Subspace.from_vectors([v], ncols, p)) for v in sub)
     pivots = {next(c for c, x in enumerate(row) if x) for row in space.basis}
     free = [c for c in range(ncols) if c not in pivots]
     if free:
@@ -642,7 +651,7 @@ def test_contains_subspace_of_sub_spans(p, ncols, rank, seed):
         v = combinations(1)[0]
         f = rng.choice(free)
         v[f] = (v[f] + 1 + rng.randrange(p - 1)) % p
-        assert not space.contains(v)
+        assert not space.contains_subspace(Subspace.from_vectors([v], ncols, p))
         assert not space.contains_subspace(Subspace.from_vectors(sub + [v], ncols, p))
 
 
@@ -710,17 +719,18 @@ def rref_lists(m):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_lifted_rref_matches_gauss_jordan(m):
+    # the integer rows of m have its row space, so its RREF and kernel
     ncols = len(m[0])
-    assert_scaled_rref(m, qq_rref(m))
+    a = integer_rows(m)
+    assert_scaled_rref(m, qq_rref(a))
     # each kernel vector times the lcm of its denominators
-    ker = qq_kernel(m)
-    assert ker.tolist() == linalg.integer_rows(fraction_kernel(m, ncols))
-    # the same from the integer matrix, as an int64 and as an object array
-    a = linalg.integer_rows(m)
-    assert rref_lists(np.array(a, dtype=object)) == rref_lists(m)
+    ker = qq_kernel(a)
+    assert ker.tolist() == integer_rows(fraction_kernel(m, ncols))
+    # the same from the integer matrix as an object and as an int64 array
+    assert rref_lists(np.array(a, dtype=object)) == rref_lists(a)
     assert qq_kernel(np.array(a, dtype=object), ncols).tolist() == ker.tolist()
     if linalg.max_abs(np.array(a, dtype=object)) < EXACT_BOUND:
-        assert rref_lists(np.array(a, dtype=np.int64)) == rref_lists(m)
+        assert rref_lists(np.array(a, dtype=np.int64)) == rref_lists(a)
 
 
 def test_lifted_rref_checks_past_int64():
@@ -880,7 +890,7 @@ _entries = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(_entries, max_size=6), max_size=4))
 def test_integer_rows_is_unchanged_on_ints_fractions_and_mixed_rows(rows):
-    got = linalg.integer_rows(rows)
+    got = integer_rows(rows)
     want = _integer_rows_through_fraction(rows)
     assert got == want
     assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
@@ -888,4 +898,4 @@ def test_integer_rows_is_unchanged_on_ints_fractions_and_mixed_rows(rows):
 
 def test_integer_rows_of_int_valued_fractions_are_their_numerators():
     rows = [[Fraction(3), Fraction(-4), 0], [Fraction(1, 2), 2, Fraction(2, 3)]]
-    assert linalg.integer_rows(rows) == [[3, -4, 0], [3, 12, 4]]
+    assert integer_rows(rows) == [[3, -4, 0], [3, 12, 4]]

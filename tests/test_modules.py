@@ -570,7 +570,7 @@ class TestSpin:
         ss = spin_space(n)
         # for odd n beta pairs Delta+ with Delta- (complement flips parity)
         mat = [
-            [beta_pairing({I: Fraction(1)}, {J: Fraction(1)}, n) for J in ss.odd_basis]
+            [beta_pairing({I: 1}, {J: 1}, n) for J in ss.odd_basis]
             for I in ss.even_basis
         ]
         assert len(qq_kernel(mat, len(ss.even_basis))) == 0

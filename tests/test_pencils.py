@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crpencils.analysis import constant_rank_verdict, generic_rank
 from crpencils.catalog import build_from_params
-from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, modp_matmul, qq_rank, reduce_mod
+from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, modp_matmul, qq_rank
 from crpencils.modules import (
     a_vector,
     form_lie_basis,
@@ -48,7 +48,7 @@ from crpencils.pencils import (
 )
 from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
-from word_oracles import basis_tensors, derivation, pivot_words, theta_fractions
+from word_oracles import basis_tensors, derivation, pivot_words, reduce_mod, theta_fractions
 
 
 def _rank_at(pencil, x):

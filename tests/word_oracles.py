@@ -1,11 +1,15 @@
 """Word-by-word dict computations that the batched kernels are tested
 against, the entry-by-entry pencil-file document builder and reader that
-the canonical writer and the column-wise reader are tested against, and the
+the canonical writer and the column-wise reader are tested against, the
 Fraction form of the Weyl dimension formula that the integer one is tested
-against, shared by the test modules."""
+against, and readers of rational rows (reduce_mod, mat_mod, integer_rows)
+that turn Fraction test data into the integer input of linalg, shared by
+the test modules."""
 import re
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from crpencils.catalog import MAX_PENCIL_CELLS, FixtureParseError
 from crpencils.modules import schur_module
@@ -31,6 +35,46 @@ def fraction_rref(rows):
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+def reduce_mod(x, p: int) -> int:
+    """Image of a rational number in F_p; fails if p divides the denominator."""
+    f = Fraction(x)
+    if f.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {f} vanishes mod {p}")
+    return f.numerator * pow(f.denominator, -1, p) % p
+
+
+def mat_mod(rows, p: int) -> np.ndarray:
+    """The matrix reduced into [0, p) as int64: integer entries, and a
+    float array whose entries are all integers, with one numpy mod; any
+    other entry (a Fraction) through reduce_mod.  Python ints of mixed sign
+    past 2^63 would promote to float64, so any other matrix that numpy does
+    not read as integers is rebuilt from the rows exactly."""
+    a = np.asarray(rows)
+    if (isinstance(rows, np.ndarray) and a.dtype.kind == "f"
+            and np.abs(a).max(initial=0) < 2.0 ** 63 and (a == np.trunc(a)).all()):
+        a = a.astype(np.int64)  # integer-valued floats: exact in int64
+    if a.dtype.kind not in "iu":
+        a = np.array(rows, dtype=object)
+        for idx, x in np.ndenumerate(a):
+            if not isinstance(x, (int, np.integer)):
+                a[idx] = reduce_mod(x, p)
+    return np.mod(a, p).astype(np.int64)
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Each row times the lcm of its denominators: same row space, int entries.
+
+    Ints and Fractions are read through numerator/denominator as they are;
+    any other number (a numpy int, whose numerator is not a Python int, a
+    float, a bool) goes through Fraction first."""
+    out = []
+    for row in rows:
+        row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+        den = lcm(1, *(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
 
 def modp_row_reduce(rows, p):
