@@ -1,9 +1,10 @@
 """Catalog of worked examples with expected results, plus file formats.
 
-Each catalog entry bundles a construction, closed-form expectations, and a
-check routine that rebuilds the example and verifies every stated invariant
+Each catalog entry is a check routine, declared with its id and description
+by @_entry, that rebuilds the example and verifies every stated invariant
 (dimensions, generic rank, constancy certificates, kernel vectors,
-rank-criticality).  The module also provides the bundled fixture matrices,
+rank-criticality) into an EntryResult: result.eq and result.true record each
+measured value under its label, and each missed expectation as a failure.  The module also provides the bundled fixture matrices,
 their text-format parser, and the JSON serialization of pencils used by the
 command line.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from importlib import resources
 from math import ceil, comb, gcd, lcm
-from operator import itemgetter, lt
+from operator import attrgetter, itemgetter, lt
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -181,7 +182,9 @@ def fixture_parse(name: str, transpose: bool = False) -> Pencil:
 # PencilFile JSON serialization
 
 # nvars x target x source bound on a pencil document, checked before anything
-# is allocated; the largest catalog pencil (so-hook-corank, m=6) has 774,144
+# is allocated; the largest catalog pencil (so-hook-corank, m=6) has 774,144.
+# nvars x nvars is bounded too: the sampled mode forms the nvars coordinate
+# points, so a document may hold at most 1,024 variables
 MAX_PENCIL_CELLS = 1 << 20
 
 
@@ -259,6 +262,11 @@ def document_to_pencil(doc: dict) -> Pencil:
             f"pencil of {nvars} x {target_dim} x {source_dim} exceeds "
             f"{MAX_PENCIL_CELLS} coefficient cells"
         )
+    if nvars * nvars > MAX_PENCIL_CELLS:  # the nvars x nvars coordinate points
+        raise FixtureParseError(
+            f"pencil of {nvars} variables exceeds {MAX_PENCIL_CELLS} cells "
+            "of coordinate points"
+        )
     if not raw:
         return Pencil(nvars, source_dim, target_dim, (), 1, labels)
     try:
@@ -331,32 +339,46 @@ class CatalogRunConfig:
         check_prime(self.prime)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    entry_id: str
-    description: str
-    check: Callable[[CatalogRunConfig], tuple[dict, list[str]]]
-
-
 @dataclass
 class EntryResult:
+    """What a check records: each labelled value it measured in details, and
+    each expectation it missed in failures."""
     entry_id: str
-    status: str  # "pass" | "fail"
     details: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     seconds: float = 0.0
 
+    @property
+    def status(self) -> str:
+        return "fail" if self.failures else "pass"
 
-def _eq(failures: list, details: dict, label: str, got, want) -> None:
-    details[label] = got
-    if got != want:
-        failures.append(f"{label}: got {got!r}, want {want!r}")
+    def eq(self, label: str, got, want) -> None:
+        self.details[label] = got
+        if got != want:
+            self.failures.append(f"{label}: got {got!r}, want {want!r}")
+
+    def true(self, label: str, ok: bool) -> None:
+        self.details[label] = bool(ok)
+        if not ok:
+            self.failures.append(f"{label}: expected to hold")
 
 
-def _true(failures: list, details: dict, label: str, ok: bool) -> None:
-    details[label] = bool(ok)
-    if not ok:
-        failures.append(f"{label}: expected to hold")
+@dataclass(frozen=True)
+class CatalogEntry:
+    entry_id: str
+    description: str
+    check: Callable[[CatalogRunConfig, EntryResult], None]
+
+
+_ENTRIES: list[CatalogEntry] = []
+
+
+def _entry(entry_id: str, description: str):
+    """Declare the decorated check as the catalog entry entry_id."""
+    def register(check):
+        _ENTRIES.append(CatalogEntry(entry_id, description, check))
+        return check
+    return register
 
 
 def _random_points(nvars: int, prime: int, rng: random.Random, count: int) -> list:
@@ -372,8 +394,10 @@ def _sample_ranks(pencil: Pencil, prime: int, rng: random.Random,
 # -- GL entries -------------------------------------------------------------
 
 
-def _check_gl_one_box(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("gl-one-box-predictions",
+        "kernel/image/cokernel of one-box pencils from horizontal strips, "
+        "with injectivity exactly for first-row boxes")
+def _check_gl_one_box(cfg: CatalogRunConfig, result: EntryResult) -> None:
     cases = [
         ((2,), (3,), 3),
         ((2,), (2, 1), 3),
@@ -387,165 +411,161 @@ def _check_gl_one_box(cfg: CatalogRunConfig):
         tag = f"{mu}->{nu} v={v}"
         pen = build_gl_pencil(mu, nu, v)
         pred = predict_gl_decomposition(mu, nu, v)
-        _eq(failures, details, f"{tag} source", pen.source_dim,
-            pred.kernel_dim + pred.image_dim)
+        result.eq(f"{tag} source", pen.source_dim, pred.kernel_dim + pred.image_dim)
         ranks = _sample_ranks(pen, cfg.prime, rng, 25)
-        _eq(failures, details, f"{tag} sampled ranks", ranks, {pred.image_dim})
-        _eq(failures, details, f"{tag} injective iff first-row box",
-            pred.kernel_dim == 0, _one_box(mu, nu, v).row == 1)
-    return details, failures
+        result.eq(f"{tag} sampled ranks", ranks, {pred.image_dim})
+        result.eq(f"{tag} injective iff first-row box",
+                  pred.kernel_dim == 0, _one_box(mu, nu, v).row == 1)
 
 
-def _check_gl_sym2_family(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("gl-sym2-family",
+        "S_2 -> S_21 family: sizes ((n+2)(n+1)/2, n(n+1)(n+2)/3) and "
+        "constant rank (n^2+3n)/2, certified by transitivity")
+def _check_gl_sym2_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
     for n in range(2, 6):
         a, b, r = family_sizes("GL_2_21", n=n)
         pen = build_gl_pencil((2,), (2, 1), n + 1)
-        _eq(failures, details, f"n={n} dims", (pen.source_dim, pen.target_dim),
-            (a, b))
+        result.eq(f"n={n} dims", (pen.source_dim, pen.target_dim), (a, b))
         rep = constant_rank_verdict(pen, "transitivity", cfg.prime,
                                     seed=cfg.seed)
-        _eq(failures, details, f"n={n} transitivity verdict", rep.verdict,
-            "constant")
-        _eq(failures, details, f"n={n} rank", rep.generic_rank, r)
+        result.eq(f"n={n} transitivity verdict", rep.verdict, "constant")
+        result.eq(f"n={n} rank", rep.generic_rank, r)
         if n <= 3:
             rep3 = constant_rank_verdict(pen, "exhaustive", prime=3,
                                          budget=cfg.budget)
-            _eq(failures, details, f"n={n} exhaustive F3",
-                (rep3.verdict, rep3.generic_rank), ("constant", r))
-    return details, failures
+            result.eq(f"n={n} exhaustive F3",
+                      (rep3.verdict, rep3.generic_rank), ("constant", r))
 
 
-def _check_gl_sym2_fixture(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("gl-sym2-fixture",
+        "bundled 6x8 matrix in x,y,z: constant rank 5 over F5, matching "
+        "the constructed pencil's stratification")
+def _check_gl_sym2_fixture(cfg: CatalogRunConfig, result: EntryResult) -> None:
     fix = fixture_parse("gl_s2_s21")
-    _eq(failures, details, "shape as printed",
-        (fix.nvars, fix.target_dim, fix.source_dim), (3, 6, 8))
+    result.eq("shape as printed",
+              (fix.nvars, fix.target_dim, fix.source_dim), (3, 6, 8))
     fixT = fixture_parse("gl_s2_s21", transpose=True)
-    _eq(failures, details, "transposed shape",
-        (fixT.target_dim, fixT.source_dim), (8, 6))
-    _eq(failures, details, "rank at (1,1,1) over Q",
-        qq_rank(fix.evaluate([1, 1, 1])), 5)
+    result.eq("transposed shape", (fixT.target_dim, fixT.source_dim), (8, 6))
+    result.eq("rank at (1,1,1) over Q", qq_rank(fix.evaluate([1, 1, 1])), 5)
     rep = constant_rank_verdict(fix, "exhaustive", prime=5, budget=cfg.budget)
-    _eq(failures, details, "fixture exhaustive F5",
-        (rep.verdict, rep.generic_rank), ("constant", 5))
+    result.eq("fixture exhaustive F5", (rep.verdict, rep.generic_rank), ("constant", 5))
     cons = build_gl_pencil((2,), (2, 1), 3)
     repc = constant_rank_verdict(cons, "exhaustive", prime=5, budget=cfg.budget)
-    _eq(failures, details, "constructed/fixture F5 strata agree",
-        sorted(r for r, _, _ in repc.strata),
-        sorted(r for r, _, _ in rep.strata))
-    return details, failures
+    result.eq("constructed/fixture F5 strata agree",
+              sorted(r for r, _, _ in repc.strata),
+              sorted(r for r, _, _ in rep.strata))
 
 
-def _check_gl_sym2_rank_neutral(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("gl-sym2-rank-neutral",
+        "rank neutral directions of the 6x8 space: strictly larger, "
+        "dimension 18 = 3 + dim S_31(C^3)")
+def _check_gl_sym2_rank_neutral(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_gl_pencil((2,), (2, 1), 3)
     rep = rnd(pen, cfg.prime, seed=cfg.seed)
-    _eq(failures, details, "verdict", rep.verdict, "strictly-larger")
-    _eq(failures, details, "neutral-direction dim", rep.space.dim, 18)
-    _eq(failures, details, "dim splits as 3 + dim S_31(C^3)",
-        rep.space.dim, pen.nvars + gl_dim((3, 1), 3))
-    return details, failures
+    result.eq("verdict", rep.verdict, "strictly-larger")
+    result.eq("neutral-direction dim", rep.space.dim, 18)
+    result.eq("dim splits as 3 + dim S_31(C^3)",
+              rep.space.dim, pen.nvars + gl_dim((3, 1), 3))
 
 
-def _check_gl_sym22_family(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("gl-sym22-family",
+        "S_22 -> S_221 family: 20x20 constant rank 14 at n=3 with "
+        "predicted decomposition (6,14,6)")
+def _check_gl_sym22_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
     rng = random.Random(cfg.seed)
     pen = build_gl_pencil((2, 2), (2, 2, 1), 4)
-    _eq(failures, details, "n=3 shape", (pen.target_dim, pen.source_dim),
-        (20, 20))
+    result.eq("n=3 shape", (pen.target_dim, pen.source_dim), (20, 20))
     pred = predict_gl_decomposition((2, 2), (2, 2, 1), 4)
-    _eq(failures, details, "n=3 predicted (ker, im, coker)",
-        (pred.kernel_dim, pred.image_dim, pred.cokernel_dim), (6, 14, 6))
-    _eq(failures, details, "n=3 sampled ranks (100 points)",
-        _sample_ranks(pen, cfg.prime, rng, 100), {14})
+    result.eq("n=3 predicted (ker, im, coker)",
+              (pred.kernel_dim, pred.image_dim, pred.cokernel_dim), (6, 14, 6))
+    result.eq("n=3 sampled ranks (100 points)",
+              _sample_ranks(pen, cfg.prime, rng, 100), {14})
     rep = constant_rank_verdict(pen, "transitivity", cfg.prime, seed=cfg.seed)
-    _eq(failures, details, "n=3 constant rank", (rep.verdict, rep.generic_rank),
-        ("constant", 14))
+    result.eq("n=3 constant rank", (rep.verdict, rep.generic_rank), ("constant", 14))
     _, _, r4 = family_sizes("GL_22_221", n=4)
-    _eq(failures, details, "n=4 closed-form rank",
-        generic_rank(build_gl_pencil((2, 2), (2, 2, 1), 5), cfg.prime,
-                     trials=10, seed=cfg.seed), r4)
-    return details, failures
+    result.eq("n=4 closed-form rank",
+              generic_rank(build_gl_pencil((2, 2), (2, 2, 1), 5), cfg.prime,
+                           trials=10, seed=cfg.seed), r4)
 
 
-def _check_gl_hook_family(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("gl-hook-family",
+        "hook family (2,1^b) -> (2,1^{b+1}): 15x20 rank 11 at (1,1,3) and "
+        "the closed-form rank for n <= 5, b <= 2")
+def _check_gl_hook_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_gl_pencil((2, 1), (2, 1, 1), 4)
-    _eq(failures, details, "(a,b,n)=(1,1,3) shape",
-        (pen.target_dim, pen.source_dim), (15, 20))
+    result.eq("(a,b,n)=(1,1,3) shape", (pen.target_dim, pen.source_dim), (15, 20))
     rep = constant_rank_verdict(pen, "transitivity", cfg.prime, seed=cfg.seed)
-    _eq(failures, details, "(a,b,n)=(1,1,3) constant rank",
-        (rep.verdict, rep.generic_rank), ("constant", 11))
+    result.eq("(a,b,n)=(1,1,3) constant rank",
+              (rep.verdict, rep.generic_rank), ("constant", 11))
     for b in range(3):
         for n in range(max(2, b + 1), 6):
             mu = (2,) + (1,) * b
             nu = (2,) + (1,) * (b + 1)
             got = generic_rank(build_gl_pencil(mu, nu, n + 1), cfg.prime,
                                trials=8, seed=cfg.seed)
-            _eq(failures, details, f"rank formula n={n} b={b}", got,
-                hook_family_rank(n, b))
-    return details, failures
+            result.eq(f"rank formula n={n} b={b}", got, hook_family_rank(n, b))
 
 
-def _check_koszul_flattening(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("koszul-flattening",
+        "flattening V* (x) S_2 -> Lambda^2 V* (x) S_21 has full rank 18, "
+        "border-rank bound 9")
+def _check_koszul_flattening(cfg: CatalogRunConfig, result: EntryResult) -> None:
     r = koszul_flattening_rank((2,), (2, 1), 3)
-    _eq(failures, details, "flattening rank", r, 18)
-    _eq(failures, details, "border-rank bound", ceil(r / 2), 9)
-    return details, failures
+    result.eq("flattening rank", r, 18)
+    result.eq("border-rank bound", ceil(r / 2), 9)
 
 
 # -- Koszul / rank-criticality ---------------------------------------------
 
 
-def _check_koszul_rank_critical(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("koszul-rank-critical",
+        "wedge pencils Lambda^k -> Lambda^{k+1} for k <= 2, v <= 5: "
+        "constant rank C(v-1,k) and rank-critical, certified")
+def _check_koszul_rank_critical(cfg: CatalogRunConfig, result: EntryResult) -> None:
     for k, v in [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5)]:
         pen = build_koszul_pencil(k, v)
         rep = constant_rank_verdict(pen, "transitivity", cfg.prime,
                                     seed=cfg.seed)
-        _eq(failures, details, f"k={k} v={v} constant rank",
-            (rep.verdict, rep.generic_rank), ("constant", comb(v - 1, k)))
+        result.eq(f"k={k} v={v} constant rank",
+                  (rep.verdict, rep.generic_rank), ("constant", comb(v - 1, k)))
         report = rnd(pen, cfg.prime, seed=cfg.seed)
-        _eq(failures, details, f"k={k} v={v} criticality",
-            report.verdict, "rank-critical-certified")
-    return details, failures
+        result.eq(f"k={k} v={v} criticality", report.verdict, "rank-critical-certified")
 
 
 # -- adjoint / hyperplane ---------------------------------------------------
 
 
-def _check_adjoint_c7(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("adjoint-wedge3-c7",
+        "sl(7) acting on a generic 3-form: 35-variable 35x48 pencil of "
+        "generic rank 34")
+def _check_adjoint_c7(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_adjoint_pencil(7)
-    _eq(failures, details, "shape", (pen.nvars, pen.target_dim, pen.source_dim),
-        (35, 35, 48))
+    result.eq("shape", (pen.nvars, pen.target_dim, pen.source_dim), (35, 35, 48))
     r = generic_rank(pen, cfg.prime, trials=20, seed=cfg.seed)
-    _eq(failures, details, "generic rank (20 samples)", r, 34)
-    _true(failures, details, "not surjective", r < pen.target_dim)
-    return details, failures
+    result.eq("generic rank (20 samples)", r, 34)
+    result.true("not surjective", r < pen.target_dim)
 
 
-def _check_adjoint_c8(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("adjoint-wedge3-c8",
+        "sl(8) acting on a generic 3-form: never surjective onto the "
+        "56-dimensional target")
+def _check_adjoint_c8(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_adjoint_pencil(8)
-    _eq(failures, details, "shape", (pen.nvars, pen.target_dim, pen.source_dim),
-        (56, 56, 63))
+    result.eq("shape", (pen.nvars, pen.target_dim, pen.source_dim), (56, 56, 63))
     r = generic_rank(pen, cfg.prime, trials=20, seed=cfg.seed)
-    details["measured generic rank"] = r
-    _true(failures, details, "rank at most 55", r <= 55)
-    _true(failures, details, "not surjective", r < pen.target_dim)
-    return details, failures
+    result.details["measured generic rank"] = r
+    result.true("rank at most 55", r <= 55)
+    result.true("not surjective", r < pen.target_dim)
 
 
-def _check_hyperplane_bound(cfg: CatalogRunConfig):
-    failures, details = [], {}
-    _eq(failures, details, "criterion at lam=(3,2), mu=(3,2,1,1), p=2",
-        hyperplane_bound_criterion((3, 2), (3, 2, 1, 1), 2), (True, 40))
-    _eq(failures, details, "s_lam(5)", gl_dim((3, 2), 5), 175)
-    _eq(failures, details, "s_mu(5)", gl_dim((3, 2, 1, 1), 5), 175)
-    return details, failures
+@_entry("hyperplane-bound",
+        "dimension-count criterion for bounded rank: (3,2) -> (3,2,1,1) "
+        "at p=2 gives kernel bound 40 with s(5) = 175 on both sides")
+def _check_hyperplane_bound(cfg: CatalogRunConfig, result: EntryResult) -> None:
+    result.eq("criterion at lam=(3,2), mu=(3,2,1,1), p=2",
+              hyperplane_bound_criterion((3, 2), (3, 2, 1, 1), 2), (True, 40))
+    result.eq("s_lam(5)", gl_dim((3, 2), 5), 175)
+    result.eq("s_mu(5)", gl_dim((3, 2, 1, 1), 5), 175)
 
 
 # -- induced operator (Eagon-Northcott) -------------------------------------
@@ -559,19 +579,18 @@ def _theta_rank(X) -> int:
     return qq_rank(theta_map(X, (2,), (1,), (1,), (1, 1))[0])
 
 
-def _check_theta_formula(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("eagon-northcott-rank-formula",
+        "closed-form rank of S^2A(x)B -> A(x)Lambda^2B at Smith "
+        "representatives, all a,b <= 4")
+def _check_theta_formula(cfg: CatalogRunConfig, result: EntryResult) -> None:
     for a in range(1, 5):
         for b in range(1, 5):
             for r in range(min(a, b) + 1):
                 want = theta_rank_formula(a, b, r)
                 if gl_dim((1, 1), b) == 0:
-                    _eq(failures, details, f"a={a} b={b} r={r} (zero target)",
-                        want, 0)
+                    result.eq(f"a={a} b={b} r={r} (zero target)", want, 0)
                     continue
-                _eq(failures, details, f"a={a} b={b} r={r}",
-                    _theta_rank(_smith_rep(a, b, r)), want)
-    return details, failures
+                result.eq(f"a={a} b={b} r={r}", _theta_rank(_smith_rep(a, b, r)), want)
 
 
 def _random_rank_r(rng: random.Random, a: int, b: int, r: int):
@@ -584,17 +603,17 @@ def _random_rank_r(rng: random.Random, a: int, b: int, r: int):
             return x
 
 
-def _check_theta_rank_dependence(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("eagon-northcott-rank-dependence",
+        "rank of the induced operator depends only on rank(X): 20 random "
+        "X per shape")
+def _check_theta_rank_dependence(cfg: CatalogRunConfig, result: EntryResult) -> None:
     rng = random.Random(cfg.seed)
     for a, b in [(2, 2), (3, 2), (3, 3), (4, 3)]:
         for r in range(min(a, b) + 1):
             want = theta_rank_formula(a, b, r)
             got = {_theta_rank(_random_rank_r(rng, a, b, r))
                    for _ in range(20)}
-            _eq(failures, details, f"a={a} b={b} r={r} over 20 random X",
-                got, {want})
-    return details, failures
+            result.eq(f"a={a} b={b} r={r} over 20 random X", got, {want})
 
 
 # -- symplectic entries -----------------------------------------------------
@@ -605,8 +624,10 @@ def _one_box_neighbors(mu: tuple, max_rows: int) -> list[tuple]:
     return [nu for nu, _ in pieri_add(mu, max_rows)] + horizontal_strips(mu, 1)
 
 
-def _check_sp_branching(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("sp-branching",
+        "symplectic branching dimension identities and non-surjectivity of "
+        "the one-box pencils")
+def _check_sp_branching(cfg: CatalogRunConfig, result: EntryResult) -> None:
     for two_n in (4, 6):
         n = two_n // 2
         for mu in [(1,), (2,), (1, 1)]:
@@ -615,83 +636,78 @@ def _check_sp_branching(cfg: CatalogRunConfig):
             lhs = two_n * sp_module_dim(mu, two_n)
             rhs = sum(sp_module_dim(nu, two_n)
                       for nu in _one_box_neighbors(mu, n))
-            _eq(failures, details, f"2n={two_n} mu={mu} branching dims",
-                lhs, rhs)
+            result.eq(f"2n={two_n} mu={mu} branching dims", lhs, rhs)
     pen = build_sp_pencil((1,), (1, 1), 4)
     rep = constant_rank_verdict(pen, "exhaustive", prime=3, budget=cfg.budget)
-    _true(failures, details, "2n=4 (1)->(1,1) never surjective over F3",
-          rep.generic_rank < pen.target_dim)
+    result.true("2n=4 (1)->(1,1) never surjective over F3",
+                rep.generic_rank < pen.target_dim)
     pen2 = build_sp_pencil((2,), (2, 1), 6)
     rng = random.Random(cfg.seed)
     ranks = _sample_ranks(pen2, cfg.prime, rng, 50)
-    _true(failures, details, "2n=6 (2)->(2,1) never surjective (50 samples)",
-          max(ranks) < pen2.target_dim)
-    return details, failures
+    result.true("2n=6 (2)->(2,1) never surjective (50 samples)",
+                max(ranks) < pen2.target_dim)
 
 
-def _check_sp6_pencil(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("sp6-wedge2-pencil",
+        "Sp(6) wedge-square pencil: 6-variable 14x14 of constant rank 9, "
+        "certified by transitivity and exhaustively over F3")
+def _check_sp6_pencil(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_sp_pencil((1, 1), (1, 1, 1), 6)
-    _eq(failures, details, "shape", (pen.nvars, pen.target_dim, pen.source_dim),
-        (6, 14, 14))
+    result.eq("shape", (pen.nvars, pen.target_dim, pen.source_dim), (6, 14, 14))
     rep = constant_rank_verdict(pen, "transitivity", cfg.prime, seed=cfg.seed)
-    _eq(failures, details, "transitivity certificate",
-        (rep.verdict, rep.generic_rank), ("constant", 9))
+    result.eq("transitivity certificate",
+              (rep.verdict, rep.generic_rank), ("constant", 9))
     rep3 = constant_rank_verdict(pen, "exhaustive", prime=3, budget=cfg.budget)
-    _eq(failures, details, "exhaustive F3", (rep3.verdict, rep3.generic_rank),
-        ("constant", 9))
-    return details, failures
+    result.eq("exhaustive F3", (rep3.verdict, rep3.generic_rank), ("constant", 9))
 
 
-def _check_sp6_fixture(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("sp6-wedge2-fixture",
+        "bundled 14x14 matrix in x_1..x_6: rank 9 at random and coordinate "
+        "points, stratification matching the constructed pencil")
+def _check_sp6_fixture(cfg: CatalogRunConfig, result: EntryResult) -> None:
     fix = fixture_parse("sp6_wedge2_corrected")
-    _eq(failures, details, "shape", (fix.nvars, fix.target_dim, fix.source_dim),
-        (6, 14, 14))
+    result.eq("shape", (fix.nvars, fix.target_dim, fix.source_dim), (6, 14, 14))
     rng = random.Random(cfg.seed)
     ranks = _sample_ranks(fix, cfg.prime, rng, 200)
-    _eq(failures, details, "rank at 200 random points", ranks, {9})
+    result.eq("rank at 200 random points", ranks, {9})
     coord = set(ranks_at(fix, np.eye(6, dtype=np.int64), cfg.prime))
-    _eq(failures, details, "rank at all coordinate points", coord, {9})
+    result.eq("rank at all coordinate points", coord, {9})
     rep = constant_rank_verdict(fix, "exhaustive", prime=5, budget=cfg.budget)
     cons = build_sp_pencil((1, 1), (1, 1, 1), 6)
     repc = constant_rank_verdict(cons, "exhaustive", prime=5, budget=cfg.budget)
-    _eq(failures, details, "constructed/fixture F5 strata agree",
-        sorted(r for r, _, _ in repc.strata),
-        sorted(r for r, _, _ in rep.strata))
+    result.eq("constructed/fixture F5 strata agree",
+              sorted(r for r, _, _ in repc.strata),
+              sorted(r for r, _, _ in rep.strata))
     # the unmodified transcription is preserved and flagged: its rank is 9
     # only on the coordinate orbit, so it cannot be the equivariant map
     raw = fixture_parse("sp6_wedge2")
     raw_rep = constant_rank_verdict(raw, "exhaustive", prime=5,
                                     budget=cfg.budget)
-    _eq(failures, details,
-        "verbatim transcription flagged (suspected erratum): F5 strata",
-        sorted(r for r, _, _ in raw_rep.strata), [9, 10, 11])
+    result.eq("verbatim transcription flagged (suspected erratum): F5 strata",
+              sorted(r for r, _, _ in raw_rep.strata), [9, 10, 11])
     coord_raw = set(ranks_at(raw, np.eye(6, dtype=np.int64), cfg.prime))
-    _eq(failures, details, "verbatim transcription rank at coordinate points",
-        coord_raw, {9})
-    details["erratum"] = (
+    result.eq("verbatim transcription rank at coordinate points", coord_raw, {9})
+    result.details["erratum"] = (
         "row 1: entries x_1, -x_6, x_5 displaced one column left; "
         "row 2: final entry should be +x_5"
     )
-    return details, failures
 
 
-def _check_sp6_koszul_expansion(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("sp6-koszul-expansion",
+        "expanded wedge pencil Lambda^2 C^6 -> Lambda^3 C^6 of constant "
+        "rank 10 with rank(expanded) = rank(reduced) + 1")
+def _check_sp6_koszul_expansion(cfg: CatalogRunConfig, result: EntryResult) -> None:
     expanded = build_koszul_pencil(2, 6)
     rep = constant_rank_verdict(expanded, "transitivity", cfg.prime,
                                 seed=cfg.seed)
-    _eq(failures, details, "expanded constant rank",
-        (rep.verdict, rep.generic_rank), ("constant", 10))
+    result.eq("expanded constant rank",
+              (rep.verdict, rep.generic_rank), ("constant", 10))
     reduced = build_sp_pencil((1, 1), (1, 1, 1), 6)
     rng = random.Random(cfg.seed)
     points = _random_points(6, cfg.prime, rng, 100)
     ok = all(re_ == rr + 1 for re_, rr in zip(
         ranks_at(expanded, points, cfg.prime), ranks_at(reduced, points, cfg.prime)))
-    _true(failures, details,
-          "block relation rank(expanded) = rank(reduced) + 1 (100 points)", ok)
-    return details, failures
+    result.true("block relation rank(expanded) = rank(reduced) + 1 (100 points)", ok)
 
 
 # -- orthogonal entries -----------------------------------------------------
@@ -707,25 +723,25 @@ def _so_sym2_kernel_tensor(v: list[int], m: int):
     return tensor_iadd(t, form.dual_tensor(), -qv)
 
 
-def _check_so_sym2_family(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("so-sym2-family",
+        "traceless S_2 -> S_21 orthogonal family: m=3 gives a 5x5 constant "
+        "rank 4 pencil; kernel line m*v^2 - q(v)*qhat")
+def _check_so_sym2_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
     for m in (3, 4, 5):
         a, b, r = family_sizes("SO_2_21", m=m)
         pen = build_so_pencil((2,), (2, 1), m)
-        _eq(failures, details, f"m={m} dims",
-            (pen.source_dim, pen.target_dim), (a, b))
-        _eq(failures, details, f"m={m} generic rank",
-            generic_rank(pen, cfg.prime, trials=10, seed=cfg.seed), r)
+        result.eq(f"m={m} dims", (pen.source_dim, pen.target_dim), (a, b))
+        result.eq(f"m={m} generic rank",
+                  generic_rank(pen, cfg.prime, trials=10, seed=cfg.seed), r)
     pen3 = build_so_pencil((2,), (2, 1), 3)
     rep = constant_rank_verdict(pen3, "exhaustive", prime=13, budget=cfg.budget)
-    _eq(failures, details, "m=3 exhaustive F13 (isotropic points included)",
-        (rep.verdict, rep.generic_rank), ("constant", 4))
+    result.eq("m=3 exhaustive F13 (isotropic points included)",
+              (rep.verdict, rep.generic_rank), ("constant", 4))
     samp = constant_rank_verdict(pen3, "sampled", prime=13, trials=50,
                                  seed=cfg.seed)
-    _true(failures, details, "m=3 sampled strata include isotropic class",
-          any(cls == "isotropic" for _, _, cls in samp.strata))
-    _eq(failures, details, "m=3 sampled ranks",
-        {r for r, _, _ in samp.strata}, {4})
+    result.true("m=3 sampled strata include isotropic class",
+                any(cls == "isotropic" for _, _, cls in samp.strata))
+    result.eq("m=3 sampled ranks", {r for r, _, _ in samp.strata}, {4})
     rng = random.Random(cfg.seed)
     smod = None
     ok = True
@@ -746,13 +762,13 @@ def _check_so_sym2_family(cfg: CatalogRunConfig):
                 break
         if not ok:
             break
-    _true(failures, details,
-          "kernel tensor m*v^2 - q(v)*qhat annihilated exactly", ok)
-    return details, failures
+    result.true("kernel tensor m*v^2 - q(v)*qhat annihilated exactly", ok)
 
 
-def _check_so_hook_corank(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("so-hook-corank",
+        "(3,1,1) -> (3,2,1) orthogonal family: constant corank "
+        "C(m-1,3)+C(m-1,2) at isotropic and non-isotropic points, m = 5,6")
+def _check_so_hook_corank(cfg: CatalogRunConfig, result: EntryResult) -> None:
     rng = random.Random(cfg.seed)
     for m in (5, 6):
         pen = build_so_pencil((3, 1, 1), (3, 2, 1), m)
@@ -762,38 +778,37 @@ def _check_so_hook_corank(cfg: CatalogRunConfig):
         coranks = {"isotropic": set(), "non-isotropic": set()}
         for r, (_, cls) in zip(ranks_at(pen, [x for x, _ in pts], cfg.prime), pts):
             coranks[cls].add(pen.source_dim - r)
-        _eq(failures, details, f"m={m} corank at isotropic points",
-            coranks["isotropic"], {want_kernel})
-        _eq(failures, details, f"m={m} corank at non-isotropic points",
-            coranks["non-isotropic"], {want_kernel})
-    return details, failures
+        result.eq(f"m={m} corank at isotropic points",
+                  coranks["isotropic"], {want_kernel})
+        result.eq(f"m={m} corank at non-isotropic points",
+                  coranks["non-isotropic"], {want_kernel})
 
 
-def _check_so_branching(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("so-branching-kernels",
+        "orthogonal branching: dimension identities and predicted kernel "
+        "dimensions 1/10/20 matching measured ranks")
+def _check_so_branching(cfg: CatalogRunConfig, result: EntryResult) -> None:
     for m in (5, 6, 7):
         for mu in [(1,), (2,), (1, 1)]:
             lhs = m * so_module_dim(mu, m)
             rhs = sum(so_module_dim(nu, m)
                       for nu in _one_box_neighbors(mu, m))
-            _eq(failures, details, f"m={m} mu={mu} branching dims", lhs, rhs)
-    _eq(failures, details, "predicted kernel (2)->(2,1) m=3",
-        predict_so_nonisotropic((2,), (2, 1), 3).kernel_dim, 1)
-    _eq(failures, details, "predicted kernel (2)->(2,1) m=5",
-        predict_so_nonisotropic((2,), (2, 1), 5).kernel_dim, 1)
-    _eq(failures, details, "predicted kernel (3,1,1)->(3,2,1) m=5",
-        predict_so_nonisotropic((3, 1, 1), (3, 2, 1), 5).kernel_dim, 10)
-    _eq(failures, details, "predicted kernel (3,1,1)->(3,2,1) m=6",
-        predict_so_nonisotropic((3, 1, 1), (3, 2, 1), 6).kernel_dim, 20)
+            result.eq(f"m={m} mu={mu} branching dims", lhs, rhs)
+    result.eq("predicted kernel (2)->(2,1) m=3",
+              predict_so_nonisotropic((2,), (2, 1), 3).kernel_dim, 1)
+    result.eq("predicted kernel (2)->(2,1) m=5",
+              predict_so_nonisotropic((2,), (2, 1), 5).kernel_dim, 1)
+    result.eq("predicted kernel (3,1,1)->(3,2,1) m=5",
+              predict_so_nonisotropic((3, 1, 1), (3, 2, 1), 5).kernel_dim, 10)
+    result.eq("predicted kernel (3,1,1)->(3,2,1) m=6",
+              predict_so_nonisotropic((3, 1, 1), (3, 2, 1), 6).kernel_dim, 20)
     pen = build_so_pencil((2,), (2, 1), 5)
     pred = predict_so_nonisotropic((2,), (2, 1), 5)
     rng = random.Random(cfg.seed)
     pts = [x for x, cls in structured_points(pen, cfg.prime, rng, count=20)
            if cls == "non-isotropic"]
     ranks = set(ranks_at(pen, pts, cfg.prime))
-    _eq(failures, details, "m=5 non-isotropic rank matches prediction",
-        ranks, {pred.image_dim})
-    return details, failures
+    result.eq("m=5 non-isotropic rank matches prediction", ranks, {pred.image_dim})
 
 
 # -- spin entries -----------------------------------------------------------
@@ -808,17 +823,17 @@ def _random_pure_spinor(rng: random.Random, n: int = 5) -> dict:
     return exp_two_form({I: rng.randint(-5, 5) for I in pairs})
 
 
-def _check_spin10_pencil(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("spin10-pencil",
+        "Spin(10) half-spinor pencil: 16-variable 16x10, rank 9 / kernel 1 "
+        "generically, kernel spanned by the quadratic equivariant vector")
+def _check_spin10_pencil(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_spin_pencil(5)
-    _eq(failures, details, "shape", (pen.nvars, pen.target_dim, pen.source_dim),
-        (16, 16, 10))
+    result.eq("shape", (pen.nvars, pen.target_dim, pen.source_dim), (16, 16, 10))
     rng = random.Random(cfg.seed)
     ranks = _sample_ranks(pen, cfg.prime, rng, 200)
-    _eq(failures, details, "rank at 200 random deltas", ranks, {9})
+    result.eq("rank at 200 random deltas", ranks, {9})
     e0 = [1] + [0] * 15
-    _eq(failures, details, "rank at delta = e_empty",
-        ranks_at(pen, [e0], cfg.prime)[0], 5)
+    result.eq("rank at delta = e_empty", ranks_at(pen, [e0], cfg.prime)[0], 5)
     even_basis = spin_space(5).even_basis
     ok_prop, ok_kernel = True, True
     for _ in range(100):
@@ -830,17 +845,12 @@ def _check_spin10_pencil(cfg: CatalogRunConfig):
         mat = pen.evaluate(_spin_var_vector(delta, even_basis))
         if any(mat @ kv) or any(mat @ av):
             ok_kernel = False
-    _true(failures, details, "kernel map proportional to gamma pairing",
-          ok_prop)
-    _true(failures, details,
-          "both kernel vectors annihilated exactly (100 deltas)", ok_kernel)
+    result.true("kernel map proportional to gamma pairing", ok_prop)
+    result.true("both kernel vectors annihilated exactly (100 deltas)", ok_kernel)
     ok_pure = all(
         not any(a_vector(_random_pure_spinor(rng), 5)) for _ in range(100)
     )
-    _true(failures, details,
-          "all ten components of a vanish on pure spinors (100 samples)",
-          ok_pure)
-    return details, failures
+    result.true("all ten components of a vanish on pure spinors (100 samples)", ok_pure)
 
 
 def _spin_fixture_h(delta_of: Callable[[tuple], int]) -> list[int]:
@@ -863,17 +873,17 @@ def _spin_fixture_h(delta_of: Callable[[tuple], int]) -> list[int]:
     return h
 
 
-def _check_spin10_fixture(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("spin10-fixture",
+        "bundled 16x10 half-spinor matrix: rank 9 generically, 5 at "
+        "delta = e_empty, image orthogonal to the quadratic h-vector")
+def _check_spin10_fixture(cfg: CatalogRunConfig, result: EntryResult) -> None:
     fix = fixture_parse("spin10_mdelta")
-    _eq(failures, details, "shape", (fix.nvars, fix.target_dim, fix.source_dim),
-        (16, 16, 10))
+    result.eq("shape", (fix.nvars, fix.target_dim, fix.source_dim), (16, 16, 10))
     rng = random.Random(cfg.seed)
     ranks = _sample_ranks(fix, cfg.prime, rng, 200)
-    _eq(failures, details, "rank at 200 random deltas", ranks, {9})
+    result.eq("rank at 200 random deltas", ranks, {9})
     e0 = [1] + [0] * 15
-    _eq(failures, details, "rank at delta = e_empty",
-        ranks_at(fix, [e0], cfg.prime)[0], 5)
+    result.eq("rank at delta = e_empty", ranks_at(fix, [e0], cfg.prime)[0], 5)
     # variable order in the file: delta_0, the ten pairs, the five 4-subsets
     subsets = ([()]
                + [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -887,218 +897,65 @@ def _check_spin10_fixture(cfg: CatalogRunConfig):
         if any(mat @ h):
             ok = False
             break
-    _true(failures, details,
-          "rows orthogonal to the h-vector (image is its perp hyperplane)", ok)
-    return details, failures
+    result.true("rows orthogonal to the h-vector (image is its perp hyperplane)", ok)
 
 
-def _check_spin10_rank_critical(cfg: CatalogRunConfig):
-    failures, details = [], {}
+@_entry("spin10-rank-critical",
+        "rank neutral directions of the half-spinor space equal the space "
+        "itself (dimension 16)")
+def _check_spin10_rank_critical(cfg: CatalogRunConfig, result: EntryResult) -> None:
     pen = build_spin_pencil(5)
     rep = rnd(pen, cfg.prime, seed=cfg.seed)
-    _eq(failures, details, "criticality verdict", rep.verdict,
-        "rank-critical-certified")
-    _eq(failures, details, "pencil span dimension", rep.pencil_span_dim, 16)
-    return details, failures
+    result.eq("criticality verdict", rep.verdict, "rank-critical-certified")
+    result.eq("pencil span dimension", rep.pencil_span_dim, 16)
 
 
 # -- dimension bookkeeping --------------------------------------------------
 
 
-def _check_dimension_bookkeeping(cfg: CatalogRunConfig):
-    failures, details = [], {}
-    _eq(failures, details, "Sp(6) wedge-square module",
-        weyl_dim(GroupSpec("Sp", 6), (1, 1)), 14)
-    _eq(failures, details, "wedge criterion source at p=5",
-        gl_dim((2, 2, 2, 2, 2), 10), 19404)
-    _eq(failures, details, "wedge criterion target at p=5",
-        gl_dim((2, 2, 2, 2, 2, 1, 1), 10), 20790)
+@_entry("dimension-bookkeeping",
+        "Weyl-dimension checks for the large bounded-rank spaces "
+        "(no pencil construction)")
+def _check_dimension_bookkeeping(cfg: CatalogRunConfig, result: EntryResult) -> None:
+    result.eq("Sp(6) wedge-square module", weyl_dim(GroupSpec("Sp", 6), (1, 1)), 14)
+    result.eq("wedge criterion source at p=5", gl_dim((2, 2, 2, 2, 2), 10), 19404)
+    result.eq("wedge criterion target at p=5", gl_dim((2, 2, 2, 2, 2, 1, 1), 10), 20790)
     d6 = GroupSpec("SO", 12)
-    _eq(failures, details, "Spin(12) half-spin (variables)",
-        weyl_dim(d6, (1,) * 6, doubled=True), 32)
-    _eq(failures, details, "so(12) = wedge-square (target)",
-        weyl_dim(d6, (1, 1)), 66)
-    _eq(failures, details, "Spin(12) syzygy module (source)",
-        weyl_dim(d6, (3, 1, 1, 1, 1, -1), doubled=True), 352)
+    result.eq("Spin(12) half-spin (variables)",
+              weyl_dim(d6, (1,) * 6, doubled=True), 32)
+    result.eq("so(12) = wedge-square (target)", weyl_dim(d6, (1, 1)), 66)
+    result.eq("Spin(12) syzygy module (source)",
+              weyl_dim(d6, (3, 1, 1, 1, 1, -1), doubled=True), 352)
     d7 = GroupSpec("SO", 14)
-    _eq(failures, details, "Spin(14) half-spin (variables)",
-        weyl_dim(d7, (1,) * 7, doubled=True), 64)
-    _eq(failures, details, "wedge-cube of C^14 (target)",
-        gl_dim((1, 1, 1), 14), 364)
-    _eq(failures, details, "binomial(2n, n-4) at n=7", comb(14, 3), 364)
-    _eq(failures, details, "Spin(14) syzygy space (source)",
-        weyl_dim(d7, (1,) * 7, doubled=True)
-        + weyl_dim(d7, (3, 3, 1, 1, 1, 1, 1), doubled=True), 4992)
-    return details, failures
+    result.eq("Spin(14) half-spin (variables)",
+              weyl_dim(d7, (1,) * 7, doubled=True), 64)
+    result.eq("wedge-cube of C^14 (target)", gl_dim((1, 1, 1), 14), 364)
+    result.eq("binomial(2n, n-4) at n=7", comb(14, 3), 364)
+    result.eq("Spin(14) syzygy space (source)",
+              weyl_dim(d7, (1,) * 7, doubled=True)
+              + weyl_dim(d7, (3, 3, 1, 1, 1, 1, 1), doubled=True), 4992)
 
 
 # ---------------------------------------------------------------------------
 # the catalog itself
 
 
-CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "adjoint-wedge3-c7",
-        "sl(7) acting on a generic 3-form: 35-variable 35x48 pencil of "
-        "generic rank 34",
-        _check_adjoint_c7,
-    ),
-    CatalogEntry(
-        "adjoint-wedge3-c8",
-        "sl(8) acting on a generic 3-form: never surjective onto the "
-        "56-dimensional target",
-        _check_adjoint_c8,
-    ),
-    CatalogEntry(
-        "dimension-bookkeeping",
-        "Weyl-dimension checks for the large bounded-rank spaces "
-        "(no pencil construction)",
-        _check_dimension_bookkeeping,
-    ),
-    CatalogEntry(
-        "eagon-northcott-rank-dependence",
-        "rank of the induced operator depends only on rank(X): 20 random "
-        "X per shape",
-        _check_theta_rank_dependence,
-    ),
-    CatalogEntry(
-        "eagon-northcott-rank-formula",
-        "closed-form rank of S^2A(x)B -> A(x)Lambda^2B at Smith "
-        "representatives, all a,b <= 4",
-        _check_theta_formula,
-    ),
-    CatalogEntry(
-        "gl-hook-family",
-        "hook family (2,1^b) -> (2,1^{b+1}): 15x20 rank 11 at (1,1,3) and "
-        "the closed-form rank for n <= 5, b <= 2",
-        _check_gl_hook_family,
-    ),
-    CatalogEntry(
-        "gl-one-box-predictions",
-        "kernel/image/cokernel of one-box pencils from horizontal strips, "
-        "with injectivity exactly for first-row boxes",
-        _check_gl_one_box,
-    ),
-    CatalogEntry(
-        "gl-sym2-family",
-        "S_2 -> S_21 family: sizes ((n+2)(n+1)/2, n(n+1)(n+2)/3) and "
-        "constant rank (n^2+3n)/2, certified by transitivity",
-        _check_gl_sym2_family,
-    ),
-    CatalogEntry(
-        "gl-sym2-fixture",
-        "bundled 6x8 matrix in x,y,z: constant rank 5 over F5, matching "
-        "the constructed pencil's stratification",
-        _check_gl_sym2_fixture,
-    ),
-    CatalogEntry(
-        "gl-sym2-rank-neutral",
-        "rank neutral directions of the 6x8 space: strictly larger, "
-        "dimension 18 = 3 + dim S_31(C^3)",
-        _check_gl_sym2_rank_neutral,
-    ),
-    CatalogEntry(
-        "gl-sym22-family",
-        "S_22 -> S_221 family: 20x20 constant rank 14 at n=3 with "
-        "predicted decomposition (6,14,6)",
-        _check_gl_sym22_family,
-    ),
-    CatalogEntry(
-        "hyperplane-bound",
-        "dimension-count criterion for bounded rank: (3,2) -> (3,2,1,1) "
-        "at p=2 gives kernel bound 40 with s(5) = 175 on both sides",
-        _check_hyperplane_bound,
-    ),
-    CatalogEntry(
-        "koszul-flattening",
-        "flattening V* (x) S_2 -> Lambda^2 V* (x) S_21 has full rank 18, "
-        "border-rank bound 9",
-        _check_koszul_flattening,
-    ),
-    CatalogEntry(
-        "koszul-rank-critical",
-        "wedge pencils Lambda^k -> Lambda^{k+1} for k <= 2, v <= 5: "
-        "constant rank C(v-1,k) and rank-critical, certified",
-        _check_koszul_rank_critical,
-    ),
-    CatalogEntry(
-        "so-branching-kernels",
-        "orthogonal branching: dimension identities and predicted kernel "
-        "dimensions 1/10/20 matching measured ranks",
-        _check_so_branching,
-    ),
-    CatalogEntry(
-        "so-hook-corank",
-        "(3,1,1) -> (3,2,1) orthogonal family: constant corank "
-        "C(m-1,3)+C(m-1,2) at isotropic and non-isotropic points, m = 5,6",
-        _check_so_hook_corank,
-    ),
-    CatalogEntry(
-        "so-sym2-family",
-        "traceless S_2 -> S_21 orthogonal family: m=3 gives a 5x5 constant "
-        "rank 4 pencil; kernel line m*v^2 - q(v)*qhat",
-        _check_so_sym2_family,
-    ),
-    CatalogEntry(
-        "sp-branching",
-        "symplectic branching dimension identities and non-surjectivity of "
-        "the one-box pencils",
-        _check_sp_branching,
-    ),
-    CatalogEntry(
-        "sp6-koszul-expansion",
-        "expanded wedge pencil Lambda^2 C^6 -> Lambda^3 C^6 of constant "
-        "rank 10 with rank(expanded) = rank(reduced) + 1",
-        _check_sp6_koszul_expansion,
-    ),
-    CatalogEntry(
-        "sp6-wedge2-fixture",
-        "bundled 14x14 matrix in x_1..x_6: rank 9 at random and coordinate "
-        "points, stratification matching the constructed pencil",
-        _check_sp6_fixture,
-    ),
-    CatalogEntry(
-        "sp6-wedge2-pencil",
-        "Sp(6) wedge-square pencil: 6-variable 14x14 of constant rank 9, "
-        "certified by transitivity and exhaustively over F3",
-        _check_sp6_pencil,
-    ),
-    CatalogEntry(
-        "spin10-fixture",
-        "bundled 16x10 half-spinor matrix: rank 9 generically, 5 at "
-        "delta = e_empty, image orthogonal to the quadratic h-vector",
-        _check_spin10_fixture,
-    ),
-    CatalogEntry(
-        "spin10-pencil",
-        "Spin(10) half-spinor pencil: 16-variable 16x10, rank 9 / kernel 1 "
-        "generically, kernel spanned by the quadratic equivariant vector",
-        _check_spin10_pencil,
-    ),
-    CatalogEntry(
-        "spin10-rank-critical",
-        "rank neutral directions of the half-spinor space equal the space "
-        "itself (dimension 16)",
-        _check_spin10_rank_critical,
-    ),
-)
+CATALOG = tuple(sorted(_ENTRIES, key=attrgetter("entry_id")))
 
 
 def run_entry(entry: CatalogEntry, cfg: CatalogRunConfig) -> EntryResult:
+    result = EntryResult(entry.entry_id)
     t0 = perf_counter()
     try:
-        details, failures = entry.check(cfg)
+        entry.check(cfg, result)
     except Exception:  # a crash is a failed expectation, not a crash of the run
         trace = traceback.format_exc(limit=-3).strip()
-        return EntryResult(entry.entry_id, "fail", {},
-                           [f"exception: {trace}"], perf_counter() - t0)
-    status = "pass" if not failures else "fail"
-    return EntryResult(entry.entry_id, status, details, failures,
-                       perf_counter() - t0)
+        result.details, result.failures = {}, [f"exception: {trace}"]
+    result.seconds = perf_counter() - t0
+    return result
 
 
 def run_catalog(filter_glob: str = "*",
                 cfg: CatalogRunConfig = CatalogRunConfig()) -> list[EntryResult]:
-    """Run every matching entry; results sorted by id."""
-    selected = [e for e in CATALOG if fnmatch(e.entry_id, filter_glob)]
-    return sorted((run_entry(e, cfg) for e in selected), key=lambda r: r.entry_id)
+    """Run every matching entry; results sorted by id, as CATALOG is."""
+    return [run_entry(e, cfg) for e in CATALOG if fnmatch(e.entry_id, filter_glob)]

@@ -175,12 +175,13 @@ def cmd_catalog(args) -> int:
                     "status": r.status,
                     "seconds": round(r.seconds, 2),
                     "failures": r.failures,
+                    "details": r.details,
                     "prime": cfg.prime,
                     "seed": cfg.seed,
                 }
                 for r in results
             ],
-            indent=2, sort_keys=True,
+            indent=2, sort_keys=True, default=sorted,  # sets as sorted lists
         ))
     else:
         width = max(len(r.entry_id) for r in results)

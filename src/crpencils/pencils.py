@@ -84,13 +84,8 @@ class IntMatrix:
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict) -> IntMatrix:
-        """The matrix of rational {(row, col): value} entries, over the lcm
-        of their denominators."""
-        den = lcm(1, *(x.denominator for x in entries.values()))
-        return cls(dim, tuple(sorted(
-            (r, c, x.numerator * (den // x.denominator))
-            for (r, c), x in entries.items() if x
-        )), den)
+        """The matrix of integer {(row, col): value} entries, over den 1."""
+        return cls(dim, tuple(sorted((r, c, x) for (r, c), x in entries.items() if x)))
 
     @classmethod
     def from_dense(cls, m: Sequence[Sequence]) -> IntMatrix:
@@ -397,13 +392,10 @@ def _span_map(mod: RealizedModule, op, target: RealizedModule, per: int,
 
 
 def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
-    """Matrix of the derivation action of X = Xn / dx on the module's basis
-    coordinates: the span map of Xn, over dx times its denominator."""
-    x = IntMatrix.from_dense(X)
-    xn = square_matrix(x.dim, {(r, c): num for r, c, num in x.entries})
-    entries, den = _span_map(mod, lambda part: lie_action(xn, part), mod, 1)
-    return IntMatrix(mod.dim, tuple(sorted((k, j, c) for (_, k, j), c in entries.items())),
-                     x.den * den)
+    """Matrix of the derivation action of the integer X on the module's
+    basis coordinates: the span map of X, over the map's denominator."""
+    entries, den = _span_map(mod, lambda part: lie_action(X, part), mod, 1)
+    return IntMatrix(mod.dim, tuple(sorted((k, j, c) for (_, k, j), c in entries.items())), den)
 
 
 def _wedge_action(X, basis) -> list[dict]:
@@ -780,23 +772,21 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     lam' is lam minus one box and mu' is mu plus one box; X in Hom(A,B) is an
     a x b matrix sending the i-th basis vector of A to sum_j X[i][j] e_j.
     Rows are indexed by (target-A, target-B) pairs, columns by (source-A,
-    source-B) pairs, both in row-major pair order.  Returns (rows, den):
-    the matrix is rows / den, rows an object array of Python ints.  X may
-    be rational; its entries are read through numerator / denominator.
+    source-B) pairs, both in row-major pair order.  X is an integer
+    matrix.  Returns (rows, den): the matrix is rows / den, rows an object
+    array of Python ints.
     """
     lam, lam_p = check_partition(lam), check_partition(lam_p)
     mu, mu_p = check_partition(mu), check_partition(mu_p)
     a, b = len(X), len(X[0]) if X else 0
     a_side, da, by_beta, db, (sa, sap), (sb, sbp) = _theta_sides(lam, lam_p, mu, mu_p, a, b)
-    # X = xn / dx, and Theta_X sums xn[alpha, beta] times both sides' products
+    # Theta_X sums X[alpha][beta] times both sides' products
     xs = {(alpha, beta): x for alpha, row in enumerate(X)
           for beta, x in enumerate(row) if x}
-    dx = lcm(1, *(x.denominator for x in xs.values()))
-    xn = {ab: x.numerator * (dx // x.denominator) for ab, x in xs.items()}
     sums: dict = {}
     for (alpha, ka, ja), va in a_side.items():
         for beta, terms in by_beta.items():
-            x = xn.get((alpha, beta), 0) * va
+            x = xs.get((alpha, beta), 0) * va
             if not x:
                 continue
             for kb, jb, vb in terms:
@@ -805,7 +795,7 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     out = np.zeros((sap * sbp, sa * sb), dtype=object)
     for (r, c), n in sums.items():
         out[r, c] = n
-    return out, da * db * dx
+    return out, da * db
 
 
 def hyperplane_bound_criterion(lam: Partition, mu: Partition, p: int) -> tuple[bool, int]:

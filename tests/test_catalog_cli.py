@@ -160,7 +160,8 @@ def test_document_validation_errors():
         loads_pencil("this is not json")
 
 
-@pytest.mark.parametrize("nvars,target,source", [(1, 1, 10 ** 12), (2, 3000, 3000)])
+@pytest.mark.parametrize("nvars,target,source",
+                         [(1, 1, 10 ** 12), (2, 3000, 3000), (1025, 1, 1)])
 def test_oversized_document_rejected(tmp_path, capsys, nvars, target, source):
     doc = {"nvars": nvars, "target_dim": target, "source_dim": source,
            "var_labels": [f"x{i}" for i in range(nvars)],
@@ -169,8 +170,9 @@ def test_oversized_document_rejected(tmp_path, capsys, nvars, target, source):
         document_to_pencil(doc)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["verify", str(path)]) == 3
-    assert "exceeds" in capsys.readouterr().err
+    for mode in ("sampled", "exhaustive", "transitivity"):
+        assert cli.main(["verify", str(path), "--mode", mode]) == 3
+        assert "exceeds" in capsys.readouterr().err
 
 
 # -- the canonical writer and the column-wise reader against their oracles ---
@@ -404,7 +406,7 @@ def test_run_entry_keeps_the_traceback():
     def _failing_helper():
         raise RuntimeError("boom")
 
-    def check(cfg):
+    def check(cfg, result):
         _failing_helper()
 
     res = run_entry(CatalogEntry("crash", "raises", check), CatalogRunConfig())
@@ -686,6 +688,7 @@ def test_cli_catalog_subcommand(capsys):
     rec = payload[0]
     assert rec["status"] == "pass"
     assert {"prime", "seed"} <= set(rec)
+    assert rec["details"] == {"flattening rank": 18, "border-rank bound": 9}
     assert cli.main(["catalog", "--filter", "hyperplane-bound",
                      "--format", "text"]) == 0
     text = capsys.readouterr().out

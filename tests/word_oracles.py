@@ -331,7 +331,7 @@ def document_to_pencil_by_entry(doc):
     labels = tuple(labels)
     if len(labels) != nvars or nvars < 1 or source_dim < 1 or target_dim < 1:
         raise FixtureParseError("inconsistent pencil document header")
-    if nvars * target_dim * source_dim > MAX_PENCIL_CELLS:
+    if max(nvars * target_dim * source_dim, nvars * nvars) > MAX_PENCIL_CELLS:
         raise FixtureParseError("too many coefficient cells")
     entries = []
     denom = 1
