@@ -28,7 +28,7 @@ from .linalg import (
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
 )
-from .modules import exp_two_form, spin_space
+from .modules import exp_two_form, orthogonal_form, spin_space
 from .partitions import (
     Partition,
     check_partition,
@@ -58,10 +58,9 @@ class RankReport:
     strata: list  # (rank, point, point_class)
     verdict: str
     method: dict
-    predicted: Optional[PredictedDecomposition] = None
 
     def to_jsonable(self) -> dict:
-        out = {
+        return {
             "generic_rank": self.generic_rank,
             "verdict": self.verdict,
             "method": self.method,
@@ -70,13 +69,13 @@ class RankReport:
                 for r, pt, cls in self.strata
             ],
         }
-        if self.predicted is not None:
-            out["predicted"] = {
-                "kernel_dim": self.predicted.kernel_dim,
-                "image_dim": self.predicted.image_dim,
-                "cokernel_dim": self.predicted.cokernel_dim,
-            }
-        return out
+
+
+def random_points(rng: random.Random, count: int, nvars: int, prime: int) -> np.ndarray:
+    """count points of F_prime^nvars as a (count, nvars) int64 array, one
+    rng.randrange(prime) per coordinate in row-major order."""
+    return np.array([rng.randrange(prime) for _ in range(count * nvars)],
+                    dtype=np.int64).reshape(count, nvars)
 
 
 def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
@@ -116,8 +115,7 @@ def _kernels(pencil: Pencil, points, p: int, stacked: np.ndarray):
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,
                  seed: int = 0, stacked: Optional[np.ndarray] = None) -> int:
     check_prime(prime)
-    rng = random.Random(seed)
-    points = [[rng.randrange(prime) for _ in range(pencil.nvars)] for _ in range(trials)]
+    points = random_points(random.Random(seed), trials, pencil.nvars, prime)
     return max(ranks_at(pencil, points, prime, stacked), default=0)
 
 
@@ -137,47 +135,66 @@ def projective_blocks(s: int, p: int, block: int):
 
 def structured_points(pencil: Pencil, prime: int, rng: random.Random,
                       count: int = 10) -> list[tuple[tuple[int, ...], str]]:
-    """Orbit-specific sample points depending on how the pencil was built."""
-    pts: list[tuple[tuple[int, ...], str]] = []
+    """Orbit-specific sample points depending on how the pencil was built:
+    coordinate, SO(m) isotropic and non-isotropic, or pure-spinor points."""
     s = pencil.nvars
-    for i in range(s):
-        e = [0] * s
-        e[i] = 1
-        pts.append((tuple(e), "coordinate"))
+    pts = [(tuple(e), "coordinate") for e in np.eye(s, dtype=np.int64).tolist()]
     kind = pencil.spec.kind if pencil.spec is not None else None
     if kind == "so":
-        m = s
-        # split form: q(x) = sum x_{2k} x_{2k+1} (+ x_last^2 for odd m)
-        for _ in range(count):
-            x = [rng.randrange(prime) for _ in range(m)]
-            x[0] = max(1, x[0])
-            rest = sum(x[2 * k] * x[2 * k + 1] for k in range(1, m // 2))
-            if m % 2:
-                rest += x[m - 1] * x[m - 1]
-            x[1] = (-rest) * pow(x[0], -1, prime) % prime
-            pts.append((tuple(v % prime for v in x), "isotropic"))
-        for _ in range(count):
-            x = [rng.randrange(prime) for _ in range(m)]
-            q = sum(2 * x[2 * k] * x[2 * k + 1] for k in range(m // 2))
-            if m % 2:
-                q += x[m - 1] * x[m - 1]
-            if q % prime:
-                pts.append((tuple(v % prime for v in x), "non-isotropic"))
-        pts.append((tuple([1, 1] + [0] * (m - 2)), "non-isotropic"))
+        form = orthogonal_form(s)
+        for x in random_points(rng, count, s, prime).tolist():
+            # B(x, x) = 2 x_0 x_1 + (B(x, x) at x_1 = 0): solve for x_1
+            x[0], x[1] = max(1, x[0]), 0
+            x[1] = -form.quadratic(x) * pow(2 * x[0], -1, prime) % prime
+            pts.append((tuple(x), "isotropic"))
+        pts += [(tuple(x), "non-isotropic") for x in random_points(rng, count, s, prime).tolist()
+                if form.quadratic(x) % prime]
+        pts.append((tuple([1, 1] + [0] * (s - 2)), "non-isotropic"))
     if kind == "spin":
         even = spin_space(pencil.spec.args[0]).even_basis
         pairs = [I for I in even if len(I) == 2]
-        for _ in range(count):
-            delta = exp_two_form({I: rng.randrange(prime) for I in pairs})
-            x = tuple(delta.get(I, 0) % prime for I in even)
-            pts.append((x, "pure-spinor"))
+        for d2 in random_points(rng, count, len(pairs), prime).tolist():
+            delta = exp_two_form(dict(zip(pairs, d2)))
+            pts.append((tuple(delta.get(I, 0) % prime for I in even), "pure-spinor"))
     return pts
+
+
+def _first_points(pencil: Pencil, blocks, prime: int) -> dict[tuple[int, str], tuple]:
+    """The first point of each (rank, class) over the (points, class)
+    blocks, in order: one ranks_at call and one np.unique per block.  No
+    block holds the zero point: only random draws can be zero, and their
+    sources drop it, so a projective block goes to ranks_at as it is."""
+    stacked = pencil.coeff_array_modp(prime)
+    found: dict[tuple[int, str], tuple] = {}
+    for points, cls in blocks:
+        values, first = np.unique(ranks_at(pencil, points, prime, stacked),
+                                  return_index=True)
+        for r, i in zip(values.tolist(), first):
+            found.setdefault((r, cls), tuple(points[i].tolist()))
+    return found
+
+
+def _sampled_blocks(pencil: Pencil, prime: int, rng: random.Random, trials: int):
+    """The nonzero trials, drawn EXHAUSTIVE_BLOCK at a time, as "generic"
+    blocks, then the structured points (none of them zero) one class at a
+    time."""
+    for start in range(0, trials, EXHAUSTIVE_BLOCK):
+        points = random_points(rng, min(EXHAUSTIVE_BLOCK, trials - start), pencil.nvars, prime)
+        yield points[points.any(axis=1)], "generic"
+    pts = structured_points(pencil, prime, rng)
+    for cls in dict.fromkeys(cls for _, cls in pts):
+        yield np.array([x for x, c in pts if c == cls], dtype=np.int64), cls
 
 
 def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
                           prime: int = DEFAULT_PRIME, trials: int = 200,
                           seed: int = 0, budget: int = 10 ** 6) -> RankReport:
+    """Each mode chooses the (points, class) blocks that _first_points reads
+    the strata from: one nonzero random point (transitivity), P^{s-1}(F_p)
+    (exhaustive), or the trials and the structured points (sampled)."""
     check_prime(prime)
+    rng = random.Random(seed)
+    s = pencil.nvars
     if mode == "transitivity":
         if pencil.spec is None or not pencil.spec.transitive:
             raise ValueError(
@@ -186,67 +203,35 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
             )
         if not check_equivariance(pencil):
             raise ValueError("equivariance certificate failed")
-        rng = random.Random(seed)
-        x = tuple(rng.randrange(prime) for _ in range(pencil.nvars))
-        r = ranks_at(pencil, [x], prime)[0]
-        return RankReport(
-            generic_rank=r,
-            strata=[(r, x, "generic")],
-            verdict="constant",
-            method={
-                "kind": "transitivity",
-                "prime": prime,
-                "seed": seed,
-                "equivariance": "exact",
-            },
-        )
-
-    if mode == "exhaustive":
-        npoints = (prime ** pencil.nvars - 1) // (prime - 1)
+        x = random_points(rng, 1, s, prime)
+        while not x.any():
+            x = random_points(rng, 1, s, prime)
+        blocks = [(x, "generic")]
+        method = {"kind": "transitivity", "prime": prime, "seed": seed,
+                  "equivariance": "exact"}
+    elif mode == "exhaustive":
+        npoints = (prime ** s - 1) // (prime - 1)
         if npoints > budget:
             raise ValueError(f"{npoints} projective points exceed budget {budget}")
-        ranks: dict[int, tuple] = {}
-        stacked = pencil.coeff_array_modp(prime)
-        for block in projective_blocks(pencil.nvars, prime, EXHAUSTIVE_BLOCK):
-            values, first = np.unique(ranks_at(pencil, block, prime, stacked),
-                                      return_index=True)
-            for r, i in zip(values.tolist(), first):
-                ranks.setdefault(r, tuple(block[i].tolist()))
-        strata = [(r, pt, "exhaustive") for r, pt in sorted(ranks.items())]
-        verdict = "constant" if len(ranks) == 1 else "non-constant"
-        return RankReport(
-            generic_rank=max(ranks),
-            strata=strata,
-            verdict=verdict,
-            method={"kind": "exhaustive", "prime": prime, "points": npoints},
-        )
-
-    if mode != "sampled":
+        blocks = ((b, "exhaustive") for b in projective_blocks(s, prime, EXHAUSTIVE_BLOCK))
+        method = {"kind": "exhaustive", "prime": prime, "points": npoints}
+    elif mode == "sampled":
+        blocks = _sampled_blocks(pencil, prime, rng, trials)
+        method = {"kind": "sampled", "prime": prime, "trials": trials, "seed": seed}
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    points = [
-        (tuple(rng.randrange(prime) for _ in range(pencil.nvars)), "generic")
-        for _ in range(trials)
-    ]
-    points += structured_points(pencil, prime, rng)
-    points = [(x, cls) for x, cls in points if any(x)]
-    ranks: dict[tuple[int, str], tuple] = {}
-    for r, (x, cls) in zip(ranks_at(pencil, [x for x, _ in points], prime), points):
-        ranks.setdefault((r, cls), x)
-    strata = [(r, pt, cls) for (r, cls), pt in sorted(ranks.items())]
-    values = {r for r, _ in ranks}
-    if max(values) < min(pencil.source_dim, pencil.target_dim):
+    found = _first_points(pencil, blocks, prime)
+    ranks = {r for r, _ in found}
+    if mode != "sampled":
+        verdict = "constant" if len(ranks) == 1 else "non-constant"
+    elif max(ranks) < min(pencil.source_dim, pencil.target_dim):
         verdict = "bounded"
-    elif len(values) > 1:
+    elif len(ranks) > 1:
         verdict = "non-constant"
     else:
         verdict = "inconclusive"
-    return RankReport(
-        generic_rank=max(values),
-        strata=strata,
-        verdict=verdict,
-        method={"kind": "sampled", "prime": prime, "trials": trials, "seed": seed},
-    )
+    strata = [(r, pt, cls) for (r, cls), pt in sorted(found.items())]
+    return RankReport(max(ranks), strata, verdict, method)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +349,7 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
         while samples_used < target:
             # the draws still needed, accepted in draw order: a rejected
             # draw is made up for by the next batch, as one at a time
-            xs = [[rng.randrange(prime) for _ in range(pencil.nvars)]
-                  for _ in range(target - samples_used)]
+            xs = random_points(rng, target - samples_used, pencil.nvars, prime)
             accepted = [(coker, ker) for ker, coker in _kernels(pencil, xs, prime, stacked)
                         if b - len(ker) >= r]
             top = max([top] + [b - len(ker) for _, ker in accepted])

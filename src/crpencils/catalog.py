@@ -31,6 +31,7 @@ from .analysis import (
     koszul_flattening_rank,
     predict_gl_decomposition,
     predict_so_nonisotropic,
+    random_points,
     ranks_at,
     rnd,
     structured_points,
@@ -381,9 +382,11 @@ def _entry(entry_id: str, description: str):
     return register
 
 
-def _random_points(nvars: int, prime: int, rng: random.Random, count: int) -> list:
-    points = [[rng.randrange(prime) for _ in range(nvars)] for _ in range(count)]
-    return [x if any(x) else [1] + x[1:] for x in points]
+def _random_points(nvars: int, prime: int, rng: random.Random, count: int) -> np.ndarray:
+    """random_points with each zero point replaced by e_1."""
+    points = random_points(rng, count, nvars, prime)
+    points[~points.any(axis=1), 0] = 1
+    return points
 
 
 def _sample_ranks(pencil: Pencil, prime: int, rng: random.Random,
@@ -717,10 +720,8 @@ def _so_sym2_kernel_tensor(v: list[int], m: int):
     """The traceless kernel tensor m*(v x v) - q(v)*qhat at an integer
     point v, in integers."""
     form = orthogonal_form(m)
-    qv = sum(form.value(i, j) * v[i] * v[j]
-             for i in range(m) for j in range(m))
     t = {(i, j): m * v[i] * v[j] for i in range(m) for j in range(m) if v[i] and v[j]}
-    return tensor_iadd(t, form.dual_tensor(), -qv)
+    return tensor_iadd(t, form.dual_tensor(), -form.quadratic(v))
 
 
 @_entry("so-sym2-family",

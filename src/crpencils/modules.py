@@ -73,6 +73,12 @@ class FormSpec:
         table.setflags(write=False)  # every caller shares the cached arrays
         return table[:, 0], table[:, 1]
 
+    def quadratic(self, x: Sequence[int]) -> int:
+        """B(x, x) = sum_a x_a B(a, partner[a]) x_partner[a], in Python ints."""
+        partner, value = self.partners
+        return sum(x[a] * v * x[b]
+                   for a, (b, v) in enumerate(zip(partner.tolist(), value.tolist())))
+
     @cached_property
     def letter_weights(self) -> np.ndarray:
         """The torus weight of each letter, one row per letter: letter 2i has

@@ -19,13 +19,16 @@ from crpencils.analysis import (
     predict_gl_decomposition,
     predict_so_nonisotropic,
     projective_blocks,
+    random_points,
     ranks_at,
     rnd,
     structured_points,
     theta_rank_formula,
 )
 from crpencils import analysis, linalg
+from crpencils.catalog import fixture_parse
 from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, modp_rank
+from crpencils.modules import orthogonal_form
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
     Pencil,
@@ -35,7 +38,7 @@ from crpencils.pencils import (
     build_sp_pencil,
     build_spin_pencil,
 )
-from word_oracles import mat_mod
+from word_oracles import mat_mod, sampled_verdict_one_list
 
 
 def test_generic_rank_koszul_anchor():
@@ -247,6 +250,94 @@ def test_structured_points_cover_so_orbits():
     rng = random.Random(0)
     classes = {cls for _, cls in structured_points(pen, 13, rng, count=30)}
     assert {"coordinate", "isotropic", "non-isotropic"} <= classes
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 13])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_structured_points_lie_in_their_class(m, prime):
+    # x^T G x with G the Gram matrix itself, not FormSpec.quadratic
+    gram = orthogonal_form(m).gram
+    pts = structured_points(build_so_pencil((1,), (2,), m), prime, random.Random(m), count=20)
+    counts = {}
+    for x, cls in pts:
+        q = sum(gram[i][j] * x[i] * x[j] for i in range(m) for j in range(m)) % prime
+        counts[cls] = counts.get(cls, 0) + 1
+        if cls == "isotropic":
+            assert any(x) and q == 0, (x, q)
+        elif cls == "non-isotropic":
+            assert q != 0, (x, q)
+    assert counts["isotropic"] == 20 and counts["non-isotropic"] > 1
+
+
+def test_transitivity_ranks_a_nonzero_point():
+    # at prime 3 and seed 2 the first draw is the zero point (0, 0)
+    assert random_points(random.Random(2), 1, 2, 3).tolist() == [[0, 0]]
+    rep = constant_rank_verdict(build_gl_pencil((1,), (2,), 2), "transitivity",
+                                prime=3, seed=2)
+    ((r, x, cls),) = rep.strata
+    assert (rep.generic_rank, r, cls) == (2, 2, "generic") and any(x)
+
+
+def test_sampled_skips_zero_draws():
+    pen = build_gl_pencil((1,), (2,), 2)
+    assert random_points(random.Random(2), 20, 2, 3).tolist().count([0, 0]) > 1
+    rep = constant_rank_verdict(pen, "sampled", prime=3, trials=20, seed=2)
+    assert rep == sampled_verdict_one_list(pen, 3, 20, 2)
+    assert {r for r, _, _ in rep.strata} == {2} and all(any(x) for _, x, _ in rep.strata)
+
+
+SAMPLED_PENCILS = {
+    "gl": lambda: build_gl_pencil((2,), (2, 1), 3),
+    "sp": lambda: build_sp_pencil((1, 1), (1, 1, 1), 6),
+    "so-m4": lambda: build_so_pencil((2,), (2, 1), 4),
+    "so-m5": lambda: build_so_pencil((2,), (2, 1), 5),
+    "spin-n5": lambda: build_spin_pencil(5),
+    "fixture-gl": lambda: fixture_parse("gl_s2_s21"),
+    "fixture-sp6": lambda: fixture_parse("sp6_wedge2"),
+    "fixture-spin10": lambda: fixture_parse("spin10_mdelta"),
+}
+
+
+def counted_ranks_at(monkeypatch) -> list[int]:
+    """The number of points of each ranks_at call constant_rank_verdict makes."""
+    sizes = []
+
+    def counted(pencil, points, p, stacked=None):
+        sizes.append(len(points))
+        return ranks_at(pencil, points, p, stacked)
+
+    monkeypatch.setattr(analysis, "ranks_at", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", SAMPLED_PENCILS)
+def test_blocked_sampled_verdict_matches_the_one_list_oracle(name, monkeypatch):
+    # blocks of 8 trials, so that 2 * 8 + 5 trials take three blocks
+    block = 8
+    monkeypatch.setattr(analysis, "EXHAUSTIVE_BLOCK", block)
+    pen = SAMPLED_PENCILS[name]()
+    for prime, seed, trials in [(DEFAULT_PRIME, 0, 1), (13, 1, block), (DEFAULT_PRIME, 2, 37),
+                                (13, 5, 2 * block + 5), (DEFAULT_PRIME, 7, 2 * block + 5)]:
+        want = sampled_verdict_one_list(pen, prime, trials, seed)
+        with monkeypatch.context() as patch:
+            sizes = counted_ranks_at(patch)
+            got = constant_rank_verdict(pen, "sampled", prime=prime, trials=trials, seed=seed)
+        assert got == want
+        # the trials a block at a time, then at most one call per class
+        blocks = [block] * (trials // block) + [trials % block] * (trials % block > 0)
+        classes = {cls for _, cls in structured_points(pen, prime, random.Random(0))}
+        assert sizes[:len(blocks)] == blocks
+        assert len(sizes) <= len(blocks) + len(classes)
+
+
+@pytest.mark.parametrize("name", ["gl", "fixture-gl"])
+def test_sampled_verdict_ranks_its_trials_a_block_at_a_time(name, monkeypatch):
+    pen = SAMPLED_PENCILS[name]()
+    block = analysis.EXHAUSTIVE_BLOCK
+    want = sampled_verdict_one_list(pen, DEFAULT_PRIME, 2 * block + 5, 3)
+    sizes = counted_ranks_at(monkeypatch)
+    assert constant_rank_verdict(pen, "sampled", trials=2 * block + 5, seed=3) == want
+    assert sizes[:3] == [block, block, 5] and max(sizes) <= block
 
 
 # -- predicted decompositions ------------------------------------------------

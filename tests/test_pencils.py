@@ -215,12 +215,12 @@ def test_wedge_action_on_the_adjoint_cube_matches_the_oracle():
 
 def ad_by_dense_commutator(Y, a):
     """ad_Y on sl_a in sl_basis coordinates: each [Y, X] as a dense
-    Fraction matrix, read back through the coordinates of a traceless
+    integer matrix, read back through the coordinates of a traceless
     matrix (off-diagonal entries, then d_k = sum_{l<=k} m_ll on H_k)."""
     def coords(m):
-        assert sum(Fraction(m[i][i]) for i in range(a)) == 0
-        return ([Fraction(m[i][j]) for i in range(a) for j in range(a) if i != j]
-                + list(accumulate(Fraction(m[k][k]) for k in range(a - 1))))
+        assert sum(m[i][i] for i in range(a)) == 0
+        return ([m[i][j] for i in range(a) for j in range(a) if i != j]
+                + list(accumulate(m[k][k] for k in range(a - 1))))
 
     return IntMatrix.from_entries(a * a - 1, {
         (r, col): x for col, X in enumerate(sl_basis(a))
@@ -234,7 +234,9 @@ def ad_by_dense_commutator(Y, a):
 def test_sl_ad_matches_the_dense_commutator(a):
     gens = chevalley_generators(a) + (sl_basis(a) if a <= 5 else [])
     for Y in gens:
-        assert _sl_ad(Y, a) == ad_by_dense_commutator(Y, a)
+        got, want = _sl_ad(Y, a), ad_by_dense_commutator(Y, a)
+        assert got == want
+        assert all(type(x) is int for m in (got, want) for e in m.entries for x in e)
 
 
 def test_pencil_from_entries_clears_denominators_and_content():

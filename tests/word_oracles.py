@@ -2,15 +2,18 @@
 against, the entry-by-entry pencil-file document builder and reader that
 the canonical writer and the column-wise reader are tested against, the
 Fraction form of the Weyl dimension formula that the integer one is tested
-against, and readers of rational rows (reduce_mod, mat_mod, integer_rows)
-that turn Fraction test data into the integer input of linalg, shared by
+against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
+that turn Fraction test data into the integer input of linalg, and the
+one-list sampled verdict that the blocked one is tested against, shared by
 the test modules."""
+import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
+from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import MAX_PENCIL_CELLS, FixtureParseError
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim
@@ -358,3 +361,29 @@ def document_to_pencil_by_entry(doc):
                   coeffs=tuple((var, r, c, num * (denom // den))
                                for var, r, c, num, den in entries if num),
                   denom=denom, var_labels=labels)
+
+
+def sampled_verdict_one_list(pencil, prime, trials, seed):
+    """The sampled verdict with every trial kept as a tuple and all points,
+    trials then structured points, ranked in one ranks_at call: the oracle
+    of the sampled mode of constant_rank_verdict."""
+    rng = random.Random(seed)
+    points = [
+        (tuple(rng.randrange(prime) for _ in range(pencil.nvars)), "generic")
+        for _ in range(trials)
+    ]
+    points += structured_points(pencil, prime, rng)
+    points = [(x, cls) for x, cls in points if any(x)]
+    ranks = {}
+    for r, (x, cls) in zip(ranks_at(pencil, [x for x, _ in points], prime), points):
+        ranks.setdefault((r, cls), x)
+    strata = [(r, pt, cls) for (r, cls), pt in sorted(ranks.items())]
+    values = {r for r, _ in ranks}
+    if max(values) < min(pencil.source_dim, pencil.target_dim):
+        verdict = "bounded"
+    elif len(values) > 1:
+        verdict = "non-constant"
+    else:
+        verdict = "inconclusive"
+    return RankReport(max(values), strata, verdict,
+                      {"kind": "sampled", "prime": prime, "trials": trials, "seed": seed})
