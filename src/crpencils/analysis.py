@@ -197,10 +197,8 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
     s = pencil.nvars
     if mode == "transitivity":
         if pencil.spec is None or not pencil.spec.transitive:
-            raise ValueError(
-                "transitivity certificate requires a pencil whose group acts "
-                "transitively on the projective base (GL-, Sp- or Koszul-built)"
-            )
+            raise ValueError("transitivity certificate requires a GL, Sp or Koszul "
+                             "build record that describes the file")
         if not check_equivariance(pencil):
             raise ValueError("equivariance certificate failed")
         x = random_points(rng, 1, s, prime)

@@ -51,6 +51,7 @@ from .partitions import (
     weyl_dim,
 )
 from .pencils import (
+    MAX_PENCIL_CELLS,
     BuildSpec,
     Pencil,
     _one_box,
@@ -60,6 +61,7 @@ from .pencils import (
     build_so_pencil,
     build_sp_pencil,
     build_spin_pencil,
+    describes,
     hyperplane_bound_criterion,
     spin_kernel_vector,
     theta_map,
@@ -182,12 +184,6 @@ def fixture_parse(name: str, transpose: bool = False) -> Pencil:
 # ---------------------------------------------------------------------------
 # PencilFile JSON serialization
 
-# nvars x target x source bound on a pencil document, checked before anything
-# is allocated; the largest catalog pencil (so-hook-corank, m=6) has 774,144.
-# nvars x nvars is bounded too: the sampled mode forms the nvars coordinate
-# points, so a document may hold at most 1,024 variables
-MAX_PENCIL_CELLS = 1 << 20
-
 
 # one entry of the canonical text, keys sorted: col, den, num, row, var
 _ENTRY = ('    {\n      "col": %d,\n      "den": "%d",\n      "num": "%d",\n'
@@ -294,10 +290,11 @@ def document_to_pencil(doc: dict) -> Pencil:
 
 def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
     """The pencil of a JSON document and its raw builder record.  The pencil
-    gets the record's spec when the record parses and gives the document's
-    variable count; nothing is built.  Any text that json.loads cannot read
-    (malformed, nested past the recursion limit, or with an integer past the
-    interpreter's digit limit) raises FixtureParseError."""
+    gets the record's spec when the record parses and describes it (its
+    closed-form shape is the document's); nothing is built.  Any text that
+    json.loads cannot read (malformed, nested past the recursion limit, or
+    with an integer past the interpreter's digit limit) raises
+    FixtureParseError."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -309,18 +306,18 @@ def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
         spec = BuildSpec.from_record(record)
     except ValueError:  # no record, or one that does not parse
         return pencil, record
-    if spec.fits(pencil.nvars):
+    if describes(spec, pencil):
         pencil = replace(pencil, spec=spec)
     return pencil, record
 
 
 def build_from_params(params: dict) -> Pencil:
     """Build the pencil of a builder record; raises ValueError when the
-    record is malformed or its pencil, by the closed-form dimensions, would
+    record is malformed or its pencil, by its closed-form shape, would
     exceed MAX_PENCIL_CELLS, before anything is built.  The builder is
     looked up by name at call time."""
     spec = BuildSpec.from_record(params)
-    if not spec.within(MAX_PENCIL_CELLS):
+    if spec.shape() is None:
         raise ValueError(f"{spec.kind} pencil exceeds {MAX_PENCIL_CELLS} coefficient "
                          "cells (variables x source x target)")
     return globals()[f"build_{spec.kind}_pencil"](*spec.args)
@@ -334,7 +331,6 @@ def build_from_params(params: dict) -> Pencil:
 class CatalogRunConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
-    budget: int = 10 ** 6
 
     def __post_init__(self) -> None:
         check_prime(self.prime)
@@ -434,8 +430,7 @@ def _check_gl_sym2_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
         result.eq(f"n={n} transitivity verdict", rep.verdict, "constant")
         result.eq(f"n={n} rank", rep.generic_rank, r)
         if n <= 3:
-            rep3 = constant_rank_verdict(pen, "exhaustive", prime=3,
-                                         budget=cfg.budget)
+            rep3 = constant_rank_verdict(pen, "exhaustive", prime=3)
             result.eq(f"n={n} exhaustive F3",
                       (rep3.verdict, rep3.generic_rank), ("constant", r))
 
@@ -450,10 +445,10 @@ def _check_gl_sym2_fixture(cfg: CatalogRunConfig, result: EntryResult) -> None:
     fixT = fixture_parse("gl_s2_s21", transpose=True)
     result.eq("transposed shape", (fixT.target_dim, fixT.source_dim), (8, 6))
     result.eq("rank at (1,1,1) over Q", qq_rank(fix.evaluate([1, 1, 1])), 5)
-    rep = constant_rank_verdict(fix, "exhaustive", prime=5, budget=cfg.budget)
+    rep = constant_rank_verdict(fix, "exhaustive", prime=5)
     result.eq("fixture exhaustive F5", (rep.verdict, rep.generic_rank), ("constant", 5))
     cons = build_gl_pencil((2,), (2, 1), 3)
-    repc = constant_rank_verdict(cons, "exhaustive", prime=5, budget=cfg.budget)
+    repc = constant_rank_verdict(cons, "exhaustive", prime=5)
     result.eq("constructed/fixture F5 strata agree",
               sorted(r for r, _, _ in repc.strata),
               sorted(r for r, _, _ in rep.strata))
@@ -641,7 +636,7 @@ def _check_sp_branching(cfg: CatalogRunConfig, result: EntryResult) -> None:
                       for nu in _one_box_neighbors(mu, n))
             result.eq(f"2n={two_n} mu={mu} branching dims", lhs, rhs)
     pen = build_sp_pencil((1,), (1, 1), 4)
-    rep = constant_rank_verdict(pen, "exhaustive", prime=3, budget=cfg.budget)
+    rep = constant_rank_verdict(pen, "exhaustive", prime=3)
     result.true("2n=4 (1)->(1,1) never surjective over F3",
                 rep.generic_rank < pen.target_dim)
     pen2 = build_sp_pencil((2,), (2, 1), 6)
@@ -660,7 +655,7 @@ def _check_sp6_pencil(cfg: CatalogRunConfig, result: EntryResult) -> None:
     rep = constant_rank_verdict(pen, "transitivity", cfg.prime, seed=cfg.seed)
     result.eq("transitivity certificate",
               (rep.verdict, rep.generic_rank), ("constant", 9))
-    rep3 = constant_rank_verdict(pen, "exhaustive", prime=3, budget=cfg.budget)
+    rep3 = constant_rank_verdict(pen, "exhaustive", prime=3)
     result.eq("exhaustive F3", (rep3.verdict, rep3.generic_rank), ("constant", 9))
 
 
@@ -675,17 +670,16 @@ def _check_sp6_fixture(cfg: CatalogRunConfig, result: EntryResult) -> None:
     result.eq("rank at 200 random points", ranks, {9})
     coord = set(ranks_at(fix, np.eye(6, dtype=np.int64), cfg.prime))
     result.eq("rank at all coordinate points", coord, {9})
-    rep = constant_rank_verdict(fix, "exhaustive", prime=5, budget=cfg.budget)
+    rep = constant_rank_verdict(fix, "exhaustive", prime=5)
     cons = build_sp_pencil((1, 1), (1, 1, 1), 6)
-    repc = constant_rank_verdict(cons, "exhaustive", prime=5, budget=cfg.budget)
+    repc = constant_rank_verdict(cons, "exhaustive", prime=5)
     result.eq("constructed/fixture F5 strata agree",
               sorted(r for r, _, _ in repc.strata),
               sorted(r for r, _, _ in rep.strata))
     # the unmodified transcription is preserved and flagged: its rank is 9
     # only on the coordinate orbit, so it cannot be the equivariant map
     raw = fixture_parse("sp6_wedge2")
-    raw_rep = constant_rank_verdict(raw, "exhaustive", prime=5,
-                                    budget=cfg.budget)
+    raw_rep = constant_rank_verdict(raw, "exhaustive", prime=5)
     result.eq("verbatim transcription flagged (suspected erratum): F5 strata",
               sorted(r for r, _, _ in raw_rep.strata), [9, 10, 11])
     coord_raw = set(ranks_at(raw, np.eye(6, dtype=np.int64), cfg.prime))
@@ -735,7 +729,7 @@ def _check_so_sym2_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
         result.eq(f"m={m} generic rank",
                   generic_rank(pen, cfg.prime, trials=10, seed=cfg.seed), r)
     pen3 = build_so_pencil((2,), (2, 1), 3)
-    rep = constant_rank_verdict(pen3, "exhaustive", prime=13, budget=cfg.budget)
+    rep = constant_rank_verdict(pen3, "exhaustive", prime=13)
     result.eq("m=3 exhaustive F13 (isotropic points included)",
               (rep.verdict, rep.generic_rank), ("constant", 4))
     samp = constant_rank_verdict(pen3, "sampled", prime=13, trials=50,
@@ -819,8 +813,8 @@ def _spin_var_vector(delta: dict, even_basis: list) -> list:
     return [delta.get(I, 0) for I in even_basis]
 
 
-def _random_pure_spinor(rng: random.Random, n: int = 5) -> dict:
-    pairs = [I for I in spin_space(n).even_basis if len(I) == 2]
+def _random_pure_spinor(rng: random.Random) -> dict:
+    pairs = [I for I in spin_space(5).even_basis if len(I) == 2]
     return exp_two_form({I: rng.randint(-5, 5) for I in pairs})
 
 
@@ -839,7 +833,7 @@ def _check_spin10_pencil(cfg: CatalogRunConfig, result: EntryResult) -> None:
     ok_prop, ok_kernel = True, True
     for _ in range(100):
         delta = {I: rng.randint(-5, 5) for I in even_basis}
-        kv = spin_kernel_vector(delta, 5)
+        kv = spin_kernel_vector(delta)
         av = a_vector(delta, 5)
         if [4 * c for c in kv] != av:
             ok_prop = False

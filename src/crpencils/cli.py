@@ -50,8 +50,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="odd prime below 2^31 for modular rank computations")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed, echoed in every report")
-    p.add_argument("--budget", type=_positive_int, default=10 ** 6,
-                   help="maximum projective point count for exhaustive mode")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -63,8 +61,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a pencil and write it as JSON")
-    b.add_argument("group", choices=("gl", "sp", "so", "spin", "koszul",
-                                     "adjoint"))
+    b.add_argument("group", choices=RECORD_FIELDS)
     b.add_argument("--mu", type=_partition_arg, default=None)
     b.add_argument("--nu", type=_partition_arg, default=None)
     b.add_argument("--n", type=int, default=None,
@@ -86,6 +83,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--expect-verdict", default=None)
     v.add_argument("--trials", type=_positive_int, default=200,
                    help="number of random sample points")
+    v.add_argument("--budget", type=_positive_int, default=10 ** 6,
+                   help="maximum projective point count for exhaustive mode")
     _add_common_flags(v)
 
     c = sub.add_parser("catalog", help="run the example catalog")
@@ -158,7 +157,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     try:
-        cfg = CatalogRunConfig(prime=args.prime, seed=args.seed, budget=args.budget)
+        cfg = CatalogRunConfig(prime=args.prime, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,10 @@ Every input is integer.  Matrices over Q are integer numpy arrays, int64
 while no value a step forms can reach EXACT_BOUND and Python ints in object
 arrays otherwise, or rows of Python ints.  Prime-field matrices are
 int64 arrays with entries reduced into [0, p), p an odd prime below 2**31,
-so that products of two residues fit in int64.  modp_matmul is the one
-product mod p, exact on float64 BLAS, and _mod the one reduction of an
-integer array, x - (x // p) p, which numpy runs on libdivide.
+so that products of two residues fit in int64; the eliminations read them
+through _int64, which refuses what a cast would truncate.  modp_matmul is
+the one product mod p, exact on float64 BLAS, and _mod the one reduction
+of an integer array, x - (x // p) p, which numpy runs on libdivide.
 
 Over F_p there are two eliminations.  modp_ranks and modp_kernel take an
 (N, m, n) stack and choose by matrix size: a matrix of more than
@@ -108,6 +109,21 @@ def check_prime(p: int) -> int:
     if is_prime(p):
         return p
     raise ValueError(f"prime must be an odd prime < 2^31, got {p}")
+
+
+def _int64(rows) -> np.ndarray:
+    """Integer rows as int64, refusing what the cast would truncate: integer
+    arrays pass as they are, Python ints (OverflowError from 2^63) and the
+    integer floats of coeff_array_modp are cast, and else TypeError."""
+    a = np.asarray(rows)
+    if a.dtype == object:
+        ok = all(type(x) is int for x in a.flat)
+    else:  # NaN fails the bound
+        ok = np.can_cast(a.dtype, np.int64) or a.dtype.kind == "f" and bool(
+            (np.abs(a) < 2.0 ** 63).all() and (a == np.floor(a)).all())
+    if not ok:
+        raise TypeError("the F_p eliminations take integer entries only")
+    return a.astype(np.int64, copy=False)
 
 
 def _mod(x, p: int):
@@ -475,7 +491,7 @@ class ModpEchelon:
         """Add the rows; returns the indices of those that raised the rank,
         each independent of the rows added before it: the lexicographically
         first maximal subset independent modulo the earlier rows."""
-        rows = _mod(np.asarray(rows, dtype=np.int64), self.p)
+        rows = _mod(_int64(rows), self.p)
         if self._piv.size:  # otherwise every column is free
             rows = _mod(rows[:, self._free] - modp_matmul(rows[:, self._piv], self._x, self.p),
                         self.p)
@@ -542,7 +558,7 @@ class ModpEchelon:
         e_piv(k) + sum_f X[k, f] e_f, so v does exactly when v[piv] + X
         v[free] = 0."""
         ncols = self._piv.size + self._free.size
-        rows = _mod(np.asarray(rows, dtype=np.int64).reshape(-1, ncols), self.p)
+        rows = _mod(_int64(rows).reshape(-1, ncols), self.p)
         return not _mod(rows[:, self._piv] + modp_matmul(rows[:, self._free], self._x.T, self.p),
                         self.p).any()
 
@@ -689,7 +705,7 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p of each matrix in an (N, m, n) stack: one at a time by
     modp_rank when m n > ECHELON_CELLS, and otherwise all at once by the
     forward elimination of _forward on the side with fewer columns."""
-    a = np.asarray(stack, dtype=np.int64)
+    a = _int64(stack)
     if a.shape[1] * a.shape[2] > ECHELON_CELLS:
         return np.array([modp_rank(x, p) for x in a], dtype=np.int64)
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
@@ -710,7 +726,7 @@ def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
     back substitution keeps _forward's layout, the stack innermost,
     (n, n, N).
     """
-    a = np.asarray(stack, dtype=np.int64)
+    a = _int64(stack)
     if a.shape[1] * a.shape[2] > ECHELON_CELLS:
         return [_echelon(x, p).kernel() for x in a]
     _, u = _forward(a, p, keep_rows=True)

@@ -124,6 +124,12 @@ class EquivarianceData:
     rho_target: IntMatrix
 
 
+# nvars x target x source bound on a pencil, checked before anything is
+# allocated; the largest catalog pencil (so-hook-corank, m=6) has 774,144.
+# nvars x nvars is bounded too: the sampled mode forms the nvars coordinate
+# points, so a pencil document may hold at most 1,024 variables
+MAX_PENCIL_CELLS = 1 << 20
+
 # the JSON field names of each builder's arguments, in argument order
 RECORD_FIELDS = {
     "gl": ("mu", "nu", "v"),
@@ -214,59 +220,38 @@ class BuildSpec:
         variable space: GL_v on C^v (GL- and Koszul-built) and Sp_N on C^N."""
         return self.kind in ("gl", "sp", "koszul")
 
-    def dims(self) -> tuple[int, int, int]:
+    def shape(self) -> Optional[tuple[int, int, int]]:
         """(nvars, source dim, target dim) of the pencil this spec builds,
-        from closed forms: nothing is built."""
-        kind, a = self.kind, self.args
-        if kind in ("gl", "sp", "so"):
-            dim = {"gl": gl_dim, "sp": sp_module_dim, "so": so_module_dim}[kind]
-            return a[2], dim(a[0], a[2]), dim(a[1], a[2])
-        if kind == "koszul":
-            return a[1], comb(a[1], a[0]), comb(a[1], a[0] + 1)
-        if kind == "adjoint":
-            return comb(a[0], 3), a[0] ** 2 - 1, comb(a[0], 3)
-        half = 2 ** a[0] // 2  # spin: Delta+ -> Hom(W, Delta-), dim W = 2n
-        return half, 2 * a[0], half
-
-    def within(self, cells: int) -> bool:
-        """Whether the pencil this spec builds has at most `cells`
-        coefficient cells (nvars x source x target), by dims() once the
-        sizes that grow fastest are known to be small.  Refused before any
-        of them is formed: spin with 2^(n-1) > cells variables; a last field
-        (v, N, m, or a, where the adjoint source is a^2 - 1) above cells;
-        Koszul with min(k, v - k) > log2(cells), where C(v, k) alone is at
-        least 2^min(k, v - k); gl, sp and so when a partition has more than
-        cells boxes, the letters of each of its basis words, or when n times
-        the _dim_floor of both partitions exceeds cells, n the last field.
-        So spin n = 10^7 is refused at once, so m = 600 without the Weyl
-        products of dims(), whose cost grows about with m^3, and so m = 2
-        with a row of 10^9 boxes without the walk over its boxes in
-        conjugate."""
-        kind, a = self.kind, self.args
+        from closed forms, or None past MAX_PENCIL_CELLS coefficient cells;
+        ValueError where a closed form is undefined (SO m = 1, odd Sp N).
+        These get None before the fastest-growing sizes are formed: spin
+        with n past the bound's bit length; a last field (v, N, m, or a,
+        the adjoint source a^2 - 1) past the bound; Koszul with
+        min(k, v - k) past its bit length (C(v, k) >= 2^min(k, v - k)); gl,
+        sp and so with more boxes than the bound in a partition (the letters
+        of each basis word), or n times the _dim_floor of both partitions
+        past it.  So spin n = 10^7 is refused at once, m = 600 without the
+        Weyl products (cost about m^3), and m = 2 with a row of 10^9 boxes
+        without the walk over its boxes in conjugate."""
+        kind, a, cells = self.kind, self.args, MAX_PENCIL_CELLS
         bits = cells.bit_length()
         if (a[0] > bits) if kind == "spin" else (a[-1] > cells):
-            return False
+            return None
         if kind == "koszul" and min(a[0], a[1] - a[0]) > bits:
-            return False
-        if kind in ("gl", "sp", "so") and (
-                max(size(a[0]), size(a[1])) > cells
-                or a[2] * _dim_floor(kind, a[0], a[2]) * _dim_floor(kind, a[1], a[2]) > cells):
-            return False
-        nvars, source_dim, target_dim = self.dims()
-        return nvars * source_dim * target_dim <= cells
-
-    def fits(self, nvars: int) -> bool:
-        """Whether a pencil built from this spec has nvars >= 2 variables,
-        decided without building anything.  One variable is a single
-        projective point, which needs no build record."""
-        if nvars < 2:
-            return False
-        if self.kind == "spin":
-            n = self.args[0]
-            return n == nvars.bit_length() and nvars == 2 ** (n - 1)
-        if self.kind == "adjoint":
-            return comb(self.args[0], 3) == nvars
-        return self.args[-1] == nvars
+            return None
+        if kind in ("gl", "sp", "so"):
+            if (max(size(a[0]), size(a[1])) > cells
+                    or a[2] * _dim_floor(kind, a[0], a[2]) * _dim_floor(kind, a[1], a[2]) > cells):
+                return None
+            dim = {"gl": gl_dim, "sp": sp_module_dim, "so": so_module_dim}[kind]
+            shape = a[2], dim(a[0], a[2]), dim(a[1], a[2])
+        elif kind == "koszul":
+            shape = a[1], comb(a[1], a[0]), comb(a[1], a[0] + 1)
+        elif kind == "adjoint":
+            shape = comb(a[0], 3), a[0] ** 2 - 1, comb(a[0], 3)
+        else:  # spin: Delta+ -> Hom(W, Delta-), dim W = 2n
+            shape = 2 ** a[0] // 2, 2 * a[0], 2 ** a[0] // 2
+        return shape if prod(shape) <= cells else None
 
 
 @dataclass(frozen=True)
@@ -331,15 +316,23 @@ class Pencil:
         return out.reshape(xv.shape[:-1] + (self.target_dim, self.source_dim))
 
 
+def describes(spec: Optional[BuildSpec], p: Pencil) -> bool:
+    """Whether spec's closed-form shape is the pencil's (BuildSpec.shape);
+    False for no spec and where the closed forms are undefined."""
+    try:
+        return spec is not None and spec.shape() == (p.nvars, p.source_dim, p.target_dim)
+    except ValueError:
+        return False
+
+
 def check_equivariance(p: Pencil) -> bool:
     """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
     every generator in equivariance_data(p.spec) and every variable i, in
     integers: the identity is multiplied by the lcm of the three
     denominators, and the pencil's global denominator cancels.  False
-    without a spec, or when the spec's closed-form dimensions
-    (BuildSpec.dims) do not fit the pencil's, which is decided before any
-    module is built."""
-    if p.spec is None or p.spec.dims() != (p.nvars, p.source_dim, p.target_dim):
+    unless describes(p.spec, p), which is decided before any module is
+    built."""
+    if not describes(p.spec, p):
         return False
     data = equivariance_data(p.spec)
     by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
@@ -559,8 +552,8 @@ def build_spin_pencil(n: int) -> Pencil:
                                BuildSpec("spin", (n,)), labels)
 
 
-def spin_kernel_vector(delta: dict, n: int = 5) -> list[int]:
-    """The kernel line of psi_delta from the graded pieces of delta.
+def spin_kernel_vector(delta: dict) -> list[int]:
+    """The kernel line of psi_delta from the graded pieces of delta, n = 5.
 
     delta = delta0 + delta2 + delta4 in Lambda(even) E; the result lives in
     W = E + F: the E-part is the contraction of delta2 with the functional
@@ -570,8 +563,7 @@ def spin_kernel_vector(delta: dict, n: int = 5) -> list[int]:
     is integral, and so is the result: the coefficients of delta2 ^ delta2
     are twice Pfaffians.
     """
-    if n != 5:
-        raise ValueError("the closed-form kernel vector is specific to n=5")
+    n = 5
     e_part = [0] * n
     f_part = [0] * n
     d0 = delta.get((), 0)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -34,6 +35,7 @@ from crpencils.analysis import constant_rank_verdict
 from crpencils.linalg import qq_rank
 from crpencils.modules import schur_module
 from crpencils.pencils import (
+    BuildSpec,
     Pencil,
     build_gl_pencil,
     build_koszul_pencil,
@@ -483,10 +485,10 @@ def test_cli_transitivity_refuses_a_record_of_other_dimensions(tmp_path, capsys)
     out = tmp_path / "pencil.json"
     out.write_text(dumps_pencil(build_koszul_pencil(1, 3),
                                 {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3}))
-    assert loads_pencil(out.read_text())[0].spec is not None
+    assert loads_pencil(out.read_text())[0].spec is None
     assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
     err = capsys.readouterr().err
-    assert "equivariance certificate failed" in err
+    assert "GL, Sp or Koszul build record that describes the file" in err
     assert "Traceback" not in err
 
 
@@ -497,12 +499,66 @@ def test_cli_transitivity_refuses_a_long_row_record_before_building(tmp_path, ca
     out = tmp_path / "pencil.json"
     out.write_text(dumps_pencil(build_koszul_pencil(1, 3), record))
     loaded = loads_pencil(out.read_text())[0]
-    assert loaded.spec.dims() == (3, 55, 99)
+    assert loaded.spec is None
+    assert BuildSpec.from_record(record).shape() == (3, 55, 99)
     before = equivariance_data.cache_info().misses, schur_module.cache_info().misses
     assert not check_equivariance(loaded)
     assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
-    assert "equivariance certificate failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "GL, Sp or Koszul build record that describes the file" in err
+    assert "Traceback" not in err
     assert (equivariance_data.cache_info().misses, schur_module.cache_info().misses) == before
+
+
+def _one_entry_file(path, nvars: int, record: dict) -> None:
+    """A 1 x 1 pencil of nvars variables, x_1 alone, with the given record."""
+    path.write_text(dumps_pencil(
+        Pencil(nvars, 1, 1, ((0, 0, 0, 1),), 1, tuple(f"x_{i + 1}" for i in range(nvars))),
+        record))
+
+
+def test_a_record_of_another_shape_is_refused_before_any_module_dimension(
+        tmp_path, capsys, monkeypatch):
+    # sp (1) -> (1, 1) at N = 1024 passed the variable count alone, and
+    # check_equivariance then spent 46 s in the Weyl products of its dims
+    def forbidden(*args):
+        raise AssertionError("a module dimension was formed")
+
+    monkeypatch.setattr(pencils, "sp_module_dim", forbidden)
+    record = {"kind": "sp", "mu": [1], "nu": [1, 1], "N": 1024}
+    out = tmp_path / "pencil.json"
+    _one_entry_file(out, 1024, record)
+    loaded = loads_pencil(out.read_text())[0]
+    assert loaded.spec is None
+    assert not check_equivariance(replace(loaded, spec=BuildSpec("sp", ((1,), (1, 1), 1024))))
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    err = capsys.readouterr().err
+    assert "GL, Sp or Koszul build record that describes the file" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "so", "mu": [], "nu": [1], "m": 1},
+    {"kind": "sp", "mu": [], "nu": [1], "N": 3},
+], ids=["so-m1", "sp-odd-N"])
+def test_a_record_without_closed_forms_does_not_describe_a_file(tmp_path, record):
+    out = tmp_path / "pencil.json"
+    _one_entry_file(out, record.get("m", record.get("N")), record)
+    loaded = loads_pencil(out.read_text())[0]
+    assert loaded.spec is None
+    assert not check_equivariance(replace(loaded, spec=BuildSpec.from_record(record)))
+
+
+def test_an_so_record_on_a_gl_file_labels_no_so_strata(tmp_path):
+    # GL (2) -> (2, 1) at v = 4 has the 4 variables of SO(4) (2) -> (2, 1);
+    # trusted for its variable count, the record drew isotropic and
+    # non-isotropic points of a group that does not act on the file
+    gl = build_from_params({"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4})
+    text = dumps_pencil(gl, {"kind": "so", "mu": [2], "nu": [2, 1], "m": 4})
+    loaded = loads_pencil(text)[0]
+    assert loaded.spec is None
+    rep = constant_rank_verdict(loaded, "sampled", trials=20, seed=1)
+    assert {cls for _, _, cls in rep.strata} == {"coordinate", "generic"}
 
 
 def test_cli_build_refuses_a_pencil_that_verify_would_refuse(tmp_path, capsys):

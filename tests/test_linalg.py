@@ -532,6 +532,53 @@ def test_mod_matches_python_mod(p):
         assert got.shape == () and got.dtype == dtype and got == x % p
 
 
+_NOT_INTEGER = {
+    "half": np.array([[0.5, 0.0], [0.0, 0.5]]),
+    "fraction": [[Fraction(1, 7), 1]],
+    "nan": np.array([[np.nan, 1.0]]),
+    "inf": np.array([[np.inf, 1.0]]),
+    "past-int64": np.array([[2.0 ** 63, 1.0]]),
+    "numpy-float-object": np.array([[np.float64(1.0), 1]], dtype=object),
+    "string": [["1", "0"]],
+}
+
+
+@pytest.mark.parametrize("rows", _NOT_INTEGER.values(), ids=_NOT_INTEGER)
+def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
+    # the int64 cast read 0.5 as 0 and Fraction(1, 7) as 0: modp_rank of
+    # diag(0.5, 0.5) was 0, and from_vectors([[1/7, 1]]) the span of (0, 1)
+    p = 7
+    a = np.asarray(rows)
+    calls = [lambda: modp_rank(rows, p), lambda: modp_rref(rows, p),
+             lambda: ModpEchelon(a.shape[1], p).add(rows),
+             lambda: ModpEchelon(a.shape[1], p).kernel_contains(rows),
+             lambda: Subspace.from_vectors(rows, a.shape[1], p),
+             lambda: modp_ranks(a[None], p), lambda: modp_kernel(a[None], p)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(TypeError):
+        ModpEchelon(2, p).add(np.array([[0.9, 0.2]]))
+
+
+def test_fp_eliminations_read_integer_floats_and_object_ints_as_int64():
+    # coeff_array_modp's centred float stack, and the object rows of qq_rref
+    p = 7
+    ints = np.array([[3, -2, 0, 9], [6, -4, 0, 18], [1, 1, -1, 2]], dtype=np.int64)
+    kernel = modp_kernel(ints[None], p)[0]
+    for cast in (lambda a: a, lambda a: a.astype(np.float64), lambda a: a.astype(object),
+                 lambda a: a.astype(np.int8), np.ndarray.tolist):
+        rows = cast(ints)
+        assert modp_rank(rows, p) == 2
+        assert modp_rref(rows, p)[1] == modp_rref(ints, p)[1]
+        assert Subspace.from_vectors(rows, 4, p) == Subspace.from_vectors(ints, 4, p)
+        assert modp_ranks(np.asarray(rows)[None], p).tolist() == [2]
+        assert modp_kernel(np.asarray(rows)[None], p)[0].tolist() == kernel.tolist()
+        ech = ModpEchelon(4, p)
+        ech.add(rows)
+        assert ech.kernel_contains(cast(kernel))
+
+
 def test_rnd_imports_no_numpy_ma():
     # numpy.ma costs about 10 ms and 1.3 MB on first import; np.unique and
     # np.setdiff1d import it, the echelon and its kernel must not

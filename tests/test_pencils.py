@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crpencils.analysis import constant_rank_verdict, generic_rank
-from crpencils.catalog import build_from_params
+from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
 from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, modp_matmul, qq_rank
 from crpencils.modules import (
     a_vector,
@@ -96,7 +96,8 @@ def test_build_spec_record_round_trip(params):
 @pytest.mark.parametrize("params", EXAMPLES, ids=lambda r: r["kind"])
 def test_build_spec_dims_are_the_built_dims(params):
     pen = build_from_params(params)
-    assert pen.spec.dims() == (pen.nvars, pen.source_dim, pen.target_dim)
+    assert pen.spec.shape() == (pen.nvars, pen.source_dim, pen.target_dim)
+    assert loads_pencil(dumps_pencil(pen, pen.spec.record()))[0].spec == pen.spec
 
 
 def test_build_spec_rejects_malformed_records():
@@ -447,7 +448,7 @@ def test_spin_kernel_vector_annihilated_exactly():
     rng = random.Random(7)
     for _ in range(20):
         delta = {I: rng.randint(-5, 5) for I in basis}
-        kv = spin_kernel_vector(delta, 5)
+        kv = spin_kernel_vector(delta)
         mat = pen.evaluate([delta[I] for I in basis])
         assert all(
             sum((row[j] * kv[j] for j in range(10)), Fraction(0)) == 0
