@@ -253,7 +253,7 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
         if limit is not None and tried > limit:
             raise ArithmeticError("the RREF lift needed more primes than the Hadamard bound")
         ech = ModpEchelon(ncols, p)
-        ech.add(_mod(a, p))
+        ech.add(_mod(a, p).astype(np.int64, copy=False))  # residues below p
         pivots = ech.pivots.tolist()
         if best is None or (-len(pivots), pivots) < (-len(best[0]), best[0]):
             best = (pivots, ech.basis, p)

@@ -150,27 +150,26 @@ def gl_dim(lam: Iterable[int], n: int) -> int:
         * prod_{i<l} C(lam_i + n-1-i, n-l) / C(n-1-i, n-l),
 
     the second factor being the pairs i < l <= j < n, where lam_j = 0.  Its
-    cost is quadratic in l, not in |lam|.
+    cost is quadratic in l, not in |lam|; pairs with lam_i = lam_j give 1.
 
-    Weights with negative entries are shifted uniformly (the dimension only
-    depends on the GL weight up to a determinant twist).  Returns 0 when lam
-    has more than n rows.
+    Weights with negative entries (n of them) are shifted uniformly (the
+    dimension only depends on the GL weight up to a determinant twist).
+    Returns 0 when lam has more than n rows.
     """
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not weakly decreasing")
     if lam and lam[-1] < 0:
-        if len(lam) > n:
-            raise ValueError("negative-weight entries need explicit length <= n")
-        shift = -lam[-1]
-        lam = tuple(x + shift for x in (list(lam) + [0] * (n - len(lam))))
+        if len(lam) != n:
+            raise ValueError("a weight with negative entries needs exactly n entries")
+        lam = tuple(x - lam[-1] for x in lam)
     lam = normalize(lam)
     ell = len(lam)
     if ell > n:
         return 0
     num, den = 1, 1
     for i in range(ell):
-        for j in range(i + 1, ell):
+        for j in range(i + lam[i:].count(lam[i]), ell):  # lam_j < lam_i
             num *= lam[i] - lam[j] + j - i
             den *= j - i
         num *= comb(lam[i] + n - 1 - i, n - ell)
@@ -184,7 +183,7 @@ def _product_formula(lvec: list[int], rvec: list[int], kind: str) -> int:
     both doubled: each factor's numerator and denominator scale alike."""
     num, den = 1, 1
     k = len(lvec)
-    for i in range(k):
+    for i in range(sum(x != y for x, y in zip(lvec, rvec))):  # later rows give only 1s
         for j in range(i + 1, k):
             num *= lvec[i] ** 2 - lvec[j] ** 2
             den *= rvec[i] ** 2 - rvec[j] ** 2

@@ -145,8 +145,9 @@ def _record_value(name: str, value):
     """A record field as the builder argument: a partition for mu/nu, else
     an int >= 0; raises ValueError otherwise."""
     if name in ("mu", "nu"):
-        if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
-            raise ValueError(f"{name} must be a list of integers")
+        if not isinstance(value, (list, tuple)) or any(
+                type(x) is not int or x < 0 for x in value):
+            raise ValueError(f"{name} must be a list of integers >= 0")
         return check_partition(value)
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be an integer >= 0")
@@ -156,16 +157,13 @@ def _record_value(name: str, value):
 def _dim_floor(kind: str, lam: Partition, n: int) -> int:
     """A lower bound on the dimension of the gl, sp or so module of lam in
     dimension n, read off lam's rows alone: 1 for the trivial and
-    determinant modules, 0 for the zero module (and, making no claim, for a
-    negative weight the dimension functions treat apart), and for any
-    other module max(n, r + 1), r its first row less its last (gl) or its
-    first row (sp, so).  The natural module is the smallest of the others,
-    and the root string through the highest weight has r + 1 weights (for
-    so only when m >= 3, where SO(m) has roots)."""
+    determinant modules, 0 for the zero module, and for any other module
+    max(n, r + 1), r its first row less its last (gl) or its first row
+    (sp, so).  The natural module is the smallest of the others, and the
+    root string through the highest weight has r + 1 weights (for so only
+    when m >= 3, where SO(m) has roots)."""
     if not lam:
         return 1
-    if lam[-1] < 0 and (kind != "gl" or len(lam) < n):
-        return 0
     if kind == "gl":
         if len(lam) > n:
             return 0
@@ -223,16 +221,16 @@ class BuildSpec:
     def shape(self) -> Optional[tuple[int, int, int]]:
         """(nvars, source dim, target dim) of the pencil this spec builds,
         from closed forms, or None past MAX_PENCIL_CELLS coefficient cells;
-        ValueError where a closed form is undefined (SO m = 1, odd Sp N).
-        These get None before the fastest-growing sizes are formed: spin
-        with n past the bound's bit length; a last field (v, N, m, or a,
-        the adjoint source a^2 - 1) past the bound; Koszul with
-        min(k, v - k) past its bit length (C(v, k) >= 2^min(k, v - k)); gl,
-        sp and so with more boxes than the bound in a partition (the letters
-        of each basis word), or n times the _dim_floor of both partitions
-        past it.  So spin n = 10^7 is refused at once, m = 600 without the
-        Weyl products (cost about m^3), and m = 2 with a row of 10^9 boxes
-        without the walk over its boxes in conjugate."""
+        ValueError where a closed form is undefined (SO m = 1, odd Sp N) or
+        the builder refuses the record (nu zero or not mu plus a box).  None
+        comes first for spin with n past the bound's bit length, a last
+        field (v, N, m, or a) past the bound, Koszul with min(k, v - k) past
+        that bit length (C(v, k) >= 2^min(k, v - k)), and gl, sp and so with
+        more boxes than the bound in a partition or n times the _dim_floor
+        of both partitions, each at least 1, past it.  A floor is 1 for the
+        trivial module and the powers of det, which the Weyl products skip,
+        and at least n for the others: so the products run at n <= 1024 on
+        one row or a power of det with a row changed, else at n <= 101."""
         kind, a, cells = self.kind, self.args, MAX_PENCIL_CELLS
         bits = cells.bit_length()
         if (a[0] > bits) if kind == "spin" else (a[-1] > cells):
@@ -240,11 +238,14 @@ class BuildSpec:
         if kind == "koszul" and min(a[0], a[1] - a[0]) > bits:
             return None
         if kind in ("gl", "sp", "so"):
-            if (max(size(a[0]), size(a[1])) > cells
-                    or a[2] * _dim_floor(kind, a[0], a[2]) * _dim_floor(kind, a[1], a[2]) > cells):
+            n, floors = a[2], [max(_dim_floor(kind, lam, a[2]), 1) for lam in a[:2]]
+            if max(size(a[0]), size(a[1])) > cells or n * floors[0] * floors[1] > cells:
                 return None
+            _one_box(a[0], a[1], n // 2 if kind == "sp" else n)
             dim = {"gl": gl_dim, "sp": sp_module_dim, "so": so_module_dim}[kind]
-            shape = a[2], dim(a[0], a[2]), dim(a[1], a[2])
+            if not (target := dim(a[1], n)):  # so past m in two columns: mu's rows unbounded
+                raise ValueError(f"{a[1]} is out of range for SO({n})")
+            shape = n, dim(a[0], n), target
         elif kind == "koszul":
             shape = a[1], comb(a[1], a[0]), comb(a[1], a[0] + 1)
         elif kind == "adjoint":

@@ -561,6 +561,44 @@ def test_an_so_record_on_a_gl_file_labels_no_so_strata(tmp_path):
     assert {cls for _, _, cls in rep.strata} == {"coordinate", "generic"}
 
 
+@pytest.mark.parametrize("nvars, record", [
+    (2, {"kind": "sp", "mu": [], "nu": [], "N": 1 << 20}),
+    (2, {"kind": "gl", "mu": [], "nu": [1] * (1 << 16), "v": 1 << 16}),
+    (1024, {"kind": "sp", "mu": [], "nu": [], "N": 1024}),
+], ids=["sp-N2^20", "gl-det-v2^16", "sp-N1024"])
+def test_a_record_that_builds_nothing_is_refused_before_any_module_dimension(
+        tmp_path, capsys, monkeypatch, nvars, record):
+    # no builder takes these pairs (nu is not one box more than mu); their
+    # floors of 1 passed every size guard, and the Weyl products over all
+    # pairs of rows then ran for minutes (48 s at N = 1024)
+    def forbidden(*args):
+        raise AssertionError("a module dimension was formed")
+
+    for name in ("so_module_dim", "sp_module_dim", "gl_dim"):
+        monkeypatch.setattr(pencils, name, forbidden)
+    with pytest.raises(ValueError, match="is not a one-box addition"):
+        BuildSpec.from_record(record).shape()
+    out = tmp_path / "pencil.json"
+    _one_entry_file(out, nvars, record)
+    assert loads_pencil(out.read_text())[0].spec is None
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    err = capsys.readouterr().err
+    assert "GL, Sp or Koszul build record that describes the file" in err
+    assert "Traceback" not in err
+
+
+def test_an_so_record_with_a_zero_target_is_refused_before_its_source_dimension():
+    # (2^512, 1) has 513 + 512 boxes in its first two columns, past m:
+    # the floors cannot bound the source (2^512), whose Weyl product over
+    # 512 rows of so(1024) then ran as long as the trivial weight's, 24 s
+    start = perf_counter()
+    for record in ({"kind": "so", "mu": [2] * 512, "nu": [2] * 512 + [1], "m": 1024},
+                   {"kind": "so", "mu": [2], "nu": [2, 1], "m": 2}):
+        with pytest.raises(ValueError, match="is out of range for SO"):
+            build_from_params(record)
+    assert perf_counter() - start < 2
+
+
 def test_cli_build_refuses_a_pencil_that_verify_would_refuse(tmp_path, capsys):
     # 11 x 462 x 462 cells are past MAX_PENCIL_CELLS: verify exits 3 on such
     # a file, so build writes none; spin n=30 is refused before its 2^29

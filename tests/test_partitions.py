@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,12 @@ class TestGLDim:
 
     def test_too_many_rows(self):
         assert gl_dim((1, 1, 1, 1), 3) == 0
+
+    def test_a_negative_weight_has_n_entries(self):
+        # (1, -1) in n = 5 was padded to (2, 0, 1, 1, 1), no partition, and
+        # at n = 2^20 the product then ran over 2^20 rows
+        with pytest.raises(ValueError, match="exactly n entries"):
+            gl_dim((1, -1), 5)
 
     @given(small_partitions, st.integers(1, 5))
     def test_matches_weyl(self, lam, n):
@@ -376,6 +383,21 @@ def test_dimension_floor_bounds_every_small_module(kind, dim, dims):
             for lam in partitions_of(k):
                 floor, want = _dim_floor(kind, lam, n), dim(lam, n)
                 assert floor <= want and (floor == 0) == (want == 0), (lam, n)
+
+
+def test_weyl_products_multiply_no_factor_that_is_one():
+    # over all pairs of rows, sp(1024) took 24 s for (1, 1) and as long for
+    # the trivial weight, and a power of det of 1,024 rows about as long
+    start = time.perf_counter()
+    assert sp_module_dim((), 1024) == 1
+    assert sp_module_dim((1,), 1024) == 1024
+    assert sp_module_dim((1, 1), 1024) == 1024 * 1023 // 2 - 1
+    assert so_module_dim((1,) * 1024, 1024) == 1
+    assert so_module_dim((1,), 1024) == 1024
+    assert gl_dim((3,) * 1024, 1024) == 1
+    assert gl_dim((1,) * 1023, 1024) == 1024
+    assert gl_dim((2,) + (1,) * 1023, 1024) == 1024
+    assert time.perf_counter() - start < 2
 
 
 def test_dimension_floor_bounds_gl_weights_with_negative_entries():

@@ -104,6 +104,7 @@ def test_build_spec_rejects_malformed_records():
     for record in ({"kind": "gl", "mu": [2], "nu": [2, 1]},
                    {"kind": "gl", "mu": "2", "nu": [2, 1], "v": 3},
                    {"kind": "gl", "mu": [1, 2], "nu": [2, 1], "v": 3},
+                   {"kind": "gl", "mu": [1, -1], "nu": [2, -1], "v": 2},
                    {"kind": "koszul", "k": True, "v": 3},
                    {"kind": "adjoint", "a": -4},
                    {"kind": "spin", "n": "5"},
