@@ -72,10 +72,26 @@ class RankReport:
 
 
 def random_points(rng: random.Random, count: int, nvars: int, prime: int) -> np.ndarray:
-    """count points of F_prime^nvars as a (count, nvars) int64 array, one
-    rng.randrange(prime) per coordinate in row-major order."""
-    return np.array([rng.randrange(prime) for _ in range(count * nvars)],
-                    dtype=np.int64).reshape(count, nvars)
+    """count points of F_prime^nvars as a (count, nvars) int64 array, for
+    prime < 2^32: the values, and the state rng is left in, of one
+    rng.randrange(prime) per coordinate in row-major order, drawn in bulk.
+
+    randrange(prime) keeps the top k = prime.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws again while they are >= prime.
+    getrandbits(32 w) is the next w words, the first in the lowest 32 bits,
+    so each pass reads it as w little-endian words, keeps word >> (32 - k)
+    where it is below prime, and draws again only for the shortfall: no
+    word is drawn that the per-coordinate loop would not draw."""
+    out = np.empty(count * nvars, dtype=np.int64)
+    shift, done = 32 - prime.bit_length(), 0
+    while done < out.size:
+        w = out.size - done
+        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"),
+                              dtype="<u4") >> shift
+        words = words[words < prime]
+        out[done : done + words.size] = words
+        done += words.size
+    return out.reshape(count, nvars)
 
 
 def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):

@@ -4,15 +4,22 @@ Every input is integer.  Matrices over Q are integer numpy arrays, int64
 while no value a step forms can reach EXACT_BOUND and Python ints in object
 arrays otherwise, or rows of Python ints.  Prime-field matrices are
 int64 arrays with entries reduced into [0, p), p an odd prime below 2**31,
-so that products of two residues fit in int64; the eliminations read them
-through _int64, which refuses what a cast would truncate.  modp_matmul is
-the one product mod p, exact on float64 BLAS, and _mod the one reduction
-of an integer array, x - (x // p) p, which numpy runs on libdivide.
+so that products of two residues fit in int64; the F_p entry points read
+them through _reduced, which reduces Python ints of any size exactly and
+refuses what an int64 cast would truncate.  _mod is the one reduction of
+an integer array, x - (x // p) p, which numpy runs on libdivide.
+modp_matmul is the one product mod p, exact on float64 BLAS: it returns
+(minus - a b) mod p, or a b mod p, with one final reduction.  The
+eliminations call its core _product, which takes residues and picks its
+path from the inner dimension k and p alone, without scanning them: one
+product while k (p-1)^2 < 2^53, two limbs of b while k (p-1) (2^16 - 1)
+< 2^53, four limbs otherwise.
 
-Over F_p there are two eliminations.  modp_ranks and modp_kernel take an
-(N, m, n) stack and choose by matrix size: a matrix of more than
-ECHELON_CELLS cells is eliminated alone by the echelon, smaller ones
-together by the stacked loop.
+Over F_p there are two eliminations, and _eliminate is the kernel of
+every matrix that is not in a stack of small ones.  modp_ranks and
+modp_kernel take an (N, m, n) stack and choose by matrix size: a matrix of
+more than ECHELON_CELLS cells is eliminated alone by _eliminate, smaller
+ones together by the stacked loop.
   - the stacked forward loop (_forward): one vectorized pass over a stack
     of small matrices, stored column-major with the stack innermost, as
     (n, m, N), so that each step reads one contiguous slab and each numpy
@@ -26,23 +33,18 @@ together by the stacked loop.
     exhaustive runs move an eighth to a half of the bytes of int64.
     analysis stacks up to 2^17 cells (analysis.STACK_CELLS): the loop's
     per-column numpy calls are shared by every matrix in the stack;
-  - ModpEchelon, built on modp_matmul, serves growing systems (the
-    neutral-direction constraints), the qq_rref lift, Subspace, and single
-    matrices: modp_rref, modp_rank, and the large matrices of modp_ranks
-    and modp_kernel.  It keeps only its free-column block: the pivot
-    columns, the free columns and X, the RREF restricted to the free
-    columns.  Rows are reduced into free coordinates with one product
-    (add), or, for the outer-product rows of the neutral-direction
-    constraints, without being formed (add_outer: one call for the samples
-    of a batch of draws, in groups of at most _KERNEL_CELLS cells of free
-    coordinates); they are then inserted in blocks of ECHELON_BLOCK rows,
-    each reduced by the pivots the call has added before it, skipped if
-    that leaves it zero, and eliminated by recursive halving (_eliminate),
-    which leaves _gauss_jordan's row-by-row elimination to blocks of at
-    most 16 rows.  kernel_contains tests rows against the right kernel
-    through X, without building it.
+  - recursive halving (_eliminate), which leaves _gauss_jordan's
+    row-by-row elimination to blocks of at most 16 rows.  A matrix met
+    once is eliminated by it directly, its rows then sorted by pivot
+    (_rref): each prime of the qq_rref lift, modp_rank, modp_rref and so
+    Subspace, and the large matrices of modp_ranks and modp_kernel.
+    ModpEchelon serves the one growing system, the neutral-direction
+    constraints: it keeps the free-column block of the RREF and inserts
+    rows in blocks of ECHELON_BLOCK, each reduced by the pivots added
+    before it with one product and eliminated by _eliminate; add_outer
+    takes the outer-product rows of the constraints without forming them.
 
-Over Q there is one elimination: qq_rref lifts the ModpEchelon RREF to Q,
+Over Q there is one elimination: qq_rref lifts the RREF mod p to Q,
 checks it with one integer product, and returns it as (u, s, pivots), row
 k the primitive integer row u[k] over s[k] = u[k, pivots[k]] > 0.  Every
 exact rank (qq_rank) and integer kernel (qq_kernel, hence every
@@ -111,19 +113,24 @@ def check_prime(p: int) -> int:
     raise ValueError(f"prime must be an odd prime < 2^31, got {p}")
 
 
-def _int64(rows) -> np.ndarray:
-    """Integer rows as int64, refusing what the cast would truncate: integer
-    arrays pass as they are, Python ints (OverflowError from 2^63) and the
-    integer floats of coeff_array_modp are cast, and else TypeError."""
+def _reduced(rows, p: int) -> np.ndarray:
+    """Integer rows mod p, in [0, p) as int64, refusing what an int64 cast
+    would truncate (TypeError): integer arrays and the integer floats of
+    coeff_array_modp are cast and reduced, and Python ints of any size
+    (rows that numpy reads as floats, or objects) are reduced exactly
+    before the cast."""
     a = np.asarray(rows)
+    if a.dtype.kind == "f" and not isinstance(rows, np.ndarray):
+        exact = np.array(rows, dtype=object)  # numpy reads ints past 2^63 as floats
+        a = exact if all(type(x) is int for x in exact.flat) else a
     if a.dtype == object:
-        ok = all(type(x) is int for x in a.flat)
-    else:  # NaN fails the bound
-        ok = np.can_cast(a.dtype, np.int64) or a.dtype.kind == "f" and bool(
-            (np.abs(a) < 2.0 ** 63).all() and (a == np.floor(a)).all())
-    if not ok:
+        if not all(type(x) is int for x in a.flat):
+            raise TypeError("the F_p eliminations take integer entries only")
+        return _mod(a, p).astype(np.int64)
+    if not (np.can_cast(a.dtype, np.int64) or a.dtype.kind == "f" and bool(
+            (np.abs(a) < 2.0 ** 63).all() and (a == np.floor(a)).all())):  # NaN fails
         raise TypeError("the F_p eliminations take integer entries only")
-    return a.astype(np.int64, copy=False)
+    return _mod(a.astype(np.int64, copy=False), p)
 
 
 def _mod(x, p: int):
@@ -216,7 +223,7 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
     entry of u reaches EXACT_BOUND.  rows is the integer matrix A: an int64
     or object ndarray, or rows of Python ints (any other entry: TypeError).
 
-    A mod p is brought to reduced echelon form R_p by ModpEchelon.  Each
+    A mod p is brought to reduced echelon form R_p by _rref.  Each
     entry of R_p is lifted to a rational n/d by rational reconstruction;
     when a lift does not exist, or the lifted R fails the check below, the
     residues of one more prime are combined by CRT and the lift is tried
@@ -252,15 +259,14 @@ def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
     for tried, p in enumerate(_primes()):
         if limit is not None and tried > limit:
             raise ArithmeticError("the RREF lift needed more primes than the Hadamard bound")
-        ech = ModpEchelon(ncols, p)
-        ech.add(_mod(a, p).astype(np.int64, copy=False))  # residues below p
-        pivots = ech.pivots.tolist()
+        rref, pivots = _rref(_mod(a, p).astype(np.int64, copy=False), p)  # residues below p
+        pivots = pivots.tolist()
         if best is None or (-len(pivots), pivots) < (-len(best[0]), best[0]):
-            best = (pivots, ech.basis, p)
+            best = (pivots, rref, p)
         elif pivots == best[0]:
             _, res, m = best
             res = res.astype(object)
-            step = _mod((ech.basis.astype(object) - res) * pow(m, -1, p), p)
+            step = _mod((rref.astype(object) - res) * pow(m, -1, p), p)
             best = (pivots, res + m * step, m * p)
         else:
             continue
@@ -338,53 +344,69 @@ _KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-r
 ECHELON_CELLS = 10_000
 
 
-def modp_matmul(a, b, p: int) -> np.ndarray:
-    """a @ b mod p, in [0, p) as int64, of integer-valued int64 or float64
-    matrices, exact on float64 BLAS.
+def modp_matmul(a, b, p: int, minus: Optional[np.ndarray] = None) -> np.ndarray:
+    """(minus - a @ b) mod p, or a @ b mod p without minus, in [0, p) as
+    int64, of integer-valued int64 or float64 matrices, exact on float64
+    BLAS; minus is an int64 array of the product's shape, entries in
+    (-p, p).
 
     One product is exact when k max|a| max|b| < 2^53 (k the inner
-    dimension), as every partial sum is then an integer below 2^53.
-    Otherwise operands outside [0, p) are reduced, and if the bound still
-    fails they are split into 16-bit limbs.  When the inner dimension is
-    short, k max|a| (2^16 - 1) < 2^53 (k <= 64 for residues of
-    DEFAULT_PRIME), only b is split: two products of a with its limbs.
-    Otherwise both are: limb products are below 2^32, so sums of 2^21 of
-    them are exact, and the chunks are recombined mod p.
+    dimension), as every partial sum is then an integer below 2^53, and it
+    is reduced once.  Otherwise an operand whose extremes leave [0, p) is
+    reduced, and _product takes the residues.
     """
     a, b = np.asarray(a), np.asarray(b)
-    m, k, n = a.shape[0], a.shape[1], b.shape[1]
-    if not a.size or not b.size:
-        return np.zeros((m, n), dtype=np.int64)
-    (alo, ahi), (blo, bhi) = ((int(x.min()), int(x.max())) for x in (a, b))
-    ra, rb = max(ahi, -alo), max(bhi, -blo)
-    if k * ra * rb >= 1 << 53:
-        (a, ra), (b, rb) = _residues(a, alo, ahi, p), _residues(b, blo, bhi, p)
-    if k * ra * rb < 1 << 53:
-        return _mod((a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-                     ).astype(np.int64), p)
-    mask = (1 << _LIMB_BITS) - 1
-    if k * ra * mask < 1 << 53:
-        af = a.astype(np.float64, copy=False)
-        lo = (af @ (b & mask).astype(np.float64)).astype(np.int64)
-        hi = (af @ (b >> _LIMB_BITS).astype(np.float64)).astype(np.int64)
-        return _mod(lo + (_mod(hi, p) << _LIMB_BITS), p)  # below 2^53 + 2^47
-    out = np.zeros((m, n), dtype=np.int64)
-    for s in range(0, k, _EXACT_INNER):
-        ac, bc = a[:, s : s + _EXACT_INNER], b[s : s + _EXACT_INNER]
-        ac = np.concatenate([ac & mask, ac >> _LIMB_BITS])
-        bc = np.concatenate([bc & mask, bc >> _LIMB_BITS], axis=1)
-        c = (ac.astype(np.float64) @ bc.astype(np.float64)).astype(np.int64)
-        # [[lo lo, lo hi], [hi lo, hi hi]]; the sum stays below 2^63
-        c = (c[:m, :n] + (_mod(c[:m, n:] + c[m:, :n], p) << _LIMB_BITS)
-             + _mod(c[m:, n:], p) * (2 ** (2 * _LIMB_BITS) % p))
-        out = _mod(out + c, p)
-    return out
+    (alo, ahi), (blo, bhi) = ((int(x.min(initial=0)), int(x.max(initial=0))) for x in (a, b))
+    if a.shape[1] * max(ahi, -alo) * max(bhi, -blo) < 1 << 53:
+        c = _blas(a, b)
+        return _mod(c if minus is None else minus - c, p)
+    return _product(_residues(a, alo, ahi, p), _residues(b, blo, bhi, p), p, minus)
 
 
-def _residues(x: np.ndarray, lo: int, hi: int, p: int) -> tuple[np.ndarray, int]:
-    """x in [0, p) as int64 and its largest entry bound, from its extremes."""
+def _residues(x: np.ndarray, lo: int, hi: int, p: int) -> np.ndarray:
+    """x in [0, p) as int64, reduced only when its extremes leave it."""
     x = x.astype(np.int64, copy=False)
-    return (x, hi) if 0 <= lo and hi < p else (_mod(x, p), p - 1)
+    return x if 0 <= lo and hi < p else _mod(x, p)
+
+
+def _blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on float64 BLAS, as int64: exact while every sum is below 2^53."""
+    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int,
+             minus: Optional[np.ndarray] = None) -> np.ndarray:
+    """modp_matmul of int64 residues, on a path chosen by k (the inner
+    dimension) and p alone, with no scan of the operands, and one final
+    reduction of the difference from minus (the delayed reduction of FFLAS,
+    Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+      - one product when k (p-1)^2 < 2^53;
+      - two limbs when k (p-1) (2^16 - 1) < 2^53 (k <= 64 at
+        DEFAULT_PRIME): products of a with the 16-bit limbs of b, the high
+        one reduced before it is shifted, which leaves the sum below
+        2^53 + 2^47;
+      - four limbs otherwise: both operands split, limb products below
+        2^32, so sums of _EXACT_INNER = 2^21 of them are exact; per chunk
+        of the inner dimension the cross and high sums are reduced, and the
+        sum stays below 2^62 + 2^54.
+    """
+    k, r, mask = a.shape[1], p - 1, (1 << _LIMB_BITS) - 1
+    if k * r * r < 1 << 53:
+        c = _blas(a, b)
+    elif k * r * mask < 1 << 53:
+        af = a.astype(np.float64)
+        c = _blas(af, b & mask) + (_mod(_blas(af, b >> _LIMB_BITS), p) << _LIMB_BITS)
+    else:
+        m, n, c = a.shape[0], b.shape[1], 0
+        for s in range(0, k, _EXACT_INNER):
+            ac, bc = a[:, s : s + _EXACT_INNER], b[s : s + _EXACT_INNER]
+            limbs = _blas(np.concatenate([ac & mask, ac >> _LIMB_BITS]),
+                          np.concatenate([bc & mask, bc >> _LIMB_BITS], axis=1))
+            # [[lo lo, lo hi], [hi lo, hi hi]]; c from an earlier chunk is reduced
+            c = (_mod(c, p) if s else c) + limbs[:m, :n] + (
+                _mod(limbs[:m, n:] + limbs[m:, :n], p) << _LIMB_BITS) + (
+                _mod(limbs[m:, n:], p) * (2 ** (2 * _LIMB_BITS) % p))
+    return _mod(c if minus is None else minus - c, p)
 
 
 def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -434,13 +456,13 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     rest[tpiv] = False
     low = a[half:, rest]
     if tpiv.size:  # T[:, tpiv] = I
-        low = _mod(low - modp_matmul(a[half:, tpiv], top[:, rest], p), p)
+        low = _product(a[half:, tpiv], top[:, rest], p, minus=low)
     bot, bpiv, bsrc = _eliminate(low, p)
     bpiv = np.flatnonzero(rest)[bpiv]
     rows = np.zeros((len(bot), a.shape[1]), dtype=np.int64)
     rows[:, rest] = bot
     if bpiv.size:  # B[:, bpiv] = I and B[:, tpiv] = 0
-        top = _mod(top - modp_matmul(top[:, bpiv], rows, p), p)
+        top = _product(top[:, bpiv], rows, p, minus=top)
     return (np.concatenate([top, rows]), np.concatenate([tpiv, bpiv]),
             np.concatenate([tsrc, half + bsrc]))
 
@@ -465,8 +487,9 @@ class ModpEchelon:
     rows the echelon already spans costs only its products), eliminated by
     _eliminate into N, the new pivots are cleared from X with one more,
     X[:, new] @ N[:, keep], and N's rows are appended.  A block is reduced
-    only when its turn comes, so at the fewest free columns.  Every
-    reduction mod p is _mod.
+    only when its turn comes, so at the fewest free columns.  Each product
+    is a _product of residues, and a difference from one is reduced once,
+    with it.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
@@ -491,10 +514,9 @@ class ModpEchelon:
         """Add the rows; returns the indices of those that raised the rank,
         each independent of the rows added before it: the lexicographically
         first maximal subset independent modulo the earlier rows."""
-        rows = _mod(_int64(rows), self.p)
+        rows = _reduced(rows, self.p)
         if self._piv.size:  # otherwise every column is free
-            rows = _mod(rows[:, self._free] - modp_matmul(rows[:, self._piv], self._x, self.p),
-                        self.p)
+            rows = _product(rows[:, self._piv], self._x, self.p, minus=rows[:, self._free])
         return self._insert(rows)
 
     def add_outer(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[int]:
@@ -540,14 +562,15 @@ class ModpEchelon:
         y = np.empty((nrows, nf), dtype=np.int64)
         step = max(1, _KERNEL_CELLS // (c * max(b, len(us))))
         for s in range(0, nf, step):
-            k = self._kernel_rows(s, s + step)
+            k = _kernel_basis(self._x[:, s : s + step], self._piv, self._free[s : s + step],
+                              nf + self._piv.size, p)
             # K_g u_j for every free column g and every u_j of the group, as (c, g, j)
-            ku_g = modp_matmul(k.reshape(-1, b), us.T, p).reshape(len(k), c, len(us))
+            ku_g = _product(k.reshape(-1, b), us.T, p).reshape(len(k), c, len(us))
             ku_g = ku_g.transpose(1, 0, 2)
             row = col = 0
             for f, u in pairs:
                 kf, ku = len(f), len(u)
-                fku = modp_matmul(f, ku_g[:, :, col : col + ku].reshape(c, -1), p)
+                fku = _product(f, ku_g[:, :, col : col + ku].reshape(c, -1), p)
                 y[row : row + kf * ku].reshape(kf, ku, nf)[:, :, s : s + step] = (
                     fku.reshape(kf, len(k), ku).transpose(0, 2, 1))
                 row, col = row + kf * ku, col + ku
@@ -558,9 +581,9 @@ class ModpEchelon:
         e_piv(k) + sum_f X[k, f] e_f, so v does exactly when v[piv] + X
         v[free] = 0."""
         ncols = self._piv.size + self._free.size
-        rows = _mod(_int64(rows).reshape(-1, ncols), self.p)
-        return not _mod(rows[:, self._piv] + modp_matmul(rows[:, self._free], self._x.T, self.p),
-                        self.p).any()
+        rows = _reduced(rows, self.p).reshape(-1, ncols)
+        return not _product(rows[:, self._free], self._x.T, self.p,
+                            minus=-rows[:, self._piv]).any()
 
     def _insert(self, y: np.ndarray) -> list[int]:
         """Insert rows in the free coordinates the echelon has on entry;
@@ -571,8 +594,8 @@ class ModpEchelon:
             block = y[s : s + ECHELON_BLOCK]
             if self._piv.size > start:  # reduce by the pivots added since entry
                 added = np.searchsorted(cols, self._piv[start:])
-                block = _mod(block[:, np.searchsorted(cols, self._free)]
-                             - modp_matmul(block[:, added], self._x[start:], p), p)
+                block = _product(block[:, added], self._x[start:], p,
+                                 minus=block[:, np.searchsorted(cols, self._free)])
             if not block.any():  # every row depends on the rows before it
                 continue
             n, new, source = _eliminate(block, p)
@@ -583,43 +606,47 @@ class ModpEchelon:
             keep[new] = False
             n = n[:, keep]
             # N[:, new] = I, so this clears the new pivot columns of X
-            x = _mod(self._x[:, keep] - modp_matmul(self._x[:, new], n, p), p)
+            x = _product(self._x[:, new], n, p, minus=self._x[:, keep])
             self._x = np.concatenate([x, n])
             self._piv = np.concatenate([self._piv, self._free[new]])
             self._free = self._free[keep]
         return raised
 
-    def _kernel_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The kernel rows e_f - sum_k X[k, f] e_piv(k) of the free columns
-        f = _free[lo:hi]."""
-        free = self._free[lo:hi]
-        out = np.zeros((free.size, self._free.size + self._piv.size), dtype=np.int64)
-        out[np.arange(free.size), free] = 1
-        out[:, self._piv] = _mod(-self._x[:, lo:hi].T, self.p)
-        return out
-
     def kernel(self) -> np.ndarray:
         """Right kernel basis: the row e_f - sum_k X[k, f] e_piv(k) for each
         free column f, in increasing order."""
-        return self._kernel_rows(0, self._free.size)
+        return _kernel_basis(self._x, self._piv, self._free,
+                             self._piv.size + self._free.size, self.p)
 
 
-def _echelon(a: np.ndarray, p: int) -> ModpEchelon:
-    """The echelon of the rows of one matrix."""
-    ech = ModpEchelon(np.shape(a)[1], p)
-    ech.add(a)
-    return ech
+def _kernel_basis(x: np.ndarray, piv: np.ndarray, free: np.ndarray, ncols: int,
+                  p: int) -> np.ndarray:
+    """The kernel rows e_f - sum_k x[k, j] e_piv[k], f = free[j], of an
+    RREF whose row k has its pivot in column piv[k] and x[k] in the free
+    columns."""
+    out = np.zeros((free.size, ncols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, piv] = _mod(-x.T, p)
+    return out
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF of one matrix of residues, by _eliminate: its rows sorted
+    by pivot column, and the pivot columns."""
+    rows, pivots, _ = _eliminate(a, p)
+    order = np.argsort(pivots)
+    return rows[order], pivots[order]
 
 
 def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
-    ech = _echelon(a, p)
-    return ech.basis, ech.pivots.tolist()
+    rows, pivots = _rref(_reduced(a, p), p)
+    return rows, pivots.tolist()
 
 
 def modp_rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p of one matrix: the rows that raise the echelon's rank."""
-    return len(ModpEchelon(np.shape(a)[1], p).add(a))
+    """Rank mod p of one matrix."""
+    return _rref(_reduced(a, p), p)[1].size
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -638,18 +665,18 @@ _STACK_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _forward(a: np.ndarray, p: int, keep_rows: bool):
-    """Forward elimination of an (N, m, n) integer stack, column by column:
+    """Forward elimination of an (N, m, n) stack of residues, column by column:
     the rank of each matrix and, when keep_rows, the (n, n, N) int64 array
     whose [c, :, i] is the pivot row of column c of matrix i mod p.  Where
     c has no pivot, its diagonal entry [c, c, i] is 0 and the rest of the
     row is arbitrary: modp_kernel scales each kept row by the inverse of
     its diagonal, which is 0 for 0.
 
-    The stack is reduced once and stored column-major with the stack index
-    innermost, as (n, m, N): the column being eliminated is the contiguous
-    (m, N) slab a[0], the pivot rows are gathered into one contiguous
-    (n - c - 1, N) array, and the update runs over the contiguous a[1:],
-    each of its numpy loops along the N matrices.  Each step drops its
+    The stack is stored column-major with the stack index innermost, as
+    (n, m, N): the column being eliminated is the contiguous (m, N) slab
+    a[0], the pivot rows are gathered into one contiguous (n - c - 1, N)
+    array, and the update runs over the contiguous a[1:], each of its
+    numpy loops along the N matrices.  Each step drops its
     column, so `a` holds the columns not yet eliminated.  Each matrix picks
     its own pivot among the rows it has not used yet and clears that column
     from its other rows with the inverse-free update
@@ -671,7 +698,7 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
     count, m, ncols = a.shape
     dtype = next(t for t in _STACK_DTYPES if 2 * (p - 1) ** 2 < 1 << (np.iinfo(t).bits - 1))
     limit = 1 << (np.iinfo(dtype).bits - 1)
-    a = np.array(_mod(a, p).transpose(2, 1, 0), dtype=dtype, order="C")
+    a = np.array(a.transpose(2, 1, 0), dtype=dtype, order="C")
     if m == 0:  # no rows: rank 0, no pivots
         a = np.zeros((ncols, 1, count), dtype=dtype)
         m = 1
@@ -703,14 +730,21 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
 
 def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p of each matrix in an (N, m, n) stack: one at a time by
-    modp_rank when m n > ECHELON_CELLS, and otherwise all at once by the
+    _rref when m n > ECHELON_CELLS, and otherwise all at once by the
     forward elimination of _forward on the side with fewer columns."""
-    a = _int64(stack)
+    a = _reduced(stack, p)
     if a.shape[1] * a.shape[2] > ECHELON_CELLS:
-        return np.array([modp_rank(x, p) for x in a], dtype=np.int64)
+        return np.array([_rref(x, p)[1].size for x in a], dtype=np.int64)
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
         a = a.transpose(0, 2, 1)
     return _forward(a, p, keep_rows=False)[0]
+
+
+def _kernel_of(a: np.ndarray, p: int) -> np.ndarray:
+    """modp_kernel of one matrix of residues, from its _rref."""
+    rows, piv = _rref(a, p)
+    free = np.delete(np.arange(a.shape[1]), piv)
+    return _kernel_basis(rows[:, free], piv, free, a.shape[1], p)
 
 
 def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
@@ -718,17 +752,17 @@ def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
     rows of an int64 array: the row e_f - sum_r R[r, f] e_pivot(r) for
     each free column f of the RREF R.
 
-    When m n > ECHELON_CELLS each matrix is eliminated alone by
-    ModpEchelon, on BLAS products.  Otherwise the stack gives the same
+    When m n > ECHELON_CELLS each matrix is eliminated alone by _rref, on
+    BLAS products.  Otherwise the stack gives the same
     bases at once: _forward keeps the pivot row of each column, and a
     stacked back substitution scales each to a leading 1 and clears its
     column from the rows above, which leaves R in the pivot rows.  The
     back substitution keeps _forward's layout, the stack innermost,
     (n, n, N).
     """
-    a = _int64(stack)
+    a = _reduced(stack, p)
     if a.shape[1] * a.shape[2] > ECHELON_CELLS:
-        return [_echelon(x, p).kernel() for x in a]
+        return [_kernel_of(x, p) for x in a]
     _, u = _forward(a, p, keep_rows=True)
     n = a.shape[2]
     diag = np.arange(n)

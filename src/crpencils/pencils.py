@@ -326,15 +326,31 @@ def describes(spec: Optional[BuildSpec], p: Pencil) -> bool:
         return False
 
 
+def generator_cells(spec: BuildSpec) -> int:
+    """The cells of the dense Lie algebra generators equivariance_data
+    forms for spec: their number times d^2, d the dimension of the natural
+    representation (2n for spin).  gl, Koszul and adjoint take the 2(d-1)
+    Chevalley generators of sl_d (the identity alone for d = 1), sp the
+    d(d+1)/2 of sp_d, and so and spin the d(d-1)/2 of so_d."""
+    d = 2 * spec.args[0] if spec.kind == "spin" else spec.args[-1]
+    count = {"sp": d * (d + 1) // 2, "so": d * (d - 1) // 2,
+             "spin": d * (d - 1) // 2}.get(spec.kind, max(2 * (d - 1), 1))
+    return count * d * d
+
+
 def check_equivariance(p: Pencil) -> bool:
     """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
     every generator in equivariance_data(p.spec) and every variable i, in
     integers: the identity is multiplied by the lcm of the three
     denominators, and the pencil's global denominator cancels.  False
     unless describes(p.spec, p), which is decided before any module is
-    built."""
+    built; ValueError when the generators would exceed MAX_PENCIL_CELLS
+    cells (generator_cells), before any is formed."""
     if not describes(p.spec, p):
         return False
+    if generator_cells(p.spec) > MAX_PENCIL_CELLS:
+        raise ValueError(f"the {p.spec.kind} equivariance generators exceed "
+                         f"{MAX_PENCIL_CELLS} cells")
     data = equivariance_data(p.spec)
     by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
     for var, r, c, num in p.coeffs:

@@ -38,7 +38,7 @@ from crpencils.pencils import (
     build_sp_pencil,
     build_spin_pencil,
 )
-from word_oracles import mat_mod, sampled_verdict_one_list
+from word_oracles import mat_mod, randrange_points, sampled_verdict_one_list
 
 
 def test_generic_rank_koszul_anchor():
@@ -152,18 +152,17 @@ def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stack
     pencil = _diagonal_pencil(*shape)
     points = [[1, 0], [0, 1], [3, 5]]
     forward_shapes, echelon_rows = [], []
-    forward = linalg._forward
+    forward, rref = linalg._forward, linalg._rref
 
-    class Counting(ModpEchelon):
-        def add(self, rows):
-            echelon_rows.append(len(rows))
-            return super().add(rows)
+    def counting_rref(a, p):
+        echelon_rows.append(len(a))
+        return rref(a, p)
 
     def counting_forward(a, p, keep_rows):
         forward_shapes.append(a.shape)
         return forward(a, p, keep_rows)
 
-    monkeypatch.setattr(linalg, "ModpEchelon", Counting)
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
     monkeypatch.setattr(linalg, "_forward", counting_forward)
     assert ranks_at(pencil, points, DEFAULT_PRIME) == [min(shape)] * 3
     assert (len(forward_shapes), len(echelon_rows)) == (stacks, echelons)
@@ -267,6 +266,27 @@ def test_structured_points_lie_in_their_class(m, prime):
         elif cls == "non-isotropic":
             assert q != 0, (x, q)
     assert counts["isotropic"] == 20 and counts["non-isotropic"] > 1
+
+
+# 5 and 17 reject about a third and almost half of their words
+DRAW_PRIMES = (3, 5, 7, 17, 31, 101, 257, 32749, 65537, 1000003, 2147483587,
+               DEFAULT_PRIME, 2147483647)
+
+
+@pytest.mark.parametrize("prime", DRAW_PRIMES)
+def test_bulk_draws_match_one_randrange_per_coordinate(prime):
+    # the same points, and the generator left in the same state, for every
+    # seed and shape, count 0 included
+    for seed in range(20):
+        for count, nvars in ((0, 3), (1, 1), (2, 0), (7, 3), (40, 6)):
+            bulk, loop = random.Random(seed), random.Random(seed)
+            got = random_points(bulk, count, nvars, prime)
+            want = randrange_points(loop, count, nvars, prime)
+            assert got.dtype == np.int64 and got.shape == (count, nvars)
+            assert got.tolist() == want.tolist()
+            assert bulk.getstate() == loop.getstate()
+            # and the next draw goes on from the same word
+            assert bulk.randrange(prime) == loop.randrange(prime)
 
 
 def test_transitivity_ranks_a_nonzero_point():

@@ -599,6 +599,36 @@ def test_an_so_record_with_a_zero_target_is_refused_before_its_source_dimension(
     assert perf_counter() - start < 2
 
 
+def test_equivariance_generators_are_bounded_before_they_are_formed(
+        tmp_path, capsys, monkeypatch):
+    # gl () -> (1) at v = 1024 describes a 1 x 1024 pencil of 1,024
+    # variables; its certificate formed 2,046 dense 1024 x 1024 Chevalley
+    # generators and ran past a 30 s timeout
+    def forbidden(*args):
+        raise AssertionError("the equivariance data was formed")
+
+    monkeypatch.setattr(pencils, "equivariance_data", forbidden)
+    record = {"kind": "gl", "mu": [], "nu": [1], "v": 1024}
+    spec = BuildSpec.from_record(record)
+    assert spec.shape() == (1024, 1, 1024)
+    assert pencils.generator_cells(spec) == 2046 * 1024 ** 2
+    out = tmp_path / "pencil.json"
+    out.write_text(dumps_pencil(Pencil(1024, 1, 1024, ((0, 0, 0, 1),), 1,
+                                       tuple(f"x_{i + 1}" for i in range(1024))), record))
+    loaded = loads_pencil(out.read_text())[0]
+    assert loaded.spec == spec
+    with pytest.raises(ValueError, match="equivariance generators exceed"):
+        check_equivariance(loaded)
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 2
+    err = capsys.readouterr().err
+    assert "equivariance generators exceed" in err
+    assert "Traceback" not in err
+    # the bound still takes GL up to v = 80 and Sp up to N = 36
+    cells = {(kind, n): pencils.generator_cells(BuildSpec(kind, ((), (1,), n)))
+             for kind, n in (("gl", 80), ("gl", 81), ("sp", 36), ("sp", 38))}
+    assert [c <= pencils.MAX_PENCIL_CELLS for c in cells.values()] == [True, False, True, False]
+
+
 def test_cli_build_refuses_a_pencil_that_verify_would_refuse(tmp_path, capsys):
     # 11 x 462 x 462 cells are past MAX_PENCIL_CELLS: verify exits 3 on such
     # a file, so build writes none; spin n=30 is refused before its 2^29

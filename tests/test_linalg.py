@@ -244,6 +244,68 @@ def test_exact_product_splits_one_operand_up_to_its_inner_limit(p, k):
         assert got.tolist() == want
 
 
+@given(st.sampled_from((3, 101, 32749, DEFAULT_PRIME)), st.sampled_from((63, 64, 65)),
+       st.integers(0, 4), st.integers(0, 4), st.sampled_from(("top", "odd", "random")),
+       st.booleans(), st.integers(0, 2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_one_reduction_products_match_python_ints(p, k, m, n, fill, with_minus, seed):
+    # at DEFAULT_PRIME k = 63 and 64 split b into two limbs and k = 65 both
+    # operands into four; the smaller primes make one product.  Entries
+    # p-1, or p-2 whose odd low limb makes the sums odd, or random residues
+    rng = random.Random(seed)
+    draw = {"top": lambda: p - 1, "odd": lambda: p - 2, "random": lambda: rng.randrange(p)}[fill]
+    a = [[draw() for _ in range(k)] for _ in range(m)]
+    b = [[draw() for _ in range(n)] for _ in range(k)]
+    c = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    ab = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    want = [[((c[i][j] if with_minus else 0) - ab[i][j]) % p if with_minus else ab[i][j] % p
+             for j in range(n)] for i in range(m)]
+    a, b = np.array(a, dtype=np.int64).reshape(m, k), np.array(b, dtype=np.int64).reshape(k, n)
+    minus = np.array(c, dtype=np.int64).reshape(m, n) if with_minus else None
+    # modp_matmul also of operands outside [0, p) and of minus in (-p, 0]
+    shifted = None if minus is None else minus - p
+    for got in (linalg._product(a, b, p, minus), modp_matmul(a, b, p, minus),
+                modp_matmul(a - p, b + p, p, shifted)):
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 90), st.integers(1, 40),
+       st.integers(0, 40), st.integers(0, 2 ** 32))
+@example(p=3, nrows=0, ncols=5, rank=0, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_one_shot_eliminations_match_the_echelon(p, nrows, ncols, rank, seed):
+    # modp_rank, modp_rref and the large route of modp_kernel eliminate the
+    # matrix at once, without the echelon the growing systems use
+    rng = random.Random(seed)
+    a = _tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols))
+    ech = ModpEchelon(ncols, p)
+    raised = ech.add(a)
+    assert modp_rank(a, p) == len(raised)
+    rows, pivots = modp_rref(a, p)
+    assert (rows.tolist(), pivots) == (ech.basis.tolist(), ech.pivots.tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ECHELON_CELLS", 0)  # every matrix alone
+        assert modp_ranks(a[None], p).tolist() == [len(raised)]
+        assert modp_kernel(a[None], p)[0].tolist() == ech.kernel().tolist()
+
+
+@given(st.integers(0, 12), st.integers(1, 8), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_lifted_rref_matches_the_echelon_at_its_first_prime(nrows, ncols, seed):
+    # qq_rref's RREF over Q, read mod DEFAULT_PRIME, is the echelon's there
+    # whenever the prime keeps the rank
+    rng = random.Random(seed)
+    a = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+    ech = ModpEchelon(ncols, DEFAULT_PRIME)
+    ech.add(np.array(a, dtype=np.int64).reshape(nrows, ncols))
+    u, s, pivots = qq_rref(np.array(a, dtype=np.int64).reshape(nrows, ncols))
+    assert len(ech.pivots) <= len(pivots)
+    if len(ech.pivots) == len(pivots):
+        inv = [pow(int(x), -1, DEFAULT_PRIME) for x in s.tolist()]
+        got = [[x * i % DEFAULT_PRIME for x in row] for row, i in zip(u.tolist(), inv)]
+        assert (got, pivots) == (ech.basis.tolist(), ech.pivots.tolist())
+
+
 def _tall_rank_deficient(p, rng, nrows, ncols, rank):
     left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)],
                     dtype=np.int64).reshape(nrows, rank)
@@ -561,6 +623,27 @@ def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
         ModpEchelon(2, p).add(np.array([[0.9, 0.2]]))
 
 
+def test_fp_eliminations_reduce_python_ints_past_int64():
+    # 2^70 raised OverflowError in the int64 cast; numpy reads the rows with
+    # 2^63 + 1 as float64, which would lose the 1
+    p = 7
+    for big in ([[2 ** 70, 1]], [[2 ** 63 + 1, 1], [3, -(2 ** 65)]],
+                [[2 ** 64 + 5, -(2 ** 70)], [0, 2 ** 63 - 1]]):
+        res = np.array([[x % p for x in row] for row in big], dtype=np.int64)
+        assert modp_rank(big, p) == modp_rank(res, p)
+        assert modp_rref(big, p)[0].tolist() == modp_rref(res, p)[0].tolist()
+        assert Subspace.from_vectors(big, 2, p) == Subspace.from_vectors(res, 2, p)
+        stack = np.array(big, dtype=object)[None]
+        assert modp_ranks(stack, p).tolist() == modp_ranks(res[None], p).tolist()
+        assert modp_kernel(stack, p)[0].tolist() == modp_kernel(res[None], p)[0].tolist()
+        ech, want = ModpEchelon(2, p), ModpEchelon(2, p)
+        assert ech.add(big) == want.add(res)
+        assert ech.basis.tolist() == want.basis.tolist()
+        assert ech.kernel_contains(big) == ech.kernel_contains(res)
+    assert modp_rank([[2 ** 70, 1]], p) == 1
+    assert Subspace.from_vectors([[2 ** 70, 1]], 2, p).basis == ((1, 4),)  # 2^70 = 2 mod 7
+
+
 def test_fp_eliminations_read_integer_floats_and_object_ints_as_int64():
     # coeff_array_modp's centred float stack, and the object rows of qq_rref
     p = 7
@@ -857,13 +940,13 @@ def test_distinct_primitive_rows_keep_the_row_space(m, data):
 
 def _count_primes(monkeypatch):
     seen = []
+    rref = linalg._rref
 
-    class Counting(ModpEchelon):
-        def __init__(self, ncols, p):
-            seen.append(p)
-            super().__init__(ncols, p)
+    def counting(a, p):
+        seen.append(p)
+        return rref(a, p)
 
-    monkeypatch.setattr(linalg, "ModpEchelon", Counting)
+    monkeypatch.setattr(linalg, "_rref", counting)
     return seen
 
 

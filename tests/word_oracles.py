@@ -2,7 +2,7 @@
 against, the entry-by-entry pencil-file document builder and reader that
 the canonical writer and the column-wise reader are tested against, the
 Fraction form of the Weyl dimension formula that the integer one is tested
-against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
+against, the per-coordinate randrange draw that the bulk one is tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
 that turn Fraction test data into the integer input of linalg, and the
 one-list sampled verdict that the blocked one is tested against, shared by
 the test modules."""
@@ -78,6 +78,13 @@ def integer_rows(rows) -> list[list[int]]:
         den = lcm(1, *(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+def randrange_points(rng, count: int, nvars: int, prime: int) -> np.ndarray:
+    """One rng.randrange(prime) per coordinate, in row-major order: the
+    oracle for analysis.random_points, which draws the same words in bulk."""
+    return np.array([rng.randrange(prime) for _ in range(count * nvars)],
+                    dtype=np.int64).reshape(count, nvars)
 
 
 def modp_row_reduce(rows, p):
