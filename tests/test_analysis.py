@@ -145,7 +145,7 @@ def _diagonal_pencil(c: int, b: int) -> Pencil:
 
 @pytest.mark.parametrize("shape, stacks, echelons", [
     ((50, 200), 1, 0),  # 10,000 cells: at the bound, the three points in one stack
-    ((50, 201), 0, 3),  # above it: each matrix alone through the echelon
+    ((50, 201), 0, 3),  # above it: each matrix alone through _rref
 ])
 def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stacks, echelons):
     assert linalg.ECHELON_CELLS == 10_000 < analysis.STACK_CELLS
