@@ -8,12 +8,13 @@ so that products of two residues fit in int64; the F_p entry points read
 them through _reduced, which reduces Python ints of any size exactly and
 refuses what an int64 cast would truncate.  _mod is the one reduction of
 an integer array, x - (x // p) p, which numpy runs on libdivide.
-modp_matmul is the one product mod p, exact on float64 BLAS: it returns
-(minus - a b) mod p, or a b mod p, with one final reduction.  The
+modp_matmul is the one product mod p, exact on float64 BLAS.  The
 eliminations call its core _product, which takes residues and picks its
 path from the inner dimension k and p alone, without scanning them: one
 product while k (p-1)^2 < 2^53, two limbs of b while k (p-1) (2^16 - 1)
-< 2^53, four limbs otherwise.
+< 2^53, four limbs otherwise.  It returns (minus - a b) mod p, or a b
+mod p, with one final reduction, so an elimination step that subtracts a
+product reduces once.
 
 Over F_p there are two eliminations, and _eliminate is the kernel of
 every matrix that is not in a stack of small ones.  modp_ranks and
@@ -116,12 +117,12 @@ def check_prime(p: int) -> int:
 def _reduced(rows, p: int) -> np.ndarray:
     """Integer rows mod p, in [0, p) as int64, refusing what an int64 cast
     would truncate (TypeError): integer arrays and the integer floats of
-    coeff_array_modp are cast and reduced, and Python ints of any size
-    (rows that numpy reads as floats, or objects) are reduced exactly
-    before the cast."""
+    coeff_array_modp are cast and reduced, and rows of Python ints of any
+    size are reduced exactly before the cast: numpy reads ints past int64
+    as objects, or as uint64 or floats, which are read again as objects."""
     a = np.asarray(rows)
-    if a.dtype.kind == "f" and not isinstance(rows, np.ndarray):
-        exact = np.array(rows, dtype=object)  # numpy reads ints past 2^63 as floats
+    if a.dtype.kind in "uf" and not isinstance(rows, np.ndarray):
+        exact = np.array(rows, dtype=object)
         a = exact if all(type(x) is int for x in exact.flat) else a
     if a.dtype == object:
         if not all(type(x) is int for x in a.flat):
@@ -332,23 +333,22 @@ ECHELON_BLOCK = 64  # rows eliminated, and cleared from X, per step of ModpEchel
 _KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-row cells at once
 
 # modp_ranks and modp_kernel eliminate a matrix of more than ECHELON_CELLS
-# cells alone.  Per matrix at DEFAULT_PRIME, full 2^17-cell stacks against
-# the echelon, which skips the rank deficiency of pencil matrices (2-CPU
-# VM, numpy 2.4):                               stacked  echelon
-#   64x64, random                               0.6 ms   1.7 ms
-#   105x81, the SO m=5 hook pencil              1.7 ms   2.1 ms
-#   100x100, random                             2.4 ms   2.7 ms
-#   126x84, the Koszul pencil L^3 -> L^4 of C^9 3.0 ms   2.5 ms
-#   128x128, random                             5.5 ms   4.6 ms
-#   181x181, random (4 to a stack)               21 ms   7.5 ms
+# cells alone, by _rref.  Per matrix at DEFAULT_PRIME, full 2^17-cell
+# stacks against _rref (2-CPU VM, numpy 2.4, minimum of interleaved
+# repeats):                                     stacked  _rref
+#   64x64, random                               0.65 ms  1.2 ms
+#   105x81, the SO m=5 hook pencil              1.9 ms   1.9 ms
+#   100x100, random                             2.5 ms   2.6 ms
+#   126x84, the Koszul pencil L^3 -> L^4 of C^9 2.6 ms   2.0 ms
+#   240x45, the GL (2) -> (2,1) pencil at v=9   1.5 ms   2.8 ms
+#   128x128, random                             6.4 ms   3.6 ms
+#   181x181, random (4 to a stack)               23 ms   7.4 ms
 ECHELON_CELLS = 10_000
 
 
-def modp_matmul(a, b, p: int, minus: Optional[np.ndarray] = None) -> np.ndarray:
-    """(minus - a @ b) mod p, or a @ b mod p without minus, in [0, p) as
-    int64, of integer-valued int64 or float64 matrices, exact on float64
-    BLAS; minus is an int64 array of the product's shape, entries in
-    (-p, p).
+def modp_matmul(a, b, p: int) -> np.ndarray:
+    """a @ b mod p, in [0, p) as int64, of integer-valued int64 or float64
+    matrices, exact on float64 BLAS.
 
     One product is exact when k max|a| max|b| < 2^53 (k the inner
     dimension), as every partial sum is then an integer below 2^53, and it
@@ -358,9 +358,8 @@ def modp_matmul(a, b, p: int, minus: Optional[np.ndarray] = None) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     (alo, ahi), (blo, bhi) = ((int(x.min(initial=0)), int(x.max(initial=0))) for x in (a, b))
     if a.shape[1] * max(ahi, -alo) * max(bhi, -blo) < 1 << 53:
-        c = _blas(a, b)
-        return _mod(c if minus is None else minus - c, p)
-    return _product(_residues(a, alo, ahi, p), _residues(b, blo, bhi, p), p, minus)
+        return _mod(_blas(a, b), p)
+    return _product(_residues(a, alo, ahi, p), _residues(b, blo, bhi, p), p)
 
 
 def _residues(x: np.ndarray, lo: int, hi: int, p: int) -> np.ndarray:
@@ -376,10 +375,12 @@ def _blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _product(a: np.ndarray, b: np.ndarray, p: int,
              minus: Optional[np.ndarray] = None) -> np.ndarray:
-    """modp_matmul of int64 residues, on a path chosen by k (the inner
-    dimension) and p alone, with no scan of the operands, and one final
-    reduction of the difference from minus (the delayed reduction of FFLAS,
-    Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+    """(minus - a @ b) mod p, or a @ b mod p without minus, in [0, p) as
+    int64, of int64 residues a and b; minus is an int64 array of the
+    product's shape, entries in (-p, p).  The path is chosen by k (the
+    inner dimension) and p alone, with no scan of the operands, and the
+    difference from minus is reduced once, with the product (the delayed
+    reduction of FFLAS, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
       - one product when k (p-1)^2 < 2^53;
       - two limbs when k (p-1) (2^16 - 1) < 2^53 (k <= 64 at
         DEFAULT_PRIME): products of a with the 16-bit limbs of b, the high
@@ -471,18 +472,16 @@ class ModpEchelon:
     """The reduced row echelon form over F_p of a growing set of rows.
 
     Only the free-column block is stored: the pivot columns `_piv`, the free
-    columns `_free` (increasing) and X = basis[:, _free], row k of X the
-    basis row with pivot `_piv[k]`.  `basis` (rows sorted by pivot column,
-    so basis[:, pivots] is the identity) and `pivots` are built when read.
+    columns `_free` (increasing) and X, row k of X the free columns of the
+    basis row with pivot `_piv[k]`; `pivots` is sorted when read.
 
     New rows are first reduced into free coordinates, y = row[free] -
     row[piv] @ X, which is row @ K^T for the kernel rows K of kernel().
-    `add` does this with one exact product per call; `add_outer` takes the
-    rows f_i (x) u_j of a sequence of factor pairs without forming them, as
-    F (K (I (x) U^T)): in groups of pairs of at most _KERNEL_CELLS cells of
-    free coordinates, each making one product of K with the U of all its
-    pairs and one with each F.  Both then insert y in blocks of
-    ECHELON_BLOCK rows: a block is reduced by the pivots added since the
+    `add_outer` takes the rows f_i (x) u_j of a sequence of factor pairs
+    without forming them, as F (K (I (x) U^T)): in groups of pairs of at
+    most _KERNEL_CELLS cells of free coordinates, each making one product
+    of K with the U of all its pairs and one with each F.  It then inserts
+    y in blocks of ECHELON_BLOCK rows: a block is reduced by the pivots added since the
     call began with one product, skipped if it is then zero (so a group of
     rows the echelon already spans costs only its products), eliminated by
     _eliminate into N, the new pivots are cleared from X with one more,
@@ -502,29 +501,14 @@ class ModpEchelon:
     def pivots(self) -> np.ndarray:
         return np.sort(self._piv)
 
-    @property
-    def basis(self) -> np.ndarray:
-        order = np.argsort(self._piv)
-        out = np.zeros((order.size, self._piv.size + self._free.size), dtype=np.int64)
-        out[:, self._free] = self._x[order]
-        out[np.arange(order.size), self._piv[order]] = 1
-        return out
-
-    def add(self, rows) -> list[int]:
-        """Add the rows; returns the indices of those that raised the rank,
-        each independent of the rows added before it: the lexicographically
-        first maximal subset independent modulo the earlier rows."""
-        rows = _reduced(rows, self.p)
-        if self._piv.size:  # otherwise every column is free
-            rows = _product(rows[:, self._piv], self._x, self.p, minus=rows[:, self._free])
-        return self._insert(rows)
-
     def add_outer(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[int]:
-        """add of the rows f_i (x) u_j of each pair (f, u) in turn, i-major
+        """Add the rows f_i (x) u_j of each pair (f, u) in turn, i-major
         within a pair, for residue rows f_i of length c and u_j of length b,
         c b the number of columns: the row of (i, j) is the flattened outer
-        product f_i u_j^T.  The indices returned count the rows of all the
-        pairs, concatenated.
+        product f_i u_j^T.  Returns the indices of the rows that raised the
+        rank, counting the rows of all the pairs, concatenated: each is
+        independent of the rows added before it, the lexicographically
+        first maximal subset independent modulo the earlier rows.
 
         The pairs go in groups of at most _KERNEL_CELLS cells of free
         coordinates (at least one pair to a group), each taken into free
@@ -587,7 +571,7 @@ class ModpEchelon:
 
     def _insert(self, y: np.ndarray) -> list[int]:
         """Insert rows in the free coordinates the echelon has on entry;
-        returns those that raised the rank, as add."""
+        returns those that raised the rank, as add_outer."""
         p, raised = self.p, []
         cols, start = self._free, self._piv.size  # y's columns; X's rows from here are new
         for s in range(0, len(y), ECHELON_BLOCK):

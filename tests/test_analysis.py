@@ -38,7 +38,7 @@ from crpencils.pencils import (
     build_sp_pencil,
     build_spin_pencil,
 )
-from word_oracles import mat_mod, randrange_points, sampled_verdict_one_list
+from word_oracles import EchelonOracle, mat_mod, randrange_points, sampled_verdict_one_list
 
 
 def test_generic_rank_koszul_anchor():
@@ -453,13 +453,13 @@ def rnd_one_at_a_time(pencil, prime=DEFAULT_PRIME, seed=0, max_samples=512):
     ambient = c * b
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
     span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
-    constraints = ModpEchelon(ambient, prime)
+    constraints = EchelonOracle(ambient, prime)
     method = {"prime": prime, "seed": seed, "generic_rank": r}
     draws = []
     samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
 
     def kernel(a):
-        ech = ModpEchelon(a.shape[1], prime)
+        ech = EchelonOracle(a.shape[1], prime)
         ech.add(a)
         return ech.kernel()
 

@@ -16,7 +16,6 @@ from crpencils import linalg
 from crpencils.linalg import (
     DEFAULT_PRIME,
     EXACT_BOUND,
-    ModpEchelon,
     Subspace,
     check_prime,
     distinct_primitive_rows,
@@ -30,6 +29,7 @@ from crpencils.linalg import (
     qq_rref,
 )
 from word_oracles import (
+    EchelonOracle,
     fraction_rref,
     integer_rows,
     mat_mod,
@@ -246,9 +246,9 @@ def test_exact_product_splits_one_operand_up_to_its_inner_limit(p, k):
 
 @given(st.sampled_from((3, 101, 32749, DEFAULT_PRIME)), st.sampled_from((63, 64, 65)),
        st.integers(0, 4), st.integers(0, 4), st.sampled_from(("top", "odd", "random")),
-       st.booleans(), st.integers(0, 2 ** 32))
+       st.integers(0, 2 ** 32))
 @settings(max_examples=120, deadline=None)
-def test_one_reduction_products_match_python_ints(p, k, m, n, fill, with_minus, seed):
+def test_one_reduction_products_match_python_ints(p, k, m, n, fill, seed):
     # at DEFAULT_PRIME k = 63 and 64 split b into two limbs and k = 65 both
     # operands into four; the smaller primes make one product.  Entries
     # p-1, or p-2 whose odd low limb makes the sums odd, or random residues
@@ -258,15 +258,17 @@ def test_one_reduction_products_match_python_ints(p, k, m, n, fill, with_minus, 
     b = [[draw() for _ in range(n)] for _ in range(k)]
     c = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
     ab = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
-    want = [[((c[i][j] if with_minus else 0) - ab[i][j]) % p if with_minus else ab[i][j] % p
-             for j in range(n)] for i in range(m)]
+    want_ab = [[x % p for x in row] for row in ab]
+    want = [[(c[i][j] - ab[i][j]) % p for j in range(n)] for i in range(m)]
     a, b = np.array(a, dtype=np.int64).reshape(m, k), np.array(b, dtype=np.int64).reshape(k, n)
-    minus = np.array(c, dtype=np.int64).reshape(m, n) if with_minus else None
-    # modp_matmul also of operands outside [0, p) and of minus in (-p, 0]
-    shifted = None if minus is None else minus - p
-    for got in (linalg._product(a, b, p, minus), modp_matmul(a, b, p, minus),
-                modp_matmul(a - p, b + p, p, shifted)):
-        assert got.dtype == np.int64 and got.tolist() == want
+    # modp_matmul also of operands outside [0, p)
+    for got in (modp_matmul(a, b, p), modp_matmul(a - p, b + p, p)):
+        assert got.dtype == np.int64 and got.tolist() == want_ab
+    # _product also of minus in (-p, 0]
+    minus = np.array(c, dtype=np.int64).reshape(m, n)
+    for got, expect in ((linalg._product(a, b, p), want_ab), (linalg._product(a, b, p, minus), want),
+                        (linalg._product(a, b, p, minus - p), want)):
+        assert got.dtype == np.int64 and got.tolist() == expect
 
 
 @given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 90), st.integers(1, 40),
@@ -278,7 +280,7 @@ def test_one_shot_eliminations_match_the_echelon(p, nrows, ncols, rank, seed):
     # matrix at once, without the echelon the growing systems use
     rng = random.Random(seed)
     a = _tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols))
-    ech = ModpEchelon(ncols, p)
+    ech = EchelonOracle(ncols, p)
     raised = ech.add(a)
     assert modp_rank(a, p) == len(raised)
     rows, pivots = modp_rref(a, p)
@@ -296,7 +298,7 @@ def test_lifted_rref_matches_the_echelon_at_its_first_prime(nrows, ncols, seed):
     # whenever the prime keeps the rank
     rng = random.Random(seed)
     a = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-    ech = ModpEchelon(ncols, DEFAULT_PRIME)
+    ech = EchelonOracle(ncols, DEFAULT_PRIME)
     ech.add(np.array(a, dtype=np.int64).reshape(nrows, ncols))
     u, s, pivots = qq_rref(np.array(a, dtype=np.int64).reshape(nrows, ncols))
     assert len(ech.pivots) <= len(pivots)
@@ -328,7 +330,7 @@ def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, 
     for i in rng.sample(range(nrows), min(nrows, 8)):
         a[i] = a[rng.randrange(nrows)] * rng.randrange(p) % p
     want_rows, want_pivots, want_raised = modp_row_reduce(a.tolist(), p)
-    ech = ModpEchelon(ncols, p)
+    ech = EchelonOracle(ncols, p)
     bounds = [0] + sorted(min(c, nrows) for c in cuts) + [nrows]
     raised = []  # the rows that raised the rank, over every block
     for lo, hi in zip(bounds, bounds[1:]):
@@ -379,7 +381,7 @@ def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, repeat
     rows = [(f[:, None, :, None] * u[None, :, None, :]).reshape(-1, ambient) for f, u in pairs]
     want_rows, want_pivots, want_raised = modp_row_reduce(
         np.concatenate([earlier] + rows).tolist(), p)
-    formed, per_pair, grouped, formed_at_once = (ModpEchelon(ambient, p) for _ in range(4))
+    formed, per_pair, grouped, formed_at_once = (EchelonOracle(ambient, p) for _ in range(4))
     for ech in (formed, per_pair, grouped, formed_at_once):
         ech.add(earlier)
     one_at_a_time, every = [], [earlier]
@@ -417,7 +419,7 @@ def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, repeat
 @settings(max_examples=60, deadline=None)
 def test_kernel_contains_matches_the_canonical_kernel(p, ncols, nrows, rank, nvecs, seed):
     rng = random.Random(seed)
-    ech = ModpEchelon(ncols, p)
+    ech = EchelonOracle(ncols, p)
     ech.add(_tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols)))
     kernel = ech.kernel()
     space = Subspace.from_vectors(kernel, ncols, p)
@@ -452,7 +454,7 @@ def test_recursive_elimination_matches_gauss_jordan(p, nrows, ncols, rank, zeros
 
 def _echelon_kernel(a, p):
     """The oracle: the kernel basis of one matrix from its own echelon."""
-    ech = ModpEchelon(a.shape[1], p)
+    ech = EchelonOracle(a.shape[1], p)
     ech.add(a)
     return ech.kernel()
 
@@ -554,7 +556,7 @@ def test_stacked_elimination_of_benchmark_shapes(p, count, m, n):
     if count > m > 0:
         leads = {int(np.flatnonzero(a[:, 0])[0]) for a in stack if a[:, 0].any()}
         assert len(leads) > 1
-    echelons = [ModpEchelon(n, p) for _ in stack]
+    echelons = [EchelonOracle(n, p) for _ in stack]
     for ech, a in zip(echelons, stack):
         ech.add(a)
     assert modp_ranks(stack, p).tolist() == [len(ech.pivots) for ech in echelons]
@@ -612,31 +614,34 @@ def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
     p = 7
     a = np.asarray(rows)
     calls = [lambda: modp_rank(rows, p), lambda: modp_rref(rows, p),
-             lambda: ModpEchelon(a.shape[1], p).add(rows),
-             lambda: ModpEchelon(a.shape[1], p).kernel_contains(rows),
+             lambda: EchelonOracle(a.shape[1], p).add(rows),
+             lambda: EchelonOracle(a.shape[1], p).kernel_contains(rows),
              lambda: Subspace.from_vectors(rows, a.shape[1], p),
              lambda: modp_ranks(a[None], p), lambda: modp_kernel(a[None], p)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
     with pytest.raises(TypeError):
-        ModpEchelon(2, p).add(np.array([[0.9, 0.2]]))
+        EchelonOracle(2, p).add(np.array([[0.9, 0.2]]))
 
 
 def test_fp_eliminations_reduce_python_ints_past_int64():
     # 2^70 raised OverflowError in the int64 cast; numpy reads the rows with
-    # 2^63 + 1 as float64, which would lose the 1
+    # 2^63 + 1 as float64, which would lose the 1, and [[2^63]] or
+    # [[2^64 - 1]] as uint64, which the cast would wrap
     p = 7
     for big in ([[2 ** 70, 1]], [[2 ** 63 + 1, 1], [3, -(2 ** 65)]],
-                [[2 ** 64 + 5, -(2 ** 70)], [0, 2 ** 63 - 1]]):
+                [[2 ** 64 + 5, -(2 ** 70)], [0, 2 ** 63 - 1]], [[2 ** 63, 1]],
+                [[2 ** 63]], [[2 ** 64 - 1]]):
         res = np.array([[x % p for x in row] for row in big], dtype=np.int64)
+        n = res.shape[1]
         assert modp_rank(big, p) == modp_rank(res, p)
         assert modp_rref(big, p)[0].tolist() == modp_rref(res, p)[0].tolist()
-        assert Subspace.from_vectors(big, 2, p) == Subspace.from_vectors(res, 2, p)
+        assert Subspace.from_vectors(big, n, p) == Subspace.from_vectors(res, n, p)
         stack = np.array(big, dtype=object)[None]
         assert modp_ranks(stack, p).tolist() == modp_ranks(res[None], p).tolist()
         assert modp_kernel(stack, p)[0].tolist() == modp_kernel(res[None], p)[0].tolist()
-        ech, want = ModpEchelon(2, p), ModpEchelon(2, p)
+        ech, want = EchelonOracle(n, p), EchelonOracle(n, p)
         assert ech.add(big) == want.add(res)
         assert ech.basis.tolist() == want.basis.tolist()
         assert ech.kernel_contains(big) == ech.kernel_contains(res)
@@ -657,7 +662,7 @@ def test_fp_eliminations_read_integer_floats_and_object_ints_as_int64():
         assert Subspace.from_vectors(rows, 4, p) == Subspace.from_vectors(ints, 4, p)
         assert modp_ranks(np.asarray(rows)[None], p).tolist() == [2]
         assert modp_kernel(np.asarray(rows)[None], p)[0].tolist() == kernel.tolist()
-        ech = ModpEchelon(4, p)
+        ech = EchelonOracle(4, p)
         ech.add(rows)
         assert ech.kernel_contains(cast(kernel))
 

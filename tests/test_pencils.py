@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crpencils.analysis import constant_rank_verdict, generic_rank
 from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
-from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, modp_matmul, qq_rank
+from crpencils.linalg import DEFAULT_PRIME, modp_matmul, qq_rank
 from crpencils.modules import (
     a_vector,
     form_lie_basis,
@@ -48,7 +48,14 @@ from crpencils.pencils import (
 )
 from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
-from word_oracles import basis_tensors, derivation, pivot_words, reduce_mod, theta_fractions
+from word_oracles import (
+    EchelonOracle,
+    basis_tensors,
+    derivation,
+    pivot_words,
+    reduce_mod,
+    theta_fractions,
+)
 
 
 def _rank_at(pencil, x):
@@ -273,7 +280,7 @@ def _lie_closure_dim(gens: list[IntMatrix], p: int = DEFAULT_PRIME) -> int:
     """dim over F_p of the Lie algebra the matrices generate, by adding
     [g, y] for every generator g and every y found so far until nothing
     new appears.  It bounds the dimension over Q from below."""
-    ech = ModpEchelon(gens[0].dim ** 2, p)
+    ech = EchelonOracle(gens[0].dim ** 2, p)
     mats = []
     for g in gens:  # den * g, which generates the same dimension
         mats.append(np.zeros((g.dim, g.dim), dtype=np.int64))

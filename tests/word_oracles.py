@@ -2,8 +2,10 @@
 against, the entry-by-entry pencil-file document builder and reader that
 the canonical writer and the column-wise reader are tested against, the
 Fraction form of the Weyl dimension formula that the integer one is tested
-against, the per-coordinate randrange draw that the bulk one is tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
-that turn Fraction test data into the integer input of linalg, and the
+against, the per-coordinate randrange draw that the bulk one is tested
+against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
+that turn Fraction test data into the integer input of linalg, the
+growing echelon with whole rows added and its RREF read back, and the
 one-list sampled verdict that the blocked one is tested against, shared by
 the test modules."""
 import random
@@ -15,6 +17,7 @@ import numpy as np
 
 from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import MAX_PENCIL_CELLS, FixtureParseError
+from crpencils.linalg import ModpEchelon, _product, _reduced
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim
 from crpencils.pencils import Pencil, _one_box
@@ -89,7 +92,7 @@ def randrange_points(rng, count: int, nvars: int, prime: int) -> np.ndarray:
 
 def modp_row_reduce(rows, p):
     """Row reduction mod p in Python lists, one row at a time: the oracle
-    for ModpEchelon.  Returns the RREF rows sorted by pivot column, the
+    for EchelonOracle.  Returns the RREF rows sorted by pivot column, the
     pivot columns, and the index of each row that raised the rank of the
     rows before it."""
     basis = {}  # pivot column -> its RREF row, 0 at every other pivot
@@ -111,6 +114,31 @@ def modp_row_reduce(rows, p):
         raised.append(i)
     pivots = sorted(basis)
     return [basis[c] for c in pivots], pivots, raised
+
+
+class EchelonOracle(ModpEchelon):
+    """ModpEchelon with whole rows added and its RREF rows read back: the
+    oracle of the one-shot F_p eliminations, and the way the tests give the
+    growing echelon rows that are not outer products."""
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The RREF rows sorted by pivot column, so basis[:, pivots] is the
+        identity."""
+        order = np.argsort(self._piv)
+        out = np.zeros((order.size, self._piv.size + self._free.size), dtype=np.int64)
+        out[:, self._free] = self._x[order]
+        out[np.arange(order.size), self._piv[order]] = 1
+        return out
+
+    def add(self, rows) -> list[int]:
+        """Add the integer rows, reduced into free coordinates with one
+        product; returns the indices of those that raised the rank, as
+        add_outer."""
+        rows = _reduced(rows, self.p)
+        if self._piv.size:  # otherwise every column is free
+            rows = _product(rows[:, self._piv], self._x, self.p, minus=rows[:, self._free])
+        return self._insert(rows)
 
 
 def modp_rref_kernel(rref, pivots, ncols, p):
