@@ -21,12 +21,14 @@ from .linalg import (
     DEFAULT_PRIME,
     ModpEchelon,
     Subspace,
+    _kernel_pairs,
+    _stack_ranks,
     check_prime,
-    modp_kernel,
+    modp_kernel,  # noqa: F401  (wrapped here by perfbench/spans.py)
     modp_rank,
-    modp_ranks,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
+    stack_buffers,
 )
 from .modules import exp_two_form, orthogonal_form, spin_space
 from .partitions import (
@@ -96,16 +98,23 @@ def random_points(rng: random.Random, count: int, nvars: int, prime: int) -> np.
 
 def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
     """The pencil mod p at each row of the (N, s) points, in order, as
-    stacks of at most STACK_CELLS cells and at least one matrix, which
-    linalg eliminates by matrix size.  A stack shares the stacked loop's
-    numpy calls per column among its matrices: 2^17 cells (37 matrices of
-    56x63, 668 of 14x14, 1 MB of int64) ranked the certify jobs fastest,
-    328, 271, 243 and 272 ms at 2^15, 2^16, 2^17 and 2^18 cells (2-CPU VM,
-    numpy 2.4, DEFAULT_PRIME)."""
+    stacks of at most STACK_CELLS cells and at least one matrix, each in
+    the layout of linalg's stacked loop (Pencil.evaluate_modp), which
+    linalg eliminates by matrix size.  One stack's buffers are allocated
+    per call and refilled for each stack, so a stack is valid until the
+    next is drawn.  A stack shares the stacked loop's numpy calls per
+    column among its matrices.  The five exhaustive and sampled certify
+    jobs took 312, 254, 214, 210 and 208 ms at 2^15 to 2^19 cells, with
+    peak RSS 39.4, 40.2, 41.8, 45.2 and 51.2 MB (minimum of 18 interleaved
+    fresh processes each, 2-CPU VM, numpy 2.4): 2^17 cells (37 matrices
+    of 56x63, 668 of 14x14, 1 MB of int64) is within 3 % of the fastest
+    without the larger stacks' memory."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
-    step = max(1, STACK_CELLS // (pencil.target_dim * pencil.source_dim))
+    cells = pencil.target_dim * pencil.source_dim
+    step = max(1, STACK_CELLS // cells)
+    buffers = stack_buffers(min(step, len(pts)) * cells, p)
     for i in range(0, len(pts), step):
-        yield pencil.evaluate_modp(pts[i : i + step], stacked, p)
+        yield pencil.evaluate_modp(pts[i : i + step], stacked, p, buffers)
 
 
 def ranks_at(pencil: Pencil, points, p: int,
@@ -118,14 +127,14 @@ def ranks_at(pencil: Pencil, points, p: int,
     check_prime(p)
     if stacked is None:
         stacked = pencil.coeff_array_modp(p)
-    return [r for a in _evaluated(pencil, points, p, stacked) for r in modp_ranks(a, p).tolist()]
+    return [r for a in _evaluated(pencil, points, p, stacked) for r in _stack_ranks(a, p).tolist()]
 
 
 def _kernels(pencil: Pencil, points, p: int, stacked: np.ndarray):
     """(Ker A, (Im A)^perp) bases as rows at each point, in order: the
     kernels of each stack of _evaluated and of its transpose."""
     for a in _evaluated(pencil, points, p, stacked):
-        yield from zip(modp_kernel(a, p), modp_kernel(a.transpose(0, 2, 1), p))
+        yield from _kernel_pairs(a, p)
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,

@@ -4,12 +4,15 @@ Every input is integer.  Matrices over Q are integer numpy arrays, int64
 while no value a step forms can reach EXACT_BOUND and Python ints in object
 arrays otherwise, or rows of Python ints.  Prime-field matrices are
 int64 arrays with entries reduced into [0, p), p an odd prime below 2**31,
-so that products of two residues fit in int64; the F_p entry points read
+so that products of two residues fit in int64 (the stacked loop's stacks
+hold them in the narrower stack_dtype(p)); the F_p entry points read
 them through _reduced, which reduces Python ints of any size exactly and
 refuses what an int64 cast would truncate.  _mod is the one reduction of
 an integer array, x - (x // p) p, which numpy runs on libdivide.
-modp_matmul is the one product mod p, exact on float64 BLAS.  The
-eliminations call its core _product, which takes residues and picks its
+modp_matmul is the one product mod p of two matrices, exact on float64
+BLAS; stack_product is the one of a pencil's coefficients with a block of
+points, written into a stack's buffers.  The
+eliminations call modp_matmul's core _product, which takes residues and picks its
 path from the inner dimension k and p alone, without scanning them: one
 product while k (p-1)^2 < 2^53, two limbs of b while k (p-1) (2^16 - 1)
 < 2^53, four limbs otherwise.  It returns (minus - a b) mod p, or a b
@@ -22,18 +25,24 @@ modp_kernel take an (N, m, n) stack and choose by matrix size: a matrix of
 more than ECHELON_CELLS cells is eliminated alone by _eliminate, smaller
 ones together by the stacked loop.
   - the stacked forward loop (_forward): one vectorized pass over a stack
-    of small matrices, stored column-major with the stack innermost, as
-    (n, m, N), so that each step reads one contiguous slab and each numpy
-    loop of its update runs along the N matrices of the stack rather than
-    the m rows of one matrix, reducing only when the next step could
-    overflow.  The exhaustive runs rank hundreds of 14x14 matrices per
-    stack, where a run of 14 entries cost more in loop overhead than in
-    arithmetic.  Its entries are the narrowest of int8, int16, int32 and
-    int64 that holds one update of residues, 2(p-1)^2 (int8 for p <= 7,
-    int16 for p <= 127, int32 for p <= 32749), so the small primes of
-    exhaustive runs move an eighth to a half of the bytes of int64.
-    analysis stacks up to 2^17 cells (analysis.STACK_CELLS): the loop's
-    per-column numpy calls are shared by every matrix in the stack;
+    of small matrices in one layout, column-major with the stack
+    innermost, (n, m, N), so that each step reads one contiguous slab and
+    each numpy loop of its update runs along the N matrices of the stack
+    rather than the m rows of one matrix.  The exhaustive runs rank
+    hundreds of 14x14 matrices per stack, where a run of 14 entries cost
+    more in loop overhead than in arithmetic.  Its entries are those of
+    stack_dtype(p), the narrowest of int8, int16, int32 and int64 that
+    holds one update of residues, 2(p-1)^2 (int8 for p <= 7, int16 for
+    p <= 127, int32 for p <= 32749), so the small primes of exhaustive
+    runs move an eighth to a half of the bytes of int64.  It eliminates
+    the stack in place, reducing only when the next step could overflow,
+    and writes each step's product and reduction into one scratch array.
+    Pencil.evaluate_modp writes each evaluated stack in this layout, on
+    the side with fewer columns, reduced once by stack_product into
+    buffers that analysis allocates once per call (stack_buffers) and
+    refills for each stack of up to 2^17 cells (analysis.STACK_CELLS), so
+    neither its ranks nor its kernels reduce or transpose it again;
+    modp_ranks and modp_kernel copy a stack of any other form into it;
   - recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.  A matrix met
     once is eliminated by it directly, its rows then sorted by pivot
@@ -134,16 +143,26 @@ def _reduced(rows, p: int) -> np.ndarray:
     return _mod(a.astype(np.int64, copy=False), p)
 
 
-def _mod(x, p: int):
-    """x mod p entrywise, in [0, p), as an array of x's dtype: x - (x // p) p,
-    formed in place in the quotient array.  numpy divides by a scalar on
+def _mod(x, p: int, out: Optional[np.ndarray] = None):
+    """x mod p entrywise, in [0, p): x - (x // p) p, formed in place in the
+    quotient array, a new one of x's dtype or `out`, an integer array of
+    x's shape whose dtype may be narrower.  numpy divides by a scalar on
     libdivide, which makes this several times faster than its `%`.  It is
     exact on fixed-width integers too: the result lies in [0, p), so a
-    two's-complement wrap of (x // p) p cancels in the difference.  Python
-    ints (object arrays) are exact."""
-    r = np.floor_divide(x, p, out=np.empty_like(x))
+    two's-complement wrap of (x // p) p, in x's dtype or in out's, cancels
+    in the difference.  Python ints (object arrays) are exact."""
+    r = np.floor_divide(x, p, out=np.empty_like(x) if out is None else out, casting="unsafe")
     r *= p
-    return np.subtract(x, r, out=r)
+    return np.subtract(x, r, out=r, casting="unsafe")
+
+
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
+    """x mod p in place, in [0, p), with scratch, an array of x's shape and
+    dtype, holding (x // p) p; returns x."""
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -648,50 +667,116 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 _STACK_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
-def _forward(a: np.ndarray, p: int, keep_rows: bool):
-    """Forward elimination of an (N, m, n) stack of residues, column by column:
-    the rank of each matrix and, when keep_rows, the (n, n, N) int64 array
-    whose [c, :, i] is the pivot row of column c of matrix i mod p.  Where
-    c has no pivot, its diagonal entry [c, c, i] is 0 and the rest of the
-    row is arbitrary: modp_kernel scales each kept row by the inverse of
-    its diagonal, which is 0 for 0.
+def stack_dtype(p: int) -> type:
+    """The entry type of _forward's stacks: the narrowest of _STACK_DTYPES
+    in which one update of residues fits, 2(p-1)^2 below its limit."""
+    return next(t for t in _STACK_DTYPES if 2 * (p - 1) ** 2 < 1 << (np.iinfo(t).bits - 1))
 
-    The stack is stored column-major with the stack index innermost, as
-    (n, m, N): the column being eliminated is the contiguous (m, N) slab
-    a[0], the pivot rows are gathered into one contiguous (n - c - 1, N)
-    array, and the update runs over the contiguous a[1:], each of its
-    numpy loops along the N matrices.  Each step drops its
-    column, so `a` holds the columns not yet eliminated.  Each matrix picks
-    its own pivot among the rows it has not used yet and clears that column
-    from its other rows with the inverse-free update
-    row <- pivot*row - a_ic*pivot_row, where a_ic is taken as 0 in the rows
-    it has used; a matrix without a pivot in the column keeps its rows.
-    Scaling a row by a unit keeps the rank and the row space.
+
+def stack_layout(rows: int, cols: int, count: int) -> tuple[tuple, tuple]:
+    """_forward's layout of count rows x cols matrices, on the side with
+    fewer columns, the matrices themselves when cols <= rows and else their
+    transposes: its (n, m, count) shape, column-major with the stack
+    innermost, and the axes that view it as the (count, rows, cols) stack."""
+    return ((rows, cols, count), (2, 0, 1)) if cols > rows else ((cols, rows, count), (2, 1, 0))
+
+
+def stack_buffers(cells: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat buffers for stacks of up to `cells` cells: a float64 one for
+    stack_product's scratch and one of stack_dtype(p) for the stack."""
+    return np.empty(cells), np.empty(cells, dtype=stack_dtype(p))
+
+
+def stack_product(c: np.ndarray, x: np.ndarray, p: int, f: np.ndarray,
+                  e: np.ndarray) -> np.ndarray:
+    """c @ x^T mod p, in [0, p), written into e and returned: c an
+    integer-valued float64 (r, k) array, x an (N, k) int64 array, f a
+    C-contiguous float64 (r, N) scratch array and e an (r, N) array of
+    stack_dtype(p).  No other array of e's size is formed.
+
+    x is reduced first when it leaves [0, p).  The product is one float64
+    BLAS call while k max|c| max|x| < 2^53, as every partial sum is then
+    an integer below 2^53.  Otherwise x is split into limbs of w bits, the
+    most with k max|c| (2^w - 1) < 2^53, and their products are combined
+    by Horner's rule, e <- e (2^w mod p) + c limb^T mod p, where e
+    (2^w mod p) <= (p-1)^2 fits e's dtype.  Each product is reduced once,
+    into e: when it fits e's dtype it is cast there and reduced in place,
+    with f's memory as the quotient; otherwise it is read as int64 in f's
+    own memory and reduced into e by _mod, whose wrap in e's dtype cancels.
+    """
+    lo, hi = int(x.min(initial=0)), int(x.max(initial=0))
+    if lo < 0 or hi >= p:
+        x = _mod(x, p)
+        hi = int(x.max(initial=0))
+    scale = c.shape[1] * max(int(c.max(initial=0)), -int(c.min(initial=0)))
+    if scale * hi < 1 << 53:
+        width, shifts = max(hi.bit_length(), 1), [0]
+    else:
+        width = (((1 << 53) - 1) // scale + 1).bit_length() - 1
+        if not width:
+            raise ValueError("the coefficients are too large for exact float64 products")
+        shifts = list(range(0, hi.bit_length(), width))[::-1]
+    fi = f.view(np.int64)
+    limit = 1 << (8 * e.itemsize - 1)
+    for j, shift in enumerate(shifts):
+        limb = (x >> shift) & ((1 << width) - 1)
+        np.matmul(c, np.ascontiguousarray(limb.T, dtype=np.float64), out=f)
+        if not j and scale * (hi >> shift) < limit:
+            np.copyto(e, f, casting="unsafe")
+            _reduce(e, p, f.reshape(-1).view(e.dtype)[:e.size].reshape(e.shape))
+            continue
+        np.copyto(fi.reshape(-1), f.reshape(-1), casting="unsafe")  # in place, one pass
+        if j:
+            e *= (1 << width) % p
+            fi += e
+        _mod(fi, p, out=e)
+    return e
+
+
+def _forward(a: np.ndarray, p: int, keep_rows: bool):
+    """Forward elimination of a stack in its layout, column by column: a is
+    (n, m, N), column-major with the stack index innermost, [c, :, i]
+    column c of matrix i, of stack_dtype(p) with |entries| < p, and is
+    overwritten.  Returns the rank of each matrix and, when keep_rows, the
+    (n, n, N) int64 array whose [c, :, i] is the pivot row of column c of
+    matrix i mod p.  Where c has no pivot, its diagonal entry [c, c, i] is
+    0 and the rest of the row is arbitrary: _stack_kernels scales each kept
+    row by the inverse of its diagonal, which is 0 for 0.
+
+    The column being eliminated is the contiguous (m, N) slab a[0], the
+    pivot rows are gathered into one contiguous (n - c - 1, N) array, and
+    the update runs over the contiguous a[1:], each of its numpy loops
+    along the N matrices.  Each step drops its column, so `a` holds the
+    columns not yet eliminated.  Each matrix picks its own pivot among the
+    rows it has not used yet and clears that column from its other rows
+    with the inverse-free update row <- pivot*row - a_ic*pivot_row, where
+    a_ic is taken as 0 in the rows it has used; a matrix without a pivot
+    in the column keeps its rows.  Scaling a row by a unit keeps the rank
+    and the row space.  Each step writes its product a_ic*pivot_row and its
+    reductions into one scratch array of a's size, allocated once.
 
     The steps are ring operations on integers, so only the pivot column is
     reduced, to test pivots, until the next update could overflow.  Every
-    reduction is _mod, which leaves residues in [0, p), so |entry| <= p-1
-    holds again after it.  With pivot and a_ic in [0, p) and |entries| <= B,
-    an update leaves them at most 2(p-1)B in absolute value, so `a` is
-    reduced again once 2(p-1)B reaches the limit of its dtype.  The dtype
-    depends on p alone: the narrowest of _STACK_DTYPES in which one update
-    of residues fits, 2(p-1)^2 below its limit: int8 (limit 2^7) for
-    p <= 7, int16 (2^15) for p <= 127, int32 (2^31) for p <= 32749 and
-    int64 (2^63) otherwise, where 2(p-1)^2 < 2^63 for p < 2^31.
+    reduction leaves residues in [0, p), so |entry| <= p-1 holds again
+    after it.  With pivot and a_ic in [0, p) and |entries| <= B, an update
+    leaves them at most 2(p-1)B in absolute value, so `a` is reduced again
+    once 2(p-1)B reaches the limit of its dtype.  The dtype depends on p
+    alone (stack_dtype): int8 (limit 2^7) for p <= 7, int16 (2^15) for
+    p <= 127, int32 (2^31) for p <= 32749 and int64 (2^63) otherwise,
+    where 2(p-1)^2 < 2^63 for p < 2^31.
     """
-    count, m, ncols = a.shape
-    dtype = next(t for t in _STACK_DTYPES if 2 * (p - 1) ** 2 < 1 << (np.iinfo(t).bits - 1))
-    limit = 1 << (np.iinfo(dtype).bits - 1)
-    a = np.array(a.transpose(2, 1, 0), dtype=dtype, order="C")
+    ncols, m, count = a.shape
+    limit = 1 << (8 * a.itemsize - 1)
     if m == 0:  # no rows: rank 0, no pivots
-        a = np.zeros((ncols, 1, count), dtype=dtype)
+        a = np.zeros((ncols, 1, count), dtype=a.dtype)
         m = 1
+    work = np.empty_like(a)  # the last slab takes the pivot column's quotient
     mats = np.arange(count)
     used = np.zeros((m, count), dtype=bool)
     rows = np.zeros((ncols, ncols, count), dtype=np.int64) if keep_rows else None
     bound = p - 1  # on |entry| of a
     for c in range(ncols):
-        col = _mod(a[0], p)
+        col = _reduce(a[0], p, work[-1])
         col[used] = 0
         piv = (col != 0).argmax(axis=0)
         pivot = col[piv, mats]
@@ -703,25 +788,50 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
             rows[c, c + 1:] = _mod(prow, p)
         col[piv, mats] = 0
         a *= pivot + ~found  # a matrix without a pivot keeps its rows
-        a -= col * prow[:, None]
+        a -= np.multiply(col, prow[:, None], out=work[:len(a)])
         bound *= 2 * (p - 1)
         if 2 * (p - 1) * bound >= limit:  # the next update could overflow
-            a = _mod(a, p)
+            _reduce(a, p, work[:len(a)])
             bound = p - 1
         used[piv, mats] |= found
     return used.sum(axis=0), rows
+
+
+def _in_layout(a: np.ndarray, p: int) -> bool:
+    """Whether the (N, m, n) stack a is a view of _forward's layout."""
+    t = a.transpose(2, 1, 0)
+    return t.dtype == stack_dtype(p) and t.flags.c_contiguous
+
+
+def _relaid(a: np.ndarray, p: int) -> np.ndarray:
+    """A copy of the (N, m, n) residues a, as a view of _forward's layout."""
+    return np.array(a.transpose(2, 1, 0), dtype=stack_dtype(p), order="C").transpose(2, 1, 0)
+
+
+def _laid_out(a: np.ndarray, p: int) -> np.ndarray:
+    """The (n, m, N) layout of _forward for the (N, m, n) residues a: a's
+    own memory when a is a view of it, as evaluate_modp writes it, and
+    otherwise a copy."""
+    return (a if _in_layout(a, p) else _relaid(a, p)).transpose(2, 1, 0)
+
+
+def _stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
+    """modp_ranks of an (N, m, n) stack of residues, which it may
+    overwrite: one at a time by _rref when m n > ECHELON_CELLS, and
+    otherwise all at once by _forward on the side with fewer columns."""
+    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
+        return np.array([_rref(np.ascontiguousarray(x, dtype=np.int64), p)[1].size
+                         for x in a], dtype=np.int64)
+    if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
+        a = a.transpose(0, 2, 1)
+    return _forward(_laid_out(a, p), p, keep_rows=False)[0]
 
 
 def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p of each matrix in an (N, m, n) stack: one at a time by
     _rref when m n > ECHELON_CELLS, and otherwise all at once by the
     forward elimination of _forward on the side with fewer columns."""
-    a = _reduced(stack, p)
-    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
-        return np.array([_rref(x, p)[1].size for x in a], dtype=np.int64)
-    if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
-        a = a.transpose(0, 2, 1)
-    return _forward(a, p, keep_rows=False)[0]
+    return _stack_ranks(_reduced(stack, p), p)
 
 
 def _kernel_of(a: np.ndarray, p: int) -> np.ndarray:
@@ -729,6 +839,22 @@ def _kernel_of(a: np.ndarray, p: int) -> np.ndarray:
     rows, piv = _rref(a, p)
     free = np.delete(np.arange(a.shape[1]), piv)
     return _kernel_basis(rows[:, free], piv, free, a.shape[1], p)
+
+
+def _stack_kernels(a: np.ndarray, p: int) -> list[np.ndarray]:
+    """modp_kernel of an (N, m, n) stack of residues, which it may
+    overwrite."""
+    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
+        return [_kernel_of(np.ascontiguousarray(x, dtype=np.int64), p) for x in a]
+    _, u = _forward(_laid_out(a, p), p, keep_rows=True)
+    n = a.shape[2]
+    diag = np.arange(n)
+    u = _mod(u * _inverse_mod(u[diag, diag], p)[:, None], p)
+    for c in range(n - 1, 0, -1):
+        u[:c, c:] = _mod(u[:c, c:] - u[:c, c, None] * u[c, None, c:], p)
+    # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
+    ker = _mod(np.eye(n, dtype=np.int64)[:, :, None] - u, p).transpose(2, 1, 0)
+    return [k[d == 0] for k, d in zip(ker, u[diag, diag].T)]
 
 
 def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
@@ -744,18 +870,20 @@ def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
     back substitution keeps _forward's layout, the stack innermost,
     (n, n, N).
     """
-    a = _reduced(stack, p)
-    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
-        return [_kernel_of(x, p) for x in a]
-    _, u = _forward(a, p, keep_rows=True)
-    n = a.shape[2]
-    diag = np.arange(n)
-    u = _mod(u * _inverse_mod(u[diag, diag], p)[:, None], p)
-    for c in range(n - 1, 0, -1):
-        u[:c, c:] = _mod(u[:c, c:] - u[:c, c, None] * u[c, None, c:], p)
-    # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
-    ker = _mod(np.eye(n, dtype=np.int64)[:, :, None] - u, p).transpose(2, 1, 0)
-    return [k[d == 0] for k, d in zip(ker, u[diag, diag].T)]
+    return _stack_kernels(_reduced(stack, p), p)
+
+
+def _kernel_pairs(a: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(Ker A, Ker A^T), as modp_kernel gives them, for each matrix A of an
+    (N, m, n) stack of residues, which it may overwrite.  A side whose
+    layout a is a view of is eliminated in a's memory, so the other side,
+    A when A^T is laid out and else A^T, is copied first."""
+    at = a.transpose(0, 2, 1)
+    if _in_layout(at, p):
+        a = _relaid(a, p)
+    else:
+        at = _relaid(at, p)
+    return list(zip(_stack_kernels(a, p), _stack_kernels(at, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import coef_dtype, max_abs, modp_matmul
+from .linalg import coef_dtype, max_abs, stack_buffers, stack_layout, stack_product
 from .modules import (
     RealizedModule,
     clifford_unit,
@@ -301,20 +301,36 @@ class Pencil:
 
     def coeff_array_modp(self, p: int) -> np.ndarray:
         """The (s, c, b) coefficients mod p, centred into |num| <= p/2, as the
-        float64 operand of evaluate_modp."""
+        float64 operand of evaluate_modp: a view of the cells of its stack
+        layout by variables, laid out once per prime."""
         if self.denom % p == 0:
             raise ValueError(f"prime {p} divides the cleared denominator")
-        a = np.zeros((self.nvars, self.target_dim, self.source_dim))
+        shape, axes = stack_layout(self.target_dim, self.source_dim, self.nvars)
+        a = np.zeros(shape).transpose(axes)
         idx = np.array([e[:3] for e in self.coeffs], dtype=np.int64).reshape(-1, 3)
         a[idx[:, 0], idx[:, 1], idx[:, 2]] = [(e[3] + p // 2) % p - p // 2 for e in self.coeffs]
         return a
 
-    def evaluate_modp(self, x: Sequence, stacked: np.ndarray, p: int) -> np.ndarray:
-        """sum x_i A_i mod p at one point (s,) or at each row of an (N, s) batch."""
+    def evaluate_modp(self, x: Sequence, stacked: np.ndarray, p: int,
+                      buffers: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+        """sum x_i A_i mod p at one point (s,) or at each row of an (N, s)
+        batch, as a (c, b) or (N, c, b) view of one stack written in the
+        stacked loop's layout (linalg.stack_layout), in stack_dtype(p), by one
+        linalg.stack_product of the cells of `stacked`, coeff_array_modp(p),
+        with the points.  `buffers` are linalg.stack_buffers of at least
+        N c b cells, which the stack overwrites; without them it gets its
+        own."""
         xv = np.asarray(x, dtype=np.int64)
-        out = modp_matmul(xv.reshape(-1, self.nvars),
-                          stacked.reshape(self.nvars, -1), p)
-        return out.reshape(xv.shape[:-1] + (self.target_dim, self.source_dim))
+        pts = xv.reshape(-1, self.nvars)
+        shape, axes = stack_layout(self.target_dim, self.source_dim, len(pts))
+        rows, cells = shape[0] * shape[1], prod(shape)
+        f, e = stack_buffers(cells, p) if buffers is None else buffers
+        # a view when `stacked` is coeff_array_modp's
+        by_vars = stacked.transpose(np.argsort(axes)).reshape(rows, self.nvars)
+        laid = stack_product(by_vars, pts, p, f[:cells].reshape(rows, len(pts)),
+                             e[:cells].reshape(rows, len(pts)))
+        out = laid.reshape(shape).transpose(axes)
+        return out.reshape(xv.shape[:-1] + out.shape[1:])
 
 
 def describes(spec: Optional[BuildSpec], p: Pencil) -> bool:

@@ -27,7 +27,7 @@ from crpencils.analysis import (
 )
 from crpencils import analysis, linalg
 from crpencils.catalog import fixture_parse
-from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, modp_rank
+from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, modp_kernel, modp_rank
 from crpencils.modules import orthogonal_form
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
@@ -105,9 +105,12 @@ def test_ranks_at_matches_per_point_rank():
 @st.composite
 def _raw_pencils(draw):
     """(p, a Pencil built directly, points in [0, p)): numerators small,
-    near p/2 or above 2^40, which forces the limb split at DEFAULT_PRIME."""
-    p = draw(st.sampled_from((5, 7, DEFAULT_PRIME)))
-    s, c, b = (draw(st.integers(1, k)) for k in (4, 7, 7))
+    near p/2 or above 2^40, which forces the limb split at DEFAULT_PRIME.
+    7/11, 127/131 and 32749/32771 sit on either side of each switch of
+    linalg.stack_dtype; past four variables the products at 127 and 32749
+    leave int16 and int32 before they are reduced."""
+    p = draw(st.sampled_from((5, 7, 11, 127, 131, 32749, 32771, DEFAULT_PRIME)))
+    s, c, b = (draw(st.integers(1, k)) for k in (6, 7, 7))
     num = st.one_of(st.integers(-3, 3), st.integers(p // 2 - 2, p // 2 + 2),
                     st.integers(2 ** 40, 2 ** 42), st.integers(-2 ** 42, -2 ** 40))
     cells = st.tuples(st.integers(0, s - 1), st.integers(0, c - 1), st.integers(0, b - 1))
@@ -167,7 +170,7 @@ def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stack
     assert ranks_at(pencil, points, DEFAULT_PRIME) == [min(shape)] * 3
     assert (len(forward_shapes), len(echelon_rows)) == (stacks, echelons)
     if stacks:  # ranked on the side with fewer columns
-        assert forward_shapes == [(3, shape[1], shape[0])]
+        assert forward_shapes == [(shape[0], shape[1], 3)]
     # the kernels of rnd take the same route: A and its transpose apart
     forward_shapes.clear()
     echelon_rows.clear()
@@ -175,6 +178,51 @@ def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stack
                                      pencil.coeff_array_modp(DEFAULT_PRIME)))
     assert [(len(k), len(c)) for k, c in kernels] == [(shape[1] - shape[0], 0)] * 3
     assert (len(forward_shapes), len(echelon_rows)) == (2 * stacks, 2 * echelons)
+
+
+@given(_raw_pencils(), st.sampled_from((analysis.STACK_CELLS, 100, 1)),
+       st.sampled_from((linalg.ECHELON_CELLS, 16)))
+@settings(max_examples=100, deadline=None)
+def test_stacked_kernels_match_per_point_kernels(case, stack_cells, echelon_cells):
+    # each stack is eliminated from evaluate_modp's layout, A and A^T, in
+    # every stack dtype and on both sides of the stacked loop's orientation
+    p, pencil, points = case
+    want = []
+    for x in points:
+        a = mat_mod(pencil.evaluate(x), p)
+        want.append((modp_kernel(a[None], p)[0].tolist(), modp_kernel(a.T[None], p)[0].tolist()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "STACK_CELLS", stack_cells)
+        mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
+        got = list(analysis._kernels(pencil, points, p, pencil.coeff_array_modp(p)))
+    assert [(k.tolist(), c.tolist()) for k, c in got] == want
+
+
+@pytest.mark.parametrize("params, prime, count, per_cell", [
+    # float64 product, int8 stack and _forward's scratch: 10 bytes a cell;
+    # 18.3 before evaluate_modp wrote the stack's layout into reused buffers
+    ({"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6}, 7, 668, 12),
+    # the same at int64: 24 bytes a cell; 33.0 before
+    ({"kind": "adjoint", "a": 8}, DEFAULT_PRIME, 37, 28),
+])
+def test_ranks_at_holds_one_stack_of_buffers(params, prime, count, per_cell):
+    import tracemalloc
+
+    from crpencils.catalog import build_from_params
+
+    pencil = build_from_params(params)
+    cells = count * pencil.target_dim * pencil.source_dim
+    assert cells <= analysis.STACK_CELLS < cells + pencil.target_dim * pencil.source_dim
+    points = random_points(random.Random(1), count, pencil.nvars, prime)
+    stacked = pencil.coeff_array_modp(prime)
+    tracemalloc.start()
+    try:
+        ranks = ranks_at(pencil, points, prime, stacked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranks) == count
+    assert peak < per_cell * cells, peak / cells
 
 
 @pytest.mark.parametrize("prime", [9, 15, 1, 46337 * 46327])

@@ -271,6 +271,38 @@ def test_one_reduction_products_match_python_ints(p, k, m, n, fill, seed):
         assert got.dtype == np.int64 and got.tolist() == expect
 
 
+_STACK_PRIMES = (3, 7, 11, 127, 131, 32749, 32771, DEFAULT_PRIME)
+
+
+@given(st.sampled_from(_STACK_PRIMES), st.integers(0, 6), st.integers(1, 5), st.integers(0, 5),
+       st.sampled_from((3, 2 ** 20, 2 ** 50)), st.sampled_from((0, 2 ** 40)),
+       st.integers(0, 2 ** 32))
+@example(p=127, r=3, k=5, n=4, top=2 ** 20, below=0, seed=0)  # past int16: read as int64
+@example(p=7, r=2, k=5, n=2, top=2 ** 50, below=2 ** 40, seed=1)  # int8, limbs of one bit
+@settings(max_examples=150, deadline=None)
+def test_stack_product_matches_python_ints(p, r, k, n, top, below, seed):
+    # c @ x^T mod p into a stack_dtype(p) array, through f alone: one
+    # product, the int64 reading of a product past the stack's dtype, and
+    # Horner's rule over limbs of x; x also below 0 or past p
+    rng = random.Random(seed)
+    c = [[rng.randint(-top, top) for _ in range(k)] for _ in range(r)]
+    x = [[rng.randint(-below, p - 1 + below) for _ in range(k)] for _ in range(n)]
+    want = [[sum(ci * xi for ci, xi in zip(row, pt)) % p for pt in x] for row in c]
+    f, e = linalg.stack_buffers(r * n, p)
+    e = e.reshape(r, n)
+    got = linalg.stack_product(np.array(c, dtype=np.float64).reshape(r, k),
+                               np.array(x, dtype=np.int64).reshape(n, k), p, f.reshape(r, n), e)
+    assert got is e and e.dtype == linalg.stack_dtype(p)
+    assert got.tolist() == want
+
+
+def test_stack_product_refuses_coefficients_past_exact_products():
+    f, e = linalg.stack_buffers(1, 7)
+    with pytest.raises(ValueError, match="exact float64"):
+        linalg.stack_product(np.full((1, 2), 2.0 ** 52), np.ones((1, 2), dtype=np.int64), 7,
+                             f.reshape(1, 1), e.reshape(1, 1))
+
+
 @given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 90), st.integers(1, 40),
        st.integers(0, 40), st.integers(0, 2 ** 32))
 @example(p=3, nrows=0, ncols=5, rank=0, seed=0)
