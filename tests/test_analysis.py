@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -26,7 +27,7 @@ from crpencils.analysis import (
     theta_rank_formula,
 )
 from crpencils import analysis, linalg
-from crpencils.catalog import fixture_parse
+from crpencils.catalog import build_from_params, fixture_parse
 from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, modp_kernel, modp_rank
 from crpencils.modules import orthogonal_form
 from crpencils.partitions import gl_dim, pieri_add
@@ -206,10 +207,6 @@ def test_stacked_kernels_match_per_point_kernels(case, stack_cells, echelon_cell
     ({"kind": "adjoint", "a": 8}, DEFAULT_PRIME, 37, 28),
 ])
 def test_ranks_at_holds_one_stack_of_buffers(params, prime, count, per_cell):
-    import tracemalloc
-
-    from crpencils.catalog import build_from_params
-
     pencil = build_from_params(params)
     cells = count * pencil.target_dim * pencil.source_dim
     assert cells <= analysis.STACK_CELLS < cells + pencil.target_dim * pencil.source_dim
