@@ -9,34 +9,32 @@ hold them in the narrower stack_dtype(p)); the F_p entry points read
 them through _reduced, which reduces Python ints of any size exactly and
 refuses what an int64 cast would truncate.  _mod is the one reduction of
 an integer array, x - (x // p) p, which numpy runs on libdivide.
-modp_matmul is the one product mod p of two matrices, exact on float64
-BLAS; stack_product is the one of a pencil's coefficients with a block of
-points, written into a stack's buffers.  The
-eliminations call modp_matmul's core _product, which takes residues and picks its
-path from the inner dimension k and p alone, without scanning them: one
-product while k (p-1)^2 < 2^53, two limbs of b while k (p-1) (2^16 - 1)
-< 2^53, four limbs otherwise.  It returns (minus - a b) mod p, or a b
-mod p, with one final reduction, so an elimination step that subtracts a
-product reduces once.
+modp_matmul is the one product mod p of two integer matrices, the core
+_product of their residues; stack_product is the one of a pencil's
+coefficients with a block of points, written into a stack's buffers.
+_product picks its path from the inner dimension k and p alone, without
+scanning its operands: one float64 BLAS product while k (p-1)^2 < 2^53,
+two limbs of b while k (p-1) (2^16 - 1) < 2^53, four limbs otherwise.  It
+returns (minus - a b) mod p, or a b mod p, with one final reduction, so an
+elimination step that subtracts a product reduces once.
 
-Over F_p there are two eliminations, and _eliminate is the kernel of
-every matrix that is not in a stack of small ones.  modp_ranks and
-modp_kernel take an (N, m, n) stack and choose by matrix size: a matrix of
-more than ECHELON_CELLS cells is eliminated alone by _eliminate, smaller
-ones together by the stacked loop.
-  - the stacked forward loop (_forward): one vectorized pass over a stack
-    of small matrices in one layout, column-major with the stack
-    innermost, (n, m, N), so that each step reads one contiguous slab and
-    each numpy loop of its update runs along the N matrices of the stack
-    rather than the m rows of one matrix.  The exhaustive runs rank
-    hundreds of 14x14 matrices per stack, where a run of 14 entries cost
-    more in loop overhead than in arithmetic.  Its entries are those of
-    stack_dtype(p), the narrowest of int8, int16, int32 and int64 that
-    holds one update of residues, 2(p-1)^2 (int8 for p <= 7, int16 for
-    p <= 127, int32 for p <= 32749), so the small primes of exhaustive
-    runs move an eighth to a half of the bytes of int64.  It eliminates
-    the stack in place, reducing only when the next step could overflow,
-    and writes each step's product and reduction into one scratch array.
+Over F_p there are two eliminations, each with its own jobs.
+  - the stacked forward loop (_forward) gives every kernel (modp_kernel),
+    with a stacked back substitution, and the rank of every matrix of at
+    most ECHELON_CELLS cells (modp_ranks of a stack, modp_rank of one
+    matrix).  It makes one vectorized pass over a stack in one layout,
+    column-major with the stack innermost, (n, m, N), so that each step
+    reads one contiguous slab and each numpy loop of its update runs
+    along the N matrices of the stack rather than the m rows of one
+    matrix.  The exhaustive runs rank hundreds of 14x14 matrices per
+    stack, where a run of 14 entries cost more in loop overhead than in
+    arithmetic.  Its entries are those of stack_dtype(p), the narrowest
+    of int8, int16, int32 and int64 that holds one update of residues,
+    2(p-1)^2 (int8 for p <= 7, int16 for p <= 127, int32 for
+    p <= 32749), so the small primes of exhaustive runs move an eighth to
+    a half of the bytes of int64.  It eliminates the stack in place,
+    reducing only when the next step could overflow, and writes each
+    step's product and reduction into one scratch array.
     Pencil.evaluate_modp writes each evaluated stack in this layout, on
     the side with fewer columns, reduced once by stack_product into
     buffers that analysis allocates once per call (stack_buffers) and
@@ -46,8 +44,8 @@ ones together by the stacked loop.
   - recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.  A matrix met
     once is eliminated by it directly, its rows then sorted by pivot
-    (_rref): each prime of the qq_rref lift, modp_rank, modp_rref and so
-    Subspace, and the large matrices of modp_ranks and modp_kernel.
+    (_rref): each prime of the qq_rref lift, modp_rref and so Subspace,
+    and the rank of every matrix of more than ECHELON_CELLS cells.
     ModpEchelon serves the one growing system, the neutral-direction
     constraints: it keeps the free-column block of the RREF and inserts
     rows in blocks of ECHELON_BLOCK, each reduced by the pivots added
@@ -351,10 +349,10 @@ _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
 ECHELON_BLOCK = 64  # rows eliminated, and cleared from X, per step of ModpEchelon
 _KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-row cells at once
 
-# modp_ranks and modp_kernel eliminate a matrix of more than ECHELON_CELLS
-# cells alone, by _rref.  Per matrix at DEFAULT_PRIME, full 2^17-cell
-# stacks against _rref (2-CPU VM, numpy 2.4, minimum of interleaved
-# repeats):                                     stacked  _rref
+# modp_ranks and modp_rank rank a matrix of more than ECHELON_CELLS cells
+# alone, by _rref, and smaller ones together, by _forward.  Per matrix at
+# DEFAULT_PRIME, full 2^17-cell stacks against _rref (2-CPU VM, numpy 2.4,
+# minimum of interleaved repeats):              stacked  _rref
 #   64x64, random                               0.65 ms  1.2 ms
 #   105x81, the SO m=5 hook pencil              1.9 ms   1.9 ms
 #   100x100, random                             2.5 ms   2.6 ms
@@ -366,25 +364,9 @@ ECHELON_CELLS = 10_000
 
 
 def modp_matmul(a, b, p: int) -> np.ndarray:
-    """a @ b mod p, in [0, p) as int64, of integer-valued int64 or float64
-    matrices, exact on float64 BLAS.
-
-    One product is exact when k max|a| max|b| < 2^53 (k the inner
-    dimension), as every partial sum is then an integer below 2^53, and it
-    is reduced once.  Otherwise an operand whose extremes leave [0, p) is
-    reduced, and _product takes the residues.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    (alo, ahi), (blo, bhi) = ((int(x.min(initial=0)), int(x.max(initial=0))) for x in (a, b))
-    if a.shape[1] * max(ahi, -alo) * max(bhi, -blo) < 1 << 53:
-        return _mod(_blas(a, b), p)
-    return _product(_residues(a, alo, ahi, p), _residues(b, blo, bhi, p), p)
-
-
-def _residues(x: np.ndarray, lo: int, hi: int, p: int) -> np.ndarray:
-    """x in [0, p) as int64, reduced only when its extremes leave it."""
-    x = x.astype(np.int64, copy=False)
-    return x if 0 <= lo and hi < p else _mod(x, p)
+    """a @ b mod p, in [0, p) as int64, of integer matrices: _product of
+    their residues."""
+    return _product(_reduced(a, p), _reduced(b, p), p)
 
 
 def _blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -641,15 +623,22 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], pivots[order]
 
 
+def _matrix(rows, p: int) -> np.ndarray:
+    """_reduced of one matrix, reading [] as the 0 x 0 matrix."""
+    a = _reduced(rows, p)
+    return a.reshape(0, 0) if a.shape == (0,) else a
+
+
 def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
-    rows, pivots = _rref(_reduced(a, p), p)
+    rows, pivots = _rref(_matrix(a, p), p)
     return rows, pivots.tolist()
 
 
 def modp_rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p of one matrix."""
-    return _rref(_reduced(a, p), p)[1].size
+    """Rank mod p of one matrix, as modp_ranks ranks it: by _rref above
+    ECHELON_CELLS cells and by _forward otherwise; [] is the 0 x 0 matrix."""
+    return int(_stack_ranks(_matrix(a, p)[None], p)[0])
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -834,18 +823,12 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     return _stack_ranks(_reduced(stack, p), p)
 
 
-def _kernel_of(a: np.ndarray, p: int) -> np.ndarray:
-    """modp_kernel of one matrix of residues, from its _rref."""
-    rows, piv = _rref(a, p)
-    free = np.delete(np.arange(a.shape[1]), piv)
-    return _kernel_basis(rows[:, free], piv, free, a.shape[1], p)
-
-
 def _stack_kernels(a: np.ndarray, p: int) -> list[np.ndarray]:
     """modp_kernel of an (N, m, n) stack of residues, which it may
-    overwrite."""
-    if a.shape[1] * a.shape[2] > ECHELON_CELLS:
-        return [_kernel_of(np.ascontiguousarray(x, dtype=np.int64), p) for x in a]
+    overwrite: _forward keeps the pivot row of each column, and a stacked
+    back substitution in the same layout, (n, n, N), scales each to a
+    leading 1 and clears its column from the rows above, which leaves R
+    in the pivot rows."""
     _, u = _forward(_laid_out(a, p), p, keep_rows=True)
     n = a.shape[2]
     diag = np.arange(n)
@@ -860,15 +843,8 @@ def _stack_kernels(a: np.ndarray, p: int) -> list[np.ndarray]:
 def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
     """Right kernel basis mod p of each matrix in an (N, m, n) stack, as
     rows of an int64 array: the row e_f - sum_r R[r, f] e_pivot(r) for
-    each free column f of the RREF R.
-
-    When m n > ECHELON_CELLS each matrix is eliminated alone by _rref, on
-    BLAS products.  Otherwise the stack gives the same
-    bases at once: _forward keeps the pivot row of each column, and a
-    stacked back substitution scales each to a leading 1 and clears its
-    column from the rows above, which leaves R in the pivot rows.  The
-    back substitution keeps _forward's layout, the stack innermost,
-    (n, n, N).
+    each free column f of the RREF R.  Every stack, whatever the size of
+    its matrices, goes through _stack_kernels.
     """
     return _stack_kernels(_reduced(stack, p), p)
 
@@ -906,8 +882,7 @@ class Subspace:
         vecs = vectors if isinstance(vectors, np.ndarray) else list(vectors)
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length does not match ambient_dim")
-        rref = modp_rref(vecs, p)[0].tolist() if len(vecs) else []
-        return Subspace(ambient_dim, tuple(map(tuple, rref)), p)
+        return Subspace(ambient_dim, tuple(map(tuple, modp_rref(vecs, p)[0].tolist())), p)
 
     @property
     def dim(self) -> int:

@@ -697,33 +697,18 @@ def _spin_equivariance(n: int) -> list[EquivarianceData]:
 
 
 def _sl_ad(Y: Sequence[Sequence], a: int) -> IntMatrix:
-    """ad_Y on sl_a in the sl_basis coordinates, in integers: the bracket
-    of each entry of Y with each entry of a basis element is
-    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj.  An off-diagonal E_il is
-    its own coordinate; the coordinate of a traceless matrix on H_k is
-    d_k = sum_{l<=k} m_ll, so a diagonal E_ll adds to each H_k with k >= l."""
-    def sparse(X):
-        return {(i, j): x for i, row in enumerate(X) for j, x in enumerate(row) if x}
-
-    off = [(i, j) for i in range(a) for j in range(a) if i != j]  # sl_basis order
-    index = {ij: n for n, ij in enumerate(off)}
-    y = sparse(Y)
-    entries: dict[tuple[int, int], int] = {}
-
-    def add(r: int, c: int, col: int, v: int) -> None:
-        rows = (index[r, c],) if r != c else range(len(off) + r, len(off) + a - 1)
-        for n in rows:
-            entries[n, col] = entries.get((n, col), 0) + v
-
-    for col, X in enumerate(sl_basis(a)):
-        X = sparse(X)
-        for (i, j), u in y.items():
-            for (k, l), x in X.items():
-                if j == k:
-                    add(i, l, col, u * x)
-                if l == i:
-                    add(k, j, col, -u * x)
-    return IntMatrix.from_entries(len(off) + a - 1, entries)
+    """ad_Y on sl_a in the sl_basis coordinates, in integers: column j is
+    the commutator Y X - X Y of the j-th basis element X.  An off-diagonal
+    entry is its own coordinate, in sl_basis order; the coordinate of a
+    traceless matrix M on H_k is sum_{l<=k} M_ll."""
+    y = np.array(Y, dtype=np.int64)
+    off = ~np.eye(a, dtype=bool)
+    cols = []
+    for X in sl_basis(a):
+        x = np.array(X, dtype=np.int64)
+        m = y @ x - x @ y
+        cols.append(np.concatenate([m[off], np.cumsum(m.diagonal())[:-1]]))
+    return IntMatrix.from_dense(np.array(cols).T.tolist())
 
 
 def _adjoint_equivariance(a: int) -> list[EquivarianceData]:

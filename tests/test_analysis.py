@@ -172,13 +172,38 @@ def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stack
     assert (len(forward_shapes), len(echelon_rows)) == (stacks, echelons)
     if stacks:  # ranked on the side with fewer columns
         assert forward_shapes == [(shape[0], shape[1], 3)]
-    # the kernels of rnd take the same route: A and its transpose apart
+    # modp_rank of one such matrix takes the same route: one stack or one _rref
+    forward_shapes.clear()
+    echelon_rows.clear()
+    assert modp_rank(np.eye(*shape, dtype=np.int64), DEFAULT_PRIME) == min(shape)
+    assert (len(forward_shapes), len(echelon_rows)) == (stacks, 1 - stacks)
+    if stacks:
+        assert forward_shapes == [(shape[0], shape[1], 1)]
+    # the kernels of rnd take the stacked loop on both sides of the bound:
+    # A and its transpose apart, one stack each
     forward_shapes.clear()
     echelon_rows.clear()
     kernels = list(analysis._kernels(pencil, points, DEFAULT_PRIME,
                                      pencil.coeff_array_modp(DEFAULT_PRIME)))
     assert [(len(k), len(c)) for k, c in kernels] == [(shape[1] - shape[0], 0)] * 3
-    assert (len(forward_shapes), len(echelon_rows)) == (2 * stacks, 2 * echelons)
+    assert (len(forward_shapes), len(echelon_rows)) == (2, 0)
+
+
+def test_kernels_above_the_single_matrix_bound_match_the_echelon():
+    # the Koszul pencil L^3 -> L^4 of C^9 is 126x84 = 10,584 cells, above
+    # linalg.ECHELON_CELLS; its kernels still come from the stacked loop
+    pencil = build_koszul_pencil(3, 9)
+    assert pencil.target_dim * pencil.source_dim > linalg.ECHELON_CELLS
+    rng = random.Random(5)
+    for p in (3, DEFAULT_PRIME):
+        points = [[0] * 8 + [1]] + random_points(rng, 3, 9, p).tolist()
+        got = analysis._kernels(pencil, points, p, pencil.coeff_array_modp(p))
+        for x, (ker, coker) in zip(points, got, strict=True):
+            a = mat_mod(pencil.evaluate(x), p)
+            for mine, m in ((ker, a), (coker, a.T)):
+                ech = EchelonOracle(m.shape[1], p)
+                ech.add(m)
+                assert mine.tolist() == ech.kernel().tolist()
 
 
 @given(_raw_pencils(), st.sampled_from((analysis.STACK_CELLS, 100, 1)),

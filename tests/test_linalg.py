@@ -308,8 +308,9 @@ def test_stack_product_refuses_coefficients_past_exact_products():
 @example(p=3, nrows=0, ncols=5, rank=0, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_one_shot_eliminations_match_the_echelon(p, nrows, ncols, rank, seed):
-    # modp_rank, modp_rref and the large route of modp_kernel eliminate the
-    # matrix at once, without the echelon the growing systems use
+    # modp_rank, modp_rref and the large route of modp_ranks eliminate the
+    # matrix at once, without the echelon the growing systems use; kernels
+    # take the stacked loop whatever the bound
     rng = random.Random(seed)
     a = _tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols))
     ech = EchelonOracle(ncols, p)
@@ -503,8 +504,8 @@ def _echelon_kernel(a, p):
 @example(p=32771, m=9, n=9, ranks=[9, 8, 0], seed=3)
 @settings(max_examples=150, deadline=None)
 def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
-    # N matrices of mixed rank from 0 to min(m, n), wide or tall, on the
-    # stacked route and, with the bound at 0, on the echelon route
+    # N matrices of mixed rank from 0 to min(m, n), wide or tall: kernels on
+    # the stacked route, ranks on it and, with the bound at 0, on _rref
     rng = random.Random(seed)
     stack = np.array([_tall_rank_deficient(p, rng, m, n, min(r, m, n)) for r in ranks],
                      dtype=np.int64).reshape(len(ranks), m, n)
@@ -655,6 +656,15 @@ def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
             call()
     with pytest.raises(TypeError):
         EchelonOracle(2, p).add(np.array([[0.9, 0.2]]))
+
+
+def test_fp_eliminations_read_the_empty_list_as_the_empty_matrix():
+    # [] raised numpy's AxisError on the F_p side, while qq_rank([]) is 0
+    p = 7
+    assert modp_rank([], p) == qq_rank([]) == 0
+    rows, pivots = modp_rref([], p)
+    assert (rows.shape, pivots) == ((0, 0), [])
+    assert Subspace.from_vectors([], 0, p).basis == ()
 
 
 def test_fp_eliminations_reduce_python_ints_past_int64():
