@@ -6,8 +6,11 @@
 Under the standard library's trace module, in one process, it runs every
 job and probe of the three plans of perfbench/jobs.py (imported read-only,
 seed 0), every catalog entry, and, for each record of
-scripts/build_examples.py, `crpencils build` and `crpencils verify` in the
-sampled, transitivity and exhaustive (prime 3) modes, output discarded.
+scripts/build_examples.py, its build and JSON file as that script writes
+them (build_from_params, dumps_pencil) and `crpencils verify` of the file
+in the sampled, transitivity and exhaustive (prime 3) modes, output
+discarded.  `crpencils build` is not among them, so the lines that only it
+runs (cli.cmd_build, cli._build_record, BuildSpec.record) are listed.
 For each file under src/ it then prints the executable lines (those that
 start a line of the compiled code) that none of them ran, as ranges.
 """
@@ -34,18 +37,6 @@ def load(path: Path):
     return module
 
 
-def build_argv(params: dict, out: str) -> list:
-    """`crpencils build` flags of a builder record: m as --N, gl's v as --n = v - 1."""
-    fields = {k: v for k, v in params.items() if k != "kind"}
-    if params["kind"] == "gl":
-        fields["n"] = fields.pop("v") - 1
-    if "m" in fields:
-        fields["N"] = fields.pop("m")
-    flags = [[f"--{k}", ",".join(map(str, v)) if isinstance(v, list) else str(v)]
-             for k, v in fields.items()]
-    return ["build", params["kind"], *sum(flags, []), "--out", out]
-
-
 def traffic() -> None:
     from crpencils import catalog, cli  # imported here, so that trace sees the import
     jobs = load(ROOT / "perfbench" / "jobs.py")
@@ -59,11 +50,11 @@ def traffic() -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         for name, params in examples:
-            path = str(Path(tmp) / f"{name}.json")
-            if cli.main(build_argv(params, path)):
-                raise SystemExit(f"crpencils build failed on {params}")
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(catalog.dumps_pencil(catalog.build_from_params(params), params),
+                            encoding="utf-8")
             for mode in (["sampled"], ["transitivity"], ["exhaustive", "--prime", "3"]):
-                cli.main(["verify", path, "--mode", *mode])
+                cli.main(["verify", str(path), "--mode", *mode])
 
 
 def executable_lines(path: Path) -> set:

@@ -28,7 +28,14 @@ from crpencils.analysis import (
 )
 from crpencils import analysis, linalg
 from crpencils.catalog import build_from_params, fixture_parse
-from crpencils.linalg import DEFAULT_PRIME, ModpEchelon, Subspace, modp_kernel, modp_rank
+from crpencils.linalg import (
+    DEFAULT_PRIME,
+    ModpEchelon,
+    Subspace,
+    modp_kernel,
+    modp_rank,
+    modp_rref,
+)
 from crpencils.modules import orthogonal_form
 from crpencils.partitions import gl_dim, pieri_add
 from crpencils.pencils import (
@@ -97,7 +104,7 @@ def test_ranks_at_matches_per_point_rank():
     points = [[rng.randrange(DEFAULT_PRIME) for _ in range(4)] for _ in range(40)]
     points += [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
     stacked = pen.coeff_array_modp(DEFAULT_PRIME)
-    want = [modp_rank(pen.evaluate_modp(x, stacked, DEFAULT_PRIME), DEFAULT_PRIME)
+    want = [len(modp_rref(pen.evaluate_modp(x, stacked, DEFAULT_PRIME), DEFAULT_PRIME)[1])
             for x in points]
     assert ranks_at(pen, points, DEFAULT_PRIME) == want
     assert ranks_at(pen, np.zeros((0, 4), dtype=np.int64), DEFAULT_PRIME) == []
@@ -132,7 +139,7 @@ def test_batched_ranks_match_per_point_ranks(case, stack_cells, echelon_cells):
     # budget), echelon_cells 0 sends every matrix to the echelon whatever
     # the stack budget, and 16 only those above 16 cells
     p, pencil, points = case
-    want = [modp_rank(mat_mod(pencil.evaluate(x), p), p) for x in points]
+    want = [len(modp_rref(mat_mod(pencil.evaluate(x), p), p)[1]) for x in points]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "STACK_CELLS", stack_cells)
         mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)

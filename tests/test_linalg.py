@@ -105,7 +105,7 @@ class TestRank:
     @given(int_matrices, st.sampled_from(PRIMES_31BIT))
     def test_rank_nullity_modp(self, m, p):
         a = mat_mod(m, p)
-        assert modp_rank(a, p) + modp_kernel(a[None], p)[0].shape[0] == a.shape[1]
+        assert len(modp_rref(a, p)[1]) + modp_kernel(a[None], p)[0].shape[0] == a.shape[1]
 
     @given(int_matrices)
     @settings(max_examples=30)
@@ -136,7 +136,7 @@ class TestBatchedRank:
     def test_matches_per_matrix_rank(self, case):
         p, mats = case
         stack = np.array(mats, dtype=np.int64)
-        assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
+        assert modp_ranks(stack, p).tolist() == [len(modp_rref(a, p)[1]) for a in stack]
 
     @given(_stacks((DEFAULT_PRIME,), 6, lambda p: st.integers(-1, 1)))
     @settings(max_examples=200)
@@ -154,13 +154,14 @@ class TestBatchedRank:
         # unreduced entries outgrow int64 after about 3 pivot steps at
         # p = 1048573 and, for these random matrices, after about 100 at
         # p = 3, so these ranks read garbage unless the kernel reduces
-        # mid-elimination
+        # mid-elimination; modp_rref, which ranks each matrix by _rref, is
+        # the reference
         rng = random.Random(seed)
         stack = np.array([_tall_rank_deficient(p, rng, n, n, r)
                           for r in (n - 2, n - 1, n)])
         with pytest.MonkeyPatch.context() as mp:  # keep 128x128 on the stacked loop
             mp.setattr(linalg, "ECHELON_CELLS", n * n)
-            assert modp_ranks(stack, p).tolist() == [modp_rank(a, p) for a in stack]
+            assert modp_ranks(stack, p).tolist() == [len(modp_rref(a, p)[1]) for a in stack]
 
 
 @given(int_matrices, st.sampled_from((3, 7, DEFAULT_PRIME)), st.booleans())
@@ -308,9 +309,10 @@ def test_stack_product_refuses_coefficients_past_exact_products():
 @example(p=3, nrows=0, ncols=5, rank=0, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_one_shot_eliminations_match_the_echelon(p, nrows, ncols, rank, seed):
-    # modp_rank, modp_rref and the large route of modp_ranks eliminate the
-    # matrix at once, without the echelon the growing systems use; kernels
-    # take the stacked loop whatever the bound
+    # modp_rref and the large route of modp_ranks eliminate the matrix at
+    # once by _rref, without the echelon the growing systems use; modp_rank
+    # takes the stacked loop at these sizes (at most 90 x 40 cells, below
+    # ECHELON_CELLS), and kernels take it whatever the bound
     rng = random.Random(seed)
     a = _tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols))
     ech = EchelonOracle(ncols, p)
