@@ -216,10 +216,14 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
                           seed: int = 0, budget: int = 10 ** 6) -> RankReport:
     """Each mode chooses the (points, class) blocks that _first_points reads
     the strata from: one nonzero random point (transitivity), P^{s-1}(F_p)
-    (exhaustive), or the trials and the structured points (sampled)."""
+    (exhaustive), or the trials and the structured points (sampled); it
+    refuses more than `budget` projective points or trials."""
     check_prime(prime)
     rng = random.Random(seed)
     s = pencil.nvars
+    npoints = trials if mode == "sampled" else (prime ** s - 1) // (prime - 1)
+    if mode != "transitivity" and npoints > budget:
+        raise ValueError(f"{npoints} projective points exceed budget {budget}")
     if mode == "transitivity":
         if pencil.spec is None or not pencil.spec.transitive:
             raise ValueError("transitivity certificate requires a GL, Sp or Koszul "
@@ -233,9 +237,6 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
         method = {"kind": "transitivity", "prime": prime, "seed": seed,
                   "equivariance": "exact"}
     elif mode == "exhaustive":
-        npoints = (prime ** s - 1) // (prime - 1)
-        if npoints > budget:
-            raise ValueError(f"{npoints} projective points exceed budget {budget}")
         blocks = ((b, "exhaustive") for b in projective_blocks(s, prime, EXHAUSTIVE_BLOCK))
         method = {"kind": "exhaustive", "prime": prime, "points": npoints}
     elif mode == "sampled":

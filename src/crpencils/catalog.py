@@ -51,10 +51,10 @@ from .partitions import (
     weyl_dim,
 )
 from .pencils import (
-    MAX_PENCIL_CELLS,
     BuildSpec,
     Pencil,
     _one_box,
+    admit,
     build_adjoint_pencil,
     build_gl_pencil,
     build_koszul_pencil,
@@ -254,16 +254,10 @@ def document_to_pencil(doc: dict) -> Pencil:
     labels = tuple(labels)
     if len(labels) != nvars or nvars < 1 or source_dim < 1 or target_dim < 1:
         raise FixtureParseError("inconsistent pencil document header")
-    if nvars * target_dim * source_dim > MAX_PENCIL_CELLS:
-        raise FixtureParseError(
-            f"pencil of {nvars} x {target_dim} x {source_dim} exceeds "
-            f"{MAX_PENCIL_CELLS} coefficient cells"
-        )
-    if nvars * nvars > MAX_PENCIL_CELLS:  # the nvars x nvars coordinate points
-        raise FixtureParseError(
-            f"pencil of {nvars} variables exceeds {MAX_PENCIL_CELLS} cells "
-            "of coordinate points"
-        )
+    try:
+        admit(nvars, source_dim, target_dim)
+    except ValueError as exc:
+        raise FixtureParseError(str(exc)) from None
     if not raw:
         return Pencil(nvars, source_dim, target_dim, (), 1, labels)
     try:
@@ -313,13 +307,10 @@ def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
 
 def build_from_params(params: dict) -> Pencil:
     """Build the pencil of a builder record; raises ValueError when the
-    record is malformed or its pencil, by its closed-form shape, would
-    exceed MAX_PENCIL_CELLS, before anything is built.  The builder is
-    looked up by name at call time."""
+    record is malformed or admit refuses its closed-form shape, before
+    anything is built.  The builder is looked up by name at call time."""
     spec = BuildSpec.from_record(params)
-    if spec.shape() is None:
-        raise ValueError(f"{spec.kind} pencil exceeds {MAX_PENCIL_CELLS} coefficient "
-                         "cells (variables x source x target)")
+    admit(*spec.shape(), spec)
     return globals()[f"build_{spec.kind}_pencil"](*spec.args)
 
 

@@ -218,41 +218,38 @@ class BuildSpec:
         variable space: GL_v on C^v (GL- and Koszul-built) and Sp_N on C^N."""
         return self.kind in ("gl", "sp", "koszul")
 
-    def shape(self) -> Optional[tuple[int, int, int]]:
+    def shape(self) -> tuple[int, int, int]:
         """(nvars, source dim, target dim) of the pencil this spec builds,
-        from closed forms, or None past MAX_PENCIL_CELLS coefficient cells;
-        ValueError where a closed form is undefined (SO m = 1, odd Sp N) or
-        the builder refuses the record (nu zero or not mu plus a box).  None
-        comes first for spin with n past the bound's bit length, a last
-        field (v, N, m, or a) past the bound, Koszul with min(k, v - k) past
-        that bit length (C(v, k) >= 2^min(k, v - k)), and gl, sp and so with
-        more boxes than the bound in a partition or n times the _dim_floor
-        of both partitions, each at least 1, past it.  A floor is 1 for the
-        trivial module and the powers of det, which the Weyl products skip,
-        and at least n for the others: so the products run at n <= 1024 on
-        one row or a power of det with a row changed, else at n <= 101."""
+        from closed forms, which admit prices.  ValueError where a closed
+        form is undefined (SO m = 1, odd Sp N), the builder refuses the
+        record (nu zero or not mu plus a box), or a guard before the closed
+        forms finds the pencil past MAX_PENCIL_CELLS coefficient cells: spin
+        n or Koszul min(k, v - k) past the bound's bit length, a last field
+        (v, N, m or a) past the bound, or for gl, sp and so a partition of
+        more boxes or n times the _dim_floor of both partitions, each at
+        least 1, past it; so the Weyl products run at n <= 1024 on one row
+        or a power of det with a row changed, else at n <= 101."""
         kind, a, cells = self.kind, self.args, MAX_PENCIL_CELLS
         bits = cells.bit_length()
-        if (a[0] > bits) if kind == "spin" else (a[-1] > cells):
-            return None
-        if kind == "koszul" and min(a[0], a[1] - a[0]) > bits:
-            return None
-        if kind in ("gl", "sp", "so"):
+        past = (a[0] > bits) if kind == "spin" else (a[-1] > cells)
+        if kind == "koszul" and not past:
+            past = min(a[0], a[1] - a[0]) > bits
+        if kind in ("gl", "sp", "so") and not past:
             n, floors = a[2], [max(_dim_floor(kind, lam, a[2]), 1) for lam in a[:2]]
-            if max(size(a[0]), size(a[1])) > cells or n * floors[0] * floors[1] > cells:
-                return None
-            _one_box(a[0], a[1], n // 2 if kind == "sp" else n)
-            dim = {"gl": gl_dim, "sp": sp_module_dim, "so": so_module_dim}[kind]
-            if not (target := dim(a[1], n)):  # so past m in two columns: mu's rows unbounded
-                raise ValueError(f"{a[1]} is out of range for SO({n})")
-            shape = n, dim(a[0], n), target
-        elif kind == "koszul":
-            shape = a[1], comb(a[1], a[0]), comb(a[1], a[0] + 1)
-        elif kind == "adjoint":
-            shape = comb(a[0], 3), a[0] ** 2 - 1, comb(a[0], 3)
-        else:  # spin: Delta+ -> Hom(W, Delta-), dim W = 2n
-            shape = 2 ** a[0] // 2, 2 * a[0], 2 ** a[0] // 2
-        return shape if prod(shape) <= cells else None
+            past = max(size(a[0]), size(a[1])) > cells or n * floors[0] * floors[1] > cells
+        if past:
+            raise ValueError(f"{kind} pencil exceeds {cells} coefficient cells "
+                             "(variables x source x target)")
+        closed = {"koszul": lambda k, v: (v, comb(v, k), comb(v, k + 1)),
+                  "adjoint": lambda d: (comb(d, 3), d * d - 1, comb(d, 3)),
+                  "spin": lambda n: (2 ** n // 2, 2 * n, 2 ** n // 2)}  # Delta+ -> Hom(W, Delta-)
+        if kind in closed:
+            return closed[kind](*a)
+        _one_box(a[0], a[1], n // 2 if kind == "sp" else n)
+        dim = {"gl": gl_dim, "sp": sp_module_dim, "so": so_module_dim}[kind]
+        if not (target := dim(a[1], n)):  # so past m in two columns: mu's rows unbounded
+            raise ValueError(f"{a[1]} is out of range for SO({n})")
+        return n, dim(a[0], n), target
 
 
 @dataclass(frozen=True)
@@ -354,19 +351,45 @@ def generator_cells(spec: BuildSpec) -> int:
     return count * d * d
 
 
+def word_terms(lam: Partition, n: int) -> int:
+    """min(n^|lam|, gl_dim(lam, n) prod r_i!) prod h_j! (r_i the rows, h_j
+    the columns) bounds every batch apply_symmetrizer forms realizing lam on
+    n letters: a row pass turns each semistandard tableau, fixed by its row
+    contents, into at most prod r_i! words distinct over all tableaux, and a
+    column pass multiplies them by at most h_j!.  Powers and factorials cut
+    at MAX_PENCIL_CELLS.bit_length() leave it exact or past the bound."""
+    top = MAX_PENCIL_CELLS.bit_length()
+    rows, cols = (prod(factorial(min(x, top)) for x in xs) for xs in (lam, conjugate(lam)))
+    return min(n ** min(size(lam), top), gl_dim(lam, n) * rows) * cols
+
+
+def admit(nvars: int, source_dim: int, target_dim: int, spec: Optional[BuildSpec] = None):
+    """The one admission rule for untrusted input, before anything is built:
+    ValueError naming the first past MAX_PENCIL_CELLS of the coefficient
+    cells, the nvars^2 cells of the coordinate points, and with a spec its
+    generator_cells and its two modules' words, word_terms times letters."""
+    cells = MAX_PENCIL_CELLS
+    if nvars * target_dim * source_dim > cells:
+        raise ValueError(f"pencil of {nvars} x {target_dim} x {source_dim} exceeds "
+                         f"{cells} coefficient cells")
+    if nvars * nvars > cells:
+        raise ValueError(f"pencil of {nvars} variables exceeds {cells} cells of coordinate points")
+    if spec is not None and generator_cells(spec) > cells:
+        raise ValueError(f"the {spec.kind} equivariance generators exceed {cells} cells")
+    if spec is not None and spec.kind in ("gl", "sp", "so") and sum(
+            word_terms(lam, spec.args[2]) * size(lam) for lam in spec.args[:2]) > cells:
+        raise ValueError(f"the {spec.kind} module words exceed {cells} cells")
+
+
 def check_equivariance(p: Pencil) -> bool:
     """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
     every generator in equivariance_data(p.spec) and every variable i, in
-    integers: the identity is multiplied by the lcm of the three
-    denominators, and the pencil's global denominator cancels.  False
-    unless describes(p.spec, p), which is decided before any module is
-    built; ValueError when the generators would exceed MAX_PENCIL_CELLS
-    cells (generator_cells), before any is formed."""
+    integers (times the lcm of the three denominators; the pencil's own
+    cancels).  False unless describes(p.spec, p), ValueError when admit
+    refuses the spec, both before any module is built."""
     if not describes(p.spec, p):
         return False
-    if generator_cells(p.spec) > MAX_PENCIL_CELLS:
-        raise ValueError(f"the {p.spec.kind} equivariance generators exceed "
-                         f"{MAX_PENCIL_CELLS} cells")
+    admit(p.nvars, p.source_dim, p.target_dim, p.spec)
     data = equivariance_data(p.spec)
     by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
     for var, r, c, num in p.coeffs:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crpencils import cli, partitions, pencils
+from crpencils import cli, modules, partitions, pencils
 from crpencils.catalog import (
     CATALOG,
     FIXTURE_NAMES,
@@ -687,6 +687,40 @@ def test_form_records_are_refused_before_any_module_dimension(monkeypatch, recor
         build_from_params(record)
 
 
+def _long_row_file(path) -> list[str]:
+    """A 2-variable, 41-entry file that gl (40) -> (41) at v = 2 describes."""
+    path.write_text(dumps_pencil(Pencil(2, 41, 42, tuple((0, i, i, 1) for i in range(41)), 1,
+                                        ("x_1", "x_2")),
+                                 {"kind": "gl", "mu": [40], "nu": [41], "v": 2}))
+    assert loads_pencil(path.read_text())[0].spec == BuildSpec("gl", ((40,), (41,), 2))
+    return ["verify", str(path), "--mode", "transitivity"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "gl", "--mu", "40", "--nu", "41", "--n", "1"],
+    ["build", "so", "--mu", "12", "--nu", "13", "--N", "3"],
+    ["build", "so", "--mu", "20", "--nu", "21", "--N", "3"],
+    ["build", "sp", "--mu", "30", "--nu", "31", "--N", "2"],
+    None,
+], ids=["gl-v2", "so-m3-12", "so-m3-20", "sp-N2", "gl-v2-file-transitivity"])
+def test_long_row_records_are_refused_before_any_module_is_realized(
+        tmp_path, capsys, monkeypatch, argv):
+    # each pencil is small, so no cell bound saw these records; the row
+    # passes of their symmetrizers then formed up to 2^41 words and exited 1
+    # with numpy._ArrayMemoryError after 18-36 s
+    def forbidden(*args):
+        raise AssertionError("a module was realized")
+
+    argv = argv or _long_row_file(tmp_path / "pencil.json")
+    for name in ("schur_module", "symplectic_module", "orthogonal_module", "apply_symmetrizer"):
+        monkeypatch.setattr(pencils, name, forbidden)
+    monkeypatch.setattr(modules, "apply_symmetrizer", forbidden)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"the {argv[1] if argv[0] == 'build' else 'gl'} module words exceed 1048576 cells" in err
+    assert "Traceback" not in err
+
+
 def test_a_long_partition_is_refused_before_its_boxes_are_walked(monkeypatch):
     # at m = 2 the row of 10^9 boxes has dims (2, 2, 2), which no cell
     # bound refuses, and so_module_dim would walk every box in conjugate
@@ -773,6 +807,19 @@ def test_cli_rejects_non_positive_counts(tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + [flag, value])
         assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_budget_bounds_the_sampled_trials(tmp_path, capsys):
+    # --trials had no bound: 10^20 trials ran until a 20 s timeout
+    out = tmp_path / "pencil.json"
+    cli.main(["build", "koszul", "--k", "1", "--v", "3", "--out", str(out)])
+    assert cli.main(["verify", str(out), "--trials", "99999999999999999999"]) == 2
+    assert ("error: 99999999999999999999 projective points exceed budget 1000000"
+            in capsys.readouterr().err)
+    assert cli.main(["verify", str(out), "--trials", "5", "--budget", "4"]) == 2
+    assert "5 projective points exceed budget 4" in capsys.readouterr().err
+    assert cli.main(["verify", str(out), "--trials", "5", "--budget", "5"]) == 0
     capsys.readouterr()
 
 

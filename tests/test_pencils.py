@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crpencils import tensors
 from crpencils.analysis import constant_rank_verdict, generic_rank
 from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
 from crpencils.linalg import DEFAULT_PRIME, modp_matmul, qq_rank
@@ -45,6 +46,7 @@ from crpencils.pencils import (
     sl_basis,
     spin_kernel_vector,
     theta_map,
+    word_terms,
 )
 from crpencils.tensors import chevalley_generators, letter_images, perm_sign, square_matrix
 
@@ -105,6 +107,33 @@ def test_build_spec_dims_are_the_built_dims(params):
     pen = build_from_params(params)
     assert pen.spec.shape() == (pen.nvars, pen.source_dim, pen.target_dim)
     assert loads_pencil(dumps_pencil(pen, pen.spec.record()))[0].spec == pen.spec
+
+
+_REALIZE = {"gl": schur_module, "sp": symplectic_module, "so": orthogonal_module}
+
+
+@pytest.mark.parametrize("kind, lam, n", [
+    *[(r["kind"], tuple(lam), r.get("v", r.get("N", r.get("m"))))
+      for r in EXAMPLES if r["kind"] in _REALIZE for lam in (r["mu"], r["nu"])],
+    *[("gl", (k,), 2) for k in range(15)],
+])
+def test_word_price_bounds_the_terms_the_symmetrizer_forms(monkeypatch, kind, lam, n):
+    # every batch a row or column pass of apply_symmetrizer takes or returns,
+    # realizing the module afresh; on one row of k >= 2 boxes at n = 2 (fewer
+    # run no pass) the price, 2^k, is exact
+    terms = [0]
+    permutation_pass = tensors._permutation_pass
+
+    def counted(b, slots, signed):
+        out = permutation_pass(b, slots, signed)
+        terms.append(max(b.code.size, out.code.size))
+        return out
+
+    monkeypatch.setattr(tensors, "_permutation_pass", counted)
+    _REALIZE[kind].__wrapped__(lam, n)
+    assert max(terms) <= word_terms(lam, n)
+    if len(lam) == 1 and n == 2 and lam[0] >= 2:
+        assert max(terms) == word_terms(lam, n) == 2 ** lam[0]
 
 
 def test_build_spec_rejects_malformed_records():

@@ -16,11 +16,11 @@ from math import gcd, lcm
 import numpy as np
 
 from crpencils.analysis import RankReport, ranks_at, structured_points
-from crpencils.catalog import MAX_PENCIL_CELLS, FixtureParseError
+from crpencils.catalog import FixtureParseError
 from crpencils.linalg import ModpEchelon, _product, _reduced
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim
-from crpencils.pencils import Pencil, _one_box
+from crpencils.pencils import MAX_PENCIL_CELLS, Pencil, _one_box
 from crpencils.tensors import apply_symmetrizer, cell_slot, letter_images
 
 
