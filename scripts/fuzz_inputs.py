@@ -14,7 +14,7 @@ code (2, the refusal): the records and files that once ran for minutes or
 crashed.  Then each example is one of two kinds, in equal shares:
   - a builder record of a random kind, drawn at random (partitions of up to
     64 boxes in up to 8 rows, dimensions up to 2^12) or from a family that
-    walks across one bound of pencils.admit, run through `crpencils build`;
+    walks across one input bound, run through `crpencils build`;
     when that writes a file, the file goes through the three verify modes;
   - a pencil document, mutated one to three times from a file an earlier
     example built or from a one-row GL document, run through the three
@@ -47,22 +47,22 @@ LIMIT_AS = 2 << 30  # bytes of address space for each child
 TIMEOUT = 20  # seconds for each child
 VERIFY_MODES = (["--mode", "sampled", "--trials", "20"], ["--mode", "transitivity"],
                 ["--mode", "exhaustive", "--prime", "3", "--budget", "4096"])
-# builder records whose one parameter walks across one bound of admit
+# builder records whose one parameter walks across one input bound, with its values
 BOUNDARY_FAMILIES = [
     # module words: 2^(k+1) (k+1) cells at v = 2 and N = 2, 3^(k+1) (k+1) at m = 3
-    lambda k: {"kind": "gl", "mu": [k], "nu": [k + 1], "v": 2}, range(12, 18),
-    lambda k: {"kind": "sp", "mu": [k], "nu": [k + 1], "N": 2}, range(12, 18),
-    lambda k: {"kind": "so", "mu": [k], "nu": [k + 1], "m": 3}, range(7, 13),
+    (lambda k: {"kind": "gl", "mu": [k], "nu": [k + 1], "v": 2}, range(12, 18)),
+    (lambda k: {"kind": "sp", "mu": [k], "nu": [k + 1], "N": 2}, range(12, 18)),
+    (lambda k: {"kind": "so", "mu": [k], "nu": [k + 1], "m": 3}, range(7, 13)),
     # equivariance generators: 2 (v - 1) v^2 and N (N + 1) / 2 N^2 cells
-    lambda v: {"kind": "gl", "mu": [], "nu": [1], "v": v}, range(77, 85),
-    lambda n: {"kind": "sp", "mu": [], "nu": [1], "N": 2 * n}, range(16, 21),
+    (lambda v: {"kind": "gl", "mu": [], "nu": [1], "v": v}, range(77, 85)),
+    (lambda n: {"kind": "sp", "mu": [], "nu": [1], "N": 2 * n}, range(16, 21)),
     # coefficient cells
-    lambda n: {"kind": "spin", "n": n}, range(7, 11),
-    lambda v: {"kind": "koszul", "k": 1, "v": v}, range(36, 42),
-    lambda a: {"kind": "adjoint", "a": a}, range(8, 12),
-    # the dimension floors of BuildSpec.shape: m times two floors of m
-    lambda m: {"kind": "so", "mu": [1], "nu": [1, 1], "m": m}, range(98, 105),
-    lambda n: {"kind": "spin", "n": n}, range(20, 24),
+    (lambda n: {"kind": "spin", "n": n}, range(7, 11)),
+    (lambda v: {"kind": "koszul", "k": 1, "v": v}, range(36, 42)),
+    (lambda a: {"kind": "adjoint", "a": a}, range(8, 12)),
+    # the guards of BuildSpec.shape: m times two dimension floors of m, spin's n
+    (lambda m: {"kind": "so", "mu": [1], "nu": [1, 1], "m": m}, range(98, 105)),
+    (lambda n: {"kind": "spin", "n": n}, range(20, 24)),
 ]
 # values that a mutated document puts where an integer or a list belongs
 JUNK = [0, -1, 1, 2, 1023, 1024, 1025, 1 << 20, 10 ** 30, "5", "x", 1.5, None,
@@ -162,7 +162,7 @@ def dimension(rng: random.Random) -> int:
 
 def record(rng: random.Random) -> dict:
     if rng.random() < 0.5:
-        family, values = rng.choice(list(zip(BOUNDARY_FAMILIES[::2], BOUNDARY_FAMILIES[1::2])))
+        family, values = rng.choice(BOUNDARY_FAMILIES)
         return family(rng.choice(values))
     kind = rng.choice(["gl", "sp", "so", "spin", "koszul", "adjoint"])
     if kind in ("gl", "sp", "so"):
@@ -173,7 +173,7 @@ def record(rng: random.Random) -> dict:
         return {"kind": kind, "n": rng.randint(0, 24) if rng.random() < 0.9 else dimension(rng)}
     if kind == "koszul":
         v = dimension(rng)
-        return {"kind": kind, "k": rng.randint(0, max(v, 0)) if v < 64 else rng.randint(0, 4), "v": v}
+        return {"kind": kind, "k": rng.randint(0, v if v < 64 else 4), "v": v}
     return {"kind": kind, "a": dimension(rng)}
 
 
