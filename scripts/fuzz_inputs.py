@@ -10,7 +10,7 @@ tree of this checkout.  It prints its seed first, drawn from os.urandom when
 --seed is not given, so a failing run can be repeated.
 
 The named cases run first, each a fixed command that must exit with its own
-code (2, the refusal): the records and files that once ran for minutes or
+code (2 or 3, the refusal): the records and files that once ran for minutes or
 crashed.  Then each example is one of two kinds, in equal shares:
   - a builder record of a random kind, drawn at random (partitions of up to
     64 boxes in up to 8 rows, dimensions up to 2^12) or from a family that
@@ -136,6 +136,11 @@ def named_cases(tmp: Path) -> dict[str, tuple[list[str], int]]:
         "sp-long-row-build": (["build", "sp", "--mu", "30", "--nu", "31", "--N", "2"], 2),
         "gl-long-row-file": (["verify", str(write(tmp / "gl-40-41.json", one_row_gl(40, 2))),
                               *transitivity], 2),
+        # a FileNotFoundError traceback
+        "build-out-missing-dir": (["build", "gl", "--mu", "2", "--nu", "2,1", "--n", "2",
+                                   "--out", str(tmp / "missing" / "x.json")], 2),
+        # read whole into a MemoryError: an endless file, refused past the byte bound
+        "verify-dev-zero": (["verify", "/dev/zero"], 3),
     }
 
 

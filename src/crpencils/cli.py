@@ -1,7 +1,8 @@
 """Command-line interface: build pencils, verify rank behavior, run the catalog.
 
-Exit codes: 0 success, 1 expectation failure, 2 usage/shape error,
-3 parse error, 141 (128 + SIGPIPE) when the reader of stdout closed it.
+Exit codes: 0 success, 1 expectation failure, 2 usage/shape error or
+output that cannot be written, 3 a pencil file that cannot be read,
+141 (128 + SIGPIPE) when the reader of stdout closed it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .catalog import (
     run_catalog,
 )
 from .linalg import DEFAULT_PRIME
-from .pencils import RECORD_FIELDS
+from .pencils import MAX_PENCIL_BYTES, RECORD_FIELDS
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -114,19 +115,26 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = dumps_pencil(pencil, pencil.spec.record())
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)  # main reports a failed write
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory, a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            pencil, _ = loads_pencil(fh.read())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or malformed
+        with open(args.file, "rb") as fh:
+            data = fh.read(MAX_PENCIL_BYTES + 1)
+        if len(data) > MAX_PENCIL_BYTES:
+            raise ValueError(f"file exceeds {MAX_PENCIL_BYTES} bytes")
+        pencil, _ = loads_pencil(data.decode("utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, too long, not UTF-8 or malformed
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -194,17 +202,25 @@ def cmd_catalog(args) -> int:
     return EXIT_OK if all(r.status != "fail" for r in results) else EXIT_EXPECTATION
 
 
+def _discard_stdout() -> None:
+    """Send what is left in stdout's buffer, and the flush at exit, to devnull."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = make_parser().parse_args(argv)
         code = {"build": cmd_build, "verify": cmd_verify}.get(args.command, cmd_catalog)(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: send what is left, and the flush at exit, to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader is gone
+        _discard_stdout()
         return EXIT_PIPE
+    except OSError as exc:  # stdout takes no more: a full disk, say
+        _discard_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -129,6 +129,9 @@ class EquivarianceData:
 # nvars x nvars is bounded too: the sampled mode forms the nvars coordinate
 # points, so a pencil document may hold at most 1,024 variables
 MAX_PENCIL_CELLS = 1 << 20
+# bytes of a pencil file that `verify` reads: a pencil has at most
+# MAX_PENCIL_CELLS entries, and canonical files take 99-103 bytes per entry
+MAX_PENCIL_BYTES = 128 * MAX_PENCIL_CELLS
 
 # the JSON field names of each builder's arguments, in argument order
 RECORD_FIELDS = {
