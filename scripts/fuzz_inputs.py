@@ -10,8 +10,8 @@ tree of this checkout.  It prints its seed first, drawn from os.urandom when
 --seed is not given, so a failing run can be repeated.
 
 The named cases run first, each a fixed command that must exit with its own
-code (2 or 3, the refusal): the records and files that once ran for minutes or
-crashed.  Then each example is one of two kinds, in equal shares:
+code (2 or 3, the refusal): the records and files that once ran for minutes
+or crashed.  Then each example is one of two kinds, in equal shares:
   - a builder record of a random kind, drawn at random (partitions of up to
     64 boxes in up to 8 rows, dimensions up to 2^12) or from a family that
     walks across one input bound, run through `crpencils build`;

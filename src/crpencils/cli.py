@@ -115,15 +115,15 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = dumps_pencil(pencil, pencil.spec.record())
-    if not args.out:
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, a full disk
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    else:
         sys.stdout.write(text)  # main reports a failed write
-        return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:  # a missing directory, a directory, a full disk
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     return EXIT_OK
 
 
