@@ -53,9 +53,9 @@ BOUNDARY_FAMILIES = [
     (lambda k: {"kind": "gl", "mu": [k], "nu": [k + 1], "v": 2}, range(12, 18)),
     (lambda k: {"kind": "sp", "mu": [k], "nu": [k + 1], "N": 2}, range(12, 18)),
     (lambda k: {"kind": "so", "mu": [k], "nu": [k + 1], "m": 3}, range(7, 13)),
-    # equivariance generators: 2 (v - 1) v^2 and N (N + 1) / 2 N^2 cells
+    # equivariance generators: 2 (v - 1) v^2 and N^3 cells
     (lambda v: {"kind": "gl", "mu": [], "nu": [1], "v": v}, range(77, 85)),
-    (lambda n: {"kind": "sp", "mu": [], "nu": [1], "N": 2 * n}, range(16, 21)),
+    (lambda n: {"kind": "sp", "mu": [], "nu": [1], "N": 2 * n}, range(48, 53)),
     # coefficient cells
     (lambda n: {"kind": "spin", "n": n}, range(7, 11)),
     (lambda v: {"kind": "koszul", "k": 1, "v": v}, range(36, 42)),
@@ -109,6 +109,15 @@ def one_row_gl(k: int, v: int) -> dict:
                     {"kind": "gl", "mu": [k], "nu": [k + 1], "v": v})
 
 
+def empty_lists(count) -> str:
+    """A one-variable pencil document whose entries are `count` empty
+    lists, or as many as fit in MAX_PENCIL_BYTES (128 MiB) for None."""
+    head, tail = '{"entries": [', '[]], "nvars": 1, "source_dim": 1, "target_dim": 1, "var_labels": ["x_1"]}'
+    if count is None:
+        count = ((128 << 20) - len(head) - len(tail)) // 3 + 1
+    return head + "[]," * (count - 1) + tail
+
+
 def write(path: Path, doc) -> Path:
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return path
@@ -141,6 +150,13 @@ def named_cases(tmp: Path) -> dict[str, tuple[list[str], int]]:
                                    "--out", str(tmp / "missing" / "x.json")], 2),
         # read whole into a MemoryError: an endless file, refused past the byte bound
         "verify-dev-zero": (["verify", "/dev/zero"], 3),
+        # 39 MB of 13 million empty lists, within the byte bound: json.loads
+        # ran into a MemoryError under 1 GB; refused by the count of JSON values
+        "verify-13m-empty-lists": (["verify", str(write(tmp / "lists-13m.json",
+                                                        empty_lists(13_000_000)))], 3),
+        # as many as the byte bound holds, which json.loads needs 2.8 GB for
+        "verify-byte-bound-empty-lists": (["verify", str(write(tmp / "lists-max.json",
+                                                               empty_lists(None)))], 3),
     }
 
 

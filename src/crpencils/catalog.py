@@ -51,6 +51,7 @@ from .partitions import (
     weyl_dim,
 )
 from .pencils import (
+    MAX_PENCIL_VALUES,
     BuildSpec,
     Pencil,
     _one_box,
@@ -285,10 +286,15 @@ def document_to_pencil(doc: dict) -> Pencil:
 def loads_pencil(text: str) -> tuple[Pencil, Optional[dict]]:
     """The pencil of a JSON document and its raw builder record.  The pencil
     gets the record's spec when the record parses and describes it (its
-    closed-form shape is the document's); nothing is built.  Any text that
-    json.loads cannot read (malformed, nested past the recursion limit, or
-    with an integer past the interpreter's digit limit) raises
-    FixtureParseError."""
+    closed-form shape is the document's); nothing is built.  A text of
+    more than MAX_PENCIL_VALUES JSON values, counted as its opening
+    brackets and braces and its commas (those inside strings too), raises
+    FixtureParseError before json.loads builds any of them; so does any
+    text that json.loads cannot read (malformed, nested past the recursion
+    limit, or with an integer past the interpreter's digit limit).  Each
+    counted value is one character, so a shorter text is not counted."""
+    if len(text) > MAX_PENCIL_VALUES and sum(map(text.count, "[{,")) > MAX_PENCIL_VALUES:
+        raise FixtureParseError(f"pencil document holds more than {MAX_PENCIL_VALUES} JSON values")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -117,22 +117,42 @@ def orthogonal_form(m: int) -> FormSpec:
     return FormSpec("orthogonal", m, square_matrix(m, {**pairs, (m - 1, m - 1): m % 2}))
 
 
-def form_lie_basis(form: FormSpec) -> list[tuple[tuple[int, ...], ...]]:
-    """Basis of the Lie algebra preserving the form: X with X^T G + G X = 0,
-    namely X = G^{-1} S for S = E_ab + E_ba (Sp, a <= b) or E_ab - E_ba
-    (SO, a < b)."""
-    n = form.dim
-    ginv = form.dual_tensor()
-    sign = 1 if form.kind == "symplectic" else -1
-    out = []
-    for a in range(n):
-        for b in range(a if sign == 1 else a + 1, n):
-            x = [[0] * n for _ in range(n)]
-            for i in range(n):
-                x[i][b] += ginv.get((i, a), 0)
-                x[i][a] += sign * ginv.get((i, b), 0)
-            out.append(tuple(map(tuple, x)))
-    return out
+def _root_vector(form: FormSpec, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The X preserving the form (X^T G + G X = 0) with X e_a = e_b that
+    is zero off e_a and e_partner[b]: E_ba - (value[b] / value[a]) E_pa,pb,
+    with p the partner, or E_ba alone when b is a's partner (sp only).  It
+    has weight wt(b) - wt(a).  The values are +-1 in split coordinates."""
+    partner, value = form.partners
+    entries = {(b, a): 1}
+    if b != partner[a]:
+        entries[int(partner[a]), int(partner[b])] = -int(value[b] * value[a])
+    return square_matrix(form.dim, entries)
+
+
+def form_lie_generators(form: FormSpec) -> list[tuple[tuple[int, ...], ...]]:
+    """Generators of the Lie algebra g preserving the form, as a Lie
+    algebra: the root vectors of the simple roots and of their negatives,
+    2 rank(g) of them (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, section 18), a positive one and its negative in
+    turn.
+
+    Letter 2i has weight e_i and letter 2i+1 has -e_i (letter_weights), so
+    e_i - e_(i+1), i < n - 1, moves letter 2i+2 to 2i.  The last simple
+    root is 2 e_(n-1) for sp_2n (letter 2n-1 to 2n-2), e_(n-2) + e_(n-1)
+    for so_2n (2n-1 to 2n-4) and e_(n-1) for so_2n+1 (the non-isotropic
+    letter 2n to 2n-2).  so_2 is abelian, with no roots: its one basis
+    element E_00 - E_11 generates it."""
+    n, odd = divmod(form.dim, 2)
+    if form.kind == "orthogonal" and form.dim == 2:
+        return [_root_vector(form, 0, 0)]
+    if form.kind == "symplectic":
+        last = (2 * n - 1, 2 * n - 2)
+    elif odd:
+        last = (2 * n, 2 * n - 2)
+    else:
+        last = (2 * n - 1, 2 * n - 4)
+    simple = [(2 * i + 2, 2 * i) for i in range(n - 1)] + [last]
+    return [_root_vector(form, *ab) for a, b in simple for ab in ((a, b), (b, a))]
 
 
 def contractions(b: WordBatch, form: FormSpec) -> WordBatch:
@@ -261,9 +281,10 @@ def orthogonal_module(lam: Partition, m: int) -> RealizedModule:
     return _form_module(lam, orthogonal_form(m), GroupSpec("SO", m), expected)
 
 
-def lie_action(X: Sequence[Sequence[int]], batch: WordBatch) -> WordBatch:
-    """Derivation action of an integer gl element on each tensor of a batch."""
-    return matrix_on_letters(X, batch)
+def lie_action(xs: Sequence[Sequence[Sequence[int]]], batch: WordBatch) -> WordBatch:
+    """Derivation action of each integer gl element X_g on each tensor of a
+    batch: tensor i * len(xs) + g of the result is X_g on tensor i."""
+    return matrix_on_letters(xs, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +419,15 @@ def a_vector(delta: Spinor, n: int) -> list[int]:
 
 
 def spin_lie_generators(n: int) -> list[tuple[int, int]]:
-    """Index pairs (a,b), a<b, for the so(2n) generators F_ab = [w_a, w_b]/4."""
-    return list(combinations(range(2 * n), 2))
+    """Index pairs (a, b), a < b, of the F_ab = [w_a, w_b]/4 that generate
+    so(2n) as a Lie algebra, n >= 2: the root vectors of the simple roots of
+    D_n and of their negatives, 2n of them, a positive one and its negative
+    in turn.  With e_i of weight e_i and f_i of -e_i, F_ab has the weight
+    wt(w_a) + wt(w_b): e_i - e_(i+1) is (i, n + i + 1), and the last simple
+    root e_(n-2) + e_(n-1) is (n - 2, n - 1)."""
+    pairs = [((i, n + i + 1), (i + 1, n + i)) for i in range(n - 1)]
+    pairs.append(((n - 2, n - 1), (2 * n - 2, 2 * n - 1)))
+    return [ab for pair in pairs for ab in pair]
 
 
 def spin_lie_action(a: int, b: int, s: Spinor, n: int) -> Spinor:

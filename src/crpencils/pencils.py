@@ -35,7 +35,7 @@ from .modules import (
     clifford_unit,
     complement_sign,
     contract_f,
-    form_lie_basis,
+    form_lie_generators,
     lie_action,
     orthogonal_module,
     schur_module,
@@ -132,6 +132,12 @@ MAX_PENCIL_CELLS = 1 << 20
 # bytes of a pencil file that `verify` reads: a pencil has at most
 # MAX_PENCIL_CELLS entries, and canonical files take 99-103 bytes per entry
 MAX_PENCIL_BYTES = 128 * MAX_PENCIL_CELLS
+# JSON values that a pencil file may hold, counted as its opening brackets
+# and braces and its commas: six for each entry (its brace, its four inner
+# commas and the comma after it), and the header's.  That is at most 1,024
+# labels and a record that admit passes, whose partitions have at most 101
+# rows (generator_cells bounds v, N and m), so 4,096 values are ample
+MAX_PENCIL_VALUES = 6 * MAX_PENCIL_CELLS + 4096
 
 # the JSON field names of each builder's arguments, in argument order
 RECORD_FIELDS = {
@@ -344,13 +350,16 @@ def describes(spec: Optional[BuildSpec], p: Pencil) -> bool:
 
 def generator_cells(spec: BuildSpec) -> int:
     """The cells of the dense Lie algebra generators equivariance_data
-    forms for spec: their number times d^2, d the dimension of the natural
-    representation (2n for spin).  gl, Koszul and adjoint take the 2(d-1)
-    Chevalley generators of sl_d (the identity alone for d = 1), sp the
-    d(d+1)/2 of sp_d, and so and spin the d(d-1)/2 of so_d."""
+    forms for spec: their number, 2 rank(g), times d^2, d the dimension of
+    the natural representation (2n for spin).  gl, Koszul and adjoint take
+    the 2(d-1) Chevalley generators of sl_d (the identity alone for d = 1);
+    sp_d, so_d and spin's so_2n take 2 floor(d/2), except so_2, which takes
+    its one basis element."""
     d = 2 * spec.args[0] if spec.kind == "spin" else spec.args[-1]
-    count = {"sp": d * (d + 1) // 2, "so": d * (d - 1) // 2,
-             "spin": d * (d - 1) // 2}.get(spec.kind, max(2 * (d - 1), 1))
+    if spec.kind in ("sp", "so", "spin"):
+        count = 1 if spec.kind == "so" and d <= 2 else d - d % 2
+    else:
+        count = max(2 * (d - 1), 1)
     return count * d * d
 
 
@@ -443,11 +452,15 @@ def _span_map(mod: RealizedModule, op, target: RealizedModule, per: int,
     return entries, big
 
 
-def _coordinate_action(mod: RealizedModule, X) -> IntMatrix:
-    """Matrix of the derivation action of the integer X on the module's
-    basis coordinates: the span map of X, over the map's denominator."""
-    entries, den = _span_map(mod, lambda part: lie_action(X, part), mod, 1)
-    return IntMatrix(mod.dim, tuple(sorted((k, j, c) for (_, k, j), c in entries.items())), den)
+def _coordinate_action(mod: RealizedModule, xs) -> list[IntMatrix]:
+    """The matrix of the derivation action of each integer X_g of xs on the
+    module's basis coordinates, over the map's denominator: one span map of
+    all of them, image j * G + g that of X_g on basis vector j."""
+    entries, den = _span_map(mod, lambda part: lie_action(xs, part), mod, len(xs), len(xs))
+    cols: list[list[tuple]] = [[] for _ in xs]
+    for (g, k, j), c in entries.items():
+        cols[g].append((k, j, c))
+    return [IntMatrix(mod.dim, tuple(sorted(e)), den) for e in cols]
 
 
 def _wedge_action(X, basis) -> list[dict]:
@@ -679,12 +692,10 @@ def build_adjoint_pencil(a: int) -> Pencil:
 
 
 def _gl_equivariance(mu: Partition, nu: Partition, v: int) -> list[EquivarianceData]:
-    smod, tmod = schur_module(mu, v), schur_module(nu, v)
-    return [
-        EquivarianceData(IntMatrix.from_dense(X), _coordinate_action(smod, X),
-                         _coordinate_action(tmod, X))
-        for X in chevalley_generators(v)
-    ]
+    xs = chevalley_generators(v)
+    return list(map(EquivarianceData, map(IntMatrix.from_dense, xs),
+                    _coordinate_action(schur_module(mu, v), xs),
+                    _coordinate_action(schur_module(nu, v), xs)))
 
 
 def _koszul_equivariance(k: int, v: int) -> list[EquivarianceData]:
@@ -698,12 +709,11 @@ def _koszul_equivariance(k: int, v: int) -> list[EquivarianceData]:
 
 def _form_equivariance(smod: RealizedModule, tmod: RealizedModule) -> list[EquivarianceData]:
     # the target coordinates pair against the target basis: rho_t = -rho^T
-    out = []
-    for X in form_lie_basis(smod.form):
-        rho = _coordinate_action(tmod, X)
-        rho_t = IntMatrix(rho.dim, tuple(sorted((c, r, -x) for r, c, x in rho.entries)), rho.den)
-        out.append(EquivarianceData(IntMatrix.from_dense(X), _coordinate_action(smod, X), rho_t))
-    return out
+    xs = form_lie_generators(smod.form)
+    rho_t = [IntMatrix(rho.dim, tuple(sorted((c, r, -x) for r, c, x in rho.entries)), rho.den)
+             for rho in _coordinate_action(tmod, xs)]
+    return list(map(EquivarianceData, map(IntMatrix.from_dense, xs),
+                    _coordinate_action(smod, xs), rho_t))
 
 
 def _spin_equivariance(n: int) -> list[EquivarianceData]:
@@ -750,17 +760,22 @@ def _adjoint_equivariance(a: int) -> list[EquivarianceData]:
 
 @lru_cache(maxsize=None)
 def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
-    """The Lie-algebra generators of the spec's group with their actions on
-    the variables, the source and the target of the pencil it builds.
+    """Generators of the Lie algebra g of the spec's group, with their
+    actions on the variables, the source and the target of the pencil it
+    builds.
 
-    Sp and SO take the full basis of their form's Lie algebra, spin all of
-    so(2n).  GL, Koszul and adjoint take only the Chevalley generators
-    E_{k,k+1} and E_{k+1,k} of sl_v, which is enough for the transitivity
-    certificate: the X in gl_v under which a pencil is equivariant form a
-    Lie subalgebra (each action here is a Lie algebra representation);
-    these generators generate sl_v, so the pencil is SL_v-equivariant; and
-    SL_v is transitive on V minus 0 for v >= 2.  For v = 1, where sl_1 = 0
-    and the projective base is one point, the identity is checked instead.
+    Every kind takes the root vectors of the simple roots and of their
+    negatives, 2 rank(g) elements: the Chevalley generators E_{k,k+1} and
+    E_{k+1,k} of sl_v for GL, Koszul and adjoint, form_lie_generators for
+    Sp and SO, and spin_lie_generators for spin.  They generate g, which is
+    enough for an exact certificate: the X under which a pencil is
+    equivariant form a Lie subalgebra (each action here is a Lie algebra
+    representation), so it is all of g once it holds the generators.  For
+    transitivity, the pencil is then SL_v-equivariant, and SL_v is
+    transitive on V minus 0 for v >= 2.  For v = 1, where sl_1 = 0 and the
+    projective base is one point, the identity is checked instead; so_2,
+    abelian with no roots, takes its one basis element.  Each module's
+    actions come from one _coordinate_action of all the generators.
     """
     if spec.kind in ("sp", "so"):
         realize = symplectic_module if spec.kind == "sp" else orthogonal_module

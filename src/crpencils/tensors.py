@@ -317,22 +317,24 @@ def letter_images(X: Sequence[Sequence]) -> dict[int, list[tuple[int, object]]]:
     return images
 
 
-def matrix_on_letters(X: Sequence[Sequence[int]], b: WordBatch) -> WordBatch:
-    """Derivation action of an integer X in gl(V) on each tensor of the
-    batch: the sum over slots of X applied to the letter in that slot."""
-    moves = [(a, c, x) for a, images in sorted(letter_images(X).items()) for c, x in images]
-    src, dst = (np.array([m[i] for m in moves], dtype=np.int64) for i in (0, 1))
-    x = int_array([m[2] for m in moves])
-    letters = b.letters()
-    a = letters.ravel()
+def matrix_on_letters(xs: Sequence[Sequence[Sequence[int]]], b: WordBatch) -> WordBatch:
+    """Derivation action of each integer X_g in gl(V) on each tensor of the
+    batch, the sum over slots of X_g applied to the letter in that slot:
+    tensor i * G + g of the result is X_g on tensor i, G = len(xs).  The
+    letters are decoded once, and each letter a takes the moves a -> c of
+    every X_g at once."""
+    moves = sorted((a, g, c, x) for g, X in enumerate(xs)
+                   for a, images in letter_images(X).items() for c, x in images)
+    src, gen, dst = (np.array([m[i] for m in moves], dtype=np.int64) for i in (0, 1, 2))
+    x = int_array([m[3] for m in moves])
+    a = b.letters().ravel()
     lo = np.searchsorted(src, a)
     owner, at = ragged(lo, np.searchsorted(src, a, "right") - lo)
-    term = np.repeat(np.arange(len(letters)), b.degree)[owner]
-    slot = np.tile(np.arange(b.degree), len(letters))[owner]
+    term, slot = np.divmod(owner, max(b.degree, 1))
     # an output word takes at most one term from each (slot, letter) pair
     dtype = coef_dtype(max_abs(b.coef) * max_abs(x) * b.degree * b.radix)
     return WordBatch.build(
-        b.n, b.degree, b.radix, b.idx[term],
+        b.n * len(xs), b.degree, b.radix, b.idx[term] * len(xs) + gen[at],
         b.code[term] + (dst[at] - a[owner]) * place_values(b.radix, b.degree)[slot],
         b.coef.astype(dtype)[term] * x.astype(dtype)[at])
 

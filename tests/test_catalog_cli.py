@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crpencils import cli, modules, partitions, pencils
+from crpencils import catalog, cli, modules, partitions, pencils
 from crpencils.catalog import (
     CATALOG,
     FIXTURE_NAMES,
@@ -595,10 +595,14 @@ def test_equivariance_generators_are_bounded_before_they_are_formed(
     err = capsys.readouterr().err
     assert "equivariance generators exceed" in err
     assert "Traceback" not in err
-    # the bound still takes GL up to v = 80 and Sp up to N = 36
+    # the bound still takes GL up to v = 80, Sp up to N = 100 and SO up to
+    # m = 101: 2 (v - 1) v^2, N^3, and (m - 1) m^2 or m^3 cells
     cells = {(kind, n): pencils.generator_cells(BuildSpec(kind, ((), (1,), n)))
-             for kind, n in (("gl", 80), ("gl", 81), ("sp", 36), ("sp", 38))}
-    assert [c <= pencils.MAX_PENCIL_CELLS for c in cells.values()] == [True, False, True, False]
+             for kind, n in (("gl", 80), ("gl", 81), ("sp", 100), ("sp", 102),
+                             ("so", 101), ("so", 102))}
+    assert cells == {("gl", 80): 1_011_200, ("gl", 81): 1_049_760, ("sp", 100): 1_000_000,
+                     ("sp", 102): 1_061_208, ("so", 101): 1_020_100, ("so", 102): 1_061_208}
+    assert [c <= pencils.MAX_PENCIL_CELLS for c in cells.values()] == [True, False] * 3
 
 
 def test_cli_build_refuses_a_pencil_that_verify_would_refuse(tmp_path, capsys):
@@ -783,6 +787,45 @@ def test_cli_verify_reads_at_most_the_byte_bound(tmp_path, capsys, monkeypatch):
     # an endless file is refused after the bound plus one byte
     assert cli.main(["verify", "/dev/zero"]) == 3
     assert capsys.readouterr().err == f"parse error: file exceeds {size - 1} bytes\n" * 2
+
+
+def test_loads_refuses_more_json_values_than_the_bound(tmp_path, capsys, monkeypatch):
+    # 13 million empty lists in a 39 MB file, far below the byte bound, ran
+    # json.loads into a MemoryError; the count of brackets, braces and
+    # commas refuses such a text before json.loads builds anything
+    out = tmp_path / "pencil.json"
+    cli.main(["build", "koszul", "--k", "1", "--v", "3", "--out", str(out)])
+    text = out.read_text()
+    count = sum(map(text.count, "[{,"))
+    monkeypatch.setattr(catalog, "MAX_PENCIL_VALUES", count)
+    assert cli.main(["verify", str(out), "--trials", "5"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(catalog, "MAX_PENCIL_VALUES", count - 1)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("json.loads ran")
+
+    monkeypatch.setattr(json, "loads", forbidden)
+    with pytest.raises(FixtureParseError, match=f"more than {count - 1} JSON values"):
+        loads_pencil(text)
+    assert cli.main(["verify", str(out), "--trials", "5"]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error: pencil document holds more than {count - 1} JSON values\n")
+
+
+def test_json_value_bound_holds_every_pencil_admit_passes():
+    # a canonical entry counts six values, and the header of a 1,024-label
+    # file with an Sp record at admit's largest N fits the header's 4,096
+    labels = tuple(f"x_{i + 1}" for i in range(1024))
+    record = {"kind": "sp", "mu": [1] * 50, "nu": [2] + [1] * 49, "N": 100}
+
+    def count(entries):
+        pen = Pencil(1024, 1, 1, tuple((v, 0, 0, 1) for v in range(entries)), 1, labels)
+        return sum(map(dumps_pencil(pen, record).count, "[{,"))
+
+    assert count(3) - count(2) == 6
+    assert count(1) <= 6 + 4096
+    assert pencils.MAX_PENCIL_VALUES == 6 * pencils.MAX_PENCIL_CELLS + 4096
 
 
 @pytest.mark.parametrize("prime", ["9", "15", "1", "2146654199"])

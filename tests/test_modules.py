@@ -17,14 +17,12 @@ from crpencils.modules import (
     clifford_unit,
     contractions,
     exp_two_form,
-    form_lie_basis,
     gamma_pairing,
     lie_action,
     orthogonal_form,
     orthogonal_module,
     schur_module,
     spin_lie_action,
-    spin_lie_generators,
     spin_lie_on_w,
     spin_space,
     symplectic_form,
@@ -48,6 +46,7 @@ from crpencils.tensors import (
 from word_oracles import (
     basis_tensors,
     contract,
+    form_lie_basis,
     integer_scaled,
     pivot_words,
     tensors_of,
@@ -175,13 +174,13 @@ class TestSchurModules:
             torus = [square_matrix(v, {(k, k): 1}) for k in range(v)]
             for X in chevalley_generators(v) + torus:
                 t = random_tensor_in(mod, rng)
-                assert None not in mod.span.coordinates(lie_action(X, batch_in(mod, t)))
+                assert None not in mod.span.coordinates(lie_action([X], batch_in(mod, t)))
 
     def test_identity_acts_by_degree(self):
         mod = schur_module((2, 1), 3)
         one = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
         t = tensors_of(mod.span.scaled_batch)[0]
-        got = tensors_of(lie_action(one, batch_in(mod, t)))
+        got = tensors_of(lie_action([one], batch_in(mod, t)))
         assert got == [{w: 3 * c for w, c in t.items()}]
 
 
@@ -279,7 +278,7 @@ class TestForms:
         for form in (symplectic_form(4), orthogonal_form(5)):
             qhat = WordBatch.from_tensors([integer_scaled(form.dual_tensor())[0]], 2, form.dim)
             for X in form_lie_basis(form):
-                assert tensors_of(lie_action(integer_matrix(X), qhat)) == [{}]
+                assert tensors_of(lie_action([integer_matrix(X)], qhat)) == [{}]
 
 
 class TestFormModules:
@@ -313,7 +312,7 @@ class TestFormModules:
             for _ in range(10):
                 X = integer_matrix(gens[rng.randrange(len(gens))])
                 t = random_tensor_in(mod, rng)
-                assert None not in mod.span.coordinates(lie_action(X, batch_in(mod, t)))
+                assert None not in mod.span.coordinates(lie_action([X], batch_in(mod, t)))
 
     def test_degree_one(self):
         assert symplectic_module((1,), 6).dim == 6
@@ -543,11 +542,12 @@ class TestSpin:
 
     def test_spin_lie_consistency(self):
         # [F_ab, w].s = F(w.s) - w.(F s), where spin_lie_on_w is 2 [F_ab, -]
-        # and spin_lie_action is 4 F_ab
+        # and spin_lie_action is 4 F_ab, for every F_ab, not only the
+        # generating pairs of spin_lie_generators
         n = 3
         ss = spin_space(n)
         rng = random.Random(5)
-        for a, b in spin_lie_generators(n):
+        for a, b in combinations(range(2 * n), 2):
             m = spin_lie_on_w(a, b, n)
             for _ in range(3):
                 j = rng.randrange(2 * n)

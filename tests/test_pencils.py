@@ -16,7 +16,7 @@ from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
 from crpencils.linalg import DEFAULT_PRIME, modp_matmul, qq_rank
 from crpencils.modules import (
     a_vector,
-    form_lie_basis,
+    form_lie_generators,
     gamma_pairing,
     lie_action,
     orthogonal_form,
@@ -54,6 +54,7 @@ from word_oracles import (
     EchelonOracle,
     basis_tensors,
     derivation,
+    form_lie_basis,
     pivot_words,
     reduce_mod,
     theta_fractions,
@@ -189,8 +190,8 @@ def _fraction_coordinate_action(mod, X) -> list[list[Fraction]]:
 
 def _example_modules():
     """(id, module, generators) for both modules of every builder example
-    that has realized modules: the generators equivariance_data uses and
-    the GL torus."""
+    that has realized modules: the generators equivariance_data uses, with
+    the GL torus or the full basis of the form's Lie algebra."""
     out = []
     for params in EXAMPLES:
         spec = BuildSpec.from_record(params)
@@ -204,7 +205,7 @@ def _example_modules():
         else:
             realize = symplectic_module if spec.kind == "sp" else orthogonal_module
             mods = (realize(mu, dim), realize(nu, dim))
-            gens = form_lie_basis(mods[0].form)
+            gens = form_lie_generators(mods[0].form) + form_lie_basis(mods[0].form)
         for mod in mods:
             out.append((f"{spec.kind}{mod.weight}-{dim}", mod, gens))
     return out
@@ -212,8 +213,8 @@ def _example_modules():
 
 @pytest.mark.parametrize("mod,gens", [pytest.param(m, g, id=i) for i, m, g in _example_modules()])
 def test_coordinate_action_matches_the_fraction_oracle(mod, gens):
-    for X in gens:
-        assert _dense(_coordinate_action(mod, X)) == _fraction_coordinate_action(mod, X)
+    got = _coordinate_action(mod, gens)
+    assert [_dense(m) for m in got] == [_fraction_coordinate_action(mod, X) for X in gens]
 
 
 def wedge_action_by_rearrangement(X, basis):
@@ -292,7 +293,7 @@ def test_pencil_from_entries_clears_denominators_and_content():
 
 def test_form_lie_bases_are_integral():
     for form in (orthogonal_form(4), orthogonal_form(5), symplectic_form(6)):
-        assert all(type(x) is int for X in form_lie_basis(form) for row in X for x in row)
+        assert all(type(x) is int for X in form_lie_generators(form) for row in X for x in row)
 
 
 def test_coordinate_action_refuses_a_generator_that_leaves_the_span():
@@ -300,9 +301,9 @@ def test_coordinate_action_refuses_a_generator_that_leaves_the_span():
     # form-traceless part of Lambda^2 off itself
     mod = symplectic_module((1, 1), 6)
     X = square_matrix(6, {(0, 2): 1})
-    assert None in mod.span.coordinates(lie_action(X, mod.span.scaled_batch))
+    assert None in mod.span.coordinates(lie_action([X], mod.span.scaled_batch))
     with pytest.raises(AssertionError, match="not stable"):
-        _coordinate_action(mod, X)
+        _coordinate_action(mod, [X])
 
 
 def _lie_closure_dim(gens: list[IntMatrix], p: int = DEFAULT_PRIME) -> int:
@@ -340,18 +341,58 @@ def test_checked_generators_generate_sl(kind, v):
     assert _lie_closure_dim(gens) == v * v - 1
 
 
+# (kind, natural dimension) of every Sp, SO and spin group that a builder
+# example, catalog entry, benchmark job or CI step uses, with so_2 (abelian)
+# and so_7 (type B, like so_3 and so_5) as edge cases
+FORM_GROUPS = [("sp", 4), ("sp", 6), ("sp", 8), *(("so", m) for m in range(2, 8)), ("spin", 10)]
+
+
+@pytest.mark.parametrize("kind,d", FORM_GROUPS, ids=lambda x: str(x))
+def test_form_and_spin_generators_generate_their_lie_algebra(kind, d):
+    # 2 rank(g) generators (so_2 keeps its one), each in g: for sp and so it
+    # preserves the form, and spin's act through so(2n) by construction.
+    # The variables carry a faithful action (the natural representation,
+    # Delta+ for spin), so a bracket closure of dimension dim g means that
+    # they generate g
+    spec = BuildSpec("spin", (d // 2,)) if kind == "spin" else BuildSpec(kind, ((), (1,), d))
+    gens = [eq.x_on_vars for eq in equivariance_data(spec)]
+    assert len(gens) == (1 if d == 2 else 2 * (d // 2))
+    assert _lie_closure_dim(gens) == (d * (d + 1) // 2 if kind == "sp" else d * (d - 1) // 2)
+    if kind != "spin":
+        gram = np.array((symplectic_form if kind == "sp" else orthogonal_form)(d).gram)
+        for g in gens:
+            x = np.array(_dense(g), dtype=np.int64)
+            assert not (x.T @ gram + gram @ x).any()
+
+
 def _scaled_var0(pen, factor=2):
     return replace(pen, coeffs=tuple((var, r, c, factor * num if var == 0 else num)
                                      for var, r, c, num in pen.coeffs))
 
 
-@pytest.mark.parametrize("pen", [build_gl_pencil((2,), (2, 1), 3), build_koszul_pencil(1, 3)],
-                         ids=["gl-2-21-3", "koszul-1-3"])
+@pytest.mark.parametrize("pen", [build_gl_pencil((2,), (2, 1), 3), build_koszul_pencil(1, 3),
+                                 build_sp_pencil((1, 1), (1, 1, 1), 6)],
+                         ids=["gl-2-21-3", "koszul-1-3", "sp-11-111-6"])
 def test_doubling_one_variable_breaks_sl_equivariance(pen):
-    # A_0 -> 2 A_0 keeps every torus weight, so the dropped diagonal
-    # generators would still pass; E_{0,1} and E_{1,0} must not
+    # A_0 -> 2 A_0 keeps every torus weight, so diagonal generators alone
+    # would still pass; the root vectors must not
     assert check_equivariance(pen)
     assert not check_equivariance(_scaled_var0(pen))
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6},
+    {"kind": "so", "mu": [3, 1, 1], "nu": [3, 2, 1], "m": 5},
+    {"kind": "spin", "n": 5},
+], ids=lambda r: r["kind"])
+def test_one_changed_coefficient_fails_the_generating_set(record):
+    # doubling one coefficient keeps its place, and so every torus weight
+    pen = build_from_params(record)
+    assert check_equivariance(pen)
+    for at in (0, len(pen.coeffs) // 2, len(pen.coeffs) - 1):
+        var, r, c, num = pen.coeffs[at]
+        coeffs = pen.coeffs[:at] + ((var, r, c, 2 * num),) + pen.coeffs[at + 1:]
+        assert not check_equivariance(replace(pen, coeffs=coeffs))
 
 
 def test_one_variable_gl_and_koszul_still_certify():

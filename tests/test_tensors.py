@@ -229,19 +229,20 @@ def test_adjoint_on_symmetrized_tensors_is_the_row_passes(lam, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 4), st.data())
 def test_batched_derivation_matches_the_word_loop(v, d, data):
-    X = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=v, max_size=v),
-                           min_size=v, max_size=v))
+    # tensor i * G + g of the result is X_g on tensor i
+    xs = data.draw(st.lists(st.lists(st.lists(st.integers(-3, 3), min_size=v, max_size=v),
+                                     min_size=v, max_size=v), min_size=1, max_size=3))
     words = st.tuples(*[st.integers(0, v - 1)] * d)
     ts = data.draw(st.lists(st.dictionaries(words, st.integers(-9, 9).filter(bool), max_size=5),
                             max_size=4))
-    got = tensors_of(matrix_on_letters(X, WordBatch.from_tensors(ts, d, v)))
-    assert got == [derivation(X, t) for t in ts]
+    got = tensors_of(matrix_on_letters(xs, WordBatch.from_tensors(ts, d, v)))
+    assert got == [derivation(X, t) for t in ts for X in xs]
 
 
 def test_batched_derivation_is_exact_past_the_int64_bound():
     X = [[0, 1], [3, 0]]
     t = {(0, 1, 1): EXACT_BOUND - 5, (1, 0, 1): -EXACT_BOUND, (1, 1, 1): 2 ** 70}
-    got = matrix_on_letters(X, WordBatch.from_tensors([t], 3, 2))
+    got = matrix_on_letters([X], WordBatch.from_tensors([t], 3, 2))
     assert got.coef.dtype == object
     assert tensors_of(got) == [derivation(X, t)]
 

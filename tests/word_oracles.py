@@ -3,7 +3,8 @@ against, the entry-by-entry pencil-file document builder and reader that
 the canonical writer and the column-wise reader are tested against, the
 Fraction form of the Weyl dimension formula that the integer one is tested
 against, the per-coordinate randrange draw that the bulk one is tested
-against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
+against, the full basis of a form's Lie algebra that its generating set is
+tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
 that turn Fraction test data into the integer input of linalg, the
 growing echelon with whole rows added and its RREF read back, and the
 one-list sampled verdict that the blocked one is tested against, shared by
@@ -219,6 +220,24 @@ def weyl_dim_fractions(group, weight, doubled=False):
         raise ValueError("weight is not dominant for the D series")
     rho = [Fraction(rank - 1 - i) for i in range(rank)]
     return _product_formula_fractions([w[i] + rho[i] for i in range(rank)], rho, "D")
+
+
+def form_lie_basis(form):
+    """Basis of the Lie algebra preserving the form: X with X^T G + G X = 0,
+    namely X = G^{-1} S for S = E_ab + E_ba (Sp, a <= b) or E_ab - E_ba
+    (SO, a < b)."""
+    n = form.dim
+    ginv = form.dual_tensor()
+    sign = 1 if form.kind == "symplectic" else -1
+    out = []
+    for a in range(n):
+        for b in range(a if sign == 1 else a + 1, n):
+            x = [[0] * n for _ in range(n)]
+            for i in range(n):
+                x[i][b] += ginv.get((i, a), 0)
+                x[i][a] += sign * ginv.get((i, b), 0)
+            out.append(tuple(map(tuple, x)))
+    return out
 
 
 def derivation(X, t):
