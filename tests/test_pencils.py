@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crpencils import tensors
+from crpencils import pencils, tensors
 from crpencils.analysis import constant_rank_verdict, generic_rank
 from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
 from crpencils.linalg import DEFAULT_PRIME, modp_matmul, qq_rank
@@ -393,6 +393,38 @@ def test_one_changed_coefficient_fails_the_generating_set(record):
         var, r, c, num = pen.coeffs[at]
         coeffs = pen.coeffs[:at] + ((var, r, c, 2 * num),) + pen.coeffs[at + 1:]
         assert not check_equivariance(replace(pen, coeffs=coeffs))
+
+
+def _plus_one(m: IntMatrix, r: int, c: int) -> IntMatrix:
+    """m with 1 added to its (r, c) entry."""
+    entries = {(i, j): x for i, j, x in m.entries}
+    entries[r, c] = entries.get((r, c), 0) + m.den
+    return replace(IntMatrix.from_entries(m.dim, entries), den=m.den)
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6},
+    {"kind": "so", "mu": [3, 1, 1], "nu": [3, 2, 1], "m": 5},
+    {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3},
+    {"kind": "spin", "n": 5},
+], ids=lambda r: r["kind"])
+def test_every_generator_and_every_variable_is_checked(monkeypatch, record):
+    # a changed coefficient breaks the identity under several generators and
+    # for several variables at once; these data break it once each.  Adding
+    # E_cc to one generator's rho_source changes A_i rho_s by column c of
+    # A_i, and adding E_ii to column i of x_on_vars changes the sum for
+    # variable i alone, by A_i
+    pen = build_from_params(record)
+    data = equivariance_data(pen.spec)
+    col = pen.coeffs[0][2]
+    broken = [data[:g] + (replace(eq, rho_source=_plus_one(eq.rho_source, col, col)),)
+              + data[g + 1:] for g, eq in enumerate(data)]
+    broken += [(replace(data[0], x_on_vars=_plus_one(data[0].x_on_vars, i, i)),) + data[1:]
+               for i in range(pen.nvars)]
+    assert check_equivariance(pen)
+    for bad in broken:
+        monkeypatch.setattr(pencils, "equivariance_data", lambda spec: bad)
+        assert not check_equivariance(pen)
 
 
 def test_one_variable_gl_and_koszul_still_certify():
