@@ -29,10 +29,10 @@ equivariance: pencils.check_equivariance with its equivariance_data cache
   so-311-321-6-file, the SO file, with the module caches cleared too.
 catalog: `python -m crpencils.cli catalog --filter <id> --format json` in
   a fresh process for each entry, named by its id; all-24 runs all 24.
-cli: in fresh processes, for each record of scripts/build_examples.py,
-  `build <name>` to stdout, then `verify` of that file in the sampled and
-  the transitivity mode; and `import <module>`, the -X importtime
-  cumulative time of each crpencils module under `import crpencils.cli`.
+cli: in fresh processes, per record of scripts/build_examples.py: `build
+  <name>` to stdout, and `sampled <name>` and `transitivity <name>`, its
+  verify in each mode; `import <module>`, each crpencils module's -X
+  importtime cumulative time under `import crpencils.cli`.
 
 Exit 1 when a check fails in either tree, or a pinned output differs
 between them.  The checks: check_equivariance is True; each catalog record
@@ -137,8 +137,8 @@ def probe_ranks(root: Path, repeats: int, tmp: Path):
         ("random-252x512", random_matrix(252, 512, 2), one, P, analysis.ranks_at),
         ("gl-v9-240x45", gl9, drawn(gl9, 12), P, analysis.ranks_at),
     ])
-    # built only now: with the SO hook's heap in place before them, the six
-    # cases above run faster (random-512x252 in 13-14 ms instead of 16-17)
+    # built only now: after the SO hook, the six cases above fault in no fresh
+    # pages per call and run faster (random-512x252 13-14 ms instead of 16-17)
     hook = so_hook_6(root, tmp)
     hook_t = Pencil(hook.nvars, hook.target_dim, hook.source_dim,
                     tuple(sorted((v, c, r, x) for v, r, c, x in hook.coeffs)), hook.denom,
