@@ -29,6 +29,7 @@ from .linalg import (
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
     stack_buffers,
+    stack_dtype,
 )
 from .modules import exp_two_form, orthogonal_form, spin_space
 from .partitions import (
@@ -41,7 +42,7 @@ from .partitions import (
 )
 from .pencils import Pencil, check_equivariance, _one_box
 
-STACK_CELLS = 1 << 17  # matrix cells evaluated and eliminated as one stack
+STACK_BYTES = 1 << 20  # of stack_dtype(p): matrices evaluated and eliminated as one stack
 EXHAUSTIVE_BLOCK = 1 << 14  # projective points decoded at once
 RND_MAX_SAMPLES = 512  # accepted samples after which rnd gives up
 
@@ -98,23 +99,26 @@ def random_points(rng: random.Random, count: int, nvars: int, prime: int) -> np.
 
 def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
     """The pencil mod p at each row of the (N, s) points, in order, as
-    stacks of at most STACK_CELLS cells and at least one matrix, each in
-    the layout of linalg's stacked loop (Pencil.evaluate_modp), which
-    linalg eliminates by matrix size.  One stack's buffers are allocated
-    per call and refilled for each stack, so a stack is valid until the
-    next is drawn.  A stack shares the stacked loop's numpy calls per
-    column among its matrices.  The five exhaustive and sampled certify
-    jobs took 312, 254, 214, 210 and 208 ms at 2^15 to 2^19 cells, with
-    peak RSS 39.4, 40.2, 41.8, 45.2 and 51.2 MB (minimum of 18 interleaved
-    fresh processes each, 2-CPU VM, numpy 2.4): 2^17 cells (37 matrices
-    of 56x63, 668 of 14x14, 1 MB of int64) is within 3 % of the fastest
-    without the larger stacks' memory."""
+    stacks of at most STACK_BYTES bytes of stack_dtype(p) and at least one
+    matrix, each in the layout of linalg's stacked loop
+    (Pencil.evaluate_modp), which linalg eliminates by matrix size, with
+    the float64 scratch that stack_product fills STACK_BYTES at a time and
+    the loop then takes for its own.  One allocation per call holds both
+    and is refilled for each stack, so a stack is valid until the next is
+    drawn.  A stack shares the loop's numpy calls per column among its
+    matrices: 37 of 56x63 at DEFAULT_PRIME (int64), 5,349 of 14x14 at F_5
+    or F_7 (int8).  The certify workload took 0.195, 0.166, 0.143 and
+    0.137 s, at 570, 600, 660 and 625 thousand exhaustive points a second,
+    and peaked at 39.7, 40.2, 41.5 and 43.9 MB RSS at 2^18 to 2^21 bytes
+    (medians of 3 runs of perfbench/run.py --seconds 6, 2-CPU VM, numpy
+    2.4)."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
     cells = pencil.target_dim * pencil.source_dim
-    step = max(1, STACK_CELLS // cells)
-    buffers = stack_buffers(min(step, len(pts)) * cells, p)
+    step = max(1, STACK_BYTES // (cells * np.dtype(stack_dtype(p)).itemsize))
+    count = min(step, len(pts))
+    f, e = stack_buffers(count * cells, p, max(count, STACK_BYTES // 8))
     for i in range(0, len(pts), step):
-        yield pencil.evaluate_modp(pts[i : i + step], stacked, p, buffers)
+        yield pencil.evaluate_modp(pts[i : i + step], stacked, p, (f, e)), f
 
 
 def ranks_at(pencil: Pencil, points, p: int,
@@ -127,14 +131,15 @@ def ranks_at(pencil: Pencil, points, p: int,
     check_prime(p)
     if stacked is None:
         stacked = pencil.coeff_array_modp(p)
-    return [r for a in _evaluated(pencil, points, p, stacked) for r in _stack_ranks(a, p).tolist()]
+    return [r for a, f in _evaluated(pencil, points, p, stacked)
+            for r in _stack_ranks(a, p, f).tolist()]
 
 
 def _kernels(pencil: Pencil, points, p: int, stacked: np.ndarray):
     """(Ker A, (Im A)^perp) bases as rows at each point, in order: the
     kernels of each stack of _evaluated and of its transpose."""
-    for a in _evaluated(pencil, points, p, stacked):
-        yield from _kernel_pairs(a, p)
+    for a, f in _evaluated(pencil, points, p, stacked):
+        yield from _kernel_pairs(a, p, f)
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,

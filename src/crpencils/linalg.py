@@ -26,7 +26,7 @@ Over F_p there are two eliminations, each with its own jobs.
     column-major with the stack innermost, (n, m, N), so that each step
     reads one contiguous slab and each numpy loop of its update runs
     along the N matrices of the stack rather than the m rows of one
-    matrix.  The exhaustive runs rank hundreds of 14x14 matrices per
+    matrix.  The exhaustive runs rank thousands of 14x14 matrices per
     stack, where a run of 14 entries cost more in loop overhead than in
     arithmetic: in the layout (n, N, m) the same ranks take about 1.4
     times as long.  Its entries are those of stack_dtype(p), the narrowest
@@ -35,12 +35,16 @@ Over F_p there are two eliminations, each with its own jobs.
     p <= 32749), so the small primes of exhaustive runs move an eighth to
     a half of the bytes of int64.  It eliminates the stack in place,
     reducing only when the next step could overflow, and writes each
-    step's product and reduction into one scratch array.
+    step's product and reduction into one scratch array.  Most stacks take
+    the inverse-free update, which scales each row by the pivot; int64
+    stacks of large enough matrices take the delayed one, which scales
+    nothing and reduces every 8 columns at DEFAULT_PRIME.
     Pencil.evaluate_modp writes each evaluated stack in this layout, on
     the side with fewer columns, reduced once by stack_product into
     buffers that analysis allocates once per call (stack_buffers) and
-    refills for each stack of up to 2^17 cells (analysis.STACK_CELLS), so
-    neither its ranks nor its kernels reduce or transpose it again;
+    refills for each stack of up to 2^20 bytes (analysis.STACK_BYTES), so
+    neither its ranks nor its kernels reduce or transpose it again, and
+    the float64 scratch of stack_product serves as the loop's own;
     modp_ranks and modp_kernel copy a stack of any other form into it;
   - recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.  A matrix met
@@ -352,24 +356,26 @@ _KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-r
 
 # modp_ranks and modp_rank rank a matrix of more than ECHELON_CELLS cells
 # alone, by _rref, and smaller ones together, by _forward.  Per matrix at
-# DEFAULT_PRIME, full 2^17-cell stacks against _rref (2-CPU VM, numpy 2.4,
+# DEFAULT_PRIME, full 2^20-byte stacks against _rref (2-CPU VM, numpy 2.4,
 # minimum of interleaved repeats):              stacked  _rref
-#   14x14, random                               0.008 ms 0.21 ms
-#   56x63, random                               0.51 ms  1.2 ms
-#   64x64, random                               0.65 ms  1.2 ms
-#   90x90, random                               1.8 ms   2.3 ms
-#   105x70, the GL (2,1) -> (2,1,1) pencil, v=6 1.4 ms   1.5 ms
-#   105x81, the SO m=5 hook pencil              1.9 ms   1.9 ms
-#   100x100, random                             2.5 ms   2.6 ms
-#   126x84, the Koszul pencil L^3 -> L^4 of C^9 2.6 ms   2.0 ms
-#   240x45, the GL (2) -> (2,1) pencil at v=9   1.5 ms   2.8 ms
-#   112x112, random                             4.0 ms   3.0 ms
-#   128x128, random                             6.4 ms   3.6 ms
-#   181x181, random (4 to a stack)               23 ms   7.4 ms
-#   512x252, random (alone)                      63 ms    16 ms
-# The two are about even near 10,000 cells.  No bound on cells sends both
-# the 240x45 pencil (10,800 cells) to the loop and the 126x84 one (10,584)
-# away from it.
+#   14x14, random                               0.009 ms 0.25 ms
+#   56x63, random                               0.35 ms  1.3 ms
+#   64x64, random                               0.46 ms  1.4 ms
+#   90x90, random                               1.2 ms   2.3 ms
+#   105x70, the GL (2,1) -> (2,1,1) pencil, v=6 0.92 ms  1.7 ms
+#   105x81, the SO m=5 hook pencil              1.2 ms   2.1 ms
+#   100x100, random                             1.6 ms   2.6 ms
+#   126x84, the Koszul pencil L^3 -> L^4 of C^9 1.6 ms   1.6 ms
+#   240x45, the GL (2) -> (2,1) pencil at v=9   0.94 ms  2.2 ms
+#   112x112, random                             2.4 ms   3.1 ms
+#   128x128, random                             4.0 ms   3.5 ms
+#   181x181, random (4 to a stack)               14 ms   6.9 ms
+#   512x252, random (alone)                      39 ms    15 ms
+# Since _forward's delayed update the two are about even near 14,000
+# cells on full stacks, against 10,000 before.  The bound stays, because
+# one matrix alone (modp_rank, a transitivity check) is slower on the loop
+# already at 10,000 cells: 100x100 4.0 ms against 2.6 ms by _rref, 50x200
+# 1.9 against 1.6 ms, 240x45 1.8 against 1.3 ms.
 ECHELON_CELLS = 10_000
 
 
@@ -654,16 +660,6 @@ def modp_rank(a: np.ndarray, p: int) -> int:
     return int(_stack_ranks(_matrix(a, p)[None], p)[0])
 
 
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p entrywise: the inverse of each unit, and 0 for 0."""
-    out, e = np.ones_like(x), p - 2
-    while e:
-        if e & 1:
-            out = _mod(out * x, p)
-        x, e = _mod(x * x, p), e >> 1
-    return out
-
-
 # the narrowest first: 2(p-1)^2 < 2^7 for p <= 7, < 2^15 for p <= 127, < 2^31
 # for p <= 32749 and < 2^63 for every p < 2^31
 _STACK_DTYPES = (np.int8, np.int16, np.int32, np.int64)
@@ -683,18 +679,26 @@ def stack_layout(rows: int, cols: int, count: int) -> tuple[tuple, tuple]:
     return ((rows, cols, count), (2, 0, 1)) if cols > rows else ((cols, rows, count), (2, 1, 0))
 
 
-def stack_buffers(cells: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat buffers for stacks of up to `cells` cells: a float64 one for
-    stack_product's scratch and one of stack_dtype(p) for the stack."""
-    return np.empty(cells), np.empty(cells, dtype=stack_dtype(p))
+def stack_buffers(cells: int, p: int, block: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat buffers for stacks of up to `cells` cells: a float64 scratch
+    array and one of stack_dtype(p) for the stack.  stack_product fills the
+    scratch with `block` cells of its product at a time (all of them by
+    default), and _forward then takes it for its own scratch, so it holds
+    at least the stack's bytes too."""
+    dtype = np.dtype(stack_dtype(p))
+    size = 8 * max(min(cells, block or cells), -(-cells * dtype.itemsize // 8))
+    # one allocation, not two: fewer page faults per call
+    both = np.empty(size + cells * dtype.itemsize, dtype=np.uint8)
+    return both[:size].view(np.float64), both[size:].view(dtype)
 
 
 def stack_product(c: np.ndarray, x: np.ndarray, p: int, f: np.ndarray,
                   e: np.ndarray) -> np.ndarray:
     """c @ x^T mod p, in [0, p), written into e and returned: c an
-    integer-valued float64 (r, k) array, x an (N, k) int64 array, f a
-    C-contiguous float64 (r, N) scratch array and e an (r, N) array of
-    stack_dtype(p).  No other array of e's size is formed.
+    integer-valued float64 (r, k) array, x an (N, k) int64 array, f a flat
+    float64 scratch array of at least N cells and e a C-contiguous (r, N)
+    array of stack_dtype(p).  No other array of e's size is formed: e is
+    made a block of rows at a time, as many as f holds.
 
     x is reduced first when it leaves [0, p).  The product is one float64
     BLAS call while k max|c| max|x| < 2^53, as every partial sum is then
@@ -718,24 +722,49 @@ def stack_product(c: np.ndarray, x: np.ndarray, p: int, f: np.ndarray,
         if not width:
             raise ValueError("the coefficients are too large for exact float64 products")
         shifts = list(range(0, hi.bit_length(), width))[::-1]
-    fi = f.view(np.int64)
-    limit = 1 << (8 * e.itemsize - 1)
-    for j, shift in enumerate(shifts):
-        limb = (x >> shift) & ((1 << width) - 1)
-        np.matmul(c, np.ascontiguousarray(limb.T, dtype=np.float64), out=f)
-        if not j and scale * (hi >> shift) < limit:
-            np.copyto(e, f, casting="unsafe")
-            _reduce(e, p, f.reshape(-1).view(e.dtype)[:e.size].reshape(e.shape))
-            continue
-        np.copyto(fi.reshape(-1), f.reshape(-1), casting="unsafe")  # in place, one pass
-        if j:
-            e *= (1 << width) % p
-            fi += e
-        _mod(fi, p, out=e)
+    limbs = [np.ascontiguousarray(((x >> shift) & ((1 << width) - 1)).T, dtype=np.float64)
+             for shift in shifts]
+    limit, step = 1 << (8 * e.itemsize - 1), max(1, f.size // max(len(x), 1))
+    for s in range(0, len(c), step):
+        eb = e[s : s + step]
+        fb = f[:eb.size].reshape(eb.shape)
+        fi = fb.view(np.int64)
+        for j, (shift, limb) in enumerate(zip(shifts, limbs)):
+            np.matmul(c[s : s + step], limb, out=fb)
+            if not j and scale * (hi >> shift) < limit:
+                np.copyto(eb, fb, casting="unsafe")
+                _reduce(eb, p, fb.reshape(-1).view(e.dtype)[:eb.size].reshape(eb.shape))
+                continue
+            np.copyto(fi.reshape(-1), fb.reshape(-1), casting="unsafe")  # in place, one pass
+            if j:
+                eb *= (1 << width) % p
+                fi += eb
+            _mod(fi, p, out=eb)
     return e
 
 
-def _forward(a: np.ndarray, p: int, keep_rows: bool):
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of each residue of x, and 0 for 0, by Montgomery's
+    trick: the running products of the nonzero entries, one pow of the
+    last, and a pass back that peels one factor off at a time."""
+    xs = x.ravel().tolist()
+    prefix, acc = [], 1
+    for v in xs:
+        prefix.append(acc)
+        acc = acc * v % p if v else acc
+    inv, out = pow(acc, -1, p), [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        if xs[i]:
+            out[i], inv = inv * prefix[i] % p, inv * xs[i] % p
+    return np.array(out, dtype=np.int64).reshape(x.shape)
+
+
+# _forward's delayed update serves int64 stacks of matrices of at least
+# 2^11 cells, 2^14 in all; below either it is slower
+_DELAYED_CELLS = (1 << 11, 1 << 14)
+
+
+def _forward(a: np.ndarray, p: int, keep_rows: bool, scratch: Optional[np.ndarray] = None):
     """Forward elimination of a stack in its layout, column by column: a is
     (n, m, N), column-major with the stack index innermost, [c, :, i]
     column c of matrix i, of stack_dtype(p) with |entries| < p, and is
@@ -750,32 +779,49 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
     the update runs over the contiguous a[1:], each of its numpy loops
     along the N matrices.  Each step drops its column, so `a` holds the
     columns not yet eliminated.  Each matrix picks its own pivot among the
-    rows it has not used yet and clears that column from its other rows
-    with the inverse-free update row <- pivot*row - a_ic*pivot_row, where
-    a_ic is taken as 0 in the rows it has used; a matrix without a pivot
-    in the column keeps its rows.  Scaling a row by a unit keeps the rank
-    and the row space.  Each step writes its product a_ic*pivot_row and its
-    reductions into one scratch array of a's size, allocated once.
+    rows it has not used yet and clears that column from its other rows; a
+    matrix without a pivot in the column keeps its rows.  Each step writes
+    its product and reductions into one scratch array of a's size, whose
+    last slab takes the pivot column's quotient: a view of `scratch`, a
+    flat array of at least a's bytes, or a new one.
 
     The steps are ring operations on integers, so only the pivot column is
-    reduced, to test pivots, until the next update could overflow.  Every
-    reduction leaves residues in [0, p), so |entry| <= p-1 holds again
-    after it.  With pivot and a_ic in [0, p) and |entries| <= B, an update
-    leaves them at most 2(p-1)B in absolute value, so `a` is reduced again
-    once 2(p-1)B reaches the limit of its dtype.  The dtype depends on p
-    alone (stack_dtype): int8 (limit 2^7) for p <= 7, int16 (2^15) for
-    p <= 127, int32 (2^31) for p <= 32749 and int64 (2^63) otherwise,
-    where 2(p-1)^2 < 2^63 for p < 2^31.
+    reduced, to test pivots, until the next update could overflow; every
+    reduction leaves residues in [0, p), |entry| <= p-1.  There are two
+    update rules, each with its bound on |entries| after t updates:
+      - inverse-free, row <- pivot*row - a_ic*pivot_row, with a_ic taken
+        as 0 in the rows the matrix has used.  With pivot and a_ic in
+        [0, p) and |entries| <= B, an update leaves at most 2(p-1)B, so
+        `a` is reduced once 2(p-1)B reaches the limit of its dtype
+        (stack_dtype): int8 (2^7) for p <= 7, int16 (2^15) for p <= 127,
+        int32 (2^31) for p <= 32749 and int64 (2^63) otherwise, which at
+        DEFAULT_PRIME is at every step;
+      - delayed, row <- row - (a_ic/pivot)*pivot_row, with the multipliers
+        a_ic/pivot and the pivot row taken as balanced residues, in
+        [-h, h] for h = (p-1)/2, and the column's pivot inverses from one
+        batched inversion (_inverses).  There is no scaling pass, and each
+        update adds at most h^2, so `a` is reduced only before
+        (p-1) + t h^2 could reach 2^63: every 8 columns at DEFAULT_PRIME.
+    The rules differ by a unit scalar on each row, so they pick the same
+    pivots, give the same ranks and keep rows whose RREF is the same.  An
+    int64 stack takes the delayed rule when its matrices have at least
+    2^11 cells and the stack at least 2^14 (_DELAYED_CELLS), and every
+    other stack the inverse-free one.
     """
     ncols, m, count = a.shape
     limit = 1 << (8 * a.itemsize - 1)
     if m == 0:  # no rows: rank 0, no pivots
         a = np.zeros((ncols, 1, count), dtype=a.dtype)
         m = 1
-    work = np.empty_like(a)  # the last slab takes the pivot column's quotient
+    work = np.empty_like(a) if scratch is None or scratch.nbytes < a.nbytes else (
+        scratch.view(np.uint8)[:a.nbytes].view(a.dtype).reshape(a.shape))
     mats = np.arange(count)
     used = np.zeros((m, count), dtype=bool)
     rows = np.zeros((ncols, ncols, count), dtype=np.int64) if keep_rows else None
+    delayed = limit == 1 << 63 and m * ncols >= _DELAYED_CELLS[0] and (
+        m * ncols * count >= _DELAYED_CELLS[1])
+    h = p // 2
+    grow = (lambda b: b + h * h) if delayed else (lambda b: 2 * (p - 1) * b)
     bound = p - 1  # on |entry| of a
     for c in range(ncols):
         col = _reduce(a[0], p, work[-1])
@@ -789,10 +835,14 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool):
             rows[c, c] = pivot
             rows[c, c + 1:] = _mod(prow, p)
         col[piv, mats] = 0
-        a *= pivot + ~found  # a matrix without a pivot keeps its rows
+        if delayed:  # balanced residues, in [-h, h]
+            col = _mod(col * _inverses(pivot, p) + h, p) - h
+            prow = _mod(prow + h, p) - h
+        else:
+            a *= pivot + ~found  # a matrix without a pivot keeps its rows
         a -= np.multiply(col, prow[:, None], out=work[:len(a)])
-        bound *= 2 * (p - 1)
-        if 2 * (p - 1) * bound >= limit:  # the next update could overflow
+        bound = grow(bound)
+        if grow(bound) >= limit:  # the next update could overflow
             _reduce(a, p, work[:len(a)])
             bound = p - 1
         used[piv, mats] |= found
@@ -817,16 +867,17 @@ def _laid_out(a: np.ndarray, p: int) -> np.ndarray:
     return (a if _in_layout(a, p) else _relaid(a, p)).transpose(2, 1, 0)
 
 
-def _stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
+def _stack_ranks(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """modp_ranks of an (N, m, n) stack of residues, which it may
     overwrite: one at a time by _rref when m n > ECHELON_CELLS, and
-    otherwise all at once by _forward on the side with fewer columns."""
+    otherwise all at once by _forward on the side with fewer columns, with
+    `scratch` as _forward's."""
     if a.shape[1] * a.shape[2] > ECHELON_CELLS:
         return np.array([_rref(np.ascontiguousarray(x, dtype=np.int64), p)[1].size
                          for x in a], dtype=np.int64)
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
         a = a.transpose(0, 2, 1)
-    return _forward(_laid_out(a, p), p, keep_rows=False)[0]
+    return _forward(_laid_out(a, p), p, False, scratch)[0]
 
 
 def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
@@ -836,16 +887,17 @@ def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     return _stack_ranks(_reduced(stack, p), p)
 
 
-def _stack_kernels(a: np.ndarray, p: int) -> list[np.ndarray]:
+def _stack_kernels(a: np.ndarray, p: int,
+                   scratch: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """modp_kernel of an (N, m, n) stack of residues, which it may
     overwrite: _forward keeps the pivot row of each column, and a stacked
     back substitution in the same layout, (n, n, N), scales each to a
     leading 1 and clears its column from the rows above, which leaves R
-    in the pivot rows."""
-    _, u = _forward(_laid_out(a, p), p, keep_rows=True)
+    in the pivot rows.  `scratch` is _forward's."""
+    _, u = _forward(_laid_out(a, p), p, True, scratch)
     n = a.shape[2]
     diag = np.arange(n)
-    u = _mod(u * _inverse_mod(u[diag, diag], p)[:, None], p)
+    u = _mod(u * _inverses(u[diag, diag], p)[:, None], p)
     for c in range(n - 1, 0, -1):
         u[:c, c:] = _mod(u[:c, c:] - u[:c, c, None] * u[c, None, c:], p)
     # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
@@ -862,17 +914,19 @@ def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
     return _stack_kernels(_reduced(stack, p), p)
 
 
-def _kernel_pairs(a: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _kernel_pairs(a: np.ndarray, p: int,
+                  scratch: Optional[np.ndarray] = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """(Ker A, Ker A^T), as modp_kernel gives them, for each matrix A of an
     (N, m, n) stack of residues, which it may overwrite.  A side whose
     layout a is a view of is eliminated in a's memory, so the other side,
-    A when A^T is laid out and else A^T, is copied first."""
+    A when A^T is laid out and else A^T, is copied first.  `scratch` is
+    _forward's, for both sides."""
     at = a.transpose(0, 2, 1)
     if _in_layout(at, p):
         a = _relaid(a, p)
     else:
         at = _relaid(at, p)
-    return list(zip(_stack_kernels(a, p), _stack_kernels(at, p)))
+    return list(zip(_stack_kernels(a, p, scratch), _stack_kernels(at, p, scratch)))
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,7 @@ class Pencil:
         f, e = stack_buffers(cells, p) if buffers is None else buffers
         # a view when `stacked` is coeff_array_modp's
         by_vars = stacked.transpose(np.argsort(axes)).reshape(rows, self.nvars)
-        laid = stack_product(by_vars, pts, p, f[:cells].reshape(rows, len(pts)),
-                             e[:cells].reshape(rows, len(pts)))
+        laid = stack_product(by_vars, pts, p, f, e[:cells].reshape(rows, len(pts)))
         out = laid.reshape(shape).transpose(axes)
         return out.reshape(xv.shape[:-1] + out.shape[1:])
 

@@ -130,18 +130,19 @@ def _raw_pencils(draw):
     return p, pencil, points
 
 
-@given(_raw_pencils(), st.sampled_from((analysis.STACK_CELLS, 100, 16, 1)),
+@given(_raw_pencils(), st.sampled_from((analysis.STACK_BYTES, 800, 128, 1)),
        st.sampled_from((linalg.ECHELON_CELLS, 16, 0)))
 @settings(max_examples=150, deadline=None)
-def test_batched_ranks_match_per_point_ranks(case, stack_cells, echelon_cells):
-    # the two bounds vary apart: stack_cells 16 or 1 with the default
+def test_batched_ranks_match_per_point_ranks(case, stack_bytes, echelon_cells):
+    # the two bounds vary apart: stack_bytes 128 or 1 with the default
     # echelon bound gives many tiny stacks (one matrix each above the
-    # budget), echelon_cells 0 sends every matrix to the echelon whatever
-    # the stack budget, and 16 only those above 16 cells
+    # budget; 128 bytes are 16 int64 cells and 128 int8 ones),
+    # echelon_cells 0 sends every matrix to the echelon whatever the stack
+    # budget, and 16 only those above 16 cells
     p, pencil, points = case
     want = [len(modp_rref(mat_mod(pencil.evaluate(x), p), p)[1]) for x in points]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "STACK_CELLS", stack_cells)
+        mp.setattr(analysis, "STACK_BYTES", stack_bytes)
         mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
         assert ranks_at(pencil, points, p) == want
 
@@ -159,7 +160,8 @@ def _diagonal_pencil(c: int, b: int) -> Pencil:
     ((50, 201), 0, 3),  # above it: each matrix alone through _rref
 ])
 def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stacks, echelons):
-    assert linalg.ECHELON_CELLS == 10_000 < analysis.STACK_CELLS
+    # three int64 matrices of ECHELON_CELLS cells fit one stack
+    assert linalg.ECHELON_CELLS == 10_000 and 3 * 10_000 * 8 <= analysis.STACK_BYTES
     pencil = _diagonal_pencil(*shape)
     points = [[1, 0], [0, 1], [3, 5]]
     forward_shapes, echelon_rows = [], []
@@ -169,9 +171,9 @@ def test_the_single_matrix_bound_routes_to_the_echelon(monkeypatch, shape, stack
         echelon_rows.append(len(a))
         return rref(a, p)
 
-    def counting_forward(a, p, keep_rows):
+    def counting_forward(a, p, keep_rows, scratch=None):
         forward_shapes.append(a.shape)
-        return forward(a, p, keep_rows)
+        return forward(a, p, keep_rows, scratch)
 
     monkeypatch.setattr(linalg, "_rref", counting_rref)
     monkeypatch.setattr(linalg, "_forward", counting_forward)
@@ -213,10 +215,10 @@ def test_kernels_above_the_single_matrix_bound_match_the_echelon():
                 assert mine.tolist() == ech.kernel().tolist()
 
 
-@given(_raw_pencils(), st.sampled_from((analysis.STACK_CELLS, 100, 1)),
+@given(_raw_pencils(), st.sampled_from((analysis.STACK_BYTES, 800, 1)),
        st.sampled_from((linalg.ECHELON_CELLS, 16)))
 @settings(max_examples=100, deadline=None)
-def test_stacked_kernels_match_per_point_kernels(case, stack_cells, echelon_cells):
+def test_stacked_kernels_match_per_point_kernels(case, stack_bytes, echelon_cells):
     # each stack is eliminated from evaluate_modp's layout, A and A^T, in
     # every stack dtype and on both sides of the stacked loop's orientation
     p, pencil, points = case
@@ -225,23 +227,27 @@ def test_stacked_kernels_match_per_point_kernels(case, stack_cells, echelon_cell
         a = mat_mod(pencil.evaluate(x), p)
         want.append((modp_kernel(a[None], p)[0].tolist(), modp_kernel(a.T[None], p)[0].tolist()))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "STACK_CELLS", stack_cells)
+        mp.setattr(analysis, "STACK_BYTES", stack_bytes)
         mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
         got = list(analysis._kernels(pencil, points, p, pencil.coeff_array_modp(p)))
     assert [(k.tolist(), c.tolist()) for k, c in got] == want
 
 
 @pytest.mark.parametrize("params, prime, count, per_cell", [
-    # float64 product, int8 stack and _forward's scratch: 10 bytes a cell;
-    # 18.3 before evaluate_modp wrote the stack's layout into reused buffers
-    ({"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6}, 7, 668, 12),
-    # the same at int64: 24 bytes a cell; 33.0 before
-    ({"kind": "adjoint", "a": 8}, DEFAULT_PRIME, 37, 28),
+    # int8 stack and a 1 MB float64 scratch, which stack_product fills a
+    # block of rows at a time and _forward reuses: 2.5 bytes a cell; 10.7
+    # when the stack held 668 matrices and _forward had its own scratch
+    ({"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6}, 7, 5349, 3),
+    # the same at int64, the scratch the stack's size: 17.2 bytes a cell;
+    # 25.0 with _forward's own scratch
+    ({"kind": "adjoint", "a": 8}, DEFAULT_PRIME, 37, 20),
 ])
 def test_ranks_at_holds_one_stack_of_buffers(params, prime, count, per_cell):
     pencil = build_from_params(params)
     cells = count * pencil.target_dim * pencil.source_dim
-    assert cells <= analysis.STACK_CELLS < cells + pencil.target_dim * pencil.source_dim
+    size = np.dtype(linalg.stack_dtype(prime)).itemsize
+    assert cells * size <= analysis.STACK_BYTES < (
+        cells + pencil.target_dim * pencil.source_dim) * size
     points = random_points(random.Random(1), count, pencil.nvars, prime)
     stacked = pencil.coeff_array_modp(prime)
     tracemalloc.start()
@@ -603,16 +609,16 @@ def test_rnd_builds_the_canonical_subspace_only_for_the_report(pen, monkeypatch)
     assert isinstance(rep.space, Subspace)
 
 
-@pytest.mark.parametrize("stack_cells, echelon_cells", [
-    pytest.param(100, linalg.ECHELON_CELLS, id="100"),  # stacks of two 8x6 matrices
+@pytest.mark.parametrize("stack_bytes, echelon_cells", [
+    pytest.param(800, linalg.ECHELON_CELLS, id="800"),  # stacks of two int64 8x6 matrices
     pytest.param(16, 16, id="16"),  # each matrix to the echelon
     pytest.param(1, linalg.ECHELON_CELLS, id="one-per-stack"),
-    pytest.param(analysis.STACK_CELLS, 0, id="echelon-under-a-large-stack-budget"),
+    pytest.param(analysis.STACK_BYTES, 0, id="echelon-under-a-large-stack-budget"),
 ])
-def test_rnd_matches_the_oracle_in_small_chunks(stack_cells, echelon_cells):
+def test_rnd_matches_the_oracle_in_small_chunks(stack_bytes, echelon_cells):
     pen = build_gl_pencil((2,), (2, 1), 3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "STACK_CELLS", stack_cells)
+        mp.setattr(analysis, "STACK_BYTES", stack_bytes)
         mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
         assert rnd(pen, seed=1) == rnd_one_at_a_time(pen, seed=1)[0]
 

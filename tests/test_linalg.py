@@ -583,7 +583,8 @@ def _staggered_stack(p, count, m, n, seed):
     return stack
 
 
-# 668 matrices of 14 x 14 are one stack of the exhaustive certify jobs
+# 668 matrices of 14 x 14 fill one int64 stack of 2^20 bytes (an int8 one
+# holds 5,349, a stack of the exhaustive certify jobs)
 @pytest.mark.parametrize("p", (7, DEFAULT_PRIME))
 @pytest.mark.parametrize("count, m, n", [(668, 14, 14), (1, 14, 14), (3, 0, 14), (1, 0, 5)])
 def test_stacked_elimination_of_benchmark_shapes(p, count, m, n):
@@ -600,6 +601,52 @@ def test_stacked_elimination_of_benchmark_shapes(p, count, m, n):
     for ker, ech in zip(kernels, echelons):
         want = ech.kernel()
         assert (ker.shape, ker.tolist()) == (want.shape, want.tolist())
+
+
+def _triangular_product(p, m, n, rank, mult, row):
+    """L U mod p, L the m x rank unit lower triangle with `mult` below the
+    diagonal and U the rank x n upper triangle with pivots 2, 3, ... and
+    `row` right of them: eliminated in order, each column c < rank pivots
+    on row c, every multiplier a_ic / pivot is `mult` and the rest of the
+    pivot row is `row`."""
+    low = np.tril(np.full((m, rank), mult, dtype=object), -1) + np.eye(m, rank, dtype=object)
+    up = np.triu(np.full((rank, n), row, dtype=object), 1)
+    up[np.arange(rank), np.arange(rank)] = np.arange(2, rank + 2)
+    return ((low @ up) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, 32771))
+def test_delayed_reduction_at_its_bound(p):
+    # 8 matrices of 96 x 24, 18,432 cells, take _forward's delayed update.
+    # With multipliers h = (p-1)/2 and pivot rows -h, every update adds h^2
+    # to the rows below, so at DEFAULT_PRIME an entry reaches (p-1) + 8 h^2
+    # just below 2^63 and a ninth update wraps: reducing one column late
+    # fails.  Multipliers and pivot rows of -1 add 1 as balanced residues
+    # but (p-1)^2 as residues in [0, p), which wraps after two updates.
+    # At 32771 no update comes near 2^63, so only the pivot column is reduced
+    h = p // 2
+    m, n = 96, 24
+    assert m * n >= linalg._DELAYED_CELLS[0] and 8 * m * n >= linalg._DELAYED_CELLS[1]
+    stack = np.array([_triangular_product(p, m, n, rank, mult, row)
+                      for mult, row in ((h, -h), (-1, -1)) for rank in (24, 20, 9, 0)])
+    want = [_echelon_kernel(a, p) for a in stack]
+    assert [len(k) for k in want] == [0, 4, 15, 24] * 2
+    assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
+    assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
+    # random matrices of every rank, pivoting on different rows
+    stack = _staggered_stack(p, 12, 64, 40, seed=p)
+    want = [_echelon_kernel(a, p) for a in stack]
+    assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
+    assert modp_ranks(stack, p).tolist() == [40 - len(k) for k in want]
+
+
+def test_batched_inverses():
+    p = DEFAULT_PRIME
+    for x in ([5], [0], [0, 0, 0], [3, 0, p - 1, 0, 1, 2 ** 30], [[2, 0], [0, 7]]):
+        got = linalg._inverses(np.array(x, dtype=np.int64), p)
+        want = np.vectorize(lambda v: pow(int(v), -1, p) if v else 0, otypes=[np.int64])(x)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+    assert linalg._inverses(np.zeros(0, dtype=np.int64), 7).shape == (0,)
 
 
 @pytest.mark.parametrize("p", (3, 32749, 32771, DEFAULT_PRIME))
