@@ -163,7 +163,9 @@ def probe_equivariance(root: Path, repeats: int, tmp: Path):
     for name, pencil, cleared in cases:
         ms, faults, ok = timed(lambda: pencils.check_equivariance(pencil), repeats,
                                lambda: [cache.cache_clear() for cache in cleared])
-        rows.append((ms, ok, faults, len(pencils.equivariance_data(pencil.spec))))
+        # the generators: the first action's variables, or the older per-generator records
+        data = pencils.equivariance_data(pencil.spec)
+        rows.append((ms, ok, faults, getattr(data[0], "nvars", len(data))))
         yield dict(case=name, ms=ms, ok=ok, note=f"{rows[-1][3]} generators", faults=faults)
     ms, ok, faults, gens = zip(*rows[:3])
     yield dict(case="certify-3", ms=sum(ms), ok=all(ok), note=f"{sum(gens)} generators",

@@ -745,11 +745,10 @@ def _check_so_sym2_family(cfg: CatalogRunConfig, result: EntryResult) -> None:
             if not any(v):
                 v[0] = 1
             t = _so_sym2_kernel_tensor(v, m)
-            coords = smod.span.coordinates(WordBatch.from_tensors([t], 2, m))[0]
-            if coords is None:
-                ok = False
-                break
-            if any(pen.evaluate(v) @ [coords.get(k, 0) for k in range(smod.dim)]):
+            _, k, c, outside = smod.span.coordinates(WordBatch.from_tensors([t], 2, m))
+            coords = np.zeros(smod.dim, dtype=object)
+            coords[k] = c.tolist()
+            if outside[0] or any(pen.evaluate(v) @ coords):
                 ok = False
                 break
         if not ok:

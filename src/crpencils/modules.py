@@ -56,9 +56,6 @@ class FormSpec:
     dim: int
     gram: tuple[tuple[int, ...], ...]
 
-    def value(self, a: int, b: int) -> int:
-        return self.gram[a][b]
-
     @cached_property
     def partners(self) -> tuple[np.ndarray, np.ndarray]:
         """(partner, value): for each letter a the one letter b = partner[a]

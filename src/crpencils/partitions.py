@@ -86,14 +86,6 @@ def conjugate(mu: Partition) -> Partition:
     return tuple(cols)
 
 
-def contains(lam: Partition, mu: Partition) -> bool:
-    """Whether the diagram of mu fits inside the diagram of lam."""
-    lam, mu = normalize(lam), normalize(mu)
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
-
-
 def pieri_add(mu: Partition, max_rows: int) -> list[tuple[Partition, BoxPosition]]:
     """All one-box additions to mu with at most max_rows rows.
 

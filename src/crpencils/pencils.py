@@ -5,12 +5,16 @@ on pairs of Schur modules.
 A pencil maps a source module (dimension b) to a target module (dimension c):
 evaluate(x) = sum x_i A_i is a c x b matrix.  The coefficients are stored
 sparse, as sorted (var, row, col, num) integer entries with one global
-denominator, so they reduce mod any prime not dividing it.  The group
-actions that certify equivariance are stored the same way: each as sorted
-(row, col, num) integer entries over one denominator (IntMatrix).
+denominator, so they reduce mod any prime not dividing it, and are computed
+on as COO arrays, one per field (Pencil.coo).  A Lie algebra action is a
+pencil in its generators, stored the same way: the actions that certify
+equivariance are each one Pencil, generator g's matrix its evaluation at
+e_g over the denominator.
 
-Every map out of a realized module is read by _span_map, in integers over
-one denominator, and handed to Pencil.from_entries as such.
+Every map out of a realized module is read by _span_map, as COO arrays in
+integers over one denominator, and handed to Pencil.from_entries or to the
+action as such; the joins that assemble and check them are a searchsorted
+(tensors.matches) and one tensors.sum_by_key, with no dict per entry.
 
 For Sp/SO pencils the target coordinates are taken against the form-pairing
 with the target basis (the adjoint of the symmetrizer), which differs from
@@ -21,15 +25,15 @@ adjusted accordingly (rho_t = -rho^T for the directly realized action rho).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import coef_dtype, max_abs, stack_buffers, stack_layout, stack_product
+from .linalg import coef_dtype, int_array, max_abs, stack_buffers, stack_layout, stack_product
 from .modules import (
     RealizedModule,
     clifford_unit,
@@ -64,64 +68,13 @@ from .tensors import (
     cell_slot,
     chevalley_generators,
     letter_images,
+    matches,
     place_values,
-    ragged,
     square_matrix,
     sum_by_key,
     symmetrize_rows,
     tensor_iadd,
 )
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """A square matrix num / den, stored as sorted (row, col, num) integer
-    entries with num != 0 over one denominator den >= 1."""
-
-    dim: int
-    entries: tuple
-    den: int = 1
-
-    @classmethod
-    def from_entries(cls, dim: int, entries: dict) -> IntMatrix:
-        """The matrix of integer {(row, col): value} entries, over den 1."""
-        return cls(dim, tuple(sorted((r, c, x) for (r, c), x in entries.items() if x)))
-
-    @classmethod
-    def from_dense(cls, m: Sequence[Sequence]) -> IntMatrix:
-        return cls.from_entries(len(m), {(r, c): x for r, row in enumerate(m)
-                                         for c, x in enumerate(row)})
-
-    @classmethod
-    def from_columns(cls, basis: Sequence, cols: Sequence[dict]) -> IntMatrix:
-        """The matrix whose j-th column is cols[j], {basis element: value}."""
-        index = {K: r for r, K in enumerate(basis)}
-        return cls.from_entries(len(basis), {(index[K], j): x for j, col in enumerate(cols)
-                                             for K, x in col.items()})
-
-    def lines(self, scale: int, by_col: bool) -> list[list[tuple[int, int]]]:
-        """The entries of the integer matrix scale * self (den divides
-        scale), per column as (row, value) or per row as (col, value)."""
-        f = scale // self.den
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for r, c, num in self.entries:
-            line, at = (c, r) if by_col else (r, c)
-            out[line].append((at, num * f))
-        return out
-
-
-@dataclass(frozen=True)
-class EquivarianceData:
-    """One Lie-algebra generator with its three matrix actions.
-
-    x_on_vars acts on the pencil's variable space; rho_source and rho_target
-    act on source/target coordinates.  The pencil identity to check is
-    rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b.
-    """
-
-    x_on_vars: IntMatrix
-    rho_source: IntMatrix
-    rho_target: IntMatrix
 
 
 # nvars x target x source bound on a pencil, checked before anything is
@@ -272,27 +225,38 @@ class Pencil:
     spec: Optional[BuildSpec] = None  # None for fixtures and record-less files
 
     @classmethod
-    def from_entries(cls, entries: dict, den: int, nvars: int, source_dim: int,
+    def from_entries(cls, coo, den: int, nvars: int, source_dim: int,
                      target_dim: int, spec: BuildSpec,
                      var_labels: Optional[tuple] = None) -> Pencil:
-        """The built pencil of the integer {(var, row, col): num} coefficients
-        num / den over one common denominator den >= 1, stored with the
-        overall integer content divided out (a global scalar, irrelevant to
-        every rank property but essential for reductions modulo small
-        primes).  The stored pencil does not depend on which common
-        denominator is given: over den = m D, D the least one, every num and
-        so their gcd g is m times its value over D, so num / g and
-        den / gcd(den, g) come out the same.  The variables are labelled
-        x_1..x_nvars unless var_labels is given.  Parsed files and group
-        actions keep their own paths: they must store values exactly, and
-        dividing out the content would rescale them."""
-        entries = {k: x for k, x in entries.items() if x}
-        if not entries:
+        """The built pencil of the integer coefficients num / den at (var,
+        row, col), COO arrays coo = (var, row, col, num) over one common
+        denominator den >= 1, equal cells summed, stored with the overall
+        integer content divided out (a global scalar, irrelevant to every
+        rank property but essential for reductions modulo small primes).
+        The stored pencil does not depend on which common denominator is
+        given: over den = m D, D the least one, every num and so their gcd g
+        is m times its value over D, so num / g and den / gcd(den, g) come
+        out the same.  The variables are labelled x_1..x_nvars unless
+        var_labels is given.  Parsed files and group actions (_action) keep
+        their values exactly: dividing out the content would rescale them."""
+        *cell, num = _summed_cells(coo, target_dim, source_dim)
+        if not len(num):
             raise AssertionError(f"{spec.kind} pencil is identically zero")
-        g = gcd(*entries.values())
-        coeffs = tuple(sorted(k + (x // g,) for k, x in entries.items()))
+        g = gcd(*num.tolist())
         labels = var_labels or tuple(f"x_{i+1}" for i in range(nvars))
-        return cls(nvars, source_dim, target_dim, coeffs, den // gcd(den, g), labels, spec)
+        return cls(nvars, source_dim, target_dim, _tuples(*cell, num // g),
+                   den // gcd(den, g), labels, spec)
+
+    @cached_property
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficients as read-only COO arrays (var, row, col, num), in
+        coeffs order; num is int64, or Python ints from 2^62 on
+        (linalg.int_array).  Cached: every caller shares them."""
+        fields = list(zip(*self.coeffs)) or [()] * 4
+        out = (*(np.array(f, dtype=np.int64) for f in fields[:3]), int_array(list(fields[3])))
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     def evaluate(self, x: Sequence[int]) -> np.ndarray:
         """sum x_i A_i at an integer point without the global denominator
@@ -313,8 +277,8 @@ class Pencil:
             raise ValueError(f"prime {p} divides the cleared denominator")
         shape, axes = stack_layout(self.target_dim, self.source_dim, self.nvars)
         a = np.zeros(shape).transpose(axes)
-        idx = np.array([e[:3] for e in self.coeffs], dtype=np.int64).reshape(-1, 3)
-        a[idx[:, 0], idx[:, 1], idx[:, 2]] = [(e[3] + p // 2) % p - p // 2 for e in self.coeffs]
+        var, row, col, num = self.coo
+        a[var, row, col] = (num + p // 2) % p - p // 2
         return a
 
     def evaluate_modp(self, x: Sequence, stacked: np.ndarray, p: int,
@@ -396,39 +360,88 @@ def check_equivariance(p: Pencil) -> bool:
     """Verify rho_t A_i - A_i rho_s = sum_b x_on_vars[b][i] A_b exactly for
     every generator in equivariance_data(p.spec) and every variable i, in
     integers (times the lcm of the three denominators; the pencil's own
-    cancels).  False unless describes(p.spec, p), ValueError when admit
-    refuses the spec, both before any module is built."""
+    cancels): the terms of all generators at once, from three joins of the
+    pencil's COO arrays with the actions', summed by one sum_by_key keyed
+    by (generator, variable, row, col).  They are int64 where a bound on
+    every sum fits, else Python ints.  False unless describes(p.spec, p),
+    ValueError when admit refuses the spec, both before any module is
+    built."""
     if not describes(p.spec, p):
         return False
     admit(p.nvars, p.source_dim, p.target_dim, p.spec)
-    data = equivariance_data(p.spec)
-    by_var: list[list[tuple]] = [[] for _ in range(p.nvars)]
-    for var, r, c, num in p.coeffs:
-        by_var[var].append((r, c, num))
-    for eq in data:
-        m = lcm(eq.x_on_vars.den, eq.rho_source.den, eq.rho_target.den)
-        t_cols = eq.rho_target.lines(m, by_col=True)
-        s_rows = eq.rho_source.lines(m, by_col=False)
-        x_cols = eq.x_on_vars.lines(m, by_col=True)
-        for i in range(p.nvars):
-            diff: dict = {}
-            for r, c, num in by_var[i]:
-                for k, x in t_cols[r]:
-                    diff[k, c] = diff.get((k, c), 0) + x * num
-                for j, x in s_rows[c]:
-                    diff[r, j] = diff.get((r, j), 0) - num * x
-            for b, x in x_cols[i]:
-                for r, c, num in by_var[b]:
-                    diff[r, c] = diff.get((r, c), 0) - x * num
-            if any(diff.values()):
-                return False
-    return True
+    x_on_vars, rho_source, rho_target = equivariance_data(p.spec)
+    m = lcm(x_on_vars.denom, rho_source.denom, rho_target.denom)
+    var, row, col, a = p.coo
+    # rho_t[k, r] A_i[r, c] at (k, c), each action sorted by the index it joins on
+    g, k, r, t = _sorted_by(rho_target.coo, 2)
+    owner, at = matches(r, row)
+    terms = [(g[at], var[owner], k[at], col[owner], t[at], a[owner], m // rho_target.denom)]
+    # - A_i[r, c] rho_s[c, j] at (r, j)
+    g, c, j, s = _sorted_by(rho_source.coo, 1)
+    owner, at = matches(c, col)
+    terms.append((g[at], var[owner], row[owner], j[at], s[at], a[owner], -m // rho_source.denom))
+    # - X[b, i] A_b[r, c] at (r, c); the pencil is sorted by variable
+    g, b, i, x = x_on_vars.coo
+    owner, at = matches(var, b)
+    terms.append((g[owner], i[owner], row[at], col[at], x[owner], a[at], -m // x_on_vars.denom))
+    # each term set is (generator, variable, row, col, factor, factor, scale),
+    # and a sum has at most all the terms
+    dtype = coef_dtype(sum(len(t[4]) for t in terms)
+                       * max(max_abs(u) * max_abs(v) * abs(f) for *_, u, v, f in terms))
+    keys, _ = sum_by_key(
+        np.concatenate([((g * p.nvars + i) * p.target_dim + r) * p.source_dim + c
+                        for g, i, r, c, *_ in terms]),
+        np.concatenate([u.astype(dtype) * v.astype(dtype) * f for *_, u, v, f in terms]))
+    return not len(keys)
+
+
+def _sorted_by(coo, field: int) -> list[np.ndarray]:
+    """COO arrays in the order of one field, stably."""
+    order = np.argsort(coo[field], kind="stable")
+    return [x[order] for x in coo]
+
+
+def _summed_cells(coo, rows: int, cols: int) -> list[np.ndarray]:
+    """COO arrays (var, row, col, num) of a pencil with rows x cols
+    matrices, sorted by cell, equal cells summed and zeros dropped."""
+    var, row, col = (np.asarray(x, dtype=np.int64) for x in coo[:3])
+    cell, num = sum_by_key((var * rows + row) * cols + col, np.asarray(coo[3]))
+    var, cell = np.divmod(cell, rows * cols)
+    return [var, *np.divmod(cell, cols), num]
+
+
+def _tuples(*coo) -> tuple:
+    """Pencil.coeffs of COO arrays: (var, row, col, num) tuples of ints."""
+    return tuple(zip(*(x.tolist() for x in coo)))
+
+
+def _action(coo, gens: int, dim: int, den: int = 1) -> Pencil:
+    """The action of a Lie algebra on a dim-space as a pencil in gens
+    generators: its matrix at e_g is num / den at (row, col) over the COO
+    arrays coo = (g, row, col, num), stored exactly."""
+    return Pencil(gens, dim, dim, _tuples(*_summed_cells(coo, dim, dim)), den, ())
+
+
+def _dense_action(ms, den: int = 1) -> Pencil:
+    """The action whose generator g has the integer matrix ms[g] / den."""
+    m = np.array(ms, dtype=np.int64)
+    g, r, c = np.nonzero(m)
+    return _action((g, r, c, m[g, r, c]), len(m), m.shape[1], den)
+
+
+def _columns(cols: Sequence[Sequence[dict]], basis: Sequence) -> tuple:
+    """COO arrays (g, row, col, num) of the integer matrices whose column j
+    of matrix g is cols[g][j], as {basis element: value}."""
+    index = {K: r for r, K in enumerate(basis)}
+    coo = [(g, index[K], j, x) for g, m in enumerate(cols)
+           for j, col in enumerate(m) for K, x in col.items()]
+    return tuple(np.array(coo, dtype=np.int64).reshape(-1, 4).T)
 
 
 def _span_map(mod: RealizedModule, op, target: RealizedModule, per: int,
-              growth: int = 1) -> tuple[dict, int]:
-    """({(i, k, j): n}, L): n / L is coordinate k in the target's basis of
-    the i-th image under op of the module's basis vector b_j.
+              growth: int = 1) -> tuple[tuple, int]:
+    """((i, k, j, n), L), COO arrays: n / L is coordinate k in the target's
+    basis of the i-th image under op of the module's basis vector b_j.
 
     op maps a batch of the integer tensors u_j = s_j b_j (span.scaled_batch)
     to per images of each, tensor j * per + i the i-th of u_j; it gets
@@ -438,28 +451,25 @@ def _span_map(mod: RealizedModule, op, target: RealizedModule, per: int,
     """
     scales = mod.span.scales
     big = lcm(1, *scales)
-    entries: dict = {}
+    factor = int_array([big // s for s in scales])
+    parts = []
     for first, part in mod.span.scaled_batch.chunks(PASS_CELLS // growth):
-        images = target.span.coordinates(op(part))
-        if None in images:
+        image, k, c, outside = target.span.coordinates(op(part))
+        if outside.any():
             raise AssertionError("target span is not stable under the map: an image leaves it")
-        for t, coords in enumerate(images):
-            j, i = divmod(t, per)
-            f = big // scales[first + j]
-            for k, c in coords.items():
-                entries[i, k, first + j] = c * f
-    return entries, big
+        j, i = np.divmod(image, per)
+        dtype = coef_dtype(max_abs(c) * max_abs(factor))
+        parts.append((i, k, first + j, c.astype(dtype) * factor.astype(dtype)[first + j]))
+    return tuple(map(np.concatenate, zip(*parts))), big
 
 
-def _coordinate_action(mod: RealizedModule, xs) -> list[IntMatrix]:
-    """The matrix of the derivation action of each integer X_g of xs on the
-    module's basis coordinates, over the map's denominator: one span map of
-    all of them, image j * G + g that of X_g on basis vector j."""
-    entries, den = _span_map(mod, lambda part: lie_action(xs, part), mod, len(xs), len(xs))
-    cols: list[list[tuple]] = [[] for _ in xs]
-    for (g, k, j), c in entries.items():
-        cols[g].append((k, j, c))
-    return [IntMatrix(mod.dim, tuple(sorted(e)), den) for e in cols]
+def _coordinate_action(mod: RealizedModule, xs, dual: bool = False) -> Pencil:
+    """The derivation action of the integer X_g of xs on the module's basis
+    coordinates, over the map's denominator: one span map of all of them,
+    image j * G + g that of X_g on basis vector j.  With dual, the action
+    -rho^T on coordinates taken against the basis by a form."""
+    (g, k, j, c), den = _span_map(mod, lambda part: lie_action(xs, part), mod, len(xs), len(xs))
+    return _action((g, j, k, -c) if dual else (g, k, j, c), len(xs), mod.dim, den)
 
 
 def _wedge_action(X, basis) -> list[dict]:
@@ -479,8 +489,10 @@ def _wedge_action(X, basis) -> list[dict]:
     return cols
 
 
-def _wedge_matrix(X, basis) -> IntMatrix:
-    return IntMatrix.from_columns(basis, _wedge_action(X, basis))
+def _wedge_actions(xs, basis) -> tuple:
+    """COO arrays (g, row, col, num) of the derivation action of each X_g
+    in xs on Lambda^k(C^v), on its basis of sorted index tuples."""
+    return _columns([_wedge_action(X, basis) for X in xs], basis)
 
 
 def _one_box(mu: Partition, nu: Partition, max_rows: int) -> BoxPosition:
@@ -506,9 +518,9 @@ def build_gl_pencil(mu: Partition, nu: Partition, v: int) -> Pencil:
     pos = cell_slot(nu, box.row - 1, box.col - 1)
     # c_nu makes at most prod r_i! prod h_j! terms of a word
     growth = v * prod(factorial(r) for r in nu + conjugate(nu))
-    entries, den = _span_map(smod, lambda part: apply_symmetrizer(part.with_letter_inserted(pos), nu),
-                             tmod, v, growth)
-    return Pencil.from_entries(entries, den, v, smod.dim, tmod.dim, BuildSpec("gl", (mu, nu, v)))
+    coo, den = _span_map(smod, lambda part: apply_symmetrizer(part.with_letter_inserted(pos), nu),
+                         tmod, v, growth)
+    return Pencil.from_entries(coo, den, v, smod.dim, tmod.dim, BuildSpec("gl", (mu, nu, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +534,8 @@ def build_koszul_pencil(k: int, v: int) -> Pencil:
         raise ValueError("need 0 <= k < v")
     src = list(combinations(range(v), k))
     tgt = list(combinations(range(v), k + 1))
-    tgt_index = {K: r for r, K in enumerate(tgt)}
-    entries = {(i, tgt_index[L], j): c for j, K in enumerate(src)
-               for i in range(v) for L, c in wedge_e(i, {K: 1}).items()}
-    return Pencil.from_entries(entries, 1, v, len(src), len(tgt), BuildSpec("koszul", (k, v)))
+    coo = _columns([[wedge_e(i, {K: 1}) for K in src] for i in range(v)], tgt)
+    return Pencil.from_entries(coo, 1, v, len(src), len(tgt), BuildSpec("koszul", (k, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,25 +569,26 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
 
     columns = prod(factorial(h) for h in conjugate(nu))
     ls, lt = lcm(1, *smod.span.scales), lcm(1, *tmod.span.scales)
-    src_factor = [ls // s for s in smod.span.scales]
-    tgt_factor = [columns * (lt // t) for t in tmod.span.scales]
-    entries: dict = {}
+    src_factor = int_array([ls // s for s in smod.span.scales])
+    tgt_factor = int_array([columns * (lt // t) for t in tmod.span.scales])
+    parts = []
     target = tmod.span.scaled_batch
     for first, part in target.chunks(PASS_CELLS // prod(factorial(r) for r in nu)):
         dk = symmetrize_rows(part, nu)
         letter, rest = dk.cut(pos)
-        lo = np.searchsorted(pcode, rest)
-        owner, at = ragged(lo, np.searchsorted(pcode, rest, "right") - lo)
+        owner, at = matches(pcode, rest)
         # each sum has at most len(at) terms
         dtype = coef_dtype(len(at) * max_abs(dk.coef) * max_abs(value) * max_abs(pval))
         keys, sums = sum_by_key(
             ((partner[letter] * part.n + dk.idx) * smod.dim)[owner] + pj[at],
             (dk.coef.astype(dtype) * value[letter])[owner] * pval.astype(dtype)[at])
-        for key, val in zip(keys.tolist(), sums.tolist()):
-            key, j = divmod(key, smod.dim)
-            pl, k = divmod(key, part.n)
-            entries[pl, first + k, j] = val * tgt_factor[first + k] * src_factor[j]
-    return Pencil.from_entries(entries, lt * ls, v, smod.dim, tmod.dim, spec)
+        keys, j = np.divmod(keys, smod.dim)
+        pl, k = np.divmod(keys, part.n)
+        dtype = coef_dtype(max_abs(sums) * max_abs(tgt_factor) * max_abs(src_factor))
+        parts.append((pl, first + k, j, sums.astype(dtype) * tgt_factor.astype(dtype)[first + k]
+                      * src_factor.astype(dtype)[j]))
+    coo = [np.concatenate(x) for x in zip(*parts)]
+    return Pencil.from_entries(coo, lt * ls, v, smod.dim, tmod.dim, spec)
 
 
 @lru_cache(maxsize=None)
@@ -609,17 +620,12 @@ def build_spin_pencil(n: int) -> Pencil:
     """psi: Delta+ -> Hom(W, Delta-), delta acting by Clifford multiplication."""
     ss = spin_space(n)
     even, odd = ss.even_basis, ss.odd_basis
-    odd_index = {I: i for i, I in enumerate(odd)}
     dim_w = 2 * n
-    entries = {
-        (i, odd_index[J], j): c
-        for i, I in enumerate(even) for j in range(dim_w)
-        for J, c in clifford_unit(j, {I: 1}, n).items()
-    }
+    coo = _columns([[clifford_unit(j, {I: 1}, n) for j in range(dim_w)] for I in even], odd)
     labels = tuple(
         "delta_" + ("".join(str(i + 1) for i in I) if I else "0") for I in even
     )
-    return Pencil.from_entries(entries, 1, len(even), dim_w, len(odd),
+    return Pencil.from_entries(coo, 1, len(even), dim_w, len(odd),
                                BuildSpec("spin", (n,)), labels)
 
 
@@ -673,16 +679,11 @@ def build_adjoint_pencil(a: int) -> Pencil:
     if a < 3:
         raise ValueError("need a >= 3")
     basis3 = list(combinations(range(a), 3))
-    index3 = {K: i for i, K in enumerate(basis3)}
     sl = sl_basis(a)
-    entries = {}
-    for col, X in enumerate(sl):
-        for j, image in enumerate(_wedge_action(X, basis3)):
-            for L, c in image.items():
-                # phi_{e_K}(X) = X . e_K
-                entries[j, index3[L], col] = c
+    # phi_{e_K}(X) = X . e_K: the wedge action of X_g at (row, K) is entry (K, row, g)
+    g, r, j, c = _wedge_actions(sl, basis3)
     labels = tuple("w_" + "".join(str(x + 1) for x in K) for K in basis3)
-    return Pencil.from_entries(entries, 1, len(basis3), len(sl), len(basis3),
+    return Pencil.from_entries((j, r, g, c), 1, len(basis3), len(sl), len(basis3),
                                BuildSpec("adjoint", (a,)), labels)
 
 
@@ -690,52 +691,45 @@ def build_adjoint_pencil(a: int) -> Pencil:
 # equivariance data, derived from the build spec on demand
 
 
-def _gl_equivariance(mu: Partition, nu: Partition, v: int) -> list[EquivarianceData]:
+def _gl_equivariance(mu: Partition, nu: Partition, v: int) -> tuple[Pencil, Pencil, Pencil]:
     xs = chevalley_generators(v)
-    return list(map(EquivarianceData, map(IntMatrix.from_dense, xs),
-                    _coordinate_action(schur_module(mu, v), xs),
-                    _coordinate_action(schur_module(nu, v), xs)))
+    return (_dense_action(xs), _coordinate_action(schur_module(mu, v), xs),
+            _coordinate_action(schur_module(nu, v), xs))
 
 
-def _koszul_equivariance(k: int, v: int) -> list[EquivarianceData]:
+def _koszul_equivariance(k: int, v: int) -> tuple[Pencil, Pencil, Pencil]:
+    xs = chevalley_generators(v)
     src = list(combinations(range(v), k))
     tgt = list(combinations(range(v), k + 1))
-    return [
-        EquivarianceData(IntMatrix.from_dense(X), _wedge_matrix(X, src), _wedge_matrix(X, tgt))
-        for X in chevalley_generators(v)
-    ]
+    return (_dense_action(xs), _action(_wedge_actions(xs, src), len(xs), len(src)),
+            _action(_wedge_actions(xs, tgt), len(xs), len(tgt)))
 
 
-def _form_equivariance(smod: RealizedModule, tmod: RealizedModule) -> list[EquivarianceData]:
+def _form_equivariance(smod: RealizedModule, tmod: RealizedModule) -> tuple[Pencil, Pencil, Pencil]:
     # the target coordinates pair against the target basis: rho_t = -rho^T
     xs = form_lie_generators(smod.form)
-    rho_t = [IntMatrix(rho.dim, tuple(sorted((c, r, -x) for r, c, x in rho.entries)), rho.den)
-             for rho in _coordinate_action(tmod, xs)]
-    return list(map(EquivarianceData, map(IntMatrix.from_dense, xs),
-                    _coordinate_action(smod, xs), rho_t))
+    return (_dense_action(xs), _coordinate_action(smod, xs),
+            _coordinate_action(tmod, xs, dual=True))
 
 
-def _spin_equivariance(n: int) -> list[EquivarianceData]:
+def _spin_equivariance(n: int) -> tuple[Pencil, Pencil, Pencil]:
     # spin_lie_action is 4 F_ab and spin_lie_on_w is 2 [F_ab, -]
-    ss = spin_space(n)
+    ss, gens = spin_space(n), spin_lie_generators(n)
 
-    def spin_matrix(a, b, basis):
-        cols = [spin_lie_action(a, b, {I: 1}, n) for I in basis]
-        return replace(IntMatrix.from_columns(basis, cols), den=4)
+    def spin_action(basis):
+        cols = [[spin_lie_action(a, b, {I: 1}, n) for I in basis] for a, b in gens]
+        return _action(_columns(cols, basis), len(gens), len(basis), 4)
 
-    return [
-        EquivarianceData(spin_matrix(a, b, ss.even_basis),
-                         replace(IntMatrix.from_dense(spin_lie_on_w(a, b, n)), den=2),
-                         spin_matrix(a, b, ss.odd_basis))
-        for a, b in spin_lie_generators(n)
-    ]
+    return (spin_action(ss.even_basis),
+            _dense_action([spin_lie_on_w(a, b, n) for a, b in gens], 2),
+            spin_action(ss.odd_basis))
 
 
-def _sl_ad(Y: Sequence[Sequence], a: int) -> IntMatrix:
-    """ad_Y on sl_a in the sl_basis coordinates, in integers: column j is
-    the commutator Y X - X Y of the j-th basis element X.  An off-diagonal
-    entry is its own coordinate, in sl_basis order; the coordinate of a
-    traceless matrix M on H_k is sum_{l<=k} M_ll."""
+def _sl_ad(Y: Sequence[Sequence], a: int) -> np.ndarray:
+    """ad_Y on sl_a in the sl_basis coordinates, as an int64 matrix: column
+    j is the commutator Y X - X Y of the j-th basis element X.  An
+    off-diagonal entry is its own coordinate, in sl_basis order; the
+    coordinate of a traceless matrix M on H_k is sum_{l<=k} M_ll."""
     y = np.array(Y, dtype=np.int64)
     off = ~np.eye(a, dtype=bool)
     cols = []
@@ -743,25 +737,24 @@ def _sl_ad(Y: Sequence[Sequence], a: int) -> IntMatrix:
         x = np.array(X, dtype=np.int64)
         m = y @ x - x @ y
         cols.append(np.concatenate([m[off], np.cumsum(m.diagonal())[:-1]]))
-    return IntMatrix.from_dense(np.array(cols).T.tolist())
+    return np.array(cols).T
 
 
-def _adjoint_equivariance(a: int) -> list[EquivarianceData]:
+def _adjoint_equivariance(a: int) -> tuple[Pencil, Pencil, Pencil]:
     # under Y in sl(A): rho_source = ad_Y, rho_target and the variable
     # action are both the wedge action of Y
+    ys = chevalley_generators(a)
     basis3 = list(combinations(range(a), 3))
-    out = []
-    for Y in chevalley_generators(a):
-        wedge = _wedge_matrix(Y, basis3)
-        out.append(EquivarianceData(wedge, _sl_ad(Y, a), wedge))
-    return out
+    wedge = _action(_wedge_actions(ys, basis3), len(ys), len(basis3))
+    return wedge, _dense_action([_sl_ad(Y, a) for Y in ys]), wedge
 
 
 @lru_cache(maxsize=None)
-def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
-    """Generators of the Lie algebra g of the spec's group, with their
-    actions on the variables, the source and the target of the pencil it
-    builds.
+def equivariance_data(spec: BuildSpec) -> tuple[Pencil, Pencil, Pencil]:
+    """The actions (x_on_vars, rho_source, rho_target) of generators of the
+    Lie algebra g of the spec's group on the variables, the source and the
+    target of the pencil it builds, each a pencil in the generators
+    (_action): generator g acts by its evaluation at e_g over its denom.
 
     Every kind takes the root vectors of the simple roots and of their
     negatives, 2 rank(g) elements: the Chevalley generators E_{k,k+1} and
@@ -775,14 +768,15 @@ def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
     projective base is one point, the identity is checked instead; so_2,
     abelian with no roots, takes its one basis element.  Each module's
     actions come from one _coordinate_action of all the generators.
+    Cached: the actions' COO arrays are read-only.
     """
     if spec.kind in ("sp", "so"):
         realize = symplectic_module if spec.kind == "sp" else orthogonal_module
         mu, nu, dim = spec.args
-        return tuple(_form_equivariance(realize(mu, dim), realize(nu, dim)))
+        return _form_equivariance(realize(mu, dim), realize(nu, dim))
     derive = {"gl": _gl_equivariance, "koszul": _koszul_equivariance,
               "spin": _spin_equivariance, "adjoint": _adjoint_equivariance}[spec.kind]
-    return tuple(derive(*spec.args))
+    return derive(*spec.args)
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +787,10 @@ def equivariance_data(spec: BuildSpec) -> tuple[EquivarianceData, ...]:
 def _theta_sides(lam: Partition, lam_p: Partition, mu: Partition, mu_p: Partition,
                  a: int, b: int):
     """The two sides of theta_map for A of dimension a and B of dimension b,
-    which do not depend on X: the A side {(alpha, ka, ja): va} over da, the
-    B side grouped by beta, {beta: [(kb, jb, vb)]}, over db, and the
-    dimensions (S_lam A, S_lam' A) and (S_mu B, S_mu' B).  Shared by every
-    caller: read only."""
+    which do not depend on X: the A side as COO arrays (alpha, ka, ja, va)
+    over da, the B side (beta, kb, jb, vb) over db, each sorted by its
+    letter, and the dimensions (S_lam A, S_lam' A) and (S_mu B, S_mu' B).
+    Cached: the arrays are read-only."""
     box_rm = _one_box(lam_p, lam, a)
     box_add = _one_box(mu, mu_p, b)
     sa, sap = schur_module(lam, a), schur_module(lam_p, a)
@@ -809,10 +803,10 @@ def _theta_sides(lam: Partition, lam_p: Partition, mu: Partition, mu_p: Partitio
                            sap, a)
     b_side, db = _span_map(sb, lambda part: apply_symmetrizer(
         part.with_letter_inserted(slot_add), mu_p), sbp, b)
-    by_beta: dict = {}
-    for (beta, kb, jb), vb in b_side.items():
-        by_beta.setdefault(beta, []).append((kb, jb, vb))
-    return a_side, da, by_beta, db, (sa.dim, sap.dim), (sb.dim, sbp.dim)
+    a_side, b_side = _sorted_by(a_side, 0), _sorted_by(b_side, 0)
+    for x in a_side + b_side:
+        x.setflags(write=False)
+    return a_side, da, b_side, db, (sa.dim, sap.dim), (sb.dim, sbp.dim)
 
 
 def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
@@ -829,22 +823,21 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     lam, lam_p = check_partition(lam), check_partition(lam_p)
     mu, mu_p = check_partition(mu), check_partition(mu_p)
     a, b = len(X), len(X[0]) if X else 0
-    a_side, da, by_beta, db, (sa, sap), (sb, sbp) = _theta_sides(lam, lam_p, mu, mu_p, a, b)
-    # Theta_X sums X[alpha][beta] times both sides' products
-    xs = {(alpha, beta): x for alpha, row in enumerate(X)
-          for beta, x in enumerate(row) if x}
-    sums: dict = {}
-    for (alpha, ka, ja), va in a_side.items():
-        for beta, terms in by_beta.items():
-            x = xs.get((alpha, beta), 0) * va
-            if not x:
-                continue
-            for kb, jb, vb in terms:
-                at = (ka * sbp + kb, ja * sb + jb)
-                sums[at] = sums.get(at, 0) + x * vb
+    (alpha, ka, ja, va), da, (beta, kb, jb, vb), db, (sa, sap), (sb, sbp) = _theta_sides(
+        lam, lam_p, mu, mu_p, a, b)
+    # Theta_X sums X[alpha][beta] va vb over the joins of X with both sides
+    x = int_array([v for row in X for v in row])
+    live = np.flatnonzero(x)
+    x_owner, at_a = matches(alpha, live // max(b, 1))
+    owner, at_b = matches(beta, (live % max(b, 1))[x_owner])
+    # a sum has at most len(owner) terms
+    dtype = coef_dtype(len(owner) * max_abs(x) * max_abs(va) * max_abs(vb))
+    at_a = at_a[owner]
+    keys, sums = sum_by_key(
+        (ka[at_a] * sbp + kb[at_b]) * (sa * sb) + ja[at_a] * sb + jb[at_b],
+        x.astype(dtype)[live[x_owner[owner]]] * va.astype(dtype)[at_a] * vb.astype(dtype)[at_b])
     out = np.zeros((sap * sbp, sa * sb), dtype=object)
-    for (r, c), n in sums.items():
-        out[r, c] = n
+    out.reshape(-1)[keys] = sums.tolist()
     return out, da * db
 
 

@@ -25,6 +25,11 @@ torus weight), as that basis scaled to primitive integer tensors: the
 with no per-word dict.  The span reads the coordinates of a
 whole batch at once, as the values at the pivot words, and checks
 membership in integers.
+
+Sparse maps leave this module as COO arrays, one array per index and one of
+values, never a dict per entry: GradedSpan.coordinates gives (image,
+coordinate, value) terms, which pencils joins with matches and sums with
+sum_by_key.
 """
 from __future__ import annotations
 
@@ -110,6 +115,13 @@ def ragged(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray
     start[i] + 1, ..., for each i in turn."""
     owner = np.repeat(np.arange(len(count)), count)
     return owner, np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def matches(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, at): every pair with keys[owner] == ordered[at], ordered
+    sorted, for each key in turn."""
+    lo = np.searchsorted(ordered, keys)
+    return ragged(lo, np.searchsorted(ordered, keys, "right") - lo)
 
 
 @dataclass(frozen=True)
@@ -328,8 +340,7 @@ def matrix_on_letters(xs: Sequence[Sequence[Sequence[int]]], b: WordBatch) -> Wo
     src, gen, dst = (np.array([m[i] for m in moves], dtype=np.int64) for i in (0, 1, 2))
     x = int_array([m[3] for m in moves])
     a = b.letters().ravel()
-    lo = np.searchsorted(src, a)
-    owner, at = ragged(lo, np.searchsorted(src, a, "right") - lo)
+    owner, at = matches(src, a)
     term, slot = np.divmod(owner, max(b.degree, 1))
     # an output word takes at most one term from each (slot, letter) pair
     dtype = coef_dtype(max_abs(b.coef) * max_abs(x) * b.degree * b.radix)
@@ -420,9 +431,11 @@ class GradedSpan:
     def dim(self) -> int:
         return self.scaled_batch.n
 
-    def coordinates(self, batch: WordBatch) -> list[Optional[dict[int, int]]]:
-        """The coordinates {k: c_k} on the basis b_k of each integer tensor t
-        of the batch, or None when t is outside the span.
+    def coordinates(self, batch: WordBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+        """(image, k, c, outside): the coordinates c_k on the basis b_k of
+        each integer tensor t of the batch, one term per nonzero c_k, image
+        the index of its tensor, and whether each tensor is outside the span.
 
         c_k is t at the pivot word of b_k, where b_k is 1 and every other
         basis tensor is 0.  With L the lcm of the s_k, t lies in the span
@@ -452,9 +465,6 @@ class GradedSpan:
                             -(c.astype(dtype)[owner] * factor.astype(dtype, copy=False)[k[owner]]
                               * u.coef.astype(dtype, copy=False)[term])]),
             batch.radix ** batch.degree)
-        out: list[Optional[dict[int, int]]] = [{} for _ in range(batch.n)]
-        for i, kk, cc in zip(ti.tolist(), k.tolist(), c.tolist()):
-            out[i][kk] = cc
-        for i in set(resid.tolist()):
-            out[i] = None
-        return out
+        outside = np.zeros(batch.n, dtype=bool)
+        outside[resid] = True
+        return ti, k, c, outside

@@ -489,6 +489,21 @@ def _one_entry_file(path, nvars: int, record: dict) -> None:
         record))
 
 
+def test_a_document_without_entries_certifies_constant_rank_zero(tmp_path, capsys):
+    # the zero pencil of the right shape is trivially equivariant: the
+    # empty arrays of its coefficients must join and sum to nothing
+    record = {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3}
+    out = tmp_path / "pencil.json"
+    out.write_text(dumps_pencil(Pencil(3, 6, 8, (), 1, ("x_1", "x_2", "x_3")), record))
+    loaded = loads_pencil(out.read_text())[0]
+    assert (loaded.coeffs, loaded.spec) == ((), BuildSpec.from_record(record))
+    assert check_equivariance(loaded)
+    rep = constant_rank_verdict(loaded, "transitivity")
+    assert (rep.verdict, rep.generic_rank) == ("constant", 0)
+    assert cli.main(["verify", str(out), "--mode", "transitivity"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_a_record_of_another_shape_is_refused_before_any_module_dimension(
         tmp_path, capsys, monkeypatch):
     # sp (1) -> (1, 1) at N = 1024 passed the variable count alone, and

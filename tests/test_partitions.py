@@ -9,7 +9,6 @@ from crpencils.partitions import (
     BoxPosition,
     GroupSpec,
     conjugate,
-    contains,
     family_sizes,
     gl_dim,
     hook_family_rank,
@@ -23,7 +22,7 @@ from crpencils.partitions import (
 )
 from crpencils.pencils import _dim_floor
 
-from word_oracles import weyl_dim_fractions
+from word_oracles import contains, weyl_dim_fractions
 
 
 def partitions_of(n, max_rows=None):

@@ -29,7 +29,6 @@ from crpencils.modules import (
 from crpencils.partitions import family_sizes, gl_dim, hook_family_rank
 from crpencils.pencils import (
     BuildSpec,
-    IntMatrix,
     Pencil,
     _coordinate_action,
     _sl_ad,
@@ -161,11 +160,10 @@ def test_equivariance_needs_a_spec_that_fits():
 # -- the equivariance certificate on integers --------------------------------
 
 
-def _dense(m: IntMatrix) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * m.dim for _ in range(m.dim)]
-    for r, c, num in m.entries:
-        out[r][c] = Fraction(num, m.den)
-    return out
+def _dense(action: Pencil) -> list[list[list[Fraction]]]:
+    """Each generator's matrix of an action, in Fractions."""
+    return [[[Fraction(x, action.denom) for x in row] for row in action.evaluate(e).tolist()]
+            for e in np.eye(action.nvars, dtype=np.int64).tolist()]
 
 
 def _fraction_coordinate_action(mod, X) -> list[list[Fraction]]:
@@ -214,7 +212,10 @@ def _example_modules():
 @pytest.mark.parametrize("mod,gens", [pytest.param(m, g, id=i) for i, m, g in _example_modules()])
 def test_coordinate_action_matches_the_fraction_oracle(mod, gens):
     got = _coordinate_action(mod, gens)
-    assert [_dense(m) for m in got] == [_fraction_coordinate_action(mod, X) for X in gens]
+    assert _dense(got) == [_fraction_coordinate_action(mod, X) for X in gens]
+    # the dual action -rho^T of the form modules' target coordinates
+    assert _dense(_coordinate_action(mod, gens, dual=True)) == [
+        [[-x for x in row] for row in zip(*m)] for m in _dense(got)]
 
 
 def wedge_action_by_rearrangement(X, basis):
@@ -261,34 +262,34 @@ def ad_by_dense_commutator(Y, a):
         return ([m[i][j] for i in range(a) for j in range(a) if i != j]
                 + list(accumulate(m[k][k] for k in range(a - 1))))
 
-    return IntMatrix.from_entries(a * a - 1, {
-        (r, col): x for col, X in enumerate(sl_basis(a))
-        for r, x in enumerate(coords(
-            [[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
-              for j in range(a)] for i in range(a)]))
-    })
+    return [list(row) for row in zip(*(
+        coords([[sum(Y[i][k] * X[k][j] - X[i][k] * Y[k][j] for k in range(a))
+                 for j in range(a)] for i in range(a)])
+        for X in sl_basis(a)))]
 
 
 @pytest.mark.parametrize("a", range(2, 9))
 def test_sl_ad_matches_the_dense_commutator(a):
     gens = chevalley_generators(a) + (sl_basis(a) if a <= 5 else [])
     for Y in gens:
-        got, want = _sl_ad(Y, a), ad_by_dense_commutator(Y, a)
-        assert got == want
-        assert all(type(x) is int for m in (got, want) for e in m.entries for x in e)
+        got = _sl_ad(Y, a)
+        assert got.dtype == np.int64 and got.tolist() == ad_by_dense_commutator(Y, a)
 
 
 def test_pencil_from_entries_clears_denominators_and_content():
     spec = BuildSpec("koszul", (0, 2))
-    pen = Pencil.from_entries({(0, 0, 0): 2, (1, 1, 0): 4, (1, 0, 0): 0}, 3, 2, 1, 2, spec)
+    # (var, row, col, num) arrays, in any order; equal cells are summed
+    pen = Pencil.from_entries(([1, 0, 1, 1], [1, 0, 0, 1], [0, 0, 0, 0], [1, 2, 0, 3]),
+                              3, 2, 1, 2, spec)
     assert (pen.coeffs, pen.denom) == (((0, 0, 0, 1), (1, 1, 0, 2)), 3)
+    assert all(type(x) is int for e in pen.coeffs for x in e)
     assert pen.var_labels == ("x_1", "x_2") and pen.spec == spec
     # the same values over a common denominator that is not the least one
-    twice = Pencil.from_entries({(0, 0, 0): 4, (1, 1, 0): 8, (1, 0, 0): 0}, 6, 2, 1, 2, spec)
+    twice = Pencil.from_entries(([0, 1, 1], [0, 1, 0], [0, 0, 0], [4, 8, 0]), 6, 2, 1, 2, spec)
     assert (twice.coeffs, twice.denom) == (pen.coeffs, pen.denom)
-    assert Pencil.from_entries({(0, 0, 0): 1}, 1, 1, 1, 1, spec, ("y",)).var_labels == ("y",)
+    assert Pencil.from_entries(([0], [0], [0], [1]), 1, 1, 1, 1, spec, ("y",)).var_labels == ("y",)
     with pytest.raises(AssertionError, match="koszul pencil is identically zero"):
-        Pencil.from_entries({(0, 0, 0): 0}, 1, 1, 1, 1, spec)
+        Pencil.from_entries(([0, 0], [0, 0], [0, 0], [1, -1]), 1, 1, 1, 1, spec)
 
 
 def test_form_lie_bases_are_integral():
@@ -301,21 +302,19 @@ def test_coordinate_action_refuses_a_generator_that_leaves_the_span():
     # form-traceless part of Lambda^2 off itself
     mod = symplectic_module((1, 1), 6)
     X = square_matrix(6, {(0, 2): 1})
-    assert None in mod.span.coordinates(lie_action([X], mod.span.scaled_batch))
+    assert mod.span.coordinates(lie_action([X], mod.span.scaled_batch))[3].any()
     with pytest.raises(AssertionError, match="not stable"):
         _coordinate_action(mod, [X])
 
 
-def _lie_closure_dim(gens: list[IntMatrix], p: int = DEFAULT_PRIME) -> int:
-    """dim over F_p of the Lie algebra the matrices generate, by adding
-    [g, y] for every generator g and every y found so far until nothing
-    new appears.  It bounds the dimension over Q from below."""
-    ech = EchelonOracle(gens[0].dim ** 2, p)
-    mats = []
-    for g in gens:  # den * g, which generates the same dimension
-        mats.append(np.zeros((g.dim, g.dim), dtype=np.int64))
-        for r, c, num in g.entries:
-            mats[-1][r, c] = num % p
+def _lie_closure_dim(action: Pencil, p: int = DEFAULT_PRIME) -> int:
+    """dim over F_p of the Lie algebra the generators' matrices generate, by
+    adding [g, y] for every generator g and every y found so far until
+    nothing new appears.  It bounds the dimension over Q from below."""
+    ech = EchelonOracle(action.source_dim ** 2, p)
+    # den times each generator, which generates the same dimension
+    mats = [(action.evaluate(e) % p).astype(np.int64)
+            for e in np.eye(action.nvars, dtype=np.int64).tolist()]
 
     def new(ms):
         return [ms[i] for i in ech.add([m.reshape(-1) for m in ms])]
@@ -335,9 +334,9 @@ def test_checked_generators_generate_sl(kind, v):
     # dimension v^2 - 1 exactly when the X generate sl_v
     spec = {"gl": BuildSpec("gl", ((1,), (2,), v)), "koszul": BuildSpec("koszul", (1, v)),
             "adjoint": BuildSpec("adjoint", (v,))}[kind]
-    data = equivariance_data(spec)
-    gens = [eq.rho_source if kind == "adjoint" else eq.x_on_vars for eq in data]
-    assert len(gens) == 2 * (v - 1)
+    x_on_vars, rho_source, _ = equivariance_data(spec)
+    gens = rho_source if kind == "adjoint" else x_on_vars
+    assert gens.nvars == 2 * (v - 1)
     assert _lie_closure_dim(gens) == v * v - 1
 
 
@@ -355,13 +354,13 @@ def test_form_and_spin_generators_generate_their_lie_algebra(kind, d):
     # Delta+ for spin), so a bracket closure of dimension dim g means that
     # they generate g
     spec = BuildSpec("spin", (d // 2,)) if kind == "spin" else BuildSpec(kind, ((), (1,), d))
-    gens = [eq.x_on_vars for eq in equivariance_data(spec)]
-    assert len(gens) == (1 if d == 2 else 2 * (d // 2))
+    gens = equivariance_data(spec)[0]
+    assert gens.nvars == (1 if d == 2 else 2 * (d // 2))
     assert _lie_closure_dim(gens) == (d * (d + 1) // 2 if kind == "sp" else d * (d - 1) // 2)
     if kind != "spin":
         gram = np.array((symplectic_form if kind == "sp" else orthogonal_form)(d).gram)
-        for g in gens:
-            x = np.array(_dense(g), dtype=np.int64)
+        for m in _dense(gens):
+            x = np.array(m, dtype=np.int64)
             assert not (x.T @ gram + gram @ x).any()
 
 
@@ -395,11 +394,11 @@ def test_one_changed_coefficient_fails_the_generating_set(record):
         assert not check_equivariance(replace(pen, coeffs=coeffs))
 
 
-def _plus_one(m: IntMatrix, r: int, c: int) -> IntMatrix:
-    """m with 1 added to its (r, c) entry."""
-    entries = {(i, j): x for i, j, x in m.entries}
-    entries[r, c] = entries.get((r, c), 0) + m.den
-    return replace(IntMatrix.from_entries(m.dim, entries), den=m.den)
+def _plus_one(action: Pencil, g: int, r: int, c: int) -> Pencil:
+    """The action with 1 added to entry (r, c) of generator g's matrix."""
+    g_, r_, c_, num = (x.tolist() for x in action.coo)
+    return pencils._action((g_ + [g], r_ + [r], c_ + [c], num + [action.denom]),
+                           action.nvars, action.source_dim, action.denom)
 
 
 @pytest.mark.parametrize("record", [
@@ -412,14 +411,14 @@ def test_every_generator_and_every_variable_is_checked(monkeypatch, record):
     # a changed coefficient breaks the identity under several generators and
     # for several variables at once; these data break it once each.  Adding
     # E_cc to one generator's rho_source changes A_i rho_s by column c of
-    # A_i, and adding E_ii to column i of x_on_vars changes the sum for
-    # variable i alone, by A_i
+    # A_i, and adding E_ii to the first generator's x_on_vars changes the
+    # sum for variable i alone, by A_i
     pen = build_from_params(record)
-    data = equivariance_data(pen.spec)
+    x_on_vars, rho_source, rho_target = equivariance_data(pen.spec)
     col = pen.coeffs[0][2]
-    broken = [data[:g] + (replace(eq, rho_source=_plus_one(eq.rho_source, col, col)),)
-              + data[g + 1:] for g, eq in enumerate(data)]
-    broken += [(replace(data[0], x_on_vars=_plus_one(data[0].x_on_vars, i, i)),) + data[1:]
+    broken = [(x_on_vars, _plus_one(rho_source, g, col, col), rho_target)
+              for g in range(rho_source.nvars)]
+    broken += [(_plus_one(x_on_vars, 0, i, i), rho_source, rho_target)
                for i in range(pen.nvars)]
     assert check_equivariance(pen)
     for bad in broken:
@@ -427,11 +426,33 @@ def test_every_generator_and_every_variable_is_checked(monkeypatch, record):
         assert not check_equivariance(pen)
 
 
+def test_a_coefficient_past_int64_is_checked_exactly():
+    # 2^64 more than a coefficient: a cast to int64 would wrap it back
+    pen = build_gl_pencil((2,), (2, 1), 3)
+    var, r, c, num = pen.coeffs[0]
+    assert check_equivariance(pen)
+    assert not check_equivariance(replace(pen, coeffs=((var, r, c, num + (1 << 64)),)
+                                          + pen.coeffs[1:]))
+
+
+def test_cached_actions_and_theta_sides_are_read_only():
+    # equivariance_data and _theta_sides are cached: every caller shares them
+    for action in equivariance_data(build_gl_pencil((2,), (2, 1), 3).spec):
+        for x in action.coo:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 7
+    a_side, _, b_side, *_ = pencils._theta_sides((2,), (1,), (1,), (1, 1), 2, 2)
+    for x in a_side + b_side:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 7
+
+
 def test_one_variable_gl_and_koszul_still_certify():
     for pen in (build_gl_pencil((), (1,), 1), build_gl_pencil((2,), (3,), 1),
                 build_koszul_pencil(0, 1)):
         assert pen.nvars == 1
-        assert [eq.x_on_vars for eq in equivariance_data(pen.spec)] == [IntMatrix(1, ((0, 0, 1),))]
+        x_on_vars = equivariance_data(pen.spec)[0]
+        assert (x_on_vars.nvars, x_on_vars.coeffs, x_on_vars.denom) == (1, ((0, 0, 0, 1),), 1)
         assert check_equivariance(pen)
         rep = constant_rank_verdict(pen, "transitivity")
         assert (rep.verdict, rep.generic_rank) == ("constant", 1)

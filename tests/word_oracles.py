@@ -6,9 +6,10 @@ against, the per-coordinate randrange draw that the bulk one is tested
 against, the full basis of a form's Lie algebra that its generating set is
 tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
 that turn Fraction test data into the integer input of linalg, the
-growing echelon with whole rows added and its RREF read back, and the
-one-list sampled verdict that the blocked one is tested against, shared by
-the test modules."""
+growing echelon with whole rows added and its RREF read back, the
+one-list sampled verdict that the blocked one is tested against, a span's
+coordinates read back as one dict per tensor, and the diagram containment
+and form values that only tests read, shared by the test modules."""
 import random
 import re
 from fractions import Fraction
@@ -20,7 +21,7 @@ from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import FixtureParseError
 from crpencils.linalg import ModpEchelon, _product, _reduced
 from crpencils.modules import schur_module
-from crpencils.partitions import gl_dim
+from crpencils.partitions import gl_dim, normalize
 from crpencils.pencils import MAX_PENCIL_CELLS, Pencil, _one_box
 from crpencils.tensors import apply_symmetrizer, cell_slot, letter_images
 
@@ -310,6 +311,27 @@ def pivot_words(span):
             for c in span.pivots.tolist()]
 
 
+def coordinate_dicts(span, batch):
+    """span.coordinates(batch) as one {k: c_k} per tensor of the batch, or
+    None for a tensor outside the span."""
+    image, k, c, outside = span.coordinates(batch)
+    out = [{} for _ in range(batch.n)]
+    for i, kk, cc in zip(image.tolist(), k.tolist(), c.tolist()):
+        out[i][kk] = cc
+    return [None if off else d for d, off in zip(out, outside.tolist())]
+
+
+def contains(lam, mu):
+    """Whether the diagram of mu fits inside the diagram of lam."""
+    lam, mu = normalize(lam), normalize(mu)
+    return len(mu) <= len(lam) and all(mu[i] <= lam[i] for i in range(len(mu)))
+
+
+def form_value(form, a, b):
+    """B(e_a, e_b), the form's Gram entry."""
+    return form.gram[a][b]
+
+
 def theta_fractions(X, lam, lam_p, mu, mu_p):
     """The matrix of Theta_X in Fractions, entry by entry: each side's
     coordinates divided by their basis vector's scale, and the products
@@ -322,7 +344,7 @@ def theta_fractions(X, lam, lam_p, mu, mu_p):
 
     def coords(mod, images, target, per):
         # coords[j][i]: the coordinates of image i of basis vector j
-        read = target.span.coordinates(images)
+        read = coordinate_dicts(target.span, images)
         assert None not in read
         return [[{k: Fraction(c, mod.span.scales[j]) for k, c in read[j * per + i].items()}
                  for i in range(per)] for j in range(mod.dim)]
