@@ -828,8 +828,8 @@ def theta_map(X: Sequence[Sequence], lam: Partition, lam_p: Partition,
     # Theta_X sums X[alpha][beta] va vb over the joins of X with both sides
     x = int_array([v for row in X for v in row])
     live = np.flatnonzero(x)
-    x_owner, at_a = matches(alpha, live // max(b, 1))
-    owner, at_b = matches(beta, (live % max(b, 1))[x_owner])
+    x_owner, at_a = matches(alpha, live // b)
+    owner, at_b = matches(beta, live[x_owner] % b)
     # a sum has at most len(owner) terms
     dtype = coef_dtype(len(owner) * max_abs(x) * max_abs(va) * max_abs(vb))
     at_a = at_a[owner]
