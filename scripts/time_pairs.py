@@ -27,6 +27,10 @@ equivariance: pencils.check_equivariance with its equivariance_data cache
   so-311-321-5, the SO (3,1,1) -> (3,2,1) hook at m=5, each built once so
   that its modules are realized, as in `crpencils verify`; and
   so-311-321-6-file, the SO file, with the module caches cleared too.
+realize: each module realization behind the construct workload's records,
+  schur_module, symplectic_module or orthogonal_module with the three
+  module caches cleared, named by group, partition and dimension
+  (so-311-5 is orthogonal_module((3, 1, 1), 5)); all-10 is their sum.
 catalog: `python -m crpencils.cli catalog --filter <id> --format json` in
   a fresh process for each entry, named by its id; all-24 runs all 24.
 cli: in fresh processes, per record of scripts/build_examples.py: `build
@@ -38,7 +42,8 @@ Exit 1 when a check fails in either tree, or a pinned output differs
 between them.  The checks: check_equivariance is True; each catalog record
 passes, with details; each command exits 0, but transitivity refuses the
 so, spin and adjoint examples with exit 2.  The pins: the ranks and
-kernels, the catalog details, and each command's stdout and exit code.
+kernels, each realized span (its scaled batch, scales and pivots), the
+catalog details, and each command's stdout and exit code.
 """
 import argparse
 import hashlib
@@ -172,6 +177,31 @@ def probe_equivariance(root: Path, repeats: int, tmp: Path):
                faults=sum(faults))
 
 
+# the modules construct's records realize: so, gl, gl, sp and so; its adjoint,
+# spin and Koszul records realize none
+REALIZED = [("so", (3, 1, 1), 5), ("so", (3, 2, 1), 5), ("gl", (2, 1, 1), 6),
+            ("gl", (2, 1, 1, 1), 6), ("gl", (2, 2), 5), ("gl", (2, 2, 1), 5),
+            ("sp", (2,), 6), ("sp", (2, 1), 6), ("so", (2,), 5), ("so", (2, 1), 5)]
+
+
+def probe_realize(root: Path, repeats: int, tmp: Path):
+    from crpencils import modules
+
+    realize = {"gl": modules.schur_module, "sp": modules.symplectic_module,
+               "so": modules.orthogonal_module}
+    total = 0.0
+    for kind, lam, n in REALIZED:
+        ms, faults, mod = timed(lambda: realize[kind](lam, n), repeats,
+                                lambda: [f.cache_clear() for f in realize.values()])
+        span = mod.span
+        batch = span.scaled_batch
+        total += ms
+        yield dict(case=f"{kind}-{''.join(map(str, lam))}-{n}", ms=ms, faults=faults,
+                   pin=digest([batch.idx, batch.code, batch.coef, span.scales, span.pivots]),
+                   note=f"dim {span.dim}")
+    yield dict(case=f"all-{len(REALIZED)}", ms=total, note="sum of the fastest calls")
+
+
 def probe_catalog(root: Path, repeats: int, tmp: Path):
     from crpencils import catalog
 
@@ -224,8 +254,8 @@ def probe_cli(root: Path, repeats: int, tmp: Path):
                    ok=all(proc.returncode == 0 for proc in runs))
 
 
-PROBES = {"ranks": probe_ranks, "equivariance": probe_equivariance, "catalog": probe_catalog,
-          "cli": probe_cli}
+PROBES = {"ranks": probe_ranks, "equivariance": probe_equivariance, "realize": probe_realize,
+          "catalog": probe_catalog, "cli": probe_cli}
 
 
 def report(results: dict, sides: list[str]) -> int:

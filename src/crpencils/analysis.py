@@ -97,41 +97,46 @@ def random_points(rng: random.Random, count: int, nvars: int, prime: int) -> np.
     return out.reshape(count, nvars)
 
 
-def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray):
+def _stack_buffers(pencil: Pencil, p: int, count: int):
+    """(stack_buffers, n) for _evaluated's stacks of n matrices: `count`,
+    but at most as many as STACK_BYTES hold, and at least one."""
+    cells = pencil.target_dim * pencil.source_dim
+    count = max(1, min(count, STACK_BYTES // (cells * np.dtype(stack_dtype(p)).itemsize)))
+    return stack_buffers(count * cells, p, max(count, STACK_BYTES // 8)), count
+
+
+def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray, buffers=None):
     """The pencil mod p at each row of the (N, s) points, in order, as
     stacks of at most STACK_BYTES bytes of stack_dtype(p) and at least one
     matrix, each in the layout of linalg's stacked loop
     (Pencil.evaluate_modp), which linalg eliminates by matrix size, with
     the float64 scratch that stack_product fills STACK_BYTES at a time and
-    the loop then takes for its own.  One allocation per call holds both
-    and is refilled for each stack, so a stack is valid until the next is
-    drawn.  A stack shares the loop's numpy calls per column among its
-    matrices: 37 of 56x63 at DEFAULT_PRIME (int64), 5,349 of 14x14 at F_5
-    or F_7 (int8).  The certify workload took 0.195, 0.166, 0.143 and
+    the loop then takes for its own: `buffers`, whose size sets the
+    stacks', or one allocation per call.  They are refilled for each stack,
+    so a stack is valid until the next is drawn.  A stack shares the loop's
+    numpy calls per column among its matrices: 37 of 56x63 at DEFAULT_PRIME
+    (int64), 5,349 of 14x14 at F_5 or F_7 (int8).  The certify workload took 0.195, 0.166, 0.143 and
     0.137 s, at 570, 600, 660 and 625 thousand exhaustive points a second,
     and peaked at 39.7, 40.2, 41.5 and 43.9 MB RSS at 2^18 to 2^21 bytes
     (medians of 3 runs of perfbench/run.py --seconds 6, 2-CPU VM, numpy
     2.4)."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
-    cells = pencil.target_dim * pencil.source_dim
-    step = max(1, STACK_BYTES // (cells * np.dtype(stack_dtype(p)).itemsize))
-    count = min(step, len(pts))
-    f, e = stack_buffers(count * cells, p, max(count, STACK_BYTES // 8))
+    (f, e), step = buffers or _stack_buffers(pencil, p, len(pts))
     for i in range(0, len(pts), step):
         yield pencil.evaluate_modp(pts[i : i + step], stacked, p, (f, e)), f
 
 
-def ranks_at(pencil: Pencil, points, p: int,
-             stacked: Optional[np.ndarray] = None) -> list[int]:
+def ranks_at(pencil: Pencil, points, p: int, stacked: Optional[np.ndarray] = None,
+             buffers=None) -> list[int]:
     """Rank mod p of the pencil at each row of the (N, s) points, a stack
     of _evaluated at a time.
 
-    `stacked` is the pencil's coeff_array_modp(p), when the caller has it.
-    """
+    `stacked` is the pencil's coeff_array_modp(p), `buffers` its
+    _stack_buffers, when the caller has them."""
     check_prime(p)
     if stacked is None:
         stacked = pencil.coeff_array_modp(p)
-    return [r for a, f in _evaluated(pencil, points, p, stacked)
+    return [r for a, f in _evaluated(pencil, points, p, stacked, buffers)
             for r in _stack_ranks(a, p, f).tolist()]
 
 
@@ -191,13 +196,14 @@ def structured_points(pencil: Pencil, prime: int, rng: random.Random,
 
 def _first_points(pencil: Pencil, blocks, prime: int) -> dict[tuple[int, str], tuple]:
     """The first point of each (rank, class) over the (points, class)
-    blocks, in order: one ranks_at call and one np.unique per block.  No
-    block holds the zero point: only random draws can be zero, and their
-    sources drop it, so a projective block goes to ranks_at as it is."""
-    stacked = pencil.coeff_array_modp(prime)
+    blocks, in order: one ranks_at call per block, all in the buffers the
+    first block needs, and one np.unique.  No block holds the zero point:
+    random draws, the only points that can be zero, drop it."""
+    stacked, buffers = pencil.coeff_array_modp(prime), None
     found: dict[tuple[int, str], tuple] = {}
     for points, cls in blocks:
-        values, first = np.unique(ranks_at(pencil, points, prime, stacked),
+        buffers = buffers or _stack_buffers(pencil, prime, len(points))
+        values, first = np.unique(ranks_at(pencil, points, prime, stacked, buffers),
                                   return_index=True)
         for r, i in zip(values.tolist(), first):
             found.setdefault((r, cls), tuple(points[i].tolist()))

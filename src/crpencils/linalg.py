@@ -18,7 +18,7 @@ two limbs of b while k (p-1) (2^16 - 1) < 2^53, four limbs otherwise.  It
 returns (minus - a b) mod p, or a b mod p, with one final reduction, so an
 elimination step that subtracts a product reduces once.
 
-Over F_p there are two eliminations, each with its own jobs.
+Over F_p there are three eliminations, each with its own jobs.
   - the stacked forward loop (_forward) gives every kernel (modp_kernel),
     with a stacked back substitution, and the rank of every matrix of at
     most ECHELON_CELLS cells (modp_ranks of a stack, modp_rank of one
@@ -49,21 +49,27 @@ Over F_p there are two eliminations, each with its own jobs.
   - recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.  A matrix met
     once is eliminated by it directly, its rows then sorted by pivot
-    (_rref): each prime of the qq_rref lift, modp_rref and so Subspace,
-    and the rank of every matrix of more than ECHELON_CELLS cells.
-    ModpEchelon serves the one growing system, the neutral-direction
-    constraints: it keeps the free-column block of the RREF and inserts
-    rows in blocks of ECHELON_BLOCK, each reduced by the pivots added
-    before it with one product and eliminated by _eliminate; add_outer
-    takes the outer-product rows of the constraints without forming them.
+    (_rref): each later prime of the qq_rref lift, modp_rref and so
+    Subspace, and the rank of every matrix of more than ECHELON_CELLS
+    cells.  ModpEchelon serves the one growing system, the
+    neutral-direction constraints: it keeps the free-column block of the
+    RREF and inserts rows in blocks of ECHELON_BLOCK, each reduced by the
+    pivots added before it with one product and eliminated by _eliminate;
+    add_outer takes the outer-product rows of the constraints without
+    forming them;
+  - _stack_rref, _gauss_jordan's rule with a stack axis: the first prime of
+    qq_rref, where many small blocks share its numpy calls.  On one matrix
+    it is 1.2 to 1.3 times slower (16x735 0.97 against 0.80 ms, 16x64 0.44
+    against 0.35 ms, 2-CPU VM, numpy 2.4), and ModpEchelon's inserts make
+    dozens of such base cases a call, so _eliminate keeps _gauss_jordan.
 
-Over Q there is one elimination: qq_rref lifts the RREF mod p to Q,
-checks it with one integer product, and returns it as (u, s, pivots), row
-k the primitive integer row u[k] over s[k] = u[k, pivots[k]] > 0.  Every
-exact rank (qq_rank) and integer kernel (qq_kernel, hence every
-contraction kernel of the modules) goes through it.
-distinct_primitive_rows drops the rows of an integer matrix that repeat
-another up to a scalar before its kernel is taken.
+Over Q there is one elimination: qq_rref lifts the RREF mod p of each
+block of a batch to Q, checks it with one integer product per stack, and
+returns it as (u, s, pivots), row k the primitive integer row u[k] over
+s[k] = u[k, pivots[k]] > 0.  Every exact rank (qq_rank) and kernel
+(rref_kernel) goes through it, and a realized module makes one call per
+span and one for its contraction kernels, whose rows that repeat another
+up to a scalar distinct_primitive_rows drops first.
 
 Subspace holds the canonical (RREF) basis of a row space over F_p, built
 from integer vectors.  The neutral-direction solve builds one, for the space
@@ -73,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -185,16 +191,14 @@ def _primes():
         p = _prime_below(p)
 
 
-def _rational_lift(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(numerators, denominators) n/d = res mod m with |n|, d <= sqrt(m/2)
-    and gcd(d, m) = 1, entrywise; None when some entry has no such lift.
-
+def _rational_lift(res: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(numerators, denominators, ok): n/d = res mod m with |n|, d <=
+    sqrt(m/2) and gcd(d, m) = 1 for each entry where ok, which has a lift.
     The half extended Euclidean algorithm on (m, res), stopped at the first
     remainder <= sqrt(m/2) (von zur Gathen and Gerhard, Modern Computer
-    Algebra, section 5.10), run on all entries at once: in int64 for one
-    prime, where every remainder and cofactor stays below m < 2^31, and in
-    Python ints (an object array) for a CRT modulus.
-    """
+    Algebra, section 5.10), on all entries at once: in int64 for one prime,
+    where every remainder and cofactor stays below m < 2^31, and in Python
+    ints (an object array) for a CRT modulus."""
     bound = isqrt(m // 2)
     r1 = res.reshape(-1).copy()
     r0, t0, t1 = np.full_like(r1, m), np.zeros_like(r1), np.ones_like(r1)
@@ -204,10 +208,9 @@ def _rational_lift(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.nda
         r0[act], r1[act] = r1[act], r0[act] - q * r1[act]
         t0[act], t1[act] = t1[act], t0[act] - q * t1[act]
         act = act[r1[act] > bound]
-    den = np.abs(t1)
-    if (den > bound).any() or any(gcd(d, m) != 1 for d in set(den.tolist())):
-        return None
-    return np.where(t1 < 0, -r1, r1).reshape(res.shape), den.reshape(res.shape)
+    den, shape = np.abs(t1), res.shape
+    ok = (den <= bound) & (np.gcd(den, m) == 1)
+    return np.where(t1 < 0, -r1, r1).reshape(shape), den.reshape(shape), ok.reshape(shape)
 
 
 def _tight(a: np.ndarray) -> np.ndarray:
@@ -215,118 +218,186 @@ def _tight(a: np.ndarray) -> np.ndarray:
     return a.astype(coef_dtype(max_abs(a)), copy=False)
 
 
-def _scaled_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Each row of R = num / den times the lcm s_k of its denominators.
+def _passes(a: np.ndarray, piv: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """qq_rref's check, L A == G @ ((L / s) u) with G the pivot columns of A
+    (none where piv_k = n), of each matrix A of the stack a at once.  Every
+    sum is at most r max|A| L max|u|: int64 below EXACT_BOUND, else Python ints."""
+    big = np.lcm.reduce(s.astype(object), axis=1)  # Python ints: no lcm wraps
+    dtype = coef_dtype(max_abs(a) * int(big.max(initial=1)) * max(u.shape[1] * max_abs(u), 1))
+    a, u, s, big = (x.astype(dtype, copy=False) for x in (a, u, s, big))
+    g = np.take_along_axis(a, np.minimum(piv, a.shape[2] - 1)[:, None, :], axis=2)
+    g *= piv[:, None, :] < a.shape[2]
+    return (g @ (u * (big[:, None] // s)[:, :, None]) == big[:, None, None] * a).all(axis=(1, 2))
 
-    When R is in reduced echelon form the row u_k is primitive: its pivot 1
-    becomes s_k, prime to every prime q that does not divide s_k, and for
-    q^e exactly dividing s_k some entry n/d has q^e | d, so n s_k / d is
-    prime to q."""
+
+def _lift(a: np.ndarray, rref: np.ndarray, piv: np.ndarray, m: int):
+    """(u, ok): the RREFs mod m of the stack a lifted, each row u_k times the
+    lcm s_k of its denominators (primitive: for q^e exactly dividing s_k some
+    n/d has q^e | d, so n s_k / d is prime to q), and whether each passed _passes."""
+    num, den, ok = _rational_lift(rref, m)
+    ok = ok.all(axis=(1, 2), keepdims=True)
+    num, den = np.where(ok, num, 0), np.where(ok, den, 1)  # a matrix that does not lift is 0
     # every entry is at most max|num| times the lcm of all denominators
-    dtype = coef_dtype(lcm(*set(den.ravel().tolist())) * max_abs(num))
-    num, den = num.astype(dtype), den.astype(dtype)
-    return _tight(num * (np.lcm.reduce(den, axis=1)[:, None] // den))
+    den = den.astype(coef_dtype(lcm(1, *set(den[den > 1].tolist())) * max(max_abs(num), 1)))
+    s = np.lcm.reduce(den, axis=2)
+    u = num.astype(den.dtype) * (s[:, :, None] // den)
+    return u, ok.ravel() & _passes(a, piv, u, s)
 
 
-def _is_lift(a: np.ndarray, pivots: list[int], u: np.ndarray, s: np.ndarray) -> bool:
-    """Whether every row of a equals sum_k row[pivots[k]] u_k / s_k, as the
-    one integer product L a == a[:, pivots] @ ((L / s) u), L the lcm of the
-    s_k, run in int64 or in Python ints by the bound of qq_rref."""
-    scale = lcm(*s.tolist())
-    dtype = coef_dtype(len(pivots) * max_abs(a) * scale * max_abs(u))
-    a, u, s = (x.astype(dtype, copy=False) for x in (a, u, s))
-    return np.array_equal(a[:, pivots] @ (u * (scale // s)[:, None]), scale * a)
+Rref = tuple[np.ndarray, np.ndarray, list[int]]
+QQ_STACK_BYTES = 1 << 20  # of int64: the blocks of one stack at DEFAULT_PRIME
 
 
-def qq_rref(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Reduced row echelon form over Q, scaled to integers: (u, s, pivots).
+def _scaled(u: np.ndarray, pivots: list[int]) -> Rref:
+    u = _tight(u) if u.dtype == object else u
+    return u, u[np.arange(len(u)), pivots], pivots
 
-    RREF row k is u[k] / s[k], u[k] a primitive integer row and
-    s[k] = u[k, pivots[k]] > 0; u and s are int64, or object arrays once an
-    entry of u reaches EXACT_BOUND.  rows is the integer matrix A: an int64
-    or object ndarray, or rows of Python ints (any other entry: TypeError).
 
-    A mod p is brought to reduced echelon form R_p by _rref.  Each
-    entry of R_p is lifted to a rational n/d by rational reconstruction;
-    when a lift does not exist, or the lifted R fails the check below, the
-    residues of one more prime are combined by CRT and the lift is tried
-    again.  A prime whose echelon has lower rank, or the same rank with
-    later pivots, than one seen before divides a minor of A and is skipped.
-
-    The lifted R is accepted only when every row a of A equals
-    sum_j a[pivot_j] R_j exactly, that is, with L the lcm of the s_k, when
-    L A == A[:, pivots] @ ((L / s) u).  Each entry of (L / s_k) u_k is at
-    most L max|u|, so L A and every partial sum of the product are at most
-    #pivots max|A| L max|u|; the product runs in int64 when that bound is
-    below EXACT_BOUND, and in Python ints otherwise.  Why the check makes R
-    exact: it gives row(A) in row(R).  R has the identity in its pivot
-    columns, so its rows are independent, and rank_Q(A) >= rank_p(A) =
-    #rows of R; hence row(A) = row(R).  R is in reduced row echelon form by
-    construction (a zero residue lifts to 0), and a row space has exactly
-    one such basis, so R is the RREF of A over Q.  A wrong lift can fail
-    the check, never pass it.
-    """
+def _block(rows) -> np.ndarray:
+    """A block without its zero rows, int64 arrays as they are, others _tight."""
     if not isinstance(rows, np.ndarray):
         if not all(type(x) is int for row in rows for x in row):
             raise TypeError("qq_rref takes integer entries only")
         rows = np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
-    a = _tight(rows[(rows != 0).any(axis=1)])
-    if len(a) <= 1:  # nothing to eliminate: the row over its gcd, positive at its pivot
-        pivots = [int(np.flatnonzero(row)[0]) for row in a]
-        lead = a[np.arange(len(a)), pivots]
-        u = _tight(a // (np.gcd.reduce(a, axis=1) * np.sign(lead))[:, None])
-        return u, u[np.arange(len(u)), pivots], pivots
-    ncols = a.shape[1]
-    best: Optional[tuple[list[int], np.ndarray, int]] = None  # pivots, residues, modulus
+    rows = rows[rows.any(axis=1)]
+    return rows if rows.dtype == np.int64 else _tight(rows)
+
+
+def qq_rref(blocks: Sequence) -> list[Rref]:
+    """Reduced row echelon form over Q of each integer block, scaled to
+    integers: (u, s, pivots) per block; one matrix is a batch of one.
+    RREF row k is u[k] / s[k], u[k] a primitive integer row and s[k] =
+    u[k, pivots[k]] > 0; u and s are int64, or object arrays once an entry
+    of u reaches EXACT_BOUND.  A block is the integer matrix A: an int64 or
+    object ndarray, or rows of Python ints (any other entry: TypeError).
+    The blocks of at most one nonzero row go together through _one_rows,
+    the other int64 blocks of at most ECHELON_CELLS cells in stacks through
+    _first_prime, the rest one at a time through _lifted.
+
+    The RREF mod p is lifted to rationals entrywise; when a lift does not
+    exist, or fails the check below, the residues of one more prime are
+    combined by CRT and the lift is tried again.  A prime whose echelon has
+    lower rank, or the same rank with later pivots, than one seen before
+    divides a minor of A and is skipped.  The lift R is accepted only when
+    every row a of A equals sum_j a[pivot_j] R_j, that is, with L the lcm
+    of the s_k, when L A == A[:, pivots] @ ((L / s) u) exactly (_passes).
+    Why the check makes R exact: it gives row(A) in row(R).  R has the
+    identity in its pivot columns, so its rows are independent, and
+    rank_Q(A) >= rank_p(A) = #rows of R; hence row(A) = row(R).  R is in
+    reduced row echelon form by construction (a zero residue lifts to 0),
+    and a row space has exactly one such basis, so R is the RREF of A over
+    Q.  A wrong lift can fail the check, never pass it.
+    """
+    blocks = [_block(rows) for rows in blocks]
+    one = [i for i, a in enumerate(blocks) if len(a) <= 1]
+    out = dict(zip(one, _one_rows([blocks[i] for i in one])))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, a in enumerate(blocks):
+        if len(a) > 1 and a.dtype == np.int64 and a.size <= ECHELON_CELLS:
+            buckets.setdefault(tuple(1 << (x - 1).bit_length() for x in a.shape), []).append(i)
+    for (m, n), idx in buckets.items():
+        step = max(1, QQ_STACK_BYTES // (8 * m * n))
+        for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
+            out.update(zip(part, _first_prime([blocks[i] for i in part], m, n)))
+    return [out[i] if i in out else _lifted(a) for i, a in enumerate(blocks)]
+
+
+def _one_rows(blocks: list[np.ndarray]) -> list[Rref]:
+    """qq_rref of blocks of no row or one nonzero row, all rows at once: each
+    over the gcd of its entries, positive at its first nonzero entry."""
+    rows = [a[0] for a in blocks if len(a)]
+    width = np.array([len(row) for row in rows], dtype=np.int64)
+    start = np.cumsum(width) - width
+    flat = np.concatenate(rows) if rows else width
+    nonzero = np.flatnonzero(flat)
+    first = nonzero[np.searchsorted(nonzero, start)]
+    g = np.abs(np.gcd.reduceat(flat, start))  # a one-entry segment is left as it is
+    flat = flat // np.repeat(g * np.sign(flat[first]), width)
+    rows = iter(np.split(flat.astype(object) if max_abs(flat) >= EXACT_BOUND else flat, start[1:]))
+    pivots = iter((first - start).tolist())
+    return [_scaled(next(rows)[None], [next(pivots)]) if len(a)
+            else (a, np.zeros(0, dtype=a.dtype), []) for a in blocks]
+
+
+def _stack_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF of each matrix of an (N, m, n) stack of residues, which it
+    overwrites, by _gauss_jordan's rule with a stack axis: each matrix's
+    pivot rows in pivot order, then zero rows, and their (N, m) pivot
+    columns, n for a zero row."""
+    count, m, n = a.shape
+    mats, piv, work = np.arange(count), np.full((count, m), n), np.empty_like(a)
+    for i in range(m):
+        c = (a[:, i] != 0).argmax(axis=1)
+        lead = a[mats, i, c]
+        if not lead.any():
+            continue
+        row = _mod(a[:, i] * _inverses(lead, p)[:, None], p)  # 0 where the row is 0
+        f = a[mats, :, c]
+        f[:, i] = 0
+        a -= np.multiply(f[:, :, None], row[:, None, :], out=work)
+        _reduce(a, p, work)
+        a[:, i] = row
+        piv[lead != 0, i] = c[lead != 0]
+    order = np.argsort(piv, axis=1, kind="stable")
+    return a[mats[:, None], order], piv[mats[:, None], order]
+
+
+def _first_prime(blocks: list[np.ndarray], m: int, n: int) -> list[Rref]:
+    """qq_rref of int64 blocks of at most m x n, zero-padded into one stack
+    (which moves no pivot and no RREF entry): one _stack_rref at
+    DEFAULT_PRIME and one _lift, and _lifted on from there where it fails."""
+    p, a = DEFAULT_PRIME, np.zeros((len(blocks), m, n), dtype=np.int64)
+    for k, b in enumerate(blocks):
+        a[k, : b.shape[0], : b.shape[1]] = b
+    rref, piv = _stack_rref(_mod(a, p), p)
+    u, ok = _lift(a, rref, piv, p)
+    rank, piv = (piv < n).sum(axis=1).tolist(), piv.tolist()
+    return [_scaled(u[k, :r, :b.shape[1]], piv[k][:r]) if ok[k]
+            else _lifted(b, (piv[k][:r], rref[k, :r, :b.shape[1]], p))
+            for k, (b, r) in enumerate(zip(blocks, rank))]
+
+
+def _lifted(a: np.ndarray, best: Optional[tuple] = None) -> Rref:
+    """qq_rref of one block from DEFAULT_PRIME, or from the prime after
+    `best`, the (pivots, residues, modulus) of a lift that failed."""
     limit = None
     for tried, p in enumerate(_primes()):
+        if best is not None and limit is None:  # once a lift has failed
+            # every minor is at most H = prod |row| < 2^bits: at most bits/30 primes
+            # above 2^30 divide a nonzero one; a CRT modulus above 2 H^2 lifts it
+            norms = (a.astype(object) ** 2).sum(axis=1).tolist()
+            limit = (3 * sum((n.bit_length() + 1) // 2 for n in norms) + 1) // 30 + 2
         if limit is not None and tried > limit:
             raise ArithmeticError("the RREF lift needed more primes than the Hadamard bound")
+        if not tried and best is not None:  # best is the first prime's
+            continue
         rref, pivots = _rref(_mod(a, p).astype(np.int64, copy=False), p)  # residues below p
         pivots = pivots.tolist()
         if best is None or (-len(pivots), pivots) < (-len(best[0]), best[0]):
             best = (pivots, rref, p)
-        elif pivots == best[0]:
-            _, res, m = best
-            res = res.astype(object)
-            step = _mod((rref.astype(object) - res) * pow(m, -1, p), p)
-            best = (pivots, res + m * step, m * p)
+        elif pivots == best[0]:  # CRT of the residues mod m and mod p
+            res, m = best[1].astype(object), best[2]
+            best = (pivots, res + m * _mod((rref.astype(object) - res) * pow(m, -1, p), p), m * p)
         else:
             continue
-        lift = _rational_lift(best[1], best[2])
-        if lift is not None:
-            u = _scaled_rows(*lift)
-            s = u[np.arange(len(u)), pivots]
-            if _is_lift(a, pivots, u, s):
-                return u, s, pivots
-        if limit is None:
-            # every minor is at most H = prod |row| < 2^bits: at most bits/30
-            # primes above 2^30 divide a nonzero one, and a CRT modulus
-            # above 2 H^2 lifts every RREF entry
-            norms = (a.astype(object) ** 2).sum(axis=1).tolist()
-            bits = sum((n.bit_length() + 1) // 2 for n in norms)
-            limit = (3 * bits + 1) // 30 + 2
+        u, ok = _lift(a[None], best[1][None], np.array(best[0])[None], best[2])
+        if ok[0]:
+            return _scaled(u[0], best[0])
     raise ArithmeticError("the primes below 2^31 are exhausted")
 
 
 def qq_rank(rows) -> int:
-    return len(qq_rref(rows)[2])
+    return len(qq_rref([rows])[0][2])
 
 
-def qq_kernel(rows, ncols: Optional[int] = None) -> np.ndarray:
-    """Basis of the right kernel {x : m x = 0}, one integer row per basis
-    vector: for each free column f of the RREF R, e_f - sum_k R[k, f]
-    e_pivots[k] times the lcm D_f of its denominators, which makes it
-    primitive.  With L the lcm of the s_k, L e_f - sum_k (L / s_k) u[k, f]
-    e_pivots[k] is that row times L / D_f, so it is divided by its gcd."""
-    if ncols is None:
-        ncols = len(rows[0]) if len(rows) else 0
-    if not len(rows):
-        return np.eye(ncols, dtype=np.int64)
-    u, s, pivots = qq_rref(rows)
+def rref_kernel(u: np.ndarray, s: np.ndarray, pivots: list[int], ncols: int) -> np.ndarray:
+    """The right kernel of the RREF R = (u, s, pivots) of qq_rref, one
+    primitive integer row e_f - sum_k R[k, f] e_pivots[k] per free column
+    f: L e_f - sum_k (L / s_k) u[k, f] e_pivots[k], L the lcm of the s_k,
+    over its gcd."""
     scale = lcm(*s.tolist())
     dtype = coef_dtype(scale * max_abs(u))
-    free = np.delete(np.arange(ncols), pivots)
+    free = np.flatnonzero(np.bincount(np.array(pivots, dtype=np.int64), minlength=ncols) == 0)
     out = np.zeros((len(free), ncols), dtype=dtype)
     out[np.arange(len(free)), free] = scale
     out[:, pivots] = -(u[:, free].astype(dtype) * (scale // s.astype(dtype))[:, None]).T

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import coef_dtype, distinct_primitive_rows, max_abs, qq_kernel
+from .linalg import coef_dtype, distinct_primitive_rows, max_abs, qq_rref, rref_kernel
 from .partitions import (
     GroupSpec,
     Partition,
@@ -218,8 +218,9 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     which span that weight block of S_lam(V): every word of c_lam e_T is an
     arrangement of T's letters.  Row (p, w) and column j of a block's
     constraint matrix hold contraction p of its tensor j at the word w; the
-    rows that repeat another up to a scalar are dropped before the kernel is
-    taken.  The one RREF, of the kept tensors, makes the basis canonical."""
+    rows that repeat another up to a scalar are dropped, every block's RREF
+    comes from one qq_rref call and its kernel is read off by rref_kernel.
+    The span's RREF, of the kept tensors, makes the basis canonical."""
     lam = check_partition(lam)
     d = size(lam)
     words = [tableau_word(tab) for tab in semistandard_tableaux(lam, form.dim)]
@@ -227,8 +228,8 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     keys = list(map(tuple, weights.sum(axis=1).tolist()))
     # the tableaux by weight, so that each weight block is a range of the batch
     order = sorted(range(len(words)), key=keys.__getitem__)
-    bounds = [0] + [i for i in range(1, len(order))
-                    if keys[order[i]] != keys[order[i - 1]]] + [len(order)]
+    bounds = np.array([0] + [i for i in range(1, len(order))
+                             if keys[order[i]] != keys[order[i - 1]]] + [len(order)])
     b = apply_symmetrizer(WordBatch.from_tensors([{words[j]: 1} for j in order], d, form.dim),
                           lam)
     c = contractions(b, form)
@@ -236,17 +237,20 @@ def _form_module(lam: Partition, form: FormSpec, group: GroupSpec, expected: int
     j, p = np.divmod(c.idx, pairs)
     # the rows (p, w) of all blocks, numbered block by block
     ncodes = form.dim ** c.degree
-    row_keys, row = np.unique(((np.searchsorted(bounds, j, "right") - 1) * pairs + p) * ncodes
-                              + c.code, return_inverse=True)
+    block = np.searchsorted(bounds, j, "right") - 1
+    row_keys, row = np.unique((block * pairs + p) * ncodes + c.code, return_inverse=True)
     row_lo = np.searchsorted(row_keys // (pairs * ncodes), np.arange(len(bounds)))
-    at = np.searchsorted(j, bounds)
+    # every block's constraint matrix in one flat array, block after block
+    nrows, width = np.diff(row_lo), np.diff(bounds)
+    cell_lo = np.concatenate([[0], np.cumsum(nrows * width)])
+    flat = np.zeros(cell_lo[-1], dtype=c.coef.dtype)
+    flat[cell_lo[block] + (row - row_lo[block]) * width[block] + j - bounds[block]] = c.coef
+    rrefs = qq_rref([distinct_primitive_rows(flat[lo : lo + n * w].reshape(n, w))
+                     for lo, n, w in zip(cell_lo.tolist(), nrows.tolist(), width.tolist())])
     # each kernel vector as a one-letter tensor over the tensor indices
     kernel, nker = [(np.zeros(0, dtype=np.int64),) * 3], 0
-    for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        constraints = np.zeros((row_lo[g + 1] - row_lo[g], hi - lo), dtype=c.coef.dtype)
-        terms = slice(at[g], at[g + 1])
-        constraints[row[terms] - row_lo[g], j[terms] - lo] = c.coef[terms]
-        ker = qq_kernel(distinct_primitive_rows(constraints), hi - lo)
+    for lo, w, rref in zip(bounds.tolist(), width.tolist(), rrefs):
+        ker = rref_kernel(*rref, w)
         k, col = np.nonzero(ker)
         kernel.append((nker + k, lo + col, ker[k, col]))
         nker += len(ker)

@@ -21,9 +21,9 @@ image of c_lam the adjoint is the row passes times a scalar
 GradedSpan holds a canonical (per-block RREF) basis of the span of a batch
 of tensors that are homogeneous for some grading of words (content, or
 torus weight), as that basis scaled to primitive integer tensors: the
-(u, s, pivots) that qq_rref returns for each block's dense integer matrix,
-with no per-word dict.  The span reads the coordinates of a
-whole batch at once, as the values at the pivot words, and checks
+(u, s, pivots) that one batched qq_rref call returns for the blocks' dense
+integer matrices, with no per-word dict.  The span reads the coordinates
+of a whole batch at once, as the values at the pivot words, and checks
 membership in integers.
 
 Sparse maps leave this module as COO arrays, one array per index and one of
@@ -384,9 +384,9 @@ class GradedSpan:
     @staticmethod
     def from_tensors(batch: WordBatch, letter_grades: np.ndarray) -> GradedSpan:
         """The span of the batch's tensors, a word graded by the sum over its
-        letters of their rows of letter_grades.  Each block is built as one
-        dense integer matrix for qq_rref: row i for its i-th tensor, column
-        c for its c-th word in code order."""
+        letters of their rows of letter_grades.  Each block is one dense
+        integer matrix, row i for its i-th tensor and column c for its c-th
+        word in code order, and all of them go to one qq_rref call."""
         grades = np.zeros((len(batch.code), letter_grades.shape[1]), dtype=np.int64)
         for letters in batch.letters().T:
             grades += letter_grades[letters]
@@ -402,26 +402,25 @@ class GradedSpan:
         row_lo = np.searchsorted(block[tensors], np.arange(len(rank) + 1))
         row = np.zeros(batch.n, dtype=np.int64)
         row[tensors] = np.arange(len(tensors)) - row_lo[block[tensors]]
-        # the terms by block and word
-        order = np.lexsort((batch.code, block[batch.idx]))
-        term_block, code = block[batch.idx[order]], batch.code[order]
-        new = np.ones(len(code), dtype=bool)
-        new[1:] = (term_block[1:] != term_block[:-1]) | (code[1:] != code[:-1])
-        words, word_lo = code[new], np.searchsorted(term_block[new], np.arange(len(rank) + 1))
-        col = np.cumsum(new) - 1 - word_lo[term_block]
-        term_lo = np.searchsorted(term_block, np.arange(len(rank) + 1))
+        # the words of each block in code order, and the column of each term
+        size, term_block = batch.radix ** batch.degree, block[batch.idx]
+        key, col = np.unique(term_block * size + batch.code, return_inverse=True)
+        words, word_lo = key % size, np.searchsorted(key // size, np.arange(len(rank) + 1))
+        col -= word_lo[term_block]
+        # every block's dense matrix in one flat array, block after block
+        nrows, ncols = np.diff(row_lo), np.diff(word_lo)
+        cell_lo = np.concatenate([[0], np.cumsum(nrows * ncols)])
+        flat = np.zeros(cell_lo[-1], dtype=batch.coef.dtype)
+        flat[cell_lo[term_block] + row[batch.idx] * ncols[term_block] + col] = batch.coef
+        rrefs = qq_rref([flat[cell_lo[g]:cell_lo[g + 1]].reshape(nrows[g], ncols[g])
+                         for g in range(len(rank))])
         empty = np.zeros(0, dtype=np.int64)
         terms, scales, pivots, dim = [(empty,) * 3], [empty], [empty], 0
-        for g in range(len(rank)):
-            at = order[term_lo[g]:term_lo[g + 1]]
-            dense = np.zeros((row_lo[g + 1] - row_lo[g], word_lo[g + 1] - word_lo[g]),
-                             dtype=batch.coef.dtype)
-            dense[row[batch.idx[at]], col[term_lo[g]:term_lo[g + 1]]] = batch.coef[at]
-            u, s, piv = qq_rref(dense)
+        for lo, (u, s, piv) in zip(word_lo.tolist(), rrefs):
             k, c = np.nonzero(u)  # row-major: by basis index, then word code
-            terms.append((dim + k, words[word_lo[g] + c], u[k, c]))
+            terms.append((dim + k, words[lo + c], u[k, c]))
             scales.append(s)
-            pivots.append(words[word_lo[g] + np.array(piv, dtype=np.int64)])
+            pivots.append(words[lo + np.array(piv, dtype=np.int64)])
             dim += len(u)
         return GradedSpan(WordBatch(dim, batch.degree, batch.radix,
                                     *map(np.concatenate, zip(*terms))),

@@ -405,12 +405,30 @@ def counted_ranks_at(monkeypatch) -> list[int]:
     """The number of points of each ranks_at call constant_rank_verdict makes."""
     sizes = []
 
-    def counted(pencil, points, p, stacked=None):
+    def counted(pencil, points, p, stacked=None, buffers=None):
         sizes.append(len(points))
-        return ranks_at(pencil, points, p, stacked)
+        return ranks_at(pencil, points, p, stacked, buffers)
 
     monkeypatch.setattr(analysis, "ranks_at", counted)
     return sizes
+
+
+@pytest.mark.parametrize("mode, prime, block", [("exhaustive", 7, 4096), ("sampled", 13, 64)])
+def test_a_verdict_ranks_all_its_blocks_in_one_set_of_stack_buffers(mode, prime, block,
+                                                                     monkeypatch):
+    pen = build_from_params({"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6})
+    want = constant_rank_verdict(pen, mode, prime=prime, trials=300)
+    monkeypatch.setattr(analysis, "EXHAUSTIVE_BLOCK", block)
+    sizes, allocated = counted_ranks_at(monkeypatch), []
+    buffers = analysis.stack_buffers
+
+    def counted(*args):
+        allocated.append(args)
+        return buffers(*args)
+
+    monkeypatch.setattr(analysis, "stack_buffers", counted)
+    assert constant_rank_verdict(pen, mode, prime=prime, trials=300) == want
+    assert len(sizes) >= 5 and len(allocated) == 1
 
 
 @pytest.mark.parametrize("name", SAMPLED_PENCILS)

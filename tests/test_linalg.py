@@ -24,7 +24,6 @@ from crpencils.linalg import (
     modp_rank,
     modp_ranks,
     modp_rref,
-    qq_kernel,
     qq_rank,
     qq_rref,
 )
@@ -35,6 +34,7 @@ from word_oracles import (
     mat_mod,
     modp_row_reduce,
     modp_rref_kernel,
+    qq_kernel,
     reduce_mod,
     scaled_rref,
 )
@@ -95,7 +95,7 @@ class TestRank:
 
     @given(int_matrices)
     def test_bareiss_matches_rref(self, m):
-        assert bareiss_rank(m) == len(qq_rref(m)[0]) == qq_rank(m)
+        assert bareiss_rank(m) == len(qq_rref([m])[0][0]) == qq_rank(m)
 
     @given(int_matrices)
     def test_rank_nullity_qq(self, m):
@@ -335,7 +335,7 @@ def test_lifted_rref_matches_the_echelon_at_its_first_prime(nrows, ncols, seed):
     a = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
     ech = EchelonOracle(ncols, DEFAULT_PRIME)
     ech.add(np.array(a, dtype=np.int64).reshape(nrows, ncols))
-    u, s, pivots = qq_rref(np.array(a, dtype=np.int64).reshape(nrows, ncols))
+    u, s, pivots = qq_rref([np.array(a, dtype=np.int64).reshape(nrows, ncols)])[0]
     assert len(ech.pivots) <= len(pivots)
     if len(ech.pivots) == len(pivots):
         inv = [pow(int(x), -1, DEFAULT_PRIME) for x in s.tolist()]
@@ -925,7 +925,7 @@ def rational_matrices(draw):
 
 
 def assert_scaled_rref(m, got):
-    """got = qq_rref(m): u[k] / s[k] is the Gauss-Jordan RREF of m in
+    """got = qq_rref([m])[0]: u[k] / s[k] is the Gauss-Jordan RREF of m in
     Fractions, each u[k] primitive with s[k] = u[k, pivots[k]] > 0, and u
     is int64 exactly when no entry reaches EXACT_BOUND."""
     u, s, pivots = got
@@ -938,7 +938,7 @@ def assert_scaled_rref(m, got):
 
 
 def rref_lists(m):
-    u, s, pivots = qq_rref(m)
+    u, s, pivots = qq_rref([m])[0]
     return u.tolist(), s.tolist(), pivots
 
 
@@ -948,7 +948,7 @@ def test_lifted_rref_matches_gauss_jordan(m):
     # the integer rows of m have its row space, so its RREF and kernel
     ncols = len(m[0])
     a = integer_rows(m)
-    assert_scaled_rref(m, qq_rref(a))
+    assert_scaled_rref(m, qq_rref([a])[0])
     # each kernel vector times the lcm of its denominators
     ker = qq_kernel(a)
     assert ker.tolist() == integer_rows(fraction_kernel(m, ncols))
@@ -957,6 +957,48 @@ def test_lifted_rref_matches_gauss_jordan(m):
     assert qq_kernel(np.array(a, dtype=object), ncols).tolist() == ker.tolist()
     if linalg.max_abs(np.array(a, dtype=object)) < EXACT_BOUND:
         assert rref_lists(np.array(a, dtype=np.int64)) == rref_lists(a)
+
+
+@st.composite
+def rref_blocks(draw):
+    """One block of a qq_rref batch, as (its rows, the form handed over):
+    a rational_matrices block, a zero or empty one, one row, or a block
+    with entries past EXACT_BOUND, as rows of ints, an int64 array when
+    every entry fits, or an object array."""
+    kind = draw(st.sampled_from(("matrix", "matrix", "zero", "empty", "one-row", "huge")))
+    ncols = draw(st.integers(1, 7))
+    if kind == "matrix":
+        m = integer_rows(draw(rational_matrices()))
+    elif kind in ("zero", "empty"):
+        m = [[0] * ncols for _ in range(draw(st.integers(1, 4)) if kind == "zero" else 0)]
+    elif kind == "one-row":
+        zeros = [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+        row = draw(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=ncols, max_size=ncols))
+        m = zeros + [row] + zeros
+    else:
+        m = [[x * 2 ** 62 + y for x, y in zip(row, row[::-1])]
+             for row in draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols,
+                                               max_size=ncols), min_size=2, max_size=4))]
+    fits = linalg.max_abs(np.array(m, dtype=object)) < 2 ** 63
+    form = draw(st.sampled_from(("rows", "int64", "object") if fits else ("rows", "object")))
+    if form == "rows":
+        return m, m
+    shape = (len(m), len(m[0]) if m else ncols)
+    return m, np.array(m, dtype=np.int64 if form == "int64" else object).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rref_blocks(), min_size=1, max_size=10))
+def test_a_batch_is_its_blocks_one_at_a_time(blocks):
+    # each block of one batch, whatever stack or route it takes, gets the
+    # Gauss-Jordan RREF and what the call on it alone gives
+    got = qq_rref([form for _, form in blocks])
+    assert len(got) == len(blocks)
+    for (m, form), rref in zip(blocks, got):
+        assert_scaled_rref(m, rref)
+        alone = qq_rref([form])[0]
+        assert rref_lists(form) == (rref[0].tolist(), rref[1].tolist(), rref[2])
+        assert (alone[0].dtype, alone[0].shape) == (rref[0].dtype, rref[0].shape)
 
 
 def test_lifted_rref_checks_past_int64():
@@ -971,11 +1013,16 @@ def test_lifted_rref_checks_past_int64():
     ]
     for m in cases:
         a = np.array(m, dtype=object)
-        u, s, pivots = got = qq_rref(a)
+        u, s, pivots = got = qq_rref([a])[0]
         assert_scaled_rref(m, got)
         scale = lcm(*s.tolist())
         product = a[:, pivots] @ (u.astype(object) * (scale // s.astype(object))[:, None])
         assert max(linalg.max_abs(product), scale * linalg.max_abs(a)) >= 2 ** 63
+
+
+def _passes(a, pivots, u, s):
+    """linalg._passes of one matrix, as a stack of one."""
+    return bool(linalg._passes(a[None], np.array(pivots)[None], u[None], s[None])[0])
 
 
 @pytest.mark.parametrize("big", [1, 2 ** 62])
@@ -986,16 +1033,16 @@ def test_lift_check_rejects_a_perturbed_entry(big):
     scales = [lcm(*(x.denominator for x in row)) for row in rref]
     u = np.array([[x * sk for x in row] for row, sk in zip(rref, scales)], dtype=object)
     s = np.array(scales, dtype=object)
-    assert linalg._is_lift(a, pivots, u, s)
+    assert _passes(a, pivots, u, s)
     for idx in np.ndindex(u.shape):
         for delta in (1, -1):
             bad = u.copy()
             bad[idx] += delta
-            assert not linalg._is_lift(a, pivots, bad, s)
+            assert not _passes(a, pivots, bad, s)
     for k in range(len(s)):
         bad = s.copy()
         bad[k] += 1
-        assert not linalg._is_lift(a, pivots, u, bad)
+        assert not _passes(a, pivots, u, bad)
 
 
 def test_lift_check_sees_a_perturbation_that_int64_would_wrap():
@@ -1003,9 +1050,9 @@ def test_lift_check_sees_a_perturbation_that_int64_would_wrap():
     # by 2^64, which int64 arithmetic would wrap to no change
     a = np.array([[2 ** 40, 0, 3 * 2 ** 40], [0, 1, 5]], dtype=np.int64)
     u, s = np.array([[1, 0, 3], [0, 1, 5]], dtype=np.int64), np.ones(2, dtype=np.int64)
-    assert linalg._is_lift(a, [0, 1], u, s)
+    assert _passes(a, [0, 1], u, s)
     u[0, 2] += 2 ** 24
-    assert not linalg._is_lift(a, [0, 1], u, s)
+    assert not _passes(a, [0, 1], u, s)
 
 
 def test_distinct_primitive_rows_keep_the_kernel():
@@ -1035,21 +1082,28 @@ def test_distinct_primitive_rows_keep_the_row_space(m, data):
 
 
 def _count_primes(monkeypatch):
+    """The prime of each elimination qq_rref makes: each stack of its first
+    prime and each later prime of a block alone."""
     seen = []
-    rref = linalg._rref
+    rref, stack_rref = linalg._rref, linalg._stack_rref
 
     def counting(a, p):
         seen.append(p)
         return rref(a, p)
 
+    def counting_stack(a, p):
+        seen.append(p)
+        return stack_rref(a, p)
+
     monkeypatch.setattr(linalg, "_rref", counting)
+    monkeypatch.setattr(linalg, "_stack_rref", counting_stack)
     return seen
 
 
 def test_lifted_rref_adds_a_prime_for_large_entries(monkeypatch):
     seen = _count_primes(monkeypatch)
     m = [[7, 10 ** 6, 0], [0, 0, 1], [14, 2 * 10 ** 6, 3]]
-    u, s, pivots = qq_rref(m)
+    u, s, pivots = qq_rref([m])[0]
     assert (scaled_rref(u, s), pivots) == ([[1, Fraction(10 ** 6, 7), 0], [0, 0, 1]], [0, 2])
     assert len(seen) == 2  # 10^6 > sqrt(p/2): one prime cannot lift it
 
@@ -1058,15 +1112,33 @@ def test_lifted_rref_skips_primes_that_divide_a_minor(monkeypatch):
     p = DEFAULT_PRIME
     seen = _count_primes(monkeypatch)
     # mod p the second row is a multiple of the first: rank 1, then rank 2
-    u, s, pivots = qq_rref([[1, 1], [1, 1 + p]])
+    u, s, pivots = qq_rref([[[1, 1], [1, 1 + p]]])[0]
     assert (scaled_rref(u, s), pivots) == ([[1, 0], [0, 1]], [0, 1])
     assert seen[0] == p and len(seen) == 2
     # 1/p is an RREF entry: mod p the pivots move right; the later primes
     # need a CRT modulus above 2 p^2 to lift it
     seen.clear()
-    u, s, pivots = qq_rref([[p, 1, 0], [0, 0, 1], [2 * p, 2, 5]])
+    u, s, pivots = qq_rref([[[p, 1, 0], [0, 0, 1], [2 * p, 2, 5]]])[0]
     assert (scaled_rref(u, s), pivots) == ([[1, Fraction(1, p), 0], [0, 0, 1]], [0, 2])
     assert seen[0] == p and len(seen) >= 3
+
+
+def test_a_batch_sends_the_blocks_its_first_prime_misreads_to_the_lift_loop(monkeypatch):
+    # mod DEFAULT_PRIME both blocks below lift, to the wrong RREF: only the
+    # check of their stack sees it, and only the later primes mend it
+    p = DEFAULT_PRIME
+    wrong = [[[1, 1], [1, 1 + p]], [[p, 1, 0], [0, 0, 1], [2 * p, 2, 5]]]
+    rng = random.Random(5)
+    ordinary = [rand_matrix(rng, rows, cols, -9, 9) for rows, cols in
+                [(2, 2), (3, 3), (2, 3), (3, 2), (2, 2), (3, 3)]]
+    batch = ordinary[:3] + wrong[:1] + ordinary[3:5] + wrong[1:] + ordinary[5:]
+    seen = _count_primes(monkeypatch)
+    got = qq_rref(batch)
+    for m, rref in zip(batch, got):
+        assert_scaled_rref(m, rref)
+    # one stack per bucket at the first prime, (2, 2), (2, 4), (4, 2) and
+    # (4, 4), then the two blocks alone: one more prime and at least two
+    assert seen.count(p) == 4 and len(seen) >= 4 + 1 + 2
 
 
 def test_mat_mod_is_exact_past_int64():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpencils import modules, tensors
-from crpencils.linalg import EXACT_BOUND, qq_kernel
+from crpencils.linalg import EXACT_BOUND
 from crpencils.modules import (
     FormSpec,
     a_vector,
@@ -51,6 +51,7 @@ from word_oracles import (
     form_value,
     integer_scaled,
     pivot_words,
+    qq_kernel,
     tensors_of,
     word_grade,
 )
@@ -284,6 +285,22 @@ class TestForms:
 
 
 class TestFormModules:
+    @pytest.mark.parametrize("realize, lam, n", [(schur_module, (2, 1, 1), 6),
+                                                 (orthogonal_module, (3, 1, 1), 5)])
+    def test_one_rref_call_per_span_and_one_for_the_kernels(self, realize, lam, n,
+                                                            monkeypatch):
+        # every grade block of a span, and every weight block's contraction
+        # constraints, go to qq_rref in one batch
+        calls = []
+        for owner in (modules, tensors):
+            rref = owner.qq_rref
+            monkeypatch.setattr(owner, "qq_rref", lambda blocks, rref=rref, owner=owner: (
+                calls.append((owner.__name__, len(blocks))) or rref(blocks)))
+        mod = realize.__wrapped__(lam, n)
+        kernels = [] if realize is schur_module else ["crpencils.modules"]
+        assert [owner for owner, _ in calls] == kernels + ["crpencils.tensors"]
+        assert all(count > 1 for _, count in calls) and mod.dim == realize(lam, n).dim
+
     def test_symplectic_dims(self):
         assert symplectic_module((1, 1), 6).dim == 14
         assert symplectic_module((1, 1, 1), 6).dim == 14

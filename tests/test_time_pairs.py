@@ -14,6 +14,8 @@ CASES = {
               "gl-v9-240x45", "so-hook-6-512x252", "so-hook-6-252x512", "koszul-3-9-kernels"],
     "equivariance": ["gl-22-221-5", "gl-2-21-7", "sp-11-111-6", "so-311-321-5",
                      "so-311-321-6-file", "certify-3"],
+    "realize": ["so-311-5", "so-321-5", "gl-211-6", "gl-2111-6", "gl-22-5", "gl-221-5",
+                "sp-2-6", "sp-21-6", "so-2-5", "so-21-5", "all-10"],
 }
 
 

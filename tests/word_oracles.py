@@ -19,7 +19,7 @@ import numpy as np
 
 from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import FixtureParseError
-from crpencils.linalg import ModpEchelon, _product, _reduced
+from crpencils.linalg import ModpEchelon, _product, _reduced, qq_rref, rref_kernel
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim, normalize
 from crpencils.pencils import MAX_PENCIL_CELLS, Pencil, _one_box
@@ -43,6 +43,13 @@ def fraction_rref(rows):
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+def qq_kernel(rows, ncols=None):
+    """The right kernel of one integer matrix, as rref_kernel reads it off
+    its qq_rref; the identity when it has no row."""
+    ncols = (len(rows[0]) if len(rows) else 0) if ncols is None else ncols
+    return rref_kernel(*qq_rref([rows])[0], ncols) if len(rows) else np.eye(ncols, dtype=np.int64)
 
 
 def reduce_mod(x, p: int) -> int:
