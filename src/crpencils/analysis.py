@@ -115,11 +115,11 @@ def _evaluated(pencil: Pencil, points, p: int, stacked: np.ndarray, buffers=None
     stacks', or one allocation per call.  They are refilled for each stack,
     so a stack is valid until the next is drawn.  A stack shares the loop's
     numpy calls per column among its matrices: 37 of 56x63 at DEFAULT_PRIME
-    (int64), 5,349 of 14x14 at F_5 or F_7 (int8).  The certify workload took 0.195, 0.166, 0.143 and
-    0.137 s, at 570, 600, 660 and 625 thousand exhaustive points a second,
-    and peaked at 39.7, 40.2, 41.5 and 43.9 MB RSS at 2^18 to 2^21 bytes
-    (medians of 3 runs of perfbench/run.py --seconds 6, 2-CPU VM, numpy
-    2.4)."""
+    (int64), 5,349 of 14x14 at F_5 or F_7 (int8).  The certify workload
+    took 0.195, 0.166, 0.143 and 0.137 s, at 570, 600, 660 and 625
+    thousand exhaustive points a second, and peaked at 39.7, 40.2, 41.5 and
+    43.9 MB RSS at 2^18 to 2^21 bytes (medians of 3 runs of
+    perfbench/run.py --seconds 6, 2-CPU VM, numpy 2.4)."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, pencil.nvars)
     (f, e), step = buffers or _stack_buffers(pencil, p, len(pts))
     for i in range(0, len(pts), step):

@@ -308,7 +308,7 @@ def _one_rows(blocks: list[np.ndarray]) -> list[Rref]:
     rows = [a[0] for a in blocks if len(a)]
     width = np.array([len(row) for row in rows], dtype=np.int64)
     start = np.cumsum(width) - width
-    flat = np.concatenate(rows) if rows else width
+    flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     nonzero = np.flatnonzero(flat)
     first = nonzero[np.searchsorted(nonzero, start)]
     g = np.abs(np.gcd.reduceat(flat, start))  # a one-entry segment is left as it is
