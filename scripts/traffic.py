@@ -12,7 +12,10 @@ in the sampled, transitivity and exhaustive (prime 3) modes, output
 discarded.  `crpencils build` is not among them, so the lines that only it
 runs (cli.cmd_build, cli._build_record, BuildSpec.record) are listed.
 For each file under src/ it then prints the executable lines (those that
-start a line of the compiled code) that none of them ran, as ranges.
+start a line of the compiled code) that none of them ran, as ranges, and
+the functions none of whose body lines ran (a function's lines less its
+enclosing code's, which runs its def and decorator lines), by qualified
+name; a nested function is named only when its enclosing one ran.
 """
 import contextlib
 import dis
@@ -57,13 +60,36 @@ def traffic() -> None:
                 cli.main(["verify", str(path), "--mode", *mode])
 
 
-def executable_lines(path: Path) -> set:
-    todo, lines = [compile(path.read_text(encoding="utf-8"), str(path), "exec")], set()
+def starts(code: types.CodeType) -> set:
+    return {line for _, line in dis.findlinestarts(code) if line}
+
+
+def children(code: types.CodeType) -> list:
+    return [c for c in code.co_consts if isinstance(c, types.CodeType)]
+
+
+def executable_lines(module: types.CodeType) -> set:
+    todo, lines = [module], set()
     while todo:
         code = todo.pop()
-        lines.update(line for _, line in dis.findlinestarts(code) if line)
-        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        lines |= starts(code)
+        todo += children(code)
     return lines
+
+
+def unran_functions(module: types.CodeType, ran: set) -> list:
+    """The qualified names of the functions (comprehensions and lambdas
+    aside) none of whose body lines are in `ran`, in source order."""
+    todo, names = [(module, c) for c in children(module)], []
+    while todo:
+        parent, code = todo.pop()
+        if code.co_name.startswith("<"):
+            continue
+        if not (starts(code) - starts(parent)) & ran:
+            names.append((code.co_firstlineno, getattr(code, "co_qualname", code.co_name)))
+        else:
+            todo += [(code, c) for c in children(code)]
+    return [name for _, name in sorted(names)]
 
 
 def ranges(lines: list) -> str:
@@ -78,10 +104,13 @@ def main() -> int:
     ran = {(Path(f).resolve(), n) for f, n in tracer.results().counts}
     total = missed = 0
     for path in sorted(SRC.rglob("*.py")):
-        lines = executable_lines(path)
+        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        lines = executable_lines(module)
         unran = sorted(n for n in lines if (path.resolve(), n) not in ran)
         total, missed = total + len(lines), missed + len(unran)
         print(f"{path.relative_to(ROOT)}: {len(unran)} unran: {ranges(unran) or '-'}")
+        functions = unran_functions(module, {n for f, n in ran if f == path.resolve()})
+        print(f"  functions unran: {', '.join(functions) or '-'}")
     print(f"{missed} of {total} executable lines unran")
     return 0
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PRIME,
+    STACK_BYTES,
     ModpEchelon,
     Subspace,
     _kernel_pairs,
@@ -42,7 +43,6 @@ from .partitions import (
 )
 from .pencils import Pencil, check_equivariance, _one_box
 
-STACK_BYTES = 1 << 20  # of stack_dtype(p): matrices evaluated and eliminated as one stack
 EXHAUSTIVE_BLOCK = 1 << 14  # projective points decoded at once
 RND_MAX_SAMPLES = 512  # accepted samples after which rnd gives up
 

@@ -375,16 +375,12 @@ def _entry(entry_id: str, description: str):
     return register
 
 
-def _random_points(nvars: int, prime: int, rng: random.Random, count: int) -> np.ndarray:
-    """random_points with each zero point replaced by e_1."""
-    points = random_points(rng, count, nvars, prime)
-    points[~points.any(axis=1), 0] = 1
-    return points
-
-
 def _sample_ranks(pencil: Pencil, prime: int, rng: random.Random,
                   count: int) -> set[int]:
-    return set(ranks_at(pencil, _random_points(pencil.nvars, prime, rng, count), prime))
+    """The ranks at the nonzero ones of `count` random points, as the
+    sampled verdict draws them."""
+    points = random_points(rng, count, pencil.nvars, prime)
+    return set(ranks_at(pencil, points[points.any(axis=1)], prime))
 
 
 # -- GL entries -------------------------------------------------------------
@@ -698,7 +694,8 @@ def _check_sp6_koszul_expansion(cfg: CatalogRunConfig, result: EntryResult) -> N
               (rep.verdict, rep.generic_rank), ("constant", 10))
     reduced = build_sp_pencil((1, 1), (1, 1, 1), 6)
     rng = random.Random(cfg.seed)
-    points = _random_points(6, cfg.prime, rng, 100)
+    points = random_points(rng, 100, 6, cfg.prime)
+    points = points[points.any(axis=1)]
     ok = all(re_ == rr + 1 for re_, rr in zip(
         ranks_at(expanded, points, cfg.prime), ranks_at(reduced, points, cfg.prime)))
     result.true("block relation rank(expanded) = rank(reduced) + 1 (100 points)", ok)

@@ -9,19 +9,19 @@ hold them in the narrower stack_dtype(p)); the F_p entry points read
 them through _reduced, which reduces Python ints of any size exactly and
 refuses what an int64 cast would truncate.  _mod is the one reduction of
 an integer array, x - (x // p) p, which numpy runs on libdivide.
-modp_matmul is the one product mod p of two integer matrices, the core
-_product of their residues; stack_product is the one of a pencil's
-coefficients with a block of points, written into a stack's buffers.
-_product picks its path from the inner dimension k and p alone, without
-scanning its operands: one float64 BLAS product while k (p-1)^2 < 2^53,
-two limbs of b while k (p-1) (2^16 - 1) < 2^53, four limbs otherwise.  It
-returns (minus - a b) mod p, or a b mod p, with one final reduction, so an
-elimination step that subtracts a product reduces once.
+_product is the one product mod p of two residue matrices; stack_product
+is the one of a pencil's coefficients with a block of points, written
+into a stack's buffers.  _product picks its path from the inner dimension
+k and p alone, without scanning its operands: one float64 BLAS product
+while k (p-1)^2 < 2^53, two limbs of b while k (p-1) (2^16 - 1) < 2^53,
+four limbs otherwise.  It returns (minus - a b) mod p, or a b mod p, with
+one final reduction, so an elimination step that subtracts a product
+reduces once.
 
 Over F_p there are three eliminations, each with its own jobs.
   - the stacked forward loop (_forward) gives every kernel (modp_kernel),
     with a stacked back substitution, and the rank of every matrix of at
-    most ECHELON_CELLS cells (modp_ranks of a stack, modp_rank of one
+    most ECHELON_CELLS cells (_stack_ranks of a stack, modp_rank of one
     matrix).  It makes one vectorized pass over a stack in one layout,
     column-major with the stack innermost, (n, m, N), so that each step
     reads one contiguous slab and each numpy loop of its update runs
@@ -42,10 +42,10 @@ Over F_p there are three eliminations, each with its own jobs.
     Pencil.evaluate_modp writes each evaluated stack in this layout, on
     the side with fewer columns, reduced once by stack_product into
     buffers that analysis allocates once per call (stack_buffers) and
-    refills for each stack of up to 2^20 bytes (analysis.STACK_BYTES), so
+    refills for each stack of up to STACK_BYTES = 2^20 bytes, so
     neither its ranks nor its kernels reduce or transpose it again, and
     the float64 scratch of stack_product serves as the loop's own;
-    modp_ranks and modp_kernel copy a stack of any other form into it;
+    modp_kernel and modp_rank copy a stack of any other form into it;
   - recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.  A matrix met
     once is eliminated by it directly, its rows then sorted by pivot
@@ -89,6 +89,8 @@ DEFAULT_PRIME = 2147483629
 _PRIME_LIMIT = 1 << 31
 
 EXACT_BOUND = 1 << 62  # int64 arithmetic is used only below this bound
+
+STACK_BYTES = 1 << 20  # of one stack: analysis's evaluated matrices, qq_rref's int64 blocks
 
 
 def coef_dtype(bound: int):
@@ -245,7 +247,6 @@ def _lift(a: np.ndarray, rref: np.ndarray, piv: np.ndarray, m: int):
 
 
 Rref = tuple[np.ndarray, np.ndarray, list[int]]
-QQ_STACK_BYTES = 1 << 20  # of int64: the blocks of one stack at DEFAULT_PRIME
 
 
 def _scaled(u: np.ndarray, pivots: list[int]) -> Rref:
@@ -296,7 +297,7 @@ def qq_rref(blocks: Sequence) -> list[Rref]:
         if len(a) > 1 and a.dtype == np.int64 and a.size <= ECHELON_CELLS:
             buckets.setdefault(tuple(1 << (x - 1).bit_length() for x in a.shape), []).append(i)
     for (m, n), idx in buckets.items():
-        step = max(1, QQ_STACK_BYTES // (8 * m * n))
+        step = max(1, STACK_BYTES // (8 * m * n))
         for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
             out.update(zip(part, _first_prime([blocks[i] for i in part], m, n)))
     return [out[i] if i in out else _lifted(a) for i, a in enumerate(blocks)]
@@ -422,10 +423,13 @@ def distinct_primitive_rows(a: np.ndarray) -> np.ndarray:
 
 _LIMB_BITS = 16
 _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
-ECHELON_BLOCK = 64  # rows eliminated, and cleared from X, per step of ModpEchelon
+# rows eliminated, and cleared from X, per step of ModpEchelon: the clearing
+# product's inner dimension, whose largest on _product's two-limb path at
+# DEFAULT_PRIME is 64, as 64 (p-1) (2^16 - 1) < 2^53 <= 65 (p-1) (2^16 - 1)
+ECHELON_BLOCK = 64
 _KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-row cells at once
 
-# modp_ranks and modp_rank rank a matrix of more than ECHELON_CELLS cells
+# _stack_ranks and modp_rank rank a matrix of more than ECHELON_CELLS cells
 # alone, by _rref, and smaller ones together, by _forward.  Per matrix at
 # DEFAULT_PRIME, full 2^20-byte stacks against _rref (2-CPU VM, numpy 2.4,
 # minimum of interleaved repeats):              stacked  _rref
@@ -448,12 +452,6 @@ _KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-r
 # already at 10,000 cells: 100x100 4.0 ms against 2.6 ms by _rref, 50x200
 # 1.9 against 1.6 ms, 240x45 1.8 against 1.3 ms.
 ECHELON_CELLS = 10_000
-
-
-def modp_matmul(a, b, p: int) -> np.ndarray:
-    """a @ b mod p, in [0, p) as int64, of integer matrices: _product of
-    their residues."""
-    return _product(_reduced(a, p), _reduced(b, p), p)
 
 
 def _blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -726,8 +724,9 @@ def modp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def modp_rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p of one matrix, as modp_ranks ranks it: by _rref above
-    ECHELON_CELLS cells and by _forward otherwise; [] is the 0 x 0 matrix."""
+    """Rank mod p of one matrix, as _stack_ranks ranks a stack: by _rref
+    above ECHELON_CELLS cells and by _forward otherwise; [] is the 0 x 0
+    matrix."""
     return int(_stack_ranks(_matrix(a, p)[None], p)[0])
 
 
@@ -939,8 +938,8 @@ def _laid_out(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _stack_ranks(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """modp_ranks of an (N, m, n) stack of residues, which it may
-    overwrite: one at a time by _rref when m n > ECHELON_CELLS, and
+    """Rank mod p of each matrix of an (N, m, n) stack of residues, which
+    it may overwrite: one at a time by _rref when m n > ECHELON_CELLS, and
     otherwise all at once by _forward on the side with fewer columns, with
     `scratch` as _forward's."""
     if a.shape[1] * a.shape[2] > ECHELON_CELLS:
@@ -949,13 +948,6 @@ def _stack_ranks(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) ->
     if a.shape[2] > a.shape[1]:  # fewer columns, fewer steps
         a = a.transpose(0, 2, 1)
     return _forward(_laid_out(a, p), p, False, scratch)[0]
-
-
-def modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of each matrix in an (N, m, n) stack: one at a time by
-    _rref when m n > ECHELON_CELLS, and otherwise all at once by the
-    forward elimination of _forward on the side with fewer columns."""
-    return _stack_ranks(_reduced(stack, p), p)
 
 
 def _stack_kernels(a: np.ndarray, p: int,
@@ -1034,4 +1026,4 @@ class Subspace:
         rows = np.array(other.basis, dtype=np.int64).reshape(-1, self.ambient_dim)
         basis = np.array(self.basis, dtype=np.int64).reshape(-1, self.ambient_dim)
         pivots = (basis != 0).argmax(axis=1)
-        return bool((modp_matmul(rows[:, pivots], basis, self.p) == rows).all())
+        return bool((_product(rows[:, pivots], basis, self.p) == rows).all())

@@ -449,9 +449,7 @@ def _span_map(mod: RealizedModule, op, target: RealizedModule, per: int,
     each image's coordinates c_k in integers and refuses one outside the
     target span (AssertionError); c_k is stored as c_k (L / s_j), L = lcm(s).
     """
-    scales = mod.span.scales
-    big = lcm(1, *scales)
-    factor = int_array([big // s for s in scales])
+    big, factor = mod.span.scale_factors
     parts = []
     for first, part in mod.span.scaled_batch.chunks(PASS_CELLS // growth):
         image, k, c, outside = target.span.coordinates(op(part))
@@ -568,9 +566,8 @@ def _build_form_pencil(smod: RealizedModule, tmod: RealizedModule,
     pval = (pval * np.prod(value[letters], axis=1))[order]
 
     columns = prod(factorial(h) for h in conjugate(nu))
-    ls, lt = lcm(1, *smod.span.scales), lcm(1, *tmod.span.scales)
-    src_factor = int_array([ls // s for s in smod.span.scales])
-    tgt_factor = int_array([columns * (lt // t) for t in tmod.span.scales])
+    (ls, src_factor), (lt, tgt_factor) = smod.span.scale_factors, tmod.span.scale_factors
+    tgt_factor = int_array([columns * f for f in tgt_factor.tolist()])  # Python ints: no wrap
     parts = []
     target = tmod.span.scaled_batch
     for first, part in target.chunks(PASS_CELLS // prod(factorial(r) for r in nu)):

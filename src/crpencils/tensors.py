@@ -34,7 +34,7 @@ sum_by_key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
@@ -430,6 +430,16 @@ class GradedSpan:
     def dim(self) -> int:
         return self.scaled_batch.n
 
+    @cached_property
+    def scale_factors(self) -> tuple[int, np.ndarray]:
+        """(L, L / s_k): the lcm L of the scales s_k, and the factor of
+        each as a read-only int_array.  Cached: every reader of the span's
+        coordinates scales by them."""
+        big = lcm(1, *self.scales)
+        factor = int_array([big // s for s in self.scales])
+        factor.setflags(write=False)
+        return big, factor
+
     def coordinates(self, batch: WordBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                                      np.ndarray]:
         """(image, k, c, outside): the coordinates c_k on the basis b_k of
@@ -453,8 +463,7 @@ class GradedSpan:
         ti, k, c = batch.idx[hit], order[at[hit]], batch.coef[hit]
         starts = np.searchsorted(u.idx, np.arange(self.dim + 1))
         owner, term = ragged(starts[k], starts[k + 1] - starts[k])
-        big = lcm(1, *self.scales)
-        factor = int_array([big // s for s in self.scales])
+        big, factor = self.scale_factors
         # a word's residual sums L t_w and at most one term of each u_k
         dtype = coef_dtype(big * max(1, max_abs(batch.coef)) * (1 + self.dim * max_abs(u.coef)))
         resid, _, _ = _summed(

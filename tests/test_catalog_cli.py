@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from crpencils.catalog import (
     run_catalog,
     run_entry,
 )
-from crpencils.analysis import constant_rank_verdict
+from crpencils.analysis import constant_rank_verdict, random_points, ranks_at
 from crpencils.linalg import qq_rank
 from crpencils.modules import schur_module
 from crpencils.pencils import (
@@ -387,6 +388,18 @@ def test_run_entry_keeps_the_traceback():
     assert res.status == "fail"
     assert "_failing_helper" in res.failures[0]
     assert "RuntimeError: boom" in res.failures[0]
+
+
+def test_sampled_entries_drop_zero_draws():
+    # x_i on diagonal entry i: a point's rank is its number of nonzero
+    # coordinates.  At prime 3 and seed 24 the second of five draws is the
+    # zero point and the others have three nonzero coordinates, so the zero
+    # draw read as e_1 added rank 1, which no drawn point has
+    pen = Pencil(4, 4, 4, tuple((i, i, i, 1) for i in range(4)), 1, ("a", "b", "c", "d"))
+    points = random_points(random.Random(24), 5, 4, 3)
+    assert (points != 0).sum(axis=1).tolist() == [3, 0, 3, 3, 3]
+    assert ranks_at(pen, [[1, 0, 0, 0]], 3) == [1]
+    assert catalog._sample_ranks(pen, 3, random.Random(24), 5) == {3}
 
 
 # -- command line ------------------------------------------------------------

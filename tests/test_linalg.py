@@ -20,9 +20,7 @@ from crpencils.linalg import (
     check_prime,
     distinct_primitive_rows,
     modp_kernel,
-    modp_matmul,
     modp_rank,
-    modp_ranks,
     modp_rref,
     qq_rank,
     qq_rref,
@@ -32,6 +30,8 @@ from word_oracles import (
     fraction_rref,
     integer_rows,
     mat_mod,
+    modp_matmul,
+    modp_ranks,
     modp_row_reduce,
     modp_rref_kernel,
     qq_kernel,
@@ -225,6 +225,9 @@ def test_exact_product_at_the_float64_limit(p, sign):
         want = [[sign * x * y % p, x % p], [x * y % p, sign * x % p]]
         assert modp_matmul(a, b, p).tolist() == want
         assert modp_matmul(a.astype(np.float64), b, p).tolist() == want
+        # the F_p entry points read such integer floats exactly
+        row = np.array([[sign * x, y]], dtype=np.float64)
+        assert modp_rref(row, p)[0].tolist() == [[1, y * pow(sign * x, -1, p) % p]]
 
 
 @pytest.mark.parametrize("p", (2147483629, 2147483647))
@@ -245,6 +248,14 @@ def test_exact_product_splits_one_operand_up_to_its_inner_limit(p, k):
         assert got.tolist() == want
 
 
+def test_echelon_block_is_the_last_inner_dimension_of_two_limbs():
+    # ModpEchelon._insert clears X with a product whose inner dimension is at
+    # most ECHELON_BLOCK; at DEFAULT_PRIME 64 is the largest k that _product
+    # splits into two limbs, and 65 takes four
+    r, limb = DEFAULT_PRIME - 1, (1 << 16) - 1
+    assert linalg.ECHELON_BLOCK * r * limb < 1 << 53 <= (linalg.ECHELON_BLOCK + 1) * r * limb
+
+
 @given(st.sampled_from((3, 101, 32749, DEFAULT_PRIME)), st.sampled_from((63, 64, 65)),
        st.integers(0, 4), st.integers(0, 4), st.sampled_from(("top", "odd", "random")),
        st.integers(0, 2 ** 32))
@@ -262,9 +273,12 @@ def test_one_reduction_products_match_python_ints(p, k, m, n, fill, seed):
     want_ab = [[x % p for x in row] for row in ab]
     want = [[(c[i][j] - ab[i][j]) % p for j in range(n)] for i in range(m)]
     a, b = np.array(a, dtype=np.int64).reshape(m, k), np.array(b, dtype=np.int64).reshape(k, n)
-    # modp_matmul also of operands outside [0, p)
+    # modp_matmul also of operands outside [0, p), which the F_p entry
+    # points reduce as they read them
     for got in (modp_matmul(a, b, p), modp_matmul(a - p, b + p, p)):
         assert got.dtype == np.int64 and got.tolist() == want_ab
+    assert modp_rref(a - p, p)[0].tolist() == modp_rref(a + p, p)[0].tolist() == (
+        modp_rref(a, p)[0].tolist())
     # _product also of minus in (-p, 0]
     minus = np.array(c, dtype=np.int64).reshape(m, n)
     for got, expect in ((linalg._product(a, b, p), want_ab), (linalg._product(a, b, p, minus), want),
@@ -699,7 +713,7 @@ def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
              lambda: EchelonOracle(a.shape[1], p).add(rows),
              lambda: EchelonOracle(a.shape[1], p).kernel_contains(rows),
              lambda: Subspace.from_vectors(rows, a.shape[1], p),
-             lambda: modp_ranks(a[None], p), lambda: modp_kernel(a[None], p)]
+             lambda: modp_kernel(a[None], p)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
@@ -730,7 +744,6 @@ def test_fp_eliminations_reduce_python_ints_past_int64():
         assert modp_rref(big, p)[0].tolist() == modp_rref(res, p)[0].tolist()
         assert Subspace.from_vectors(big, n, p) == Subspace.from_vectors(res, n, p)
         stack = np.array(big, dtype=object)[None]
-        assert modp_ranks(stack, p).tolist() == modp_ranks(res[None], p).tolist()
         assert modp_kernel(stack, p)[0].tolist() == modp_kernel(res[None], p)[0].tolist()
         ech, want = EchelonOracle(n, p), EchelonOracle(n, p)
         assert ech.add(big) == want.add(res)
@@ -751,7 +764,6 @@ def test_fp_eliminations_read_integer_floats_and_object_ints_as_int64():
         assert modp_rank(rows, p) == 2
         assert modp_rref(rows, p)[1] == modp_rref(ints, p)[1]
         assert Subspace.from_vectors(rows, 4, p) == Subspace.from_vectors(ints, 4, p)
-        assert modp_ranks(np.asarray(rows)[None], p).tolist() == [2]
         assert modp_kernel(np.asarray(rows)[None], p)[0].tolist() == kernel.tolist()
         ech = EchelonOracle(4, p)
         ech.add(rows)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from crpencils import pencils, tensors
 from crpencils.analysis import constant_rank_verdict, generic_rank
 from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
-from crpencils.linalg import DEFAULT_PRIME, modp_matmul, qq_rank
+from crpencils.linalg import DEFAULT_PRIME, qq_rank
 from crpencils.modules import (
     a_vector,
     form_lie_generators,
@@ -54,6 +54,7 @@ from word_oracles import (
     basis_tensors,
     derivation,
     form_lie_basis,
+    modp_matmul,
     pivot_words,
     reduce_mod,
     theta_fractions,

@@ -19,7 +19,7 @@ import numpy as np
 
 from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import FixtureParseError
-from crpencils.linalg import ModpEchelon, _product, _reduced, qq_rref, rref_kernel
+from crpencils.linalg import ModpEchelon, _product, _reduced, _stack_ranks, qq_rref, rref_kernel
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim, normalize
 from crpencils.pencils import MAX_PENCIL_CELLS, Pencil, _one_box
@@ -90,6 +90,19 @@ def integer_rows(rows) -> list[list[int]]:
         den = lcm(1, *(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+def modp_matmul(a, b, p: int) -> np.ndarray:
+    """a @ b mod p, in [0, p) as int64, of integer matrices: linalg._product,
+    the product ModpEchelon runs, of their residues."""
+    return _product(mat_mod(a, p), mat_mod(b, p), p)
+
+
+def modp_ranks(stack, p: int) -> np.ndarray:
+    """Rank mod p of each matrix of an (N, m, n) integer stack:
+    linalg._stack_ranks, the elimination analysis.ranks_at runs, of its
+    residues."""
+    return _stack_ranks(mat_mod(stack, p), p)
 
 
 def randrange_points(rng, count: int, nvars: int, prime: int) -> np.ndarray:
