@@ -33,6 +33,9 @@ realize: each module realization behind the construct workload's records,
   (so-311-5 is orthogonal_module((3, 1, 1), 5)); all-10 is their sum.
 catalog: `python -m crpencils.cli catalog --filter <id> --format json` in
   a fresh process for each entry, named by its id; all-24 runs all 24.
+rnd: analysis.rnd at seed 0 on the rnd workload's six pencils, each built
+  once, named by builder and arguments; the first call also finds the
+  pencil's torus, which it caches.
 cli: in fresh processes, per record of scripts/build_examples.py: `build
   <name>` to stdout, and `sampled <name>` and `transitivity <name>`, its
   verify in each mode; `import <module>`, each crpencils module's -X
@@ -43,7 +46,8 @@ between them.  The checks: check_equivariance is True; each catalog record
 passes, with details; each command exits 0, but transitivity refuses the
 so, spin and adjoint examples with exit 2.  The pins: the ranks and
 kernels, each realized span (its scaled batch, scales and pivots), the
-catalog details, and each command's stdout and exit code.
+catalog details, each rnd verdict and sha256 of repr(space.basis) (not its
+samples_used), and each command's stdout and exit code.
 """
 import argparse
 import hashlib
@@ -216,6 +220,27 @@ def probe_catalog(root: Path, repeats: int, tmp: Path):
                    note=f"exit {proc.returncode}")
 
 
+RND = [  # the rnd workload's pencils
+    ("koszul-2-7", {"kind": "koszul", "k": 2, "v": 7}),
+    ("gl-21-211-4", {"kind": "gl", "mu": [2, 1], "nu": [2, 1, 1], "v": 4}),
+    ("koszul-2-6", {"kind": "koszul", "k": 2, "v": 6}),
+    ("so-2-21-4", {"kind": "so", "mu": [2], "nu": [2, 1], "m": 4}),
+    ("spin-5", {"kind": "spin", "n": 5}),
+    ("gl-2-21-3", {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3}),
+]
+
+
+def probe_rnd(root: Path, repeats: int, tmp: Path):
+    from crpencils import analysis, catalog
+
+    for name, record in RND:
+        pencil = catalog.build_from_params(record)
+        ms, faults, rep = timed(lambda: analysis.rnd(pencil, seed=0), repeats)
+        basis = hashlib.sha256(repr(rep.space.basis).encode()).hexdigest()
+        yield dict(case=name, ms=ms, faults=faults, pin=digest([rep.verdict, basis]),
+                   note=f"{rep.verdict} dim {rep.space.dim}, {rep.samples_used} samples")
+
+
 def build_argv(record: dict) -> list[str]:
     """`crpencils build` of a builder record: m is --N, and gl's v is --n plus 1."""
     argv = ["build", record["kind"]]
@@ -255,7 +280,7 @@ def probe_cli(root: Path, repeats: int, tmp: Path):
 
 
 PROBES = {"ranks": probe_ranks, "equivariance": probe_equivariance, "realize": probe_realize,
-          "catalog": probe_catalog, "cli": probe_cli}
+          "catalog": probe_catalog, "rnd": probe_rnd, "cli": probe_cli}
 
 
 def report(results: dict, sides: list[str]) -> int:

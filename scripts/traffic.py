@@ -5,11 +5,11 @@
 
 Under the standard library's trace module, in one process, it runs every
 job and probe of the three plans of perfbench/jobs.py (imported read-only,
-seed 0), every catalog entry, and, for each record of
-scripts/build_examples.py, its build and JSON file as that script writes
-them (build_from_params, dumps_pencil) and `crpencils verify` of the file
-in the sampled, transitivity and exhaustive (prime 3) modes, output
-discarded.  `crpencils build` is not among them, so the lines that only it
+seed 0), every catalog entry through `crpencils catalog --format json`,
+and, for each record of scripts/build_examples.py, its build and JSON file
+as that script writes them (build_from_params, dumps_pencil) and
+`crpencils verify` of the file in the sampled, transitivity and exhaustive
+(prime 3) modes, output discarded.  `crpencils build` is not among them, so the lines that only it
 runs (cli.cmd_build, cli._build_record, BuildSpec.record) are listed.
 For each file under src/ it then prints the executable lines (those that
 start a line of the compiled code) that none of them ran, as ranges, and
@@ -47,11 +47,10 @@ def traffic() -> None:
         plan = jobs.prepare(workload, 0)
         for job in plan.jobs + plan.probe:
             job.run()
-    for entry in catalog.CATALOG:
-        catalog.run_entry(entry, catalog.CatalogRunConfig())
     examples = load(ROOT / "scripts" / "build_examples.py").EXAMPLES
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["catalog", "--format", "json"])
         for name, params in examples:
             path = Path(tmp) / f"{name}.json"
             path.write_text(catalog.dumps_pencil(catalog.build_from_params(params), params),

@@ -20,12 +20,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_PRIME,
     STACK_BYTES,
-    ModpEchelon,
     Subspace,
     _kernel_pairs,
+    _product,
     _stack_ranks,
     check_prime,
-    modp_kernel,  # noqa: F401  (wrapped here by perfbench/spans.py)
+    modp_kernel,  # wrapped here by perfbench/spans.py
     modp_rank,
     modp_rref,  # noqa: F401  (wrapped here by perfbench/spans.py)
     qq_rank,
@@ -329,6 +329,9 @@ def predict_so_nonisotropic(mu: Partition, nu: Partition, m: int) -> PredictedDe
 
 @dataclass
 class RndReport:
+    """The B that meet the constraints on each accepted sample's torus orbit
+    over the algebraic closure of F_p, the verdict, dim L and the samples."""
+
     space: Subspace
     verdict: str  # "rank-critical-certified" | "strictly-larger" | "inconclusive"
     pencil_span_dim: int
@@ -336,9 +339,61 @@ class RndReport:
     method: dict
 
 
+def _torus_blocks(pencil: Pencil) -> list[list[np.ndarray]]:
+    """[cells, kernel] per width w of the blocks of Pencil.torus: their (n, w)
+    flat cell indices, increasing, and (n, w, w) kernels, at first I.  Row
+    f of a kernel is its basis row of free column f, and 0 at a pivot."""
+    order = np.argsort(pencil.torus[3], axis=None, kind="stable")
+    width = np.bincount(pencil.torus[3].ravel())
+    return [[order[(np.cumsum(width) - width)[width == w][:, None] + np.arange(w)],
+             np.broadcast_to(np.eye(w, dtype=np.int64), (np.count_nonzero(width == w), w, w))]
+            for w in np.flatnonzero(np.bincount(width))]
+
+
+def _cut(groups: list, pairs: list, span: np.ndarray, p: int) -> bool:
+    """Cut each block's kernel of the _torus_blocks groups, in place, by the
+    rows f_i[r_k] u_j[c_k] of every (f, u) pair, (r_k, c_k) the block's
+    cells, a stack at a time: blocks' row spaces I - K^T over a piece of
+    the rows, as many as STACK_BYTES of int64 hold (at least one block and
+    w rows), kerneled by modp_kernel.  A block whose kernel is then zero is
+    dropped.  Returns whether a block part v of a row of `span` (an A_v)
+    is outside its block's kernel: v @ K != v, as K[:, free] = I."""
+    b = span.shape[1] // pairs[0][0].shape[1]
+    ff = np.concatenate([np.repeat(f, len(u), axis=0) for f, u in pairs])
+    uu = np.concatenate([np.tile(u, (len(f), 1)) for f, u in pairs])
+    escaped = False
+    for g, (cells, ker) in enumerate(groups):
+        w = cells.shape[1]
+        step = max(w, STACK_BYTES // (8 * w) - w)
+        for lo in range(0, len(ff), step):
+            f, u = ff[lo : lo + step], uu[lo : lo + step]
+            per, kers = max(1, STACK_BYTES // (8 * w * (w + len(f)))), []
+            for i in range(0, len(cells), per):
+                rows = f[:, cells[i : i + per] // b] * u[:, cells[i : i + per] % b]
+                eye = np.eye(w, dtype=np.int64) - ker[i : i + per].transpose(0, 2, 1)
+                kers += modp_kernel(np.concatenate([eye, rows.transpose(1, 0, 2)], axis=1), p)
+            ker = np.zeros((len(cells), w, w), dtype=np.int64)
+            for i, k in enumerate(kers):  # row f of k ends in its free column f
+                ker[i, w - 1 - (k[:, ::-1] != 0).argmax(axis=1)] = k
+        part = span[:, cells].transpose(1, 0, 2)
+        escaped = escaped or any((_product(part[i], ker[i], p) != part[i]).any()
+                                 for i in np.flatnonzero(part.any(axis=(1, 2))))
+        live = ker.any(axis=(1, 2))
+        groups[g] = [cells[live], ker[live]]
+    return escaped
+
+
 def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
     """The space of rank neutral directions {B : B(Ker A) <= Im A for all
     max-rank A in the pencil}, computed over F_prime by sampling.
+
+    Each accepted sample x constrains B at every point t.x of its orbit
+    under Pencil.torus, over the algebraic closure of F_prime: the
+    constraints at t.x are those at x moved by D_y(t) and D_z(t), so, as
+    distinct characters are independent, they meet over the orbit in the
+    direct sum of the block kernels of the constraints at x cut to each
+    torus block (_cut).  The rank is the same along the orbit, so that sum
+    still holds RND(L).
 
     L is always contained in the output.  When the output equals the span L
     of the coefficient matrices, equality RND(L) = L is exact (every
@@ -348,37 +403,32 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
 
     Samples of rank below r, the largest of 20 sampled ranks, are rejected.
     When those 20 miss the generic rank, lower-rank samples are accepted and
-    L can escape their constraints, which proves r too low.  Sampling then
-    goes on until a rank above r is accepted; r is raised to it and the
-    accumulation starts again.  Only when RND_MAX_SAMPLES samples show no rank
-    above r does the escape raise.
+    L can escape their constraints (_cut), which proves r too low.
+    Sampling then goes on until a rank above r is accepted; r is raised to
+    it and the accumulation starts again.  Only when RND_MAX_SAMPLES samples
+    show no rank above r does the escape raise.
 
-    The constraints live in one ModpEchelon, and the accepted samples of
-    each batch of draws go in with one add_outer call.  A round reads the
-    dimension as the echelon's number of free columns and tests L with
-    kernel_contains.  L's dimension is a modp_rank; the canonical Subspace
-    is built only for the reported space.
+    L's dimension is a modp_rank; the canonical Subspace is built only for
+    the reported space.
     """
     check_prime(prime)
     rng = random.Random(seed)
     stacked = pencil.coeff_array_modp(prime)
-    c, b = pencil.target_dim, pencil.source_dim
-    ambient = c * b
+    b, ambient = pencil.source_dim, pencil.target_dim * pencil.source_dim
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
-    span_rows = stacked.reshape(pencil.nvars, ambient)
-    s = modp_rank(span_rows, prime)
-    # the constraints B(Ker A) <= Im A of every accepted sample, in one echelon
-    constraints = ModpEchelon(ambient, prime)
-    samples_used = 0
-    top = r  # the largest rank accepted
-    target = pencil.nvars + 2
-    prev_dim = None
-    stable = 0
+    span = stacked.reshape(pencil.nvars, ambient)  # L, as rows
+    s, span = modp_rank(span, prime), (span % prime).astype(np.int64)
+    groups, escaped, top = _torus_blocks(pencil), False, r  # top: the largest rank accepted
+    samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
 
     def report(verdict: str) -> RndReport:
-        space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
-        return RndReport(space, verdict, s, samples_used,
-                         {"prime": prime, "seed": seed, "generic_rank": r})
+        space = []  # the block kernels' rows
+        for cells, ker in groups:
+            blk, free = np.nonzero(ker.any(axis=2))
+            space.append(np.zeros((len(blk), ambient), dtype=np.int64))
+            space[-1][np.arange(len(blk))[:, None], cells[blk]] = ker[blk, free]
+        return RndReport(Subspace.from_vectors(np.concatenate(space), ambient, prime), verdict,
+                         s, samples_used, {"prime": prime, "seed": seed, "generic_rank": r})
 
     while samples_used < RND_MAX_SAMPLES:
         while samples_used < target:
@@ -388,32 +438,28 @@ def rnd(pencil: Pencil, prime: int = DEFAULT_PRIME, seed: int = 0) -> RndReport:
             accepted = [(coker, ker) for ker, coker in _kernels(pencil, xs, prime, stacked)
                         if b - len(ker) >= r]
             top = max([top] + [b - len(ker) for _, ker in accepted])
-            # the row of (f, u) is the flattened outer product f u^T
-            constraints.add_outer(accepted)
+            # the first sample after a start cuts alone: few blocks outlive it
+            for pairs in filter(None, (accepted[:1], accepted[1:]) if not samples_used
+                                else (accepted,)):
+                escaped = _cut(groups, pairs, span, prime) or escaped
             samples_used += len(accepted)
-        # the dimension of the constraints' kernel, and whether it holds L
-        dim = ambient - constraints.pivots.size
-        escaped = not constraints.kernel_contains(span_rows)
+        dim = sum(int(ker.any(axis=2).sum()) for _, ker in groups)
         if escaped and top > r:
             # a sample below the generic rank was accepted: start again,
             # accepting only samples of the largest rank seen
             r = top
-            constraints = ModpEchelon(ambient, prime)
+            groups, escaped = _torus_blocks(pencil), False
             samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
             continue
+        target = min(RND_MAX_SAMPLES, target * 2)
         if escaped:  # no rank above r accepted yet: draw the next round
-            target = min(RND_MAX_SAMPLES, target * 2)
             continue
         if dim == s:
             return report("rank-critical-certified")
-        if dim == prev_dim:
-            stable += 1
-            if stable >= 2:
-                return report("strictly-larger")
-        else:
-            stable = 0
+        stable = stable + 1 if dim == prev_dim else 0
+        if stable >= 2:
+            return report("strictly-larger")
         prev_dim = dim
-        target = min(RND_MAX_SAMPLES, target * 2)
     if escaped:
         raise AssertionError("pencil span escaped its own RND constraints")
     return report("inconclusive")

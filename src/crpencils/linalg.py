@@ -48,20 +48,13 @@ Over F_p there are three eliminations, each with its own jobs.
     modp_kernel and modp_rank copy a stack of any other form into it;
   - recursive halving (_eliminate), which leaves _gauss_jordan's
     row-by-row elimination to blocks of at most 16 rows.  A matrix met
-    once is eliminated by it directly, its rows then sorted by pivot
-    (_rref): each later prime of the qq_rref lift, modp_rref and so
-    Subspace, and the rank of every matrix of more than ECHELON_CELLS
-    cells.  ModpEchelon serves the one growing system, the
-    neutral-direction constraints: it keeps the free-column block of the
-    RREF and inserts rows in blocks of ECHELON_BLOCK, each reduced by the
-    pivots added before it with one product and eliminated by _eliminate;
-    add_outer takes the outer-product rows of the constraints without
-    forming them;
+    once is eliminated by it, its rows then sorted by pivot (_rref): each
+    later prime of the qq_rref lift, modp_rref and so Subspace, and the
+    rank of every matrix of more than ECHELON_CELLS cells;
   - _stack_rref, _gauss_jordan's rule with a stack axis: the first prime of
     qq_rref, where many small blocks share its numpy calls.  On one matrix
     it is 1.2 to 1.3 times slower (16x735 0.97 against 0.80 ms, 16x64 0.44
-    against 0.35 ms, 2-CPU VM, numpy 2.4), and ModpEchelon's inserts make
-    dozens of such base cases a call, so _eliminate keeps _gauss_jordan.
+    against 0.35 ms, 2-CPU VM, numpy 2.4), so _eliminate keeps _gauss_jordan.
 
 Over Q there is one elimination: qq_rref lifts the RREF mod p of each
 block of a batch to Q, checks it with one integer product per stack, and
@@ -73,7 +66,8 @@ up to a scalar distinct_primitive_rows drops first.
 
 Subspace holds the canonical (RREF) basis of a row space over F_p, built
 from integer vectors.  The neutral-direction solve builds one, for the space
-it reports; the span's dimension is a modp_rank, its rounds read the echelon.
+it reports; the span's dimension is a modp_rank, and its rounds kernel
+stacks of torus blocks by modp_kernel.
 """
 from __future__ import annotations
 
@@ -423,12 +417,6 @@ def distinct_primitive_rows(a: np.ndarray) -> np.ndarray:
 
 _LIMB_BITS = 16
 _EXACT_INNER = 1 << 21  # limb products are < 2^32; 2^21 of them sum below 2^53
-# rows eliminated, and cleared from X, per step of ModpEchelon: the clearing
-# product's inner dimension, whose largest on _product's two-limb path at
-# DEFAULT_PRIME is 64, as 64 (p-1) (2^16 - 1) < 2^53 <= 65 (p-1) (2^16 - 1)
-ECHELON_BLOCK = 64
-_KERNEL_CELLS = 1 << 16  # add_outer: free-coordinate cells of a group, kernel-row cells at once
-
 # _stack_ranks and modp_rank rank a matrix of more than ECHELON_CELLS cells
 # alone, by _rref, and smaller ones together, by _forward.  Per matrix at
 # DEFAULT_PRIME, full 2^20-byte stacks against _rref (2-CPU VM, numpy 2.4,
@@ -527,8 +515,8 @@ def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
 _BASE_ROWS = 16  # _eliminate hands blocks of at most this many rows to _gauss_jordan
 
 
-def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_gauss_jordan's (rows, pivots, source) of residue rows, by recursive
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_gauss_jordan's (rows, pivots) of residue rows, by recursive
     halving (Dumas, Pernet and Sultan, ISSAC 2013): the top half is brought
     to RREF T, the bottom half is reduced by T with one product and
     eliminated on the columns T leaves, into B, and T is cleared of B's
@@ -536,177 +524,27 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     above it, as in _gauss_jordan, so the same rows raise the rank with the
     same pivots, and the RREF of their span is unique."""
     if len(a) <= _BASE_ROWS:
-        return _gauss_jordan(a, p)
+        return _gauss_jordan(a, p)[:2]
     half = len(a) // 2
-    top, tpiv, tsrc = _eliminate(a[:half], p)
+    top, tpiv = _eliminate(a[:half], p)
     rest = np.ones(a.shape[1], dtype=bool)
     rest[tpiv] = False
     low = a[half:, rest]
     if tpiv.size:  # T[:, tpiv] = I
         low = _product(a[half:, tpiv], top[:, rest], p, minus=low)
-    bot, bpiv, bsrc = _eliminate(low, p)
+    bot, bpiv = _eliminate(low, p)
     bpiv = np.flatnonzero(rest)[bpiv]
     rows = np.zeros((len(bot), a.shape[1]), dtype=np.int64)
     rows[:, rest] = bot
     if bpiv.size:  # B[:, bpiv] = I and B[:, tpiv] = 0
         top = _product(top[:, bpiv], rows, p, minus=top)
-    return (np.concatenate([top, rows]), np.concatenate([tpiv, bpiv]),
-            np.concatenate([tsrc, half + bsrc]))
-
-
-class ModpEchelon:
-    """The reduced row echelon form over F_p of a growing set of rows.
-
-    Only the free-column block is stored: the pivot columns `_piv`, the free
-    columns `_free` (increasing) and X, row k of X the free columns of the
-    basis row with pivot `_piv[k]`; `pivots` is sorted when read.
-
-    New rows are first reduced into free coordinates, y = row[free] -
-    row[piv] @ X, which is row @ K^T for the kernel rows K of kernel().
-    `add_outer` takes the rows f_i (x) u_j of a sequence of factor pairs
-    without forming them, as F (K (I (x) U^T)): in groups of pairs of at
-    most _KERNEL_CELLS cells of free coordinates, each making one product
-    of K with the U of all its pairs and one with each F.  It then inserts
-    y in blocks of ECHELON_BLOCK rows: a block is reduced by the pivots added since the
-    call began with one product, skipped if it is then zero (so a group of
-    rows the echelon already spans costs only its products), eliminated by
-    _eliminate into N, the new pivots are cleared from X with one more,
-    X[:, new] @ N[:, keep], and N's rows are appended.  A block is reduced
-    only when its turn comes, so at the fewest free columns.  Each product
-    is a _product of residues, and a difference from one is reduced once,
-    with it.
-    """
-
-    def __init__(self, ncols: int, p: int) -> None:
-        self.p = p
-        self._piv = np.zeros(0, dtype=np.int64)
-        self._free = np.arange(ncols)
-        self._x = np.zeros((0, ncols), dtype=np.int64)
-
-    @property
-    def pivots(self) -> np.ndarray:
-        return np.sort(self._piv)
-
-    def add_outer(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[int]:
-        """Add the rows f_i (x) u_j of each pair (f, u) in turn, i-major
-        within a pair, for residue rows f_i of length c and u_j of length b,
-        c b the number of columns: the row of (i, j) is the flattened outer
-        product f_i u_j^T.  Returns the indices of the rows that raised the
-        rank, counting the rows of all the pairs, concatenated: each is
-        independent of the rows added before it, the lexicographically
-        first maximal subset independent modulo the earlier rows.
-
-        The pairs go in groups of at most _KERNEL_CELLS cells of free
-        coordinates (at least one pair to a group), each taken into free
-        coordinates by _outer_free and inserted.  _insert skips a block of
-        rows that are all zero, so once the echelon holds every row to come,
-        a group costs only its products."""
-        pairs = [(f, u) for f, u in pairs if len(f) and len(u)]
-        sizes = [len(f) * len(u) for f, u in pairs]
-        raised, lo, start = [], 0, 0  # start: the group's first row over all the pairs
-        while lo < len(pairs) and self._free.size:  # with no free column no row raises
-            nf, hi, rows = self._free.size, lo + 1, sizes[lo]
-            while hi < len(pairs) and (rows + sizes[hi]) * nf <= _KERNEL_CELLS:
-                rows += sizes[hi]
-                hi += 1
-            raised += [start + i for i in self._insert(self._outer_free(pairs[lo:hi], rows))]
-            lo, start = hi, start + rows
-        return raised
-
-    def _outer_free(self, pairs: list, nrows: int) -> np.ndarray:
-        """The nrows rows f_i (x) u_j of the pairs, in free coordinates.
-
-        Row (i, j) in free coordinates is f_i^T K_g u_j in free column g,
-        K_g the kernel row of g read as a c x b matrix.  The kernel rows are
-        built a chunk of free columns at a time, so that neither the chunk
-        nor its product with the u's has more than _KERNEL_CELLS cells; each
-        chunk makes one product with every u of the group and then one with
-        each f.  That costs nf (c b ku + kf c ku) multiply-adds for a pair
-        of kf f's and ku u's, against kf ku rank nf to reduce the formed
-        rows: 8,610 nf against up to 120 * 728 nf for the Koszul pencil
-        L^2 -> L^3 of C^7.  The rows are formed only while no pivot is
-        known, when they are their own free coordinates."""
-        c, b = pairs[0][0].shape[1], pairs[0][1].shape[1]
-        if not self._piv.size:
-            return _mod(np.concatenate([(f[:, None, :, None] * u[None, :, None, :])
-                                        .reshape(-1, c * b) for f, u in pairs]), self.p)
-        nf, p = self._free.size, self.p
-        us = np.concatenate([u for _, u in pairs])
-        y = np.empty((nrows, nf), dtype=np.int64)
-        step = max(1, _KERNEL_CELLS // (c * max(b, len(us))))
-        for s in range(0, nf, step):
-            k = _kernel_basis(self._x[:, s : s + step], self._piv, self._free[s : s + step],
-                              nf + self._piv.size, p)
-            # K_g u_j for every free column g and every u_j of the group, as (c, g, j)
-            ku_g = _product(k.reshape(-1, b), us.T, p).reshape(len(k), c, len(us))
-            ku_g = ku_g.transpose(1, 0, 2)
-            row = col = 0
-            for f, u in pairs:
-                kf, ku = len(f), len(u)
-                fku = _product(f, ku_g[:, :, col : col + ku].reshape(c, -1), p)
-                y[row : row + kf * ku].reshape(kf, ku, nf)[:, :, s : s + step] = (
-                    fku.reshape(kf, len(k), ku).transpose(0, 2, 1))
-                row, col = row + kf * ku, col + ku
-        return y
-
-    def kernel_contains(self, rows) -> bool:
-        """Whether every row v lies in the right kernel.  Basis row k is
-        e_piv(k) + sum_f X[k, f] e_f, so v does exactly when v[piv] + X
-        v[free] = 0."""
-        ncols = self._piv.size + self._free.size
-        rows = _reduced(rows, self.p).reshape(-1, ncols)
-        return not _product(rows[:, self._free], self._x.T, self.p,
-                            minus=-rows[:, self._piv]).any()
-
-    def _insert(self, y: np.ndarray) -> list[int]:
-        """Insert rows in the free coordinates the echelon has on entry;
-        returns those that raised the rank, as add_outer."""
-        p, raised = self.p, []
-        cols, start = self._free, self._piv.size  # y's columns; X's rows from here are new
-        for s in range(0, len(y), ECHELON_BLOCK):
-            block = y[s : s + ECHELON_BLOCK]
-            if self._piv.size > start:  # reduce by the pivots added since entry
-                added = np.searchsorted(cols, self._piv[start:])
-                block = _product(block[:, added], self._x[start:], p,
-                                 minus=block[:, np.searchsorted(cols, self._free)])
-            if not block.any():  # every row depends on the rows before it
-                continue
-            n, new, source = _eliminate(block, p)
-            raised += (s + source).tolist()
-            if not new.size:
-                continue
-            keep = np.ones(self._free.size, dtype=bool)
-            keep[new] = False
-            n = n[:, keep]
-            # N[:, new] = I, so this clears the new pivot columns of X
-            x = _product(self._x[:, new], n, p, minus=self._x[:, keep])
-            self._x = np.concatenate([x, n])
-            self._piv = np.concatenate([self._piv, self._free[new]])
-            self._free = self._free[keep]
-        return raised
-
-    def kernel(self) -> np.ndarray:
-        """Right kernel basis: the row e_f - sum_k X[k, f] e_piv(k) for each
-        free column f, in increasing order."""
-        return _kernel_basis(self._x, self._piv, self._free,
-                             self._piv.size + self._free.size, self.p)
-
-
-def _kernel_basis(x: np.ndarray, piv: np.ndarray, free: np.ndarray, ncols: int,
-                  p: int) -> np.ndarray:
-    """The kernel rows e_f - sum_k x[k, j] e_piv[k], f = free[j], of an
-    RREF whose row k has its pivot in column piv[k] and x[k] in the free
-    columns."""
-    out = np.zeros((free.size, ncols), dtype=np.int64)
-    out[np.arange(free.size), free] = 1
-    out[:, piv] = _mod(-x.T, p)
-    return out
+    return np.concatenate([top, rows]), np.concatenate([tpiv, bpiv])
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The RREF of one matrix of residues, by _eliminate: its rows sorted
     by pivot column, and the pivot columns."""
-    rows, pivots, _ = _eliminate(a, p)
+    rows, pivots = _eliminate(a, p)
     order = np.argsort(pivots)
     return rows[order], pivots[order]
 

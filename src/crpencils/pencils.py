@@ -33,7 +33,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import coef_dtype, int_array, max_abs, stack_buffers, stack_layout, stack_product
+from .linalg import (
+    coef_dtype,
+    distinct_primitive_rows,
+    int_array,
+    max_abs,
+    qq_rref,
+    rref_kernel,
+    stack_buffers,
+    stack_layout,
+    stack_product,
+)
 from .modules import (
     RealizedModule,
     clifford_unit,
@@ -257,6 +267,52 @@ class Pencil:
         for a in out:
             a.setflags(write=False)
         return out
+
+    @cached_property
+    def torus(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(w, y, z, block): integer rows (k, s), (k, c) and (k, b) that
+        span the solutions of y_r - z_c = w_v over every nonzero coefficient
+        (v, r, c), so that A(t^w x) = D_y(t) A(x) D_z(t)^-1, and the block
+        of each cell (r, c), a (c, b) array of labels 0, 1, ...
+
+        A BFS spanning forest of the row-column graph gives each node a
+        potential in Z^s, its y_r or z_c as a function of w; each other
+        coefficient gives one constraint on w, and one qq_rref call their
+        kernel.  Each connected component adds one free shift.  A cell's
+        block is (the component of r, that of c, y_r - z_c on the kernel):
+        A(x) is block diagonal over the components, and so are its kernel
+        and cokernel.  Cached: every caller shares them."""
+        var, row, col, _ = self.coo
+        c, b, s = self.target_dim, self.source_dim, self.nvars
+        adj = [[] for _ in range(c + b)]  # each coefficient from either end
+        for v, r, j in zip(var.tolist(), row.tolist(), (c + col).tolist()):
+            adj[r].append((j, v, -1))  # z_c = y_r - w_v
+            adj[j].append((r, v, 1))
+        comp, pot = [-1] * (c + b), np.zeros((c + b, s), dtype=np.int64)
+        for root in range(c + b):
+            if comp[root] < 0:
+                comp[root], queue = root, [root]
+                for node in queue:  # along each tree edge
+                    for nb, v, sign in adj[node]:
+                        if comp[nb] < 0:
+                            comp[nb], pot[nb] = root, pot[node]
+                            pot[nb, v] += sign
+                            queue.append(nb)
+        cons = pot[row] - pot[c + col]
+        cons[np.arange(len(var)), var] -= 1
+        lattice = rref_kernel(*qq_rref([distinct_primitive_rows(cons)])[0], s)
+        roots = np.flatnonzero(np.array(comp) == np.arange(c + b))
+        comp = np.searchsorted(roots, comp)
+        yz = np.concatenate([lattice @ pot.T, np.arange(len(roots))[:, None] == comp])
+        w = np.concatenate([lattice, np.zeros((len(roots), s), dtype=np.int64)])
+        k = len(lattice)
+        label = np.concatenate([np.add.outer(comp[:c] * (c + b), comp[c:])[None],
+                                yz[:k, :c, None] - yz[:k, None, c:]]).reshape(k + 1, -1)
+        order = np.lexsort(label)
+        step = np.diff(label[:, order], axis=1, prepend=label[:, order[:1]] - 1).any(axis=0)
+        block = np.empty(c * b, dtype=np.int64)
+        block[order] = np.cumsum(step) - 1  # numbered in sorted order
+        return w, yz[:, :c], yz[:, c:], block.reshape(c, b)
 
     def evaluate(self, x: Sequence[int]) -> np.ndarray:
         """sum x_i A_i at an integer point without the global denominator

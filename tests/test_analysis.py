@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crpencils.analysis import (
@@ -30,11 +30,11 @@ from crpencils import analysis, linalg
 from crpencils.catalog import build_from_params, fixture_parse
 from crpencils.linalg import (
     DEFAULT_PRIME,
-    ModpEchelon,
     Subspace,
     modp_kernel,
     modp_rank,
     modp_rref,
+    qq_rank,
 )
 from crpencils.modules import orthogonal_form
 from crpencils.partitions import gl_dim, pieri_add
@@ -46,7 +46,15 @@ from crpencils.pencils import (
     build_sp_pencil,
     build_spin_pencil,
 )
-from word_oracles import EchelonOracle, mat_mod, randrange_points, sampled_verdict_one_list
+from word_oracles import (
+    EchelonOracle,
+    mat_mod,
+    modp_row_reduce,
+    modp_rref_kernel,
+    randrange_points,
+    sampled_verdict_one_list,
+    torus_oracle,
+)
 
 
 def test_generic_rank_koszul_anchor():
@@ -521,17 +529,18 @@ def test_rnd_strictly_larger_for_gl_sym2():
 @pytest.mark.parametrize("pen,digest,verdict,samples", [
     (build_koszul_pencil(2, 6),
      "fa867a454b795decacd3092ff10aad1a12ddc3c5a2fcb38d9c157759b468c442",
-     "rank-critical-certified", 16),
+     "rank-critical-certified", 8),
     (build_gl_pencil((2,), (2, 1), 3),
      "7c07d02711c0ee6a028a6f7598f57fa695b9b0fed8ed7acf8681b9c9d18327f7",
-     "strictly-larger", 40),
+     "strictly-larger", 20),
     (build_spin_pencil(5),
      "caedad1509e709fb1ba750ea1c0a62268927ba8687442556f86ed0992ce0c46a",
-     "rank-critical-certified", 36),
+     "rank-critical-certified", 18),
 ], ids=["koszul-2-6", "gl-2-21-v3", "spin-5"])
 def test_rnd_reports_are_pinned(pen, digest, verdict, samples):
-    # recorded from the earlier elimination, which re-eliminated every
-    # constraint row in each doubling round
+    # the digests recorded from the earlier elimination, which re-eliminated
+    # every constraint row in each doubling round; the sample counts from
+    # the torus blocks, which stabilise a round or more sooner
     rep = rnd(pen, seed=0)
     got = hashlib.sha256(repr(rep.space.basis).encode()).hexdigest()
     assert (got, rep.verdict, rep.samples_used) == (digest, verdict, samples)
@@ -544,49 +553,110 @@ def test_rnd_contains_pencil_span():
         assert rep.method["seed"] == 1
 
 
-def rnd_one_at_a_time(pencil, prime=DEFAULT_PRIME, seed=0, max_samples=512):
-    """The oracle: rnd drawing, evaluating and eliminating one sample at a
-    time, each kernel from its own echelon.  Returns the report and the
-    rank of every draw in draw order, with whether it was accepted."""
+def _kernel(a, p):
+    """The right kernel of one residue matrix, by modp_row_reduce."""
+    rref, pivots, _ = modp_row_reduce(a.tolist(), p)
+    kernel = modp_rref_kernel(rref, pivots, a.shape[1], p)
+    return np.array(kernel, dtype=np.int64).reshape(len(kernel), a.shape[1])
+
+
+def _rnd_rounds(pencil, prime, seed, max_samples, cut, space_of):
+    """rnd's draws, rank filter, restart and stopping rule, one draw at a
+    time: cut(state, coker, ker) adds an accepted sample's constraints to
+    the state, a fresh one after start(); space_of(state) is their
+    Subspace.  Returns the report, the rank of every draw in draw order,
+    with whether it was accepted, and the (coker, ker) of each sample
+    accepted since the last start."""
     rng = random.Random(seed)
     stacked = pencil.coeff_array_modp(prime)
-    c, b = pencil.target_dim, pencil.source_dim
-    ambient = c * b
+    b, ambient = pencil.source_dim, pencil.target_dim * pencil.source_dim
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
     span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
-    constraints = EchelonOracle(ambient, prime)
-    method = {"prime": prime, "seed": seed, "generic_rank": r}
-    draws = []
-    samples_used, target, prev_dim, stable = 0, pencil.nvars + 2, None, 0
-
-    def kernel(a):
-        ech = EchelonOracle(a.shape[1], prime)
-        ech.add(a)
-        return ech.kernel()
-
+    draws, top, accepted = [], r, []
+    state, samples_used, target, prev_dim, stable = cut(None, None, None), 0, pencil.nvars + 2, None, 0
     while samples_used < max_samples:
         while samples_used < target:
             x = [rng.randrange(prime) for _ in range(pencil.nvars)]
-            a = pencil.evaluate_modp(x, stacked, prime)
-            ker = kernel(a)
+            a = pencil.evaluate_modp(x, stacked, prime).astype(np.int64)
+            ker = _kernel(a, prime)
             draws.append((b - len(ker), b - len(ker) >= r))
             if b - len(ker) < r:
                 continue
-            coker = kernel(a.T % prime)
-            constraints.add((coker[:, None, :, None] * ker[None, :, None, :])
-                            .reshape(-1, ambient))
+            top = max(top, b - len(ker))
+            accepted.append((_kernel(a.T, prime), ker))
+            state = cut(state, *accepted[-1])
             samples_used += 1
-        space = Subspace.from_vectors(constraints.kernel(), ambient, prime)
-        assert space.contains_subspace(span)
+        space = space_of(state)
+        method = {"prime": prime, "seed": seed, "generic_rank": r}
+        escaped = not space.contains_subspace(span)
+        if escaped and top > r:
+            r, accepted = top, []
+            state, samples_used, target, prev_dim, stable = (
+                cut(None, None, None), 0, pencil.nvars + 2, None, 0)
+            continue
+        target = min(max_samples, target * 2)
+        if escaped:
+            continue
         if space.dim == span.dim:
             return RndReport(space, "rank-critical-certified", span.dim, samples_used,
-                             method), draws
+                             method), draws, accepted
         stable = stable + 1 if space.dim == prev_dim else 0
         if stable >= 2:
-            return RndReport(space, "strictly-larger", span.dim, samples_used, method), draws
+            return (RndReport(space, "strictly-larger", span.dim, samples_used, method),
+                    draws, accepted)
         prev_dim = space.dim
-        target = min(max_samples, target * 2)
-    return RndReport(space, "inconclusive", span.dim, samples_used, method), draws
+    if escaped:
+        raise AssertionError("pencil span escaped its own RND constraints")
+    return RndReport(space, "inconclusive", span.dim, samples_used, method), draws, accepted
+
+
+def rnd_one_at_a_time(pencil, prime=DEFAULT_PRIME, seed=0, max_samples=512):
+    """The oracle: rnd one draw at a time, each accepted sample's formed
+    constraint rows f_i u_j^T split by the blocks of torus_oracle and
+    row-reduced with the block's rows so far by modp_row_reduce, w rows at
+    a time for a block of w cells, until its rank is w.  The space is the
+    direct sum of the block kernels."""
+    c, b = pencil.target_dim, pencil.source_dim
+    blocks = torus_oracle(pencil)[1].ravel()
+    cells = [np.flatnonzero(blocks == k) for k in range(blocks.max() + 1)]
+
+    def cut(kept, coker, ker):
+        if kept is None:
+            return [([], []) for _ in cells]  # each block's RREF rows and pivots
+        rows = (coker[:, None, :, None] * ker[None, :, None, :]).reshape(-1, c * b) % prime
+        for k, cs in enumerate(cells):
+            for lo in range(0, len(rows), len(cs)):
+                if len(kept[k][1]) < len(cs):
+                    kept[k] = modp_row_reduce(kept[k][0] + rows[lo : lo + len(cs), cs].tolist(),
+                                              prime)[:2]
+        return kept
+
+    def space_of(kept):
+        vectors = []
+        for cs, (rref, pivots) in zip(cells, kept):
+            for row in modp_rref_kernel(rref, pivots, len(cs), prime):
+                vectors.append(np.zeros(c * b, dtype=np.int64))
+                vectors[-1][cs] = row
+        return Subspace.from_vectors(vectors, c * b, prime)
+
+    return _rnd_rounds(pencil, prime, seed, max_samples, cut, space_of)
+
+
+def rnd_plain_intersection(pencil, prime=DEFAULT_PRIME, seed=0, max_samples=512):
+    """The second oracle: rnd one draw at a time, each accepted sample's
+    formed constraint rows added whole to one EchelonOracle, its kernel
+    the space: the constraints at the samples alone, not over their torus
+    orbits."""
+    c, b = pencil.target_dim, pencil.source_dim
+
+    def cut(ech, coker, ker):
+        if ech is None:
+            return EchelonOracle(c * b, prime)
+        ech.add((coker[:, None, :, None] * ker[None, :, None, :]).reshape(-1, c * b))
+        return ech
+
+    return _rnd_rounds(pencil, prime, seed, max_samples, cut,
+                       lambda ech: Subspace.from_vectors(ech.kernel(), c * b, prime))
 
 
 # the pencils of the benchmark's rnd workload
@@ -595,21 +665,30 @@ RND_PENCILS = [
     build_koszul_pencil(2, 6), build_so_pencil((2,), (2, 1), 4), build_spin_pencil(5),
     build_gl_pencil((2,), (2, 1), 3),
 ]
+RND_IDS = ["koszul-2-7", "gl-21-211-v4", "koszul-2-6", "so-2-21-m4", "spin-5", "gl-2-21-v3"]
 
 
 @pytest.mark.parametrize("seed", [0, 7301])
-@pytest.mark.parametrize("pen", RND_PENCILS, ids=[
-    "koszul-2-7", "gl-21-211-v4", "koszul-2-6", "so-2-21-m4", "spin-5", "gl-2-21-v3"])
+@pytest.mark.parametrize("pen", RND_PENCILS, ids=RND_IDS)
 def test_rnd_matches_the_one_at_a_time_oracle(pen, seed):
     assert rnd(pen, seed=seed) == rnd_one_at_a_time(pen, seed=seed)[0]
 
 
+@pytest.mark.parametrize("seed", [0, 7301])
+@pytest.mark.parametrize("pen", RND_PENCILS, ids=RND_IDS)
+def test_rnd_needs_no_more_samples_than_the_plain_intersection(pen, seed):
+    # over each sample's torus orbit the constraints can only be more, so
+    # the same space comes in as many samples or fewer
+    got, want = rnd(pen, seed=seed), rnd_plain_intersection(pen, seed=seed)[0]
+    assert (got.verdict, got.space, got.method) == (want.verdict, want.space, want.method)
+    assert got.samples_used <= want.samples_used
+
+
 @pytest.mark.parametrize("pen", RND_PENCILS[-2:], ids=["spin-5", "gl-2-21-v3"])
 def test_rnd_builds_the_canonical_subspace_only_for_the_report(pen, monkeypatch):
-    # the rounds read the constraints' echelon, L's dimension is a rank;
-    # Subspace is built only for the reported space, and each batch of
-    # draws makes one add_outer call
-    calls = {"from_vectors": 0, "_kernels": 0, "add_outer": 0}
+    # the rounds read the block kernels, L's dimension is a rank; Subspace
+    # is built only for the reported space
+    calls = {"from_vectors": 0, "_kernels": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -620,10 +699,9 @@ def test_rnd_builds_the_canonical_subspace_only_for_the_report(pen, monkeypatch)
     monkeypatch.setattr(Subspace, "from_vectors",
                         staticmethod(counted("from_vectors", Subspace.from_vectors)))
     monkeypatch.setattr(analysis, "_kernels", counted("_kernels", analysis._kernels))
-    monkeypatch.setattr(ModpEchelon, "add_outer", counted("add_outer", ModpEchelon.add_outer))
     rep = rnd(pen, seed=0)
     assert calls["from_vectors"] == 1
-    assert calls["add_outer"] == calls["_kernels"] > 1
+    assert calls["_kernels"] >= 1
     assert isinstance(rep.space, Subspace)
 
 
@@ -634,6 +712,8 @@ def test_rnd_builds_the_canonical_subspace_only_for_the_report(pen, monkeypatch)
     pytest.param(analysis.STACK_BYTES, 0, id="echelon-under-a-large-stack-budget"),
 ])
 def test_rnd_matches_the_oracle_in_small_chunks(stack_bytes, echelon_cells):
+    # at 800 bytes and below the blocks go one to a stack, and the rows of
+    # a batch w at a time for a block of w cells
     pen = build_gl_pencil((2,), (2, 1), 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "STACK_BYTES", stack_bytes)
@@ -641,12 +721,50 @@ def test_rnd_matches_the_oracle_in_small_chunks(stack_bytes, echelon_cells):
         assert rnd(pen, seed=1) == rnd_one_at_a_time(pen, seed=1)[0]
 
 
+@st.composite
+def _planted_torus_pencils(draw):
+    """A pencil of at most 3 variables and 5 x 5 matrices whose nonzero
+    coefficients (v, r, c) all have y_r - z_c = w_v, for weights drawn
+    from [-2, 2], and those weights."""
+    s, c, b = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    w, y, z = (draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for n in (s, c, b))
+    cells = [(v, r, j) for v in range(s) for r in range(c) for j in range(b)
+             if y[r] - z[j] == w[v]]
+    assume(cells)
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    nums = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(chosen),
+                         max_size=len(chosen)))
+    coeffs = tuple(sorted(cell + (x,) for cell, x in zip(chosen, nums)))
+    return Pencil(s, b, c, coeffs, 1, tuple(f"x{i}" for i in range(s))), w + y + z
+
+
+@given(_planted_torus_pencils(), st.sampled_from((7, 101, DEFAULT_PRIME)), st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_rnd_on_a_planted_torus_matches_the_block_oracle(case, prime, seed):
+    pen, planted = case
+    w, y, z, _ = pen.torus
+    # the planted weights solve the support equations: they add no rank
+    lattice = np.concatenate([w, y, z], axis=1)
+    assert qq_rank(np.concatenate([lattice, [planted]])) == qq_rank(lattice) == len(w)
+    got, (want, _, accepted) = rnd(pen, prime, seed), rnd_one_at_a_time(pen, prime, seed)
+    assert got == want
+    # the block space lies in the constraints at the same samples alone, and holds L
+    ambient = pen.target_dim * pen.source_dim
+    plain = EchelonOracle(ambient, prime)
+    for coker, ker in accepted:
+        plain.add((coker[:, None, :, None] * ker[None, :, None, :]).reshape(-1, ambient))
+    assert Subspace.from_vectors(plain.kernel(), ambient, prime).contains_subspace(got.space)
+    span = pen.coeff_array_modp(prime).reshape(pen.nvars, ambient)
+    assert got.space.contains_subspace(Subspace.from_vectors(span, ambient, prime))
+
+
 def test_rnd_rejects_zero_draws_like_the_oracle():
-    # over F_3, one draw in 27 is the zero point, of rank 0
+    # over F_3, one draw in 27 is the zero point, of rank 0: at seed 4 the
+    # third (seed 0 now stops after 20 draws, before its first zero)
     pen = build_gl_pencil((2,), (2, 1), 3)
-    want, draws = rnd_one_at_a_time(pen, prime=3, seed=0)
-    assert (0, False) in draws
-    assert rnd(pen, prime=3, seed=0) == want
+    want, draws, _ = rnd_one_at_a_time(pen, prime=3, seed=4)
+    assert draws[2] == (0, False)
+    assert rnd(pen, prime=3, seed=4) == want
 
 
 def _two_by_two_blocks(k: int) -> Pencil:
@@ -667,7 +785,7 @@ def test_rnd_accepts_draws_above_the_sampled_generic_rank_like_the_oracle():
     # at seed 5 the 20 trials of generic_rank miss full rank, and later
     # draws of full rank pass the test b - dim Ker >= r like any other
     pen = _two_by_two_blocks(5)
-    want, draws = rnd_one_at_a_time(pen, prime=3, seed=5)
+    want, draws, _ = rnd_one_at_a_time(pen, prime=3, seed=5)
     r = want.method["generic_rank"]
     assert any(rank > r and accepted for rank, accepted in draws)
     assert rnd(pen, prime=3, seed=5) == want
@@ -682,6 +800,7 @@ def test_rnd_recovers_a_generic_rank_that_its_trials_missed():
                  tuple(f"x{i}" for i in range(6)))
     assert generic_rank(pen, 3, trials=20, seed=0) == 5
     rep = rnd(pen, prime=3, seed=0)
+    assert rep == rnd_one_at_a_time(pen, prime=3, seed=0)[0]
     assert rep.method["generic_rank"] == 6
     span = Subspace.from_vectors(pen.coeff_array_modp(3).reshape(6, 36), 36, 3)
     assert rep.space.contains_subspace(span)

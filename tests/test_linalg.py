@@ -5,7 +5,6 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from crpencils.linalg import (
     qq_rref,
 )
 from word_oracles import (
-    EchelonOracle,
     fraction_rref,
     integer_rows,
     mat_mod,
@@ -248,14 +246,6 @@ def test_exact_product_splits_one_operand_up_to_its_inner_limit(p, k):
         assert got.tolist() == want
 
 
-def test_echelon_block_is_the_last_inner_dimension_of_two_limbs():
-    # ModpEchelon._insert clears X with a product whose inner dimension is at
-    # most ECHELON_BLOCK; at DEFAULT_PRIME 64 is the largest k that _product
-    # splits into two limbs, and 65 takes four
-    r, limb = DEFAULT_PRIME - 1, (1 << 16) - 1
-    assert linalg.ECHELON_BLOCK * r * limb < 1 << 53 <= (linalg.ECHELON_BLOCK + 1) * r * limb
-
-
 @given(st.sampled_from((3, 101, 32749, DEFAULT_PRIME)), st.sampled_from((63, 64, 65)),
        st.integers(0, 4), st.integers(0, 4), st.sampled_from(("top", "odd", "random")),
        st.integers(0, 2 ** 32))
@@ -324,37 +314,37 @@ def test_stack_product_refuses_coefficients_past_exact_products():
 @settings(max_examples=60, deadline=None)
 def test_one_shot_eliminations_match_the_echelon(p, nrows, ncols, rank, seed):
     # modp_rref and the large route of modp_ranks eliminate the matrix at
-    # once by _rref, without the echelon the growing systems use; modp_rank
-    # takes the stacked loop at these sizes (at most 90 x 40 cells, below
-    # ECHELON_CELLS), and kernels take it whatever the bound
+    # once by _rref, the recursive halving, against the row-by-row
+    # modp_row_reduce; modp_rank takes the stacked loop at these sizes (at
+    # most 90 x 40 cells, below ECHELON_CELLS), and kernels take it
+    # whatever the bound
     rng = random.Random(seed)
     a = _tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols))
-    ech = EchelonOracle(ncols, p)
-    raised = ech.add(a)
+    want_rows, want_pivots, raised = modp_row_reduce(a.tolist(), p)
     assert modp_rank(a, p) == len(raised)
     rows, pivots = modp_rref(a, p)
-    assert (rows.tolist(), pivots) == (ech.basis.tolist(), ech.pivots.tolist())
+    assert (rows.tolist(), pivots) == (want_rows, want_pivots)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "ECHELON_CELLS", 0)  # every matrix alone
         assert modp_ranks(a[None], p).tolist() == [len(raised)]
-        assert modp_kernel(a[None], p)[0].tolist() == ech.kernel().tolist()
+        assert modp_kernel(a[None], p)[0].tolist() == modp_rref_kernel(
+            want_rows, want_pivots, ncols, p)
 
 
 @given(st.integers(0, 12), st.integers(1, 8), st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
 def test_lifted_rref_matches_the_echelon_at_its_first_prime(nrows, ncols, seed):
-    # qq_rref's RREF over Q, read mod DEFAULT_PRIME, is the echelon's there
-    # whenever the prime keeps the rank
+    # qq_rref's RREF over Q, read mod DEFAULT_PRIME, is the row-by-row
+    # reduction's there whenever the prime keeps the rank
     rng = random.Random(seed)
     a = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-    ech = EchelonOracle(ncols, DEFAULT_PRIME)
-    ech.add(np.array(a, dtype=np.int64).reshape(nrows, ncols))
+    want_rows, want_pivots, _ = modp_row_reduce(a, DEFAULT_PRIME)
     u, s, pivots = qq_rref([np.array(a, dtype=np.int64).reshape(nrows, ncols)])[0]
-    assert len(ech.pivots) <= len(pivots)
-    if len(ech.pivots) == len(pivots):
+    assert len(want_pivots) <= len(pivots)
+    if len(want_pivots) == len(pivots):
         inv = [pow(int(x), -1, DEFAULT_PRIME) for x in s.tolist()]
         got = [[x * i % DEFAULT_PRIME for x in row] for row, i in zip(u.tolist(), inv)]
-        assert (got, pivots) == (ech.basis.tolist(), ech.pivots.tolist())
+        assert (got, pivots) == (want_rows, want_pivots)
 
 
 def _tall_rank_deficient(p, rng, nrows, ncols, rank):
@@ -363,122 +353,6 @@ def _tall_rank_deficient(p, rng, nrows, ncols, rank):
     right = np.array([[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)],
                      dtype=np.int64).reshape(rank, ncols)
     return modp_matmul(left, right, p)
-
-
-@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 200), st.integers(0, 40),
-       st.integers(0, 40), st.lists(st.integers(0, 200), max_size=6),
-       st.integers(0, 2 ** 32))
-@example(p=3, nrows=0, ncols=5, rank=0, cuts=[], seed=0)
-@example(p=101, nrows=200, ncols=0, rank=0, cuts=[70], seed=0)
-@settings(max_examples=60, deadline=None)
-def test_echelon_is_independent_of_the_block_split(p, nrows, ncols, rank, cuts, seed):
-    rng = random.Random(seed)
-    a = _tall_rank_deficient(p, rng, nrows, ncols, rank)
-    # some rows repeated or zero, so that dependent rows sit between
-    # independent ones inside a block
-    for i in rng.sample(range(nrows), min(nrows, 8)):
-        a[i] = a[rng.randrange(nrows)] * rng.randrange(p) % p
-    want_rows, want_pivots, want_raised = modp_row_reduce(a.tolist(), p)
-    ech = EchelonOracle(ncols, p)
-    bounds = [0] + sorted(min(c, nrows) for c in cuts) + [nrows]
-    raised = []  # the rows that raised the rank, over every block
-    for lo, hi in zip(bounds, bounds[1:]):
-        raised += [lo + i for i in ech.add(a[lo:hi])]
-    assert raised == want_raised
-    assert ech.pivots.tolist() == want_pivots
-    assert ech.basis.tolist() == want_rows
-    assert ech.basis.shape == (len(want_pivots), ncols)
-    assert ech.kernel().tolist() == modp_rref_kernel(want_rows, want_pivots, ncols, p)
-    assert ech.kernel().shape == (ncols - len(want_pivots), ncols)
-    rref, pivots = modp_rref(a, p)
-    assert (rref.tolist(), pivots) == (want_rows, want_pivots)
-
-
-# the factors of mixed rank, so that some outer products depend on others
-# or on the rows added before; rank = c b leaves no free column.  `repeat`
-# adds the pairs twice, so that the second copy reduces to zero, and a
-# small `cells` splits one call into many groups and the kernel rows into
-# many chunks.
-@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(1, 5), st.integers(1, 5),
-       st.integers(0, 30), st.integers(0, 30), st.lists(st.tuples(
-           st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4),
-       st.booleans(), st.sampled_from((1, 40, 300, linalg._KERNEL_CELLS)),
-       st.integers(0, 2 ** 32))
-@example(p=3, c=2, b=3, before=0, rank=0, samples=[(2, 2), (2, 1)], repeat=False,
-         cells=linalg._KERNEL_CELLS, seed=0)
-@example(p=101, c=3, b=4, before=12, rank=5, samples=[(0, 3), (3, 0), (2, 2)], repeat=False,
-         cells=linalg._KERNEL_CELLS, seed=1)
-@example(p=DEFAULT_PRIME, c=3, b=3, before=12, rank=9, samples=[(3, 3)], repeat=False,
-         cells=linalg._KERNEL_CELLS, seed=2)
-@example(p=DEFAULT_PRIME, c=5, b=5, before=30, rank=20, samples=[(5, 5), (4, 3)],
-         repeat=False, cells=linalg._KERNEL_CELLS, seed=3)
-@example(p=101, c=4, b=5, before=6, rank=4, samples=[(2, 3), (4, 1), (0, 2), (1, 5)],
-         repeat=True, cells=1, seed=4)
-@example(p=DEFAULT_PRIME, c=3, b=4, before=0, rank=0, samples=[(3, 2), (1, 4)], repeat=True,
-         cells=40, seed=5)
-@example(p=DEFAULT_PRIME, c=2, b=2, before=9, rank=4, samples=[(2, 2), (1, 1)], repeat=True,
-         cells=1, seed=6)
-@settings(max_examples=60, deadline=None)
-def test_outer_rows_match_the_formed_rows(p, c, b, before, rank, samples, repeat, cells, seed):
-    rng = random.Random(seed)
-    ambient = c * b
-    earlier = _tall_rank_deficient(p, rng, before, ambient, min(rank, before, ambient))
-    pairs = [(_tall_rank_deficient(p, rng, kf, c, rng.randint(0, min(kf, c))),
-              _tall_rank_deficient(p, rng, ku, b, rng.randint(0, min(ku, b))))
-             for kf, ku in samples]
-    pairs += pairs if repeat else []
-    rows = [(f[:, None, :, None] * u[None, :, None, :]).reshape(-1, ambient) for f, u in pairs]
-    want_rows, want_pivots, want_raised = modp_row_reduce(
-        np.concatenate([earlier] + rows).tolist(), p)
-    formed, per_pair, grouped, formed_at_once = (EchelonOracle(ambient, p) for _ in range(4))
-    for ech in (formed, per_pair, grouped, formed_at_once):
-        ech.add(earlier)
-    one_at_a_time, every = [], [earlier]
-    with mock.patch.object(linalg, "_KERNEL_CELLS", cells):
-        raised = grouped.add_outer(pairs)
-        # one pair per call, each call checked against the formed rows and
-        # the row-by-row oracle on the rows added so far
-        for pair, r in zip(pairs, rows):
-            start = sum(map(len, every))
-            every.append(r)
-            so_far_rows, so_far_pivots, so_far_raised = modp_row_reduce(
-                np.concatenate(every).tolist(), p)
-            step = per_pair.add_outer([pair])
-            assert step == [i - start for i in so_far_raised if i >= start]
-            assert step == formed.add(r)
-            assert per_pair.pivots.tolist() == formed.pivots.tolist() == so_far_pivots
-            assert per_pair.basis.tolist() == formed.basis.tolist() == so_far_rows
-            assert per_pair.kernel().tolist() == formed.kernel().tolist()
-            one_at_a_time += [start - before + i for i in step]
-    assert raised == one_at_a_time == [i - before for i in want_raised if i >= before]
-    assert raised == formed_at_once.add(np.concatenate(rows))
-    for ech in (grouped, formed_at_once):
-        assert ech.pivots.tolist() == per_pair.pivots.tolist() == want_pivots
-        assert ech.basis.tolist() == per_pair.basis.tolist() == want_rows
-        assert ech.kernel().tolist() == per_pair.kernel().tolist()
-
-
-# rank 0 leaves the echelon empty (every vector in its kernel); rank = ncols
-# fills it (only 0 in its kernel)
-@given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(1, 12), st.integers(0, 16),
-       st.integers(0, 12), st.integers(0, 5), st.integers(0, 2 ** 32))
-@example(p=3, ncols=5, nrows=0, rank=0, nvecs=3, seed=0)
-@example(p=DEFAULT_PRIME, ncols=6, nrows=8, rank=6, nvecs=2, seed=1)
-@example(p=101, ncols=7, nrows=9, rank=3, nvecs=0, seed=2)
-@settings(max_examples=60, deadline=None)
-def test_kernel_contains_matches_the_canonical_kernel(p, ncols, nrows, rank, nvecs, seed):
-    rng = random.Random(seed)
-    ech = EchelonOracle(ncols, p)
-    ech.add(_tall_rank_deficient(p, rng, nrows, ncols, min(rank, nrows, ncols)))
-    kernel = ech.kernel()
-    space = Subspace.from_vectors(kernel, ncols, p)
-    inside = _tall_rank_deficient(p, rng, nvecs, len(kernel), min(nvecs, len(kernel)))
-    inside = modp_matmul(inside, kernel, p)
-    other = np.array([[rng.randrange(p) for _ in range(ncols)]], dtype=np.int64)
-    assert ech.kernel_contains(inside)
-    for vecs in (inside, other, np.concatenate([inside, other])):
-        want = space.contains_subspace(Subspace.from_vectors(vecs, ncols, p))
-        assert ech.kernel_contains(vecs) == want
 
 
 @given(st.sampled_from((3, 101, DEFAULT_PRIME)), st.integers(0, 64), st.integers(0, 40),
@@ -502,10 +376,10 @@ def test_recursive_elimination_matches_gauss_jordan(p, nrows, ncols, rank, zeros
 
 
 def _echelon_kernel(a, p):
-    """The oracle: the kernel basis of one matrix from its own echelon."""
-    ech = EchelonOracle(a.shape[1], p)
-    ech.add(a)
-    return ech.kernel()
+    """The oracle: the kernel basis of one matrix from modp_row_reduce."""
+    rows, pivots, _ = modp_row_reduce(a.tolist(), p)
+    kernel = modp_rref_kernel(rows, pivots, a.shape[1], p)
+    return np.array(kernel, dtype=np.int64).reshape(len(kernel), a.shape[1])
 
 
 # 32749 and 32771 are the primes on either side of _forward's switch from
@@ -606,15 +480,12 @@ def test_stacked_elimination_of_benchmark_shapes(p, count, m, n):
     if count > m > 0:
         leads = {int(np.flatnonzero(a[:, 0])[0]) for a in stack if a[:, 0].any()}
         assert len(leads) > 1
-    echelons = [EchelonOracle(n, p) for _ in stack]
-    for ech, a in zip(echelons, stack):
-        ech.add(a)
-    assert modp_ranks(stack, p).tolist() == [len(ech.pivots) for ech in echelons]
+    want = [_echelon_kernel(a, p) for a in stack]
+    assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
     kernels = modp_kernel(stack, p)
     assert len(kernels) == count
-    for ker, ech in zip(kernels, echelons):
-        want = ech.kernel()
-        assert (ker.shape, ker.tolist()) == (want.shape, want.tolist())
+    for ker, w in zip(kernels, want):
+        assert (ker.shape, ker.tolist()) == (w.shape, w.tolist())
 
 
 def _triangular_product(p, m, n, rank, mult, row):
@@ -710,15 +581,11 @@ def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
     p = 7
     a = np.asarray(rows)
     calls = [lambda: modp_rank(rows, p), lambda: modp_rref(rows, p),
-             lambda: EchelonOracle(a.shape[1], p).add(rows),
-             lambda: EchelonOracle(a.shape[1], p).kernel_contains(rows),
              lambda: Subspace.from_vectors(rows, a.shape[1], p),
              lambda: modp_kernel(a[None], p)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
-    with pytest.raises(TypeError):
-        EchelonOracle(2, p).add(np.array([[0.9, 0.2]]))
 
 
 def test_fp_eliminations_read_the_empty_list_as_the_empty_matrix():
@@ -745,10 +612,6 @@ def test_fp_eliminations_reduce_python_ints_past_int64():
         assert Subspace.from_vectors(big, n, p) == Subspace.from_vectors(res, n, p)
         stack = np.array(big, dtype=object)[None]
         assert modp_kernel(stack, p)[0].tolist() == modp_kernel(res[None], p)[0].tolist()
-        ech, want = EchelonOracle(n, p), EchelonOracle(n, p)
-        assert ech.add(big) == want.add(res)
-        assert ech.basis.tolist() == want.basis.tolist()
-        assert ech.kernel_contains(big) == ech.kernel_contains(res)
     assert modp_rank([[2 ** 70, 1]], p) == 1
     assert Subspace.from_vectors([[2 ** 70, 1]], 2, p).basis == ((1, 4),)  # 2^70 = 2 mod 7
 
@@ -765,9 +628,6 @@ def test_fp_eliminations_read_integer_floats_and_object_ints_as_int64():
         assert modp_rref(rows, p)[1] == modp_rref(ints, p)[1]
         assert Subspace.from_vectors(rows, 4, p) == Subspace.from_vectors(ints, 4, p)
         assert modp_kernel(np.asarray(rows)[None], p)[0].tolist() == kernel.tolist()
-        ech = EchelonOracle(4, p)
-        ech.add(rows)
-        assert ech.kernel_contains(cast(kernel))
 
 
 def test_rnd_imports_no_numpy_ma():

@@ -1,9 +1,10 @@
 """Builder-level anchors: shapes, ranks, equivariance, kernel vectors."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -11,8 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crpencils import pencils, tensors
-from crpencils.analysis import constant_rank_verdict, generic_rank
-from crpencils.catalog import build_from_params, dumps_pencil, loads_pencil
+from crpencils.analysis import constant_rank_verdict, generic_rank, random_points, ranks_at
+from crpencils.catalog import (
+    FIXTURE_NAMES,
+    build_from_params,
+    dumps_pencil,
+    fixture_parse,
+    loads_pencil,
+)
 from crpencils.linalg import DEFAULT_PRIME, qq_rank
 from crpencils.modules import (
     a_vector,
@@ -58,6 +65,7 @@ from word_oracles import (
     pivot_words,
     reduce_mod,
     theta_fractions,
+    torus_oracle,
 )
 
 
@@ -93,6 +101,79 @@ def test_evaluate_modp_matches_evaluate_over_q(params, p, point):
 @pytest.mark.parametrize("params", EXAMPLES, ids=lambda r: r["kind"])
 def test_every_builder_example_is_equivariant(params):
     assert check_equivariance(build_from_params(params))
+
+
+# the pencils of the catalog entries past the builder examples, and of the
+# benchmark's rnd workload
+CATALOG_PENCILS = EXAMPLES + [
+    {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4},
+    {"kind": "gl", "mu": [2, 2], "nu": [2, 2, 1], "v": 5},
+    {"kind": "koszul", "k": 1, "v": 5},
+    {"kind": "koszul", "k": 2, "v": 5},
+    {"kind": "koszul", "k": 2, "v": 7},
+    {"kind": "sp", "mu": [1], "nu": [1, 1], "N": 4},
+    {"kind": "sp", "mu": [2], "nu": [2, 1], "N": 6},
+    {"kind": "so", "mu": [2], "nu": [2, 1], "m": 4},
+    {"kind": "so", "mu": [2], "nu": [2, 1], "m": 5},
+    {"kind": "so", "mu": [3, 1, 1], "nu": [3, 2, 1], "m": 5},
+    {"kind": "so", "mu": [3, 1, 1], "nu": [3, 2, 1], "m": 6},
+    {"kind": "adjoint", "a": 8},
+]
+TORUS_PENCILS = {**{"-".join(map(str, r.values())).replace(" ", ""): r for r in CATALOG_PENCILS},
+                 **{name: name for name in FIXTURE_NAMES}}
+
+
+def _torus_pencil(key):
+    record = TORUS_PENCILS[key]
+    return fixture_parse(record) if isinstance(record, str) else build_from_params(record)
+
+
+@pytest.mark.parametrize("key", TORUS_PENCILS)
+def test_every_coefficient_satisfies_the_support_torus(key):
+    # y_r - z_c = w_v at every nonzero coefficient (v, r, c), for every row
+    # of the basis; and the cells of one block share y_r - z_c
+    pen = _torus_pencil(key)
+    w, y, z, block = pen.torus
+    var, row, col, _ = pen.coo
+    assert (y[:, row] - z[:, col] == w[:, var]).all()
+    label = (y[:, :, None] - z[:, None, :]).reshape(len(w), -1)
+    first = np.zeros(block.max() + 1, dtype=np.int64)
+    first[block.ravel()[::-1]] = np.arange(block.size)[::-1]  # each block's first cell
+    assert (label == label[:, first[block.ravel()]]).all()
+    assert sorted(set(block.ravel().tolist())) == list(range(block.max() + 1))
+
+
+@pytest.mark.parametrize("key, rank", [
+    ("koszul-2-7", 7 + 1), ("adjoint-8", 8 + 1), ("spin-5", 6 + 1),
+    ("so-[3,1,1]-[3,2,1]-6", 4 + 1), ("sp6_wedge2", 1 + 1),
+])
+def test_torus_rank_is_the_dense_incidence_kernels(key, rank):
+    # the variables' lattice and one free shift per connected component of
+    # the row-column graph; the basis spans the dense kernel, and each of
+    # its blocks lies in one block of the dense kernel's labels
+    pen = _torus_pencil(key)
+    w, y, z, block = pen.torus
+    ker, dense = torus_oracle(pen)
+    assert len(w) == len(ker) == rank
+    assert qq_rank(np.concatenate([ker, np.concatenate([w, y, z], axis=1)])) == rank
+    assert all(len(set(dense[block == k].tolist())) == 1 for k in range(block.max() + 1))
+
+
+@given(st.sampled_from(sorted(TORUS_PENCILS)), st.sampled_from([5, 101, DEFAULT_PRIME]),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_ranks_are_constant_on_torus_orbits(key, p, seed):
+    # A(t^w x) = D_y(t) A(x) D_z(t)^-1, so x and t.x have the same rank
+    pen = _torus_pencil(key)
+    assume(pen.denom % p)
+    rng = random.Random(seed)
+    points, w = random_points(rng, 4, pen.nvars, p).tolist(), pen.torus[0].tolist()
+    moved = []
+    for x in points:
+        t = [rng.randrange(1, p) for _ in w]
+        moved.append([xv * prod(pow(ti, row[v], p) for ti, row in zip(t, w)) % p
+                      for v, xv in enumerate(x)])
+    assert ranks_at(pen, points, p) == ranks_at(pen, moved, p)
 
 
 @pytest.mark.parametrize("params", EXAMPLES, ids=lambda r: r["kind"])

@@ -16,6 +16,7 @@ CASES = {
                      "so-311-321-6-file", "certify-3"],
     "realize": ["so-311-5", "so-321-5", "gl-211-6", "gl-2111-6", "gl-22-5", "gl-221-5",
                 "sp-2-6", "sp-21-6", "so-2-5", "so-21-5", "all-10"],
+    "rnd": ["koszul-2-7", "gl-21-211-4", "koszul-2-6", "so-2-21-4", "spin-5", "gl-2-21-3"],
 }
 
 

@@ -6,8 +6,8 @@ against, the per-coordinate randrange draw that the bulk one is tested
 against, the full basis of a form's Lie algebra that its generating set is
 tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
 that turn Fraction test data into the integer input of linalg, the
-growing echelon with whole rows added and its RREF read back, the
-one-list sampled verdict that the blocked one is tested against, a span's
+growing echelon with whole rows added and its RREF read back, the dense
+incidence kernel that Pencil.torus is tested against, the one-list sampled verdict that the blocked one is tested against, a span's
 coordinates read back as one dict per tensor, and the diagram containment
 and form values that only tests read, shared by the test modules."""
 import random
@@ -19,7 +19,7 @@ import numpy as np
 
 from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import FixtureParseError
-from crpencils.linalg import ModpEchelon, _product, _reduced, _stack_ranks, qq_rref, rref_kernel
+from crpencils.linalg import _gauss_jordan, _product, _reduced, _stack_ranks, qq_rref, rref_kernel
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim, normalize
 from crpencils.pencils import MAX_PENCIL_CELLS, Pencil, _one_box
@@ -94,7 +94,7 @@ def integer_rows(rows) -> list[list[int]]:
 
 def modp_matmul(a, b, p: int) -> np.ndarray:
     """a @ b mod p, in [0, p) as int64, of integer matrices: linalg._product,
-    the product ModpEchelon runs, of their residues."""
+    the product the F_p eliminations run, of their residues."""
     return _product(mat_mod(a, p), mat_mod(b, p), p)
 
 
@@ -114,7 +114,7 @@ def randrange_points(rng, count: int, nvars: int, prime: int) -> np.ndarray:
 
 def modp_row_reduce(rows, p):
     """Row reduction mod p in Python lists, one row at a time: the oracle
-    for EchelonOracle.  Returns the RREF rows sorted by pivot column, the
+    for _rref and for EchelonOracle.  Returns the RREF rows sorted by pivot column, the
     pivot columns, and the index of each row that raised the rank of the
     rows before it."""
     basis = {}  # pivot column -> its RREF row, 0 at every other pivot
@@ -138,29 +138,62 @@ def modp_row_reduce(rows, p):
     return [basis[c] for c in pivots], pivots, raised
 
 
-class EchelonOracle(ModpEchelon):
-    """ModpEchelon with whole rows added and its RREF rows read back: the
-    oracle of the one-shot F_p eliminations, and the way the tests give the
-    growing echelon rows that are not outer products."""
+class EchelonOracle:
+    """A growing RREF over F_p with whole rows added, each batch reduced by
+    the rows before it with one product and eliminated row by row by
+    linalg._gauss_jordan, not by the recursive halving of _rref: the
+    reference of the stacked kernels and ranks, and the way the tests grow
+    a row space.  basis holds the RREF rows sorted by pivot column, so
+    basis[:, pivots] is the identity."""
 
-    @property
-    def basis(self) -> np.ndarray:
-        """The RREF rows sorted by pivot column, so basis[:, pivots] is the
-        identity."""
-        order = np.argsort(self._piv)
-        out = np.zeros((order.size, self._piv.size + self._free.size), dtype=np.int64)
-        out[:, self._free] = self._x[order]
-        out[np.arange(order.size), self._piv[order]] = 1
-        return out
+    def __init__(self, ncols: int, p: int) -> None:
+        self.p = p
+        self.basis = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.int64)
 
     def add(self, rows) -> list[int]:
-        """Add the integer rows, reduced into free coordinates with one
-        product; returns the indices of those that raised the rank, as
-        add_outer."""
-        rows = _reduced(rows, self.p)
-        if self._piv.size:  # otherwise every column is free
-            rows = _product(rows[:, self._piv], self._x, self.p, minus=rows[:, self._free])
-        return self._insert(rows)
+        """Add the integer rows; returns the indices of those that raised
+        the rank, each independent of the rows before it."""
+        p = self.p
+        rows = _reduced(rows, p).reshape(-1, self.basis.shape[1])
+        if self.pivots.size:  # 0 at every known pivot
+            rows = _product(rows[:, self.pivots], self.basis, p, minus=rows)
+        new, pivots, raised = _gauss_jordan(rows, p)
+        if pivots.size:  # new[:, pivots] = I clears them from the basis
+            basis = _product(self.basis[:, pivots], new, p, minus=self.basis)
+            pivots = np.concatenate([self.pivots, pivots])
+            order = np.argsort(pivots)
+            self.basis, self.pivots = np.concatenate([basis, new])[order], pivots[order]
+        return raised.tolist()
+
+    def kernel(self) -> np.ndarray:
+        """Right kernel basis: e_f - sum_k basis[k, f] e_pivots[k] for each
+        free column f, in increasing order."""
+        free = np.ones(self.basis.shape[1], dtype=bool)
+        free[self.pivots] = False
+        out = np.zeros((int(free.sum()), len(free)), dtype=np.int64)
+        out[np.arange(len(out)), np.flatnonzero(free)] = 1
+        out[:, self.pivots] = (-self.basis[:, free].T) % self.p
+        return out
+
+
+def torus_oracle(pencil):
+    """The dense oracle of Pencil.torus: the kernel, by qq_rref, of the
+    incidence matrix of y_r - z_c - w_v = 0 over the unknowns (w, y, z),
+    one row per nonzero coefficient (v, r, c), as integer rows; and the
+    (c, b) blocks of the cells, numbered in order of first appearance, two
+    cells in one block when y_r - z_c is the same on every kernel row."""
+    var, row, col, _ = pencil.coo
+    s, c, b = pencil.nvars, pencil.target_dim, pencil.source_dim
+    a = np.zeros((len(var), s + c + b), dtype=np.int64)
+    k = np.arange(len(var))
+    a[k, var], a[k, s + row], a[k, s + c + col] = -1, 1, -1
+    ker = qq_kernel(a, s + c + b)
+    y, z = ker[:, s : s + c], ker[:, s + c :]
+    labels = {}
+    cells = (y[:, :, None] - z[:, None, :]).reshape(len(ker), c * b).T.tolist()
+    blocks = [labels.setdefault(tuple(x), len(labels)) for x in cells]
+    return ker, np.array(blocks, dtype=np.int64).reshape(c, b)
 
 
 def modp_rref_kernel(rref, pivots, ncols, p):
