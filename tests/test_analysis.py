@@ -563,8 +563,8 @@ def _kernel(a, p):
 def _rnd_rounds(pencil, prime, seed, max_samples, cut, space_of):
     """rnd's draws, rank filter, restart and stopping rule, one draw at a
     time: cut(state, coker, ker) adds an accepted sample's constraints to
-    the state, a fresh one after start(); space_of(state) is their
-    Subspace.  Returns the report, the rank of every draw in draw order,
+    the state, cut(None, None, None) is a fresh one, and space_of(state)
+    is their Subspace.  Returns the report, the rank of every draw in draw order,
     with whether it was accepted, and the (coker, ker) of each sample
     accepted since the last start."""
     rng = random.Random(seed)
@@ -573,7 +573,8 @@ def _rnd_rounds(pencil, prime, seed, max_samples, cut, space_of):
     r = generic_rank(pencil, prime, trials=20, seed=seed, stacked=stacked)
     span = Subspace.from_vectors(stacked.reshape(pencil.nvars, ambient), ambient, prime)
     draws, top, accepted = [], r, []
-    state, samples_used, target, prev_dim, stable = cut(None, None, None), 0, pencil.nvars + 2, None, 0
+    state, samples_used, target, prev_dim, stable = (
+        cut(None, None, None), 0, pencil.nvars + 2, None, 0)
     while samples_used < max_samples:
         while samples_used < target:
             x = [rng.randrange(prime) for _ in range(pencil.nvars)]
@@ -712,8 +713,8 @@ def test_rnd_builds_the_canonical_subspace_only_for_the_report(pen, monkeypatch)
     pytest.param(analysis.STACK_BYTES, 0, id="echelon-under-a-large-stack-budget"),
 ])
 def test_rnd_matches_the_oracle_in_small_chunks(stack_bytes, echelon_cells):
-    # at 800 bytes and below the blocks go one to a stack, and the rows of
-    # a batch w at a time for a block of w cells
+    # at 800 bytes and below each stack holds one block, and at 16 bytes
+    # and below a block of w cells takes the rows of a batch w at a time
     pen = build_gl_pencil((2,), (2, 1), 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "STACK_BYTES", stack_bytes)

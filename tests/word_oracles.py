@@ -7,7 +7,8 @@ against, the full basis of a form's Lie algebra that its generating set is
 tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
 that turn Fraction test data into the integer input of linalg, the
 growing echelon with whole rows added and its RREF read back, the dense
-incidence kernel that Pencil.torus is tested against, the one-list sampled verdict that the blocked one is tested against, a span's
+incidence kernel that Pencil.torus is tested against, the one-list
+sampled verdict that the blocked one is tested against, a span's
 coordinates read back as one dict per tensor, and the diagram containment
 and form values that only tests read, shared by the test modules."""
 import random
