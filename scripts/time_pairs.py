@@ -24,22 +24,27 @@ ranks, after a warm-up call and with its minor faults: analysis.ranks_at,
 equivariance: pencils.check_equivariance with its equivariance_data cache
   cleared, on gl-22-221-5, gl-2-21-7 and sp-11-111-6, the certify
   workload's transitivity pencils (certify-3 is their sum), and
-  so-311-321-5, the SO (3,1,1) -> (3,2,1) hook at m=5, each built once so
-  that its modules are realized, as in `crpencils verify`; and
-  so-311-321-6-file, the SO file, with the module caches cleared too.
-realize: each module realization behind the construct workload's records,
-  schur_module, symplectic_module or orthogonal_module with the three
-  module caches cleared, named by group, partition and dimension
-  (so-311-5 is orthogonal_module((3, 1, 1), 5)); all-10 is their sum.
+  so-311-321-5, the construct workload's SO (3,1,1) -> (3,2,1) hook at
+  m=5, each built once so that its modules are realized, as in `crpencils
+  verify`; and so-311-321-6-file, the SO file, with the module caches
+  cleared too.
+realize: the mu and nu module realizations of the construct workload's gl,
+  sp and so records, schur_module, symplectic_module or orthogonal_module
+  with the three module caches cleared, named by group, partition and
+  dimension (so-311-5 is orthogonal_module((3, 1, 1), 5)); all-10 is
+  their sum.
 catalog: `python -m crpencils.cli catalog --filter <id> --format json` in
   a fresh process for each entry, named by its id; all-24 runs all 24.
 rnd: analysis.rnd at seed 0 on the rnd workload's six pencils, each built
-  once, named by builder and arguments; the first call also finds the
-  pencil's torus, which it caches.
+  once; the first call also finds the pencil's torus, which it caches.
 cli: in fresh processes, per record of scripts/build_examples.py: `build
   <name>` to stdout, and `sampled <name>` and `transitivity <name>`, its
   verify in each mode; `import <module>`, each crpencils module's -X
   importtime cumulative time under `import crpencils.cli`.
+
+The records of the equivariance, realize and rnd cases are those of
+perfbench/jobs.py, imported read-only and named by its job_name (builder
+and arguments), so the probes time what the benchmark runs.
 
 Exit 1 when a check fails in either tree, or a pinned output differs
 between them.  The checks: check_equivariance is True; each catalog record
@@ -51,6 +56,7 @@ samples_used), and each command's stdout and exit code.
 """
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -64,12 +70,16 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-BUILT = [  # the first three are certify's
-    ("gl-22-221-5", {"kind": "gl", "mu": [2, 2], "nu": [2, 2, 1], "v": 5}),
-    ("gl-2-21-7", {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 7}),
-    ("sp-11-111-6", {"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6}),
-    ("so-311-321-5", {"kind": "so", "mu": [3, 1, 1], "nu": [3, 2, 1], "m": 5}),
-]
+
+
+def benchmark_jobs():
+    """perfbench/jobs.py of this tree, imported read-only, once the worker's
+    crpencils is imported."""
+    spec = importlib.util.spec_from_file_location("jobs", ROOT / "perfbench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for the dataclasses of jobs.py
+    spec.loader.exec_module(module)
+    return module
 
 
 def digest(value) -> str:
@@ -166,7 +176,12 @@ def probe_equivariance(root: Path, repeats: int, tmp: Path):
 
     caches = (pencils.equivariance_data, modules.schur_module, modules.symplectic_module,
               modules.orthogonal_module)
-    cases = [(name, catalog.build_from_params(record), caches[:1]) for name, record in BUILT]
+    jobs = benchmark_jobs()
+    # certify's transitivity records, then construct's SO hook
+    built = [record for record, _ in jobs.TRANSITIVITY]
+    built.append(next(record for record, _, _ in jobs.CONSTRUCT if record["kind"] == "so"))
+    cases = [(jobs.job_name(record), catalog.build_from_params(record), caches[:1])
+             for record in built]
     cases.append(("so-311-321-6-file", so_hook_6(root, tmp), caches))
     rows = []
     for name, pencil, cleared in cases:
@@ -181,29 +196,27 @@ def probe_equivariance(root: Path, repeats: int, tmp: Path):
                faults=sum(faults))
 
 
-# the modules construct's records realize: so, gl, gl, sp and so; its adjoint,
-# spin and Koszul records realize none
-REALIZED = [("so", (3, 1, 1), 5), ("so", (3, 2, 1), 5), ("gl", (2, 1, 1), 6),
-            ("gl", (2, 1, 1, 1), 6), ("gl", (2, 2), 5), ("gl", (2, 2, 1), 5),
-            ("sp", (2,), 6), ("sp", (2, 1), 6), ("so", (2,), 5), ("so", (2, 1), 5)]
-
-
 def probe_realize(root: Path, repeats: int, tmp: Path):
     from crpencils import modules
 
     realize = {"gl": modules.schur_module, "sp": modules.symplectic_module,
                "so": modules.orthogonal_module}
+    jobs = benchmark_jobs()
+    # construct's adjoint, spin and Koszul records realize no module
+    realized = [(record["kind"], lam, list(record.values())[-1])
+                for record, _, _ in jobs.CONSTRUCT if record["kind"] in realize
+                for lam in (record["mu"], record["nu"])]
     total = 0.0
-    for kind, lam, n in REALIZED:
-        ms, faults, mod = timed(lambda: realize[kind](lam, n), repeats,
+    for kind, lam, n in realized:
+        ms, faults, mod = timed(lambda: realize[kind](tuple(lam), n), repeats,
                                 lambda: [f.cache_clear() for f in realize.values()])
         span = mod.span
         batch = span.scaled_batch
         total += ms
-        yield dict(case=f"{kind}-{''.join(map(str, lam))}-{n}", ms=ms, faults=faults,
+        yield dict(case=jobs.job_name({"kind": kind, "lam": lam, "n": n}), ms=ms, faults=faults,
                    pin=digest([batch.idx, batch.code, batch.coef, span.scales, span.pivots]),
                    note=f"dim {span.dim}")
-    yield dict(case=f"all-{len(REALIZED)}", ms=total, note="sum of the fastest calls")
+    yield dict(case=f"all-{len(realized)}", ms=total, note="sum of the fastest calls")
 
 
 def probe_catalog(root: Path, repeats: int, tmp: Path):
@@ -220,24 +233,15 @@ def probe_catalog(root: Path, repeats: int, tmp: Path):
                    note=f"exit {proc.returncode}")
 
 
-RND = [  # the rnd workload's pencils
-    ("koszul-2-7", {"kind": "koszul", "k": 2, "v": 7}),
-    ("gl-21-211-4", {"kind": "gl", "mu": [2, 1], "nu": [2, 1, 1], "v": 4}),
-    ("koszul-2-6", {"kind": "koszul", "k": 2, "v": 6}),
-    ("so-2-21-4", {"kind": "so", "mu": [2], "nu": [2, 1], "m": 4}),
-    ("spin-5", {"kind": "spin", "n": 5}),
-    ("gl-2-21-3", {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 3}),
-]
-
-
 def probe_rnd(root: Path, repeats: int, tmp: Path):
     from crpencils import analysis, catalog
 
-    for name, record in RND:
+    jobs = benchmark_jobs()
+    for record, _, _ in jobs.RND:
         pencil = catalog.build_from_params(record)
         ms, faults, rep = timed(lambda: analysis.rnd(pencil, seed=0), repeats)
         basis = hashlib.sha256(repr(rep.space.basis).encode()).hexdigest()
-        yield dict(case=name, ms=ms, faults=faults, pin=digest([rep.verdict, basis]),
+        yield dict(case=jobs.job_name(record), ms=ms, faults=faults, pin=digest([rep.verdict, basis]),
                    note=f"{rep.verdict} dim {rep.space.dim}, {rep.samples_used} samples")
 
 

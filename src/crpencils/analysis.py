@@ -142,9 +142,11 @@ def ranks_at(pencil: Pencil, points, p: int, stacked: Optional[np.ndarray] = Non
 
 def _kernels(pencil: Pencil, points, p: int, stacked: np.ndarray):
     """(Ker A, (Im A)^perp) bases as rows at each point, in order: the
-    kernels of each stack of _evaluated and of its transpose."""
+    nonzero rows of the kernels of each stack of _evaluated and of its
+    transpose."""
     for a, f in _evaluated(pencil, points, p, stacked):
-        yield from _kernel_pairs(a, p, f)
+        for ker, coker in zip(*_kernel_pairs(a, p, f)):
+            yield ker[ker.any(axis=1)], coker[coker.any(axis=1)]
 
 
 def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,
@@ -355,15 +357,17 @@ def _cut(groups: list, pairs: list, span: np.ndarray, p: int) -> bool:
     rows f_i[r_k] u_j[c_k] of every (f, u) pair, (r_k, c_k) the block's
     cells, a stack at a time: blocks' row spaces I - K^T over a piece of
     the rows, as many as STACK_BYTES of int64 hold (at least one block and
-    w rows), kerneled by modp_kernel.  A block whose kernel is then zero is
-    dropped.  Returns whether a block part v of a row of `span` (an A_v)
-    is outside its block's kernel: v @ K != v, as K[:, free] = I."""
+    w rows), whose square modp_kernel is the next K.  A block whose kernel
+    is zero is dropped.  Returns whether a block part v of a row of `span`
+    (an A_v) is outside its block's kernel: v @ K != v, as K[:, free] = I."""
     b = span.shape[1] // pairs[0][0].shape[1]
     ff = np.concatenate([np.repeat(f, len(u), axis=0) for f, u in pairs])
     uu = np.concatenate([np.tile(u, (len(f), 1)) for f, u in pairs])
     escaped = False
     for g, (cells, ker) in enumerate(groups):
         w = cells.shape[1]
+        if not len(cells):
+            continue
         step = max(w, STACK_BYTES // (8 * w) - w)
         for lo in range(0, len(ff), step):
             f, u = ff[lo : lo + step], uu[lo : lo + step]
@@ -371,10 +375,8 @@ def _cut(groups: list, pairs: list, span: np.ndarray, p: int) -> bool:
             for i in range(0, len(cells), per):
                 rows = f[:, cells[i : i + per] // b] * u[:, cells[i : i + per] % b]
                 eye = np.eye(w, dtype=np.int64) - ker[i : i + per].transpose(0, 2, 1)
-                kers += modp_kernel(np.concatenate([eye, rows.transpose(1, 0, 2)], axis=1), p)
-            ker = np.zeros((len(cells), w, w), dtype=np.int64)
-            for i, k in enumerate(kers):  # row f of k ends in its free column f
-                ker[i, w - 1 - (k[:, ::-1] != 0).argmax(axis=1)] = k
+                kers.append(modp_kernel(np.concatenate([eye, rows.transpose(1, 0, 2)], axis=1), p))
+            ker = np.concatenate(kers)
         part = span[:, cells].transpose(1, 0, 2)
         escaped = escaped or any((_product(part[i], ker[i], p) != part[i]).any()
                                  for i in np.flatnonzero(part.any(axis=(1, 2))))

@@ -12,33 +12,32 @@ an integer array, x - (x // p) p, which numpy runs on libdivide.
 _product is the one product mod p of two residue matrices; stack_product
 is the one of a pencil's coefficients with a block of points, written
 into a stack's buffers.  _product picks its path from the inner dimension
-k and p alone, without scanning its operands: one float64 BLAS product
-while k (p-1)^2 < 2^53, two limbs of b while k (p-1) (2^16 - 1) < 2^53,
-four limbs otherwise.  It returns (minus - a b) mod p, or a b mod p, with
-one final reduction, so an elimination step that subtracts a product
-reduces once.
+k and p alone, without scanning its operands: two limbs of b while
+k (p-1) (2^16 - 1) < 2^53, four limbs otherwise.  It returns
+(minus - a b) mod p, or a b mod p, with one final reduction, so an
+elimination step that subtracts a product reduces once.
 
 Over F_p there are three eliminations, each with its own jobs.
   - the stacked forward loop (_forward) gives every kernel (modp_kernel),
-    with a stacked back substitution, and the rank of every matrix of at
-    most ECHELON_CELLS cells (_stack_ranks of a stack, modp_rank of one
-    matrix).  It makes one vectorized pass over a stack in one layout,
-    column-major with the stack innermost, (n, m, N), so that each step
-    reads one contiguous slab and each numpy loop of its update runs
-    along the N matrices of the stack rather than the m rows of one
-    matrix.  The exhaustive runs rank thousands of 14x14 matrices per
-    stack, where a run of 14 entries cost more in loop overhead than in
-    arithmetic: in the layout (n, N, m) the same ranks take about 1.4
-    times as long.  Its entries are those of stack_dtype(p), the narrowest
-    of int8, int16, int32 and int64 that holds one update of residues,
-    2(p-1)^2 (int8 for p <= 7, int16 for p <= 127, int32 for
-    p <= 32749), so the small primes of exhaustive runs move an eighth to
-    a half of the bytes of int64.  It eliminates the stack in place,
-    reducing only when the next step could overflow, and writes each
-    step's product and reduction into one scratch array.  Most stacks take
-    the inverse-free update, which scales each row by the pivot; int64
-    stacks of large enough matrices take the delayed one, which scales
-    nothing and reduces every 8 columns at DEFAULT_PRIME.
+    by a stacked back substitution, as (N, n, n) arrays whose row f is 0
+    at a pivot, and the rank of every matrix of at most ECHELON_CELLS
+    cells (_stack_ranks of a stack, modp_rank of one matrix).  It makes
+    one vectorized pass over a stack in one layout, column-major with the
+    stack innermost, (n, m, N), so that each step reads one contiguous
+    slab and each numpy loop of its update runs along the N matrices of
+    the stack rather than the m rows of one matrix.  The exhaustive runs
+    rank thousands of 14x14 matrices per stack, where a run of 14 entries
+    cost more in loop overhead than in arithmetic: in the layout (n, N, m)
+    the same ranks take about 1.4 times as long.  Its entries are those of
+    stack_dtype(p), the narrowest of int8, int16 and int64 that holds one
+    update of residues, 2(p-1)^2 (int8 for p <= 7, int16 for p <= 127),
+    so the small primes of exhaustive runs move an eighth or a quarter of
+    the bytes of int64.  It eliminates the stack in place, reducing only
+    when the next step could overflow, and writes each step's product and
+    reduction into one scratch array.  Most stacks take the inverse-free
+    update, which scales each row by the pivot; int64 stacks of large
+    enough matrices take the delayed one, which scales nothing and
+    reduces every 8 columns at DEFAULT_PRIME.
     Pencil.evaluate_modp writes each evaluated stack in this layout, on
     the side with fewer columns, reduced once by stack_product into
     buffers that analysis allocates once per call (stack_buffers) and
@@ -67,7 +66,7 @@ up to a scalar distinct_primitive_rows drops first.
 Subspace holds the canonical (RREF) basis of a row space over F_p, built
 from integer vectors.  The neutral-direction solve builds one, for the space
 it reports; the span's dimension is a modp_rank, and its rounds kernel
-stacks of torus blocks by modp_kernel.
+stacks of torus blocks by modp_kernel and keeps them in its square form.
 """
 from __future__ import annotations
 
@@ -217,13 +216,15 @@ def _tight(a: np.ndarray) -> np.ndarray:
 def _passes(a: np.ndarray, piv: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """qq_rref's check, L A == G @ ((L / s) u) with G the pivot columns of A
     (none where piv_k = n), of each matrix A of the stack a at once.  Every
-    sum is at most r max|A| L max|u|: int64 below EXACT_BOUND, else Python ints."""
+    sum is at most r max|A| L max|u|: the product is _blas's below 2^53,
+    int64 below EXACT_BOUND, else Python ints."""
     big = np.lcm.reduce(s.astype(object), axis=1)  # Python ints: no lcm wraps
-    dtype = coef_dtype(max_abs(a) * int(big.max(initial=1)) * max(u.shape[1] * max_abs(u), 1))
-    a, u, s, big = (x.astype(dtype, copy=False) for x in (a, u, s, big))
+    bound = max_abs(a) * int(big.max(initial=1)) * max(u.shape[1] * max_abs(u), 1)
+    a, u, s, big = (x.astype(coef_dtype(bound), copy=False) for x in (a, u, s, big))
     g = np.take_along_axis(a, np.minimum(piv, a.shape[2] - 1)[:, None, :], axis=2)
     g *= piv[:, None, :] < a.shape[2]
-    return (g @ (u * (big[:, None] // s)[:, :, None]) == big[:, None, None] * a).all(axis=(1, 2))
+    v = u * (big[:, None] // s)[:, :, None]
+    return ((_blas(g, v) if bound < 1 << 53 else g @ v) == big[:, None, None] * a).all(axis=(1, 2))
 
 
 def _lift(a: np.ndarray, rref: np.ndarray, piv: np.ndarray, m: int):
@@ -455,7 +456,6 @@ def _product(a: np.ndarray, b: np.ndarray, p: int,
     inner dimension) and p alone, with no scan of the operands, and the
     difference from minus is reduced once, with the product (the delayed
     reduction of FFLAS, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
-      - one product when k (p-1)^2 < 2^53;
       - two limbs when k (p-1) (2^16 - 1) < 2^53 (k <= 64 at
         DEFAULT_PRIME): products of a with the 16-bit limbs of b, the high
         one reduced before it is shifted, which leaves the sum below
@@ -465,10 +465,8 @@ def _product(a: np.ndarray, b: np.ndarray, p: int,
         of the inner dimension the cross and high sums are reduced, and the
         sum stays below 2^62 + 2^54.
     """
-    k, r, mask = a.shape[1], p - 1, (1 << _LIMB_BITS) - 1
-    if k * r * r < 1 << 53:
-        c = _blas(a, b)
-    elif k * r * mask < 1 << 53:
+    k, mask = a.shape[1], (1 << _LIMB_BITS) - 1
+    if k * (p - 1) * mask < 1 << 53:
         af = a.astype(np.float64)
         c = _blas(af, b & mask) + (_mod(_blas(af, b >> _LIMB_BITS), p) << _LIMB_BITS)
     else:
@@ -568,14 +566,14 @@ def modp_rank(a: np.ndarray, p: int) -> int:
     return int(_stack_ranks(_matrix(a, p)[None], p)[0])
 
 
-# the narrowest first: 2(p-1)^2 < 2^7 for p <= 7, < 2^15 for p <= 127, < 2^31
-# for p <= 32749 and < 2^63 for every p < 2^31
-_STACK_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+# the narrowest first: 2(p-1)^2 < 2^7 for p <= 7, < 2^15 for p <= 127 and
+# < 2^63 for every p < 2^31
+_STACK_DTYPES = (np.int8, np.int16, np.int64)
 
 
 def stack_dtype(p: int) -> type:
-    """The entry type of _forward's stacks: the narrowest of _STACK_DTYPES
-    in which one update of residues fits, 2(p-1)^2 below its limit."""
+    """The entry type of _forward's stacks, the narrowest of _STACK_DTYPES
+    that holds one update of residues, 2(p-1)^2: int8, int16 or int64."""
     return next(t for t in _STACK_DTYPES if 2 * (p - 1) ** 2 < 1 << (np.iinfo(t).bits - 1))
 
 
@@ -680,7 +678,7 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool, scratch: Optional[np.ndarra
     (n, n, N) int64 array whose [c, :, i] is the pivot row of column c of
     matrix i mod p.  Where c has no pivot, its diagonal entry [c, c, i] is
     0 and the rest of the row is arbitrary: _stack_kernels scales each kept
-    row by the inverse of its diagonal, which is 0 for 0.
+    row by the inverse of its diagonal, which is 0 for 0, and so zeroes it.
 
     The column being eliminated is the contiguous (m, N) slab a[0], the
     pivot rows are gathered into one contiguous (n - c - 1, N) array, and
@@ -701,9 +699,8 @@ def _forward(a: np.ndarray, p: int, keep_rows: bool, scratch: Optional[np.ndarra
         as 0 in the rows the matrix has used.  With pivot and a_ic in
         [0, p) and |entries| <= B, an update leaves at most 2(p-1)B, so
         `a` is reduced once 2(p-1)B reaches the limit of its dtype
-        (stack_dtype): int8 (2^7) for p <= 7, int16 (2^15) for p <= 127,
-        int32 (2^31) for p <= 32749 and int64 (2^63) otherwise, which at
-        DEFAULT_PRIME is at every step;
+        (stack_dtype): int8 (2^7) for p <= 7, int16 (2^15) for p <= 127
+        and int64 (2^63) otherwise, which at DEFAULT_PRIME is at every step;
       - delayed, row <- row - (a_ic/pivot)*pivot_row, with the multipliers
         a_ic/pivot and the pivot row taken as balanced residues, in
         [-h, h] for h = (p-1)/2, and the column's pivot inverses from one
@@ -788,36 +785,34 @@ def _stack_ranks(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) ->
     return _forward(_laid_out(a, p), p, False, scratch)[0]
 
 
-def _stack_kernels(a: np.ndarray, p: int,
-                   scratch: Optional[np.ndarray] = None) -> list[np.ndarray]:
+def _stack_kernels(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """modp_kernel of an (N, m, n) stack of residues, which it may
     overwrite: _forward keeps the pivot row of each column, and a stacked
     back substitution in the same layout, (n, n, N), scales each to a
     leading 1 and clears its column from the rows above, which leaves R
-    in the pivot rows.  `scratch` is _forward's."""
+    in the pivot rows and 0 in the others.  `scratch` is _forward's."""
     _, u = _forward(_laid_out(a, p), p, True, scratch)
     n = a.shape[2]
     diag = np.arange(n)
     u = _mod(u * _inverses(u[diag, diag], p)[:, None], p)
     for c in range(n - 1, 0, -1):
         u[:c, c:] = _mod(u[:c, c:] - u[:c, c, None] * u[c, None, c:], p)
-    # row f of (I - R) is e_f - R[:, f] for a free column f, where R[f] = 0
-    ker = _mod(np.eye(n, dtype=np.int64)[:, :, None] - u, p).transpose(2, 1, 0)
-    return [k[d == 0] for k, d in zip(ker, u[diag, diag].T)]
+    # row f of (I - R)^T, e_f - R[:, f], is 0 at a pivot and a kernel row at a free f
+    return _mod(np.eye(n, dtype=np.int64)[:, :, None] - u, p).transpose(2, 1, 0)
 
 
-def modp_kernel(stack: np.ndarray, p: int) -> list[np.ndarray]:
-    """Right kernel basis mod p of each matrix in an (N, m, n) stack, as
-    rows of an int64 array: the row e_f - sum_r R[r, f] e_pivot(r) for
-    each free column f of the RREF R.  Every stack, whatever the size of
-    its matrices, goes through _stack_kernels.
-    """
+def modp_kernel(stack: np.ndarray, p: int) -> np.ndarray:
+    """Right kernel mod p of each matrix of an (N, m, n) stack, as an
+    (N, n, n) int64 array: row f is e_f - sum_r R[r, f] e_pivot(r) for each
+    free column f of the RREF R and 0 for each pivot column, so the nonzero
+    rows are a basis.  Every stack, whatever the size of its matrices, goes
+    through _stack_kernels."""
     return _stack_kernels(_reduced(stack, p), p)
 
 
 def _kernel_pairs(a: np.ndarray, p: int,
-                  scratch: Optional[np.ndarray] = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(Ker A, Ker A^T), as modp_kernel gives them, for each matrix A of an
+                  scratch: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Ker A, Ker A^T), as modp_kernel gives them, of the matrices A of an
     (N, m, n) stack of residues, which it may overwrite.  A side whose
     layout a is a view of is eliminated in a's memory, so the other side,
     A when A^T is laid out and else A^T, is copied first.  `scratch` is
@@ -827,7 +822,7 @@ def _kernel_pairs(a: np.ndarray, p: int,
         a = _relaid(a, p)
     else:
         at = _relaid(at, p)
-    return list(zip(_stack_kernels(a, p, scratch), _stack_kernels(at, p, scratch)))
+    return _stack_kernels(a, p, scratch), _stack_kernels(at, p, scratch)
 
 
 # ---------------------------------------------------------------------------

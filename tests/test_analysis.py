@@ -31,7 +31,6 @@ from crpencils.catalog import build_from_params, fixture_parse
 from crpencils.linalg import (
     DEFAULT_PRIME,
     Subspace,
-    modp_kernel,
     modp_rank,
     modp_rref,
     qq_rank,
@@ -48,6 +47,7 @@ from crpencils.pencils import (
 )
 from word_oracles import (
     EchelonOracle,
+    kernel_rows,
     mat_mod,
     modp_row_reduce,
     modp_rref_kernel,
@@ -122,9 +122,10 @@ def test_ranks_at_matches_per_point_rank():
 def _raw_pencils(draw):
     """(p, a Pencil built directly, points in [0, p)): numerators small,
     near p/2 or above 2^40, which forces the limb split at DEFAULT_PRIME.
-    7/11, 127/131 and 32749/32771 sit on either side of each switch of
-    linalg.stack_dtype; past four variables the products at 127 and 32749
-    leave int16 and int32 before they are reduced."""
+    7/11 and 127/131 sit on either side of each switch of
+    linalg.stack_dtype, and 32749/32771 on either side of an int64 stack
+    reduced every third step or every second; past four variables the
+    products at 127 leave int16 before they are reduced."""
     p = draw(st.sampled_from((5, 7, 11, 127, 131, 32749, 32771, DEFAULT_PRIME)))
     s, c, b = (draw(st.integers(1, k)) for k in (6, 7, 7))
     num = st.one_of(st.integers(-3, 3), st.integers(p // 2 - 2, p // 2 + 2),
@@ -233,7 +234,7 @@ def test_stacked_kernels_match_per_point_kernels(case, stack_bytes, echelon_cell
     want = []
     for x in points:
         a = mat_mod(pencil.evaluate(x), p)
-        want.append((modp_kernel(a[None], p)[0].tolist(), modp_kernel(a.T[None], p)[0].tolist()))
+        want.append((kernel_rows(a[None], p)[0].tolist(), kernel_rows(a.T[None], p)[0].tolist()))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "STACK_BYTES", stack_bytes)
         mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)

@@ -27,6 +27,7 @@ from crpencils.linalg import (
 from word_oracles import (
     fraction_rref,
     integer_rows,
+    kernel_rows,
     mat_mod,
     modp_matmul,
     modp_ranks,
@@ -103,7 +104,7 @@ class TestRank:
     @given(int_matrices, st.sampled_from(PRIMES_31BIT))
     def test_rank_nullity_modp(self, m, p):
         a = mat_mod(m, p)
-        assert len(modp_rref(a, p)[1]) + modp_kernel(a[None], p)[0].shape[0] == a.shape[1]
+        assert len(modp_rref(a, p)[1]) + kernel_rows(a[None], p)[0].shape[0] == a.shape[1]
 
     @given(int_matrices)
     @settings(max_examples=30)
@@ -252,7 +253,7 @@ def test_exact_product_splits_one_operand_up_to_its_inner_limit(p, k):
 @settings(max_examples=120, deadline=None)
 def test_one_reduction_products_match_python_ints(p, k, m, n, fill, seed):
     # at DEFAULT_PRIME k = 63 and 64 split b into two limbs and k = 65 both
-    # operands into four; the smaller primes make one product.  Entries
+    # operands into four; the smaller primes split b into two.  Entries
     # p-1, or p-2 whose odd low limb makes the sums odd, or random residues
     rng = random.Random(seed)
     draw = {"top": lambda: p - 1, "odd": lambda: p - 2, "random": lambda: rng.randrange(p)}[fill]
@@ -327,7 +328,7 @@ def test_one_shot_eliminations_match_the_echelon(p, nrows, ncols, rank, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "ECHELON_CELLS", 0)  # every matrix alone
         assert modp_ranks(a[None], p).tolist() == [len(raised)]
-        assert modp_kernel(a[None], p)[0].tolist() == modp_rref_kernel(
+        assert kernel_rows(a[None], p)[0].tolist() == modp_rref_kernel(
             want_rows, want_pivots, ncols, p)
 
 
@@ -382,8 +383,8 @@ def _echelon_kernel(a, p):
     return np.array(kernel, dtype=np.int64).reshape(len(kernel), a.shape[1])
 
 
-# 32749 and 32771 are the primes on either side of _forward's switch from
-# int32 to int64 entries
+# 32749 and 32771 are the primes on either side of _forward's int64 stack
+# reducing every third step or every second
 @given(st.sampled_from((3, 101, 32749, 32771, DEFAULT_PRIME)), st.integers(0, 9),
        st.integers(0, 9), st.lists(st.integers(0, 9), max_size=5), st.integers(0, 2 ** 32))
 @example(p=3, m=2, n=6, ranks=[], seed=0)
@@ -403,7 +404,7 @@ def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
     for echelon_cells in (linalg.ECHELON_CELLS, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "ECHELON_CELLS", echelon_cells)
-            kernels = modp_kernel(stack, p)
+            kernels = kernel_rows(stack, p)
             ranks_got = modp_ranks(stack, p).tolist()
         assert len(kernels) == len(ranks)
         for ker, w in zip(kernels, want):
@@ -411,11 +412,36 @@ def test_stacked_kernel_matches_the_echelon(p, m, n, ranks, seed):
         assert ranks_got == [n - len(ker) for ker in kernels]
 
 
-# 7, 127 and 32749 are the largest primes with 2(p-1)^2 below 2^7, 2^15
-# and 2^31, eliminated in int8, int16 and int32; 11, 131 and 32771 are the
-# next primes, eliminated in the next wider type.  At 7, 127 and 32749 the
-# stack is reduced after every step and at 11, 131 and 32771 after every
-# second, so 14 or more columns force several reductions
+# 7/11 and 127/131 sit on either side of stack_dtype's switches, 32749/32771
+# on either side of an int64 stack reduced every third step or every second
+@given(st.sampled_from((7, 11, 127, 131, 32749, 32771, DEFAULT_PRIME)), st.integers(0, 4),
+       st.integers(0, 9), st.integers(0, 9), st.integers(0, 2 ** 32))
+@example(p=7, count=2, m=3, n=0, seed=0)
+@example(p=DEFAULT_PRIME, count=3, m=0, n=6, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_modp_kernel_is_square_and_zero_at_the_pivots(p, count, m, n, seed):
+    # row f of each (n, n) kernel is 0 at a pivot of modp_row_reduce, and
+    # at a free column the basis row with 1 at f; A K^T = 0 mod p
+    rng = random.Random(seed)
+    stack = np.array([_tall_rank_deficient(p, rng, m, n, rng.randint(0, min(m, n)))
+                      for _ in range(count)], dtype=np.int64).reshape(count, m, n)
+    kernels = modp_kernel(stack, p)
+    assert kernels.shape == (count, n, n) and kernels.dtype == np.int64
+    assert ((kernels >= 0) & (kernels < p)).all()
+    for a, k in zip(stack, kernels):
+        pivots = modp_row_reduce(a.tolist(), p)[1]
+        free = [f for f in range(n) if f not in pivots]
+        assert np.flatnonzero(k.any(axis=1)).tolist() == free
+        assert k[free, free].tolist() == [1] * len(free)
+        assert not modp_matmul(a, k.T, p).any()
+
+
+# 7 and 127 are the largest primes with 2(p-1)^2 below 2^7 and 2^15,
+# eliminated in int8 and int16; 11 and 131 are the next primes, eliminated
+# in the next wider type, int16 and int64.  At 7 and 127 the stack is
+# reduced after every step, at 11 and 32771 after every second, at 32749
+# after every third and at 131 after every sixth, so 14 or more columns
+# force several reductions
 @given(st.sampled_from((7, 11, 127, 131, 32749, 32771)), st.integers(0, 4),
        st.integers(0, 16), st.integers(0, 16), st.integers(0, 2 ** 32))
 @example(p=32749, count=0, m=5, n=14, seed=0)
@@ -439,7 +465,7 @@ def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
                                    dtype=np.int64).reshape(stack.shape)
     want = [_echelon_kernel(a, p) for a in stack]
     for a in (stack, shifted):
-        kernels = modp_kernel(a, p)
+        kernels = kernel_rows(a, p)
         assert [k.tolist() for k in kernels] == [k.tolist() for k in want]
         assert modp_ranks(a, p).tolist() == [n - len(k) for k in want]
 
@@ -448,13 +474,13 @@ def test_stacked_elimination_across_the_dtype_switch(p, count, m, n, seed):
 def test_stacked_elimination_of_extreme_residues(p):
     # entries +-(p-1) among random residues, reduced to 1 and p-1: an
     # update of two of them nears its bound 2(p-1)^2, which overflows int8
-    # above 7, int16 above 127 and int32 above 32749
+    # above 7 and int16 above 127
     rng = random.Random(p)
     for m, n in ((6, 9), (9, 6), (8, 8)):
         stack = np.array([[[rng.choice((1 - p, p - 1, rng.randrange(p))) for _ in range(n)]
                            for _ in range(m)] for _ in range(6)], dtype=np.int64)
         want = [_echelon_kernel(a % p, p) for a in stack]
-        assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
+        assert [k.tolist() for k in kernel_rows(stack, p)] == [k.tolist() for k in want]
         assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
 
 
@@ -482,7 +508,7 @@ def test_stacked_elimination_of_benchmark_shapes(p, count, m, n):
         assert len(leads) > 1
     want = [_echelon_kernel(a, p) for a in stack]
     assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
-    kernels = modp_kernel(stack, p)
+    kernels = kernel_rows(stack, p)
     assert len(kernels) == count
     for ker, w in zip(kernels, want):
         assert (ker.shape, ker.tolist()) == (w.shape, w.tolist())
@@ -516,12 +542,12 @@ def test_delayed_reduction_at_its_bound(p):
                       for mult, row in ((h, -h), (-1, -1)) for rank in (24, 20, 9, 0)])
     want = [_echelon_kernel(a, p) for a in stack]
     assert [len(k) for k in want] == [0, 4, 15, 24] * 2
-    assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
+    assert [k.tolist() for k in kernel_rows(stack, p)] == [k.tolist() for k in want]
     assert modp_ranks(stack, p).tolist() == [n - len(k) for k in want]
     # random matrices of every rank, pivoting on different rows
     stack = _staggered_stack(p, 12, 64, 40, seed=p)
     want = [_echelon_kernel(a, p) for a in stack]
-    assert [k.tolist() for k in modp_kernel(stack, p)] == [k.tolist() for k in want]
+    assert [k.tolist() for k in kernel_rows(stack, p)] == [k.tolist() for k in want]
     assert modp_ranks(stack, p).tolist() == [40 - len(k) for k in want]
 
 
@@ -546,7 +572,7 @@ def test_mod_matches_python_mod(p):
     big = [x * 2 ** 70 + d for x in (-3, 5) for d in (-1, 0, 1)] + ints
     got = linalg._mod(np.array(big, dtype=object), p)
     assert got.tolist() == [x % p for x in big]
-    # int32 entries below 2^31 in absolute value, the entries of _forward
+    # int32 entries below 2^31 in absolute value
     if p <= 32749:
         small = [lo + d for lo in (-2 ** 31, 2 ** 31 - 100) for d in range(100)] + [-1, 0, 1]
         got = linalg._mod(np.array(small, dtype=np.int32), p)
@@ -582,7 +608,7 @@ def test_fp_eliminations_refuse_what_a_cast_would_truncate(rows):
     a = np.asarray(rows)
     calls = [lambda: modp_rank(rows, p), lambda: modp_rref(rows, p),
              lambda: Subspace.from_vectors(rows, a.shape[1], p),
-             lambda: modp_kernel(a[None], p)]
+             lambda: kernel_rows(a[None], p)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
@@ -611,7 +637,7 @@ def test_fp_eliminations_reduce_python_ints_past_int64():
         assert modp_rref(big, p)[0].tolist() == modp_rref(res, p)[0].tolist()
         assert Subspace.from_vectors(big, n, p) == Subspace.from_vectors(res, n, p)
         stack = np.array(big, dtype=object)[None]
-        assert modp_kernel(stack, p)[0].tolist() == modp_kernel(res[None], p)[0].tolist()
+        assert kernel_rows(stack, p)[0].tolist() == kernel_rows(res[None], p)[0].tolist()
     assert modp_rank([[2 ** 70, 1]], p) == 1
     assert Subspace.from_vectors([[2 ** 70, 1]], 2, p).basis == ((1, 4),)  # 2^70 = 2 mod 7
 
@@ -620,14 +646,14 @@ def test_fp_eliminations_read_integer_floats_and_object_ints_as_int64():
     # coeff_array_modp's centred float stack, and the object rows of qq_rref
     p = 7
     ints = np.array([[3, -2, 0, 9], [6, -4, 0, 18], [1, 1, -1, 2]], dtype=np.int64)
-    kernel = modp_kernel(ints[None], p)[0]
+    kernel = kernel_rows(ints[None], p)[0]
     for cast in (lambda a: a, lambda a: a.astype(np.float64), lambda a: a.astype(object),
                  lambda a: a.astype(np.int8), np.ndarray.tolist):
         rows = cast(ints)
         assert modp_rank(rows, p) == 2
         assert modp_rref(rows, p)[1] == modp_rref(ints, p)[1]
         assert Subspace.from_vectors(rows, 4, p) == Subspace.from_vectors(ints, 4, p)
-        assert modp_kernel(np.asarray(rows)[None], p)[0].tolist() == kernel.tolist()
+        assert kernel_rows(np.asarray(rows)[None], p)[0].tolist() == kernel.tolist()
 
 
 def test_rnd_imports_no_numpy_ma():
@@ -676,7 +702,7 @@ class TestKernelSolve:
     @given(int_matrices, st.sampled_from(PRIMES_31BIT))
     def test_modp_kernel_annihilates(self, m, p):
         a = mat_mod(m, p)
-        ker = modp_kernel(a[None], p)[0]
+        ker = kernel_rows(a[None], p)[0]
         if ker.size:
             assert not modp_matmul(a, ker.T, p).any()
 

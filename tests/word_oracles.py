@@ -6,7 +6,8 @@ against, the per-coordinate randrange draw that the bulk one is tested
 against, the full basis of a form's Lie algebra that its generating set is
 tested against, readers of rational rows (reduce_mod, mat_mod, integer_rows)
 that turn Fraction test data into the integer input of linalg, the
-growing echelon with whole rows added and its RREF read back, the dense
+growing echelon with whole rows added and its RREF read back,
+modp_kernel's square kernels read back as row bases, the dense
 incidence kernel that Pencil.torus is tested against, the one-list
 sampled verdict that the blocked one is tested against, a span's
 coordinates read back as one dict per tensor, and the diagram containment
@@ -20,7 +21,15 @@ import numpy as np
 
 from crpencils.analysis import RankReport, ranks_at, structured_points
 from crpencils.catalog import FixtureParseError
-from crpencils.linalg import _gauss_jordan, _product, _reduced, _stack_ranks, qq_rref, rref_kernel
+from crpencils.linalg import (
+    _gauss_jordan,
+    _product,
+    _reduced,
+    _stack_ranks,
+    modp_kernel,
+    qq_rref,
+    rref_kernel,
+)
 from crpencils.modules import schur_module
 from crpencils.partitions import gl_dim, normalize
 from crpencils.pencils import MAX_PENCIL_CELLS, Pencil, _one_box
@@ -104,6 +113,12 @@ def modp_ranks(stack, p: int) -> np.ndarray:
     linalg._stack_ranks, the elimination analysis.ranks_at runs, of its
     residues."""
     return _stack_ranks(mat_mod(stack, p), p)
+
+
+def kernel_rows(stack, p: int) -> list[np.ndarray]:
+    """The kernel basis of each matrix of an (N, m, n) integer stack, as
+    rows: the nonzero rows of linalg.modp_kernel's square kernels."""
+    return [k[k.any(axis=1)] for k in modp_kernel(stack, p)]
 
 
 def randrange_points(rng, count: int, nvars: int, prime: int) -> np.ndarray:
