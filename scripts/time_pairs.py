@@ -37,6 +37,10 @@ catalog: `python -m crpencils.cli catalog --filter <id> --format json` in
   a fresh process for each entry, named by its id; all-24 runs all 24.
 rnd: analysis.rnd at seed 0 on the rnd workload's six pencils, each built
   once; the first call also finds the pencil's torus, which it caches.
+exhaustive: analysis.constant_rank_verdict in exhaustive mode, on a fresh
+  copy of the pencil each call, so that each finds its torus: the certify
+  workload's two exhaustive jobs, sp-11-111-6-F7 (read from its build JSON)
+  and fixture-sp6_wedge2-F5, and gl-2-21-4-F3 and koszul-2-5-F7.
 cli: in fresh processes, per record of scripts/build_examples.py: `build
   <name>` to stdout, and `sampled <name>` and `transitivity <name>`, its
   verify in each mode; `import <module>`, each crpencils module's -X
@@ -52,7 +56,8 @@ passes, with details; each command exits 0, but transitivity refuses the
 so, spin and adjoint examples with exit 2.  The pins: the ranks and
 kernels, each realized span (its scaled batch, scales and pivots), the
 catalog details, each rnd verdict and sha256 of repr(space.basis) (not its
-samples_used), and each command's stdout and exit code.
+samples_used), each exhaustive verdict, strata and number of points (not
+the orbits), and each command's stdout and exit code.
 """
 import argparse
 import hashlib
@@ -65,6 +70,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -245,6 +251,28 @@ def probe_rnd(root: Path, repeats: int, tmp: Path):
                    note=f"{rep.verdict} dim {rep.space.dim}, {rep.samples_used} samples")
 
 
+def probe_exhaustive(root: Path, repeats: int, tmp: Path):
+    from crpencils import analysis, catalog
+
+    jobs = benchmark_jobs()
+    sp6 = catalog.dumps_pencil(catalog.build_from_params(jobs.SP6), jobs.SP6)
+    gl, koszul = ({"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4}, {"kind": "koszul", "k": 2, "v": 5})
+    for name, load, prime in [
+        (jobs.job_name(jobs.SP6), lambda: catalog.loads_pencil(sp6)[0], 7),
+        ("fixture-sp6_wedge2", lambda: catalog.fixture_parse("sp6_wedge2"), 5),
+        (jobs.job_name(gl), lambda: replace(catalog.build_from_params(gl)), 3),
+        (jobs.job_name(koszul), lambda: replace(catalog.build_from_params(koszul)), 7),
+    ]:
+        pencils = []
+        ms, faults, rep = timed(lambda: analysis.constant_rank_verdict(pencils[-1], "exhaustive",
+                                                                       prime=prime),
+                                repeats, lambda: pencils.append(load()))
+        points = rep.method["points"]
+        yield dict(case=f"{name}-F{prime}", ms=ms, faults=faults,
+                   pin=digest([rep.verdict, rep.strata, points]),
+                   note=f"{rep.verdict}, {rep.method.get('orbits', points)} of {points} points")
+
+
 def build_argv(record: dict) -> list[str]:
     """`crpencils build` of a builder record: m is --N, and gl's v is --n plus 1."""
     argv = ["build", record["kind"]]
@@ -284,7 +312,8 @@ def probe_cli(root: Path, repeats: int, tmp: Path):
 
 
 PROBES = {"ranks": probe_ranks, "equivariance": probe_equivariance, "realize": probe_realize,
-          "catalog": probe_catalog, "rnd": probe_rnd, "cli": probe_cli}
+          "catalog": probe_catalog, "rnd": probe_rnd, "exhaustive": probe_exhaustive,
+          "cli": probe_cli}
 
 
 def report(results: dict, sides: list[str]) -> int:

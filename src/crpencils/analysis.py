@@ -3,7 +3,10 @@
 Verdict semantics: "constant" is only ever claimed from exhaustive
 enumeration of the projective parameter space over a finite field or from
 the transitivity certificate (equivariant pencil whose symmetry group acts
-transitively on the projective base: the GL, Sp and Koszul pencils).  Sampled
+transitively on the projective base: the GL, Sp and Koszul pencils).  The
+enumeration ranks the first point of each orbit of the support torus
+(Pencil.torus), as A(t^w x) = D_y(t) A(x) D_z(t)^-1 keeps the rank on an
+orbit, so those points decide every point of P^{s-1}(F_p).  Sampled
 runs return "bounded" (all measured ranks below min(b,c)), "non-constant"
 (differing ranks with the maximum equal to min(b,c)) or "inconclusive",
 always with witnesses, a prime and a seed.
@@ -12,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from functools import reduce
+from math import comb, gcd
 from typing import Callable, Optional
 
 import numpy as np
@@ -156,13 +160,55 @@ def generic_rank(pencil: Pencil, prime: int = DEFAULT_PRIME, trials: int = 20,
     return max(ranks_at(pencil, points, prime, stacked), default=0)
 
 
-def projective_blocks(s: int, p: int, block: int):
+def _primitive_root(p: int) -> int:
+    """The least generator of F_p^*, by the primes of p - 1 (trial division)."""
+    n, primes, d = p - 1, [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    primes += [n] * (n > 1)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
+def orbit_firsts(w: np.ndarray, s: int, p: int) -> Optional[list[np.ndarray]]:
+    """Per lead l, the increasing tail indices (of projective_blocks) of the
+    points of P^{s-1}(F_p) that come first in their orbit under the image
+    of t -> t^w, w integer (k, s) rows, and the scalars; None when every
+    row acts as a scalar, w_v constant mod p - 1, and each point is its own
+    orbit.  A row scales x_v by g^(w_v - w_l), g a generator of F_p^*, so
+    it maps a lead's tails by one O(p) table per digit; each row in turn
+    takes each tail's label to its least over the row's powers, by doubling,
+    and the torus being abelian, the labels end as the orbit minima."""
+    w = w[((w - w[:, :1]) % (p - 1)).any(axis=1)]
+    if not len(w):
+        return None
+    g, firsts = _primitive_root(p), []
+    for lead in range(s):
+        t = s - lead - 1
+        label = np.arange(p ** t)
+        for row in ((w[:, lead + 1 :] - w[:, lead : lead + 1]) % (p - 1)).tolist():
+            order = (p - 1) // gcd(p - 1, *row)
+            if order > 1:
+                f = reduce(np.add.outer, [pow(g, e, p) * np.arange(p) % p * p ** (t - 1 - i)
+                                          for i, e in enumerate(row)]).ravel()
+                for _ in range((order - 1).bit_length()):  # powers below 2, 4, ... >= order
+                    label, f = np.minimum(label, label[f]), f[f]
+        firsts.append(np.flatnonzero(label == np.arange(p ** t)))
+    return firsts
+
+
+def projective_blocks(s: int, p: int, block: int, firsts: Optional[list[np.ndarray]] = None):
     """P^{s-1}(F_p) with first nonzero coordinate 1, in lexicographic order,
-    as arrays of at most `block` points decoded from base-p digits."""
+    as arrays of at most `block` points decoded from base-p digits: every
+    point, or per lead those whose tail index `firsts` lists."""
     for lead in range(s):
         total = p ** (s - lead - 1)
-        for start in range(0, total, block):
-            idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        for start in range(0, total if firsts is None else len(firsts[lead]), block):
+            idx = (np.arange(start, min(start + block, total), dtype=np.int64)
+                   if firsts is None else firsts[lead][start : start + block])
             out = np.zeros((idx.size, s), dtype=np.int64)
             out[:, lead] = 1
             for k in range(s - 1, lead, -1):
@@ -228,9 +274,11 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
                           prime: int = DEFAULT_PRIME, trials: int = 200,
                           seed: int = 0, budget: int = 10 ** 6) -> RankReport:
     """Each mode chooses the (points, class) blocks that _first_points reads
-    the strata from: one nonzero random point (transitivity), P^{s-1}(F_p)
-    (exhaustive), or the trials and the structured points (sampled); it
-    refuses more than `budget` projective points or trials."""
+    the strata from: one nonzero random point (transitivity), the first
+    point of each orbit of Pencil.torus on P^{s-1}(F_p) (exhaustive; the
+    rank is constant on an orbit, and the first point of each rank is the
+    one a full enumeration finds), or the trials and the structured points
+    (sampled); it refuses more than `budget` projective points or trials."""
     check_prime(prime)
     rng = random.Random(seed)
     s = pencil.nvars
@@ -250,8 +298,10 @@ def constant_rank_verdict(pencil: Pencil, mode: str = "sampled",
         method = {"kind": "transitivity", "prime": prime, "seed": seed,
                   "equivariance": "exact"}
     elif mode == "exhaustive":
-        blocks = ((b, "exhaustive") for b in projective_blocks(s, prime, EXHAUSTIVE_BLOCK))
-        method = {"kind": "exhaustive", "prime": prime, "points": npoints}
+        firsts = orbit_firsts(pencil.torus[0], s, prime)
+        blocks = ((b, "exhaustive") for b in projective_blocks(s, prime, EXHAUSTIVE_BLOCK, firsts))
+        method = {"kind": "exhaustive", "prime": prime, "points": npoints,
+                  "orbits": npoints if firsts is None else sum(map(len, firsts))}
     elif mode == "sampled":
         blocks = _sampled_blocks(pencil, prime, rng, trials)
         method = {"kind": "sampled", "prime": prime, "trials": trials, "seed": seed}

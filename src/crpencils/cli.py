@@ -85,7 +85,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=_positive_int, default=200,
                    help="number of random sample points")
     v.add_argument("--budget", type=_positive_int, default=10 ** 6,
-                   help="maximum points ranked: exhaustive's projective points, sampled's trials")
+                   help="maximum points counted: exhaustive's projective points (it ranks "
+                        "one per torus orbit), sampled's trials")
     _add_common_flags(v)
 
     c = sub.add_parser("catalog", help="run the example catalog")

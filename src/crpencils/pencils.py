@@ -273,7 +273,10 @@ class Pencil:
         """(w, y, z, block): integer rows (k, s), (k, c) and (k, b) that
         span the solutions of y_r - z_c = w_v over every nonzero coefficient
         (v, r, c), so that A(t^w x) = D_y(t) A(x) D_z(t)^-1, and the block
-        of each cell (r, c), a (c, b) array of labels 0, 1, ...
+        of each cell (r, c), a (c, b) array of labels 0, 1, ...  So the
+        rank is constant on each orbit of t^w, over Q and over every F_p:
+        the exhaustive verdict ranks one point per orbit (analysis.
+        orbit_firsts), and rnd cuts its constraints to the blocks.
 
         A BFS spanning forest of the row-column graph gives each node a
         potential in Z^s, its y_r or z_c as a function of w; each other

@@ -17,6 +17,7 @@ from crpencils.analysis import (
     flattening_rank_of_tensor,
     generic_rank,
     koszul_flattening_rank,
+    orbit_firsts,
     predict_gl_decomposition,
     predict_so_nonisotropic,
     projective_blocks,
@@ -48,6 +49,7 @@ from crpencils.pencils import (
 from word_oracles import (
     EchelonOracle,
     kernel_rows,
+    exhaustive_verdict_all_points,
     mat_mod,
     modp_row_reduce,
     modp_rref_kernel,
@@ -78,6 +80,21 @@ def test_exhaustive_gl_over_f5():
     # all 31 points of P^2(F_5) were visited, one witness per rank value
     assert rep.method["points"] == 31
     assert [r for r, _, _ in rep.strata] == [5]
+
+
+@pytest.mark.parametrize("record, prime, points, orbits", [
+    ({"kind": "sp", "mu": [1, 1], "nu": [1, 1, 1], "N": 6}, 7, 19_608, 143),
+    ({"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4}, 3, 40, 15),
+    ({"kind": "koszul", "k": 2, "v": 5}, 7, 2_801, 31),
+    ({"kind": "so", "mu": [2], "nu": [2, 1], "m": 4}, 13, 2_380, 26),
+    (None, 5, 3_906, 3_906),  # the sp6_wedge2 fixture: every torus row a scalar mod 4
+], ids=["sp-11-111-6-F7", "gl-2-21-4-F3", "koszul-2-5-F7", "so-2-21-4-F13", "fixture-F5"])
+def test_exhaustive_verdict_ranks_one_point_per_torus_orbit(record, prime, points, orbits):
+    pen = build_from_params(record) if record else fixture_parse("sp6_wedge2")
+    rep = constant_rank_verdict(pen, "exhaustive", prime=prime)
+    assert (rep.method["points"], rep.method.pop("orbits")) == (points, orbits)
+    assert (orbit_firsts(pen.torus[0], pen.nvars, prime) is None) == (record is None)
+    assert rep == exhaustive_verdict_all_points(pen, prime)
 
 
 def _reference_projective_points(s, p):
@@ -758,6 +775,16 @@ def test_rnd_on_a_planted_torus_matches_the_block_oracle(case, prime, seed):
     assert Subspace.from_vectors(plain.kernel(), ambient, prime).contains_subspace(got.space)
     span = pen.coeff_array_modp(prime).reshape(pen.nvars, ambient)
     assert got.space.contains_subspace(Subspace.from_vectors(span, ambient, prime))
+
+
+@given(_planted_torus_pencils(), st.sampled_from((3, 5, 7, 11, 13)))
+@settings(max_examples=60, deadline=None)
+def test_exhaustive_verdict_on_a_planted_torus_matches_every_point(case, prime):
+    pen = case[0]
+    got = constant_rank_verdict(pen, "exhaustive", prime=prime)
+    orbits = got.method.pop("orbits")
+    assert 1 <= orbits <= got.method["points"]
+    assert got == exhaustive_verdict_all_points(pen, prime)
 
 
 def test_rnd_rejects_zero_draws_like_the_oracle():

@@ -1108,7 +1108,7 @@ def test_cli_verify_exits_cleanly_on_mutated_documents(tmp_path, capsys, doc, mo
 
 
 @pytest.mark.parametrize("mode,argv,method", [
-    ("exhaustive", ["--prime", "5"], {"kind": "exhaustive", "prime": 5, "points": 31}),
+    ("exhaustive", ["--prime", "5"], {"kind": "exhaustive", "prime": 5, "points": 31, "orbits": 7}),
     ("sampled", ["--trials", "7", "--seed", "3"],
      {"kind": "sampled", "prime": 2147483629, "trials": 7, "seed": 3}),
     ("transitivity", ["--seed", "3"],

@@ -9,9 +9,12 @@ that turn Fraction test data into the integer input of linalg, the
 growing echelon with whole rows added and its RREF read back,
 modp_kernel's square kernels read back as row bases, the dense
 incidence kernel that Pencil.torus is tested against, the one-list
-sampled verdict that the blocked one is tested against, a span's
+sampled verdict that the blocked one is tested against, the exhaustive
+verdict over every point that the one over torus orbits is tested
+against, a span's
 coordinates read back as one dict per tensor, and the diagram containment
 and form values that only tests read, shared by the test modules."""
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -532,3 +535,20 @@ def sampled_verdict_one_list(pencil, prime, trials, seed):
         verdict = "inconclusive"
     return RankReport(max(values), strata, verdict,
                       {"kind": "sampled", "prime": prime, "trials": trials, "seed": seed})
+
+
+def exhaustive_verdict_all_points(pencil, prime):
+    """The exhaustive verdict with every point of P^{s-1}(F_p) ranked, as
+    tuples with first nonzero coordinate 1, lead by lead and each tail in
+    lexicographic order, in one ranks_at call: the oracle of the
+    exhaustive mode of constant_rank_verdict, which ranks one point per
+    torus orbit."""
+    s = pencil.nvars
+    points = [(0,) * lead + (1,) + tail for lead in range(s)
+              for tail in itertools.product(range(prime), repeat=s - lead - 1)]
+    ranks = {}
+    for r, x in zip(ranks_at(pencil, points, prime), points):
+        ranks.setdefault(r, x)
+    strata = [(r, pt, "exhaustive") for r, pt in sorted(ranks.items())]
+    return RankReport(max(ranks), strata, "constant" if len(ranks) == 1 else "non-constant",
+                      {"kind": "exhaustive", "prime": prime, "points": len(points)})
