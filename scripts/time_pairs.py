@@ -256,7 +256,8 @@ def probe_exhaustive(root: Path, repeats: int, tmp: Path):
 
     jobs = benchmark_jobs()
     sp6 = catalog.dumps_pencil(catalog.build_from_params(jobs.SP6), jobs.SP6)
-    gl, koszul = ({"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4}, {"kind": "koszul", "k": 2, "v": 5})
+    gl = {"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4}
+    koszul = {"kind": "koszul", "k": 2, "v": 5}
     for name, load, prime in [
         (jobs.job_name(jobs.SP6), lambda: catalog.loads_pencil(sp6)[0], 7),
         ("fixture-sp6_wedge2", lambda: catalog.fixture_parse("sp6_wedge2"), 5),

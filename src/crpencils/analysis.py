@@ -195,7 +195,8 @@ def orbit_firsts(w: np.ndarray, s: int, p: int) -> Optional[list[np.ndarray]]:
                 f = reduce(np.add.outer, [pow(g, e, p) * np.arange(p) % p * p ** (t - 1 - i)
                                           for i, e in enumerate(row)]).ravel()
                 for _ in range((order - 1).bit_length()):  # powers below 2, 4, ... >= order
-                    label, f = np.minimum(label, label[f]), f[f]
+                    np.minimum(label, label[f], out=label)
+                    f = f[f]
         firsts.append(np.flatnonzero(label == np.arange(p ** t)))
     return firsts
 

@@ -87,8 +87,11 @@ def test_exhaustive_gl_over_f5():
     ({"kind": "gl", "mu": [2], "nu": [2, 1], "v": 4}, 3, 40, 15),
     ({"kind": "koszul", "k": 2, "v": 5}, 7, 2_801, 31),
     ({"kind": "so", "mu": [2], "nu": [2, 1], "m": 4}, 13, 2_380, 26),
+    # ranks 12 and 13: the first rank-13 point is the first of its orbit
+    ({"kind": "so", "mu": [2], "nu": [2, 1], "m": 5}, 5, 781, 77),
     (None, 5, 3_906, 3_906),  # the sp6_wedge2 fixture: every torus row a scalar mod 4
-], ids=["sp-11-111-6-F7", "gl-2-21-4-F3", "koszul-2-5-F7", "so-2-21-4-F13", "fixture-F5"])
+], ids=["sp-11-111-6-F7", "gl-2-21-4-F3", "koszul-2-5-F7", "so-2-21-4-F13", "so-2-21-5-F5",
+        "fixture-F5"])
 def test_exhaustive_verdict_ranks_one_point_per_torus_orbit(record, prime, points, orbits):
     pen = build_from_params(record) if record else fixture_parse("sp6_wedge2")
     rep = constant_rank_verdict(pen, "exhaustive", prime=prime)
